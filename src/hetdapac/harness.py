@@ -68,7 +68,6 @@ class Transcript:
         self.params = params
         self.seed = seed
         self.records: list[Record] = []
-        self.payloads: list = []
         self.retries = 0
         self.attempts = 0
         self.pool_allocated_chunks = 0
@@ -80,7 +79,6 @@ class Transcript:
         rec = Record(len(self.records), phase, sender, receiver, kind,
                      symbols, payload_digest(payload), segment)
         self.records.append(rec)
-        self.payloads.append(payload)
         return rec
 
     def note_pool(self, pool: RandomnessPool, segment=None):
@@ -236,16 +234,13 @@ def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
     """Send queries, collect answers, decode; redraw on a decode retry."""
     eng = scheme_engine(scheme)
     field = PrimeField(params.q)
-    servers = [n for n in params.servers()
-               if actor_name(n, params) in channel.actors
-               and (scheme != "dapac" or n != params.central)]
     last_error = None
     for attempt in range(retry_cap):
         transcript.attempts += 1
         rng = derive_rng(seed, "user", *rng_labels, attempt)
         plan, queries = eng.build(v_star, params, rng, partition=partition)
         answers = {}
-        for n in servers:
+        for n in sorted(queries):
             name = actor_name(n, params)
             reply = channel.request("retrieval", "user", name, "query",
                                     encode_query(queries[n]),

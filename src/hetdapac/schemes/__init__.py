@@ -1,8 +1,11 @@
 """The three retrieval engines, keyed by scheme tag.
 
 het1:  one sub-packet per dedicated server, central download dominates.
-het2:  pairwise groups with a split pair cover, balanced downloads (D >= 3).
-dapac: the fully-dedicated pairwise baseline, no central download.
+dapac: the fully-dedicated pairwise baseline, no central download. Its
+       module is also the pairwise layer: dedicated groups, twins, their
+       label table and the rest-pair decode.
+het2:  dapac's pairwise layer plus cycle twins and the central server,
+       balanced downloads (D >= 3).
 """
 
 from . import dapac, het1, het2

@@ -15,7 +15,7 @@ manipulate vectors only through the source they were given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..access import SystemParams
 from ..errors import AccessRefusal, ConfigError
@@ -219,12 +219,13 @@ def _pad_sum(pool: RandomnessPool, labels, q: int) -> tuple[int, ...]:
 
 
 def answer_with_labels(ctx: ServerContext, query: QueryTuple,
-                       label_fn: Callable) -> tuple[list[AnswerShare], list[list[tuple]]]:
+                       table: dict) -> tuple[list[AnswerShare], list[list[tuple]]]:
     """Generic server answer path.
 
-    label_fn(ctx, group) names the pad chunks for one group; the share is
-    the combined sub-packet plus the sum of those chunks. Any reference to
-    a message outside the accessible slice is refused outright.
+    table maps the message set of every group the server may be asked for
+    to the pad chunks it names; the share is the combined sub-packet plus
+    the sum of those chunks. A group matching no entry is refused, and so
+    is any reference to a message outside the accessible slice.
     """
     if query.server != ctx.server:
         raise ConfigError(f"query for server {query.server} sent to {ctx.server}")
@@ -236,7 +237,9 @@ def answer_with_labels(ctx: ServerContext, query: QueryTuple,
     for gi, group in enumerate(query.groups):
         if len(group.vector) != len(group.descriptor.rows):
             raise ConfigError("vector length does not match group rows")
-        labels = label_fn(ctx, group)
+        labels = table.get(frozenset(group.descriptor.messages()))
+        if labels is None:
+            raise ConfigError(f"group does not match any candidate set on server {ctx.server}")
         total = list(_pad_sum(ctx.pool, labels, q))
         for coeff, (msg, widx) in zip(group.vector, group.descriptor.rows):
             if msg not in ctx.store:
@@ -250,11 +253,6 @@ def answer_with_labels(ctx: ServerContext, query: QueryTuple,
         shares.append(AnswerShare(ctx.server, gi, tuple(total)))
         all_labels.append(list(labels))
     return shares, all_labels
-
-
-def group_pads(ctx: ServerContext, query: QueryTuple, label_fn: Callable) -> list[tuple[int, ...]]:
-    """Just the pads, for audits that decompose answers affinely."""
-    return [_pad_sum(ctx.pool, label_fn(ctx, g), ctx.params.q) for g in query.groups]
 
 
 def pseudo_vstar(ctx: ServerContext) -> tuple[int, ...]:

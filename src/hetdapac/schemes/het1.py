@@ -28,7 +28,6 @@ from .base import (
     VectorSource,
     answer_with_labels,
     draw_permutations,
-    group_pads,
     pseudo_vstar,
 )
 
@@ -77,7 +76,7 @@ def build(v_star, params, rng, partition=None, source=None):
     return plan, plan.wire_queries()
 
 
-def _label_table(ctx: ServerContext) -> dict[frozenset, tuple]:
+def _label_table(ctx: ServerContext) -> dict[frozenset, list]:
     table = {}
     ref = pseudo_vstar(ctx)
     for n in range(1, ctx.params.d + 1):
@@ -85,24 +84,12 @@ def _label_table(ctx: ServerContext) -> dict[frozenset, tuple]:
             key = frozenset(match_set(n, k, ref, ctx.params))
             if key in table:
                 raise ConfigError("ambiguous candidate sets")
-            table[key] = ("nk", n, k)
+            table[key] = [("nk", n, k)]
     return table
 
 
-def _group_labels(ctx: ServerContext, group) -> list[tuple]:
-    table = _label_table(ctx)
-    key = frozenset(group.descriptor.messages())
-    if key not in table:
-        raise ConfigError(f"group does not match any candidate set on server {ctx.server}")
-    return [table[key]]
-
-
 def answer_query(ctx: ServerContext, query):
-    return answer_with_labels(ctx, query, _group_labels)
-
-
-def pads(ctx: ServerContext, query):
-    return group_pads(ctx, query, _group_labels)
+    return answer_with_labels(ctx, query, _label_table(ctx))
 
 
 def decode(plan: RetrievalPlan, answers: dict, field) -> tuple[int, ...]:

@@ -1,13 +1,13 @@
-"""Retrieval engine het2: pairwise groups with a split pair cover (D >= 3).
+"""Retrieval engine het2: the pairwise layer plus a central server (D >= 3).
 
 Messages are split into M = D(D+1)/2 sub-packets. The 2-subsets of [D] are
 covered by a cycle (each server in exactly two cycle pairs) plus the rest;
 the cycle is oriented so each server has one outgoing partner.
 
-Dedicated server n gets K(D-1) groups: for each other server m and far
-value k, the messages matching the verified value at n and value k at m.
-Per pair {n, m} the two far-value-matched groups are twins holding the same
-rows for every message except the desired one:
+The dedicated groups, their twins and pads, the dedicated label table and
+the rest-pair decode are dapac's pairwise layer, run with the cycle pairs
+(see dapac.py). Per pair {n, m} the two far-value-matched groups are twins
+holding the same rows for every message except the desired one:
 
   cycle pair:  the twins carry two distinct desired sub-packets (index i1
                on the lower server, i2 on the higher) under the very same
@@ -15,11 +15,11 @@ rows for every message except the desired one:
   rest pair:   the twins are identical, sharing one desired sub-packet,
                and the higher twin's vector is lifted at the desired row.
 
-The central server gets KD groups, one per candidate match set. At the
-verified value the group is the concatenation of server n's K groups
-toward its outgoing partner (same rows, same sub-packet indices), with
-the vector block at the partner's verified value lifted at the desired
-row; at other values the group is fresh.
+het2 adds the central server, which gets KD groups, one per candidate
+match set. At the verified value the group is the concatenation of server
+n's K groups toward its outgoing partner (same rows, same sub-packet
+indices), with the vector block at the partner's verified value lifted at
+the desired row; at other values the group is fresh.
 
 Decoding runs in three stages:
   1. central share minus the sum of the K concatenated dedicated shares
@@ -41,13 +41,13 @@ from ..access import (
     build_partition,
     match_set,
     message_index,
-    ordered_complement,
     pair_set,
     participating_vectors,
     public_part,
 )
 from ..errors import ConfigError
 from ..randomness import canonical_pair_label, chunk_length, subpacket_count
+from . import dapac
 from .base import (
     DecodeRetry,
     FreshIndexCounter,
@@ -57,7 +57,6 @@ from .base import (
     VectorSource,
     answer_with_labels,
     draw_permutations,
-    group_pads,
     pseudo_vstar,
 )
 
@@ -74,10 +73,7 @@ def desired_index_map(partition, d: int):
     Cycle pair p gets (i1, i2) = (pos, D + pos) by sorted position; rest
     pair p gets 2D + pos. Together they cover [1, M] exactly once.
     """
-    i1 = {p: pos for pos, p in enumerate(partition.cycle, start=1)}
-    i2 = {p: d + pos for pos, p in enumerate(partition.cycle, start=1)}
-    ic = {p: 2 * d + pos for pos, p in enumerate(partition.rest, start=1)}
-    return i1, i2, ic
+    return dapac.desired_index_map(partition.cycle, d)
 
 
 def build(v_star, params, rng, partition=None, source=None):
@@ -96,71 +92,35 @@ def build(v_star, params, rng, partition=None, source=None):
         for v in participating_vectors(params, public_part(v_star, params)))
     perms = draw_permutations(participating, sub, rng)
     counter = FreshIndexCounter(sub)
-    i1, i2, ic = desired_index_map(partition, d)
-
-    groups: dict[int, list[PlanGroup]] = {n: [] for n in range(1, d + 2)}
-    built: dict[tuple[int, int, int], PlanGroup] = {}
-    gi_of: dict[tuple[int, int, int], int] = {}
-
-    # dedicated groups, servers in ascending order so twins find their owner
-    for n in range(1, d + 1):
-        for m in ordered_complement(n, d):
-            for k in range(1, params.k + 1):
-                if k == values[m - 1] and m < n:
-                    owner = built[(m, n, values[n - 1])]
-                    pair = (m, n)
-                    l = owner.row_of(desired)
-                    rows = list(owner.rows)
-                    if pair in i1:
-                        # cycle twin: same vector, second desired sub-packet
-                        rows[l - 1] = (desired, i2[pair])
-                        vec = owner.vector
-                    else:
-                        # rest twin: identical rows, lifted vector
-                        vec = source.add_unit(owner.vector, l)
-                    g = PlanGroup(("u", n, m, k), rows, vec)
-                elif k == values[m - 1]:
-                    pair = (n, m)
-                    members = pair_set(n, m, values[n - 1], k, v_star, params)
-                    rows = []
-                    for msg in members:
-                        if msg == desired:
-                            rows.append((msg, i1[pair] if pair in i1 else ic[pair]))
-                        else:
-                            rows.append((msg, counter.next(msg)))
-                    g = PlanGroup(("u", n, m, k), rows, source.fresh(len(rows)))
-                else:
-                    members = pair_set(n, m, values[n - 1], k, v_star, params)
-                    rows = [(msg, counter.next(msg)) for msg in members]
-                    g = PlanGroup(("u", n, m, k), rows, source.fresh(len(rows)))
-                built[(n, m, k)] = g
-                gi_of[(n, m, k)] = len(groups[n])
-                groups[n].append(g)
+    groups, index, twins = dapac.dedicated_groups(v_star, params, source, counter,
+                                                  cycle=partition.cycle)
 
     # central groups: per server the concatenation toward its outgoing
     # partner at the verified value, fresh groups at the other values
     central = d + 1
+    groups[central] = []
     stage1 = {}
     for n in range(1, d + 1):
         m0 = partition.outgoing(n)
         km0 = values[m0 - 1]
         for k in range(1, params.k + 1):
             if k == values[n - 1]:
+                gis = [index[(n, m0, k2)] for k2 in range(1, params.k + 1)]
                 rows = []
                 blocks = []
-                for k2 in range(1, params.k + 1):
-                    g = built[(n, m0, k2)]
+                for k2, gi in enumerate(gis, start=1):
+                    g = groups[n][gi]
                     if k2 == km0:
                         blocks.append(source.add_unit(g.vector, g.row_of(desired)))
                     else:
                         blocks.append(g.vector)
                     rows.extend(g.rows)
                 cg = PlanGroup(("central", n, k), rows, source.concat(blocks))
-                pair = (min(n, m0), max(n, m0))
+                twin = twins[(min(n, m0), max(n, m0))]
                 stage1[n] = {
                     "central_gi": len(groups[central]),
-                    "ded_gis": [gi_of[(n, m0, k2)] for k2 in range(1, params.k + 1)],
-                    "logical": i1[pair] if n < m0 else i2[pair],
+                    "ded_gis": gis,
+                    "logical": twin["i1"] if n < m0 else twin["i2"],
                 }
             else:
                 rows = []
@@ -170,30 +130,10 @@ def build(v_star, params, rng, partition=None, source=None):
                 cg = PlanGroup(("central", n, k), rows, source.fresh(len(rows)))
             groups[central].append(cg)
 
-    # twin bookkeeping for stages 2a and 2b
-    stage2a = []
-    stage2b = []
-    for (n, m) in partition.cycle:
-        owner = built[(n, m, values[m - 1])]
-        l = owner.row_of(desired)
-        entry = {
-            "pair": (n, m),
-            "lower": (n, gi_of[(n, m, values[m - 1])]),
-            "higher": (m, gi_of[(m, n, values[n - 1])]),
-            "row": l,
-            "vector": owner.vector,
-            "i1": i1[(n, m)],
-            "i2": i2[(n, m)],
-            "known": "i1" if partition.outgoing(n) == m else "i2",
-        }
-        stage2a.append(entry)
-    for (n, m) in partition.rest:
-        stage2b.append({
-            "pair": (n, m),
-            "lower": (n, gi_of[(n, m, values[m - 1])]),
-            "higher": (m, gi_of[(m, n, values[n - 1])]),
-            "logical": ic[(n, m)],
-        })
+    # stage 2a knows one of a cycle pair's two indices from stage 1
+    stage2a = [dict(twins[(n, m)], known="i1" if partition.outgoing(n) == m else "i2")
+               for n, m in partition.cycle]
+    stage2b = [twins[p] for p in partition.rest]
 
     plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups,
                          decode_info={"stage1": stage1, "stage2a": stage2a,
@@ -201,43 +141,23 @@ def build(v_star, params, rng, partition=None, source=None):
     return plan, plan.wire_queries()
 
 
-def _label_table(ctx: ServerContext) -> dict[frozenset, list]:
+def _central_table(ctx: ServerContext) -> dict[frozenset, list]:
+    if ctx.partition is None:
+        raise ConfigError("central server needs the public pair partition")
     ref = pseudo_vstar(ctx)
     table = {}
-    if ctx.is_central:
-        if ctx.partition is None:
-            raise ConfigError("central server needs the public pair partition")
-        for n in range(1, ctx.params.d + 1):
-            m0 = ctx.partition.outgoing(n)
-            for k in range(1, ctx.params.k + 1):
-                key = frozenset(match_set(n, k, ref, ctx.params))
-                table[key] = [canonical_pair_label(n, m0, k, k2)
-                              for k2 in range(1, ctx.params.k + 1)]
-    else:
-        n = ctx.server
-        for m in ordered_complement(n, ctx.params.d):
-            for k in range(1, ctx.params.k + 1):
-                key = frozenset(pair_set(n, m, ctx.own_value, k, ref, ctx.params))
-                if key in table:
-                    raise ConfigError("ambiguous pair sets")
-                table[key] = [canonical_pair_label(n, m, ctx.own_value, k)]
+    for n in range(1, ctx.params.d + 1):
+        m0 = ctx.partition.outgoing(n)
+        for k in range(1, ctx.params.k + 1):
+            key = frozenset(match_set(n, k, ref, ctx.params))
+            table[key] = [canonical_pair_label(n, m0, k, k2)
+                          for k2 in range(1, ctx.params.k + 1)]
     return table
 
 
-def _group_labels(ctx: ServerContext, group) -> list[tuple]:
-    table = _label_table(ctx)
-    key = frozenset(group.descriptor.messages())
-    if key not in table:
-        raise ConfigError(f"group does not match any candidate set on server {ctx.server}")
-    return table[key]
-
-
 def answer_query(ctx: ServerContext, query):
-    return answer_with_labels(ctx, query, _group_labels)
-
-
-def pads(ctx: ServerContext, query):
-    return group_pads(ctx, query, _group_labels)
+    table = _central_table(ctx) if ctx.is_central else dapac.label_table(ctx)
+    return answer_with_labels(ctx, query, table)
 
 
 def decode(plan: RetrievalPlan, answers: dict, field) -> tuple[int, ...]:
@@ -265,10 +185,5 @@ def decode(plan: RetrievalPlan, answers: dict, field) -> tuple[int, ...]:
         else:
             decoded[st["i1"]] = field.vec_sub(decoded[st["i2"]], gap)
 
-    for st in info["stage2b"]:
-        low_server, low_gi = st["lower"]
-        high_server, high_gi = st["higher"]
-        decoded[st["logical"]] = field.vec_sub(answers[high_server][high_gi].payload,
-                                               answers[low_server][low_gi].payload)
-
+    decoded.update(dapac.rest_twin_subpackets(info["stage2b"], answers, field))
     return plan.assemble(decoded)

@@ -20,6 +20,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class MessageGroupDescriptor:
@@ -73,16 +75,31 @@ def encode_query(query: QueryTuple) -> dict:
     }
 
 
+def _integer(x) -> int:
+    if type(x) is not int:
+        raise ConfigError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _row(row) -> tuple[int, int]:
+    if not isinstance(row, (list, tuple)) or len(row) != 2:
+        raise ConfigError(f"expected a (message, index) row, got {row!r}")
+    return _integer(row[0]), _integer(row[1])
+
+
 def decode_query(obj: dict) -> QueryTuple:
-    groups = tuple(
-        QueryGroup(
-            descriptor=MessageGroupDescriptor(
-                rows=tuple((int(m), int(i)) for m, i in g["rows"])),
-            vector=tuple(int(x) for x in g["vector"]),
+    """Inverse of encode_query; a malformed payload raises ConfigError."""
+    try:
+        groups = tuple(
+            QueryGroup(
+                descriptor=MessageGroupDescriptor(rows=tuple(_row(r) for r in g["rows"])),
+                vector=tuple(_integer(x) for x in g["vector"]),
+            )
+            for g in obj["groups"]
         )
-        for g in obj["groups"]
-    )
-    return QueryTuple(server=int(obj["server"]), groups=groups)
+        return QueryTuple(server=_integer(obj["server"]), groups=groups)
+    except (KeyError, TypeError) as err:
+        raise ConfigError(f"malformed query payload: {err!r}") from err
 
 
 def encode_answers(shares: list[AnswerShare]) -> dict:
@@ -93,10 +110,14 @@ def encode_answers(shares: list[AnswerShare]) -> dict:
 
 
 def decode_answers(obj: dict) -> list[AnswerShare]:
-    server = int(obj["server"])
-    return [AnswerShare(server=server, group_index=int(s["group"]),
-                        payload=tuple(int(x) for x in s["payload"]))
-            for s in obj["shares"]]
+    """Inverse of encode_answers; a malformed payload raises ConfigError."""
+    try:
+        server = _integer(obj["server"])
+        return [AnswerShare(server=server, group_index=_integer(s["group"]),
+                            payload=tuple(_integer(x) for x in s["payload"]))
+                for s in obj["shares"]]
+    except (KeyError, TypeError) as err:
+        raise ConfigError(f"malformed answer payload: {err!r}") from err
 
 
 def canonical_json(obj) -> bytes:
