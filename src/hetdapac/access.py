@@ -114,6 +114,11 @@ def participating_vectors(params: SystemParams, public: tuple[int, ...]):
         yield sens + tuple(public)
 
 
+def participating_ids(params: SystemParams, public: tuple[int, ...]) -> list[int]:
+    """Ids of the K^D participating messages for a public part, ascending."""
+    return sorted(message_index(v, params) for v in participating_vectors(params, public))
+
+
 def accessible_messages(server: int, v_star: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
     """Message ids server `server` may serve after verifying v*, sorted.
 

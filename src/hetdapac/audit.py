@@ -27,19 +27,13 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .access import (
-    SystemParams,
-    accessible_messages,
-    build_partition,
-    message_index,
-    participating_vectors,
-)
+from .access import SystemParams, build_partition, message_index, participating_ids
 from .errors import ConfigError, EnumerationRefusal
 from .field import derive_rng
 from .harness import random_store, run_protocol
-from .randomness import RandomnessPool, allocate, chunk_length, subpacket_count
+from .randomness import RandomnessPool, allocate, subpacket_count
 from .schemes import engine as scheme_engine
-from .schemes.base import ServerContext, TracingSource
+from .schemes.base import TracingSource, server_context
 
 INF = float("inf")
 
@@ -214,6 +208,15 @@ def _pair_tv(groups_v, groups_u, q: int, cap: int) -> tuple[Fraction, int]:
     return _joint_tv(differing, cap), enumerated
 
 
+def privacy_servers(scheme: str, params: SystemParams) -> range:
+    """The servers a privacy audit covers: every server the scheme queries.
+
+    dapac queries only the dedicated servers; het1 and het2 also query the
+    central server, even when there are no public attributes (N == D).
+    """
+    return range(1, params.d + 1) if scheme == "dapac" else params.servers()
+
+
 def audit_attribute_privacy(scheme: str, params: SystemParams, server: int,
                             cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     """Max exact TV distance of one server's received query distribution
@@ -261,15 +264,12 @@ def audit_attribute_privacy(scheme: str, params: SystemParams, server: int,
 # --------------------------------------------------------- database secrecy
 
 def _contexts(scheme, params, v_star, store, pool, partition, servers):
-    public = tuple(v_star[params.d:])
-    ctxs = {}
-    for server in servers:
-        ids = accessible_messages(server, v_star, params)
-        ctxs[server] = ServerContext(
-            scheme=scheme, server=server, params=params, public=public,
-            own_value=None if server == params.central else v_star[server - 1],
-            store={m: store[m] for m in ids}, pool=pool, partition=partition)
-    return ctxs
+    public = v_star[params.d:]
+    return {server: server_context(
+                scheme, server, params, public,
+                None if server == params.central else v_star[server - 1],
+                store, pool, partition)
+            for server in servers}
 
 
 def _answer_tuple(eng, ctxs, queries, pool):
@@ -301,8 +301,9 @@ def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11,
     partition = build_partition(params.d) if scheme == "het2" else None
     eng = scheme_engine(scheme)
     q = params.q
-    clen = chunk_length(scheme, params)
-    labels = allocate(scheme, params, tuple(v_star[params.d:]), 0).labels()
+    zero_pool = allocate(scheme, params, tuple(v_star[params.d:]), 0).zeros_like()
+    clen = zero_pool.chunk_len
+    labels = zero_pool.labels()
     n_symbols = len(labels) * clen
     size = q ** n_symbols
     if size > cap:
@@ -314,8 +315,6 @@ def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11,
     desired = message_index(v_star, params)
     store = random_store(params, seed)
     other = random_store(params, (seed, "affine-witness"))
-    zero_pool = RandomnessPool(scheme, params, clen,
-                               {lab: (0,) * clen for lab in labels})
 
     def answers(st, pool):
         ctxs = _contexts(scheme, params, v_star, st, pool, partition, queries)
@@ -343,13 +342,10 @@ def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11,
                          for k, c in table.items()})
         return _table_tv(table, size, moved, size)
 
-    participating = sorted(
-        message_index(v, params)
-        for v in participating_vectors(params, tuple(v_star[params.d:])))
     max_tv = Fraction(0)
     worst = None
     perturbations = 0
-    for m in participating:
+    for m in participating_ids(params, tuple(v_star[params.d:])):
         if m == desired:
             continue
         for alt in itertools.product(range(q), repeat=params.length):
@@ -493,8 +489,7 @@ def suite_correctness(trials: int = 50) -> dict:
 def suite_privacy(cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     checks = []
     for scheme, params in PRIVACY_POINTS:
-        servers = params.servers() if scheme != "dapac" else range(1, params.d + 1)
-        for server in servers:
+        for server in privacy_servers(scheme, params):
             rep = audit_attribute_privacy(scheme, params, server, cap=cap)
             checks.append({"name": f"privacy {scheme} server {server}",
                            "pass": rep["pass"], "report": rep})

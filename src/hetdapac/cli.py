@@ -33,6 +33,7 @@ from .audit import (
     audit_correctness,
     audit_counts,
     audit_db_secrecy,
+    privacy_servers,
 )
 from .errors import ConfigError, EnumerationRefusal, RetrievalFailure
 from .harness import random_store, run_protocol
@@ -223,9 +224,7 @@ def _point_audit(suite: str, cfg: dict) -> dict:
         checks.append({"name": f"correctness {scheme}", "pass": rep["pass"],
                        "report": rep})
     elif suite == "privacy":
-        servers = params.servers() if params.has_central \
-            else range(1, params.d + 1)
-        for server in servers:
+        for server in privacy_servers(scheme, params):
             rep = audit_attribute_privacy(scheme, params, server)
             checks.append({"name": f"privacy {scheme} server {server}",
                            "pass": rep["pass"], "report": rep})

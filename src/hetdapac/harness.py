@@ -13,22 +13,27 @@ receiver, kind, symbol count, payload digest); identical inputs produce
 byte-identical transcript dumps. Query construction happens strictly
 before any server sees the store it will answer from, and only ever reads
 (v*, params, user randomness).
+
+Every run goes through `run_segments`: one verification phase, then one
+retrieval per segment, each segment a scheme with its own symbol range,
+store slice and randomness pool. A pure run is a single segment; a
+time-shared mix (see mixer.py) is several.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .access import SystemParams, accessible_messages, check_vector, build_partition
+from .access import SystemParams, build_partition, check_vector
 from .errors import ConfigError, RetrievalFailure
 from .field import PrimeField, derive_rng
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
-from .schemes.base import DecodeRetry, ServerContext
+from .schemes.base import DecodeRetry, ServerContext, server_context
 from .wire import decode_answers, decode_query, encode_answers, encode_query, payload_digest
 
 DEFAULT_RETRY_CAP = 8
@@ -63,10 +68,8 @@ class Record:
 class Transcript:
     """Structured log of one protocol run plus accounting counters."""
 
-    def __init__(self, scheme: str, params: SystemParams, seed):
-        self.scheme = scheme
+    def __init__(self, params: SystemParams):
         self.params = params
-        self.seed = seed
         self.records: list[Record] = []
         self.retries = 0
         self.attempts = 0
@@ -138,18 +141,15 @@ class Channel:
 class ServerActor:
     """One server: verifies its attribute(s), then answers queries.
 
-    Holds the full database the way a real replica would; the accessible
-    slice is carved out of it once verification pins down which messages
-    this server may serve. Queries touching anything else are refused.
+    Verification happens once per run. Each retrieval segment then installs
+    its pool together with the segment's store, held whole the way a real
+    replica would hold it; the accessible slice is carved out of it by the
+    verified view. Queries touching anything else are refused.
     """
 
-    def __init__(self, server: int, scheme: str, params: SystemParams, store, partition=None):
+    def __init__(self, server: int, params: SystemParams):
         self.server = server
-        self.scheme = scheme
         self.params = params
-        self.full_store = store
-        self.partition = partition
-        self.engine = scheme_engine(scheme)
         self.own_value: Optional[int] = None
         self.public: Optional[tuple[int, ...]] = None
         self.ctx: Optional[ServerContext] = None
@@ -173,25 +173,22 @@ class ServerActor:
             return None
         if kind == "query":
             query = decode_query(payload)
-            shares, labels = self.engine.answer_query(self.ctx, query)
+            shares, labels = scheme_engine(self.ctx.scheme).answer_query(self.ctx, query)
             self.used_labels = labels
             reply = encode_answers(shares)
             return ("answer", reply, sum(len(s.payload) for s in shares))
         raise ConfigError(f"unknown message kind {kind!r}")
 
-    def install_pool(self, pool: RandomnessPool):
-        """Server-to-server agreement on pads; never crosses the user channel."""
+    def install_pool(self, pool: RandomnessPool, store, partition=None):
+        """Server-to-server agreement on pads; never crosses the user channel.
+
+        The pool names the segment's scheme and parameters; `store` holds
+        the segment's symbols of every message.
+        """
         if self.public is None or (not self.is_central and self.own_value is None):
             raise ConfigError("pool installed before verification finished")
-        ref = list(1 for _ in range(self.params.d)) + list(self.public)
-        if not self.is_central:
-            ref[self.server - 1] = self.own_value
-        ids = accessible_messages(self.server, tuple(ref), self.params)
-        slice_ = {m: self.full_store[m] for m in ids}
-        self.ctx = ServerContext(
-            scheme=self.scheme, server=self.server, params=self.params,
-            public=self.public, own_value=self.own_value,
-            store=slice_, pool=pool, partition=self.partition)
+        self.ctx = server_context(pool.scheme, self.server, pool.params, self.public,
+                                  self.own_value, store, pool, partition)
 
 
 # ---------------------------------------------------------------- stores
@@ -210,22 +207,21 @@ def store_segment(store, start: int, stop: int) -> dict[int, tuple[int, ...]]:
 
 # ---------------------------------------------------------------- protocol
 
-def verification_phase(channel: Channel, v_star, params: SystemParams, segment=None):
+def verification_phase(channel: Channel, v_star, params: SystemParams):
     """Commit sensitive values to dedicated servers, public part to central,
     and relay the public part everywhere."""
     v_star = check_vector(v_star, params)
     for n in range(1, params.d + 1):
         channel.request("verification", "user", actor_name(n, params),
-                        "attribute-commit", {"position": n, "value": v_star[n - 1]},
-                        segment=segment)
+                        "attribute-commit", {"position": n, "value": v_star[n - 1]})
     central = actor_name(params.central, params)
     if central in channel.actors:
         public = list(v_star[params.d:])
         channel.request("verification", "user", central,
-                        "attribute-commit", {"public": public}, segment=segment)
+                        "attribute-commit", {"public": public})
         for n in range(1, params.d + 1):
             channel.request("verification", central, actor_name(n, params),
-                            "attribute-relay", {"public": public}, segment=segment)
+                            "attribute-relay", {"public": public})
 
 
 def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
@@ -259,33 +255,53 @@ def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
         f"decode failed after {retry_cap} attempts: {last_error}", attempts=retry_cap)
 
 
-def run_protocol(scheme: str, params: SystemParams, v_star, store, seed,
-                 partition=None, retry_cap: int = DEFAULT_RETRY_CAP):
-    """Full two-phase run. Returns (decoded message, transcript, metrics)."""
-    v_star = check_vector(v_star, params)
-    if scheme == "het2" and partition is None:
-        partition = build_partition(params.d)
-    transcript = Transcript(scheme, params, seed)
-    channel = Channel(transcript)
+def run_segments(params: SystemParams, v_star, seed, segments,
+                 retry_cap: int = DEFAULT_RETRY_CAP, partition=None):
+    """One verification phase, then one retrieval per segment, in order.
 
-    with_central = scheme != "dapac" or params.has_central
+    A segment is (scheme, segment params, segment store, pool): the params
+    differ from `params` only in length, the store holds that many symbols
+    of every message, and the pool was allocated for the segment. The
+    decoded segments concatenate into the message. A lone segment is a pure
+    run and stays untagged; several are tagged by scheme in the transcript,
+    and each draws its queries from a user stream labeled by its scheme.
+    Returns (decoded message, transcript, metrics).
+    """
+    v_star = check_vector(v_star, params)
+    schemes = [scheme for scheme, *_ in segments]
+    if "het2" in schemes and partition is None:
+        partition = build_partition(params.d)
+    transcript = Transcript(params)
+    channel = Channel(transcript)
+    # dapac never queries the central server; it only joins to verify public attributes
+    with_central = params.has_central or any(s != "dapac" for s in schemes)
     for n in params.servers():
-        if n == params.central and not with_central:
-            continue
-        actor = ServerActor(n, scheme, params, store, partition)
-        channel.connect(actor_name(n, params), actor)
+        if n != params.central or with_central:
+            channel.connect(actor_name(n, params), ServerActor(n, params))
 
     verification_phase(channel, v_star, params)
 
-    public = tuple(v_star[params.d:])
-    pool = allocate(scheme, params, public, seed)
-    transcript.note_pool(pool)
-    for actor in channel.actors.values():
-        actor.install_pool(pool)
-
-    message = retrieval_phase(channel, scheme, params, v_star, seed,
-                              partition, retry_cap, transcript)
+    tagged = len(segments) > 1
+    message = ()
+    for scheme, seg_params, seg_store, pool in segments:
+        tag = scheme if tagged else None
+        transcript.note_pool(pool, segment=tag)
+        for actor in channel.actors.values():
+            actor.install_pool(pool, seg_store, partition)
+        message += retrieval_phase(channel, scheme, seg_params, v_star, seed,
+                                   partition, retry_cap, transcript, segment=tag,
+                                   rng_labels=(tag,) if tagged else ())
     return message, transcript, metrics_of(transcript)
+
+
+def run_protocol(scheme: str, params: SystemParams, v_star, store, seed,
+                 partition=None, retry_cap: int = DEFAULT_RETRY_CAP):
+    """Full two-phase run of one scheme. Returns (decoded message,
+    transcript, metrics)."""
+    v_star = check_vector(v_star, params)
+    pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
+    return run_segments(params, v_star, seed, [(scheme, params, store, pool)],
+                        retry_cap, partition)
 
 
 def metrics_of(transcript: Transcript) -> dict:

@@ -2,9 +2,11 @@
 
 A mix splits each message: the first lambda*L symbols are retrieved with
 the pairwise dapac engine, the rest with het1, so lambda = 0 is pure het1
-and lambda = 1 is pure dapac. All algebra is exact Fraction arithmetic;
-the only float anywhere is the infinity sentinel for an absent central
-download.
+and lambda = 1 is pure dapac. An executed mix is a list of segments, one
+per component, run by the harness's segment runner after a single
+verification phase; an endpoint mix is a lone segment and so the very same
+run as the pure scheme. All algebra is exact Fraction arithmetic; the only
+float anywhere is the infinity sentinel for an absent central download.
 
 The frontier improves on that family for D >= 3 by time-sharing het2 with
 its neighbors instead: mixtures are taken in per-symbol download space,
@@ -18,20 +20,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .access import SystemParams
+from .access import SystemParams, check_vector
 from .errors import ConfigError, DivisibilityError
-from .harness import (
-    Channel,
-    ServerActor,
-    Transcript,
-    actor_name,
-    metrics_of,
-    retrieval_phase,
-    run_protocol,
-    store_segment,
-    verification_phase,
-    DEFAULT_RETRY_CAP,
-)
+from .harness import DEFAULT_RETRY_CAP, run_segments, store_segment
 from .randomness import allocate
 
 INF = float("inf")
@@ -198,50 +189,23 @@ def plan_mix(params: SystemParams, lam) -> MixPlan:
 
 def run_time_shared(mix: MixPlan, v_star, store, seed,
                     retry_cap: int = DEFAULT_RETRY_CAP):
-    """Execute the mix: dapac on the first segment, het1 on the rest.
+    """Execute the mix: dapac on the first lambda*L symbols, het1 on the rest.
 
-    One verification phase serves both components; each component gets its
-    own randomness pool and query stream. Returns (message, transcript,
-    metrics) like run_protocol, with records tagged by segment.
+    Each component is one segment with its own symbol range, randomness
+    pool and query stream, all behind one verification phase. Returns
+    (message, transcript, metrics) like run_protocol; with two components
+    the retrieval records are tagged by segment, and an endpoint mix
+    (lambda 0 or 1) is exactly the pure run.
     """
     params = mix.params
-    if mix.lam == 0:
-        return run_protocol("het1", params, v_star, store, seed,
-                            retry_cap=retry_cap)
-    if mix.lam == 1:
-        return run_protocol("dapac", params, v_star, store, seed,
-                            retry_cap=retry_cap)
-
-    params_d = replace(params, length=mix.dapac_length)
-    params_h = replace(params, length=mix.het1_length)
-    transcript = Transcript("mix", params, seed)
-    chan_d = Channel(transcript)
-    chan_h = Channel(transcript)
-    for n in params.servers():
-        chan_d.connect(actor_name(n, params), ServerActor(
-            n, "dapac", params_d, store_segment(store, 0, mix.dapac_length)))
-        chan_h.connect(actor_name(n, params), ServerActor(
-            n, "het1", params_h, store_segment(store, mix.dapac_length,
-                                               params.length)))
-
-    # the protocol verifies attributes once; both components reuse the view
-    verification_phase(chan_d, v_star, params_d)
-    for name, actor in chan_h.actors.items():
-        src = chan_d.actors[name]
-        actor.own_value, actor.public = src.own_value, src.public
-
-    public = tuple(v_star[params.d:])
-    for scheme, chan, cparams in (("dapac", chan_d, params_d),
-                                  ("het1", chan_h, params_h)):
-        pool = allocate(scheme, cparams, public, seed)
-        transcript.note_pool(pool, segment=scheme)
-        for actor in chan.actors.values():
-            actor.install_pool(pool)
-
-    head = retrieval_phase(chan_d, "dapac", params_d, v_star, seed, None,
-                           retry_cap, transcript, segment="dapac",
-                           rng_labels=("dapac",))
-    tail = retrieval_phase(chan_h, "het1", params_h, v_star, seed, None,
-                           retry_cap, transcript, segment="het1",
-                           rng_labels=("het1",))
-    return head + tail, transcript, metrics_of(transcript)
+    public = tuple(check_vector(v_star, params)[params.d:])
+    lengths = {"dapac": mix.dapac_length, "het1": mix.het1_length}
+    segments = []
+    start = 0
+    for scheme in mix.components:
+        seg_params = replace(params, length=lengths[scheme])
+        segments.append((scheme, seg_params,
+                         store_segment(store, start, start + seg_params.length),
+                         allocate(scheme, seg_params, public, seed)))
+        start += seg_params.length
+    return run_segments(params, v_star, seed, segments, retry_cap)

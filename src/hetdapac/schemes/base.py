@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from ..access import SystemParams
+from ..access import SystemParams, accessible_messages
 from ..errors import AccessRefusal, ConfigError
 from ..field import sample_uniform_vector, unit_vector
 from ..randomness import RandomnessPool
@@ -208,6 +208,24 @@ class ServerContext:
     @property
     def is_central(self) -> bool:
         return self.server == self.params.central
+
+
+def server_context(scheme: str, server: int, params: SystemParams, public,
+                   own_value: Optional[int], store, pool: RandomnessPool,
+                   partition=None) -> ServerContext:
+    """The context `server` answers from once it has verified its view.
+
+    The view is the public part plus, on a dedicated server, its own
+    attribute value; the store is cut down to the slice that view grants.
+    """
+    ref = [1] * params.d + list(public)
+    if server != params.central:
+        ref[server - 1] = own_value
+    ids = accessible_messages(server, tuple(ref), params)
+    return ServerContext(scheme=scheme, server=server, params=params,
+                         public=tuple(public), own_value=own_value,
+                         store={m: store[m] for m in ids}, pool=pool,
+                         partition=partition)
 
 
 def _pad_sum(pool: RandomnessPool, labels, q: int) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ from ..access import (
     message_index,
     ordered_complement,
     pair_set,
-    participating_vectors,
+    participating_ids,
     public_part,
 )
 from ..errors import ConfigError
@@ -135,10 +135,8 @@ def build(v_star, params, rng, partition=None, source=None):
     sub = subpackets(params)
     source = source or VectorSource(params.q, rng)
 
-    participating = sorted(
-        message_index(v, params)
-        for v in participating_vectors(params, public_part(v_star, params)))
-    perms = draw_permutations(participating, sub, rng)
+    perms = draw_permutations(participating_ids(params, public_part(v_star, params)),
+                              sub, rng)
     groups, _, twins = dedicated_groups(v_star, params, source, FreshIndexCounter(sub))
 
     plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups,

@@ -16,7 +16,7 @@ of shared randomness (one chunk per group, all consumed).
 
 from __future__ import annotations
 
-from ..access import match_set, message_index, participating_vectors, public_part
+from ..access import match_set, message_index, participating_ids, public_part
 from ..errors import ConfigError
 from ..randomness import chunk_length, subpacket_count
 from .base import (
@@ -46,10 +46,8 @@ def build(v_star, params, rng, partition=None, source=None):
     values = tuple(v_star[:params.d])
     source = source or VectorSource(params.q, rng)
 
-    accessible = sorted(
-        message_index(v, params)
-        for v in participating_vectors(params, public_part(v_star, params)))
-    perms = draw_permutations(accessible, sub, rng)
+    perms = draw_permutations(participating_ids(params, public_part(v_star, params)),
+                              sub, rng)
     counter = FreshIndexCounter(sub)
 
     central_groups: list[PlanGroup] = []

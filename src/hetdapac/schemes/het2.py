@@ -42,7 +42,7 @@ from ..access import (
     match_set,
     message_index,
     pair_set,
-    participating_vectors,
+    participating_ids,
     public_part,
 )
 from ..errors import ConfigError
@@ -87,10 +87,8 @@ def build(v_star, params, rng, partition=None, source=None):
         partition = build_partition(d)
     source = source or VectorSource(params.q, rng)
 
-    participating = sorted(
-        message_index(v, params)
-        for v in participating_vectors(params, public_part(v_star, params)))
-    perms = draw_permutations(participating, sub, rng)
+    perms = draw_permutations(participating_ids(params, public_part(v_star, params)),
+                              sub, rng)
     counter = FreshIndexCounter(sub)
     groups, index, twins = dapac.dedicated_groups(v_star, params, source, counter,
                                                   cycle=partition.cycle)

@@ -16,7 +16,7 @@ P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 
 
 def verified_actor(server, scheme, params, v_star, partition=None, seed=0):
-    actor = ServerActor(server, scheme, params, random_store(params, seed), partition)
+    actor = ServerActor(server, params)
     public = list(v_star[params.d:])
     if actor.is_central:
         actor.handle("attribute-commit", {"public": public})
@@ -24,7 +24,8 @@ def verified_actor(server, scheme, params, v_star, partition=None, seed=0):
         actor.handle("attribute-commit", {"value": v_star[server - 1]})
         if params.has_central:
             actor.handle("attribute-relay", {"public": public})
-    actor.install_pool(allocate(scheme, params, tuple(public), seed))
+    actor.install_pool(allocate(scheme, params, tuple(public), seed),
+                       random_store(params, seed), partition)
     return actor
 
 

@@ -130,6 +130,21 @@ class TestAudit:
             assert f"PASS privacy het1 server {server} (max TV 0)" in out.out
         assert "PASS overall" in out.out
 
+    @pytest.mark.parametrize("flags,servers", [
+        # a public attribute gives dapac a central server it never queries
+        (("dapac", "--n", "4", "--d", "3", "--q", "2", "--length", "3"), 3),
+        # with N == D the central server still answers het1 and het2
+        (("het1", "--n", "2", "--d", "2", "--q", "3", "--length", "2"), 3),
+        (("het2", "--n", "3", "--d", "3", "--q", "2", "--length", "6"), 4),
+    ])
+    def test_point_privacy_audit_covers_the_queried_servers(self, capsys, flags, servers):
+        code, out = run_cli(capsys, "audit", "--suite", "privacy", "--k", "2",
+                            "--scheme", *flags)
+        assert code == 0
+        checks = [line for line in out.out.splitlines() if line.startswith("PASS privacy")]
+        assert checks == [f"PASS privacy {flags[0]} server {n} (max TV 0)"
+                          for n in range(1, servers + 1)]
+
     def test_counts_suite_report_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out = run_cli(capsys, "audit", "--suite", "counts",

@@ -100,14 +100,14 @@ def test_dapac_runs_without_central_actor():
 
 
 def make_verified_actor(server, scheme, params, store, v_star, seed=0, partition=None):
-    actor = ServerActor(server, scheme, params, store, partition)
+    actor = ServerActor(server, params)
     if actor.is_central:
         actor.handle("attribute-commit", {"public": list(v_star[params.d:])})
     else:
         actor.handle("attribute-commit", {"value": v_star[server - 1]})
         actor.handle("attribute-relay", {"public": list(v_star[params.d:])})
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
-    actor.install_pool(pool)
+    actor.install_pool(pool, store, partition)
     return actor
 
 
@@ -144,9 +144,9 @@ def test_query_with_foreign_group_shape_is_rejected():
 
 def test_pool_before_verification_is_rejected():
     store = random_store(P322, 3)
-    actor = ServerActor(1, "het1", P322, store)
+    actor = ServerActor(1, P322)
     with pytest.raises(ConfigError):
-        actor.install_pool(allocate("het1", P322, (2,), 0))
+        actor.install_pool(allocate("het1", P322, (2,), 0), store)
 
 
 def test_store_segment_slices_symbols():
