@@ -17,7 +17,6 @@ space (public part pinned to v*) has size K^D.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -106,17 +105,29 @@ def vector_of_index(idx: int, params: SystemParams) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def participating_vectors(params: SystemParams, public: tuple[int, ...]):
-    """All attribute vectors whose public part equals the given one, in lex order."""
+def _participating_ids(params: SystemParams, public: tuple[int, ...],
+                       fixed: dict[int, int]) -> list[int]:
+    """Ascending ids of the participating messages with attribute n at
+    fixed[n] for each n in `fixed`. Ids are base-K numerals, attribute 1
+    most significant, so expanding positions in order keeps them sorted."""
     if len(public) != params.n_attrs - params.d:
         raise ConfigError("public part has wrong length")
-    for sens in itertools.product(range(1, params.k + 1), repeat=params.d):
-        yield sens + tuple(public)
+    ids = [0]
+    for pos in range(1, params.n_attrs + 1):
+        stride = params.k ** (params.n_attrs - pos)
+        if pos > params.d:
+            values = (public[pos - params.d - 1],)
+        elif pos in fixed:
+            values = (fixed[pos],)
+        else:
+            values = range(1, params.k + 1)
+        ids = [i + (x - 1) * stride for i in ids for x in values]
+    return ids
 
 
 def participating_ids(params: SystemParams, public: tuple[int, ...]) -> list[int]:
     """Ids of the K^D participating messages for a public part, ascending."""
-    return sorted(message_index(v, params) for v in participating_vectors(params, public))
+    return _participating_ids(params, tuple(public), {})
 
 
 def accessible_messages(server: int, v_star: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
@@ -129,12 +140,8 @@ def accessible_messages(server: int, v_star: tuple[int, ...], params: SystemPara
     v_star = check_vector(v_star, params)
     if not 1 <= server <= params.d + 1:
         raise ConfigError(f"server id {server} out of range [1, {params.d + 1}]")
-    pub = public_part(v_star, params)
-    ids = []
-    for v in participating_vectors(params, pub):
-        if server == params.central or v[server - 1] == v_star[server - 1]:
-            ids.append(message_index(v, params))
-    return tuple(sorted(ids))
+    fixed = {} if server == params.central else {server: v_star[server - 1]}
+    return tuple(_participating_ids(params, public_part(v_star, params), fixed))
 
 
 def match_set(n: int, k: int, v_star: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
@@ -149,10 +156,7 @@ def match_set(n: int, k: int, v_star: tuple[int, ...], params: SystemParams) -> 
         raise ConfigError(f"attribute position {n} out of range [1, {params.d}]")
     if not 1 <= k <= params.k:
         raise ConfigError(f"value index {k} out of range [1, {params.k}]")
-    pub = public_part(v_star, params)
-    ids = [message_index(v, params)
-           for v in participating_vectors(params, pub) if v[n - 1] == k]
-    return tuple(sorted(ids))
+    return tuple(_participating_ids(params, public_part(v_star, params), {n: k}))
 
 
 def pair_set(n: int, m: int, k: int, k2: int,
@@ -170,11 +174,8 @@ def pair_set(n: int, m: int, k: int, k2: int,
             raise ConfigError(f"attribute position {pos} out of range [1, {params.d}]")
         if not 1 <= val <= params.k:
             raise ConfigError(f"value index {val} out of range [1, {params.k}]")
-    pub = public_part(v_star, params)
-    ids = [message_index(v, params)
-           for v in participating_vectors(params, pub)
-           if v[n - 1] == k and v[m - 1] == k2]
-    return tuple(sorted(ids))
+    return tuple(_participating_ids(params, public_part(v_star, params),
+                                    {n: k, m: k2}))
 
 
 def ordered_complement(n: int, d: int) -> tuple[int, ...]:

@@ -6,8 +6,10 @@ Four families of checks, all exact:
   many seeds, comparing the decoded message against the store;
 * attribute privacy compares, per server, the exact distribution of what
   that server receives across attribute vectors it must not distinguish;
-* database secrecy brute-forces every shared-randomness assignment and
-  compares answer distributions across single-message store perturbations;
+* database secrecy is proven by rank over F_q, at any q: answers are
+  affine in the uniform pool, so a store perturbation leaves the answer
+  distribution unchanged exactly when its answer shift lies in the column
+  space of the pad map, and otherwise moves it to a disjoint coset;
 * accounting compares measured rate, load ratio, downloads and randomness
   against their closed forms as rationals.
 
@@ -283,33 +285,44 @@ def _answer_tuple(eng, ctxs, queries, pool):
     return tuple(out)
 
 
-def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
-    """Brute-force secrecy check for one fixed query draw.
+def _echelon(vectors, q: int, basis=None) -> dict[int, list[int]]:
+    """Echelon basis over F_q of `basis` (left unchanged) extended by
+    `vectors`, as pivot -> row with a unit pivot; its size is the rank."""
+    rows = dict(basis or {})
+    for vec in vectors:
+        v = list(vec)
+        for pivot in sorted(rows):
+            if v[pivot]:
+                v = [(a - v[pivot] * b) % q for a, b in zip(v, rows[pivot])]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, q)
+            rows[lead] = [x * inv % q for x in v]
+    return rows
 
-    Enumerates every assignment of the shared-randomness pool through the
-    real answering path, both for the base store and for an independent
-    store (which pins the answers' split into a store part plus a
-    pool-only pad for every assignment, not just sampled ones). Then for
-    every single-message perturbation of a non-desired participating
-    message, compares the exact answer distributions. Perturbing a message
-    no server is asked about cannot change any answer, so those are
-    skipped. The desired message itself is perturbed once as a control:
-    its distributions must differ, or decoding would be impossible.
+
+def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11) -> dict:
+    """Exact secrecy check for one fixed query draw, by rank over F_q.
+
+    Answers are affine, a = S(store) + P·s with the pool s uniform, so the
+    pad part is uniform on col(P): a store change whose answer shift lies
+    in col(P) leaves the answer distribution as it was (TV 0), any other
+    moves it to a disjoint coset (TV 1). P is read off one answer per unit
+    pool through the real answering path; it must be the same under an
+    independent store, and base + P·s must match the answers at a seeded
+    uniform pool. S is linear, so the L unit shifts of a non-desired
+    participating message cover all q^L - 1 perturbations of it. Shifting
+    the desired message is the control: its TV must be 1, or decoding
+    would be impossible.
     """
     v_star = v_star or _default_vstar(params)
     partition = build_partition(params.d) if scheme == "het2" else None
     eng = scheme_engine(scheme)
     q = params.q
-    zero_pool = allocate(scheme, params, tuple(v_star[params.d:]), 0).zeros_like()
+    public = tuple(v_star[params.d:])
+    uniform = allocate(scheme, params, public, seed)
+    zero_pool = uniform.zeros_like()
     clen = zero_pool.chunk_len
-    labels = zero_pool.labels()
-    n_symbols = len(labels) * clen
-    size = q ** n_symbols
-    if size > cap:
-        raise EnumerationRefusal(
-            f"pool space q^{n_symbols} exceeds the cap {cap}", size)
-
     _, queries = eng.build(v_star, params,
                            derive_rng(seed, "audit", "secrecy"), partition)
     desired = message_index(v_star, params)
@@ -320,56 +333,38 @@ def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11,
         ctxs = _contexts(scheme, params, v_star, st, pool, partition, queries)
         return _answer_tuple(eng, ctxs, queries, pool)
 
-    ctxs_store = _contexts(scheme, params, v_star, store, zero_pool,
-                           partition, queries)
-    ctxs_other = _contexts(scheme, params, v_star, other, zero_pool,
-                           partition, queries)
-    base = _answer_tuple(eng, ctxs_store, queries, zero_pool)
-    other_base = _answer_tuple(eng, ctxs_other, queries, zero_pool)
-    table: Counter = Counter()
-    for flat in itertools.product(range(q), repeat=n_symbols):
-        pool = RandomnessPool(scheme, params, clen, {
-            lab: flat[i * clen:(i + 1) * clen] for i, lab in enumerate(labels)})
-        ans = _answer_tuple(eng, ctxs_store, queries, pool)
-        pad = tuple((a - b) % q for a, b in zip(ans, base))
-        check = tuple((a + b) % q for a, b in zip(pad, other_base))
-        if check != _answer_tuple(eng, ctxs_other, queries, pool):
-            raise ConfigError("answers do not split into store part plus pad")
-        table[pad] += 1
+    def minus(a, b):
+        return tuple((x - y) % q for x, y in zip(a, b))
 
-    def shifted_tv(delta):
-        moved = Counter({tuple((k[j] + delta[j]) % q for j in range(len(delta))): c
-                         for k, c in table.items()})
-        return _table_tv(table, size, moved, size)
+    base, other_base = answers(store, zero_pool), answers(other, zero_pool)
+    units = [RandomnessPool(scheme, params, clen, {
+                 **zero_pool.chunks, label: tuple(int(t == j) for t in range(clen))})
+             for label in zero_pool.labels() for j in range(clen)]
+    columns = [minus(answers(store, pool), base) for pool in units]
+    s = [x for label in zero_pool.labels() for x in uniform.chunk(label)]
+    pads = tuple(sum(c[r] * x for c, x in zip(columns, s)) % q
+                 for r in range(len(base)))
+    if (columns != [minus(answers(other, pool), other_base) for pool in units]
+            or minus(answers(store, uniform), base) != pads):
+        raise ConfigError("answers do not split into store part plus pad")
+    span = _echelon(columns, q)
 
-    max_tv = Fraction(0)
-    worst = None
-    perturbations = 0
-    for m in participating_ids(params, tuple(v_star[params.d:])):
-        if m == desired:
-            continue
-        for alt in itertools.product(range(q), repeat=params.length):
-            if alt == store[m]:
-                continue
-            mutated = dict(store)
-            mutated[m] = alt
-            delta = tuple((a - b) % q
-                          for a, b in zip(answers(mutated, zero_pool), base))
-            tv = shifted_tv(delta)
-            perturbations += 1
-            if tv > max_tv:
-                max_tv, worst = tv, (m, alt)
+    def tv(mutated) -> Fraction:
+        delta = minus(answers(mutated, zero_pool), base)
+        return Fraction(len(_echelon([delta], q, span)) - len(span))
 
-    control = dict(store)
-    control[desired] = tuple((s + 1) % q for s in store[desired])
-    control_delta = tuple((a - b) % q
-                          for a, b in zip(answers(control, zero_pool), base))
+    others = [m for m in participating_ids(params, public) if m != desired]
+    worst = next(((m, alt) for m in others for j in range(params.length)
+                  for alt in [store[m][:j] + ((store[m][j] + 1) % q,) + store[m][j + 1:]]
+                  if tv({**store, m: alt})), None)
+    control = {**store, desired: tuple((x + 1) % q for x in store[desired])}
     return {
         "scheme": scheme, "params": params, "v_star": tuple(v_star),
-        "pool_assignments": size, "perturbations": perturbations,
-        "max_tv": max_tv, "worst_perturbation": worst,
-        "desired_control_tv": shifted_tv(control_delta),
-        "pass": max_tv == 0,
+        "pool_assignments": q ** len(s),
+        "perturbations": len(others) * (q ** params.length - 1),
+        "max_tv": Fraction(worst is not None), "worst_perturbation": worst,
+        "desired_control_tv": tv(control),
+        "pass": worst is None,
     }
 
 
@@ -497,10 +492,10 @@ def suite_privacy(cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
             "pass": all(c["pass"] for c in checks)}
 
 
-def suite_secrecy(cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+def suite_secrecy() -> dict:
     checks = []
     for scheme, params in SECRECY_POINTS:
-        rep = audit_db_secrecy(scheme, params, cap=cap)
+        rep = audit_db_secrecy(scheme, params)
         ok = rep["pass"] and rep["desired_control_tv"] > 0
         checks.append({"name": f"secrecy {scheme}", "pass": ok, "report": rep})
     return {"suite": "secrecy", "checks": checks,

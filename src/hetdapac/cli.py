@@ -12,7 +12,7 @@ Three subcommands:
 Configuration comes from ``--config`` (a JSON object) with flags taking
 precedence. Every output embeds the effective config, so a run is
 reproducible from the output alone. Exit codes: 0 all checks passed,
-1 a check failed, 2 invalid configuration, 3 an audit refused to
+1 a check failed, 2 invalid configuration, 3 the privacy audit refused to
 enumerate, 4 decoding failed past the retry cap.
 """
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto distinct exit codes, so the split matters:
-configuration problems are not protocol failures, and an audit that
-refuses to enumerate is not an audit that failed.
+configuration problems are not protocol failures, and a privacy audit
+that refuses to enumerate is not an audit that failed.
 """
 
 
@@ -27,7 +27,7 @@ class AccessRefusal(Exception):
 
 
 class EnumerationRefusal(Exception):
-    """An exact audit would need more enumeration than the configured cap."""
+    """The privacy audit would need more enumeration than the configured cap."""
 
     def __init__(self, message: str, size_estimate: int):
         super().__init__(f"{message} (estimated enumeration size: {size_estimate})")

@@ -172,6 +172,8 @@ class ServerActor:
             self.public = tuple(payload["public"])
             return None
         if kind == "query":
+            if self.ctx is None:
+                raise ConfigError("query received before a pool was installed")
             query = decode_query(payload)
             shares, labels = scheme_engine(self.ctx.scheme).answer_query(self.ctx, query)
             self.used_labels = labels

@@ -243,7 +243,9 @@ def answer_with_labels(ctx: ServerContext, query: QueryTuple,
     table maps the message set of every group the server may be asked for
     to the pad chunks it names; the share is the combined sub-packet plus
     the sum of those chunks. A group matching no entry is refused, and so
-    is any reference to a message outside the accessible slice.
+    is any reference to a message outside the accessible slice, and any
+    query naming a pad label or a (message, wire index) row twice: shares
+    that repeat one differ by a pad-free combination of sub-packets.
     """
     if query.server != ctx.server:
         raise ConfigError(f"query for server {query.server} sent to {ctx.server}")
@@ -270,6 +272,10 @@ def answer_with_labels(ctx: ServerContext, query: QueryTuple,
                 total[j] = (total[j] + coeff * s) % q
         shares.append(AnswerShare(ctx.server, gi, tuple(total)))
         all_labels.append(list(labels))
+    named = [x for labels in all_labels for x in labels]
+    named += [row for group in query.groups for row in group.descriptor.rows]
+    if len(set(named)) != len(named):
+        raise ConfigError(f"query reuses a pad label or a row on server {ctx.server}")
     return shares, all_labels
 
 

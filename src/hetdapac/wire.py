@@ -32,13 +32,6 @@ class MessageGroupDescriptor:
     def messages(self) -> tuple[int, ...]:
         return tuple(m for m, _ in self.rows)
 
-    def row_of(self, msg: int) -> int:
-        """1-based row position of a message, which must appear exactly once."""
-        hits = [i for i, (m, _) in enumerate(self.rows, start=1) if m == msg]
-        if len(hits) != 1:
-            raise ValueError(f"message {msg} appears {len(hits)} times in group")
-        return hits[0]
-
 
 @dataclass(frozen=True)
 class QueryGroup:

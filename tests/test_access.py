@@ -22,7 +22,6 @@ from hetdapac.access import (
     message_index,
     ordered_complement,
     pair_set,
-    participating_vectors,
     vector_of_index,
 )
 from hetdapac.errors import ConfigError
@@ -148,13 +147,6 @@ def test_pair_set_symmetry_exhaustive():
 def test_pair_set_rejects_equal_positions():
     with pytest.raises(ConfigError):
         pair_set(1, 1, 1, 2, (1, 2, 2), P322)
-
-
-def test_participating_vectors_lex_order():
-    vecs = list(participating_vectors(P322, (2,)))
-    assert len(vecs) == 4
-    assert vecs == sorted(vecs)
-    assert all(v[2] == 2 for v in vecs)
 
 
 def test_ordered_complement():

@@ -1,4 +1,5 @@
-"""Server answer path: malformed wire payloads and one label table per answer."""
+"""Server answer path: malformed wire payloads, repeated groups and rows,
+and one label table per answer."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ from hetdapac.errors import ConfigError
 from hetdapac.field import derive_rng
 from hetdapac.harness import ServerActor, random_store
 from hetdapac.randomness import allocate
-from hetdapac.schemes import dapac, het2
-from hetdapac.wire import decode_answers, encode_query
+from hetdapac.schemes import dapac, het1, het2
+from hetdapac.wire import QueryGroup, QueryTuple, decode_answers, encode_query
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 
@@ -51,6 +52,30 @@ def test_malformed_query_is_a_config_error(payload):
     actor = verified_actor(1, "het1", P322, (1, 2, 2))
     with pytest.raises(ConfigError):
         actor.handle("query", payload)
+
+
+def test_repeated_group_with_moved_vector_is_refused():
+    # a malicious client asks the central server for one of its groups a
+    # second time with the vector moved by e_1: the two shares would
+    # differ by a raw sub-packet, so the server must refuse the query
+    v_star = (1, 2, 2)
+    actor = verified_actor(P322.central, "het1", P322, v_star)
+    _, queries = het1.build(v_star, P322, derive_rng(0, "user", 0))
+    honest = queries[P322.central]
+    first = honest.groups[0]
+    moved = tuple((x + (i == 0)) % P322.q for i, x in enumerate(first.vector))
+    replay = QueryTuple(honest.server,
+                        honest.groups + (QueryGroup(first.descriptor, moved),))
+    assert actor.handle("query", encode_query(honest))[0] == "answer"
+    with pytest.raises(ConfigError, match="reuses"):
+        actor.handle("query", encode_query(replay))
+
+
+def test_repeated_row_within_a_group_is_refused():
+    actor = verified_actor(1, "het1", P322, (1, 2, 2))
+    group = {"rows": [[1, 1], [3, 1], [1, 1]], "vector": [1, 1, 1]}
+    with pytest.raises(ConfigError, match="reuses"):
+        actor.handle("query", {"server": 1, "groups": [group]})
 
 
 def test_well_formed_query_is_answered():

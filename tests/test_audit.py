@@ -1,24 +1,29 @@
 """Auditor checks: the machinery itself plus cheap instances of each audit.
 
-The expensive full audit points (50-trial sweeps, the dapac and het2
-secrecy enumerations) run once in the acceptance suite; here the same
-code paths are exercised at smaller sizes, alongside white-box tests of
-the distribution comparison and negative controls that prove the audits
-can detect violations.
+The expensive full audit points (50-trial sweeps) run once in the
+acceptance suite; here the same code paths are exercised at smaller sizes,
+alongside white-box tests of the distribution comparison and negative
+controls that prove the audits can detect violations. The secrecy audit
+decides by rank over F_q; the pool-enumerating secrecy audit it replaced
+is kept here as an oracle and must give the same reports.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hetdapac import audit
-from hetdapac.access import SystemParams
+from hetdapac.access import SystemParams, build_partition, message_index, participating_ids
 from hetdapac.errors import ConfigError, EnumerationRefusal
 from hetdapac.field import derive_rng
+from hetdapac.harness import random_store
+from hetdapac.randomness import RandomnessPool, allocate
+from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import engine as scheme_engine
 from hetdapac.schemes.base import PlanGroup, SymBlock, SymVector
 
@@ -130,6 +135,96 @@ class TestAttributePrivacy:
             assert all(sorted(v) == [1, 2] for v in per_msg.values())
 
 
+def enumerating_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11,
+                           cap: int = audit.DEFAULT_ENUMERATION_CAP) -> dict:
+    """Brute-force secrecy check for one fixed query draw.
+
+    Enumerates every assignment of the shared-randomness pool through the
+    real answering path, both for the base store and for an independent
+    store (which pins the answers' split into a store part plus a
+    pool-only pad for every assignment, not just sampled ones). Then for
+    every single-message perturbation of a non-desired participating
+    message, compares the exact answer distributions. Perturbing a message
+    no server is asked about cannot change any answer, so those are
+    skipped. The desired message itself is perturbed once as a control:
+    its distributions must differ, or decoding would be impossible.
+    """
+    v_star = v_star or audit._default_vstar(params)
+    partition = build_partition(params.d) if scheme == "het2" else None
+    eng = scheme_engine(scheme)
+    q = params.q
+    zero_pool = allocate(scheme, params, tuple(v_star[params.d:]), 0).zeros_like()
+    clen = zero_pool.chunk_len
+    labels = zero_pool.labels()
+    n_symbols = len(labels) * clen
+    size = q ** n_symbols
+    if size > cap:
+        raise EnumerationRefusal(
+            f"pool space q^{n_symbols} exceeds the cap {cap}", size)
+
+    _, queries = eng.build(v_star, params,
+                           derive_rng(seed, "audit", "secrecy"), partition)
+    desired = message_index(v_star, params)
+    store = random_store(params, seed)
+    other = random_store(params, (seed, "affine-witness"))
+
+    def answers(st, pool):
+        ctxs = audit._contexts(scheme, params, v_star, st, pool, partition, queries)
+        return audit._answer_tuple(eng, ctxs, queries, pool)
+
+    ctxs_store = audit._contexts(scheme, params, v_star, store, zero_pool,
+                                 partition, queries)
+    ctxs_other = audit._contexts(scheme, params, v_star, other, zero_pool,
+                                 partition, queries)
+    base = audit._answer_tuple(eng, ctxs_store, queries, zero_pool)
+    other_base = audit._answer_tuple(eng, ctxs_other, queries, zero_pool)
+    table: Counter = Counter()
+    for flat in itertools.product(range(q), repeat=n_symbols):
+        pool = RandomnessPool(scheme, params, clen, {
+            lab: flat[i * clen:(i + 1) * clen] for i, lab in enumerate(labels)})
+        ans = audit._answer_tuple(eng, ctxs_store, queries, pool)
+        pad = tuple((a - b) % q for a, b in zip(ans, base))
+        check = tuple((a + b) % q for a, b in zip(pad, other_base))
+        if check != audit._answer_tuple(eng, ctxs_other, queries, pool):
+            raise ConfigError("answers do not split into store part plus pad")
+        table[pad] += 1
+
+    def shifted_tv(delta):
+        moved = Counter({tuple((k[j] + delta[j]) % q for j in range(len(delta))): c
+                         for k, c in table.items()})
+        return audit._table_tv(table, size, moved, size)
+
+    max_tv = Fraction(0)
+    worst = None
+    perturbations = 0
+    for m in participating_ids(params, tuple(v_star[params.d:])):
+        if m == desired:
+            continue
+        for alt in itertools.product(range(q), repeat=params.length):
+            if alt == store[m]:
+                continue
+            mutated = dict(store)
+            mutated[m] = alt
+            delta = tuple((a - b) % q
+                          for a, b in zip(answers(mutated, zero_pool), base))
+            tv = shifted_tv(delta)
+            perturbations += 1
+            if tv > max_tv:
+                max_tv, worst = tv, (m, alt)
+
+    control = dict(store)
+    control[desired] = tuple((s + 1) % q for s in store[desired])
+    control_delta = tuple((a - b) % q
+                          for a, b in zip(answers(control, zero_pool), base))
+    return {
+        "scheme": scheme, "params": params, "v_star": tuple(v_star),
+        "pool_assignments": size, "perturbations": perturbations,
+        "max_tv": max_tv, "worst_perturbation": worst,
+        "desired_control_tv": shifted_tv(control_delta),
+        "pass": max_tv == 0,
+    }
+
+
 class TestDbSecrecy:
     def test_het1_brute_force_tv_zero(self):
         rep = audit.audit_db_secrecy("het1", P_HET1)
@@ -138,10 +233,26 @@ class TestDbSecrecy:
         assert rep["max_tv"] == 0 and rep["pass"]
         assert rep["desired_control_tv"] == 1
 
-    def test_refusal_on_oversized_pool(self):
-        with pytest.raises(EnumerationRefusal) as exc:
-            audit.audit_db_secrecy("het1", P_HET1, cap=80)
-        assert exc.value.size_estimate == 81
+    @pytest.mark.parametrize("scheme,params", audit.SECRECY_POINTS[:2])
+    def test_rank_test_matches_enumeration(self, scheme, params):
+        assert audit.audit_db_secrecy(scheme, params) == \
+            enumerating_db_secrecy(scheme, params)
+
+    @pytest.mark.parametrize("scheme,params", audit.SECRECY_POINTS)
+    def test_passes_at_large_field(self, scheme, params):
+        rep = audit.audit_db_secrecy(scheme, replace(params, q=65537))
+        assert rep["max_tv"] == 0 and rep["pass"]
+        assert rep["desired_control_tv"] == 1
+        assert rep["pool_assignments"] > 65537
+
+    def test_zero_pads_leak_under_both_auditors(self, monkeypatch):
+        def no_pad(pool, labels, q):
+            return (0,) * pool.chunk_len
+
+        monkeypatch.setattr(scheme_base, "_pad_sum", no_pad)
+        for rep in (audit.audit_db_secrecy("het1", P_HET1),
+                    enumerating_db_secrecy("het1", P_HET1)):
+            assert rep["max_tv"] == 1 and not rep["pass"]
 
     def test_zero_pads_leak(self):
         # strip the pads and the same comparison must detect the change:

@@ -155,10 +155,18 @@ class TestAudit:
         assert report["pass"] is True
         assert report["suites"][0]["suite"] == "counts"
 
-    def test_secrecy_refusal_exit_code(self, capsys):
+    def test_secrecy_point_beyond_enumeration_passes(self, capsys):
+        # q^(pool symbols) = 3^40: far past any enumeration, one rank test
         code, out = run_cli(capsys, "audit", "--suite", "secrecy",
                             "--scheme", "het1", "--n", "3", "--d", "2",
                             "--k", "2", "--q", "3", "--length", "20")
+        assert code == 0
+        assert "PASS secrecy het1 (max TV 0)" in out.out
+
+    def test_privacy_refusal_exit_code(self, capsys):
+        code, out = run_cli(capsys, "audit", "--suite", "privacy",
+                            "--scheme", "het1", "--n", "3", "--d", "2",
+                            "--k", "2", "--q", "65537", "--length", "2")
         assert code == 3
         assert "estimated enumeration size" in out.err
 

@@ -8,6 +8,7 @@ import pytest
 
 from hetdapac.access import SystemParams
 from hetdapac.errors import AccessRefusal, ConfigError
+from hetdapac.field import derive_rng
 from hetdapac.harness import (
     ServerActor,
     Transcript,
@@ -17,6 +18,8 @@ from hetdapac.harness import (
     store_segment,
 )
 from hetdapac.randomness import allocate
+from hetdapac.schemes import engine
+from hetdapac.wire import encode_query
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
@@ -147,6 +150,16 @@ def test_pool_before_verification_is_rejected():
     actor = ServerActor(1, P322)
     with pytest.raises(ConfigError):
         actor.install_pool(allocate("het1", P322, (2,), 0), store)
+
+
+def test_query_before_pool_is_rejected():
+    v_star = (1, 2, 2)
+    actor = ServerActor(1, P322)
+    actor.handle("attribute-commit", {"value": v_star[0]})
+    actor.handle("attribute-relay", {"public": list(v_star[P322.d:])})
+    _, queries = engine("het1").build(v_star, P322, derive_rng(0, "user", 0))
+    with pytest.raises(ConfigError, match="before a pool"):
+        actor.handle("query", encode_query(queries[1]))
 
 
 def test_store_segment_slices_symbols():
