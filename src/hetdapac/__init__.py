@@ -2,8 +2,8 @@
 
 Protocol engines for three retrieval schemes (het1, het2, dapac), a
 two-phase simulation harness with structured transcripts, exact-rational
-tradeoff algebra for time sharing between schemes, and exact enumeration
-audits for correctness, attribute privacy and database secrecy.
+tradeoff algebra for time sharing between schemes, and exact audits for
+correctness, attribute privacy and database secrecy.
 """
 
 from .access import PairPartition, SystemParams, accessible_messages, build_partition, message_index, vector_of_index
@@ -11,7 +11,6 @@ from .errors import (
     AccessRefusal,
     ConfigError,
     DivisibilityError,
-    EnumerationRefusal,
     RetrievalFailure,
 )
 from .field import PrimeField, derive_rng, unit_vector
@@ -32,7 +31,6 @@ __all__ = [
     "AccessRefusal",
     "ConfigError",
     "DivisibilityError",
-    "EnumerationRefusal",
     "MixPlan",
     "PairPartition",
     "PrimeField",

@@ -18,19 +18,20 @@ indices come from private uniform permutations, so an ordered list of
 distinct per-message indices is uniform over arrangements whatever the
 underlying logical indices were; that layer is marginalized analytically
 after checking row structure and index freshness. Combining vectors are
-enumerated exhaustively through a tracing source that exposes which groups
-share which fresh draws, so correlated groups are compared jointly and
-independent ones factor out.
+traced symbolically: each observed coordinate copies one fresh uniform
+draw plus a fixed offset, so a server's whole observation is uniform on a
+coset c + U of a subspace of F_q^n. Two such cosets are compared by rank
+over F_q, at any q: disjoint cosets give TV 1, otherwise TV is
+1 - q^(min(dim U, dim V) - dim(U + V)).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 
 from .access import SystemParams, build_partition, message_index, participating_ids
-from .errors import ConfigError, EnumerationRefusal
+from .errors import ConfigError
 from .field import derive_rng
 from .harness import random_store, run_protocol
 from .randomness import RandomnessPool, allocate, subpacket_count
@@ -38,8 +39,6 @@ from .schemes import engine as scheme_engine
 from .schemes.base import TracingSource, server_context
 
 INF = float("inf")
-
-DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
 def _default_vstar(params: SystemParams) -> tuple[int, ...]:
@@ -76,6 +75,24 @@ def audit_correctness(scheme: str, params: SystemParams, trials: int = 50,
     }
 
 
+# ----------------------------------------------------------- rank over F_q
+
+def _echelon(vectors, q: int, basis=None) -> dict[int, list[int]]:
+    """Echelon basis over F_q of `basis` (left unchanged) extended by
+    `vectors`, as pivot -> row with a unit pivot; its size is the rank."""
+    rows = dict(basis or {})
+    for vec in vectors:
+        v = list(vec)
+        for pivot in sorted(rows):
+            if v[pivot]:
+                v = [(a - v[pivot] * b) % q for a, b in zip(v, rows[pivot])]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, q)
+            rows[lead] = [x * inv % q for x in v]
+    return rows
+
+
 # ------------------------------------------------------- attribute privacy
 
 def _trace_plan(scheme: str, params: SystemParams, v_star, partition):
@@ -109,105 +126,52 @@ def _check_fresh_indices(groups, where: str):
             seen[msg].add(logical)
 
 
-def _merged_components(groups_a, groups_b) -> list[tuple[int, ...]]:
-    """Partition group positions so draws are shared only within a part,
-    under both symbolic structures at once."""
-    parent = list(range(len(groups_a)))
+def _coset(groups, q: int, where: str):
+    """One server's observation as an affine subspace of F_q^n.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for groups in (groups_a, groups_b):
-        owner: dict[int, int] = {}
-        for gi, g in enumerate(groups):
-            for block in g.vector.blocks:
-                if block.draw in owner:
-                    ra, rb = find(owner[block.draw]), find(gi)
-                    parent[ra] = rb
-                else:
-                    owner[block.draw] = gi
-    comps: dict[int, list[int]] = {}
-    for gi in range(len(groups_a)):
-        comps.setdefault(find(gi), []).append(gi)
-    return [tuple(v) for _, v in sorted(comps.items())]
-
-
-def _component_table(groups, members, q: int, cap: int) -> tuple[Counter, int]:
-    """Exact distribution of the tuple of concrete vectors for one
-    component, by enumerating every assignment of its fresh draws."""
-    draws: dict[int, int] = {}
-    for gi in members:
-        for block in groups[gi].vector.blocks:
-            dim = draws.setdefault(block.draw, block.dim)
-            if dim != block.dim:
+    Every observed coordinate copies one coordinate of a fresh draw plus a
+    fixed offset, so the groups' vectors concatenated in label order are
+    c + M·s with s uniform: uniform on c + col(M), where M has one column
+    per (draw, coordinate), the indicator of the positions that copy it.
+    Returns (row view, c, echelon basis of col(M)).
+    """
+    _check_fresh_indices(groups, where)
+    dims: dict[int, int] = {}
+    copies: dict[tuple[int, int], list[int]] = {}
+    offset: list[int] = []
+    for g in groups:
+        for block in g.vector.blocks:
+            if dims.setdefault(block.draw, block.dim) != block.dim:
                 raise ConfigError(f"draw {block.draw} used at two dimensions")
-    order = sorted(draws)
-    total_dim = sum(draws[d] for d in order)
-    size = q ** total_dim
-    if size > cap:
-        raise EnumerationRefusal(
-            f"combining-vector space q^{total_dim} exceeds the cap {cap}", size)
-    table: Counter = Counter()
-    for flat in itertools.product(range(q), repeat=total_dim):
-        at = 0
-        value = {}
-        for d in order:
-            value[d] = flat[at:at + draws[d]]
-            at += draws[d]
-        key = tuple(
-            tuple((value[b.draw][j] + b.offset[j]) % q
-                  for b in groups[gi].vector.blocks for j in range(b.dim))
-            for gi in members)
-        table[key] += 1
-    return table, size
+            for j, off in enumerate(block.offset):
+                copies.setdefault((block.draw, j), []).append(len(offset))
+                offset.append(off)
+    columns = [[int(i in at) for i in range(len(offset))]
+               for at in map(set, copies.values())]
+    return _row_view(groups), offset, _echelon(columns, q)
 
 
-def _table_tv(ta: Counter, na: int, tb: Counter, nb: int) -> Fraction:
-    diff = sum(abs(ta.get(k, 0) * nb - tb.get(k, 0) * na)
-               for k in set(ta) | set(tb))
-    return Fraction(diff, 2 * na * nb)
+def _coset_tv(obs_v, obs_u, q: int) -> Fraction:
+    """Exact TV of the uniform distributions on A = a + U and B = b + V.
+
+    They meet only if a - b lies in U + V, and then A ∩ B is a coset of
+    U ∩ V, so TV = 1 - |A ∩ B| / max(|A|, |B|)
+                 = 1 - q^(min(dim U, dim V) - dim(U + V)).
+    """
+    (view_v, a, span_u), (view_u, b, span_v) = obs_v, obs_u
+    if view_v != view_u:
+        return Fraction(1)  # deterministic, visible row difference
+    joint = _echelon(span_v.values(), q, span_u)
+    if len(_echelon([[(x - y) % q for x, y in zip(a, b)]], q, joint)) > len(joint):
+        return Fraction(1)
+    return 1 - Fraction(1, q ** (len(joint) - min(len(span_u), len(span_v))))
 
 
-def _joint_tv(parts, cap: int) -> Fraction:
-    """Exact TV of two product distributions given the component tables
-    that differ; identical components cancel exactly and are not passed."""
-    joint_a, joint_b = Counter({(): 1}), Counter({(): 1})
-    na = nb = 1
-    for ta, sa, tb, sb in parts:
-        if len(joint_a) * len(ta) > cap or len(joint_b) * len(tb) > cap:
-            raise EnumerationRefusal(
-                "joint table of differing components exceeds the cap",
-                len(joint_a) * len(ta))
-        joint_a = Counter({k + (x,): c * d for k, c in joint_a.items()
-                           for x, d in ta.items()})
-        joint_b = Counter({k + (x,): c * d for k, c in joint_b.items()
-                           for x, d in tb.items()})
-        na *= sa
-        nb *= sb
-    return _table_tv(joint_a, na, joint_b, nb)
-
-
-def _pair_tv(groups_v, groups_u, q: int, cap: int) -> tuple[Fraction, int]:
+def _pair_tv(groups_v, groups_u, q: int) -> Fraction:
     """Exact TV between one server's observation distributions for two
-    attribute vectors. Returns (tv, assignments enumerated)."""
-    if _row_view(groups_v) != _row_view(groups_u):
-        return Fraction(1), 0  # deterministic, visible row difference
-    _check_fresh_indices(groups_v, "first plan")
-    _check_fresh_indices(groups_u, "second plan")
-    enumerated = 0
-    differing = []
-    for members in _merged_components(groups_v, groups_u):
-        tv_table, sv = _component_table(groups_v, members, q, cap)
-        tu_table, su = _component_table(groups_u, members, q, cap)
-        enumerated += sv + su
-        if sv != su or tv_table != tu_table:
-            differing.append((tv_table, sv, tu_table, su))
-    if not differing:
-        return Fraction(0), enumerated
-    return _joint_tv(differing, cap), enumerated
+    attribute vectors, at any q."""
+    return _coset_tv(_coset(groups_v, q, "first plan"),
+                     _coset(groups_u, q, "second plan"), q)
 
 
 def privacy_servers(scheme: str, params: SystemParams) -> range:
@@ -219,8 +183,7 @@ def privacy_servers(scheme: str, params: SystemParams) -> range:
     return range(1, params.d + 1) if scheme == "dapac" else params.servers()
 
 
-def audit_attribute_privacy(scheme: str, params: SystemParams, server: int,
-                            cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+def audit_attribute_privacy(scheme: str, params: SystemParams, server: int) -> dict:
     """Max exact TV distance of one server's received query distribution
     over all pairs of attribute vectors that agree on the server's view
     (its own verified value for a dedicated server, the public part
@@ -234,15 +197,14 @@ def audit_attribute_privacy(scheme: str, params: SystemParams, server: int,
 
     max_tv = Fraction(0)
     pairs = 0
-    enumerated = 0
     worst = None
     publics = itertools.product(range(1, params.k + 1),
                                 repeat=params.n_attrs - params.d)
     for public in publics:
         space = [tuple(s) + public for s in
                  itertools.product(range(1, params.k + 1), repeat=params.d)]
-        observed = {v: _observed_groups(_trace_plan(scheme, params, v, partition),
-                                        server)
+        observed = {v: _coset(_observed_groups(_trace_plan(scheme, params, v, partition),
+                                               server), params.q, f"the plan for {v}")
                     for v in space}
         buckets: dict = {}
         for v in space:
@@ -250,14 +212,13 @@ def audit_attribute_privacy(scheme: str, params: SystemParams, server: int,
             buckets.setdefault(view, []).append(v)
         for bucket in buckets.values():
             for v, u in itertools.combinations(bucket, 2):
-                tv, n = _pair_tv(observed[v], observed[u], params.q, cap)
+                tv = _coset_tv(observed[v], observed[u], params.q)
                 pairs += 1
-                enumerated += n
                 if tv > max_tv:
                     max_tv, worst = tv, (v, u)
     return {
         "scheme": scheme, "params": params, "server": server,
-        "pairs": pairs, "enumerated": enumerated,
+        "pairs": pairs,
         "max_tv": max_tv, "worst_pair": worst,
         "pass": max_tv == 0,
     }
@@ -283,22 +244,6 @@ def _answer_tuple(eng, ctxs, queries, pool):
         for share in shares:
             out.extend(share.payload)
     return tuple(out)
-
-
-def _echelon(vectors, q: int, basis=None) -> dict[int, list[int]]:
-    """Echelon basis over F_q of `basis` (left unchanged) extended by
-    `vectors`, as pivot -> row with a unit pivot; its size is the rank."""
-    rows = dict(basis or {})
-    for vec in vectors:
-        v = list(vec)
-        for pivot in sorted(rows):
-            if v[pivot]:
-                v = [(a - v[pivot] * b) % q for a, b in zip(v, rows[pivot])]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is not None:
-            inv = pow(v[lead], -1, q)
-            rows[lead] = [x * inv % q for x in v]
-    return rows
 
 
 def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11) -> dict:
@@ -481,11 +426,11 @@ def suite_correctness(trials: int = 50) -> dict:
             "pass": all(c["pass"] for c in checks)}
 
 
-def suite_privacy(cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+def suite_privacy() -> dict:
     checks = []
     for scheme, params in PRIVACY_POINTS:
         for server in privacy_servers(scheme, params):
-            rep = audit_attribute_privacy(scheme, params, server, cap=cap)
+            rep = audit_attribute_privacy(scheme, params, server)
             checks.append({"name": f"privacy {scheme} server {server}",
                            "pass": rep["pass"], "report": rep})
     return {"suite": "privacy", "checks": checks,

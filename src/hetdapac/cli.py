@@ -12,8 +12,8 @@ Three subcommands:
 Configuration comes from ``--config`` (a JSON object) with flags taking
 precedence. Every output embeds the effective config, so a run is
 reproducible from the output alone. Exit codes: 0 all checks passed,
-1 a check failed, 2 invalid configuration, 3 the privacy audit refused to
-enumerate, 4 decoding failed past the retry cap.
+1 a check failed, 2 invalid configuration, 4 decoding failed past the
+retry cap.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .audit import (
     audit_db_secrecy,
     privacy_servers,
 )
-from .errors import ConfigError, EnumerationRefusal, RetrievalFailure
+from .errors import ConfigError, RetrievalFailure
 from .harness import random_store, run_protocol
 from .mixer import (
     INF,
@@ -54,7 +54,6 @@ from .mixer import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
-EXIT_REFUSAL = 3
 EXIT_DECODE = 4
 
 SCHEMES = ("dapac", "het1", "het2", "mix")
@@ -176,8 +175,8 @@ def cmd_run(cfg: dict) -> int:
     failures = 0
     lines = [_echo(cfg)]
     last_transcript = None
+    store = random_store(params, seed)
     for v_star in targets:
-        store = random_store(params, (seed, v_star))
         if mix is not None:
             message, transcript, metrics = run_time_shared(mix, v_star, store, seed)
         else:
@@ -404,9 +403,6 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.handler(cfg)
-    except EnumerationRefusal as err:
-        print(f"enumeration refused: {err}", file=sys.stderr)
-        return EXIT_REFUSAL
     except RetrievalFailure as err:
         print(f"decode failure: {err}", file=sys.stderr)
         return EXIT_DECODE

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto distinct exit codes, so the split matters:
-configuration problems are not protocol failures, and a privacy audit
-that refuses to enumerate is not an audit that failed.
+configuration problems are not protocol failures.
 """
 
 
@@ -24,14 +23,6 @@ class DivisibilityError(ConfigError):
 
 class AccessRefusal(Exception):
     """A query referenced a message outside the server's accessible set."""
-
-
-class EnumerationRefusal(Exception):
-    """The privacy audit would need more enumeration than the configured cap."""
-
-    def __init__(self, message: str, size_estimate: int):
-        super().__init__(f"{message} (estimated enumeration size: {size_estimate})")
-        self.size_estimate = size_estimate
 
 
 class RetrievalFailure(Exception):

@@ -2,7 +2,7 @@
 
 Field elements are plain ints in [0, q); vectors are tuples of ints.
 The field object carries the modulus and the operations, which keeps the
-enumeration loops in the audits fast and allocation-free.
+per-symbol loops fast and allocation-free.
 
 Index convention: unit vectors and row positions are 1-based, matching
 the way query structures are written everywhere else in the package.

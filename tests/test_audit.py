@@ -5,7 +5,9 @@ acceptance suite; here the same code paths are exercised at smaller sizes,
 alongside white-box tests of the distribution comparison and negative
 controls that prove the audits can detect violations. The secrecy audit
 decides by rank over F_q; the pool-enumerating secrecy audit it replaced
-is kept here as an oracle and must give the same reports.
+is kept here as an oracle and must give the same reports. The privacy
+audit also decides by rank over F_q; the enumerating pairwise comparison
+it replaced is kept here as an oracle and must give the same TVs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 
 from hetdapac import audit
 from hetdapac.access import SystemParams, build_partition, message_index, participating_ids
-from hetdapac.errors import ConfigError, EnumerationRefusal
+from hetdapac.errors import ConfigError
 from hetdapac.field import derive_rng
 from hetdapac.harness import random_store
 from hetdapac.randomness import RandomnessPool, allocate
@@ -30,6 +32,16 @@ from hetdapac.schemes.base import PlanGroup, SymBlock, SymVector
 P_HET1 = SystemParams(n_attrs=3, d=2, k=2, q=3, length=2)
 P_DAPAC = SystemParams(n_attrs=3, d=3, k=2, q=2, length=3)
 P_HET2 = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
+
+ENUMERATION_CAP = 1_000_000
+
+
+class EnumerationRefusal(Exception):
+    """An oracle would enumerate more states than its cap."""
+
+    def __init__(self, message: str, size_estimate: int):
+        super().__init__(f"{message} (estimated enumeration size: {size_estimate})")
+        self.size_estimate = size_estimate
 
 
 class TestCorrectness:
@@ -46,13 +58,113 @@ class TestCorrectness:
         assert rep["retry_frequency"] == Fraction(0)
 
 
+def _merged_components(groups_a, groups_b) -> list[tuple[int, ...]]:
+    """Partition group positions so draws are shared only within a part,
+    under both symbolic structures at once."""
+    parent = list(range(len(groups_a)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for groups in (groups_a, groups_b):
+        owner: dict[int, int] = {}
+        for gi, g in enumerate(groups):
+            for block in g.vector.blocks:
+                if block.draw in owner:
+                    ra, rb = find(owner[block.draw]), find(gi)
+                    parent[ra] = rb
+                else:
+                    owner[block.draw] = gi
+    comps: dict[int, list[int]] = {}
+    for gi in range(len(groups_a)):
+        comps.setdefault(find(gi), []).append(gi)
+    return [tuple(v) for _, v in sorted(comps.items())]
+
+
+def _component_table(groups, members, q: int, cap: int) -> tuple[Counter, int]:
+    """Exact distribution of the tuple of concrete vectors for one
+    component, by enumerating every assignment of its fresh draws."""
+    draws: dict[int, int] = {}
+    for gi in members:
+        for block in groups[gi].vector.blocks:
+            dim = draws.setdefault(block.draw, block.dim)
+            if dim != block.dim:
+                raise ConfigError(f"draw {block.draw} used at two dimensions")
+    order = sorted(draws)
+    total_dim = sum(draws[d] for d in order)
+    size = q ** total_dim
+    if size > cap:
+        raise EnumerationRefusal(
+            f"combining-vector space q^{total_dim} exceeds the cap {cap}", size)
+    table: Counter = Counter()
+    for flat in itertools.product(range(q), repeat=total_dim):
+        at = 0
+        value = {}
+        for d in order:
+            value[d] = flat[at:at + draws[d]]
+            at += draws[d]
+        key = tuple(
+            tuple((value[b.draw][j] + b.offset[j]) % q
+                  for b in groups[gi].vector.blocks for j in range(b.dim))
+            for gi in members)
+        table[key] += 1
+    return table, size
+
+
+def _table_tv(ta: Counter, na: int, tb: Counter, nb: int) -> Fraction:
+    diff = sum(abs(ta.get(k, 0) * nb - tb.get(k, 0) * na)
+               for k in set(ta) | set(tb))
+    return Fraction(diff, 2 * na * nb)
+
+
+def _joint_tv(parts, cap: int) -> Fraction:
+    """Exact TV of two product distributions given the component tables
+    that differ; identical components cancel exactly and are not passed."""
+    joint_a, joint_b = Counter({(): 1}), Counter({(): 1})
+    na = nb = 1
+    for ta, sa, tb, sb in parts:
+        if len(joint_a) * len(ta) > cap or len(joint_b) * len(tb) > cap:
+            raise EnumerationRefusal(
+                "joint table of differing components exceeds the cap",
+                len(joint_a) * len(ta))
+        joint_a = Counter({k + (x,): c * d for k, c in joint_a.items()
+                           for x, d in ta.items()})
+        joint_b = Counter({k + (x,): c * d for k, c in joint_b.items()
+                           for x, d in tb.items()})
+        na *= sa
+        nb *= sb
+    return _table_tv(joint_a, na, joint_b, nb)
+
+
+def enumerating_pair_tv(groups_v, groups_u, q: int, cap: int) -> tuple[Fraction, int]:
+    """Exact TV between one server's observation distributions for two
+    attribute vectors. Returns (tv, assignments enumerated)."""
+    if audit._row_view(groups_v) != audit._row_view(groups_u):
+        return Fraction(1), 0  # deterministic, visible row difference
+    audit._check_fresh_indices(groups_v, "first plan")
+    audit._check_fresh_indices(groups_u, "second plan")
+    enumerated = 0
+    differing = []
+    for members in _merged_components(groups_v, groups_u):
+        tv_table, sv = _component_table(groups_v, members, q, cap)
+        tu_table, su = _component_table(groups_u, members, q, cap)
+        enumerated += sv + su
+        if sv != su or tv_table != tu_table:
+            differing.append((tv_table, sv, tu_table, su))
+    if not differing:
+        return Fraction(0), enumerated
+    return _joint_tv(differing, cap), enumerated
+
+
 class TestAttributePrivacy:
     def test_het1_every_server_tv_zero(self):
         for server, pairs in ((1, 4), (2, 4), (3, 12)):
             rep = audit.audit_attribute_privacy("het1", P_HET1, server)
             assert rep["max_tv"] == 0 and rep["pass"]
             assert rep["pairs"] == pairs
-            assert rep["enumerated"] > 0
 
     def test_dapac_every_server_tv_zero(self):
         for server in (1, 2, 3):
@@ -71,8 +183,8 @@ class TestAttributePrivacy:
         # negative control: server 1 comparing across its own value
         pa = audit._trace_plan("het1", P_HET1, (1, 1, 1), None)
         pb = audit._trace_plan("het1", P_HET1, (2, 1, 1), None)
-        tv, _ = audit._pair_tv(audit._observed_groups(pa, 1),
-                               audit._observed_groups(pb, 1), 3, 10**6)
+        tv = audit._pair_tv(audit._observed_groups(pa, 1),
+                            audit._observed_groups(pb, 1), 3)
         assert tv == 1
 
     def test_vector_wiring_difference_is_detected(self):
@@ -83,8 +195,9 @@ class TestAttributePrivacy:
                              SymVector((SymBlock(draw, 1, (0,)),)))
         shared = [group(1, 0), group(1, 1)]
         split = [group(1, 0), group(2, 1)]
-        tv, _ = audit._pair_tv(shared, split, 2, 10**6)
-        assert tv == Fraction(1, 2)
+        for tv in (audit._pair_tv(shared, split, 2),
+                   enumerating_pair_tv(shared, split, 2, ENUMERATION_CAP)[0]):
+            assert tv == Fraction(1, 2)
 
     def test_offset_difference_on_shared_draw_is_detected(self):
         vec = SymVector((SymBlock(1, 1, (0,)),))
@@ -93,19 +206,73 @@ class TestAttributePrivacy:
              PlanGroup(("g", 2), [(1, 1)], vec)]
         b = [PlanGroup(("g", 1), [(0, 1)], vec),
              PlanGroup(("g", 2), [(1, 1)], lifted)]
-        tv, _ = audit._pair_tv(a, b, 3, 10**6)
-        assert tv == 1  # (x, x) never equals (x, x+1)
+        for tv in (audit._pair_tv(a, b, 3),
+                   enumerating_pair_tv(a, b, 3, ENUMERATION_CAP)[0]):
+            assert tv == 1  # (x, x) never equals (x, x+1)
 
     def test_repeated_logical_index_is_rejected(self):
         vec = SymVector((SymBlock(1, 2, (0, 0)),))
         bad = [PlanGroup(("g",), [(0, 1), (0, 1)], vec)]
         with pytest.raises(ConfigError):
-            audit._pair_tv(bad, bad, 2, 10**6)
+            audit._pair_tv(bad, bad, 2)
 
-    def test_enumeration_refusal_reports_size(self):
-        with pytest.raises(EnumerationRefusal) as exc:
-            audit.audit_attribute_privacy("het1", P_HET1, 3, cap=8)
-        assert exc.value.size_estimate == 9  # q^dim = 3^2 per fresh draw
+    @pytest.mark.parametrize("q", (2, 3, 5))
+    def test_rank_test_matches_enumeration_on_random_wiring(self, q):
+        # the scheme points only reach TV 0 and row-view TV 1; random
+        # wirings of three draws with sparse offsets reach every case of
+        # the coset formula, disjoint cosets included
+        rng = derive_rng(q, "random-wiring")
+
+        def groups(sizes):
+            dims = {1: 1, 2: rng.randint(1, 2), 3: rng.randint(1, 2)}
+            out = []
+            for gi, size in enumerate(sizes):
+                blocks = []
+                while sum(b.dim for b in blocks) < size:
+                    room = size - sum(b.dim for b in blocks)
+                    draw = rng.choice([d for d in dims if dims[d] <= room])
+                    blocks.append(SymBlock(draw, dims[draw], tuple(
+                        rng.choice((0, 0, rng.randrange(q))) for _ in range(dims[draw]))))
+                out.append(PlanGroup(("g", gi), [(10 * gi + j, 1) for j in range(size)],
+                                     SymVector(tuple(blocks))))
+            return out
+
+        seen = set()
+        for _ in range(200):
+            sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+            a, b = groups(sizes), groups(sizes)
+            tv = audit._pair_tv(a, b, q)
+            assert tv == enumerating_pair_tv(a, b, q, ENUMERATION_CAP)[0]
+            seen.add(tv)
+        assert 0 in seen and 1 in seen and any(0 < tv < 1 for tv in seen)
+
+    @pytest.mark.parametrize("scheme,params", audit.PRIVACY_POINTS + (
+        ("dapac", SystemParams(n_attrs=4, d=4, k=2, q=2, length=6)),
+        ("het2", SystemParams(n_attrs=5, d=4, k=2, q=2, length=10)),
+    ))
+    def test_privacy_passes_at_large_field(self, scheme, params):
+        params = replace(params, q=65537)
+        for server in audit.privacy_servers(scheme, params):
+            rep = audit.audit_attribute_privacy(scheme, params, server)
+            assert rep["max_tv"] == 0 and rep["pass"]
+
+    @pytest.mark.parametrize("scheme,params", audit.PRIVACY_POINTS)
+    def test_rank_test_matches_enumeration(self, scheme, params):
+        # every pair of vectors, same view or not, at every queried server
+        partition = build_partition(params.d) if scheme == "het2" else None
+        space = list(itertools.product(range(1, params.k + 1),
+                                       repeat=params.n_attrs))
+        plans = {v: audit._trace_plan(scheme, params, v, partition) for v in space}
+        compared = 0
+        for server in audit.privacy_servers(scheme, params):
+            observed = {v: audit._observed_groups(plan, server)
+                        for v, plan in plans.items()}
+            for v, u in itertools.combinations(space, 2):
+                a, b = observed[v], observed[u]
+                assert audit._pair_tv(a, b, params.q) == \
+                    enumerating_pair_tv(a, b, params.q, ENUMERATION_CAP)[0], (server, v, u)
+                compared += 1
+        assert compared == {"het1": 84, "dapac": 84, "het2": 480}[scheme]
 
     def test_permutation_marginal_matches_full_enumeration(self):
         # smallest case: two sub-packets, so each private permutation has
@@ -136,7 +303,7 @@ class TestAttributePrivacy:
 
 
 def enumerating_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11,
-                           cap: int = audit.DEFAULT_ENUMERATION_CAP) -> dict:
+                           cap: int = ENUMERATION_CAP) -> dict:
     """Brute-force secrecy check for one fixed query draw.
 
     Enumerates every assignment of the shared-randomness pool through the
@@ -192,7 +359,7 @@ def enumerating_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=
     def shifted_tv(delta):
         moved = Counter({tuple((k[j] + delta[j]) % q for j in range(len(delta))): c
                          for k, c in table.items()})
-        return audit._table_tv(table, size, moved, size)
+        return _table_tv(table, size, moved, size)
 
     max_tv = Fraction(0)
     worst = None
@@ -263,7 +430,7 @@ class TestDbSecrecy:
         delta = (1,) + (0,) * 5
         moved = Counter({tuple((k[j] + delta[j]) % q for j in range(6)): c
                          for k, c in table.items()})
-        assert audit._table_tv(table, 1, moved, 1) == 1
+        assert _table_tv(table, 1, moved, 1) == 1
 
 
 class TestCounts:

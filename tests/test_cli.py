@@ -9,6 +9,7 @@ import pytest
 
 from hetdapac import cli
 from hetdapac.errors import RetrievalFailure
+from hetdapac.harness import random_store
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +53,19 @@ class TestRun:
         assert all("match True" in line for line in runs)
         lines = path.read_text().splitlines()
         assert len(lines) == 9  # config echo plus one record per vector
+
+    def test_sweep_draws_one_store(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(params, seed):
+            calls.append(seed)
+            return random_store(params, seed)
+
+        monkeypatch.setattr(cli, "random_store", counted)
+        code, out = run_cli(capsys, "run", *HET1_FLAGS, "--seed", "4")
+        assert code == 0
+        assert out.out.count("match True") == 8
+        assert calls == [4]
 
     def test_mix_needs_lambda(self, capsys):
         code, out = run_cli(capsys, "run", "--scheme", "mix", "--n", "3",
@@ -163,12 +177,13 @@ class TestAudit:
         assert code == 0
         assert "PASS secrecy het1 (max TV 0)" in out.out
 
-    def test_privacy_refusal_exit_code(self, capsys):
+    def test_privacy_point_at_large_field_passes(self, capsys):
         code, out = run_cli(capsys, "audit", "--suite", "privacy",
                             "--scheme", "het1", "--n", "3", "--d", "2",
                             "--k", "2", "--q", "65537", "--length", "2")
-        assert code == 3
-        assert "estimated enumeration size" in out.err
+        assert code == 0
+        checks = [line for line in out.out.splitlines() if line.startswith("PASS privacy")]
+        assert checks == [f"PASS privacy het1 server {n} (max TV 0)" for n in range(1, 4)]
 
     def test_unknown_suite_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
