@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .field import is_prime
+from .field import MAX_MODULUS, is_prime
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,8 @@ class SystemParams:
     n_attrs: N, total attributes.
     d:       D, number of dedicated (sensitive-attribute) servers.
     k:       alphabet size per attribute, K >= 2.
-    q:       field modulus, prime.
+    q:       field modulus, prime, 2 <= q < 2^32: a symbol is one
+             unsigned 32-bit word.
     length:  L, symbols per message. Divisibility against the sub-packet
              count is a per-scheme concern checked by the scheme engines.
     """
@@ -46,6 +47,8 @@ class SystemParams:
             raise ConfigError(f"need 1 <= D <= N, got D={self.d}, N={self.n_attrs}")
         if self.k < 2:
             raise ConfigError(f"alphabet size must be at least 2, got {self.k}")
+        if not 2 <= self.q < MAX_MODULUS:
+            raise ConfigError(f"q must lie in [2, 2^32), got {self.q}")
         if not is_prime(self.q):
             raise ConfigError(f"q must be prime, got {self.q}")
         if self.length < 1:

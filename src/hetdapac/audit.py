@@ -298,10 +298,14 @@ def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11) ->
         delta = minus(answers(mutated, zero_pool), base)
         return Fraction(len(_echelon([delta], q, span)) - len(span))
 
+    def bumped(m: int, j: int):
+        alt = store[m][:]
+        alt[j] = (alt[j] + 1) % q
+        return alt
+
     others = [m for m in participating_ids(params, public) if m != desired]
     worst = next(((m, alt) for m in others for j in range(params.length)
-                  for alt in [store[m][:j] + ((store[m][j] + 1) % q,) + store[m][j + 1:]]
-                  if tv({**store, m: alt})), None)
+                  for alt in [bumped(m, j)] if tv({**store, m: alt})), None)
     control = {**store, desired: tuple((x + 1) % q for x in store[desired])}
     return {
         "scheme": scheme, "params": params, "v_star": tuple(v_star),

@@ -1,7 +1,9 @@
 """Prime-field arithmetic and the small vector kit the protocols use.
 
-Field elements are plain ints in [0, q); vectors are tuples of ints.
-The field object carries the modulus and the operations, which keeps the
+Field elements are plain ints in [0, q), with q < 2^32. Combining vectors
+are tuples of ints; store messages and pool chunks are `array('I')`, one
+4-byte word per symbol, drawn in bulk by `uniform_arrays`. The field
+object carries the modulus and the operations, which keeps the
 per-symbol loops fast and allocation-free.
 
 Index convention: unit vectors and row positions are 1-based, matching
@@ -12,6 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from array import array
+
+# q < 2^32, so one unsigned 32-bit word holds a symbol
+MAX_MODULUS = 1 << 32
+# words per bulk draw: large enough to amortize the call, small enough
+# that a whole store is never drawn, as bytes, at once
+BATCH_WORDS = 65536
 
 
 def is_prime(n: int) -> bool:
@@ -92,6 +102,37 @@ def unit_vector(l: int, length: int) -> tuple[int, ...]:
 def sample_uniform_vector(length: int, rng: random.Random, q: int) -> tuple[int, ...]:
     """A fresh uniform vector in F_q^length from the given stream."""
     return tuple(rng.randrange(q) for _ in range(length))
+
+
+def uniform_arrays(rng: random.Random, q: int, length: int,
+                   count: int) -> list[array]:
+    """`count` arrays of `length` uniform symbols of F_q, 2 <= q < 2^32.
+
+    They hold exactly what `count * length` calls of `rng.randrange(q)`
+    return, in order. For b = q.bit_length() <= 32, CPython's
+    `randrange(q)` is `getrandbits(b)`: one 32-bit Mersenne Twister word
+    shifted right by 32 - b, redrawn while >= q; and `randbytes(4n)`
+    holds the next n words, little-endian. So each word is kept when
+    below q << (32 - b) and then shifted. The sampler reads past the last
+    symbol it returns, so `rng` must be a private stream that is thrown
+    away afterwards.
+    """
+    shift = 32 - q.bit_length()
+    limit = q << shift
+    messages = []
+    buf = array("I")
+    remaining = length * count
+    while len(messages) < count:
+        while len(buf) < length:
+            words = array("I", rng.randbytes(
+                4 * min(BATCH_WORDS, 2 * (remaining - len(buf)) + 8)))
+            if sys.byteorder == "big":
+                words.byteswap()
+            buf.extend([w >> shift for w in words if w < limit])
+        messages.append(buf[:length])
+        del buf[:length]
+        remaining -= length
+    return messages
 
 
 def derive_rng(master_seed, *labels) -> random.Random:

@@ -24,17 +24,26 @@ from __future__ import annotations
 
 import io
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .access import SystemParams, build_partition, check_vector
 from .errors import ConfigError, RetrievalFailure
-from .field import PrimeField, derive_rng
+from .field import PrimeField, derive_rng, uniform_arrays
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
 from .schemes.base import DecodeRetry, ServerContext, server_context
-from .wire import decode_answers, decode_query, encode_answers, encode_query, payload_digest
+from .wire import (
+    decode_answers,
+    decode_commit_value,
+    decode_public,
+    decode_query,
+    encode_answers,
+    encode_query,
+    payload_digest,
+)
 
 DEFAULT_RETRY_CAP = 8
 
@@ -160,16 +169,17 @@ class ServerActor:
         return self.server == self.params.central
 
     def handle(self, kind: str, payload: dict):
+        k, width = self.params.k, self.params.n_attrs - self.params.d
         if kind == "attribute-commit":
             if self.is_central:
-                self.public = tuple(payload["public"])
+                self.public = decode_public(payload, k, width)
             else:
-                self.own_value = int(payload["value"])
+                self.own_value = decode_commit_value(payload, k)
                 if not self.params.has_central:
                     self.public = ()
             return ("commit-ack", {"server": self.server}, 0)
         if kind == "attribute-relay":
-            self.public = tuple(payload["public"])
+            self.public = decode_public(payload, k, width)
             return None
         if kind == "query":
             if self.ctx is None:
@@ -195,16 +205,18 @@ class ServerActor:
 
 # ---------------------------------------------------------------- stores
 
-def random_store(params: SystemParams, seed) -> dict[int, tuple[int, ...]]:
-    """Uniform content for every message id; deterministic in the seed."""
+def random_store(params: SystemParams, seed) -> dict[int, array]:
+    """Uniform content for every message id, one `array('I')` of L symbols
+    each, drawn in bulk from a private stream; deterministic in the seed."""
     rng = derive_rng(seed, "store")
-    return {i: tuple(rng.randrange(params.q) for _ in range(params.length))
-            for i in range(params.message_count)}
+    return dict(enumerate(uniform_arrays(rng, params.q, params.length,
+                                         params.message_count)))
 
 
-def store_segment(store, start: int, stop: int) -> dict[int, tuple[int, ...]]:
-    """Symbol range [start, stop) of every message, for time-shared runs."""
-    return {m: tuple(sym[start:stop]) for m, sym in store.items()}
+def store_segment(store, start: int, stop: int) -> dict[int, array]:
+    """Symbol range [start, stop) of every message, for time-shared runs:
+    an `array('I')` slice, which is a copy."""
+    return {m: sym[start:stop] for m, sym in store.items()}
 
 
 # ---------------------------------------------------------------- protocol
@@ -284,7 +296,7 @@ def run_segments(params: SystemParams, v_star, seed, segments,
     verification_phase(channel, v_star, params)
 
     tagged = len(segments) > 1
-    message = ()
+    message = array("I")
     for scheme, seg_params, seg_store, pool in segments:
         tag = scheme if tagged else None
         transcript.note_pool(pool, segment=tag)

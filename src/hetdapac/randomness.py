@@ -10,18 +10,20 @@ themselves (the user never sees it). Labels come in two shapes:
                           stored as (m, n, k2, k). Used by the pairwise
                           schemes (C(D,2) * K^2 chunks).
 
-A chunk holds length/subpackets field symbols, i.e. exactly one answer pad.
+A chunk holds length/subpackets field symbols, i.e. exactly one answer pad,
+as an `array('I')`.
 Allocation is deterministic in (seed, scheme, public part), modeling pads
 agreed upon after the public attributes are relayed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 from .access import SystemParams, all_pairs
 from .errors import ConfigError, DivisibilityError
-from .field import derive_rng
+from .field import derive_rng, uniform_arrays
 
 Label = tuple
 
@@ -75,19 +77,23 @@ def pool_labels(scheme: str, params: SystemParams) -> list[Label]:
 
 @dataclass(frozen=True)
 class RandomnessPool:
-    """Immutable chunk table for one retrieval."""
+    """Immutable chunk table for one retrieval.
+
+    `allocate` holds each chunk as an `array('I')`; the answer path reads
+    any sequence of ints, so the audit's zero and unit pools use tuples.
+    """
 
     scheme: str
     params: SystemParams
     chunk_len: int
-    chunks: dict[Label, tuple[int, ...]] = dc_field(repr=False)
+    chunks: dict[Label, Sequence[int]] = dc_field(repr=False)
 
-    def chunk(self, label: Label) -> tuple[int, ...]:
+    def chunk(self, label: Label) -> Sequence[int]:
         if label not in self.chunks:
             raise ConfigError(f"unknown chunk label {label!r}")
         return self.chunks[label]
 
-    def pair_chunk(self, n: int, m: int, k: int, k2: int) -> tuple[int, ...]:
+    def pair_chunk(self, n: int, m: int, k: int, k2: int) -> Sequence[int]:
         return self.chunk(canonical_pair_label(n, m, k, k2))
 
     @property
@@ -115,9 +121,8 @@ def allocate(scheme: str, params: SystemParams, public: tuple[int, ...], seed) -
     """
     clen = chunk_length(scheme, params)
     rng = derive_rng(seed, "server-shared", scheme, tuple(public))
-    chunks = {}
-    for label in pool_labels(scheme, params):
-        chunks[label] = tuple(rng.randrange(params.q) for _ in range(clen))
+    labels = pool_labels(scheme, params)
+    chunks = dict(zip(labels, uniform_arrays(rng, params.q, clen, len(labels))))
     return RandomnessPool(scheme, params, clen, chunks)
 
 

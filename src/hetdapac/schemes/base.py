@@ -14,6 +14,7 @@ manipulate vectors only through the source they were given.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -172,18 +173,19 @@ class RetrievalPlan:
             queries[server] = QueryTuple(server=server, groups=tuple(qgroups))
         return queries
 
-    def assemble(self, decoded: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-        """Place decoded sub-packets (by logical index) into message order."""
+    def assemble(self, decoded: dict[int, tuple[int, ...]]) -> array:
+        """Place decoded sub-packets (by logical index) into message order,
+        as an `array('I')` like the stored message."""
         L = self.params.length
         sub_len = L // self.subpackets
         if sorted(decoded) != list(range(1, self.subpackets + 1)):
             raise ValueError(f"decoded indices {sorted(decoded)} are not 1..{self.subpackets}")
         perm = self.perms[self._desired_id()]
-        out = [None] * L
+        out = array("I", [0]) * L
         for logical, payload in decoded.items():
             wire = perm[logical - 1]
-            out[(wire - 1) * sub_len: wire * sub_len] = list(payload)
-        return tuple(out)
+            out[(wire - 1) * sub_len: wire * sub_len] = array("I", payload)
+        return out
 
     def _desired_id(self) -> int:
         from ..access import message_index
@@ -201,7 +203,7 @@ class ServerContext:
     params: SystemParams
     public: tuple[int, ...]
     own_value: Optional[int]          # verified attribute value; None for central
-    store: dict[int, tuple[int, ...]]  # accessible slice only
+    store: dict[int, array]           # accessible slice only, array('I') per message
     pool: RandomnessPool
     partition: object = None
 

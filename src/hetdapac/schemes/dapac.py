@@ -29,6 +29,8 @@ and the central server on top of the same layer.
 
 from __future__ import annotations
 
+from array import array
+
 from ..access import (
     all_pairs,
     message_index,
@@ -175,5 +177,5 @@ def rest_twin_subpackets(twins, answers: dict, field) -> dict:
     return decoded
 
 
-def decode(plan: RetrievalPlan, answers: dict, field) -> tuple[int, ...]:
+def decode(plan: RetrievalPlan, answers: dict, field) -> array:
     return plan.assemble(rest_twin_subpackets(plan.decode_info.values(), answers, field))

@@ -16,6 +16,8 @@ of shared randomness (one chunk per group, all consumed).
 
 from __future__ import annotations
 
+from array import array
+
 from ..access import match_set, message_index, participating_ids, public_part
 from ..errors import ConfigError
 from ..randomness import chunk_length, subpacket_count
@@ -90,7 +92,7 @@ def answer_query(ctx: ServerContext, query):
     return answer_with_labels(ctx, query, _label_table(ctx))
 
 
-def decode(plan: RetrievalPlan, answers: dict, field) -> tuple[int, ...]:
+def decode(plan: RetrievalPlan, answers: dict, field) -> array:
     """Subtract central shares from dedicated shares and reassemble."""
     central = answers[plan.params.central]
     decoded = {}

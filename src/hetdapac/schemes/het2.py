@@ -37,6 +37,8 @@ ratio (D-1)/D, allocated randomness C(D,2) K^2 chunks of L/M symbols.
 
 from __future__ import annotations
 
+from array import array
+
 from ..access import (
     build_partition,
     match_set,
@@ -158,7 +160,7 @@ def answer_query(ctx: ServerContext, query):
     return answer_with_labels(ctx, query, table)
 
 
-def decode(plan: RetrievalPlan, answers: dict, field) -> tuple[int, ...]:
+def decode(plan: RetrievalPlan, answers: dict, field) -> array:
     info = plan.decode_info
     central = plan.params.central
     decoded = {}

@@ -10,6 +10,10 @@ Sub-packet indices on the wire are the user's privately permuted ones,
 which is the whole point: the server learns nothing from them. Indices
 are 1-based.
 
+The verification phase's payloads (a committed attribute value, the
+relayed public part) are checked on arrival by `decode_commit_value` and
+`decode_public`.
+
 Serialization is canonical JSON (sorted keys, no whitespace) so that
 transcript digests are stable byte-for-byte across runs.
 """
@@ -93,6 +97,33 @@ def decode_query(obj: dict) -> QueryTuple:
         return QueryTuple(server=_integer(obj["server"]), groups=groups)
     except (KeyError, TypeError) as err:
         raise ConfigError(f"malformed query payload: {err!r}") from err
+
+
+def _entry(obj, key: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"malformed verification payload, no {key!r}: {obj!r}")
+    return obj[key]
+
+
+def _attribute(x, k: int) -> int:
+    if not 1 <= _integer(x) <= k:
+        raise ConfigError(f"attribute value {x} outside alphabet [1, {k}]")
+    return x
+
+
+def decode_commit_value(obj, k: int) -> int:
+    """The attribute value a dedicated server is committed: an integer in
+    [1, k]; a malformed payload raises ConfigError."""
+    return _attribute(_entry(obj, "value"), k)
+
+
+def decode_public(obj, k: int, width: int) -> tuple[int, ...]:
+    """The public part a commit or relay carries: a list of `width`
+    integers in [1, k]; a malformed payload raises ConfigError."""
+    public = _entry(obj, "public")
+    if not isinstance(public, list) or len(public) != width:
+        raise ConfigError(f"public part must be a list of {width} values, got {public!r}")
+    return tuple(_attribute(x, k) for x in public)
 
 
 def encode_answers(shares: list[AnswerShare]) -> dict:

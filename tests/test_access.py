@@ -47,6 +47,14 @@ def test_params_validation():
         SystemParams(n_attrs=3, d=2, k=2, length=0)
 
 
+@pytest.mark.parametrize("q", [-3, 0, 1, 2 ** 32, 4294967311, 2 ** 61 - 1])
+def test_modulus_outside_a_32_bit_word_is_refused(q):
+    # 4294967311 and 2^61 - 1 are prime; the bound refuses them before
+    # any primality test runs
+    with pytest.raises(ConfigError, match=r"\[2, 2\^32\)"):
+        SystemParams(n_attrs=3, d=2, k=2, q=q)
+
+
 def test_message_index_first_and_order():
     assert message_index((1, 1, 1), P322) == 0
     # last vector has the largest id

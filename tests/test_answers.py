@@ -1,5 +1,5 @@
-"""Server answer path: malformed wire payloads, repeated groups and rows,
-and one label table per answer."""
+"""Server answer path: malformed wire and verification payloads, repeated
+groups and rows, and one label table per answer."""
 
 from __future__ import annotations
 
@@ -52,6 +52,32 @@ def test_malformed_query_is_a_config_error(payload):
     actor = verified_actor(1, "het1", P322, (1, 2, 2))
     with pytest.raises(ConfigError):
         actor.handle("query", payload)
+
+
+@pytest.mark.parametrize("server, kind, payload", [
+    (1, "attribute-commit", {}),                    # no value
+    (1, "attribute-commit", {"value": "x"}),
+    (1, "attribute-commit", {"value": True}),       # a bool is not a value
+    (1, "attribute-commit", {"value": 2.0}),
+    (1, "attribute-commit", {"value": 3}),          # outside [1, K]
+    (1, "attribute-commit", {"value": 0}),
+    (1, "attribute-commit", [2]),
+    (3, "attribute-commit", {}),                    # central: no public part
+    (3, "attribute-commit", {"public": 5}),
+    (3, "attribute-commit", {"public": []}),        # N - D = 1 value
+    (3, "attribute-commit", {"public": [1, 2]}),
+    (3, "attribute-commit", {"public": [3]}),
+    (3, "attribute-commit", {"public": [True]}),
+    (3, "attribute-commit", {"public": "1"}),
+    (1, "attribute-relay", {}),
+    (1, "attribute-relay", {"public": 5}),
+    (1, "attribute-relay", {"public": [0]}),
+    (1, "attribute-relay", None),
+])
+def test_malformed_verification_is_a_config_error(server, kind, payload):
+    actor = ServerActor(server, P322)
+    with pytest.raises(ConfigError):
+        actor.handle(kind, payload)
 
 
 def test_repeated_group_with_moved_vector_is_refused():

@@ -368,7 +368,7 @@ def enumerating_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=
         if m == desired:
             continue
         for alt in itertools.product(range(q), repeat=params.length):
-            if alt == store[m]:
+            if alt == tuple(store[m]):
                 continue
             mutated = dict(store)
             mutated[m] = alt

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,15 @@ class TestRun:
         code, out = run_cli(capsys, "run", *HET1_FLAGS[:-1], "3")
         assert code == 2
         assert "smallest valid length: 2" in out.err
+
+    def test_modulus_beyond_32_bits_exits_at_once(self, capsys):
+        # q = 2^61 - 1 is prime; trial division on it would run for minutes
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "run", *HET1_FLAGS, "--q", str(2 ** 61 - 1),
+                            "--vstar", "1,1,1")
+        assert code == 2
+        assert "2^32" in out.err
+        assert time.perf_counter() - start < 1
 
     def test_missing_parameters_are_listed(self, capsys):
         code, out = run_cli(capsys, "run", "--scheme", "het1", "--n", "3")

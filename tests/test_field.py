@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import random
+from array import array
+
 import pytest
 
+from hetdapac.access import SystemParams
 from hetdapac.field import (
+    BATCH_WORDS,
     PrimeField,
     derive_rng,
     is_prime,
     sample_uniform_vector,
+    uniform_arrays,
     unit_vector,
 )
+from hetdapac.harness import random_store
+from hetdapac.randomness import allocate, chunk_length, pool_labels
+
+# smallest primes, a Fermat prime, and the largest prime below 2^32
+BULK_MODULI = (2, 3, 5, 65537, 4294967291)
 
 
 def test_primality():
@@ -135,3 +146,47 @@ def test_derive_rng_streams_are_reproducible_and_distinct():
     assert seq_a1 != seq_b
     assert seq_a1 != seq_c
     assert seq_b != seq_c
+
+
+# The bulk sampler relies on CPython's Mersenne Twister layout: randrange(q)
+# is one 32-bit word shifted and rejected, randbytes the same words in
+# order. These tests pin that it reproduces the randrange stream exactly.
+
+@pytest.mark.parametrize("q", BULK_MODULI)
+@pytest.mark.parametrize("length, count", [
+    (BATCH_WORDS // 2 + 1, 3),   # crosses bulk-draw boundaries at every q
+    (1, 1),
+    (3, 40),                     # leftovers carried from message to message
+    (0, 2),
+])
+def test_uniform_arrays_is_the_randrange_stream(q, length, count):
+    seed = (q, length, count)
+    bulk = uniform_arrays(random.Random(repr(seed)), q, length, count)
+    twin = random.Random(repr(seed))
+    want = [[twin.randrange(q) for _ in range(length)] for _ in range(count)]
+    assert [list(a) for a in bulk] == want
+    assert all(a.typecode == "I" for a in bulk)
+
+
+def test_random_store_is_the_randrange_stream():
+    params = SystemParams(n_attrs=3, d=2, k=2, q=5, length=7)
+    rng = derive_rng(3, "store")
+    want = {i: tuple(rng.randrange(params.q) for _ in range(params.length))
+            for i in range(params.message_count)}
+    store = random_store(params, 3)
+    assert {m: tuple(sym) for m, sym in store.items()} == want
+    assert all(isinstance(sym, array) for sym in store.values())
+
+
+@pytest.mark.parametrize("scheme, params", [
+    ("het1", SystemParams(n_attrs=3, d=2, k=2, q=3, length=4)),
+    ("het2", SystemParams(n_attrs=4, d=3, k=3, q=65537, length=12)),
+])
+def test_allocate_is_the_randrange_stream(scheme, params):
+    public = (2,) * (params.n_attrs - params.d)
+    clen = chunk_length(scheme, params)
+    rng = derive_rng(9, "server-shared", scheme, public)
+    want = {label: tuple(rng.randrange(params.q) for _ in range(clen))
+            for label in pool_labels(scheme, params)}
+    pool = allocate(scheme, params, public, 9)
+    assert {label: tuple(c) for label, c in pool.chunks.items()} == want

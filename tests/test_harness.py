@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hetdapac.access import SystemParams
+from hetdapac.access import SystemParams, message_index
 from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.field import derive_rng
 from hetdapac.harness import (
@@ -23,6 +23,15 @@ from hetdapac.wire import encode_query
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
+
+
+@pytest.mark.parametrize("scheme", ["het1", "het2", "dapac"])
+def test_largest_32_bit_prime_decodes(scheme):
+    params = SystemParams(n_attrs=4, d=3, k=2, q=4294967291, length=6)
+    store = random_store(params, 2)
+    v_star = (2, 1, 2, 1)
+    msg, _, _ = run_protocol(scheme, params, v_star, store, seed=5)
+    assert msg == store[message_index(v_star, params)]
 
 
 def test_actor_names():

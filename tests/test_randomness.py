@@ -92,7 +92,7 @@ def test_chunks_distinct_at_large_q():
     pool = allocate("het2", SystemParams(n_attrs=5, d=4, k=3, q=65537, length=10),
                     (1,), seed=77)
     values = list(pool.chunks.values())
-    assert len(set(values)) == len(values)
+    assert len(set(map(tuple, values))) == len(values)
 
 
 def test_chunk_streams_independent_at_small_q():
