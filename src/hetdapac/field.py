@@ -3,8 +3,9 @@
 Field elements are plain ints in [0, q), with q < 2^32. Combining vectors
 are tuples of ints; store messages and pool chunks are `array('I')`, one
 4-byte word per symbol, drawn in bulk by `uniform_arrays`. The field
-object carries the modulus and the operations, which keeps the
-per-symbol loops fast and allocation-free.
+object carries the modulus and the scalar and vector operations that
+decoding uses; the servers' answers have their own kernels in
+`schemes.base`, which pack long sub-packets into big-int lanes.
 
 Index convention: unit vectors and row positions are 1-based, matching
 the way query structures are written everywhere else in the package.
@@ -104,6 +105,16 @@ def sample_uniform_vector(length: int, rng: random.Random, q: int) -> tuple[int,
     return tuple(rng.randrange(q) for _ in range(length))
 
 
+def little_endian(words: array) -> array:
+    """`words` with each item's bytes in little-endian order, the order
+    of `randbytes` words and of `int.to_bytes(..., "little")`: on a
+    big-endian host a byte-swapped copy (the swap is its own inverse)."""
+    if sys.byteorder == "big":
+        words = array(words.typecode, words)
+        words.byteswap()
+    return words
+
+
 def uniform_arrays(rng: random.Random, q: int, length: int,
                    count: int) -> list[array]:
     """`count` arrays of `length` uniform symbols of F_q, 2 <= q < 2^32.
@@ -124,10 +135,8 @@ def uniform_arrays(rng: random.Random, q: int, length: int,
     remaining = length * count
     while len(messages) < count:
         while len(buf) < length:
-            words = array("I", rng.randbytes(
-                4 * min(BATCH_WORDS, 2 * (remaining - len(buf)) + 8)))
-            if sys.byteorder == "big":
-                words.byteswap()
+            words = little_endian(array("I", rng.randbytes(
+                4 * min(BATCH_WORDS, 2 * (remaining - len(buf)) + 8))))
             buf.extend([w >> shift for w in words if w < limit])
         messages.append(buf[:length])
         del buf[:length]

@@ -133,12 +133,20 @@ def encode_answers(shares: list[AnswerShare]) -> dict:
     }
 
 
+def _symbols(payload) -> tuple[int, ...]:
+    # one pass in C over the item types: a bool or a float is refused
+    # as `_integer` refuses it, without a call per symbol
+    if type(payload) is not list or not set(map(type, payload)) <= {int}:
+        raise ConfigError("expected a list of integers as an answer payload")
+    return tuple(payload)
+
+
 def decode_answers(obj: dict) -> list[AnswerShare]:
     """Inverse of encode_answers; a malformed payload raises ConfigError."""
     try:
         server = _integer(obj["server"])
         return [AnswerShare(server=server, group_index=_integer(s["group"]),
-                            payload=tuple(_integer(x) for x in s["payload"]))
+                            payload=_symbols(s["payload"]))
                 for s in obj["shares"]]
     except (KeyError, TypeError) as err:
         raise ConfigError(f"malformed answer payload: {err!r}") from err

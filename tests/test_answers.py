@@ -1,5 +1,6 @@
 """Server answer path: malformed wire and verification payloads, repeated
-groups and rows, and one label table per answer."""
+groups and rows, one label table per answer, and the packed answer kernel
+against the per-symbol loop."""
 
 from __future__ import annotations
 
@@ -7,11 +8,19 @@ import pytest
 
 from hetdapac.access import SystemParams, build_partition
 from hetdapac.errors import ConfigError
-from hetdapac.field import derive_rng
+from hetdapac.field import derive_rng, uniform_arrays
 from hetdapac.harness import ServerActor, random_store
-from hetdapac.randomness import allocate
+from hetdapac.randomness import RandomnessPool, allocate
+from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import dapac, het1, het2
-from hetdapac.wire import QueryGroup, QueryTuple, decode_answers, encode_query
+from hetdapac.schemes.base import PACK_MIN_SYMBOLS, ServerContext, answer_with_labels
+from hetdapac.wire import (
+    MessageGroupDescriptor,
+    QueryGroup,
+    QueryTuple,
+    decode_answers,
+    encode_query,
+)
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 
@@ -120,6 +129,8 @@ def test_well_formed_query_is_answered():
     {"server": 1, "shares": [{"group": "0", "payload": [1]}]},
     {"server": 1, "shares": [{"group": 0, "payload": [1.0]}]},
     {"server": 1, "shares": [{"group": 0, "payload": 1}]},
+    {"server": 1, "shares": [{"group": 0, "payload": [1, True]}]},
+    {"server": 1, "shares": [{"group": 0, "payload": [1, "2"]}]},
     "answer",
 ])
 def test_malformed_answers_are_a_config_error(payload):
@@ -158,3 +169,63 @@ def test_dapac_answer_builds_its_label_table_once(monkeypatch):
     calls = counting(monkeypatch, dapac, "pair_set")
     actor.handle("query", encode_query(queries[1]))
     assert len(calls) == params.k * (params.d - 1)
+
+
+# ------------------------------------------------------- answer kernels
+
+def kernel_case(q: int, length: int, pads: int):
+    """One group over 1-64 rows of sub-packets `length` long, with `pads`
+    pad labels, on a server that holds every row: (ctx, query, table).
+    Past 64 symbols a group has at most 8 rows, which keeps the loop
+    reference fast. The vector leads with 0, q - 1, -1 and q + 5; the
+    wire accepts any int, so the kernels must reduce coefficients
+    themselves."""
+    rng = derive_rng("kernel", q, length, pads)
+    rows = rng.randint(1, 64 if length <= 64 else 8)
+    params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
+    store = dict(enumerate(uniform_arrays(rng, q, 2 * length, rows), start=1))
+    labels = [("nk", 1, k) for k in range(1, pads + 1)]
+    pool = RandomnessPool("het1", params, length,
+                          dict(zip(labels, uniform_arrays(rng, q, length, pads))))
+    vector = ((0, q - 1, -1, q + 5)
+              + tuple(rng.randrange(-2 * q, 2 * q) for _ in range(rows)))[:rows]
+    group = QueryGroup(MessageGroupDescriptor(
+        tuple((m, rng.randint(1, 2)) for m in store)), vector)
+    ctx = ServerContext("het1", 1, params, (), 1, store, pool)
+    return ctx, QueryTuple(1, (group,)), {frozenset(store): labels}
+
+
+def loop_reference(ctx, query, table):
+    """The share by the per-symbol loop: the reference for both kernels."""
+    group = query.groups[0]
+    q, n = ctx.params.q, ctx.pool.chunk_len
+    segments = [ctx.store[m][(i - 1) * n: i * n] for m, i in group.descriptor.rows]
+    labels = table[frozenset(group.descriptor.messages())]
+    pad = scheme_base._pad_sum(ctx.pool, labels, q)
+    return segments, labels, scheme_base._loop_share(group.vector, segments, pad, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 65537, 4294967291])
+@pytest.mark.parametrize("length", [PACK_MIN_SYMBOLS - 1, PACK_MIN_SYMBOLS, 20000])
+@pytest.mark.parametrize("pads", [0, 1, 3])
+def test_packed_kernel_equals_the_loop(q, length, pads):
+    ctx, query, table = kernel_case(q, length, pads)
+    segments, labels, want = loop_reference(ctx, query, table)
+    chunks = [ctx.pool.chunk(label) for label in labels]
+    assert scheme_base._packed_share(query.groups[0].vector, segments, chunks,
+                                     q, length) == want
+    shares, named = answer_with_labels(ctx, query, table)
+    assert [s.payload for s in shares] == [want] and named == [labels]
+
+
+@pytest.mark.parametrize("length, kernel", [
+    (PACK_MIN_SYMBOLS - 1, "_packed_share"),
+    (PACK_MIN_SYMBOLS, "_loop_share"),
+])
+def test_kernel_is_chosen_by_subpacket_length(monkeypatch, length, kernel):
+    def unused(*args):
+        raise AssertionError(f"{kernel} ran on {length}-symbol sub-packets")
+
+    ctx, query, table = kernel_case(65537, length, 1)
+    monkeypatch.setattr(scheme_base, kernel, unused)
+    answer_with_labels(ctx, query, table)

@@ -32,6 +32,8 @@ from hetdapac.schemes.base import PlanGroup, SymBlock, SymVector
 P_HET1 = SystemParams(n_attrs=3, d=2, k=2, q=3, length=2)
 P_DAPAC = SystemParams(n_attrs=3, d=3, k=2, q=2, length=3)
 P_HET2 = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
+# sub-packets of PACK_MIN_SYMBOLS = 32 symbols: answered by the packed kernel
+P_PACKED = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=64)
 
 ENUMERATION_CAP = 1_000_000
 
@@ -420,6 +422,22 @@ class TestDbSecrecy:
         for rep in (audit.audit_db_secrecy("het1", P_HET1),
                     enumerating_db_secrecy("het1", P_HET1)):
             assert rep["max_tv"] == 1 and not rep["pass"]
+
+    def test_packed_answers_pass(self):
+        assert P_PACKED.length // P_PACKED.d == scheme_base.PACK_MIN_SYMBOLS
+        rep = audit.audit_db_secrecy("het1", P_PACKED)
+        assert rep["max_tv"] == 0 and rep["pass"]
+        assert rep["desired_control_tv"] == 1
+
+    def test_zero_pads_leak_on_packed_answers(self, monkeypatch):
+        packed_share = scheme_base._packed_share
+
+        def no_pad(vector, segments, pads, q, length):
+            return packed_share(vector, segments, [], q, length)
+
+        monkeypatch.setattr(scheme_base, "_packed_share", no_pad)
+        rep = audit.audit_db_secrecy("het1", P_PACKED)
+        assert rep["max_tv"] == 1 and not rep["pass"]
 
     def test_zero_pads_leak(self):
         # strip the pads and the same comparison must detect the change:

@@ -34,6 +34,11 @@ CASES = {
     # central server that it never queries
     "het2-rest": (SystemParams(n_attrs=5, d=4, k=2, q=65537, length=10), (1, 2, 1, 2, 2)),
     "dapac-public": (SystemParams(n_attrs=4, d=3, k=3, q=65537, length=3), (3, 1, 2, 2)),
+    # sub-packets long enough for the packed answer kernel: 64 symbols
+    # with 2-word lanes, and 32 symbols with 3-word lanes near q = 2^32
+    "het2-packed": (SystemParams(n_attrs=4, d=3, k=2, q=65537, length=384), (1, 2, 2, 1)),
+    "het1-packed-wide-q": (SystemParams(n_attrs=3, d=2, k=2, q=4294967291, length=64),
+                           (1, 2, 2)),
 }
 
 GOLDEN = {
@@ -43,6 +48,8 @@ GOLDEN = {
     "mix": "70b35631ecb7d37ffa7f7b30f906f3972fd995ad58997f9763352362ac9ec534",
     "het2-rest": "3348558e7886e8add7eecf8fcd199f21896d95c7386092dc97c8e221a642de12",
     "dapac-public": "f91170fa6027f0544bec5bdba93d999fa0a51c2775e285448da343549b4da1e8",
+    "het2-packed": "ec346e09c17ba4e48ad1e5f321a723d5b36c4c0a1b77dc3e8cc70cfd6e9292a0",
+    "het1-packed-wide-q": "32deda2785fed421c4d8ceca2a8441506eea201c7a7e80b82e86b2e3b32c63db",
 }
 
 
