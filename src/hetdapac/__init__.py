@@ -25,7 +25,7 @@ from .mixer import (
     rate_of_load,
     run_time_shared,
 )
-from .randomness import RandomnessPool, allocate, central_sum
+from .randomness import RandomnessPool, allocate
 
 __all__ = [
     "AccessRefusal",
@@ -41,7 +41,6 @@ __all__ = [
     "accessible_messages",
     "allocate",
     "build_partition",
-    "central_sum",
     "derive_rng",
     "frontier",
     "frontier_rate",

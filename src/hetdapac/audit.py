@@ -28,17 +28,17 @@ over F_q, at any q: disjoint cosets give TV 1, otherwise TV is
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from .access import SystemParams, build_partition, message_index, participating_ids
 from .errors import ConfigError
 from .field import derive_rng
 from .harness import random_store, run_protocol
+from .mixer import INF, scheme_costs  # INF: dapac's expected load ratio
 from .randomness import RandomnessPool, allocate, subpacket_count
 from .schemes import engine as scheme_engine
 from .schemes.base import TracingSource, server_context
-
-INF = float("inf")
 
 
 def _default_vstar(params: SystemParams) -> tuple[int, ...]:
@@ -320,39 +320,19 @@ def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11) ->
 # -------------------------------------------------------------- accounting
 
 def closed_forms(scheme: str, params: SystemParams) -> dict:
-    """Expected rate, load ratio, per-server downloads and randomness."""
-    d, k, L = params.d, params.k, params.length
-    pairs = d * (d - 1) // 2
-    if scheme == "het1":
-        return {
-            "rate": Fraction(1, k + 1),
-            "load_ratio": Fraction(1, k * d),
-            "download_dedicated": Fraction(L, d),
-            "download_central": Fraction(k * L),
-            "allocated_symbols": k * L,
-            "consumed_symbols": k * L,
-        }
-    if scheme == "het2":
-        sub = subpacket_count(scheme, params)
-        chunks = d * k * k + (pairs - d) * (2 * k - 1)
-        return {
-            "rate": Fraction(d + 1, 2 * k * d),
-            "load_ratio": Fraction(d - 1, d),
-            "download_dedicated": Fraction(2 * k * (d - 1) * L, d * (d + 1)),
-            "download_central": Fraction(2 * k * L, d + 1),
-            "allocated_symbols": Fraction((d - 1) * k * k * L, d + 1),
-            "consumed_symbols": Fraction(chunks * L, sub),
-        }
-    if scheme == "dapac":
-        return {
-            "rate": Fraction(1, 2 * k),
-            "load_ratio": INF,
-            "download_dedicated": Fraction(2 * k * L, d),
-            "download_central": Fraction(0),
-            "allocated_symbols": k * k * L,
-            "consumed_symbols": (2 * k - 1) * L,
-        }
-    raise ConfigError(f"unknown scheme {scheme!r}")
+    """Expected rate, load ratio, per-server downloads and randomness:
+    the scheme's per-symbol costs, times L for the counts."""
+    subpacket_count(scheme, params)  # refuses unknown schemes and het2 below D = 3
+    costs = scheme_costs(params.d, params.k)[scheme]
+    L = params.length
+    return {
+        "rate": costs.rate(params.d),
+        "load_ratio": costs.load_ratio,
+        "download_dedicated": costs.dedicated * L,
+        "download_central": costs.central * L,
+        "allocated_symbols": costs.allocated * L,
+        "consumed_symbols": costs.consumed * L,
+    }
 
 
 def audit_counts(scheme: str, params: SystemParams, seed=5) -> dict:
@@ -411,11 +391,28 @@ COUNTS_GRID = tuple((d, k) for d in (2, 3, 4) for k in (2, 3))
 def _grid_params(scheme: str, d: int, k: int, q: int = 65537) -> SystemParams:
     """Smallest system exercising (D, K): one public attribute for the
     het schemes, none for dapac, at each scheme's minimal length."""
-    if scheme == "dapac":
-        length = max(1, d * (d - 1) // 2)
-        return SystemParams(n_attrs=d, d=d, k=k, q=q, length=length)
-    length = d if scheme == "het1" else d * (d + 1) // 2
-    return SystemParams(n_attrs=d + 1, d=d, k=k, q=q, length=length)
+    n_attrs = d if scheme == "dapac" else d + 1
+    params = SystemParams(n_attrs=n_attrs, d=d, k=k, q=q)
+    return replace(params, length=subpacket_count(scheme, params))
+
+
+def _suite(name: str, checks: list[dict]) -> dict:
+    return {"suite": name, "checks": checks,
+            "pass": all(c["pass"] for c in checks)}
+
+
+def _point_checks(suite: str, scheme: str, params: SystemParams) -> list[dict]:
+    """The privacy or secrecy checks at one parameter point: one per
+    queried server, or the secrecy proof with its decodability control."""
+    if suite == "privacy":
+        return [{"name": f"privacy {scheme} server {server}", "pass": rep["pass"],
+                 "report": rep}
+                for server in privacy_servers(scheme, params)
+                for rep in [audit_attribute_privacy(scheme, params, server)]]
+    rep = audit_db_secrecy(scheme, params)
+    return [{"name": f"secrecy {scheme}",
+             "pass": rep["pass"] and rep["desired_control_tv"] > 0,
+             "report": rep}]
 
 
 def suite_correctness(trials: int = 50) -> dict:
@@ -426,42 +423,27 @@ def suite_correctness(trials: int = 50) -> dict:
         if scheme == "het2":
             ok = ok and rep["retry_frequency"] <= Fraction(10 * params.d, params.q)
         checks.append({"name": f"correctness {scheme}", "pass": ok, "report": rep})
-    return {"suite": "correctness", "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    return _suite("correctness", checks)
 
 
 def suite_privacy() -> dict:
-    checks = []
-    for scheme, params in PRIVACY_POINTS:
-        for server in privacy_servers(scheme, params):
-            rep = audit_attribute_privacy(scheme, params, server)
-            checks.append({"name": f"privacy {scheme} server {server}",
-                           "pass": rep["pass"], "report": rep})
-    return {"suite": "privacy", "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    return _suite("privacy", [c for scheme, params in PRIVACY_POINTS
+                              for c in _point_checks("privacy", scheme, params)])
 
 
 def suite_secrecy() -> dict:
-    checks = []
-    for scheme, params in SECRECY_POINTS:
-        rep = audit_db_secrecy(scheme, params)
-        ok = rep["pass"] and rep["desired_control_tv"] > 0
-        checks.append({"name": f"secrecy {scheme}", "pass": ok, "report": rep})
-    return {"suite": "secrecy", "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    return _suite("secrecy", [c for scheme, params in SECRECY_POINTS
+                              for c in _point_checks("secrecy", scheme, params)])
 
 
 def suite_counts() -> dict:
     checks = []
     for d, k in COUNTS_GRID:
-        for scheme in ("het1", "het2", "dapac"):
-            if scheme == "het2" and d < 3:
-                continue
+        for scheme in scheme_costs(d, k):
             rep = audit_counts(scheme, _grid_params(scheme, d, k))
             checks.append({"name": f"counts {scheme} D={d} K={k}",
                            "pass": rep["pass"], "report": rep})
-    return {"suite": "counts", "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    return _suite("counts", checks)
 
 
 SUITES = {

@@ -27,29 +27,11 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .access import SystemParams, message_index
-from .audit import (
-    SUITES,
-    audit_attribute_privacy,
-    audit_correctness,
-    audit_counts,
-    audit_db_secrecy,
-    privacy_servers,
-)
+from .audit import SUITES, _point_checks, _suite, audit_correctness, audit_counts
 from .errors import ConfigError, RetrievalFailure
 from .harness import random_store, run_protocol
-from .mixer import (
-    INF,
-    central_download_of_lambda,
-    dedicated_download_of_lambda,
-    frontier_rate,
-    load_ratio_of_lambda,
-    plan_mix,
-    randomness_of_lambda,
-    rate_of_lambda,
-    rate_of_load,
-    run_time_shared,
-    scheme_costs,
-)
+from .mixer import INF, frontier_rate, plan_mix, rate_of_load, run_time_shared, scheme_costs
+from .randomness import subpacket_count
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -217,29 +199,17 @@ def _point_audit(suite: str, cfg: dict) -> dict:
     if scheme not in SCHEMES[:3]:
         raise ConfigError(f"audits cover {SCHEMES[:3]}, got {scheme!r}")
     params = _params_of(cfg)
-    checks = []
     if suite == "correctness":
         rep = audit_correctness(scheme, params, trials=int(cfg.get("trials", 10)))
-        checks.append({"name": f"correctness {scheme}", "pass": rep["pass"],
-                       "report": rep})
-    elif suite == "privacy":
-        for server in privacy_servers(scheme, params):
-            rep = audit_attribute_privacy(scheme, params, server)
-            checks.append({"name": f"privacy {scheme} server {server}",
-                           "pass": rep["pass"], "report": rep})
-    elif suite == "secrecy":
-        rep = audit_db_secrecy(scheme, params)
-        checks.append({"name": f"secrecy {scheme}",
-                       "pass": rep["pass"] and rep["desired_control_tv"] > 0,
-                       "report": rep})
+        checks = [{"name": f"correctness {scheme}", "pass": rep["pass"],
+                   "report": rep}]
     elif suite == "counts":
         rep = audit_counts(scheme, params)
-        checks.append({"name": f"counts {scheme}", "pass": rep["pass"],
-                       "report": rep})
+        checks = [{"name": f"counts {scheme}", "pass": rep["pass"],
+                   "report": rep}]
     else:
-        raise ConfigError(f"unknown suite {suite!r}")
-    return {"suite": suite, "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+        checks = _point_checks(suite, scheme, params)
+    return _suite(suite, checks)
 
 
 def cmd_audit(cfg: dict) -> int:
@@ -286,55 +256,28 @@ CURVE_COLUMNS = ("lambda_or_mix", "load_ratio", "rate_timeshare",
 def _curve_rows(d: int, k: int, grid: int) -> tuple[int, list[dict]]:
     """Anchor rows for the pure schemes plus one row per grid weight.
 
-    The reference length is the smallest multiple of every divisibility
-    constraint times the grid, so every row's downloads are integral.
+    The reference length is the grid times the least common multiple of
+    the schemes' sub-packet counts, so every row's downloads are integral.
     """
     if grid < 1:
         raise ConfigError("grid must be positive")
-    pairs = max(1, d * (d - 1) // 2)
-    sub2 = d * (d + 1) // 2 if d >= 3 else 1
-    length = grid * math.lcm(d, pairs, sub2)
     costs = scheme_costs(d, k)
+    shape = SystemParams(n_attrs=d, d=d, k=k)
+    length = grid * math.lcm(*(subpacket_count(s, shape) for s in costs))
 
-    def timeshare(load):
-        return rate_of_load(load, d, k)
+    def row(name, cost):
+        load = cost.load_ratio
+        return {"lambda_or_mix": name, "load_ratio": load,
+                "rate_timeshare": rate_of_load(load, d, k),
+                "rate_frontier": frontier_rate(load, d, k),
+                "downloads_dedicated": cost.dedicated * length,
+                "downloads_central": cost.central * length,
+                "randomness_symbols": cost.allocated * length}
 
-    def envelope(load):
-        return frontier_rate(load, d, k)
-
-    rows = []
-    anchors = {
-        "het1": (Fraction(1, k * d), Fraction(length, d), k * length,
-                 k * length),
-        "dapac": (INF, Fraction(2 * k * length, d), Fraction(0),
-                  k * k * length),
-    }
-    if d >= 3:
-        ded, cen = costs["het2"]
-        anchors["het2"] = (Fraction(d - 1, d), ded * length, cen * length,
-                           Fraction((d - 1) * k * k * length, d + 1))
-    for name in ("het1", "het2", "dapac"):
-        if name not in anchors:
-            continue
-        load, ded, cen, rand = anchors[name]
-        rows.append({"lambda_or_mix": name, "load_ratio": load,
-                     "rate_timeshare": timeshare(load),
-                     "rate_frontier": envelope(load),
-                     "downloads_dedicated": ded, "downloads_central": cen,
-                     "randomness_symbols": rand})
-    for j in range(grid + 1):
-        lam = Fraction(j, grid)
-        load = load_ratio_of_lambda(lam, d, k)
-        rows.append({
-            "lambda_or_mix": str(lam),
-            "load_ratio": load,
-            "rate_timeshare": rate_of_lambda(lam, k),
-            "rate_frontier": envelope(load),
-            "downloads_dedicated": dedicated_download_of_lambda(lam, d, k, length),
-            "downloads_central": central_download_of_lambda(lam, k, length),
-            "randomness_symbols": randomness_of_lambda(lam, k, length),
-        })
-    return length, rows
+    weights = [Fraction(j, grid) for j in range(grid + 1)]
+    return length, ([row(name, cost) for name, cost in costs.items()]
+                    + [row(str(lam), costs["dapac"].mix(costs["het1"], lam))
+                       for lam in weights])
 
 
 def cmd_curve(cfg: dict) -> int:

@@ -318,6 +318,10 @@ def run_protocol(scheme: str, params: SystemParams, v_star, store, seed,
                         retry_cap, partition)
 
 
+# The load ratio of a run without central download; mixer re-exports it.
+INF = float("inf")
+
+
 def metrics_of(transcript: Transcript) -> dict:
     """Exact accounting: rate, load ratio, downloads, randomness, retries."""
     params = transcript.params
@@ -328,7 +332,7 @@ def metrics_of(transcript: Transcript) -> dict:
     if total == 0:
         raise ConfigError("no downloads recorded")
     per_dedicated = sorted(set(dedicated.values()))
-    load = Fraction(per_dedicated[-1], central) if central else float("inf")
+    load = Fraction(per_dedicated[-1], central) if central else INF
     return {
         "rate": Fraction(params.length, total),
         "load_ratio": load,

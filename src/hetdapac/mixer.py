@@ -1,17 +1,22 @@
-"""Time-sharing algebra and executed mixed runs.
+"""Per-symbol cost table, time-sharing algebra and executed mixed runs.
 
-A mix splits each message: the first lambda*L symbols are retrieved with
-the pairwise dapac engine, the rest with het1, so lambda = 0 is pure het1
-and lambda = 1 is pure dapac. An executed mix is a list of segments, one
-per component, run by the harness's segment runner after a single
-verification phase; an endpoint mix is a lone segment and so the very same
-run as the pure scheme. All algebra is exact Fraction arithmetic; the only
-float anywhere is the infinity sentinel for an absent central download.
+`scheme_costs` is the one accounting table: per message symbol, each
+scheme downloads `dedicated` symbols from every dedicated server and
+`central` from the central server, and allocates and consumes pad
+symbols. Everything else is read off it. A pure scheme's rate is
+1/(D*dedicated + central), its load ratio dedicated/central (infinite when
+there is no central download), and each count is its field times L. A
+time-shared mixture is the weighted sum of two records, so its load ratio
+and rate follow the same way. All algebra is exact Fraction arithmetic;
+the only float anywhere is the infinity sentinel INF.
 
-The frontier improves on that family for D >= 3 by time-sharing het2 with
-its neighbors instead: mixtures are taken in per-symbol download space,
-where cost points combine linearly and the achieved load ratio and rate
-follow directly.
+The lambda family mixes dapac and het1: the first lambda*L symbols of each
+message are retrieved with the pairwise dapac engine, the rest with het1,
+so lambda = 0 is pure het1 and lambda = 1 is pure dapac. An executed mix
+is a list of segments, one per component, run by the harness's segment
+runner after a single verification phase; an endpoint mix is a lone
+segment and so the very same run as the pure scheme. For D >= 3 the
+frontier improves on that family by time-sharing het2 with its neighbors.
 """
 
 from __future__ import annotations
@@ -19,13 +24,45 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .access import SystemParams, check_vector
 from .errors import ConfigError, DivisibilityError
-from .harness import DEFAULT_RETRY_CAP, run_segments, store_segment
-from .randomness import allocate
+from .harness import DEFAULT_RETRY_CAP, INF, run_segments, store_segment
+from .randomness import allocate, subpacket_count
 
-INF = float("inf")
+
+class _Costs(NamedTuple):
+    """One scheme's cost per message symbol."""
+
+    dedicated: Fraction  # download from each dedicated server
+    central: Fraction    # download from the central server
+    allocated: Fraction  # pad symbols the servers share
+    consumed: Fraction   # pad symbols the answers use
+
+    def mix(self, other: "_Costs", alpha) -> "_Costs":
+        """The alpha:(1-alpha) time sharing of self and other."""
+        return _Costs(*(alpha * a + (1 - alpha) * b for a, b in zip(self, other)))
+
+    @property
+    def load_ratio(self):
+        return self.dedicated / self.central if self.central else INF
+
+    def rate(self, d: int) -> Fraction:
+        return 1 / (d * self.dedicated + self.central)
+
+
+def scheme_costs(d: int, k: int) -> dict[str, _Costs]:
+    """Per-message-symbol costs of every scheme defined at D servers, in
+    increasing load ratio."""
+    F = Fraction
+    costs = {"het1": _Costs(F(1, d), F(k), F(k), F(k))}
+    if d >= 3:
+        costs["het2"] = _Costs(F(2 * k * (d - 1), d * (d + 1)), F(2 * k, d + 1),
+                               F((d - 1) * k * k, d + 1),
+                               F(2 * k * k + (d - 3) * (2 * k - 1), d + 1))
+    costs["dapac"] = _Costs(F(2 * k, d), F(0), F(k * k), F(2 * k - 1))
+    return costs
 
 
 def _check_lambda(lam) -> Fraction:
@@ -35,69 +72,64 @@ def _check_lambda(lam) -> Fraction:
     return lam
 
 
+def _lambda_costs(lam, d: int, k: int) -> _Costs:
+    """The lambda:(1-lambda) mixture of dapac and het1."""
+    costs = scheme_costs(d, k)
+    return costs["dapac"].mix(costs["het1"], _check_lambda(lam))
+
+
+# Rate, allocated randomness and central download do not depend on D, so
+# their wrappers evaluate the mixture at D = 1.
+
 def rate_of_lambda(lam, k: int) -> Fraction:
     """Time-sharing rate 1/(K(1+lambda) + (1-lambda))."""
-    lam = _check_lambda(lam)
-    return 1 / (k * (1 + lam) + (1 - lam))
+    return _lambda_costs(lam, 1, k).rate(1)
 
 
 def load_ratio_of_lambda(lam, d: int, k: int):
     """Load ratio 1/(KD) + 2*lambda/(D(1-lambda)); infinity at lambda = 1."""
-    lam = _check_lambda(lam)
-    if lam == 1:
-        return INF
-    return Fraction(1, k * d) + 2 * lam / (d * (1 - lam))
-
-
-def rate_of_load(ell, d: int, k: int) -> Fraction:
-    """The time-sharing curve reparameterized by load ratio."""
-    if ell == INF:
-        return Fraction(1, 2 * k)
-    ell = Fraction(ell)
-    if ell < Fraction(1, k * d):
-        raise ConfigError(f"load ratio {ell} below the minimum 1/(KD)")
-    return 1 / (k + (ell * k * k * d + k) / (ell * k * d + 2 * k - 1))
+    return _lambda_costs(lam, d, k).load_ratio
 
 
 def randomness_of_lambda(lam, k: int, length: int) -> Fraction:
     """Allocated shared-randomness symbols KL(lambda(K-1) + 1)."""
-    lam = _check_lambda(lam)
-    return k * length * (lam * (k - 1) + 1)
+    return _lambda_costs(lam, 1, k).allocated * length
 
 
 def dedicated_download_of_lambda(lam, d: int, k: int, length: int) -> Fraction:
     """Per-dedicated-server download ((2K-1)lambda + 1) L/D."""
-    lam = _check_lambda(lam)
-    return ((2 * k - 1) * lam + 1) * Fraction(length, d)
+    return _lambda_costs(lam, d, k).dedicated * length
 
 
 def central_download_of_lambda(lam, k: int, length: int) -> Fraction:
     """Central download (1-lambda)KL."""
-    lam = _check_lambda(lam)
-    return (1 - lam) * k * length
+    return _lambda_costs(lam, 1, k).central * length
+
+
+def _rate_at_load(ell, chain: list[_Costs], d: int) -> Fraction:
+    """Rate of the mixture of adjacent chain points that has load ratio ell.
+
+    The chain runs in increasing load ratio from het1, the minimum, to
+    dapac, the infinite one.
+    """
+    if ell == INF:
+        return chain[-1].rate(d)
+    ell, low = Fraction(ell), chain[0].load_ratio
+    if ell < low:
+        raise ConfigError(f"load ratio {ell} below the minimum {low}")
+    a, b = next((a, b) for a, b in zip(chain, chain[1:]) if ell <= b.load_ratio)
+    alpha = (ell * b.central - b.dedicated) / (
+        (a.dedicated - b.dedicated) - ell * (a.central - b.central))
+    return a.mix(b, alpha).rate(d)
+
+
+def rate_of_load(ell, d: int, k: int) -> Fraction:
+    """The time-sharing curve reparameterized by load ratio."""
+    costs = scheme_costs(d, k)
+    return _rate_at_load(ell, [costs["het1"], costs["dapac"]], d)
 
 
 # ---------------------------------------------------------------- frontier
-
-def scheme_costs(d: int, k: int) -> dict[str, tuple[Fraction, Fraction]]:
-    """Per-message-symbol download (dedicated per server, central)."""
-    costs = {
-        "het1": (Fraction(1, d), Fraction(k)),
-        "dapac": (Fraction(2 * k, d), Fraction(0)),
-    }
-    if d >= 3:
-        costs["het2"] = (Fraction(2 * k * (d - 1), d * (d + 1)),
-                         Fraction(2 * k, d + 1))
-    return costs
-
-
-def _mix_point(a, b, alpha: Fraction, d: int):
-    """Load and rate of the alpha:(1-alpha) mixture of cost points a, b."""
-    ded = alpha * a[0] + (1 - alpha) * b[0]
-    cen = alpha * a[1] + (1 - alpha) * b[1]
-    load = ded / cen if cen else INF
-    return load, 1 / (d * ded + cen)
-
 
 def frontier(d: int, k: int, grid: int = 50) -> list[tuple]:
     """(load ratio, rate) points along the het1/het2/dapac envelope.
@@ -111,33 +143,17 @@ def frontier(d: int, k: int, grid: int = 50) -> list[tuple]:
         raise ConfigError("grid needs at least two points per segment")
     costs = scheme_costs(d, k)
     first = grid // 2
-    points = []
-    for i in range(first, -1, -1):           # het1 -> het2
-        points.append(_mix_point(costs["het1"], costs["het2"],
-                                 Fraction(i, first), d))
-    for i in range(grid - first - 1, -1, -1):  # het2 -> dapac, skip het2 itself
-        points.append(_mix_point(costs["het2"], costs["dapac"],
-                                 Fraction(i, grid - first), d))
-    return points
+    mixes = [costs["het1"].mix(costs["het2"], Fraction(i, first))
+             for i in range(first, -1, -1)]
+    # het2 -> dapac, skipping het2 itself
+    mixes += [costs["het2"].mix(costs["dapac"], Fraction(i, grid - first))
+              for i in range(grid - first - 1, -1, -1)]
+    return [(m.load_ratio, m.rate(d)) for m in mixes]
 
 
 def frontier_rate(ell, d: int, k: int) -> Fraction:
     """Envelope rate at one load ratio (Fraction or infinity)."""
-    if d < 3:
-        return rate_of_load(ell, d, k)
-    costs = scheme_costs(d, k)
-    if ell == INF:
-        return Fraction(1, 2 * k)
-    ell = Fraction(ell)
-    if ell < Fraction(1, k * d):
-        raise ConfigError(f"load ratio {ell} below the minimum 1/(KD)")
-    pair = (costs["het1"], costs["het2"]) if ell <= Fraction(d - 1, d) \
-        else (costs["het2"], costs["dapac"])
-    (d1, c1), (d2, c2) = pair
-    alpha = (ell * c2 - d2) / ((d1 - d2) - ell * (c1 - c2))
-    ded = alpha * d1 + (1 - alpha) * d2
-    cen = alpha * c1 + (1 - alpha) * c2
-    return 1 / (d * ded + cen)
+    return _rate_at_load(ell, list(scheme_costs(d, k).values()), d)
 
 
 # ---------------------------------------------------------------- execution
@@ -160,15 +176,17 @@ class MixPlan:
         return ("dapac", "het1")
 
 
-def _minimal_mix_length(lam: Fraction, d: int) -> int:
-    pairs = d * (d - 1) // 2
+def _minimal_mix_length(lam: Fraction, params: SystemParams) -> int:
+    """Smallest L whose dapac and het1 segments both split into their
+    sub-packets."""
     a, b = lam.numerator, lam.denominator
+    het1 = subpacket_count("het1", params)
     if a == 0:
-        return d
+        return het1
+    dapac = subpacket_count("dapac", params)
     if a == b:
-        return pairs
-    t = math.lcm(pairs // math.gcd(a, pairs), d // math.gcd(b - a, d))
-    return b * t
+        return dapac
+    return b * math.lcm(dapac // math.gcd(a, dapac), het1 // math.gcd(b - a, het1))
 
 
 def plan_mix(params: SystemParams, lam) -> MixPlan:
@@ -177,7 +195,7 @@ def plan_mix(params: SystemParams, lam) -> MixPlan:
     lam = _check_lambda(lam)
     if 0 < lam < 1 and not params.has_central:
         raise ConfigError("a mixed run needs a central server for its het1 part")
-    minimal = _minimal_mix_length(lam, params.d)
+    minimal = _minimal_mix_length(lam, params)
     if params.length % minimal:
         raise DivisibilityError(
             f"mix weight {lam} needs both segment lengths to split: "

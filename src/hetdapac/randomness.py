@@ -1,4 +1,4 @@
-"""Server-side shared randomness: chunk allocation, lookup and central sums.
+"""Server-side shared randomness: chunk allocation and lookup.
 
 The servers pad every answer with chunks drawn from a pool they share among
 themselves (the user never sees it). Labels come in two shapes:
@@ -125,16 +125,3 @@ def allocate(scheme: str, params: SystemParams, public: tuple[int, ...], seed) -
     chunks = dict(zip(labels, uniform_arrays(rng, params.q, clen, len(labels))))
     return RandomnessPool(scheme, params, clen, chunks)
 
-
-def central_sum(pool: RandomnessPool, n: int, k: int, partition) -> tuple[int, ...]:
-    """Pad for the central server's group over match_set(n, k): the sum of
-    the K chunks toward n's oriented partner, sum_k' s_{n,m}^(k, k')."""
-    if pool.scheme != "het2":
-        raise ConfigError("central sums are a pairwise-scheme construct")
-    m = partition.outgoing(n)
-    q = pool.params.q
-    total = [0] * pool.chunk_len
-    for k2 in range(1, pool.params.k + 1):
-        piece = pool.pair_chunk(n, m, k, k2)
-        total = [(a + b) % q for a, b in zip(total, piece)]
-    return tuple(total)

@@ -114,13 +114,13 @@ def test_frontier_needs_three_servers():
 def test_scheme_costs_match_pure_rates():
     for d, k in [(3, 2), (4, 3)]:
         costs = scheme_costs(d, k)
-        ded, cen = costs["het1"]
-        assert 1 / (d * ded + cen) == F(1, k + 1)
-        ded, cen = costs["het2"]
-        assert 1 / (d * ded + cen) == F(d + 1, 2 * k * d)
-        assert ded / cen == F(d - 1, d)
-        ded, cen = costs["dapac"]
-        assert 1 / (d * ded + cen) == F(1, 2 * k)
+        het1 = costs["het1"]
+        assert 1 / (d * het1.dedicated + het1.central) == F(1, k + 1)
+        het2 = costs["het2"]
+        assert 1 / (d * het2.dedicated + het2.central) == F(d + 1, 2 * k * d)
+        assert het2.dedicated / het2.central == F(d - 1, d)
+        dapac = costs["dapac"]
+        assert 1 / (d * dapac.dedicated + dapac.central) == F(1, 2 * k)
 
 
 class TestPlanMix:
@@ -145,6 +145,13 @@ class TestPlanMix:
     def test_mix_needs_central(self):
         with pytest.raises(ConfigError):
             plan_mix(SystemParams(n_attrs=3, d=3, k=2, length=12), F(1, 2))
+
+    def test_dapac_part_needs_two_dedicated_servers(self):
+        one = SystemParams(n_attrs=2, d=1, k=2, length=2)
+        assert plan_mix(one, 0).components == ("het1",)
+        for lam in (F(1, 2), 1):
+            with pytest.raises(ConfigError):
+                plan_mix(one, lam)
 
 
 class TestExecutedMix:

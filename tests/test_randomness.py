@@ -1,15 +1,14 @@
-"""Pool allocation counts, canonical labels, central sums, determinism."""
+"""Pool allocation counts, canonical labels, determinism."""
 
 from __future__ import annotations
 
 import pytest
 
-from hetdapac.access import SystemParams, build_partition
+from hetdapac.access import SystemParams
 from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.randomness import (
     allocate,
     canonical_pair_label,
-    central_sum,
     chunk_length,
     pool_labels,
     subpacket_count,
@@ -60,22 +59,6 @@ def test_canonical_pair_labels():
     pool = allocate("het2", P432, (2,), seed=9)
     # lookups through either orientation hit the same chunk
     assert pool.pair_chunk(3, 1, 2, 1) == pool.pair_chunk(1, 3, 1, 2)
-
-
-def test_central_sum_is_sum_toward_oriented_partner():
-    part = build_partition(3)
-    pool = allocate("het2", P432, (2,), seed=9)
-    q = P432.q
-    # server 1's partner is 2; group value k=1 sums s_12^(1,1) + s_12^(1,2)
-    want = tuple((a + b) % q for a, b in zip(pool.pair_chunk(1, 2, 1, 1),
-                                             pool.pair_chunk(1, 2, 1, 2)))
-    assert central_sum(pool, 1, 1, part) == want
-    # server 3's partner is 1; group value k=2 sums s_31^(2,1) + s_31^(2,2)
-    want = tuple((a + b) % q for a, b in zip(pool.pair_chunk(3, 1, 2, 1),
-                                             pool.pair_chunk(3, 1, 2, 2)))
-    assert central_sum(pool, 3, 2, part) == want
-    with pytest.raises(ConfigError):
-        central_sum(allocate("het1", P322, (2,), seed=1), 1, 1, part)
 
 
 def test_pool_determinism_and_independence():
