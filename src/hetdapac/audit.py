@@ -34,7 +34,7 @@ from fractions import Fraction
 from .access import SystemParams, build_partition, message_index, participating_ids
 from .errors import ConfigError
 from .field import derive_rng
-from .harness import random_store, run_protocol
+from .harness import DEFAULT_RETRY_CAP, random_store, run_protocol
 from .mixer import INF, scheme_costs  # INF: dapac's expected load ratio
 from .randomness import RandomnessPool, allocate, subpacket_count
 from .schemes import engine as scheme_engine
@@ -48,7 +48,7 @@ def _default_vstar(params: SystemParams) -> tuple[int, ...]:
 # ------------------------------------------------------------- correctness
 
 def audit_correctness(scheme: str, params: SystemParams, trials: int = 50,
-                      seed0=0, retry_cap: int = 8) -> dict:
+                      seed0=0, retry_cap: int = DEFAULT_RETRY_CAP) -> dict:
     """Run every attribute vector `trials` times against fresh stores.
 
     Returns failure and retry counts; any mismatch between the decoded

@@ -12,8 +12,8 @@ Three subcommands:
 Configuration comes from ``--config`` (a JSON object) with flags taking
 precedence. Every output embeds the effective config, so a run is
 reproducible from the output alone. Exit codes: 0 all checks passed,
-1 a check failed, 2 invalid configuration, 4 decoding failed past the
-retry cap.
+1 a check failed, 2 invalid configuration, 4 no decodable plan within
+the retry cap.
 """
 
 from __future__ import annotations

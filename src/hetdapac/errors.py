@@ -26,7 +26,7 @@ class AccessRefusal(Exception):
 
 
 class RetrievalFailure(Exception):
-    """Decoding failed past the retry cap."""
+    """No decodable plan in `attempts` draws (the retry cap); none was sent."""
 
     def __init__(self, message: str, attempts: int):
         super().__init__(message)

@@ -34,7 +34,7 @@ from .errors import ConfigError, RetrievalFailure
 from .field import PrimeField, derive_rng, uniform_arrays
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
-from .schemes.base import DecodeRetry, ServerContext, server_context
+from .schemes.base import ServerContext, server_context
 from .wire import (
     decode_answers,
     decode_commit_value,
@@ -80,8 +80,8 @@ class Transcript:
     def __init__(self, params: SystemParams):
         self.params = params
         self.records: list[Record] = []
-        self.retries = 0
-        self.attempts = 0
+        self.retries = 0   # plans redrawn on the client, never sent
+        self.attempts = 0  # rounds sent: one per retrieval segment
         self.pool_allocated_chunks = 0
         self.pool_allocated_symbols = 0
         self.segment_chunk_len: dict = {}
@@ -241,32 +241,32 @@ def verification_phase(channel: Channel, v_star, params: SystemParams):
 def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
                     seed, partition, retry_cap: int, transcript: Transcript,
                     segment=None, rng_labels=()):
-    """Send queries, collect answers, decode; redraw on a decode retry."""
+    """Draw plans from derive_rng(seed, "user", *rng_labels, attempt) until
+    one is decodable, send it once and decode its answers. Earlier draws stay
+    local; if none of `retry_cap` draws is, RetrievalFailure is raised unsent."""
     eng = scheme_engine(scheme)
-    field = PrimeField(params.q)
-    last_error = None
     for attempt in range(retry_cap):
-        transcript.attempts += 1
         rng = derive_rng(seed, "user", *rng_labels, attempt)
         plan, queries = eng.build(v_star, params, rng, partition=partition)
-        answers = {}
-        for n in sorted(queries):
-            name = actor_name(n, params)
-            reply = channel.request("retrieval", "user", name, "query",
-                                    encode_query(queries[n]),
-                                    symbols=queries[n].upload_symbols(),
-                                    segment=segment)
-            answers[n] = decode_answers(reply)
-            transcript.note_consumed(
-                (lbl for group in channel.actors[name].used_labels for lbl in group),
-                segment=segment)
-        try:
-            return eng.decode(plan, answers, field)
-        except DecodeRetry as err:
-            transcript.retries += 1
-            last_error = err
-    raise RetrievalFailure(
-        f"decode failed after {retry_cap} attempts: {last_error}", attempts=retry_cap)
+        if plan.decodable:
+            break
+        transcript.retries += 1
+    else:
+        raise RetrievalFailure(f"no decodable plan within {retry_cap} draws",
+                               attempts=retry_cap)
+    transcript.attempts += 1
+    answers = {}
+    for n in sorted(queries):
+        name = actor_name(n, params)
+        reply = channel.request("retrieval", "user", name, "query",
+                                encode_query(queries[n]),
+                                symbols=queries[n].upload_symbols(),
+                                segment=segment)
+        answers[n] = decode_answers(reply)
+        transcript.note_consumed(
+            (lbl for group in channel.actors[name].used_labels for lbl in group),
+            segment=segment)
+    return eng.decode(plan, answers, PrimeField(params.q))
 
 
 def run_segments(params: SystemParams, v_star, seed, segments,

@@ -93,9 +93,6 @@ class RandomnessPool:
             raise ConfigError(f"unknown chunk label {label!r}")
         return self.chunks[label]
 
-    def pair_chunk(self, n: int, m: int, k: int, k2: int) -> Sequence[int]:
-        return self.chunk(canonical_pair_label(n, m, k, k2))
-
     @property
     def allocated_chunks(self) -> int:
         return len(self.chunks)

@@ -33,13 +33,6 @@ from ..randomness import RandomnessPool
 from ..wire import AnswerShare, MessageGroupDescriptor, QueryGroup, QueryTuple
 
 
-class DecodeRetry(Exception):
-    """Decode hit a zero coefficient; the retrieval should be redrawn."""
-
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
-
 # ---------------------------------------------------------------- vectors
 
 @dataclass(frozen=True)
@@ -168,6 +161,13 @@ class RetrievalPlan:
     perms: dict[int, tuple[int, ...]] = dc_field(repr=False)
     groups: dict[int, list[PlanGroup]] = dc_field(repr=False)
     decode_info: object = None
+    divisors: tuple = ()          # (vector, row): decode divides by vector[row - 1]
+
+    @property
+    def decodable(self) -> bool:
+        """No coordinate that decode divides by is zero. Read lazily: an
+        audit plan's vectors are symbolic and cannot be indexed."""
+        return all(vector[row - 1] for vector, row in self.divisors)
 
     def wire_queries(self) -> dict[int, QueryTuple]:
         """Project the plan onto the wire: permute indices, keep vectors."""

@@ -22,7 +22,6 @@ from ..access import match_set, message_index, participating_ids, public_part
 from ..errors import ConfigError
 from ..randomness import chunk_length, subpacket_count
 from .base import (
-    DecodeRetry,
     FreshIndexCounter,
     PlanGroup,
     RetrievalPlan,
@@ -100,6 +99,4 @@ def decode(plan: RetrievalPlan, answers: dict, field) -> array:
         central_index, logical = plan.decode_info[n]
         sub = field.vec_sub(answers[n][0].payload, central[central_index].payload)
         decoded[logical] = sub
-    if len(decoded) != plan.subpackets:
-        raise DecodeRetry("duplicate sub-packet indices")  # cannot happen by construction
     return plan.assemble(decoded)

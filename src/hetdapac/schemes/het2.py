@@ -27,8 +27,9 @@ Decoding runs in three stages:
      pad is exactly the sum of those K chunks);
   2. cycle-pair twin differences give c * (w(i2) - w(i1)) where c is the
      shared vector's coordinate at the desired row, so the unknown one of
-     the two follows by a division; c = 0 forces a redraw of the whole
-     retrieval, signaled as DecodeRetry;
+     the two follows by a division. The D coordinates c are the user's own
+     draws, recorded as the plan's divisors; a plan with c = 0 anywhere is
+     not `decodable`, and the harness redraws it before sending anything;
   3. rest-pair twin differences yield their shared sub-packet directly.
 
 Stages recover D + D + (M - 2D) = M sub-packets. Rate (D+1)/(2KD), load
@@ -51,7 +52,6 @@ from ..errors import ConfigError
 from ..randomness import canonical_pair_label, chunk_length, subpacket_count
 from . import dapac
 from .base import (
-    DecodeRetry,
     FreshIndexCounter,
     PlanGroup,
     RetrievalPlan,
@@ -137,7 +137,8 @@ def build(v_star, params, rng, partition=None, source=None):
 
     plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups,
                          decode_info={"stage1": stage1, "stage2a": stage2a,
-                                      "stage2b": stage2b, "partition": partition})
+                                      "stage2b": stage2b, "partition": partition},
+                         divisors=tuple((st["vector"], st["row"]) for st in stage2a))
     return plan, plan.wire_queries()
 
 
@@ -177,8 +178,6 @@ def decode(plan: RetrievalPlan, answers: dict, field) -> array:
         diff = field.vec_sub(answers[high_server][high_gi].payload,
                              answers[low_server][low_gi].payload)
         c = st["vector"][st["row"] - 1]
-        if c == 0:
-            raise DecodeRetry(f"zero coefficient at twin pair {st['pair']}")
         gap = field.vec_scale(field.inv(c), diff)  # w(i2) - w(i1)
         if st["known"] == "i1":
             decoded[st["i2"]] = field.vec_add(decoded[st["i1"]], gap)

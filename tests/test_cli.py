@@ -45,6 +45,18 @@ class TestRun:
         assert "config" in lines[0]
         assert [r["seq"] for r in lines[1:]] == list(range(len(lines) - 1))
 
+    def test_het2_redraws_locally_and_sends_one_round(self, capsys):
+        code, out = run_cli(capsys, "run", "--scheme", "het2", "--n", "3",
+                            "--d", "3", "--k", "2", "--q", "5", "--length", "6",
+                            "--vstar", "2,1,1")
+        assert code == 0
+        assert "rate                 1/3 (0.3333333333)" in out.out
+        assert "download_total       18" in out.out
+        assert "retries 3  attempts 1" in out.out
+        assert "randomness_allocated 12 symbols (12 chunks)" in out.out
+        assert "randomness_consumed  12 symbols (12 chunks)" in out.out
+        assert "matches store: True" in out.out
+
     def test_sweep_covers_every_vector(self, capsys, tmp_path):
         path = tmp_path / "sweep.jsonl"
         code, out = run_cli(capsys, "run", *HET1_FLAGS, "--out", str(path))

@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 
+from hetdapac import harness
 from hetdapac.access import (
     SystemParams,
     accessible_messages,
@@ -21,9 +22,10 @@ from hetdapac.access import (
 )
 from hetdapac.errors import ConfigError, DivisibilityError, RetrievalFailure
 from hetdapac.field import derive_rng
-from hetdapac.harness import random_store, run_protocol
+from hetdapac.harness import actor_name, random_store, run_protocol
 from hetdapac.schemes import het2
 from hetdapac.schemes.base import TracingSource
+from hetdapac.wire import encode_query, payload_digest
 
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
 V = (1, 2, 1, 2)  # a2uy, id 5
@@ -239,7 +241,11 @@ def test_binary_field_retries_until_coefficients_cooperate():
         msg, transcript, metrics = run_protocol("het2", params, v_star, store,
                                                 seed=seed, retry_cap=120)
         assert msg == store[message_index(v_star, params)]
-        assert metrics["attempts"] == metrics["retries"] + 1
+        assert metrics["attempts"] == 1
+        # retries counts the undecodable draws that preceded the one sent
+        draws = [het2.build(v_star, params, derive_rng(seed, "user", a))[0].decodable
+                 for a in range(metrics["retries"] + 1)]
+        assert draws == [False] * metrics["retries"] + [True]
         total_retries += metrics["retries"]
     # three cycle coefficients must all land nonzero; at q=2 that is rare
     assert total_retries > 0
@@ -281,3 +287,44 @@ def test_roundtrip_all_targets_small_field():
         msg, _, _ = run_protocol("het2", params, v_star, store, seed=seed,
                                  retry_cap=60)
         assert msg == store[message_index(v_star, params)]
+
+
+def test_redrawn_retrieval_sends_only_the_first_decodable_draw():
+    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
+    v_star = (1, 1, 1, 1)
+    store = random_store(params, 5)
+    redrawn = 0
+    for seed in range(8):
+        _, transcript, metrics = run_protocol("het2", params, v_star, store,
+                                              seed=seed, retry_cap=120)
+        retries = metrics["retries"]
+        redrawn += retries > 0
+        plan, queries = het2.build(v_star, params, derive_rng(seed, "user", retries))
+        assert plan.decodable
+        sent = [(r.receiver, r.digest) for r in transcript.records if r.kind == "query"]
+        assert sent == [(actor_name(n, params),
+                         payload_digest(encode_query(queries[n])))
+                        for n in sorted(queries)]
+    assert redrawn > 0
+
+
+def test_cap_exhausted_before_any_query_is_sent(monkeypatch):
+    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
+    request = harness.Channel.request
+    kinds = []
+
+    def logged(self, phase, sender, receiver, kind, *args, **kw):
+        kinds.append(kind)
+        return request(self, phase, sender, receiver, kind, *args, **kw)
+
+    monkeypatch.setattr(harness.Channel, "request", logged)
+    failed = 0
+    for seed in range(12):
+        kinds.clear()
+        try:
+            run_protocol("het2", params, (1, 1, 1, 1), random_store(params, 99),
+                         seed=seed, retry_cap=1)
+        except RetrievalFailure:
+            failed += 1
+            assert "query" not in kinds
+    assert failed > 0
