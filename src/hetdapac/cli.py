@@ -76,8 +76,14 @@ def _jsonable(x):
 def _load_config(args: argparse.Namespace) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except OSError as err:
+            raise ConfigError(f"cannot read config {args.config!r}: "
+                              f"{err.strerror or err}") from None
+        except ValueError as err:
+            raise ConfigError(f"config {args.config!r} is not JSON: {err}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg.update(loaded)
@@ -89,19 +95,36 @@ def _load_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int: ints, integral floats and decimal strings pass;
+    anything else (3.5, "abc", true) is a ConfigError, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _params_of(cfg: dict) -> SystemParams:
     missing = [key for key in ("n", "d", "k", "length") if key not in cfg]
     if missing:
         raise ConfigError(f"missing parameter(s): {', '.join(missing)}")
-    return SystemParams(n_attrs=int(cfg["n"]), d=int(cfg["d"]),
-                        k=int(cfg["k"]), q=int(cfg.get("q", 65537)),
-                        length=int(cfg["length"]))
+    n, d, k, length = (_integer(key, cfg[key]) for key in ("n", "d", "k", "length"))
+    return SystemParams(n_attrs=n, d=d, k=k, q=_integer("q", cfg.get("q", 65537)),
+                        length=length)
 
 
 def _parse_vstar(value, params: SystemParams) -> tuple[int, ...]:
     if isinstance(value, str):
-        value = [int(t) for t in value.split(",") if t.strip()]
-    v = tuple(int(t) for t in value)
+        value = [t for t in value.split(",") if t.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"vstar must be a comma-separated list, got {value!r}")
+    v = tuple(_integer("vstar entry", t) for t in value)
     if len(v) != params.n_attrs:
         raise ConfigError(f"vstar needs {params.n_attrs} entries, got {len(v)}")
     return v
@@ -118,6 +141,16 @@ def _parse_lambda(cfg: dict) -> Fraction:
 
 def _echo(cfg: dict) -> str:
     return json.dumps({"config": _jsonable(cfg)}, sort_keys=True)
+
+
+def _write_out(path, text: str):
+    if not isinstance(path, str):
+        raise ConfigError(f"out must be a file path, got {path!r}")
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path!r}: {err.strerror or err}") from None
 
 
 # -------------------------------------------------------------------- run
@@ -181,12 +214,10 @@ def cmd_run(cfg: dict) -> int:
             sort_keys=True))
 
     if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            if len(targets) == 1:
-                fh.write(_echo(cfg) + "\n")
-                fh.write(last_transcript.dumps())
-            else:
-                fh.write("\n".join(lines) + "\n")
+        if len(targets) == 1:
+            _write_out(cfg["out"], _echo(cfg) + "\n" + last_transcript.dumps())
+        else:
+            _write_out(cfg["out"], "\n".join(lines) + "\n")
         print(f"wrote {cfg['out']}")
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
@@ -200,7 +231,8 @@ def _point_audit(suite: str, cfg: dict) -> dict:
         raise ConfigError(f"audits cover {SCHEMES[:3]}, got {scheme!r}")
     params = _params_of(cfg)
     if suite == "correctness":
-        rep = audit_correctness(scheme, params, trials=int(cfg.get("trials", 10)))
+        rep = audit_correctness(scheme, params,
+                                trials=_integer("trials", cfg.get("trials", 10)))
         checks = [{"name": f"correctness {scheme}", "pass": rep["pass"],
                    "report": rep}]
     elif suite == "counts":
@@ -215,7 +247,7 @@ def _point_audit(suite: str, cfg: dict) -> dict:
 def cmd_audit(cfg: dict) -> int:
     suite = cfg.get("suite", "all")
     names = list(SUITES) if suite == "all" else [suite]
-    unknown = [n for n in names if n not in SUITES]
+    unknown = [n for n in names if not isinstance(n, str) or n not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suite {unknown[0]!r}; "
                           f"choose from {', '.join(SUITES)} or all")
@@ -239,9 +271,8 @@ def cmd_audit(cfg: dict) -> int:
                   + (f" ({'; '.join(extras)})" if extras else ""))
     print(f"{'PASS' if report['pass'] else 'FAIL'} overall")
     if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_out(cfg["out"], json.dumps(_jsonable(report), indent=2,
+                                          sort_keys=True) + "\n")
         print(f"wrote {cfg['out']}")
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
@@ -284,10 +315,10 @@ def cmd_curve(cfg: dict) -> int:
     for key in ("d", "k"):
         if key not in cfg:
             raise ConfigError(f"curve needs --{key}")
-    d, k = int(cfg["d"]), int(cfg["k"])
+    d, k = _integer("d", cfg["d"]), _integer("k", cfg["k"])
     if d < 2 or k < 2:
         raise ConfigError("curve needs D >= 2 and K >= 2")
-    grid = int(cfg.get("grid", 12))
+    grid = _integer("grid", cfg.get("grid", 12))
     length, rows = _curve_rows(d, k, grid)
     lines = ["# " + json.dumps(
         {"config": _jsonable(cfg), "reference_length": length}, sort_keys=True)]
@@ -300,8 +331,7 @@ def cmd_curve(cfg: dict) -> int:
         lines.append(",".join(floats + exacts))
     text = "\n".join(lines) + "\n"
     if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            fh.write(text)
+        _write_out(cfg["out"], text)
         print(f"wrote {cfg['out']} ({len(rows)} rows, reference length {length})")
     else:
         print(text, end="")

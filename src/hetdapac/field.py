@@ -2,7 +2,11 @@
 
 Field elements are plain ints in [0, q), with q < 2^32. Combining vectors
 are tuples of ints; store messages and pool chunks are `array('I')`, one
-4-byte word per symbol, drawn in bulk by `uniform_arrays`. The field
+4-byte word per symbol, drawn in bulk by `uniform_arrays`: a batch of
+Mersenne Twister words is one big int of 32-bit lanes, shifted,
+rejection-tested and compacted by a few whole-int and bytes operations,
+and the result is exactly the `randrange(q)` stream (q >= 2^31 keeps a
+per-word filter, having no spare lane bit for the test). The field
 object carries the modulus and the scalar and vector operations that
 decoding uses; the servers' answers have their own kernels in
 `schemes.base`, which pack long sub-packets into big-int lanes.
@@ -122,22 +126,50 @@ def uniform_arrays(rng: random.Random, q: int, length: int,
     They hold exactly what `count * length` calls of `rng.randrange(q)`
     return, in order. For b = q.bit_length() <= 32, CPython's
     `randrange(q)` is `getrandbits(b)`: one 32-bit Mersenne Twister word
-    shifted right by 32 - b, redrawn while >= q; and `randbytes(4n)`
-    holds the next n words, little-endian. So each word is kept when
-    below q << (32 - b) and then shifted. The sampler reads past the last
-    symbol it returns, so `rng` must be a private stream that is thrown
-    away afterwards.
+    shifted right by 32 - b, redrawn while >= q. `getrandbits(32n)` holds
+    the next n words, word i in bits [32i, 32i + 32) (`randbytes(4n)` is
+    the same int as little-endian bytes).
+
+    For b <= 31 a batch of n words is one int of n 32-bit lanes, and no
+    Python loop visits a word:
+
+    - v = (bits >> (32 - b)) & LANE puts each word's top b bits, its
+      candidate symbol, in the low bits of its own lane;
+    - bit b of v + ADD is set exactly when the candidate is >= q, since
+      ADD holds 2^b - q in every lane and a lane sum stays below 2^32;
+    - lanes with that bit set become 0xFFFFFFFF, and deleting every
+      4-byte 0xFF run from the little-endian bytes drops exactly those
+      lanes: a kept lane is below 2^31, so its top byte is never 0xFF,
+      every window starting inside it holds that byte, and each match
+      (leftmost first, non-overlapping) is one whole rejected lane.
+
+    For b = 32 a lane has no spare bit for the test, so those moduli keep
+    a per-word filter. The sampler reads past the last symbol it returns,
+    so `rng` must be a private stream that is thrown away afterwards.
     """
-    shift = 32 - q.bit_length()
-    limit = q << shift
+    b = q.bit_length()
+    shift = 32 - b
+    masks = {}
     messages = []
     buf = array("I")
     remaining = length * count
     while len(messages) < count:
         while len(buf) < length:
-            words = little_endian(array("I", rng.randbytes(
-                4 * min(BATCH_WORDS, 2 * (remaining - len(buf)) + 8))))
-            buf.extend([w >> shift for w in words if w < limit])
+            n = min(BATCH_WORDS, 2 * (remaining - len(buf)) + 8)
+            if b == 32:
+                words = little_endian(array("I", rng.randbytes(4 * n)))
+                buf.extend([w for w in words if w < q])
+                continue
+            if n not in masks:
+                # LANE, ONES and ADD: 2^b - 1, 1 and 2^b - q in every lane
+                ones = int.from_bytes(b"\x01\x00\x00\x00" * n, "little")
+                masks[n] = (ones * ((1 << b) - 1), ones, ones * ((1 << b) - q))
+            lane, ones, add = masks[n]
+            v = (rng.getrandbits(32 * n) >> shift) & lane
+            reject = ((v + add) >> b) & ones
+            marked = (v | reject * 0xFFFFFFFF).to_bytes(4 * n, "little")
+            kept = marked.replace(b"\xff" * 4, b"")
+            buf.extend(little_endian(array("I", kept)))
         messages.append(buf[:length])
         del buf[:length]
         remaining -= length

@@ -156,6 +156,98 @@ class TestConfigFile:
         assert code == 2
 
 
+class TestMalformedInput:
+    """Malformed input is a configuration error: exit 2, one stderr line."""
+
+    @staticmethod
+    def assert_refused(out, *words):
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid configuration: ")
+        assert "Traceback" not in out.err
+        for word in words:
+            assert word in lines[0]
+
+    @pytest.mark.parametrize("command", ["run", "audit", "curve"])
+    def test_missing_config_file(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "nonexistent.json")
+        code, out = run_cli(capsys, command, "--config", missing)
+        assert code == 2
+        self.assert_refused(out, "nonexistent.json")
+
+    def test_config_file_that_is_not_json(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{bad")
+        code, out = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        self.assert_refused(out, "not JSON")
+
+    @pytest.mark.parametrize("key, value", [("q", "abc"), ("n", 3.5),
+                                            ("length", True)])
+    def test_non_integral_parameter_in_file(self, capsys, tmp_path, key, value):
+        fields = {"scheme": "het1", "n": 3, "d": 2, "k": 2, "length": 2,
+                  "vstar": "1,1,1"}
+        fields[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code, out = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        self.assert_refused(out, key, "integer")
+
+    def test_integral_values_in_any_spelling_still_run(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scheme": "het1", "n": "3", "d": 2.0, "k": 2,
+                                   "length": 2, "vstar": [1, 2, 2]}))
+        code, out = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0
+        assert "matches store: True" in out.out
+
+    @pytest.mark.parametrize("vstar", ["1,a,1", "1.5,1,1"])
+    def test_vstar_entries_must_be_integers(self, capsys, vstar):
+        code, out = run_cli(capsys, "run", *HET1_FLAGS, "--vstar", vstar)
+        assert code == 2
+        self.assert_refused(out, "vstar")
+
+    def test_vstar_must_be_a_list(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scheme": "het1", "n": 3, "d": 2, "k": 2,
+                                   "length": 2, "vstar": 5}))
+        code, out = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        self.assert_refused(out, "vstar")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", *HET1_FLAGS, "--vstar", "1,1,1"),
+        ("audit", "--suite", "counts", "--scheme", "dapac", "--n", "3",
+         "--d", "3", "--k", "2", "--length", "3"),
+        ("curve", "--d", "3", "--k", "2", "--grid", "2"),
+    ])
+    def test_unwritable_out_path(self, capsys, tmp_path, argv):
+        target = str(tmp_path / "nonexistent" / "dir" / "x.json")
+        code, out = run_cli(capsys, *argv, "--out", target)
+        assert code == 2
+        self.assert_refused(out, "x.json")
+
+    @pytest.mark.parametrize("command, fields, word", [
+        ("audit", {"suite": ["privacy"]}, "suite"),
+        # an int path would be taken by open() as a file descriptor
+        ("run", {"scheme": "het1", "n": 3, "d": 2, "k": 2, "length": 2,
+                 "vstar": "1,1,1", "out": 5}, "out"),
+    ])
+    def test_wrongly_typed_value_in_file(self, capsys, tmp_path, command, fields, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code, out = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        self.assert_refused(out, word)
+
+    def test_non_integral_grid_in_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 3, "k": 2, "grid": 2.5}))
+        code, out = run_cli(capsys, "curve", "--config", str(cfg))
+        assert code == 2
+        self.assert_refused(out, "grid")
+
+
 class TestAudit:
     def test_point_privacy_audit(self, capsys):
         code, out = run_cli(capsys, "audit", "--suite", "privacy",

@@ -20,8 +20,11 @@ from hetdapac.field import (
 from hetdapac.harness import random_store
 from hetdapac.randomness import allocate, chunk_length, pool_labels
 
-# smallest primes, a Fermat prime, and the largest prime below 2^32
-BULK_MODULI = (2, 3, 5, 65537, 4294967291)
+# smallest primes, a Fermat prime with about half its candidates rejected,
+# the largest prime below 2^16 (rare rejection), the largest below 2^31
+# (lanes with a single spare bit), the smallest above 2^31 (no spare bit:
+# the per-word filter) and the largest prime below 2^32
+BULK_MODULI = (2, 3, 5, 65537, 65521, 2147483647, 2147483659, 4294967291)
 
 
 def test_primality():
@@ -151,6 +154,15 @@ def test_derive_rng_streams_are_reproducible_and_distinct():
 # The bulk sampler relies on CPython's Mersenne Twister layout: randrange(q)
 # is one 32-bit word shifted and rejected, randbytes the same words in
 # order. These tests pin that it reproduces the randrange stream exactly.
+
+@pytest.mark.parametrize("n", [1, 2, 40, BATCH_WORDS])
+def test_cpython_randbytes_is_getrandbits_little_endian(n):
+    # the lane kernel reads word i of a batch from bits [32i, 32i + 32) of
+    # getrandbits(32n), where the randbytes(4n) words used to come from
+    r1, r2 = random.Random(n), random.Random(n)
+    assert int.from_bytes(r1.randbytes(4 * n), "little") == r2.getrandbits(32 * n)
+    assert r1.random() == r2.random()
+
 
 @pytest.mark.parametrize("q", BULK_MODULI)
 @pytest.mark.parametrize("length, count", [
