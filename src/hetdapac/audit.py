@@ -18,16 +18,18 @@ indices come from private uniform permutations, so an ordered list of
 distinct per-message indices is uniform over arrangements whatever the
 underlying logical indices were; that layer is marginalized analytically
 after checking row structure and index freshness. Combining vectors are
-traced symbolically: each observed coordinate copies one fresh uniform
-draw plus a fixed offset, so a server's whole observation is uniform on a
-coset c + U of a subspace of F_q^n. Two such cosets are compared by rank
-over F_q, at any q: disjoint cosets give TV 1, otherwise TV is
-1 - q^(min(dim U, dim V) - dim(U + V)).
+traced symbolically: each observed coordinate copies one draw coordinate
+plus a fixed offset, so a server's observation is a partition of its
+positions into copy classes plus offsets. Equal canonical forms are equal
+distributions and need no comparison; two others are compared by a
+union-find over both partitions' classes with potentials mod q, at any q:
+disjoint cosets give TV 1, otherwise 1 - q^(min(dim U, dim V) - dim(U + V)).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -75,7 +77,7 @@ def audit_correctness(scheme: str, params: SystemParams, trials: int = 50,
     }
 
 
-# ----------------------------------------------------------- rank over F_q
+# ------------------------------------------------ rank over F_q (secrecy)
 
 def _echelon(vectors, q: int, basis=None) -> dict[int, list[int]]:
     """Echelon basis over F_q of `basis` (left unchanged) extended by
@@ -126,45 +128,69 @@ def _check_fresh_indices(groups, where: str):
             seen[msg].add(logical)
 
 
-def _coset(groups, q: int, where: str):
-    """One server's observation as an affine subspace of F_q^n.
+def _coset(groups, q: int, where: str) -> tuple:
+    """One server's observation in canonical form.
 
-    Every observed coordinate copies one coordinate of a fresh draw plus a
-    fixed offset, so the groups' vectors concatenated in label order are
-    c + M·s with s uniform: uniform on c + col(M), where M has one column
-    per (draw, coordinate), the indicator of the positions that copy it.
-    Returns (row view, c, echelon basis of col(M)).
+    The groups' vectors concatenated in label order are uniform on c + U,
+    U spanned by the indicators of the copy classes: the positions that
+    copy one (draw, coordinate). Returns (row view, each position's class
+    numbered by first occurrence, each offset minus its class's first);
+    equal forms are exactly equal distributions.
     """
     _check_fresh_indices(groups, where)
     dims: dict[int, int] = {}
-    copies: dict[tuple[int, int], list[int]] = {}
+    classes: dict[tuple[int, int], tuple[int, int]] = {}  # -> (class, first offset)
+    cls: list[int] = []
     offset: list[int] = []
     for g in groups:
         for block in g.vector.blocks:
             if dims.setdefault(block.draw, block.dim) != block.dim:
                 raise ConfigError(f"draw {block.draw} used at two dimensions")
             for j, off in enumerate(block.offset):
-                copies.setdefault((block.draw, j), []).append(len(offset))
-                offset.append(off)
-    columns = [[int(i in at) for i in range(len(offset))]
-               for at in map(set, copies.values())]
-    return _row_view(groups), offset, _echelon(columns, q)
+                c, first = classes.setdefault((block.draw, j), (len(classes), off))
+                cls.append(c)
+                offset.append((off - first) % q)
+    return _row_view(groups), tuple(cls), tuple(offset)
 
 
-def _coset_tv(obs_v, obs_u, q: int) -> Fraction:
+def _coset_tv(obs_a, obs_b, q: int) -> Fraction:
     """Exact TV of the uniform distributions on A = a + U and B = b + V.
 
     They meet only if a - b lies in U + V, and then A ∩ B is a coset of
     U ∩ V, so TV = 1 - |A ∩ B| / max(|A|, |B|)
                  = 1 - q^(min(dim U, dim V) - dim(U + V)).
+    A union-find over the U- and V-classes, one edge per position asking
+    pot(U-class) - pot(V-class) = a_i - b_i mod q, decides both: dim(U + V)
+    is the number of joining unions, and a conflicting cycle means disjoint.
     """
-    (view_v, a, span_u), (view_u, b, span_v) = obs_v, obs_u
-    if view_v != view_u:
+    (view_a, cls_a, a), (view_b, cls_b, b) = obs_a, obs_b
+    if view_a != view_b:
         return Fraction(1)  # deterministic, visible row difference
-    joint = _echelon(span_v.values(), q, span_u)
-    if len(_echelon([[(x - y) % q for x, y in zip(a, b)]], q, joint)) > len(joint):
-        return Fraction(1)
-    return 1 - Fraction(1, q ** (len(joint) - min(len(span_u), len(span_v))))
+    dim_u, dim_v = len(set(cls_a)), len(set(cls_b))
+    parent = list(range(dim_u + dim_v))
+    pot = [0] * len(parent)  # a node's potential minus its parent's
+
+    def find(x: int) -> int:
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        for y in reversed(path):  # nearest the root first; a root's pot is 0
+            pot[y] = (pot[y] + pot[parent[y]]) % q
+            parent[y] = x
+        return x
+
+    joins = 0
+    for u, v, x, y in zip(cls_a, cls_b, a, b):
+        v += dim_u
+        ru, rv = find(u), find(v)
+        shift = (x - y - pot[u] + pot[v]) % q  # what ru's pot must be over rv
+        if ru != rv:
+            parent[ru], pot[ru] = rv, shift
+            joins += 1
+        elif shift:
+            return Fraction(1)  # a conflicting cycle: disjoint cosets
+    return 1 - Fraction(1, q ** (joins - min(dim_u, dim_v)))
 
 
 def _pair_tv(groups_v, groups_u, q: int) -> Fraction:
@@ -211,9 +237,11 @@ def audit_attribute_privacy(scheme: str, params: SystemParams, server: int) -> d
             view = v[server - 1] if dedicated else None
             buckets.setdefault(view, []).append(v)
         for bucket in buckets.values():
+            pairs += math.comb(len(bucket), 2)
+            if len({observed[v] for v in bucket}) == 1:
+                continue  # one form, one distribution: every pair has TV 0
             for v, u in itertools.combinations(bucket, 2):
                 tv = _coset_tv(observed[v], observed[u], params.q)
-                pairs += 1
                 if tv > max_tv:
                     max_tv, worst = tv, (v, u)
     return {

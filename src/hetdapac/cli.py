@@ -27,7 +27,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .access import SystemParams, message_index
-from .audit import SUITES, _point_checks, _suite, audit_correctness, audit_counts
+from .audit import SUITES, _point_checks, _suite, audit_correctness, audit_counts, run_suites
 from .errors import ConfigError, RetrievalFailure
 from .harness import random_store, run_protocol
 from .mixer import INF, frontier_rate, plan_mix, rate_of_load, run_time_shared, scheme_costs
@@ -254,11 +254,11 @@ def cmd_audit(cfg: dict) -> int:
     print(_echo(cfg))
     if cfg.get("scheme"):
         reports = [_point_audit(name, cfg) for name in names]
+        result = {"suites": reports, "pass": all(r["pass"] for r in reports)}
     else:
-        reports = [SUITES[name]() for name in names]
-    report = {"config": cfg, "suites": reports,
-              "pass": all(r["pass"] for r in reports)}
-    for suite_report in reports:
+        result = run_suites(names)
+    report = {"config": cfg, **result}
+    for suite_report in report["suites"]:
         for check in suite_report["checks"]:
             verdict = "PASS" if check["pass"] else "FAIL"
             detail = check["report"]

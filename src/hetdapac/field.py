@@ -64,12 +64,6 @@ class PrimeField:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
@@ -90,11 +84,6 @@ class PrimeField:
 
     def vec_scale(self, c: int, v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((c * a) % self.q for a in v)
-
-    def dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        if len(u) != len(v):
-            raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-        return sum(a * b for a, b in zip(u, v)) % self.q
 
 
 def unit_vector(l: int, length: int) -> tuple[int, ...]:

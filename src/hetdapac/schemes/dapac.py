@@ -55,10 +55,6 @@ from .base import (
 SCHEME = "dapac"
 
 
-def subpackets(params) -> int:
-    return subpacket_count(SCHEME, params)
-
-
 def desired_index_map(cycle, d: int):
     """Reserved sub-packet indices of the desired message, per sorted pair.
 
@@ -134,7 +130,7 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
 def build(v_star, params, rng, partition=None, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
     chunk_length(SCHEME, params)
-    sub = subpackets(params)
+    sub = subpacket_count(SCHEME, params)
     source = source or VectorSource(params.q, rng)
 
     perms = draw_permutations(participating_ids(params, public_part(v_star, params)),

@@ -35,14 +35,10 @@ from .base import (
 SCHEME = "het1"
 
 
-def subpackets(params) -> int:
-    return subpacket_count(SCHEME, params)
-
-
 def build(v_star, params, rng, partition=None, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
     chunk_length(SCHEME, params)  # validates divisibility
-    sub = subpackets(params)
+    sub = subpacket_count(SCHEME, params)
     desired = message_index(v_star, params)
     values = tuple(v_star[:params.d])
     source = source or VectorSource(params.q, rng)

@@ -65,23 +65,10 @@ from .base import (
 SCHEME = "het2"
 
 
-def subpackets(params) -> int:
-    return subpacket_count(SCHEME, params)
-
-
-def desired_index_map(partition, d: int):
-    """Reserved sub-packet indices of the desired message.
-
-    Cycle pair p gets (i1, i2) = (pos, D + pos) by sorted position; rest
-    pair p gets 2D + pos. Together they cover [1, M] exactly once.
-    """
-    return dapac.desired_index_map(partition.cycle, d)
-
-
 def build(v_star, params, rng, partition=None, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
     chunk_length(SCHEME, params)
-    sub = subpackets(params)
+    sub = subpacket_count(SCHEME, params)
     d = params.d
     desired = message_index(v_star, params)
     values = tuple(v_star[:d])

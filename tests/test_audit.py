@@ -6,8 +6,10 @@ alongside white-box tests of the distribution comparison and negative
 controls that prove the audits can detect violations. The secrecy audit
 decides by rank over F_q; the pool-enumerating secrecy audit it replaced
 is kept here as an oracle and must give the same reports. The privacy
-audit also decides by rank over F_q; the enumerating pairwise comparison
-it replaced is kept here as an oracle and must give the same TVs.
+audit compares copy classes: equal canonical forms are skipped, and other
+pairs go through a union-find with potentials mod q. The enumerating
+pairwise comparison is kept here as an oracle and must give the same TVs,
+on the scheme points and on random wirings.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ class TestAttributePrivacy:
         with pytest.raises(ConfigError):
             audit._pair_tv(bad, bad, 2)
 
-    @pytest.mark.parametrize("q", (2, 3, 5))
+    @pytest.mark.parametrize("q", (2, 3, 5, 7))
     def test_rank_test_matches_enumeration_on_random_wiring(self, q):
         # the scheme points only reach TV 0 and row-view TV 1; random
         # wirings of three draws with sparse offsets reach every case of
@@ -251,12 +253,42 @@ class TestAttributePrivacy:
     @pytest.mark.parametrize("scheme,params", audit.PRIVACY_POINTS + (
         ("dapac", SystemParams(n_attrs=4, d=4, k=2, q=2, length=6)),
         ("het2", SystemParams(n_attrs=5, d=4, k=2, q=2, length=10)),
+        ("het2", SystemParams(n_attrs=4, d=4, k=3, q=2, length=10)),
     ))
     def test_privacy_passes_at_large_field(self, scheme, params):
         params = replace(params, q=65537)
         for server in audit.privacy_servers(scheme, params):
             rep = audit.audit_attribute_privacy(scheme, params, server)
             assert rep["max_tv"] == 0 and rep["pass"]
+
+    def test_shared_draw_leak_is_caught_by_the_audit(self, monkeypatch):
+        # central group 1 reuses group 0's draw only when v*_1 = 1, so the
+        # central server's forms differ inside a bucket: the audit must
+        # compare pairs there, not skip the bucket, and report the first
+        # worst pair with the enumerated TV
+        trace_plan = audit._trace_plan
+        central = P_HET1.central
+
+        def leaky(scheme, params, v_star, partition):
+            plan = trace_plan(scheme, params, v_star, partition)
+            if v_star[0] == 1:
+                groups = plan.groups[central]
+                groups[1] = replace(groups[1], vector=groups[0].vector)
+            return plan
+
+        monkeypatch.setattr(audit, "_trace_plan", leaky)
+        rep = audit.audit_attribute_privacy("het1", P_HET1, central)
+        assert rep["max_tv"] > 0 and not rep["pass"]
+        assert rep["pairs"] == 12
+        observed = {v: audit._observed_groups(leaky("het1", P_HET1, v, None), central)
+                    for v in itertools.product((1, 2), repeat=3)}
+        tvs = {(v, u): enumerating_pair_tv(observed[v], observed[u], P_HET1.q,
+                                           ENUMERATION_CAP)[0]
+               for public in (1, 2)
+               for v, u in itertools.combinations(
+                   [s + (public,) for s in itertools.product((1, 2), repeat=2)], 2)}
+        assert rep["max_tv"] == tvs[rep["worst_pair"]] == max(tvs.values())
+        assert rep["worst_pair"] == next(p for p, tv in tvs.items() if tv == rep["max_tv"])
 
     @pytest.mark.parametrize("scheme,params", audit.PRIVACY_POINTS)
     def test_rank_test_matches_enumeration(self, scheme, params):

@@ -23,7 +23,7 @@ from hetdapac.access import (
 from hetdapac.errors import ConfigError, DivisibilityError, RetrievalFailure
 from hetdapac.field import derive_rng
 from hetdapac.harness import actor_name, random_store, run_protocol
-from hetdapac.schemes import het2
+from hetdapac.schemes import dapac, het2
 from hetdapac.schemes.base import TracingSource
 from hetdapac.wire import encode_query, payload_digest
 
@@ -53,12 +53,12 @@ def traced_plan(params, v_star, seed=7, partition=None):
 
 def test_desired_index_map_covers_all_subpackets():
     part3 = build_partition(3)
-    i1, i2, ic = het2.desired_index_map(part3, 3)
+    i1, i2, ic = dapac.desired_index_map(part3.cycle, 3)
     assert i1 == {(1, 2): 1, (1, 3): 2, (2, 3): 3}
     assert i2 == {(1, 2): 4, (1, 3): 5, (2, 3): 6}
     assert ic == {}
     part4 = build_partition(4)
-    i1, i2, ic = het2.desired_index_map(part4, 4)
+    i1, i2, ic = dapac.desired_index_map(part4.cycle, 4)
     merged = sorted(list(i1.values()) + list(i2.values()) + list(ic.values()))
     assert merged == list(range(1, 11))
     assert set(ic) == set(part4.rest)
