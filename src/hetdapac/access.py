@@ -13,11 +13,20 @@ alphabet; display labels are presentation-side metadata and never enter
 the protocol. Messages are identified by the lexicographic index of their
 full attribute vector, so there are K^N message ids and the participating
 space (public part pinned to v*) has size K^D.
+
+Every id set (participating, accessible, match and pair sets) is read
+from one bounded memo keyed by (N, D, K, public part, pinned attributes),
+and returned as a tuple. q and the message length are not in the key, so
+the schemes, lengths and mix segments of one deployment share entries,
+and so do the user's build and every server's label table. The memo pays
+only when an (N, D, K, public part) repeats: the first use of a set
+builds it, and every later use, by any scheme, length or server, reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConfigError
 from .field import MAX_MODULUS, is_prime
@@ -108,29 +117,39 @@ def vector_of_index(idx: int, params: SystemParams) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _participating_ids(params: SystemParams, public: tuple[int, ...],
-                       fixed: dict[int, int]) -> list[int]:
+@lru_cache(maxsize=1024)
+def _participating_ids(n_attrs: int, d: int, k: int, public: tuple[int, ...],
+                       fixed: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Ascending ids of the participating messages with attribute n at
-    fixed[n] for each n in `fixed`. Ids are base-K numerals, attribute 1
-    most significant, so expanding positions in order keeps them sorted."""
-    if len(public) != params.n_attrs - params.d:
+    value x for each (n, x) in `fixed`, sorted by n. Ids are base-K
+    numerals, attribute 1 most significant, so expanding positions in
+    order keeps them sorted. Memoized: q and the message length are not
+    part of the key, so every scheme and length on one (N, D, K, public
+    part) shares an entry."""
+    if len(public) != n_attrs - d:
         raise ConfigError("public part has wrong length")
+    pinned = dict(fixed)
     ids = [0]
-    for pos in range(1, params.n_attrs + 1):
-        stride = params.k ** (params.n_attrs - pos)
-        if pos > params.d:
-            values = (public[pos - params.d - 1],)
-        elif pos in fixed:
-            values = (fixed[pos],)
+    for pos in range(1, n_attrs + 1):
+        stride = k ** (n_attrs - pos)
+        if pos > d:
+            values = (public[pos - d - 1],)
+        elif pos in pinned:
+            values = (pinned[pos],)
         else:
-            values = range(1, params.k + 1)
+            values = range(1, k + 1)
         ids = [i + (x - 1) * stride for i in ids for x in values]
-    return ids
+    return tuple(ids)
 
 
-def participating_ids(params: SystemParams, public: tuple[int, ...]) -> list[int]:
+def _ids(params: SystemParams, public: tuple[int, ...], fixed: dict[int, int]) -> tuple[int, ...]:
+    return _participating_ids(params.n_attrs, params.d, params.k, public,
+                              tuple(sorted(fixed.items())))
+
+
+def participating_ids(params: SystemParams, public: tuple[int, ...]) -> tuple[int, ...]:
     """Ids of the K^D participating messages for a public part, ascending."""
-    return _participating_ids(params, tuple(public), {})
+    return _ids(params, tuple(public), {})
 
 
 def accessible_messages(server: int, v_star: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
@@ -144,7 +163,7 @@ def accessible_messages(server: int, v_star: tuple[int, ...], params: SystemPara
     if not 1 <= server <= params.d + 1:
         raise ConfigError(f"server id {server} out of range [1, {params.d + 1}]")
     fixed = {} if server == params.central else {server: v_star[server - 1]}
-    return tuple(_participating_ids(params, public_part(v_star, params), fixed))
+    return _ids(params, public_part(v_star, params), fixed)
 
 
 def match_set(n: int, k: int, v_star: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
@@ -159,7 +178,7 @@ def match_set(n: int, k: int, v_star: tuple[int, ...], params: SystemParams) -> 
         raise ConfigError(f"attribute position {n} out of range [1, {params.d}]")
     if not 1 <= k <= params.k:
         raise ConfigError(f"value index {k} out of range [1, {params.k}]")
-    return tuple(_participating_ids(params, public_part(v_star, params), {n: k}))
+    return _ids(params, public_part(v_star, params), {n: k})
 
 
 def pair_set(n: int, m: int, k: int, k2: int,
@@ -177,8 +196,7 @@ def pair_set(n: int, m: int, k: int, k2: int,
             raise ConfigError(f"attribute position {pos} out of range [1, {params.d}]")
         if not 1 <= val <= params.k:
             raise ConfigError(f"value index {val} out of range [1, {params.k}]")
-    return tuple(_participating_ids(params, public_part(v_star, params),
-                                    {n: k, m: k2}))
+    return _ids(params, public_part(v_star, params), {n: k, m: k2})
 
 
 def ordered_complement(n: int, d: int) -> tuple[int, ...]:

@@ -193,13 +193,6 @@ def _coset_tv(obs_a, obs_b, q: int) -> Fraction:
     return 1 - Fraction(1, q ** (joins - min(dim_u, dim_v)))
 
 
-def _pair_tv(groups_v, groups_u, q: int) -> Fraction:
-    """Exact TV between one server's observation distributions for two
-    attribute vectors, at any q."""
-    return _coset_tv(_coset(groups_v, q, "first plan"),
-                     _coset(groups_u, q, "second plan"), q)
-
-
 def privacy_servers(scheme: str, params: SystemParams) -> range:
     """The servers a privacy audit covers: every server the scheme queries.
 
@@ -287,6 +280,15 @@ def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11) ->
     participating message cover all q^L - 1 perturbations of it. Shifting
     the desired message is the control: its TV must be 1, or decoding
     would be impossible.
+
+    The query is the one the scheme builds, so this proves secrecy for a
+    client that follows the scheme: the symmetric PIR model of Sun and
+    Jafar, "The capacity of symmetric private information retrieval"
+    (2016). A client that deviates is out of scope. P does not depend on
+    the combining vectors, so a client that swaps them for uniform ones
+    passes every guard of the answer path and can move answers outside
+    col(P): at the three SECRECY_POINTS at q = 65537, 2 of 6 unit shifts
+    for het1, 3 of 21 for dapac and 9 of 42 for het2.
     """
     v_star = v_star or _default_vstar(params)
     partition = build_partition(params.d) if scheme == "het2" else None

@@ -6,13 +6,19 @@ sampling. Answer computation is server-side and touches only (query,
 accessible store slice, pool): the share for a group is the vector-weighted
 sum of the named sub-packets plus the group's pad.
 
-A share is computed by one of two kernels, chosen by sub-packet length.
-Below PACK_MIN_SYMBOLS symbols a per-symbol loop adds each product into a
-list. From PACK_MIN_SYMBOLS on, every named row and pad chunk becomes one
-Python int with a symbol per lane of w 32-bit words, so a group costs one
-big-int multiply-add per row and one reduction mod q per symbol. Packing
-has a fixed cost per row and per group, which only pays off on long
-sub-packets; the two kernels return the same shares.
+The access and index checks of a group run over the whole group at once
+(a subset test of its message set, the minimum and maximum of its
+indices); only a group that fails them is walked row by row, to raise
+the same first error, in row order, as a per-row check would.
+
+A share is computed by one of three kernels, chosen by the group's shape.
+From PACK_MIN_SYMBOLS symbols on, every named row and pad chunk becomes
+one Python int with a symbol per lane of w 32-bit words, so a group costs
+one big-int multiply-add per row and one reduction mod q per symbol.
+Below that, a group of many rows and few symbols goes to the gather
+kernel, which makes one pass in C over the rows per symbol and slices
+no row; a short group goes to a per-symbol loop over sliced rows, which
+has the least fixed cost. The three kernels return the same shares.
 
 Combining vectors are drawn through a VectorSource so the privacy auditor
 can swap in a tracing source and recover the exact wiring of draws and
@@ -24,6 +30,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, repeat
+from operator import add, getitem, mul
 from typing import Optional
 
 from ..access import SystemParams, accessible_messages
@@ -245,26 +253,49 @@ def server_context(scheme: str, server: int, params: SystemParams, public,
 PACK_MIN_SYMBOLS = 32
 
 
-def _pad_sum(pool: RandomnessPool, labels, q: int) -> tuple[int, ...]:
-    total = [0] * pool.chunk_len
-    for label in labels:
-        for j, x in enumerate(pool.chunk(label)):
+def _gathers(rows: int, symbols: int) -> bool:
+    """Whether a group below PACK_MIN_SYMBOLS goes to the gather kernel.
+
+    The gather kernel pays about a microsecond per symbol and the loop
+    a fraction of one per row, so the loop wins on short groups of
+    several symbols: on a 2-core VM the gather kernel was faster from
+    about 8 rows at 1 symbol, 16 at 4, 32 at 8 and 64 at 24 (table in
+    CHANGES.md).
+    """
+    return rows > 2 * symbols + 4
+
+
+def _loop_share(vector, arrays, ends, pads, q: int, length: int) -> tuple[int, ...]:
+    """The share `_gather_share` computes, one row slice and one symbol at
+    a time."""
+    total = [0] * length
+    for pad in pads:
+        for j, x in enumerate(pad):
             total[j] = (total[j] + x) % q
-    return tuple(total)
-
-
-def _loop_share(vector, segments, pad, q: int) -> tuple[int, ...]:
-    """pad + sum_r vector[r] * segments[r] mod q, one symbol at a time."""
-    total = list(pad)
-    for coeff, seg in zip(vector, segments):
-        for j, s in enumerate(seg):
+    for coeff, arr, end in zip(vector, arrays, ends):
+        for j, s in enumerate(arr[end - length:end]):
             total[j] = (total[j] + coeff * s) % q
     return tuple(total)
 
 
+def _gather_share(vector, arrays, ends, pads, q: int, length: int) -> tuple[int, ...]:
+    """pad + sum_r vector[r] * arrays[r][ends[r] - length + j] mod q for
+    each symbol j < length, where the pad is the sum of the `pads` chunks.
+
+    Each pad chunk joins the rows with coefficient 1, so a symbol costs
+    one pass in C over the rows, with no per-row slice.
+    """
+    coeffs = [*vector, *[1] * len(pads)]
+    arrays = [*arrays, *pads]
+    ends = [*ends, *[length] * len(pads)]
+    return tuple([sum(map(mul, coeffs, map(getitem, arrays, map(add, ends, repeat(j - length)))))
+                  % q for j in range(length)])
+
+
 def _packed_share(vector, segments, pads, q: int, length: int) -> tuple[int, ...]:
-    """The same share as `_loop_share(vector, segments, sum(pads), q)`,
-    with each symbol in its own lane of one int per row or pad chunk.
+    """The share `_loop_share` computes, from the rows' sub-packets
+    `segments`, with each symbol in its own lane of one int per row or
+    pad chunk.
 
     A lane is w 32-bit words, enough for (rows + pads)·(q − 1)², so no
     lane carries into the next before the single reduction at the end.
@@ -307,34 +338,44 @@ def answer_with_labels(ctx: ServerContext, query: QueryTuple,
     shares = []
     all_labels = []
     for gi, group in enumerate(query.groups):
-        if len(group.vector) != len(group.descriptor.rows):
+        rows = group.descriptor.rows
+        if len(group.vector) != len(rows):
             raise ConfigError("vector length does not match group rows")
-        labels = table.get(frozenset(group.descriptor.messages()))
+        msgs, indices = zip(*rows) if rows else ((), ())
+        key = frozenset(msgs)
+        labels = table.get(key)
         if labels is None:
             raise ConfigError(f"group does not match any candidate set on server {ctx.server}")
+        pads = [ctx.pool.chunk(label) for label in labels]
+        if not (ctx.store.keys() >= key
+                and 1 <= min(indices, default=1) and max(indices, default=1) <= subpackets):
+            _refuse_first_row(ctx, rows, subpackets)
+        arrays = list(map(ctx.store.__getitem__, msgs))
+        ends = list(map(sub_len.__mul__, indices))
         if packed:
-            pads = [ctx.pool.chunk(label) for label in labels]
-        else:
-            pad = _pad_sum(ctx.pool, labels, q)
-        segments = []
-        for msg, widx in group.descriptor.rows:
-            if msg not in ctx.store:
-                raise AccessRefusal(
-                    f"server {ctx.server} asked for inaccessible message {msg}")
-            if not 1 <= widx <= subpackets:
-                raise ConfigError(f"sub-packet index {widx} out of range")
-            segments.append(ctx.store[msg][(widx - 1) * sub_len: widx * sub_len])
-        if packed:
+            segments = [a[e - sub_len:e] for a, e in zip(arrays, ends)]
             total = _packed_share(group.vector, segments, pads, q, sub_len)
         else:
-            total = _loop_share(group.vector, segments, pad, q)
+            kernel = _gather_share if _gathers(len(rows), sub_len) else _loop_share
+            total = kernel(group.vector, arrays, ends, pads, q, sub_len)
         shares.append(AnswerShare(ctx.server, gi, total))
         all_labels.append(list(labels))
-    named = [x for labels in all_labels for x in labels]
-    named += [row for group in query.groups for row in group.descriptor.rows]
+    named = list(chain.from_iterable(all_labels))
+    named.extend(chain.from_iterable(group.descriptor.rows for group in query.groups))
     if len(set(named)) != len(named):
         raise ConfigError(f"query reuses a pad label or a row on server {ctx.server}")
     return shares, all_labels
+
+
+def _refuse_first_row(ctx: ServerContext, rows, subpackets: int):
+    """Raise for the first row, in row order, that names a message outside
+    the accessible slice or a sub-packet index out of range."""
+    for msg, widx in rows:
+        if msg not in ctx.store:
+            raise AccessRefusal(f"server {ctx.server} asked for inaccessible message {msg}")
+        if not 1 <= widx <= subpackets:
+            raise ConfigError(f"sub-packet index {widx} out of range")
+    raise AssertionError("every row is in range and accessible")
 
 
 def pseudo_vstar(ctx: ServerContext) -> tuple[int, ...]:

@@ -65,7 +65,7 @@ def encode_query(query: QueryTuple) -> dict:
     return {
         "server": query.server,
         "groups": [
-            {"rows": [[m, i] for m, i in g.descriptor.rows],
+            {"rows": list(map(list, g.descriptor.rows)),
              "vector": list(g.vector)}
             for g in query.groups
         ],
@@ -78,22 +78,29 @@ def _integer(x) -> int:
     return x
 
 
-def _row(row) -> tuple[int, int]:
-    if not isinstance(row, (list, tuple)) or len(row) != 2:
-        raise ConfigError(f"expected a (message, index) row, got {row!r}")
-    return _integer(row[0]), _integer(row[1])
+def _ints(values, what: str) -> tuple[int, ...]:
+    # one pass in C over the item types: a bool or a float is refused
+    # as `_integer` refuses it, without a call per item
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        raise ConfigError(f"expected integers as {what}")
+    return values
+
+
+def _group(g) -> QueryGroup:
+    """One query group, each property checked in one pass over its rows."""
+    rows = tuple(g["rows"])
+    if not set(map(type, rows)) <= {list, tuple} or not set(map(len, rows)) <= {2}:
+        raise ConfigError("expected (message, index) pairs as query rows")
+    messages, indices = zip(*rows) if rows else ((), ())
+    rows = tuple(zip(_ints(messages, "message ids"), _ints(indices, "sub-packet indices")))
+    return QueryGroup(MessageGroupDescriptor(rows), _ints(g["vector"], "a combining vector"))
 
 
 def decode_query(obj: dict) -> QueryTuple:
     """Inverse of encode_query; a malformed payload raises ConfigError."""
     try:
-        groups = tuple(
-            QueryGroup(
-                descriptor=MessageGroupDescriptor(rows=tuple(_row(r) for r in g["rows"])),
-                vector=tuple(_integer(x) for x in g["vector"]),
-            )
-            for g in obj["groups"]
-        )
+        groups = tuple(map(_group, obj["groups"]))
         return QueryTuple(server=_integer(obj["server"]), groups=groups)
     except (KeyError, TypeError) as err:
         raise ConfigError(f"malformed query payload: {err!r}") from err
@@ -134,11 +141,9 @@ def encode_answers(shares: list[AnswerShare]) -> dict:
 
 
 def _symbols(payload) -> tuple[int, ...]:
-    # one pass in C over the item types: a bool or a float is refused
-    # as `_integer` refuses it, without a call per symbol
-    if type(payload) is not list or not set(map(type, payload)) <= {int}:
+    if type(payload) is not list:
         raise ConfigError("expected a list of integers as an answer payload")
-    return tuple(payload)
+    return _ints(payload, "an answer payload")
 
 
 def decode_answers(obj: dict) -> list[AnswerShare]:

@@ -12,6 +12,7 @@ import itertools
 
 import pytest
 
+from hetdapac import access
 from hetdapac.access import (
     PairPartition,
     SystemParams,
@@ -22,6 +23,7 @@ from hetdapac.access import (
     message_index,
     ordered_complement,
     pair_set,
+    participating_ids,
     vector_of_index,
 )
 from hetdapac.errors import ConfigError
@@ -150,6 +152,81 @@ def test_pair_set_symmetry_exhaustive():
                     assert pair_set(n, m, k, k2, v_star, params) == \
                         pair_set(m, n, k2, k, v_star, params)
                     assert len(pair_set(n, m, k, k2, v_star, params)) == 2
+
+
+def built_ids(params, public, fixed):
+    """The participating ids with attribute n at fixed[n], built afresh
+    without the memo: the construction the memoized sets must equal."""
+    ids = [0]
+    for pos in range(1, params.n_attrs + 1):
+        stride = params.k ** (params.n_attrs - pos)
+        if pos > params.d:
+            values = (public[pos - params.d - 1],)
+        elif pos in fixed:
+            values = (fixed[pos],)
+        else:
+            values = range(1, params.k + 1)
+        ids = [i + (x - 1) * stride for i in ids for x in values]
+    return ids
+
+
+MEMO_SHAPES = [(3, 2, 2), (4, 3, 2), (3, 3, 2), (4, 2, 3), (5, 4, 3), (6, 3, 2), (7, 6, 4)]
+
+
+@pytest.mark.parametrize("n_attrs, d, k", MEMO_SHAPES)
+def test_memoized_sets_equal_a_fresh_construction(n_attrs, d, k):
+    params = SystemParams(n_attrs=n_attrs, d=d, k=k)
+    values = range(1, k + 1)
+    for public in itertools.product(values, repeat=n_attrs - d):
+        assert participating_ids(params, public) == tuple(built_ids(params, public, {}))
+        for value in values:
+            v_star = (value,) * d + public
+            assert accessible_messages(params.central, v_star, params) == \
+                tuple(built_ids(params, public, {}))
+            for n in range(1, d + 1):
+                own = tuple(built_ids(params, public, {n: value}))
+                assert accessible_messages(n, v_star, params) == own
+                assert match_set(n, value, v_star, params) == own
+                for m in range(1, d + 1):
+                    if m == n:
+                        continue
+                    for value2 in values:
+                        assert pair_set(n, m, value, value2, v_star, params) == \
+                            tuple(built_ids(params, public, {n: value, m: value2}))
+
+
+def test_memo_is_keyed_without_field_or_length():
+    # two deployments that differ only in q and L share every set
+    access._participating_ids.cache_clear()
+    wide = SystemParams(n_attrs=7, d=6, k=4, q=65537, length=6)
+    other = SystemParams(n_attrs=7, d=6, k=4, q=3, length=60)
+    v_star = (1, 2, 3, 4, 1, 2, 3)
+    first = match_set(2, 3, v_star, wide)
+    assert access._participating_ids.cache_info()[:2] == (0, 1)  # hits, misses
+    assert match_set(2, 3, v_star, other) is first
+    assert pair_set(1, 2, 4, 3, v_star, other) == pair_set(2, 1, 3, 4, v_star, wide)
+    assert access._participating_ids.cache_info()[:2] == (2, 2)
+    assert participating_ids(wide, (3,)) is participating_ids(other, [3])
+    assert access._participating_ids.cache_info()[:2] == (3, 3)
+
+
+def test_sets_are_tuples():
+    v_star = (1, 2, 1, 2)
+    for result in (participating_ids(P432, (2,)), accessible_messages(1, v_star, P432),
+                   accessible_messages(P432.central, v_star, P432),
+                   match_set(2, 1, v_star, P432), pair_set(1, 3, 2, 1, v_star, P432)):
+        assert type(result) is tuple and all(type(x) is int for x in result)
+
+
+def test_set_helpers_keep_their_checks():
+    with pytest.raises(ConfigError, match="public part"):
+        participating_ids(P432, (1, 2))
+    with pytest.raises(ConfigError):
+        match_set(4, 1, (1, 2, 1, 2), P432)
+    with pytest.raises(ConfigError):
+        pair_set(1, 2, 3, 1, (1, 2, 1, 2), P432)
+    with pytest.raises(ConfigError):
+        accessible_messages(5, (1, 2, 1, 2), P432)
 
 
 def test_pair_set_rejects_equal_positions():

@@ -1,13 +1,14 @@
 """Server answer path: malformed wire and verification payloads, repeated
-groups and rows, one label table per answer, and the packed answer kernel
-against the per-symbol loop."""
+groups and rows, the first bad row deciding the error, one label table
+per answer, and the three answer kernels and their choice against a
+per-symbol loop oracle."""
 
 from __future__ import annotations
 
 import pytest
 
-from hetdapac.access import SystemParams, build_partition
-from hetdapac.errors import ConfigError
+from hetdapac.access import SystemParams, build_partition, message_index
+from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.field import derive_rng, uniform_arrays
 from hetdapac.harness import ServerActor, random_store
 from hetdapac.randomness import RandomnessPool, allocate
@@ -56,6 +57,11 @@ GOOD_GROUP = {"rows": [[1, 1], [3, 1]], "vector": [1, 1]}
     {"server": 1, "groups": [{"rows": [[1, 1], "31"], "vector": [1, 1]}]},
     {"server": 1, "groups": [7]},
     [GOOD_GROUP],
+    {"server": 1, "groups": [{"rows": {"1": 1, "3": 1}, "vector": [1, 1]}]},
+    {"server": 1, "groups": [{"rows": [[1, 1], "12"], "vector": [1, 1]}]},
+    {"server": 1, "groups": [{"rows": [[1, 1], [3, 1]], "vector": [1, True]}]},
+    {"server": 1, "groups": [{"rows": [[1, 1], [[1], [2]]], "vector": [1, 1]}]},
+    {"server": 1, "groups": [{"rows": [], "vector": []}]},
 ])
 def test_malformed_query_is_a_config_error(payload):
     actor = verified_actor(1, "het1", P322, (1, 2, 2))
@@ -111,6 +117,22 @@ def test_repeated_row_within_a_group_is_refused():
     group = {"rows": [[1, 1], [3, 1], [1, 1]], "vector": [1, 1, 1]}
     with pytest.raises(ConfigError, match="reuses"):
         actor.handle("query", {"server": 1, "groups": [group]})
+
+
+def test_first_bad_row_decides_the_error():
+    # server 1 holds a1y and a2y; het1's table also names the match set
+    # {a1y, b1y}, so a group over it passes the table and then meets an
+    # inaccessible row (b1y) and, here, an index past the 2 sub-packets
+    a1y, b1y = message_index((1, 1, 2), P322), message_index((2, 1, 2), P322)
+    actor = verified_actor(1, "het1", P322, (1, 2, 2))
+
+    def query(rows):
+        return {"server": 1, "groups": [{"rows": rows, "vector": [1, 1]}]}
+
+    with pytest.raises(AccessRefusal):
+        actor.handle("query", query([[b1y, 1], [a1y, 3]]))
+    with pytest.raises(ConfigError, match="out of range"):
+        actor.handle("query", query([[a1y, 3], [b1y, 1]]))
 
 
 def test_well_formed_query_is_answered():
@@ -173,15 +195,15 @@ def test_dapac_answer_builds_its_label_table_once(monkeypatch):
 
 # ------------------------------------------------------- answer kernels
 
-def kernel_case(q: int, length: int, pads: int):
-    """One group over 1-64 rows of sub-packets `length` long, with `pads`
-    pad labels, on a server that holds every row: (ctx, query, table).
-    Past 64 symbols a group has at most 8 rows, which keeps the loop
-    reference fast. The vector leads with 0, q - 1, -1 and q + 5; the
-    wire accepts any int, so the kernels must reduce coefficients
-    themselves."""
+def kernel_case(q: int, length: int, pads: int, rows=None):
+    """One group over `rows` rows (1-64 at random when None) of sub-packets
+    `length` long, with `pads` pad labels, on a server that holds every
+    row: (ctx, query, table). Past 64 symbols a group has at most 8 rows,
+    which keeps the loop reference fast. The vector leads with 0, q - 1,
+    -1 and q + 5; the wire accepts any int, so the kernels must reduce
+    coefficients themselves."""
     rng = derive_rng("kernel", q, length, pads)
-    rows = rng.randint(1, 64 if length <= 64 else 8)
+    rows = rows or rng.randint(1, 64 if length <= 64 else 8)
     params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
     store = dict(enumerate(uniform_arrays(rng, q, 2 * length, rows), start=1))
     labels = [("nk", 1, k) for k in range(1, pads + 1)]
@@ -195,37 +217,93 @@ def kernel_case(q: int, length: int, pads: int):
     return ctx, QueryTuple(1, (group,)), {frozenset(store): labels}
 
 
+def pad_sum(pool, labels, q: int) -> tuple[int, ...]:
+    total = [0] * pool.chunk_len
+    for label in labels:
+        for j, x in enumerate(pool.chunk(label)):
+            total[j] = (total[j] + x) % q
+    return tuple(total)
+
+
+def loop_share(vector, segments, pad, q: int) -> tuple[int, ...]:
+    """pad + sum_r vector[r] * segments[r] mod q, one symbol at a time."""
+    total = list(pad)
+    for coeff, seg in zip(vector, segments):
+        for j, s in enumerate(seg):
+            total[j] = (total[j] + coeff * s) % q
+    return tuple(total)
+
+
 def loop_reference(ctx, query, table):
-    """The share by the per-symbol loop: the reference for both kernels."""
+    """The share by the per-symbol loop over sliced rows: the oracle for
+    every kernel. Returns the kernels' inputs too: (arrays, ends,
+    segments, pad chunks, labels, share)."""
     group = query.groups[0]
     q, n = ctx.params.q, ctx.pool.chunk_len
-    segments = [ctx.store[m][(i - 1) * n: i * n] for m, i in group.descriptor.rows]
+    arrays = [ctx.store[m] for m, _ in group.descriptor.rows]
+    ends = [i * n for _, i in group.descriptor.rows]
+    segments = [a[e - n:e] for a, e in zip(arrays, ends)]
     labels = table[frozenset(group.descriptor.messages())]
-    pad = scheme_base._pad_sum(ctx.pool, labels, q)
-    return segments, labels, scheme_base._loop_share(group.vector, segments, pad, q)
+    chunks = [ctx.pool.chunk(label) for label in labels]
+    want = loop_share(group.vector, segments, pad_sum(ctx.pool, labels, q), q)
+    return arrays, ends, segments, chunks, labels, want
 
 
-@pytest.mark.parametrize("q", [2, 3, 65537, 4294967291])
+KERNEL_MODULI = [2, 3, 65537, 4294967291]
+
+
+@pytest.mark.parametrize("q", KERNEL_MODULI)
 @pytest.mark.parametrize("length", [PACK_MIN_SYMBOLS - 1, PACK_MIN_SYMBOLS, 20000])
 @pytest.mark.parametrize("pads", [0, 1, 3])
 def test_packed_kernel_equals_the_loop(q, length, pads):
     ctx, query, table = kernel_case(q, length, pads)
-    segments, labels, want = loop_reference(ctx, query, table)
-    chunks = [ctx.pool.chunk(label) for label in labels]
+    _, _, segments, chunks, labels, want = loop_reference(ctx, query, table)
     assert scheme_base._packed_share(query.groups[0].vector, segments, chunks,
                                      q, length) == want
     shares, named = answer_with_labels(ctx, query, table)
     assert [s.payload for s in shares] == [want] and named == [labels]
 
 
+@pytest.mark.parametrize("q", KERNEL_MODULI)
+@pytest.mark.parametrize("pads", [0, 1, 3])
+def test_gather_and_loop_kernels_equal_the_oracle(q, pads):
+    for length in range(1, PACK_MIN_SYMBOLS):
+        ctx, query, table = kernel_case(q, length, pads)
+        arrays, ends, _, chunks, labels, want = loop_reference(ctx, query, table)
+        vector = query.groups[0].vector
+        for kernel in (scheme_base._gather_share, scheme_base._loop_share):
+            assert kernel(vector, arrays, ends, chunks, q, length) == want, (kernel, length)
+        shares, named = answer_with_labels(ctx, query, table)
+        assert [s.payload for s in shares] == [want] and named == [labels]
+
+
+def refuse(kernel, rows, symbols):
+    def unused(*args):
+        raise AssertionError(f"{kernel} ran on {rows} rows of {symbols} symbols")
+    return unused
+
+
 @pytest.mark.parametrize("length, kernel", [
     (PACK_MIN_SYMBOLS - 1, "_packed_share"),
     (PACK_MIN_SYMBOLS, "_loop_share"),
+    (PACK_MIN_SYMBOLS, "_gather_share"),
 ])
 def test_kernel_is_chosen_by_subpacket_length(monkeypatch, length, kernel):
-    def unused(*args):
-        raise AssertionError(f"{kernel} ran on {length}-symbol sub-packets")
-
     ctx, query, table = kernel_case(65537, length, 1)
-    monkeypatch.setattr(scheme_base, kernel, unused)
+    monkeypatch.setattr(scheme_base, kernel, refuse(kernel, "any", length))
     answer_with_labels(ctx, query, table)
+
+
+@pytest.mark.parametrize("rows, symbols, kernel", [
+    (6, 1, "_loop_share"), (7, 1, "_gather_share"),
+    (12, 4, "_loop_share"), (13, 4, "_gather_share"),
+    (66, PACK_MIN_SYMBOLS - 1, "_loop_share"), (67, PACK_MIN_SYMBOLS - 1, "_gather_share"),
+])
+def test_kernel_is_chosen_by_rows_and_symbols(monkeypatch, rows, symbols, kernel):
+    # the kernel named runs; the other one must not
+    other = "_loop_share" if kernel == "_gather_share" else "_gather_share"
+    ctx, query, table = kernel_case(65537, symbols, 1, rows)
+    want = loop_reference(ctx, query, table)[-1]
+    monkeypatch.setattr(scheme_base, other, refuse(other, rows, symbols))
+    shares, _ = answer_with_labels(ctx, query, table)
+    assert [s.payload for s in shares] == [want]

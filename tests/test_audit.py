@@ -143,6 +143,13 @@ def _joint_tv(parts, cap: int) -> Fraction:
     return _table_tv(joint_a, na, joint_b, nb)
 
 
+def pair_tv(groups_v, groups_u, q: int) -> Fraction:
+    """Exact TV between one server's observation distributions for two
+    attribute vectors by the audit's copy classes, at any q."""
+    return audit._coset_tv(audit._coset(groups_v, q, "first plan"),
+                           audit._coset(groups_u, q, "second plan"), q)
+
+
 def enumerating_pair_tv(groups_v, groups_u, q: int, cap: int) -> tuple[Fraction, int]:
     """Exact TV between one server's observation distributions for two
     attribute vectors. Returns (tv, assignments enumerated)."""
@@ -187,8 +194,8 @@ class TestAttributePrivacy:
         # negative control: server 1 comparing across its own value
         pa = audit._trace_plan("het1", P_HET1, (1, 1, 1), None)
         pb = audit._trace_plan("het1", P_HET1, (2, 1, 1), None)
-        tv = audit._pair_tv(audit._observed_groups(pa, 1),
-                            audit._observed_groups(pb, 1), 3)
+        tv = pair_tv(audit._observed_groups(pa, 1),
+                     audit._observed_groups(pb, 1), 3)
         assert tv == 1
 
     def test_vector_wiring_difference_is_detected(self):
@@ -199,7 +206,7 @@ class TestAttributePrivacy:
                              SymVector((SymBlock(draw, 1, (0,)),)))
         shared = [group(1, 0), group(1, 1)]
         split = [group(1, 0), group(2, 1)]
-        for tv in (audit._pair_tv(shared, split, 2),
+        for tv in (pair_tv(shared, split, 2),
                    enumerating_pair_tv(shared, split, 2, ENUMERATION_CAP)[0]):
             assert tv == Fraction(1, 2)
 
@@ -210,7 +217,7 @@ class TestAttributePrivacy:
              PlanGroup(("g", 2), [(1, 1)], vec)]
         b = [PlanGroup(("g", 1), [(0, 1)], vec),
              PlanGroup(("g", 2), [(1, 1)], lifted)]
-        for tv in (audit._pair_tv(a, b, 3),
+        for tv in (pair_tv(a, b, 3),
                    enumerating_pair_tv(a, b, 3, ENUMERATION_CAP)[0]):
             assert tv == 1  # (x, x) never equals (x, x+1)
 
@@ -218,7 +225,7 @@ class TestAttributePrivacy:
         vec = SymVector((SymBlock(1, 2, (0, 0)),))
         bad = [PlanGroup(("g",), [(0, 1), (0, 1)], vec)]
         with pytest.raises(ConfigError):
-            audit._pair_tv(bad, bad, 2)
+            pair_tv(bad, bad, 2)
 
     @pytest.mark.parametrize("q", (2, 3, 5, 7))
     def test_rank_test_matches_enumeration_on_random_wiring(self, q):
@@ -245,7 +252,7 @@ class TestAttributePrivacy:
         for _ in range(200):
             sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
             a, b = groups(sizes), groups(sizes)
-            tv = audit._pair_tv(a, b, q)
+            tv = pair_tv(a, b, q)
             assert tv == enumerating_pair_tv(a, b, q, ENUMERATION_CAP)[0]
             seen.add(tv)
         assert 0 in seen and 1 in seen and any(0 < tv < 1 for tv in seen)
@@ -303,7 +310,7 @@ class TestAttributePrivacy:
                         for v, plan in plans.items()}
             for v, u in itertools.combinations(space, 2):
                 a, b = observed[v], observed[u]
-                assert audit._pair_tv(a, b, params.q) == \
+                assert pair_tv(a, b, params.q) == \
                     enumerating_pair_tv(a, b, params.q, ENUMERATION_CAP)[0], (server, v, u)
                 compared += 1
         assert compared == {"het1": 84, "dapac": 84, "het2": 480}[scheme]
@@ -447,10 +454,12 @@ class TestDbSecrecy:
         assert rep["pool_assignments"] > 65537
 
     def test_zero_pads_leak_under_both_auditors(self, monkeypatch):
-        def no_pad(pool, labels, q):
-            return (0,) * pool.chunk_len
+        loop_share = scheme_base._loop_share
 
-        monkeypatch.setattr(scheme_base, "_pad_sum", no_pad)
+        def no_pad(vector, arrays, ends, pads, q, length):
+            return loop_share(vector, arrays, ends, [], q, length)
+
+        monkeypatch.setattr(scheme_base, "_loop_share", no_pad)
         for rep in (audit.audit_db_secrecy("het1", P_HET1),
                     enumerating_db_secrecy("het1", P_HET1)):
             assert rep["max_tv"] == 1 and not rep["pass"]
