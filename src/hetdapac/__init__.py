@@ -13,7 +13,7 @@ from .errors import (
     DivisibilityError,
     RetrievalFailure,
 )
-from .field import PrimeField, derive_rng, unit_vector
+from .field import derive_rng, unit_vector
 from .harness import Transcript, metrics_of, random_store, run_protocol
 from .mixer import (
     MixPlan,
@@ -33,7 +33,6 @@ __all__ = [
     "DivisibilityError",
     "MixPlan",
     "PairPartition",
-    "PrimeField",
     "RandomnessPool",
     "RetrievalFailure",
     "SystemParams",

@@ -176,7 +176,7 @@ def cmd_run(cfg: dict) -> int:
     if scheme not in SCHEMES:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     params = _params_of(cfg)
-    seed = cfg.get("seed", 0)
+    seed = _integer("seed", cfg.get("seed", 0))
     lam = _parse_lambda(cfg) if scheme == "mix" else None
     mix = plan_mix(params, lam) if scheme == "mix" else None
 

@@ -6,10 +6,9 @@ are tuples of ints; store messages and pool chunks are `array('I')`, one
 Mersenne Twister words is one big int of 32-bit lanes, shifted,
 rejection-tested and compacted by a few whole-int and bytes operations,
 and the result is exactly the `randrange(q)` stream (q >= 2^31 keeps a
-per-word filter, having no spare lane bit for the test). The field
-object carries the modulus and the scalar and vector operations that
-decoding uses; the servers' answers have their own kernels in
-`schemes.base`, which pack long sub-packets into big-int lanes.
+per-word filter, having no spare lane bit for the test). Answers and
+decoding share the kernels in `schemes.base`, which pack long
+sub-packets into big-int lanes.
 
 Index convention: unit vectors and row positions are 1-based, matching
 the way query structures are written everywhere else in the package.
@@ -39,51 +38,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-class PrimeField:
-    """The field of integers modulo a prime q."""
-
-    def __init__(self, q: int):
-        if not isinstance(q, int) or isinstance(q, bool) or not is_prime(q):
-            raise ValueError(f"field modulus must be a prime integer, got {q!r}")
-        self.q = q
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        # q is prime, so a^(q-2) is the inverse by Fermat's little theorem
-        return pow(a, self.q - 2, self.q)
-
-    # vector helpers -------------------------------------------------
-
-    def vec_add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        if len(u) != len(v):
-            raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-        return tuple((a + b) % self.q for a, b in zip(u, v))
-
-    def vec_sub(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        if len(u) != len(v):
-            raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-        return tuple((a - b) % self.q for a, b in zip(u, v))
-
-    def vec_scale(self, c: int, v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((c * a) % self.q for a in v)
 
 
 def unit_vector(l: int, length: int) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .access import SystemParams, build_partition, check_vector
 from .errors import ConfigError, RetrievalFailure
-from .field import PrimeField, derive_rng, uniform_arrays
+from .field import derive_rng, uniform_arrays
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
 from .schemes.base import ServerContext, server_context
@@ -262,11 +262,26 @@ def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
                                 encode_query(queries[n]),
                                 symbols=queries[n].upload_symbols(),
                                 segment=segment)
-        answers[n] = decode_answers(reply)
+        answers[n] = _checked_reply(decode_answers(reply), queries[n],
+                                    params.length // plan.subpackets, params.q)
         transcript.note_consumed(
             (lbl for group in channel.actors[name].used_labels for lbl in group),
             segment=segment)
-    return eng.decode(plan, answers, PrimeField(params.q))
+    return eng.decode(plan, answers)
+
+
+def _checked_reply(shares, query, length: int, q: int):
+    """`shares` if they answer `query`: from its server, one share per
+    group in group order, each one sub-packet of `length` symbols of F_q.
+    Decode reads shares by position, so any other reply is a ConfigError."""
+    server = query.server
+    shape = [(s.server, s.group_index, len(s.payload)) for s in shares]
+    if shape != [(server, gi, length) for gi in range(len(query.groups))]:
+        raise ConfigError(f"server {server} sent shares that do not answer its query: "
+                          f"want {len(query.groups)} in group order, {length} symbols each")
+    if not all(0 <= min(s.payload) and max(s.payload) < q for s in shares):
+        raise ConfigError(f"server {server} sent a symbol outside F_{q}")
+    return shares
 
 
 def run_segments(params: SystemParams, v_star, seed, segments,

@@ -4,7 +4,11 @@ Query construction is user-side and touches only (v*, params, randomness):
 fresh sub-packet bookkeeping, private permutations, and combining-vector
 sampling. Answer computation is server-side and touches only (query,
 accessible store slice, pool): the share for a group is the vector-weighted
-sum of the named sub-packets plus the group's pad.
+sum of the named sub-packets plus the group's pad. Decoding is user-side
+and touches only (plan, answer shares): every scheme cancels interference
+by a signed combination of shares, so a plan lists, per logical sub-packet,
+the (server, group index, coefficient) terms that recover it, and one
+`decode` evaluates them all.
 
 The access and index checks of a group run over the whole group at once
 (a subset test of its message set, the minimum and maximum of its
@@ -18,7 +22,8 @@ one big-int multiply-add per row and one reduction mod q per symbol.
 Below that, a group of many rows and few symbols goes to the gather
 kernel, which makes one pass in C over the rows per symbol and slices
 no row; a short group goes to a per-symbol loop over sliced rows, which
-has the least fixed cost. The three kernels return the same shares.
+has the least fixed cost. The three kernels return the same shares, and
+`combine` picks among them for the answer path and for decode alike.
 
 Combining vectors are drawn through a VectorSource so the privacy auditor
 can swap in a tracing source and recover the exact wiring of draws and
@@ -80,6 +85,11 @@ class VectorSource:
             out.extend(v)
         return tuple(out)
 
+    def inverse(self, vec, l: int) -> Optional[int]:
+        """The inverse of vec's coordinate at l, or None when it is 0."""
+        c = vec[l - 1]
+        return pow(c, -1, self.q) if c else None
+
 
 class TracingSource(VectorSource):
     """Symbolic sampler: records draw identities and offsets for the auditor."""
@@ -112,6 +122,10 @@ class TracingSource(VectorSource):
         for v in vecs:
             blocks.extend(v.blocks)
         return SymVector(tuple(blocks))
+
+    def inverse(self, vec: SymVector, l: int) -> None:
+        """None: a symbolic plan is audited, never decoded."""
+        return None
 
 
 # ---------------------------------------------------------------- plans
@@ -168,14 +182,15 @@ class RetrievalPlan:
     subpackets: int
     perms: dict[int, tuple[int, ...]] = dc_field(repr=False)
     groups: dict[int, list[PlanGroup]] = dc_field(repr=False)
-    decode_info: object = None
-    divisors: tuple = ()          # (vector, row): decode divides by vector[row - 1]
+    # logical index -> ((server, group index, coefficient), ...): the
+    # sub-packet is the sum of coefficient * share over the terms
+    decoding: dict[int, tuple] = dc_field(repr=False)
 
     @property
     def decodable(self) -> bool:
-        """No coordinate that decode divides by is zero. Read lazily: an
-        audit plan's vectors are symbolic and cannot be indexed."""
-        return all(vector[row - 1] for vector, row in self.divisors)
+        """Every coefficient exists: None stands for the inverse of a zero
+        coordinate, or of a symbolic one."""
+        return all(c is not None for terms in self.decoding.values() for *_, c in terms)
 
     def wire_queries(self) -> dict[int, QueryTuple]:
         """Project the plan onto the wire: permute indices, keep vectors."""
@@ -318,6 +333,16 @@ def _packed_share(vector, segments, pads, q: int, length: int) -> tuple[int, ...
                   for i in range(0, len(data), step)])
 
 
+def combine(vector, arrays, ends, pads, q: int, length: int) -> tuple[int, ...]:
+    """pad + sum_r vector[r] * arrays[r][ends[r] - length:ends[r]] mod q,
+    by the kernel the shape calls for; the pad is the sum of `pads`."""
+    if length >= PACK_MIN_SYMBOLS:
+        segments = [a[e - length:e] for a, e in zip(arrays, ends)]
+        return _packed_share(vector, segments, pads, q, length)
+    kernel = _gather_share if _gathers(len(arrays), length) else _loop_share
+    return kernel(vector, arrays, ends, pads, q, length)
+
+
 def answer_with_labels(ctx: ServerContext, query: QueryTuple,
                        table: dict) -> tuple[list[AnswerShare], list[list[tuple]]]:
     """Generic server answer path.
@@ -334,7 +359,6 @@ def answer_with_labels(ctx: ServerContext, query: QueryTuple,
     q = ctx.params.q
     sub_len = ctx.pool.chunk_len
     subpackets = ctx.params.length // sub_len
-    packed = sub_len >= PACK_MIN_SYMBOLS
     shares = []
     all_labels = []
     for gi, group in enumerate(query.groups):
@@ -352,12 +376,7 @@ def answer_with_labels(ctx: ServerContext, query: QueryTuple,
             _refuse_first_row(ctx, rows, subpackets)
         arrays = list(map(ctx.store.__getitem__, msgs))
         ends = list(map(sub_len.__mul__, indices))
-        if packed:
-            segments = [a[e - sub_len:e] for a, e in zip(arrays, ends)]
-            total = _packed_share(group.vector, segments, pads, q, sub_len)
-        else:
-            kernel = _gather_share if _gathers(len(rows), sub_len) else _loop_share
-            total = kernel(group.vector, arrays, ends, pads, q, sub_len)
+        total = combine(group.vector, arrays, ends, pads, q, sub_len)
         shares.append(AnswerShare(ctx.server, gi, total))
         all_labels.append(list(labels))
     named = list(chain.from_iterable(all_labels))
@@ -365,6 +384,19 @@ def answer_with_labels(ctx: ServerContext, query: QueryTuple,
     if len(set(named)) != len(named):
         raise ConfigError(f"query reuses a pad label or a row on server {ctx.server}")
     return shares, all_labels
+
+
+def decode(plan: RetrievalPlan, answers: dict) -> array:
+    """Evaluate every entry of the plan's decoding table over the answer
+    shares, one `combine` per sub-packet, and reassemble the message."""
+    q = plan.params.q
+    length = plan.params.length // plan.subpackets
+    decoded = {}
+    for logical, terms in plan.decoding.items():
+        payloads = [answers[server][gi].payload for server, gi, _ in terms]
+        decoded[logical] = combine([c for *_, c in terms], payloads,
+                                   [length] * len(terms), (), q, length)
+    return plan.assemble(decoded)
 
 
 def _refuse_first_row(ctx: ServerContext, rows, subpackets: int):

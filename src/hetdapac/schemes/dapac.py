@@ -29,8 +29,6 @@ and the central server on top of the same layer.
 
 from __future__ import annotations
 
-from array import array
-
 from ..access import (
     all_pairs,
     message_index,
@@ -48,6 +46,7 @@ from .base import (
     ServerContext,
     VectorSource,
     answer_with_labels,
+    decode,  # every engine's decode: it evaluates plan.decoding
     draw_permutations,
     pseudo_vstar,
 )
@@ -71,14 +70,14 @@ def desired_index_map(cycle, d: int):
 
 
 def dedicated_groups(v_star, params, source, counter, cycle=()):
-    """Every dedicated server's K(D-1) groups, and each pair's twins.
+    """Every dedicated server's K(D-1) groups, each pair's twins, and the
+    decoding of the rest pairs.
 
-    Returns (groups, index, twins): groups[n] lists server n's groups in
-    (m, k) order, index[(n, m, k)] is a group's position in groups[n], and
-    twins[(n, m)] for n < m is the decode entry of the pair. Every entry
-    names the "lower" and "higher" twin as (server, group index); a cycle
-    entry adds the owner's desired "row" and "vector" and the pair's two
-    indices "i1" and "i2", a rest entry adds its "logical" index.
+    Returns (groups, index, twins, decoding): groups[n] lists server n's
+    groups in (m, k) order, index[(n, m, k)] is a group's position in
+    groups[n], twins[(n, m)] for a cycle pair n < m is its (lower, higher)
+    twin as (server, group index), and decoding maps each rest pair's
+    index to the terms (higher, 1), (lower, -1) of its twin difference.
     """
     d = params.d
     desired = message_index(v_star, params)
@@ -113,18 +112,15 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
                 groups[n].append(PlanGroup(("u", n, m, k), rows, vec))
 
     twins = {}
+    decoding = {}
     for n, m in all_pairs(d):
-        lower = index[(n, m, values[m - 1])]
-        entry = {"pair": (n, m), "lower": (n, lower),
-                 "higher": (m, index[(m, n, values[n - 1])])}
-        if (n, m) in i1:
-            owner = groups[n][lower]
-            entry.update(row=owner.row_of(desired), vector=owner.vector,
-                         i1=i1[(n, m)], i2=i2[(n, m)])
+        lower = (n, index[(n, m, values[m - 1])])
+        higher = (m, index[(m, n, values[n - 1])])
+        if (n, m) in ic:
+            decoding[ic[(n, m)]] = ((*higher, 1), (*lower, -1))
         else:
-            entry["logical"] = ic[(n, m)]
-        twins[(n, m)] = entry
-    return groups, index, twins
+            twins[(n, m)] = (lower, higher)
+    return groups, index, twins, decoding
 
 
 def build(v_star, params, rng, partition=None, source=None):
@@ -135,10 +131,9 @@ def build(v_star, params, rng, partition=None, source=None):
 
     perms = draw_permutations(participating_ids(params, public_part(v_star, params)),
                               sub, rng)
-    groups, _, twins = dedicated_groups(v_star, params, source, FreshIndexCounter(sub))
+    groups, _, _, decoding = dedicated_groups(v_star, params, source, FreshIndexCounter(sub))
 
-    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups,
-                         decode_info=twins)
+    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding)
     return plan, plan.wire_queries()
 
 
@@ -160,18 +155,3 @@ def label_table(ctx: ServerContext) -> dict[frozenset, list]:
 
 def answer_query(ctx: ServerContext, query):
     return answer_with_labels(ctx, query, label_table(ctx))
-
-
-def rest_twin_subpackets(twins, answers: dict, field) -> dict:
-    """Per rest pair, the higher twin's share minus the lower twin's."""
-    decoded = {}
-    for st in twins:
-        low_server, low_gi = st["lower"]
-        high_server, high_gi = st["higher"]
-        decoded[st["logical"]] = field.vec_sub(answers[high_server][high_gi].payload,
-                                               answers[low_server][low_gi].payload)
-    return decoded
-
-
-def decode(plan: RetrievalPlan, answers: dict, field) -> array:
-    return plan.assemble(rest_twin_subpackets(plan.decode_info.values(), answers, field))

@@ -16,8 +16,6 @@ of shared randomness (one chunk per group, all consumed).
 
 from __future__ import annotations
 
-from array import array
-
 from ..access import match_set, message_index, participating_ids, public_part
 from ..errors import ConfigError
 from ..randomness import chunk_length, subpacket_count
@@ -28,6 +26,7 @@ from .base import (
     ServerContext,
     VectorSource,
     answer_with_labels,
+    decode,  # every engine's decode: it evaluates plan.decoding
     draw_permutations,
     pseudo_vstar,
 )
@@ -58,16 +57,15 @@ def build(v_star, params, rng, partition=None, source=None):
             central_groups.append(g)
 
     groups = {params.central: central_groups}
-    decode_steps = {}
+    decoding = {}
     for n in range(1, params.d + 1):
         central_index, base = by_nk[(n, values[n - 1])]
         l = base.row_of(desired)
         lifted = PlanGroup(base.label, list(base.rows), source.add_unit(base.vector, l))
         groups[n] = [lifted]
-        decode_steps[n] = (central_index, base.logical_of(desired))
+        decoding[base.logical_of(desired)] = ((n, 0, 1), (params.central, central_index, -1))
 
-    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups,
-                         decode_info=decode_steps)
+    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding)
     return plan, plan.wire_queries()
 
 
@@ -85,14 +83,3 @@ def _label_table(ctx: ServerContext) -> dict[frozenset, list]:
 
 def answer_query(ctx: ServerContext, query):
     return answer_with_labels(ctx, query, _label_table(ctx))
-
-
-def decode(plan: RetrievalPlan, answers: dict, field) -> array:
-    """Subtract central shares from dedicated shares and reassemble."""
-    central = answers[plan.params.central]
-    decoded = {}
-    for n in range(1, plan.params.d + 1):
-        central_index, logical = plan.decode_info[n]
-        sub = field.vec_sub(answers[n][0].payload, central[central_index].payload)
-        decoded[logical] = sub
-    return plan.assemble(decoded)

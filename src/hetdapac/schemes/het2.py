@@ -21,24 +21,24 @@ n's K groups toward its outgoing partner (same rows, same sub-packet
 indices), with the vector block at the partner's verified value lifted at
 the desired row; at other values the group is fresh.
 
-Decoding runs in three stages:
-  1. central share minus the sum of the K concatenated dedicated shares
-     gives one desired sub-packet per server (pads cancel: the central
-     pad is exactly the sum of those K chunks);
-  2. cycle-pair twin differences give c * (w(i2) - w(i1)) where c is the
-     shared vector's coordinate at the desired row, so the unknown one of
-     the two follows by a division. The D coordinates c are the user's own
-     draws, recorded as the plan's divisors; a plan with c = 0 anywhere is
-     not `decodable`, and the harness redraws it before sending anything;
-  3. rest-pair twin differences yield their shared sub-packet directly.
+Decoding is one table of share combinations (see base.py), written at
+build time:
+  1. central share minus the K concatenated dedicated shares gives one
+     desired sub-packet per server (pads cancel: the central pad is
+     exactly the sum of those K chunks);
+  2. a cycle pair's twin difference is c * (w(i2) - w(i1)), c the shared
+     vector's coordinate at the desired row; stage 1 recovers one of the
+     two, so the other is that one's terms plus the twin difference
+     scaled by +-1/c. The D coordinates c are the user's own draws; a plan
+     with c = 0 anywhere has no coefficient there, is not `decodable`,
+     and the harness redraws it before sending anything;
+  3. a rest pair's twin difference is its shared sub-packet directly.
 
 Stages recover D + D + (M - 2D) = M sub-packets. Rate (D+1)/(2KD), load
 ratio (D-1)/D, allocated randomness C(D,2) K^2 chunks of L/M symbols.
 """
 
 from __future__ import annotations
-
-from array import array
 
 from ..access import (
     build_partition,
@@ -58,6 +58,7 @@ from .base import (
     ServerContext,
     VectorSource,
     answer_with_labels,
+    decode,  # every engine's decode: it evaluates plan.decoding
     draw_permutations,
     pseudo_vstar,
 )
@@ -79,14 +80,14 @@ def build(v_star, params, rng, partition=None, source=None):
     perms = draw_permutations(participating_ids(params, public_part(v_star, params)),
                               sub, rng)
     counter = FreshIndexCounter(sub)
-    groups, index, twins = dapac.dedicated_groups(v_star, params, source, counter,
-                                                  cycle=partition.cycle)
+    groups, index, twins, decoding = dapac.dedicated_groups(
+        v_star, params, source, counter, cycle=partition.cycle)
+    i1, i2, _ = dapac.desired_index_map(partition.cycle, d)
 
     # central groups: per server the concatenation toward its outgoing
     # partner at the verified value, fresh groups at the other values
     central = d + 1
     groups[central] = []
-    stage1 = {}
     for n in range(1, d + 1):
         m0 = partition.outgoing(n)
         km0 = values[m0 - 1]
@@ -103,12 +104,9 @@ def build(v_star, params, rng, partition=None, source=None):
                         blocks.append(g.vector)
                     rows.extend(g.rows)
                 cg = PlanGroup(("central", n, k), rows, source.concat(blocks))
-                twin = twins[(min(n, m0), max(n, m0))]
-                stage1[n] = {
-                    "central_gi": len(groups[central]),
-                    "ded_gis": gis,
-                    "logical": twin["i1"] if n < m0 else twin["i2"],
-                }
+                logical = i1[(n, m0)] if n < m0 else i2[(m0, n)]
+                decoding[logical] = ((central, len(groups[central]), 1),
+                                     *((n, gi, -1) for gi in gis))
             else:
                 rows = []
                 for k2 in range(1, params.k + 1):
@@ -117,15 +115,19 @@ def build(v_star, params, rng, partition=None, source=None):
                 cg = PlanGroup(("central", n, k), rows, source.fresh(len(rows)))
             groups[central].append(cg)
 
-    # stage 2a knows one of a cycle pair's two indices from stage 1
-    stage2a = [dict(twins[(n, m)], known="i1" if partition.outgoing(n) == m else "i2")
-               for n, m in partition.cycle]
-    stage2b = [twins[p] for p in partition.rest]
+    # stage 1 knows one index of each cycle pair, and the twin difference
+    # (higher - lower) / c = w(i2) - w(i1) gives the other
+    for pair in partition.cycle:
+        lower, higher = twins[pair]
+        owner = groups[lower[0]][lower[1]]
+        inv = source.inverse(owner.vector, owner.row_of(desired))
+        neg = None if inv is None else -inv
+        if partition.outgoing(pair[0]) == pair[1]:
+            decoding[i2[pair]] = (*decoding[i1[pair]], (*higher, inv), (*lower, neg))
+        else:
+            decoding[i1[pair]] = (*decoding[i2[pair]], (*higher, neg), (*lower, inv))
 
-    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups,
-                         decode_info={"stage1": stage1, "stage2a": stage2a,
-                                      "stage2b": stage2b, "partition": partition},
-                         divisors=tuple((st["vector"], st["row"]) for st in stage2a))
+    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding)
     return plan, plan.wire_queries()
 
 
@@ -146,30 +148,3 @@ def _central_table(ctx: ServerContext) -> dict[frozenset, list]:
 def answer_query(ctx: ServerContext, query):
     table = _central_table(ctx) if ctx.is_central else dapac.label_table(ctx)
     return answer_with_labels(ctx, query, table)
-
-
-def decode(plan: RetrievalPlan, answers: dict, field) -> array:
-    info = plan.decode_info
-    central = plan.params.central
-    decoded = {}
-
-    for n, st in info["stage1"].items():
-        total = answers[central][st["central_gi"]].payload
-        for gi in st["ded_gis"]:
-            total = field.vec_sub(total, answers[n][gi].payload)
-        decoded[st["logical"]] = total
-
-    for st in info["stage2a"]:
-        low_server, low_gi = st["lower"]
-        high_server, high_gi = st["higher"]
-        diff = field.vec_sub(answers[high_server][high_gi].payload,
-                             answers[low_server][low_gi].payload)
-        c = st["vector"][st["row"] - 1]
-        gap = field.vec_scale(field.inv(c), diff)  # w(i2) - w(i1)
-        if st["known"] == "i1":
-            decoded[st["i2"]] = field.vec_add(decoded[st["i1"]], gap)
-        else:
-            decoded[st["i1"]] = field.vec_sub(decoded[st["i2"]], gap)
-
-    decoded.update(dapac.rest_twin_subpackets(info["stage2b"], answers, field))
-    return plan.assemble(decoded)

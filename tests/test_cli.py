@@ -182,7 +182,8 @@ class TestMalformedInput:
         self.assert_refused(out, "not JSON")
 
     @pytest.mark.parametrize("key, value", [("q", "abc"), ("n", 3.5),
-                                            ("length", True)])
+                                            ("length", True), ("seed", 3.5),
+                                            ("seed", True)])
     def test_non_integral_parameter_in_file(self, capsys, tmp_path, key, value):
         fields = {"scheme": "het1", "n": 3, "d": 2, "k": 2, "length": 2,
                   "vstar": "1,1,1"}
@@ -200,6 +201,25 @@ class TestMalformedInput:
         code, out = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 0
         assert "matches store: True" in out.out
+
+    def test_seed_string_in_file_runs_as_the_flag(self, capsys, tmp_path):
+        # the user streams hash the seed's repr, so "7" must become 7 first
+        fields = {"scheme": "het2", "n": 4, "d": 3, "k": 2, "length": 6,
+                  "vstar": "1,2,1,2"}
+        runs = []
+        for name, in_file, flags in (("file", {"seed": "7"}, []),
+                                     ("flag", {}, ["--seed", "7"])):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**fields, **in_file}))
+            out = tmp_path / f"{name}.jsonl"
+            code, printed = run_cli(capsys, "run", "--config", str(cfg), *flags,
+                                    "--out", str(out))
+            assert code == 0
+            # all but the echoed config, which keeps the seed's spelling,
+            # and the line naming the output file
+            runs.append((printed.out.splitlines()[1:-1],
+                         out.read_text().splitlines()[1:]))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("vstar", ["1,a,1", "1.5,1,1"])
     def test_vstar_entries_must_be_integers(self, capsys, vstar):

@@ -66,10 +66,13 @@ def test_twin_vectors_are_lifted_owner_draws():
 
 
 def test_desired_appears_once_per_pair_with_fresh_indices():
+    # one entry per pair: the higher twin's share minus the lower twin's
     plan, _ = traced_plan(P332, V)
-    logicals = {info["logical"] for info in plan.decode_info.values()}
-    assert sorted(plan.decode_info) == [(1, 2), (1, 3), (2, 3)]
-    assert logicals == {1, 2, 3}
+    assert sorted(plan.decoding) == [1, 2, 3]
+    pairs = sorted((lower[0], higher[0]) for higher, lower in plan.decoding.values())
+    assert pairs == [(1, 2), (1, 3), (2, 3)]
+    assert all(higher[2] == 1 and lower[2] == -1
+               for higher, lower in plan.decoding.values())
 
 
 def test_per_server_logicals_distinct_per_message():

@@ -1,4 +1,8 @@
-"""Field arithmetic, unit vectors, sampling and stream derivation."""
+"""Field arithmetic, unit vectors, sampling and stream derivation.
+
+The field has no object of its own: a modulus is checked by SystemParams,
+inverses come from VectorSource and sums from the kernels' `combine`.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,6 @@ import pytest
 from hetdapac.access import SystemParams
 from hetdapac.field import (
     BATCH_WORDS,
-    PrimeField,
     derive_rng,
     is_prime,
     sample_uniform_vector,
@@ -19,6 +22,7 @@ from hetdapac.field import (
 )
 from hetdapac.harness import random_store
 from hetdapac.randomness import allocate, chunk_length, pool_labels
+from hetdapac.schemes.base import VectorSource, combine
 
 # smallest primes, a Fermat prime with about half its candidates rejected,
 # the largest prime below 2^16 (rare rejection), the largest below 2^31
@@ -38,41 +42,37 @@ def test_primality():
 @pytest.mark.parametrize("bad", [1, 4, 6, 100, 65536])
 def test_nonprime_modulus_rejected(bad):
     with pytest.raises(ValueError):
-        PrimeField(bad)
+        SystemParams(n_attrs=2, d=1, k=2, q=bad)
+
+
+def inverse(q: int, a: int):
+    return VectorSource(q, rng=None).inverse((a,), 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(q):
-    # products are plain ints reduced mod q; the field object adds,
-    # subtracts and inverts
-    f = PrimeField(q)
+    # every element but 0 has an inverse, and a two-term combination of
+    # one-symbol shares is a*x + b*y mod q, with signed coefficients too
     elems = range(q)
     for a in elems:
-        assert f.add(a, f.sub(0, a)) == 0
         if a != 0:
-            assert a * f.inv(a) % q == 1
+            assert a * inverse(q, a) % q == 1
         for b in elems:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.sub(a, b) == f.add(a, f.sub(0, b))
-            assert f.add(f.sub(a, b), b) == a
-            for c in elems:
-                assert a * f.add(b, c) % q == f.add(a * b % q, a * c % q)
-                assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
+            for x in elems:
+                for y in elems:
+                    for ca, cb in ((a, b), (-a, b), (a, -b)):
+                        got = combine((ca, cb), [(x,), (y,)], [1, 1], (), q, 1)
+                        assert got == ((ca * x + cb * y) % q,)
 
 
 def test_zero_has_no_inverse():
-    f = PrimeField(13)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(13)
+    assert inverse(13, 0) is None
 
 
 def test_inverse_matches_brute_force():
-    f = PrimeField(11)
     for a in range(1, 11):
         byhand = next(b for b in range(11) if (a * b) % 11 == 1)
-        assert f.inv(a) == byhand
+        assert inverse(11, a) == byhand
 
 
 def test_unit_vector():
@@ -85,31 +85,34 @@ def test_unit_vector():
 
 
 def test_vector_ops():
-    f = PrimeField(7)
-    u = (1, 2, 3)
-    v = (4, 5, 6)
-    assert f.vec_add(u, v) == (5, 0, 2)
-    assert f.vec_sub(v, u) == (3, 3, 3)
-    assert f.vec_scale(3, u) == (3, 6, 2)
-    with pytest.raises(ValueError):
-        f.vec_add((1, 2), (1, 2, 3))
+    # combine adds, subtracts and scales shares, in each of its kernels
+    q = 7
+    u, v = (1, 2, 3), (4, 5, 6)
+    for width in (1, 64):
+        uw, vw = u * width, v * width
+        n = len(uw)
+        assert combine((1, 1), [uw, vw], [n, n], (), q, n) == (5, 0, 2) * width
+        assert combine((1, -1), [vw, uw], [n, n], (), q, n) == (3, 3, 3) * width
+        assert combine((3,), [uw], [n], (), q, n) == (3, 6, 2) * width
+    # with many rows the gather kernel answers short sub-packets
+    assert combine((1, -1) * 8, [v, u] * 8, [3] * 16, (), q, 3) == (3, 3, 3)
 
 
 def test_interference_cancellation_identity():
     # dot(h + e_l, w) - dot(h, w) == w[l-1]: the decode step of every scheme
-    f = PrimeField(65537)
+    q = 65537
 
     def dot(u, v):
-        return sum(a * b for a, b in zip(u, v)) % f.q
+        return sum(a * b for a, b in zip(u, v)) % q
 
     rng = derive_rng(2024, "field-test")
     for _ in range(200):
         n = rng.randrange(1, 9)
-        h = sample_uniform_vector(n, rng, f.q)
-        w = sample_uniform_vector(n, rng, f.q)
+        h = sample_uniform_vector(n, rng, q)
+        w = sample_uniform_vector(n, rng, q)
         l = rng.randrange(1, n + 1)
-        lifted = f.vec_add(h, unit_vector(l, n))
-        assert f.sub(dot(lifted, w), dot(h, w)) == w[l - 1]
+        lifted = tuple((a + b) % q for a, b in zip(h, unit_vector(l, n)))
+        assert (dot(lifted, w) - dot(h, w)) % q == w[l - 1]
 
 
 def test_sampler_frequencies_three_sigma():

@@ -204,5 +204,34 @@ def test_division_free_schemes_are_always_decodable(scheme):
     for seed in range(20):
         v_star = tuple(1 + (seed >> i) % 2 for i in range(4))
         plan, _ = engine(scheme).build(v_star, params, derive_rng(seed, "user", 0))
-        assert plan.divisors == ()
+        assert {c for terms in plan.decoding.values() for *_, c in terms} == {1, -1}
         assert plan.decodable
+
+
+# ways a server can tamper with its reply, applied to the encoded answer
+TAMPERS = {
+    "reversed": lambda reply, q: reply["shares"].reverse(),
+    "short": lambda reply, q: reply["shares"][0]["payload"].pop(),
+    "foreign server": lambda reply, q: reply.update(server=2),
+    "extra share": lambda reply, q: reply["shares"].append(
+        dict(reply["shares"][-1], group=len(reply["shares"]))),
+    "symbol out of field": lambda reply, q: reply["shares"][0]["payload"].__setitem__(0, q),
+}
+
+
+@pytest.mark.parametrize("how", TAMPERS)
+def test_tampered_reply_is_refused(monkeypatch, how):
+    # decode reads shares by position, so server 1's reply must answer
+    # its query exactly: a wrong reply is refused, never decoded
+    params = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=12)
+    handle = ServerActor.handle
+
+    def tampered(self, kind, payload):
+        reply = handle(self, kind, payload)
+        if kind == "query" and self.server == 1:
+            TAMPERS[how](reply[1], params.q)
+        return reply
+
+    monkeypatch.setattr(ServerActor, "handle", tampered)
+    with pytest.raises(ConfigError, match="server 1"):
+        run_protocol("het2", params, (1, 2, 1, 2), random_store(params, 3), seed=3)

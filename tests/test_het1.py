@@ -70,8 +70,10 @@ class TestTwoServerWalkthrough:
         assert all(b.offset == (0, 0) for b in draws)
 
     def test_decode_steps_point_at_mirrored_groups(self):
+        # logical sub-packet: dedicated share minus its mirrored central share
         plan, _ = traced_plan(P322, self.V)
-        assert plan.decode_info == {1: (0, 1), 2: (3, 2)}
+        assert plan.decoding == {1: ((1, 0, 1), (3, 0, -1)),
+                                 2: ((2, 0, 1), (3, 3, -1))}
 
     def test_run_metrics(self):
         store = random_store(P322, 11)

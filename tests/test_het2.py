@@ -51,6 +51,14 @@ def traced_plan(params, v_star, seed=7, partition=None):
     return plan, queries
 
 
+def cycle_entries(plan):
+    """(known, unknown, higher, lower) per cycle pair: the unknown index's
+    terms are the known one's, then the higher and the lower twin's."""
+    by_terms = {terms: logical for logical, terms in plan.decoding.items()}
+    return [(by_terms[terms[:-2]], unknown, terms[-2], terms[-1])
+            for unknown, terms in plan.decoding.items() if terms[:-2] in by_terms]
+
+
 def test_desired_index_map_covers_all_subpackets():
     part3 = build_partition(3)
     i1, i2, ic = dapac.desired_index_map(part3.cycle, 3)
@@ -110,16 +118,35 @@ class TestWalkthrough:
 
     def test_decode_plan_stages(self):
         plan, _ = traced_plan(P432, V)
-        info = plan.decode_info
-        stage1 = {n: (st["central_gi"], st["logical"])
-                  for n, st in info["stage1"].items()}
-        assert stage1 == {1: (0, 1), 2: (3, 3), 3: (4, 5)}
-        assert info["stage1"][1]["ded_gis"] == [0, 1]
-        assert info["stage1"][2]["ded_gis"] == [2, 3]
-        assert info["stage1"][3]["ded_gis"] == [0, 1]
-        known = {st["pair"]: st["known"] for st in info["stage2a"]}
-        assert known == {(1, 2): "i1", (1, 3): "i2", (2, 3): "i1"}
-        assert info["stage2b"] == []
+        dec = plan.decoding
+        assert sorted(dec) == [1, 2, 3, 4, 5, 6]
+        # stage 1: central share minus server n's K concatenated shares
+        assert dec[1] == ((4, 0, 1), (1, 0, -1), (1, 1, -1))
+        assert dec[3] == ((4, 3, 1), (2, 2, -1), (2, 3, -1))
+        assert dec[5] == ((4, 4, 1), (3, 0, -1), (3, 1, -1))
+        # stage 2: each cycle pair's unknown index extends its known one
+        # (i1 for (1,2) and (2,3), i2 for (1,3)) by the higher twin minus
+        # the lower, over c: symbolic, so no coefficient exists
+        cycles = {(higher[0], lower[0]): (known, unknown, higher[:2], lower[:2])
+                  for known, unknown, higher, lower in cycle_entries(plan)}
+        assert cycles == {(2, 1): (1, 4, (2, 0), (1, 1)),
+                          (3, 1): (5, 2, (3, 0), (1, 2)),
+                          (3, 2): (3, 6, (3, 3), (2, 2))}
+        assert not plan.decodable
+        # no rest pair at D = 3
+        assert all(len(terms) > 2 for terms in dec.values())
+
+    def test_decode_plan_cycle_coefficients(self):
+        # concrete draws: +-1/c on the higher twin, -+1/c on the lower,
+        # the sign set by which of i1 and i2 stage 1 knows
+        plan, _ = het2.build(V, P432, derive_rng(7, "user", 0))
+        desired = message_index(V, P432)
+        for known, unknown, higher, lower in cycle_entries(plan):
+            owner = plan.groups[lower[0]][lower[1]]
+            c = owner.vector[owner.row_of(desired) - 1]
+            sign = 1 if known < unknown else -1
+            assert higher[2] * c % P432.q == sign % P432.q
+            assert lower[2] == -higher[2]
 
     def test_run_metrics(self):
         store = random_store(P432, 4)
@@ -164,10 +191,10 @@ class TestSplitCover:
 
     def test_rest_twins_identical_rows_lifted_vector(self):
         plan, _ = traced_plan(P542, self.V)
-        assert len(plan.decode_info["stage2b"]) == 2
-        for st in plan.decode_info["stage2b"]:
-            low_s, low_gi = st["lower"]
-            high_s, high_gi = st["higher"]
+        rest = [terms for terms in plan.decoding.values() if len(terms) == 2]
+        assert len(rest) == 2
+        for (high_s, high_gi, high_c), (low_s, low_gi, low_c) in rest:
+            assert (high_c, low_c) == (1, -1)
             lower = plan.groups[low_s][low_gi]
             higher = plan.groups[high_s][high_gi]
             assert lower.rows == higher.rows
@@ -179,14 +206,14 @@ class TestSplitCover:
     def test_cycle_twins_differ_only_at_desired_row(self):
         plan, _ = traced_plan(P542, self.V)
         desired = message_index(self.V, P542)
-        for st in plan.decode_info["stage2a"]:
-            low_s, low_gi = st["lower"]
-            high_s, high_gi = st["higher"]
+        cycles = cycle_entries(plan)
+        assert len(cycles) == 4
+        for known, unknown, (high_s, high_gi, _), (low_s, low_gi, _) in cycles:
             lower = plan.groups[low_s][low_gi]
             higher = plan.groups[high_s][high_gi]
             assert higher.vector == lower.vector
-            assert lower.logical_of(desired) == st["i1"]
-            assert higher.logical_of(desired) == st["i2"]
+            assert lower.logical_of(desired) == min(known, unknown)   # i1
+            assert higher.logical_of(desired) == max(known, unknown)  # i2
             others = [r for r in lower.rows if r[0] != desired]
             assert others == [r for r in higher.rows if r[0] != desired]
 
