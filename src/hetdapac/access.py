@@ -21,6 +21,13 @@ the schemes, lengths and mix segments of one deployment share entries,
 and so do the user's build and every server's label table. The memo pays
 only when an (N, D, K, public part) repeats: the first use of a set
 builds it, and every later use, by any scheme, length or server, reads it.
+The set helpers take the public part, not a whole v*: a server knows only
+that part and its own value, and a v* is validated once, by the build that
+indexes it.
+
+het2's pair partition is a fixed function of D, memoized as well: the
+cycle (1,2), ..., (D-1,D), (1,D), each server sending to n mod D + 1, and
+every other pair as the rest.
 """
 
 from __future__ import annotations
@@ -166,37 +173,35 @@ def accessible_messages(server: int, v_star: tuple[int, ...], params: SystemPara
     return _ids(params, public_part(v_star, params), fixed)
 
 
-def match_set(n: int, k: int, v_star: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
+def match_set(n: int, k: int, public: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
     """Ids of participating messages whose attribute n has value index k, sorted.
 
     This is the candidate set a dedicated server n would hold if the user's
     n-th attribute were k; the central server's query groups range over
-    these sets for all (n, k).
+    these sets for all (n, k). `public` is the public part, a tuple.
     """
-    v_star = check_vector(v_star, params)
     if not 1 <= n <= params.d:
         raise ConfigError(f"attribute position {n} out of range [1, {params.d}]")
     if not 1 <= k <= params.k:
         raise ConfigError(f"value index {k} out of range [1, {params.k}]")
-    return _ids(params, public_part(v_star, params), {n: k})
+    return _ids(params, public, {n: k})
 
 
 def pair_set(n: int, m: int, k: int, k2: int,
-             v_star: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
+             public: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
     """Ids of participating messages with attribute n at k and attribute m at k2.
 
     Symmetric in its two constraints: pair_set(n, m, k, k2) == pair_set(m, n, k2, k).
-    Size K^(D-2).
+    Size K^(D-2). `public` is the public part, a tuple.
     """
     if n == m:
         raise ConfigError("pair_set needs two distinct attribute positions")
-    v_star = check_vector(v_star, params)
     for pos, val in ((n, k), (m, k2)):
         if not 1 <= pos <= params.d:
             raise ConfigError(f"attribute position {pos} out of range [1, {params.d}]")
         if not 1 <= val <= params.k:
             raise ConfigError(f"value index {val} out of range [1, {params.k}]")
-    return _ids(params, public_part(v_star, params), {n: k, m: k2})
+    return _ids(params, public, {n: k, m: k2})
 
 
 def ordered_complement(n: int, d: int) -> tuple[int, ...]:
@@ -236,62 +241,14 @@ def all_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((n, m) for n in range(1, d + 1) for m in range(n + 1, d + 1))
 
 
-def _orient_cycle(cycle: tuple[tuple[int, int], ...], d: int) -> tuple[tuple[int, int], ...]:
-    # the cycle pairs form a 2-regular graph on [D]; walk each connected
-    # cycle once, orienting edges head-to-tail, so every server appears
-    # exactly once as a source and once as a target
-    adjacency: dict[int, list[int]] = {n: [] for n in range(1, d + 1)}
-    for a, b in cycle:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    oriented = []
-    visited_edges = set()
-    for start in range(1, d + 1):
-        if all((min(start, b), max(start, b)) in visited_edges for b in adjacency[start]):
-            continue
-        cur = start
-        while True:
-            nxt = next(b for b in adjacency[cur]
-                       if (min(cur, b), max(cur, b)) not in visited_edges)
-            oriented.append((cur, nxt))
-            visited_edges.add((min(cur, nxt), max(cur, nxt)))
-            cur = nxt
-            if cur == start:
-                break
-    return tuple(sorted(oriented))
-
-
-def validate_cycle(cycle, d: int) -> tuple[tuple[int, int], ...]:
-    """Check that `cycle` covers every server exactly twice with distinct pairs."""
-    canon = []
-    for pair in cycle:
-        a, b = pair
-        if a == b or not (1 <= a <= d and 1 <= b <= d):
-            raise ConfigError(f"invalid pair {pair} for D={d}")
-        canon.append((min(a, b), max(a, b)))
-    if len(set(canon)) != len(canon):
-        raise ConfigError("duplicate pairs in cycle")
-    degree = {n: 0 for n in range(1, d + 1)}
-    for a, b in canon:
-        degree[a] += 1
-        degree[b] += 1
-    if any(deg != 2 for deg in degree.values()):
-        raise ConfigError(f"cycle must cover each server exactly twice, got degrees {degree}")
-    return tuple(sorted(canon))
-
-
-def build_partition(d: int, cycle=None) -> PairPartition:
-    """Default pair partition for D >= 3: consecutive pairs plus {1, D}.
-
-    A different covering design can be supplied as `cycle`; it is validated
-    and oriented here. Rate and load counts do not depend on the choice.
-    """
+@lru_cache(maxsize=64)
+def build_partition(d: int) -> PairPartition:
+    """The pair partition for D >= 3: the cycle (1,2), ..., (D-1,D), (1,D),
+    oriented n -> n mod D + 1, and the other pairs as the rest."""
     if d < 3:
         raise ConfigError(f"pair partition needs D >= 3, got {d}")
-    if cycle is None:
-        cycle = [(n, n + 1) for n in range(1, d)] + [(1, d)]
-    canon = validate_cycle(cycle, d)
     pairs = all_pairs(d)
-    rest = tuple(p for p in pairs if p not in set(canon))
-    oriented = _orient_cycle(canon, d)
-    return PairPartition(d=d, pairs=pairs, cycle=canon, rest=rest, oriented=oriented)
+    oriented = tuple(sorted((n, n % d + 1) for n in range(1, d + 1)))
+    cycle = tuple(sorted((min(p), max(p)) for p in oriented))
+    rest = tuple(p for p in pairs if p not in cycle)
+    return PairPartition(d=d, pairs=pairs, cycle=cycle, rest=rest, oriented=oriented)

@@ -33,7 +33,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
-from .access import SystemParams, build_partition, message_index, participating_ids
+from .access import SystemParams, message_index, participating_ids
 from .errors import ConfigError
 from .field import derive_rng
 from .harness import DEFAULT_RETRY_CAP, random_store, run_protocol
@@ -97,13 +97,12 @@ def _echelon(vectors, q: int, basis=None) -> dict[int, list[int]]:
 
 # ------------------------------------------------------- attribute privacy
 
-def _trace_plan(scheme: str, params: SystemParams, v_star, partition):
+def _trace_plan(scheme: str, params: SystemParams, v_star):
     """Build one plan with symbolic vectors; permutations are irrelevant
     because the audit works at the logical-index level."""
     eng = scheme_engine(scheme)
     rng = derive_rng(0, "audit", "trace", v_star)
-    plan, _ = eng.build(v_star, params, rng, partition=partition,
-                        source=TracingSource(params.q))
+    plan, _ = eng.build(v_star, params, rng, source=TracingSource(params.q))
     return plan
 
 
@@ -208,7 +207,6 @@ def audit_attribute_privacy(scheme: str, params: SystemParams, server: int) -> d
     (its own verified value for a dedicated server, the public part
     always). Zero means the server learns nothing beyond its view.
     """
-    partition = build_partition(params.d) if scheme == "het2" else None
     central = params.central
     dedicated = server != central
     if dedicated and not 1 <= server <= params.d:
@@ -222,8 +220,8 @@ def audit_attribute_privacy(scheme: str, params: SystemParams, server: int) -> d
     for public in publics:
         space = [tuple(s) + public for s in
                  itertools.product(range(1, params.k + 1), repeat=params.d)]
-        observed = {v: _coset(_observed_groups(_trace_plan(scheme, params, v, partition),
-                                               server), params.q, f"the plan for {v}")
+        observed = {v: _coset(_observed_groups(_trace_plan(scheme, params, v), server),
+                              params.q, f"the plan for {v}")
                     for v in space}
         buckets: dict = {}
         for v in space:
@@ -247,21 +245,18 @@ def audit_attribute_privacy(scheme: str, params: SystemParams, server: int) -> d
 
 # --------------------------------------------------------- database secrecy
 
-def _contexts(scheme, params, v_star, store, pool, partition, servers):
-    public = v_star[params.d:]
+def _contexts(params, v_star, store, pool, servers):
+    public = tuple(v_star[params.d:])
     return {server: server_context(
-                scheme, server, params, public,
-                None if server == params.central else v_star[server - 1],
-                store, pool, partition)
+                server, public, None if server == params.central else v_star[server - 1],
+                store, pool)
             for server in servers}
 
 
-def _answer_tuple(eng, ctxs, queries, pool):
+def _answer_tuple(eng, ctxs, queries):
     out = []
     for server in sorted(queries):
-        ctx = ctxs[server]
-        ctx.pool = pool
-        shares, _ = eng.answer_query(ctx, queries[server])
+        shares, _ = eng.answer_query(ctxs[server], queries[server])
         for share in shares:
             out.extend(share.payload)
     return tuple(out)
@@ -291,22 +286,19 @@ def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11) ->
     for het1, 3 of 21 for dapac and 9 of 42 for het2.
     """
     v_star = v_star or _default_vstar(params)
-    partition = build_partition(params.d) if scheme == "het2" else None
     eng = scheme_engine(scheme)
     q = params.q
     public = tuple(v_star[params.d:])
     uniform = allocate(scheme, params, public, seed)
     zero_pool = uniform.zeros_like()
     clen = zero_pool.chunk_len
-    _, queries = eng.build(v_star, params,
-                           derive_rng(seed, "audit", "secrecy"), partition)
+    _, queries = eng.build(v_star, params, derive_rng(seed, "audit", "secrecy"))
     desired = message_index(v_star, params)
     store = random_store(params, seed)
     other = random_store(params, (seed, "affine-witness"))
 
     def answers(st, pool):
-        ctxs = _contexts(scheme, params, v_star, st, pool, partition, queries)
-        return _answer_tuple(eng, ctxs, queries, pool)
+        return _answer_tuple(eng, _contexts(params, v_star, st, pool, queries), queries)
 
     def minus(a, b):
         return tuple((x - y) % q for x, y in zip(a, b))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .access import SystemParams, build_partition, check_vector
+from .access import SystemParams, check_vector
 from .errors import ConfigError, RetrievalFailure
 from .field import derive_rng, uniform_arrays
 from .randomness import RandomnessPool, allocate
@@ -185,13 +185,13 @@ class ServerActor:
             if self.ctx is None:
                 raise ConfigError("query received before a pool was installed")
             query = decode_query(payload)
-            shares, labels = scheme_engine(self.ctx.scheme).answer_query(self.ctx, query)
+            shares, labels = scheme_engine(self.ctx.pool.scheme).answer_query(self.ctx, query)
             self.used_labels = labels
             reply = encode_answers(shares)
             return ("answer", reply, sum(len(s.payload) for s in shares))
         raise ConfigError(f"unknown message kind {kind!r}")
 
-    def install_pool(self, pool: RandomnessPool, store, partition=None):
+    def install_pool(self, pool: RandomnessPool, store):
         """Server-to-server agreement on pads; never crosses the user channel.
 
         The pool names the segment's scheme and parameters; `store` holds
@@ -199,8 +199,7 @@ class ServerActor:
         """
         if self.public is None or (not self.is_central and self.own_value is None):
             raise ConfigError("pool installed before verification finished")
-        self.ctx = server_context(pool.scheme, self.server, pool.params, self.public,
-                                  self.own_value, store, pool, partition)
+        self.ctx = server_context(self.server, self.public, self.own_value, store, pool)
 
 
 # ---------------------------------------------------------------- stores
@@ -239,7 +238,7 @@ def verification_phase(channel: Channel, v_star, params: SystemParams):
 
 
 def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
-                    seed, partition, retry_cap: int, transcript: Transcript,
+                    seed, retry_cap: int, transcript: Transcript,
                     segment=None, rng_labels=()):
     """Draw plans from derive_rng(seed, "user", *rng_labels, attempt) until
     one is decodable, send it once and decode its answers. Earlier draws stay
@@ -247,7 +246,7 @@ def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
     eng = scheme_engine(scheme)
     for attempt in range(retry_cap):
         rng = derive_rng(seed, "user", *rng_labels, attempt)
-        plan, queries = eng.build(v_star, params, rng, partition=partition)
+        plan, queries = eng.build(v_star, params, rng)
         if plan.decodable:
             break
         transcript.retries += 1
@@ -279,13 +278,13 @@ def _checked_reply(shares, query, length: int, q: int):
     if shape != [(server, gi, length) for gi in range(len(query.groups))]:
         raise ConfigError(f"server {server} sent shares that do not answer its query: "
                           f"want {len(query.groups)} in group order, {length} symbols each")
-    if not all(0 <= min(s.payload) and max(s.payload) < q for s in shares):
+    if not all(max(s.payload) < q for s in shares):  # array('I'): none below 0
         raise ConfigError(f"server {server} sent a symbol outside F_{q}")
     return shares
 
 
 def run_segments(params: SystemParams, v_star, seed, segments,
-                 retry_cap: int = DEFAULT_RETRY_CAP, partition=None):
+                 retry_cap: int = DEFAULT_RETRY_CAP):
     """One verification phase, then one retrieval per segment, in order.
 
     A segment is (scheme, segment params, segment store, pool): the params
@@ -298,8 +297,6 @@ def run_segments(params: SystemParams, v_star, seed, segments,
     """
     v_star = check_vector(v_star, params)
     schemes = [scheme for scheme, *_ in segments]
-    if "het2" in schemes and partition is None:
-        partition = build_partition(params.d)
     transcript = Transcript(params)
     channel = Channel(transcript)
     # dapac never queries the central server; it only joins to verify public attributes
@@ -316,21 +313,20 @@ def run_segments(params: SystemParams, v_star, seed, segments,
         tag = scheme if tagged else None
         transcript.note_pool(pool, segment=tag)
         for actor in channel.actors.values():
-            actor.install_pool(pool, seg_store, partition)
+            actor.install_pool(pool, seg_store)
         message += retrieval_phase(channel, scheme, seg_params, v_star, seed,
-                                   partition, retry_cap, transcript, segment=tag,
+                                   retry_cap, transcript, segment=tag,
                                    rng_labels=(tag,) if tagged else ())
     return message, transcript, metrics_of(transcript)
 
 
 def run_protocol(scheme: str, params: SystemParams, v_star, store, seed,
-                 partition=None, retry_cap: int = DEFAULT_RETRY_CAP):
+                 retry_cap: int = DEFAULT_RETRY_CAP):
     """Full two-phase run of one scheme. Returns (decoded message,
     transcript, metrics)."""
     v_star = check_vector(v_star, params)
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
-    return run_segments(params, v_star, seed, [(scheme, params, store, pool)],
-                        retry_cap, partition)
+    return run_segments(params, v_star, seed, [(scheme, params, store, pool)], retry_cap)
 
 
 # The load ratio of a run without central download; mixer re-exports it.

@@ -2,9 +2,13 @@
 
 Query construction is user-side and touches only (v*, params, randomness):
 fresh sub-packet bookkeeping, private permutations, and combining-vector
-sampling. Answer computation is server-side and touches only (query,
-accessible store slice, pool): the share for a group is the vector-weighted
-sum of the named sub-packets plus the group's pad. Decoding is user-side
+sampling. Answer computation is server-side and touches only the server's
+context: its accessible store slice, its pool and its label table, all
+fixed by its verified view (public part, plus its own value on a dedicated
+server) when the pool is installed. Each engine's `label_table` builds the
+table once there; `answer_query`, which every engine re-exports, reads it.
+The share for a group is the vector-weighted sum of the named sub-packets
+plus the sum of the pad chunks its table entry names. Decoding is user-side
 and touches only (plan, answer shares): every scheme cancels interference
 by a signed combination of shares, so a plan lists, per logical sub-packet,
 the (server, group index, coefficient) terms that recover it, and one
@@ -39,7 +43,7 @@ from itertools import chain, repeat
 from operator import add, getitem, mul
 from typing import Optional
 
-from ..access import SystemParams, accessible_messages
+from ..access import SystemParams, match_set, participating_ids
 from ..errors import AccessRefusal, ConfigError
 from ..field import little_endian, sample_uniform_vector, unit_vector
 from ..randomness import RandomnessPool
@@ -225,40 +229,41 @@ class RetrievalPlan:
 
 # ---------------------------------------------------------------- servers
 
-@dataclass
+@dataclass(frozen=True)
 class ServerContext:
-    """Everything one server knows when answering: no user secrets inside."""
+    """Everything one server answers from: no user secrets inside.
 
-    scheme: str
+    `table` maps the message set of every group the server may be asked
+    for to the pad labels it names; None when the scheme asks the server
+    nothing.
+    """
+
     server: int
     params: SystemParams
-    public: tuple[int, ...]
-    own_value: Optional[int]          # verified attribute value; None for central
     store: dict[int, array]           # accessible slice only, array('I') per message
     pool: RandomnessPool
-    partition: object = None
+    table: Optional[dict[frozenset, list]]
 
     @property
     def is_central(self) -> bool:
         return self.server == self.params.central
 
 
-def server_context(scheme: str, server: int, params: SystemParams, public,
-                   own_value: Optional[int], store, pool: RandomnessPool,
-                   partition=None) -> ServerContext:
+def server_context(server: int, public: tuple[int, ...], own_value: Optional[int],
+                   store, pool: RandomnessPool) -> ServerContext:
     """The context `server` answers from once it has verified its view.
 
     The view is the public part plus, on a dedicated server, its own
-    attribute value; the store is cut down to the slice that view grants.
+    attribute value (None on the central server). It cuts the store down
+    to the slice it grants, and the pool's scheme builds the label table
+    from it, once.
     """
-    ref = [1] * params.d + list(public)
-    if server != params.central:
-        ref[server - 1] = own_value
-    ids = accessible_messages(server, tuple(ref), params)
-    return ServerContext(scheme=scheme, server=server, params=params,
-                         public=tuple(public), own_value=own_value,
-                         store={m: store[m] for m in ids}, pool=pool,
-                         partition=partition)
+    from . import engine
+    params = pool.params
+    ids = (participating_ids(params, public) if own_value is None
+           else match_set(server, own_value, public, params))
+    table = engine(pool.scheme).label_table(server, params, public, own_value)
+    return ServerContext(server, params, {m: store[m] for m in ids}, pool, table)
 
 
 # Sub-packets at least this long are answered by the packed kernel. Packing
@@ -343,17 +348,19 @@ def combine(vector, arrays, ends, pads, q: int, length: int) -> tuple[int, ...]:
     return kernel(vector, arrays, ends, pads, q, length)
 
 
-def answer_with_labels(ctx: ServerContext, query: QueryTuple,
-                       table: dict) -> tuple[list[AnswerShare], list[list[tuple]]]:
-    """Generic server answer path.
+def answer_query(ctx: ServerContext, query: QueryTuple
+                 ) -> tuple[list[AnswerShare], list[list[tuple]]]:
+    """Every engine's server answer path: shares and the pad labels each names.
 
-    table maps the message set of every group the server may be asked for
-    to the pad chunks it names; the share is the combined sub-packet plus
-    the sum of those chunks. A group matching no entry is refused, and so
-    is any reference to a message outside the accessible slice, and any
-    query naming a pad label or a (message, wire index) row twice: shares
-    that repeat one differ by a pad-free combination of sub-packets.
+    A group's share is its combined sub-packet plus the sum of the pad
+    chunks `ctx.table` names for its message set. A group matching no
+    entry is refused, and so is any reference to a message outside the
+    accessible slice, and any query naming a pad label or a (message,
+    wire index) row twice: shares that repeat one differ by a pad-free
+    combination of sub-packets. A server with no table refuses every query.
     """
+    if ctx.table is None:
+        raise ConfigError(f"server {ctx.server} answers no queries of scheme {ctx.pool.scheme}")
     if query.server != ctx.server:
         raise ConfigError(f"query for server {query.server} sent to {ctx.server}")
     q = ctx.params.q
@@ -367,7 +374,7 @@ def answer_with_labels(ctx: ServerContext, query: QueryTuple,
             raise ConfigError("vector length does not match group rows")
         msgs, indices = zip(*rows) if rows else ((), ())
         key = frozenset(msgs)
-        labels = table.get(key)
+        labels = ctx.table.get(key)
         if labels is None:
             raise ConfigError(f"group does not match any candidate set on server {ctx.server}")
         pads = [ctx.pool.chunk(label) for label in labels]
@@ -409,11 +416,3 @@ def _refuse_first_row(ctx: ServerContext, rows, subpackets: int):
             raise ConfigError(f"sub-packet index {widx} out of range")
     raise AssertionError("every row is in range and accessible")
 
-
-def pseudo_vstar(ctx: ServerContext) -> tuple[int, ...]:
-    """A vector with the right public part for set computations server-side.
-
-    The sensitive entries are placeholders; every set helper the servers
-    call only reads the public part.
-    """
-    return tuple(1 for _ in range(ctx.params.d)) + tuple(ctx.public)

@@ -43,12 +43,10 @@ from .base import (
     FreshIndexCounter,
     PlanGroup,
     RetrievalPlan,
-    ServerContext,
     VectorSource,
-    answer_with_labels,
+    answer_query,  # every engine's answer path: it reads ctx.table
     decode,  # every engine's decode: it evaluates plan.decoding
     draw_permutations,
-    pseudo_vstar,
 )
 
 SCHEME = "dapac"
@@ -82,6 +80,7 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
     d = params.d
     desired = message_index(v_star, params)
     values = tuple(v_star[:d])
+    public = public_part(v_star, params)
     i1, i2, ic = desired_index_map(cycle, d)
     first = {**i1, **ic}
 
@@ -106,7 +105,7 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
                     # only the owner twin (m > n, k the far verified value)
                     # holds the desired message
                     rows = [(msg, first[(n, m)] if msg == desired else counter.next(msg))
-                            for msg in pair_set(n, m, values[n - 1], k, v_star, params)]
+                            for msg in pair_set(n, m, values[n - 1], k, public, params)]
                     vec = source.fresh(len(rows))
                 index[(n, m, k)] = len(groups[n])
                 groups[n].append(PlanGroup(("u", n, m, k), rows, vec))
@@ -123,7 +122,7 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
     return groups, index, twins, decoding
 
 
-def build(v_star, params, rng, partition=None, source=None):
+def build(v_star, params, rng, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
     chunk_length(SCHEME, params)
     sub = subpacket_count(SCHEME, params)
@@ -137,21 +136,16 @@ def build(v_star, params, rng, partition=None, source=None):
     return plan, plan.wire_queries()
 
 
-def label_table(ctx: ServerContext) -> dict[frozenset, list]:
-    """A dedicated server's pad labels, keyed by the message set of a group."""
-    if ctx.own_value is None:
-        raise ConfigError("central server answers no pairwise-scheme queries")
-    n = ctx.server
-    ref = pseudo_vstar(ctx)
+def label_table(server, params, public, own_value):
+    """A dedicated server's pad labels, keyed by the message set of a group;
+    None on the central server, which the pairwise layer asks nothing."""
+    if own_value is None:
+        return None
     table = {}
-    for m in ordered_complement(n, ctx.params.d):
-        for k in range(1, ctx.params.k + 1):
-            key = frozenset(pair_set(n, m, ctx.own_value, k, ref, ctx.params))
+    for m in ordered_complement(server, params.d):
+        for k in range(1, params.k + 1):
+            key = frozenset(pair_set(server, m, own_value, k, public, params))
             if key in table:
                 raise ConfigError("ambiguous pair sets")
-            table[key] = [canonical_pair_label(n, m, ctx.own_value, k)]
+            table[key] = [canonical_pair_label(server, m, own_value, k)]
     return table
-
-
-def answer_query(ctx: ServerContext, query):
-    return answer_with_labels(ctx, query, label_table(ctx))

@@ -23,34 +23,32 @@ from .base import (
     FreshIndexCounter,
     PlanGroup,
     RetrievalPlan,
-    ServerContext,
     VectorSource,
-    answer_with_labels,
+    answer_query,  # every engine's answer path: it reads ctx.table
     decode,  # every engine's decode: it evaluates plan.decoding
     draw_permutations,
-    pseudo_vstar,
 )
 
 SCHEME = "het1"
 
 
-def build(v_star, params, rng, partition=None, source=None):
+def build(v_star, params, rng, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
     chunk_length(SCHEME, params)  # validates divisibility
     sub = subpacket_count(SCHEME, params)
     desired = message_index(v_star, params)
     values = tuple(v_star[:params.d])
+    public = public_part(v_star, params)
     source = source or VectorSource(params.q, rng)
 
-    perms = draw_permutations(participating_ids(params, public_part(v_star, params)),
-                              sub, rng)
+    perms = draw_permutations(participating_ids(params, public), sub, rng)
     counter = FreshIndexCounter(sub)
 
     central_groups: list[PlanGroup] = []
     by_nk: dict[tuple[int, int], tuple[int, PlanGroup]] = {}
     for n in range(1, params.d + 1):
         for k in range(1, params.k + 1):
-            members = match_set(n, k, v_star, params)
+            members = match_set(n, k, public, params)
             rows = [(m, counter.next(m)) for m in members]
             g = PlanGroup(("nk", n, k), rows, source.fresh(len(members)))
             by_nk[(n, k)] = (len(central_groups), g)
@@ -69,17 +67,14 @@ def build(v_star, params, rng, partition=None, source=None):
     return plan, plan.wire_queries()
 
 
-def _label_table(ctx: ServerContext) -> dict[frozenset, list]:
+def label_table(server, params, public, own_value) -> dict[frozenset, list]:
+    """Every server's pad labels, keyed by the message set of a group: the
+    KD candidate match sets, one ("nk", n, k) chunk each."""
     table = {}
-    ref = pseudo_vstar(ctx)
-    for n in range(1, ctx.params.d + 1):
-        for k in range(1, ctx.params.k + 1):
-            key = frozenset(match_set(n, k, ref, ctx.params))
+    for n in range(1, params.d + 1):
+        for k in range(1, params.k + 1):
+            key = frozenset(match_set(n, k, public, params))
             if key in table:
                 raise ConfigError("ambiguous candidate sets")
             table[key] = [("nk", n, k)]
     return table
-
-
-def answer_query(ctx: ServerContext, query):
-    return answer_with_labels(ctx, query, _label_table(ctx))

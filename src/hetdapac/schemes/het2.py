@@ -1,8 +1,10 @@
 """Retrieval engine het2: the pairwise layer plus a central server (D >= 3).
 
 Messages are split into M = D(D+1)/2 sub-packets. The 2-subsets of [D] are
-covered by a cycle (each server in exactly two cycle pairs) plus the rest;
-the cycle is oriented so each server has one outgoing partner.
+split by `access.build_partition(D)`, a fixed function of D, into the cycle
+(1,2), ..., (D-1,D), (1,D), which holds each server in exactly two pairs,
+and the rest; server n's outgoing partner is n mod D + 1. The build and
+the central server's label table both read it.
 
 The dedicated groups, their twins and pads, the dedicated label table and
 the rest-pair decode are dapac's pairwise layer, run with the cycle pairs
@@ -20,6 +22,8 @@ match set. At the verified value the group is the concatenation of server
 n's K groups toward its outgoing partner (same rows, same sub-packet
 indices), with the vector block at the partner's verified value lifted at
 the desired row; at other values the group is fresh.
+Its label table names, for match set (n, k), the K chunks of n's pair
+toward that partner at value k.
 
 Decoding is one table of share combinations (see base.py), written at
 build time:
@@ -48,37 +52,33 @@ from ..access import (
     participating_ids,
     public_part,
 )
-from ..errors import ConfigError
 from ..randomness import canonical_pair_label, chunk_length, subpacket_count
 from . import dapac
 from .base import (
     FreshIndexCounter,
     PlanGroup,
     RetrievalPlan,
-    ServerContext,
     VectorSource,
-    answer_with_labels,
+    answer_query,  # every engine's answer path: it reads ctx.table
     decode,  # every engine's decode: it evaluates plan.decoding
     draw_permutations,
-    pseudo_vstar,
 )
 
 SCHEME = "het2"
 
 
-def build(v_star, params, rng, partition=None, source=None):
+def build(v_star, params, rng, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
     chunk_length(SCHEME, params)
     sub = subpacket_count(SCHEME, params)
     d = params.d
     desired = message_index(v_star, params)
     values = tuple(v_star[:d])
-    if partition is None:
-        partition = build_partition(d)
+    public = public_part(v_star, params)
+    partition = build_partition(d)
     source = source or VectorSource(params.q, rng)
 
-    perms = draw_permutations(participating_ids(params, public_part(v_star, params)),
-                              sub, rng)
+    perms = draw_permutations(participating_ids(params, public), sub, rng)
     counter = FreshIndexCounter(sub)
     groups, index, twins, decoding = dapac.dedicated_groups(
         v_star, params, source, counter, cycle=partition.cycle)
@@ -110,7 +110,7 @@ def build(v_star, params, rng, partition=None, source=None):
             else:
                 rows = []
                 for k2 in range(1, params.k + 1):
-                    for msg in pair_set(n, m0, k, k2, v_star, params):
+                    for msg in pair_set(n, m0, k, k2, public, params):
                         rows.append((msg, counter.next(msg)))
                 cg = PlanGroup(("central", n, k), rows, source.fresh(len(rows)))
             groups[central].append(cg)
@@ -131,20 +131,21 @@ def build(v_star, params, rng, partition=None, source=None):
     return plan, plan.wire_queries()
 
 
-def _central_table(ctx: ServerContext) -> dict[frozenset, list]:
-    if ctx.partition is None:
-        raise ConfigError("central server needs the public pair partition")
-    ref = pseudo_vstar(ctx)
+def label_table(server, params, public, own_value) -> dict[frozenset, list]:
+    """A server's pad labels, keyed by the message set of a group.
+
+    Dedicated servers use the pairwise layer's table. The central server's
+    group at match set (n, k) names the K chunks of n's pair toward its
+    outgoing partner at value k, whose sum is its pad.
+    """
+    if server != params.central:
+        return dapac.label_table(server, params, public, own_value)
+    partition = build_partition(params.d)
     table = {}
-    for n in range(1, ctx.params.d + 1):
-        m0 = ctx.partition.outgoing(n)
-        for k in range(1, ctx.params.k + 1):
-            key = frozenset(match_set(n, k, ref, ctx.params))
+    for n in range(1, params.d + 1):
+        m0 = partition.outgoing(n)
+        for k in range(1, params.k + 1):
+            key = frozenset(match_set(n, k, public, params))
             table[key] = [canonical_pair_label(n, m0, k, k2)
-                          for k2 in range(1, ctx.params.k + 1)]
+                          for k2 in range(1, params.k + 1)]
     return table
-
-
-def answer_query(ctx: ServerContext, query):
-    table = _central_table(ctx) if ctx.is_central else dapac.label_table(ctx)
-    return answer_with_labels(ctx, query, table)

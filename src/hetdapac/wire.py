@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -58,7 +60,8 @@ class QueryTuple:
 class AnswerShare:
     server: int
     group_index: int          # position in the query's group list, 0-based
-    payload: tuple[int, ...]  # one sub-packet of field symbols
+    payload: Sequence[int]    # one sub-packet of field symbols: a tuple from
+                              # the answer path, an array('I') once decoded
 
 
 def encode_query(query: QueryTuple) -> dict:
@@ -140,18 +143,24 @@ def encode_answers(shares: list[AnswerShare]) -> dict:
     }
 
 
-def _symbols(payload) -> tuple[int, ...]:
-    if type(payload) is not list:
+def _symbols(payload, server: int) -> array:
+    """An answer payload as one `array('I')`: a list of ints (a bool or a
+    float is refused, as `_integer` refuses it), each in one 32-bit word."""
+    if type(payload) is not list or not set(map(type, payload)) <= {int}:
         raise ConfigError("expected a list of integers as an answer payload")
-    return _ints(payload, "an answer payload")
+    try:
+        return array("I", payload)
+    except OverflowError:
+        raise ConfigError(f"server {server} sent a symbol outside [0, 2^32)") from None
 
 
 def decode_answers(obj: dict) -> list[AnswerShare]:
-    """Inverse of encode_answers; a malformed payload raises ConfigError."""
+    """Inverse of encode_answers, with each payload an `array('I')`; a
+    malformed payload raises ConfigError."""
     try:
         server = _integer(obj["server"])
         return [AnswerShare(server=server, group_index=_integer(s["group"]),
-                            payload=_symbols(s["payload"]))
+                            payload=_symbols(s["payload"], server))
                 for s in obj["shares"]]
     except (KeyError, TypeError) as err:
         raise ConfigError(f"malformed answer payload: {err!r}") from err

@@ -123,35 +123,33 @@ def test_replication_pattern_33_standalone():
 def test_match_sets_432():
     # v* = a2uy. Match set of attribute 2 at value 2 and of attribute 3 at u.
     v_star = (1, 2, 1, 2)
-    assert match_set(2, 2, v_star, P432) == ids(
+    assert match_set(2, 2, (2,), P432) == ids(
         P432, (1, 2, 1, 2), (2, 2, 1, 2), (1, 2, 2, 2), (2, 2, 2, 2))
-    assert match_set(3, 1, v_star, P432) == ids(
+    assert match_set(3, 1, (2,), P432) == ids(
         P432, (1, 1, 1, 2), (2, 1, 1, 2), (1, 2, 1, 2), (2, 2, 1, 2))
     # accessible set of a dedicated server is its own match set
-    assert accessible_messages(2, v_star, P432) == match_set(2, 2, v_star, P432)
+    assert accessible_messages(2, v_star, P432) == match_set(2, 2, (2,), P432)
 
 
 def test_pair_sets_432():
-    v_star = (1, 2, 1, 2)
-    # attribute 1 at a and attribute 3 at v
-    assert pair_set(1, 3, 1, 2, v_star, P432) == ids(P432, (1, 1, 2, 2), (1, 2, 2, 2))
+    # public part y; attribute 1 at a and attribute 3 at v
+    assert pair_set(1, 3, 1, 2, (2,), P432) == ids(P432, (1, 1, 2, 2), (1, 2, 2, 2))
     # attribute 2 at 2 and attribute 3 at u
-    assert pair_set(2, 3, 2, 1, v_star, P432) == ids(P432, (1, 2, 1, 2), (2, 2, 1, 2))
+    assert pair_set(2, 3, 2, 1, (2,), P432) == ids(P432, (1, 2, 1, 2), (2, 2, 1, 2))
 
 
 def test_pair_set_symmetry_exhaustive():
     # D = 3, K = 2: swap of constraints never changes the set
     params = SystemParams(n_attrs=3, d=3, k=2, length=3)
-    v_star = (1, 2, 2)
     for n in (1, 2, 3):
         for m in (1, 2, 3):
             if n == m:
                 continue
             for k in (1, 2):
                 for k2 in (1, 2):
-                    assert pair_set(n, m, k, k2, v_star, params) == \
-                        pair_set(m, n, k2, k, v_star, params)
-                    assert len(pair_set(n, m, k, k2, v_star, params)) == 2
+                    assert pair_set(n, m, k, k2, (), params) == \
+                        pair_set(m, n, k2, k, (), params)
+                    assert len(pair_set(n, m, k, k2, (), params)) == 2
 
 
 def built_ids(params, public, fixed):
@@ -186,12 +184,12 @@ def test_memoized_sets_equal_a_fresh_construction(n_attrs, d, k):
             for n in range(1, d + 1):
                 own = tuple(built_ids(params, public, {n: value}))
                 assert accessible_messages(n, v_star, params) == own
-                assert match_set(n, value, v_star, params) == own
+                assert match_set(n, value, public, params) == own
                 for m in range(1, d + 1):
                     if m == n:
                         continue
                     for value2 in values:
-                        assert pair_set(n, m, value, value2, v_star, params) == \
+                        assert pair_set(n, m, value, value2, public, params) == \
                             tuple(built_ids(params, public, {n: value, m: value2}))
 
 
@@ -200,11 +198,10 @@ def test_memo_is_keyed_without_field_or_length():
     access._participating_ids.cache_clear()
     wide = SystemParams(n_attrs=7, d=6, k=4, q=65537, length=6)
     other = SystemParams(n_attrs=7, d=6, k=4, q=3, length=60)
-    v_star = (1, 2, 3, 4, 1, 2, 3)
-    first = match_set(2, 3, v_star, wide)
+    first = match_set(2, 3, (3,), wide)
     assert access._participating_ids.cache_info()[:2] == (0, 1)  # hits, misses
-    assert match_set(2, 3, v_star, other) is first
-    assert pair_set(1, 2, 4, 3, v_star, other) == pair_set(2, 1, 3, 4, v_star, wide)
+    assert match_set(2, 3, (3,), other) is first
+    assert pair_set(1, 2, 4, 3, (3,), other) == pair_set(2, 1, 3, 4, (3,), wide)
     assert access._participating_ids.cache_info()[:2] == (2, 2)
     assert participating_ids(wide, (3,)) is participating_ids(other, [3])
     assert access._participating_ids.cache_info()[:2] == (3, 3)
@@ -214,7 +211,7 @@ def test_sets_are_tuples():
     v_star = (1, 2, 1, 2)
     for result in (participating_ids(P432, (2,)), accessible_messages(1, v_star, P432),
                    accessible_messages(P432.central, v_star, P432),
-                   match_set(2, 1, v_star, P432), pair_set(1, 3, 2, 1, v_star, P432)):
+                   match_set(2, 1, (2,), P432), pair_set(1, 3, 2, 1, (2,), P432)):
         assert type(result) is tuple and all(type(x) is int for x in result)
 
 
@@ -222,16 +219,18 @@ def test_set_helpers_keep_their_checks():
     with pytest.raises(ConfigError, match="public part"):
         participating_ids(P432, (1, 2))
     with pytest.raises(ConfigError):
-        match_set(4, 1, (1, 2, 1, 2), P432)
+        match_set(4, 1, (2,), P432)
     with pytest.raises(ConfigError):
-        pair_set(1, 2, 3, 1, (1, 2, 1, 2), P432)
+        pair_set(1, 2, 3, 1, (2,), P432)
+    with pytest.raises(ConfigError, match="public part"):
+        match_set(1, 1, (1, 2), P432)
     with pytest.raises(ConfigError):
         accessible_messages(5, (1, 2, 1, 2), P432)
 
 
 def test_pair_set_rejects_equal_positions():
     with pytest.raises(ConfigError):
-        pair_set(1, 1, 1, 2, (1, 2, 2), P322)
+        pair_set(1, 1, 1, 2, (2,), P322)
 
 
 def test_ordered_complement():
@@ -271,16 +270,42 @@ def test_partition_d4_and_d5():
         assert {(min(p), max(p)) for p in part_.oriented} == set(part_.cycle)
 
 
-def test_partition_override_validation():
-    # a valid alternative design for D = 4: the 4-cycle through 1-3-2-4
-    alt = build_partition(4, cycle=[(1, 3), (3, 2), (2, 4), (4, 1)])
-    assert alt.cycle == ((1, 3), (1, 4), (2, 3), (2, 4))
-    assert alt.rest == ((1, 2), (3, 4))
-    assert sorted(a for a, _ in alt.oriented) == [1, 2, 3, 4]
-    with pytest.raises(ConfigError):
-        build_partition(4, cycle=[(1, 2), (2, 3), (3, 4), (1, 3)])  # degree skew
-    with pytest.raises(ConfigError):
-        build_partition(4, cycle=[(1, 2), (1, 2), (3, 4), (3, 4)])  # duplicates
+def walked_orientation(cycle, d):
+    """The orientation the partition had when a cycle design could be
+    supplied: each connected cycle walked once from its least server,
+    edges taken head to tail in adjacency order."""
+    adjacency = {n: [] for n in range(1, d + 1)}
+    for a, b in cycle:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    oriented = []
+    visited_edges = set()
+    for start in range(1, d + 1):
+        if all((min(start, b), max(start, b)) in visited_edges for b in adjacency[start]):
+            continue
+        cur = start
+        while True:
+            nxt = next(b for b in adjacency[cur]
+                       if (min(cur, b), max(cur, b)) not in visited_edges)
+            oriented.append((cur, nxt))
+            visited_edges.add((min(cur, nxt), max(cur, nxt)))
+            cur = nxt
+            if cur == start:
+                break
+    return tuple(sorted(oriented))
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_fixed_partition_equals_the_walked_cycle(d):
+    part = build_partition(d)
+    default = sorted([(n, n + 1) for n in range(1, d)] + [(1, d)])
+    assert part.cycle == tuple(default)
+    assert part.oriented == walked_orientation(part.cycle, d)
+    assert part.rest == tuple(p for p in all_pairs(d) if p not in default)
+    assert build_partition(d) is part  # memoized
+
+
+def test_partition_needs_three_servers():
     with pytest.raises(ConfigError):
         build_partition(2)
 

@@ -1,20 +1,28 @@
 """Server answer path: malformed wire and verification payloads, repeated
-groups and rows, the first bad row deciding the error, one label table
-per answer, and the three answer kernels and their choice against a
-per-symbol loop oracle."""
+groups and rows, the first bad row deciding the error, label tables built
+once at install against a per-query oracle, and the three answer kernels
+and their choice against a per-symbol loop oracle."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from hetdapac.access import SystemParams, build_partition, message_index
+from hetdapac.access import (
+    SystemParams,
+    build_partition,
+    message_index,
+    ordered_complement,
+    vector_of_index,
+)
 from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.field import derive_rng, uniform_arrays
 from hetdapac.harness import ServerActor, random_store
-from hetdapac.randomness import RandomnessPool, allocate
+from hetdapac.randomness import RandomnessPool, allocate, canonical_pair_label
 from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import dapac, het1, het2
-from hetdapac.schemes.base import PACK_MIN_SYMBOLS, ServerContext, answer_with_labels
+from hetdapac.schemes.base import PACK_MIN_SYMBOLS, ServerContext, answer_query
 from hetdapac.wire import (
     MessageGroupDescriptor,
     QueryGroup,
@@ -26,7 +34,8 @@ from hetdapac.wire import (
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 
 
-def verified_actor(server, scheme, params, v_star, partition=None, seed=0):
+def unpooled_actor(server, params, v_star):
+    """A verified actor, before any pool is installed."""
     actor = ServerActor(server, params)
     public = list(v_star[params.d:])
     if actor.is_central:
@@ -35,8 +44,13 @@ def verified_actor(server, scheme, params, v_star, partition=None, seed=0):
         actor.handle("attribute-commit", {"value": v_star[server - 1]})
         if params.has_central:
             actor.handle("attribute-relay", {"public": public})
-    actor.install_pool(allocate(scheme, params, tuple(public), seed),
-                       random_store(params, seed), partition)
+    return actor
+
+
+def verified_actor(server, scheme, params, v_star, seed=0):
+    actor = unpooled_actor(server, params, v_star)
+    actor.install_pool(allocate(scheme, params, v_star[params.d:], seed),
+                       random_store(params, seed))
     return actor
 
 
@@ -172,25 +186,94 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_het2_central_answer_builds_its_label_table_once(monkeypatch):
+def test_het2_central_label_table_is_built_once_at_install(monkeypatch):
     params = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
     v_star = (1, 2, 2, 1)
-    partition = build_partition(3)
-    actor = verified_actor(params.central, "het2", params, v_star, partition)
-    _, queries = het2.build(v_star, params, derive_rng(0, "user", 0), partition=partition)
+    _, queries = het2.build(v_star, params, derive_rng(0, "user", 0))
+    actor = unpooled_actor(params.central, params, v_star)
     calls = counting(monkeypatch, het2, "match_set")
+    actor.install_pool(allocate("het2", params, v_star[params.d:], 0),
+                       random_store(params, 0))
+    assert len(calls) == params.k * params.d
     actor.handle("query", encode_query(queries[params.central]))
     assert len(calls) == params.k * params.d
 
 
-def test_dapac_answer_builds_its_label_table_once(monkeypatch):
+def test_dapac_label_table_is_built_once_at_install(monkeypatch):
     params = SystemParams(n_attrs=3, d=3, k=2, q=65537, length=3)
     v_star = (2, 1, 2)
-    actor = verified_actor(1, "dapac", params, v_star)
     _, queries = dapac.build(v_star, params, derive_rng(0, "user", 0))
+    actor = unpooled_actor(1, params, v_star)
     calls = counting(monkeypatch, dapac, "pair_set")
+    actor.install_pool(allocate("dapac", params, (), 0), random_store(params, 0))
+    assert len(calls) == params.k * (params.d - 1)
     actor.handle("query", encode_query(queries[1]))
     assert len(calls) == params.k * (params.d - 1)
+
+
+def test_dapac_central_server_refuses_every_query():
+    # the central server verifies the public part under dapac, installs
+    # the pool without error, and answers nothing, not even no groups
+    params = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=3)
+    v_star = (2, 1, 2, 1)
+    actor = verified_actor(params.central, "dapac", params, v_star)
+    _, queries = dapac.build(v_star, params, derive_rng(0, "user", 0))
+    real = {"server": params.central,
+            "groups": encode_query(queries[1])["groups"][:1]}
+    for payload in (real, {"server": params.central, "groups": []}):
+        with pytest.raises(ConfigError):
+            actor.handle("query", payload)
+
+
+def ids_where(params, public, fixed) -> frozenset:
+    """The messages with public part `public` and attribute n at fixed[n],
+    found by scanning every message's attribute vector."""
+    return frozenset(i for i in range(params.message_count)
+                     for v in [vector_of_index(i, params)]
+                     if v[params.d:] == public
+                     and all(v[n - 1] == x for n, x in fixed.items()))
+
+
+def per_query_table(scheme, server, params, public, own):
+    """The label table each answer built for itself before tables were
+    built at install; None where the scheme asks the server nothing."""
+    central = server == params.central
+    if scheme == "dapac" and central:
+        return None
+    table = {}
+    if scheme == "het1":
+        for n in range(1, params.d + 1):
+            for k in range(1, params.k + 1):
+                table[ids_where(params, public, {n: k})] = [("nk", n, k)]
+    elif central:
+        partition = build_partition(params.d)
+        for n in range(1, params.d + 1):
+            m0 = partition.outgoing(n)
+            for k in range(1, params.k + 1):
+                table[ids_where(params, public, {n: k})] = [
+                    canonical_pair_label(n, m0, k, k2) for k2 in range(1, params.k + 1)]
+    else:
+        for m in ordered_complement(server, params.d):
+            for k in range(1, params.k + 1):
+                key = ids_where(params, public, {server: own, m: k})
+                table[key] = [canonical_pair_label(server, m, own, k)]
+    return table
+
+
+@pytest.mark.parametrize("scheme, n_attrs, d, k", [
+    (scheme, *shape) for shape in [(3, 2, 2), (4, 3, 2), (3, 3, 2), (5, 4, 3)]
+    for scheme in ("het1", "het2", "dapac") if shape[1] >= 3 or scheme != "het2"])
+def test_install_time_tables_equal_the_per_query_oracle(scheme, n_attrs, d, k):
+    length = {"het1": d, "het2": d * (d + 1) // 2, "dapac": d * (d - 1) // 2}[scheme]
+    params = SystemParams(n_attrs=n_attrs, d=d, k=k, length=length)
+    store = random_store(params, 0)
+    for public in itertools.product(range(1, k + 1), repeat=n_attrs - d):
+        pool = allocate(scheme, params, public, 0)
+        for server in params.servers():
+            views = [None] if server == params.central else range(1, k + 1)
+            for own in views:
+                ctx = scheme_base.server_context(server, public, own, store, pool)
+                assert ctx.table == per_query_table(scheme, server, params, public, own)
 
 
 # ------------------------------------------------------- answer kernels
@@ -213,8 +296,8 @@ def kernel_case(q: int, length: int, pads: int, rows=None):
               + tuple(rng.randrange(-2 * q, 2 * q) for _ in range(rows)))[:rows]
     group = QueryGroup(MessageGroupDescriptor(
         tuple((m, rng.randint(1, 2)) for m in store)), vector)
-    ctx = ServerContext("het1", 1, params, (), 1, store, pool)
-    return ctx, QueryTuple(1, (group,)), {frozenset(store): labels}
+    table = {frozenset(store): labels}
+    return ServerContext(1, params, store, pool, table), QueryTuple(1, (group,)), table
 
 
 def pad_sum(pool, labels, q: int) -> tuple[int, ...]:
@@ -260,7 +343,7 @@ def test_packed_kernel_equals_the_loop(q, length, pads):
     _, _, segments, chunks, labels, want = loop_reference(ctx, query, table)
     assert scheme_base._packed_share(query.groups[0].vector, segments, chunks,
                                      q, length) == want
-    shares, named = answer_with_labels(ctx, query, table)
+    shares, named = answer_query(ctx, query)
     assert [s.payload for s in shares] == [want] and named == [labels]
 
 
@@ -273,7 +356,7 @@ def test_gather_and_loop_kernels_equal_the_oracle(q, pads):
         vector = query.groups[0].vector
         for kernel in (scheme_base._gather_share, scheme_base._loop_share):
             assert kernel(vector, arrays, ends, chunks, q, length) == want, (kernel, length)
-        shares, named = answer_with_labels(ctx, query, table)
+        shares, named = answer_query(ctx, query)
         assert [s.payload for s in shares] == [want] and named == [labels]
 
 
@@ -291,7 +374,7 @@ def refuse(kernel, rows, symbols):
 def test_kernel_is_chosen_by_subpacket_length(monkeypatch, length, kernel):
     ctx, query, table = kernel_case(65537, length, 1)
     monkeypatch.setattr(scheme_base, kernel, refuse(kernel, "any", length))
-    answer_with_labels(ctx, query, table)
+    answer_query(ctx, query)
 
 
 @pytest.mark.parametrize("rows, symbols, kernel", [
@@ -305,5 +388,5 @@ def test_kernel_is_chosen_by_rows_and_symbols(monkeypatch, rows, symbols, kernel
     ctx, query, table = kernel_case(65537, symbols, 1, rows)
     want = loop_reference(ctx, query, table)[-1]
     monkeypatch.setattr(scheme_base, other, refuse(other, rows, symbols))
-    shares, _ = answer_with_labels(ctx, query, table)
+    shares, _ = answer_query(ctx, query)
     assert [s.payload for s in shares] == [want]

@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from hetdapac import audit
-from hetdapac.access import SystemParams, build_partition, message_index, participating_ids
+from hetdapac.access import SystemParams, message_index, participating_ids
 from hetdapac.errors import ConfigError
 from hetdapac.field import derive_rng
 from hetdapac.harness import random_store
@@ -192,8 +192,8 @@ class TestAttributePrivacy:
 
     def test_differing_view_rows_are_distinguishable(self):
         # negative control: server 1 comparing across its own value
-        pa = audit._trace_plan("het1", P_HET1, (1, 1, 1), None)
-        pb = audit._trace_plan("het1", P_HET1, (2, 1, 1), None)
+        pa = audit._trace_plan("het1", P_HET1, (1, 1, 1))
+        pb = audit._trace_plan("het1", P_HET1, (2, 1, 1))
         tv = pair_tv(audit._observed_groups(pa, 1),
                      audit._observed_groups(pb, 1), 3)
         assert tv == 1
@@ -276,8 +276,8 @@ class TestAttributePrivacy:
         trace_plan = audit._trace_plan
         central = P_HET1.central
 
-        def leaky(scheme, params, v_star, partition):
-            plan = trace_plan(scheme, params, v_star, partition)
+        def leaky(scheme, params, v_star):
+            plan = trace_plan(scheme, params, v_star)
             if v_star[0] == 1:
                 groups = plan.groups[central]
                 groups[1] = replace(groups[1], vector=groups[0].vector)
@@ -287,7 +287,7 @@ class TestAttributePrivacy:
         rep = audit.audit_attribute_privacy("het1", P_HET1, central)
         assert rep["max_tv"] > 0 and not rep["pass"]
         assert rep["pairs"] == 12
-        observed = {v: audit._observed_groups(leaky("het1", P_HET1, v, None), central)
+        observed = {v: audit._observed_groups(leaky("het1", P_HET1, v), central)
                     for v in itertools.product((1, 2), repeat=3)}
         tvs = {(v, u): enumerating_pair_tv(observed[v], observed[u], P_HET1.q,
                                            ENUMERATION_CAP)[0]
@@ -300,10 +300,9 @@ class TestAttributePrivacy:
     @pytest.mark.parametrize("scheme,params", audit.PRIVACY_POINTS)
     def test_rank_test_matches_enumeration(self, scheme, params):
         # every pair of vectors, same view or not, at every queried server
-        partition = build_partition(params.d) if scheme == "het2" else None
         space = list(itertools.product(range(1, params.k + 1),
                                        repeat=params.n_attrs))
-        plans = {v: audit._trace_plan(scheme, params, v, partition) for v in space}
+        plans = {v: audit._trace_plan(scheme, params, v) for v in space}
         compared = 0
         for server in audit.privacy_servers(scheme, params):
             observed = {v: audit._observed_groups(plan, server)
@@ -358,7 +357,6 @@ def enumerating_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=
     its distributions must differ, or decoding would be impossible.
     """
     v_star = v_star or audit._default_vstar(params)
-    partition = build_partition(params.d) if scheme == "het2" else None
     eng = scheme_engine(scheme)
     q = params.q
     zero_pool = allocate(scheme, params, tuple(v_star[params.d:]), 0).zeros_like()
@@ -370,30 +368,32 @@ def enumerating_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=
         raise EnumerationRefusal(
             f"pool space q^{n_symbols} exceeds the cap {cap}", size)
 
-    _, queries = eng.build(v_star, params,
-                           derive_rng(seed, "audit", "secrecy"), partition)
+    _, queries = eng.build(v_star, params, derive_rng(seed, "audit", "secrecy"))
     desired = message_index(v_star, params)
     store = random_store(params, seed)
     other = random_store(params, (seed, "affine-witness"))
 
     def answers(st, pool):
-        ctxs = audit._contexts(scheme, params, v_star, st, pool, partition, queries)
-        return audit._answer_tuple(eng, ctxs, queries, pool)
+        return audit._answer_tuple(eng, audit._contexts(params, v_star, st, pool, queries),
+                                   queries)
 
-    ctxs_store = audit._contexts(scheme, params, v_star, store, zero_pool,
-                                 partition, queries)
-    ctxs_other = audit._contexts(scheme, params, v_star, other, zero_pool,
-                                 partition, queries)
-    base = audit._answer_tuple(eng, ctxs_store, queries, zero_pool)
-    other_base = audit._answer_tuple(eng, ctxs_other, queries, zero_pool)
+    def answers_at(ctxs, pool):
+        # the contexts' tables and slices, answered from another pool
+        return audit._answer_tuple(
+            eng, {server: replace(ctx, pool=pool) for server, ctx in ctxs.items()}, queries)
+
+    ctxs_store = audit._contexts(params, v_star, store, zero_pool, queries)
+    ctxs_other = audit._contexts(params, v_star, other, zero_pool, queries)
+    base = answers(store, zero_pool)
+    other_base = answers(other, zero_pool)
     table: Counter = Counter()
     for flat in itertools.product(range(q), repeat=n_symbols):
         pool = RandomnessPool(scheme, params, clen, {
             lab: flat[i * clen:(i + 1) * clen] for i, lab in enumerate(labels)})
-        ans = audit._answer_tuple(eng, ctxs_store, queries, pool)
+        ans = answers_at(ctxs_store, pool)
         pad = tuple((a - b) % q for a, b in zip(ans, base))
         check = tuple((a + b) % q for a, b in zip(pad, other_base))
-        if check != audit._answer_tuple(eng, ctxs_other, queries, pool):
+        if check != answers_at(ctxs_other, pool):
             raise ConfigError("answers do not split into store part plus pad")
         table[pad] += 1
 

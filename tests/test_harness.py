@@ -111,7 +111,7 @@ def test_dapac_runs_without_central_actor():
     assert not any(r.kind == "attribute-relay" for r in transcript.records)
 
 
-def make_verified_actor(server, scheme, params, store, v_star, seed=0, partition=None):
+def make_verified_actor(server, scheme, params, store, v_star, seed=0):
     actor = ServerActor(server, params)
     if actor.is_central:
         actor.handle("attribute-commit", {"public": list(v_star[params.d:])})
@@ -119,7 +119,7 @@ def make_verified_actor(server, scheme, params, store, v_star, seed=0, partition
         actor.handle("attribute-commit", {"value": v_star[server - 1]})
         actor.handle("attribute-relay", {"public": list(v_star[params.d:])})
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
-    actor.install_pool(pool, store, partition)
+    actor.install_pool(pool, store)
     return actor
 
 
@@ -216,6 +216,9 @@ TAMPERS = {
     "extra share": lambda reply, q: reply["shares"].append(
         dict(reply["shares"][-1], group=len(reply["shares"]))),
     "symbol out of field": lambda reply, q: reply["shares"][0]["payload"].__setitem__(0, q),
+    "negative symbol": lambda reply, q: reply["shares"][0]["payload"].__setitem__(0, -1),
+    "symbol past 32 bits": lambda reply, q: reply["shares"][0]["payload"].__setitem__(
+        0, 2 ** 32),
 }
 
 

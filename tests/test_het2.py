@@ -43,11 +43,10 @@ CENTRAL = [
 ]
 
 
-def traced_plan(params, v_star, seed=7, partition=None):
+def traced_plan(params, v_star, seed=7):
     rng = derive_rng(seed, "user", 0)
     source = TracingSource(params.q)
-    plan, queries = het2.build(v_star, params, rng, partition=partition,
-                               source=source)
+    plan, queries = het2.build(v_star, params, rng, source=source)
     return plan, queries
 
 
@@ -245,18 +244,6 @@ class TestSplitCover:
                 expected.add(("pair", n, m, values[n - 1], k))
                 expected.add(("pair", n, m, k, values[m - 1]))
         assert consumed == expected
-
-
-def test_custom_cycle_design_runs():
-    # a 1-(4, 2, 2) design other than the default consecutive cycle
-    part = build_partition(4, cycle=[(1, 3), (3, 2), (2, 4), (4, 1)])
-    params = SystemParams(n_attrs=5, d=4, k=2, q=65537, length=10)
-    v_star = (2, 1, 1, 2, 1)
-    store = random_store(params, 13)
-    msg, _, metrics = run_protocol("het2", params, v_star, store, seed=4,
-                                   partition=part)
-    assert msg == store[message_index(v_star, params)]
-    assert metrics["rate"] == pytest.approx(5 / 16)
 
 
 def test_binary_field_retries_until_coefficients_cooperate():
