@@ -26,8 +26,9 @@ one big-int multiply-add per row and one reduction mod q per symbol.
 Below that, a group of many rows and few symbols goes to the gather
 kernel, which makes one pass in C over the rows per symbol and slices
 no row; a short group goes to a per-symbol loop over sliced rows, which
-has the least fixed cost. The three kernels return the same shares, and
-`combine` picks among them for the answer path and for decode alike.
+has the least fixed cost. The three kernels return the same share, an
+`array('I')` that goes on the wire as it is, and `combine` picks among
+them for the answer path and for decode alike.
 
 Combining vectors are drawn through a VectorSource so the privacy auditor
 can swap in a tracing source and recover the exact wiring of draws and
@@ -208,7 +209,7 @@ class RetrievalPlan:
             queries[server] = QueryTuple(server=server, groups=tuple(qgroups))
         return queries
 
-    def assemble(self, decoded: dict[int, tuple[int, ...]]) -> array:
+    def assemble(self, decoded: dict[int, array]) -> array:
         """Place decoded sub-packets (by logical index) into message order,
         as an `array('I')` like the stored message."""
         L = self.params.length
@@ -219,7 +220,7 @@ class RetrievalPlan:
         out = array("I", [0]) * L
         for logical, payload in decoded.items():
             wire = perm[logical - 1]
-            out[(wire - 1) * sub_len: wire * sub_len] = array("I", payload)
+            out[(wire - 1) * sub_len: wire * sub_len] = payload
         return out
 
     def _desired_id(self) -> int:
@@ -285,7 +286,7 @@ def _gathers(rows: int, symbols: int) -> bool:
     return rows > 2 * symbols + 4
 
 
-def _loop_share(vector, arrays, ends, pads, q: int, length: int) -> tuple[int, ...]:
+def _loop_share(vector, arrays, ends, pads, q: int, length: int) -> array:
     """The share `_gather_share` computes, one row slice and one symbol at
     a time."""
     total = [0] * length
@@ -295,10 +296,10 @@ def _loop_share(vector, arrays, ends, pads, q: int, length: int) -> tuple[int, .
     for coeff, arr, end in zip(vector, arrays, ends):
         for j, s in enumerate(arr[end - length:end]):
             total[j] = (total[j] + coeff * s) % q
-    return tuple(total)
+    return array("I", total)
 
 
-def _gather_share(vector, arrays, ends, pads, q: int, length: int) -> tuple[int, ...]:
+def _gather_share(vector, arrays, ends, pads, q: int, length: int) -> array:
     """pad + sum_r vector[r] * arrays[r][ends[r] - length + j] mod q for
     each symbol j < length, where the pad is the sum of the `pads` chunks.
 
@@ -308,11 +309,12 @@ def _gather_share(vector, arrays, ends, pads, q: int, length: int) -> tuple[int,
     coeffs = [*vector, *[1] * len(pads)]
     arrays = [*arrays, *pads]
     ends = [*ends, *[length] * len(pads)]
-    return tuple([sum(map(mul, coeffs, map(getitem, arrays, map(add, ends, repeat(j - length)))))
-                  % q for j in range(length)])
+    return array("I", [sum(map(mul, coeffs,
+                               map(getitem, arrays, map(add, ends, repeat(j - length))))) % q
+                       for j in range(length)])
 
 
-def _packed_share(vector, segments, pads, q: int, length: int) -> tuple[int, ...]:
+def _packed_share(vector, segments, pads, q: int, length: int) -> array:
     """The share `_loop_share` computes, from the rows' sub-packets
     `segments`, with each symbol in its own lane of one int per row or
     pad chunk.
@@ -332,13 +334,13 @@ def _packed_share(vector, segments, pads, q: int, length: int) -> tuple[int, ...
         total += coeff % q * pack(seg)
     data = total.to_bytes(4 * w * length, "little")
     if w <= 2:
-        return tuple([x % q for x in little_endian(array("I" if w == 1 else "Q", data))])
+        return array("I", [x % q for x in little_endian(array("I" if w == 1 else "Q", data))])
     step = 4 * w
-    return tuple([int.from_bytes(data[i:i + step], "little") % q
-                  for i in range(0, len(data), step)])
+    return array("I", [int.from_bytes(data[i:i + step], "little") % q
+                       for i in range(0, len(data), step)])
 
 
-def combine(vector, arrays, ends, pads, q: int, length: int) -> tuple[int, ...]:
+def combine(vector, arrays, ends, pads, q: int, length: int) -> array:
     """pad + sum_r vector[r] * arrays[r][ends[r] - length:ends[r]] mod q,
     by the kernel the shape calls for; the pad is the sum of `pads`."""
     if length >= PACK_MIN_SYMBOLS:

@@ -14,8 +14,16 @@ The verification phase's payloads (a committed attribute value, the
 relayed public part) are checked on arrival by `decode_commit_value` and
 `decode_public`.
 
-Serialization is canonical JSON (sorted keys, no whitespace) so that
-transcript digests are stable byte-for-byte across runs.
+An answer share travels as one binary frame: its payload is `bytes`,
+the symbols' 4-byte little-endian words, and `decode_answers` turns it
+back into an `array('I')` on any host. Every other field, and every query
+and verification message, is canonical JSON (sorted keys, no whitespace).
+
+A message's transcript digest is sha256 over its canonical JSON, each
+`bytes` value written as its byte length, followed by those bytes in the
+order they were written (share order). A message without frames hashes
+its canonical JSON alone, so digests are stable byte-for-byte across runs
+and hosts.
 """
 
 from __future__ import annotations
@@ -23,10 +31,10 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .field import little_endian
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,7 @@ class QueryTuple:
 class AnswerShare:
     server: int
     group_index: int          # position in the query's group list, 0-based
-    payload: Sequence[int]    # one sub-packet of field symbols: a tuple from
-                              # the answer path, an array('I') once decoded
+    payload: array            # one sub-packet of field symbols, array('I')
 
 
 def encode_query(query: QueryTuple) -> dict:
@@ -137,21 +144,22 @@ def decode_public(obj, k: int, width: int) -> tuple[int, ...]:
 
 
 def encode_answers(shares: list[AnswerShare]) -> dict:
+    """Each share's payload as one frame: its symbols' little-endian words."""
     return {
         "server": shares[0].server if shares else None,
-        "shares": [{"group": s.group_index, "payload": list(s.payload)} for s in shares],
+        "shares": [{"group": s.group_index, "payload": little_endian(s.payload).tobytes()}
+                   for s in shares],
     }
 
 
-def _symbols(payload, server: int) -> array:
-    """An answer payload as one `array('I')`: a list of ints (a bool or a
-    float is refused, as `_integer` refuses it), each in one 32-bit word."""
-    if type(payload) is not list or not set(map(type, payload)) <= {int}:
-        raise ConfigError("expected a list of integers as an answer payload")
-    try:
-        return array("I", payload)
-    except OverflowError:
-        raise ConfigError(f"server {server} sent a symbol outside [0, 2^32)") from None
+def _symbols(frame, server: int) -> array:
+    """An answer frame as one `array('I')`: `bytes` of whole 4-byte words.
+    Any word fits a symbol's 32 bits; the range of F_q is checked by the
+    receiver, which knows q."""
+    if type(frame) is not bytes or len(frame) % 4:
+        raise ConfigError(f"server {server} sent an answer payload that is not "
+                          f"a frame of whole 4-byte words")
+    return little_endian(array("I", frame))
 
 
 def decode_answers(obj: dict) -> list[AnswerShare]:
@@ -166,9 +174,19 @@ def decode_answers(obj: dict) -> list[AnswerShare]:
         raise ConfigError(f"malformed answer payload: {err!r}") from err
 
 
-def canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+def canonical_json(obj, frames: list) -> bytes:
+    """Sorted keys, no whitespace; each `bytes` value is written as its
+    byte length and appended to `frames`, in the order it is written."""
+    def frame(value):
+        if type(value) is not bytes:
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        frames.append(value)
+        return len(value)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=frame).encode()
 
 
 def payload_digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj)).hexdigest()
+    """sha256 over the canonical JSON of `obj`, then each frame in it."""
+    frames = []
+    header = canonical_json(obj, frames)
+    return hashlib.sha256(b"".join([header, *frames])).hexdigest()

@@ -6,6 +6,7 @@ and their choice against a per-symbol loop oracle."""
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import pytest
 
@@ -55,6 +56,8 @@ def verified_actor(server, scheme, params, v_star, seed=0):
 
 
 GOOD_GROUP = {"rows": [[1, 1], [3, 1]], "vector": [1, 1]}
+# the frame of the one-symbol payload [1]
+ONE = b"\x01\x00\x00\x00"
 
 
 @pytest.mark.parametrize("payload", [
@@ -160,14 +163,21 @@ def test_well_formed_query_is_answered():
     {"shares": []},
     {"server": 1},
     {"server": None, "shares": []},
-    {"server": 1, "shares": [{"payload": [1]}]},
+    {"server": 1, "shares": [{"payload": ONE}]},
     {"server": 1, "shares": [{"group": 0}]},
-    {"server": 1, "shares": [{"group": "0", "payload": [1]}]},
+    {"server": 1, "shares": [{"group": "0", "payload": ONE}]},
     {"server": 1, "shares": [{"group": 0, "payload": [1.0]}]},
     {"server": 1, "shares": [{"group": 0, "payload": 1}]},
     {"server": 1, "shares": [{"group": 0, "payload": [1, True]}]},
     {"server": 1, "shares": [{"group": 0, "payload": [1, "2"]}]},
     "answer",
+    # a JSON int list, the answer format before frames
+    {"server": 1, "shares": [{"group": 0, "payload": [1]}]},
+    # byte counts that are not whole 4-byte words
+    {"server": 1, "shares": [{"group": 0, "payload": ONE[:3]}]},
+    {"server": 1, "shares": [{"group": 0, "payload": ONE + b"\x00"}]},
+    # a frame is bytes, not another buffer
+    {"server": 1, "shares": [{"group": 0, "payload": bytearray(ONE)}]},
 ])
 def test_malformed_answers_are_a_config_error(payload):
     with pytest.raises(ConfigError):
@@ -308,13 +318,14 @@ def pad_sum(pool, labels, q: int) -> tuple[int, ...]:
     return tuple(total)
 
 
-def loop_share(vector, segments, pad, q: int) -> tuple[int, ...]:
-    """pad + sum_r vector[r] * segments[r] mod q, one symbol at a time."""
+def loop_share(vector, segments, pad, q: int) -> array:
+    """pad + sum_r vector[r] * segments[r] mod q, one symbol at a time,
+    as the `array('I')` every kernel returns."""
     total = list(pad)
     for coeff, seg in zip(vector, segments):
         for j, s in enumerate(seg):
             total[j] = (total[j] + coeff * s) % q
-    return tuple(total)
+    return array("I", total)
 
 
 def loop_reference(ctx, query, table):
@@ -341,10 +352,11 @@ KERNEL_MODULI = [2, 3, 65537, 4294967291]
 def test_packed_kernel_equals_the_loop(q, length, pads):
     ctx, query, table = kernel_case(q, length, pads)
     _, _, segments, chunks, labels, want = loop_reference(ctx, query, table)
-    assert scheme_base._packed_share(query.groups[0].vector, segments, chunks,
-                                     q, length) == want
+    got = scheme_base._packed_share(query.groups[0].vector, segments, chunks, q, length)
+    assert type(got) is array and got.typecode == "I" and got == want
     shares, named = answer_query(ctx, query)
     assert [s.payload for s in shares] == [want] and named == [labels]
+    assert type(shares[0].payload) is array and shares[0].payload.typecode == "I"
 
 
 @pytest.mark.parametrize("q", KERNEL_MODULI)
@@ -355,7 +367,9 @@ def test_gather_and_loop_kernels_equal_the_oracle(q, pads):
         arrays, ends, _, chunks, labels, want = loop_reference(ctx, query, table)
         vector = query.groups[0].vector
         for kernel in (scheme_base._gather_share, scheme_base._loop_share):
-            assert kernel(vector, arrays, ends, chunks, q, length) == want, (kernel, length)
+            got = kernel(vector, arrays, ends, chunks, q, length)
+            assert type(got) is array and got.typecode == "I", kernel
+            assert got == want, (kernel, length)
         shares, named = answer_query(ctx, query)
         assert [s.payload for s in shares] == [want] and named == [labels]
 

@@ -208,17 +208,26 @@ def test_division_free_schemes_are_always_decodable(scheme):
         assert plan.decodable
 
 
-# ways a server can tamper with its reply, applied to the encoded answer
+def reframe(edit):
+    """A tamper that replaces the first share's frame by edit(frame, q)."""
+    def tamper(reply, q):
+        share = reply["shares"][0]
+        share["payload"] = edit(share["payload"], q)
+    return tamper
+
+
+# ways a server can tamper with its reply, applied to the encoded answer;
+# a negative symbol or one past 32 bits has no 4-byte frame to be sent in
 TAMPERS = {
     "reversed": lambda reply, q: reply["shares"].reverse(),
-    "short": lambda reply, q: reply["shares"][0]["payload"].pop(),
+    "short": reframe(lambda frame, q: frame[:-4]),
     "foreign server": lambda reply, q: reply.update(server=2),
     "extra share": lambda reply, q: reply["shares"].append(
         dict(reply["shares"][-1], group=len(reply["shares"]))),
-    "symbol out of field": lambda reply, q: reply["shares"][0]["payload"].__setitem__(0, q),
-    "negative symbol": lambda reply, q: reply["shares"][0]["payload"].__setitem__(0, -1),
-    "symbol past 32 bits": lambda reply, q: reply["shares"][0]["payload"].__setitem__(
-        0, 2 ** 32),
+    "symbol out of field": reframe(lambda frame, q: q.to_bytes(4, "little") + frame[4:]),
+    "ragged frame": reframe(lambda frame, q: frame[:-1]),
+    "int list": reframe(lambda frame, q: [int.from_bytes(frame[i:i + 4], "little")
+                                          for i in range(0, len(frame), 4)]),
 }
 
 
