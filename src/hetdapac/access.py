@@ -21,6 +21,7 @@ the schemes, lengths and mix segments of one deployment share entries,
 and so do the user's build and every server's label table. The memo pays
 only when an (N, D, K, public part) repeats: the first use of a set
 builds it, and every later use, by any scheme, length or server, reads it.
+`id_set` memoizes each set's frozenset the same way, for the label tables.
 The set helpers take the public part, not a whole v*: a server knows only
 that part and its own value, and a v* is validated once, by the build that
 indexes it.
@@ -147,6 +148,14 @@ def _participating_ids(n_attrs: int, d: int, k: int, public: tuple[int, ...],
             values = range(1, k + 1)
         ids = [i + (x - 1) * stride for i in ids for x in values]
     return tuple(ids)
+
+
+@lru_cache(maxsize=1024)
+def id_set(ids: tuple[int, ...]) -> frozenset[int]:
+    """The frozenset of an id tuple the set helpers returned, memoized
+    beside them: the label tables of every server, scheme and length on
+    one (N, D, K, public part) key their groups by the same objects."""
+    return frozenset(ids)
 
 
 def _ids(params: SystemParams, public: tuple[int, ...], fixed: dict[int, int]) -> tuple[int, ...]:

@@ -32,11 +32,12 @@ import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
+from typing import Optional
 
 from .access import SystemParams, message_index, participating_ids
 from .errors import ConfigError
 from .field import derive_rng
-from .harness import DEFAULT_RETRY_CAP, random_store, run_protocol
+from .harness import random_store, run_protocol
 from .mixer import INF, scheme_costs  # INF: dapac's expected load ratio
 from .randomness import RandomnessPool, allocate, subpacket_count
 from .schemes import engine as scheme_engine
@@ -50,7 +51,7 @@ def _default_vstar(params: SystemParams) -> tuple[int, ...]:
 # ------------------------------------------------------------- correctness
 
 def audit_correctness(scheme: str, params: SystemParams, trials: int = 50,
-                      seed0=0, retry_cap: int = DEFAULT_RETRY_CAP) -> dict:
+                      seed0=0, retry_cap: Optional[int] = None) -> dict:
     """Run every attribute vector `trials` times against fresh stores.
 
     Returns failure and retry counts; any mismatch between the decoded

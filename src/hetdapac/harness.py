@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,24 @@ from .wire import (
     payload_digest,
 )
 
-DEFAULT_RETRY_CAP = 8
+# The default retry cap is the least number of draws that all fail with
+# probability at most RETRY_FAILURE, and never below MIN_RETRY_CAP.
+MIN_RETRY_CAP = 8
+RETRY_FAILURE = 1e-9
+
+
+def default_retry_cap(params: SystemParams) -> int:
+    """Draws allowed per retrieval when no cap is given, from (q, D).
+
+    Only het2 draws undecodable plans: one is decodable when its D cycle
+    coefficients, uniform in F_q, are all nonzero, with probability
+    (1 - 1/q)^D. So the cap is the least n with (1 - (1 - 1/q)^D)^n <=
+    RETRY_FAILURE: 156 at q = 2, D = 3, where a draw is decodable one
+    time in eight. MIN_RETRY_CAP keeps large fields at 8 (the formula
+    gives 3 at q = 65537, D = 3), so no outcome there changes.
+    """
+    undecodable = -math.expm1(params.d * math.log1p(-1 / params.q))
+    return max(MIN_RETRY_CAP, math.ceil(math.log(RETRY_FAILURE) / math.log(undecodable)))
 
 
 def actor_name(server: int, params: SystemParams) -> str:
@@ -284,7 +302,7 @@ def _checked_reply(shares, query, length: int, q: int):
 
 
 def run_segments(params: SystemParams, v_star, seed, segments,
-                 retry_cap: int = DEFAULT_RETRY_CAP):
+                 retry_cap: Optional[int] = None):
     """One verification phase, then one retrieval per segment, in order.
 
     A segment is (scheme, segment params, segment store, pool): the params
@@ -293,9 +311,12 @@ def run_segments(params: SystemParams, v_star, seed, segments,
     decoded segments concatenate into the message. A lone segment is a pure
     run and stays untagged; several are tagged by scheme in the transcript,
     and each draws its queries from a user stream labeled by its scheme.
-    Returns (decoded message, transcript, metrics).
+    Each retrieval draws at most `retry_cap` plans, `default_retry_cap`
+    when None. Returns (decoded message, transcript, metrics).
     """
     v_star = check_vector(v_star, params)
+    if retry_cap is None:
+        retry_cap = default_retry_cap(params)
     schemes = [scheme for scheme, *_ in segments]
     transcript = Transcript(params)
     channel = Channel(transcript)
@@ -321,7 +342,7 @@ def run_segments(params: SystemParams, v_star, seed, segments,
 
 
 def run_protocol(scheme: str, params: SystemParams, v_star, store, seed,
-                 retry_cap: int = DEFAULT_RETRY_CAP):
+                 retry_cap: Optional[int] = None):
     """Full two-phase run of one scheme. Returns (decoded message,
     transcript, metrics)."""
     v_star = check_vector(v_star, params)

@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .access import SystemParams, check_vector
 from .errors import ConfigError, DivisibilityError
-from .harness import DEFAULT_RETRY_CAP, INF, run_segments, store_segment
+from .harness import INF, run_segments, store_segment
 from .randomness import allocate, subpacket_count
 
 
@@ -206,7 +206,7 @@ def plan_mix(params: SystemParams, lam) -> MixPlan:
 
 
 def run_time_shared(mix: MixPlan, v_star, store, seed,
-                    retry_cap: int = DEFAULT_RETRY_CAP):
+                    retry_cap: Optional[int] = None):
     """Execute the mix: dapac on the first lambda*L symbols, het1 on the rest.
 
     Each component is one segment with its own symbol range, randomness

@@ -2,9 +2,16 @@
 
 Query construction is user-side and touches only (v*, params, randomness):
 fresh sub-packet bookkeeping, private permutations, and combining-vector
-sampling. Answer computation is server-side and touches only the server's
-context: its accessible store slice, its pool and its label table, all
-fixed by its verified view (public part, plus its own value on a dedicated
+sampling. All of a plan's randomness comes from one `field.WordStream` on
+the plan's private user stream (`user_draws`), in the order the per-call
+draws took: one permutation per participating message, then the vectors
+in the order the builder asks for them. The stream reads ahead, which is
+safe because it is thrown away with the plan. A `FreshIndexCounter` hands
+out a whole group's rows per call.
+
+Answer computation is server-side and touches only the server's context:
+its accessible store slice, its pool and its label table, all fixed by
+its verified view (public part, plus its own value on a dedicated
 server) when the pool is installed. Each engine's `label_table` builds the
 table once there; `answer_query`, which every engine re-exports, reads it.
 The share for a group is the vector-weighted sum of the named sub-packets
@@ -39,14 +46,16 @@ manipulate vectors only through the source they were given.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import chain, repeat
-from operator import add, getitem, mul
+from operator import add, getitem, length_hint, mul
 from typing import Optional
 
 from ..access import SystemParams, match_set, participating_ids
 from ..errors import AccessRefusal, ConfigError
-from ..field import little_endian, sample_uniform_vector, unit_vector
+from ..field import WordStream, little_endian
 from ..randomness import RandomnessPool
 from ..wire import AnswerShare, MessageGroupDescriptor, QueryGroup, QueryTuple
 
@@ -72,17 +81,21 @@ class SymVector:
 
 
 class VectorSource:
-    """Concrete combining-vector sampler over F_q."""
+    """Concrete combining vectors over F_q, read from the user's stream."""
 
-    def __init__(self, q: int, rng):
+    def __init__(self, q: int, stream: Optional[WordStream]):
         self.q = q
-        self.rng = rng
+        self.stream = stream
 
     def fresh(self, dim: int):
-        return sample_uniform_vector(dim, self.rng, self.q)
+        return tuple(self.stream.take(dim))
 
     def add_unit(self, vec, l: int):
-        return tuple((a + b) % self.q for a, b in zip(vec, unit_vector(l, len(vec))))
+        if not 1 <= l <= len(vec):
+            raise ValueError(f"unit position {l} out of range [1, {len(vec)}]")
+        lifted = list(vec)
+        lifted[l - 1] = (lifted[l - 1] + 1) % self.q
+        return tuple(lifted)
 
     def concat(self, vecs):
         out = []
@@ -100,7 +113,7 @@ class TracingSource(VectorSource):
     """Symbolic sampler: records draw identities and offsets for the auditor."""
 
     def __init__(self, q: int):
-        super().__init__(q, rng=None)
+        super().__init__(q, stream=None)
         self._next = 0
 
     def fresh(self, dim: int) -> SymVector:
@@ -140,25 +153,36 @@ class FreshIndexCounter:
 
     def __init__(self, subpackets: int):
         self.subpackets = subpackets
-        self._used: dict[int, int] = {}
+        # one iterator over 1..subpackets per message, made on first demand
+        self._next = defaultdict(partial(iter, range(1, subpackets + 1)))
 
-    def next(self, msg: int) -> int:
-        used = self._used.get(msg, 0)
-        if used >= self.subpackets:
-            raise ConfigError(
-                f"message {msg} exhausted its {self.subpackets} sub-packets")
-        self._used[msg] = used + 1
-        return used + 1
+    def rows(self, members) -> list[tuple[int, int]]:
+        """One (message, fresh index) row per member, in member order."""
+        its = self._next
+        try:
+            return [(m, next(its[m])) for m in members]
+        except StopIteration:
+            # each member before the one that ran out took an index, so the
+            # last member left with none had none before this call either
+            spent = [m for m in members if not length_hint(its[m])]
+            raise ConfigError(f"message {spent[-1]} exhausted its "
+                              f"{self.subpackets} sub-packets") from None
 
 
-def draw_permutations(messages, subpackets: int, rng) -> dict[int, tuple[int, ...]]:
-    """One private uniform permutation of [subpackets] per message."""
-    perms = {}
-    for msg in messages:
-        order = list(range(1, subpackets + 1))
-        rng.shuffle(order)
-        perms[msg] = tuple(order)
-    return perms
+def user_draws(rng, params: SystemParams, public, subpackets: int, source=None):
+    """The user's draws for one plan, all from the private stream `rng`.
+
+    First one uniform permutation of [subpackets] per participating
+    message, then the combining vectors, which `source` reads from the
+    same stream unless another source (a TracingSource) is given. Every
+    fresh vector coordinate belongs to a distinct (message, sub-packet)
+    pair, so the plan asks for at most count * subpackets symbols, and
+    the stream's first batch is sized for that. Returns (perms, source).
+    """
+    ids = participating_ids(params, public)
+    stream = WordStream(rng, params.q, len(ids) * subpackets, len(ids), subpackets)
+    perms = dict(zip(ids, stream.permutations(len(ids), subpackets)))
+    return perms, source or VectorSource(params.q, stream)
 
 
 @dataclass
@@ -199,12 +223,12 @@ class RetrievalPlan:
 
     def wire_queries(self) -> dict[int, QueryTuple]:
         """Project the plan onto the wire: permute indices, keep vectors."""
+        perms = self.perms
         queries = {}
         for server, groups in self.groups.items():
             qgroups = []
             for g in groups:
-                rows = tuple((msg, self.perms[msg][logical - 1])
-                             for msg, logical in g.rows)
+                rows = tuple([(msg, perms[msg][logical - 1]) for msg, logical in g.rows])
                 qgroups.append(QueryGroup(MessageGroupDescriptor(rows), g.vector))
             queries[server] = QueryTuple(server=server, groups=tuple(qgroups))
         return queries

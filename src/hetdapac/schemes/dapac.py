@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from ..access import (
     all_pairs,
+    id_set,
     message_index,
     ordered_complement,
     pair_set,
-    participating_ids,
     public_part,
 )
 from ..errors import ConfigError
@@ -43,10 +43,9 @@ from .base import (
     FreshIndexCounter,
     PlanGroup,
     RetrievalPlan,
-    VectorSource,
     answer_query,  # every engine's answer path: it reads ctx.table
     decode,  # every engine's decode: it evaluates plan.decoding
-    draw_permutations,
+    user_draws,
 )
 
 SCHEME = "dapac"
@@ -104,8 +103,13 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
                 else:
                     # only the owner twin (m > n, k the far verified value)
                     # holds the desired message
-                    rows = [(msg, first[(n, m)] if msg == desired else counter.next(msg))
-                            for msg in pair_set(n, m, values[n - 1], k, public, params)]
+                    members = pair_set(n, m, values[n - 1], k, public, params)
+                    if desired in members:
+                        at = members.index(desired)
+                        rows = counter.rows(members[:at] + members[at + 1:])
+                        rows.insert(at, (desired, first[(n, m)]))
+                    else:
+                        rows = counter.rows(members)
                     vec = source.fresh(len(rows))
                 index[(n, m, k)] = len(groups[n])
                 groups[n].append(PlanGroup(("u", n, m, k), rows, vec))
@@ -126,10 +130,7 @@ def build(v_star, params, rng, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
     chunk_length(SCHEME, params)
     sub = subpacket_count(SCHEME, params)
-    source = source or VectorSource(params.q, rng)
-
-    perms = draw_permutations(participating_ids(params, public_part(v_star, params)),
-                              sub, rng)
+    perms, source = user_draws(rng, params, public_part(v_star, params), sub, source)
     groups, _, _, decoding = dedicated_groups(v_star, params, source, FreshIndexCounter(sub))
 
     plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding)
@@ -144,7 +145,7 @@ def label_table(server, params, public, own_value):
     table = {}
     for m in ordered_complement(server, params.d):
         for k in range(1, params.k + 1):
-            key = frozenset(pair_set(server, m, own_value, k, public, params))
+            key = id_set(pair_set(server, m, own_value, k, public, params))
             if key in table:
                 raise ConfigError("ambiguous pair sets")
             table[key] = [canonical_pair_label(server, m, own_value, k)]

@@ -16,17 +16,16 @@ of shared randomness (one chunk per group, all consumed).
 
 from __future__ import annotations
 
-from ..access import match_set, message_index, participating_ids, public_part
+from ..access import id_set, match_set, message_index, public_part
 from ..errors import ConfigError
 from ..randomness import chunk_length, subpacket_count
 from .base import (
     FreshIndexCounter,
     PlanGroup,
     RetrievalPlan,
-    VectorSource,
     answer_query,  # every engine's answer path: it reads ctx.table
     decode,  # every engine's decode: it evaluates plan.decoding
-    draw_permutations,
+    user_draws,
 )
 
 SCHEME = "het1"
@@ -39,9 +38,8 @@ def build(v_star, params, rng, source=None):
     desired = message_index(v_star, params)
     values = tuple(v_star[:params.d])
     public = public_part(v_star, params)
-    source = source or VectorSource(params.q, rng)
 
-    perms = draw_permutations(participating_ids(params, public), sub, rng)
+    perms, source = user_draws(rng, params, public, sub, source)
     counter = FreshIndexCounter(sub)
 
     central_groups: list[PlanGroup] = []
@@ -49,8 +47,7 @@ def build(v_star, params, rng, source=None):
     for n in range(1, params.d + 1):
         for k in range(1, params.k + 1):
             members = match_set(n, k, public, params)
-            rows = [(m, counter.next(m)) for m in members]
-            g = PlanGroup(("nk", n, k), rows, source.fresh(len(members)))
+            g = PlanGroup(("nk", n, k), counter.rows(members), source.fresh(len(members)))
             by_nk[(n, k)] = (len(central_groups), g)
             central_groups.append(g)
 
@@ -61,7 +58,7 @@ def build(v_star, params, rng, source=None):
         l = base.row_of(desired)
         lifted = PlanGroup(base.label, list(base.rows), source.add_unit(base.vector, l))
         groups[n] = [lifted]
-        decoding[base.logical_of(desired)] = ((n, 0, 1), (params.central, central_index, -1))
+        decoding[base.rows[l - 1][1]] = ((n, 0, 1), (params.central, central_index, -1))
 
     plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding)
     return plan, plan.wire_queries()
@@ -73,7 +70,7 @@ def label_table(server, params, public, own_value) -> dict[frozenset, list]:
     table = {}
     for n in range(1, params.d + 1):
         for k in range(1, params.k + 1):
-            key = frozenset(match_set(n, k, public, params))
+            key = id_set(match_set(n, k, public, params))
             if key in table:
                 raise ConfigError("ambiguous candidate sets")
             table[key] = [("nk", n, k)]

@@ -46,10 +46,10 @@ from __future__ import annotations
 
 from ..access import (
     build_partition,
+    id_set,
     match_set,
     message_index,
     pair_set,
-    participating_ids,
     public_part,
 )
 from ..randomness import canonical_pair_label, chunk_length, subpacket_count
@@ -58,10 +58,9 @@ from .base import (
     FreshIndexCounter,
     PlanGroup,
     RetrievalPlan,
-    VectorSource,
     answer_query,  # every engine's answer path: it reads ctx.table
     decode,  # every engine's decode: it evaluates plan.decoding
-    draw_permutations,
+    user_draws,
 )
 
 SCHEME = "het2"
@@ -76,9 +75,8 @@ def build(v_star, params, rng, source=None):
     values = tuple(v_star[:d])
     public = public_part(v_star, params)
     partition = build_partition(d)
-    source = source or VectorSource(params.q, rng)
 
-    perms = draw_permutations(participating_ids(params, public), sub, rng)
+    perms, source = user_draws(rng, params, public, sub, source)
     counter = FreshIndexCounter(sub)
     groups, index, twins, decoding = dapac.dedicated_groups(
         v_star, params, source, counter, cycle=partition.cycle)
@@ -110,8 +108,7 @@ def build(v_star, params, rng, source=None):
             else:
                 rows = []
                 for k2 in range(1, params.k + 1):
-                    for msg in pair_set(n, m0, k, k2, public, params):
-                        rows.append((msg, counter.next(msg)))
+                    rows += counter.rows(pair_set(n, m0, k, k2, public, params))
                 cg = PlanGroup(("central", n, k), rows, source.fresh(len(rows)))
             groups[central].append(cg)
 
@@ -145,7 +142,7 @@ def label_table(server, params, public, own_value) -> dict[frozenset, list]:
     for n in range(1, params.d + 1):
         m0 = partition.outgoing(n)
         for k in range(1, params.k + 1):
-            key = frozenset(match_set(n, k, public, params))
+            key = id_set(match_set(n, k, public, params))
             table[key] = [canonical_pair_label(n, m0, k, k2)
                           for k2 in range(1, params.k + 1)]
     return table

@@ -72,13 +72,12 @@ class AnswerShare:
 
 
 def encode_query(query: QueryTuple) -> dict:
+    """The query as a JSON-ready dict. Rows and vectors stay the tuples
+    they are: JSON writes a tuple as an array, so the canonical bytes
+    are those of the list form, and `decode_query` takes either."""
     return {
         "server": query.server,
-        "groups": [
-            {"rows": list(map(list, g.descriptor.rows)),
-             "vector": list(g.vector)}
-            for g in query.groups
-        ],
+        "groups": [{"rows": g.descriptor.rows, "vector": g.vector} for g in query.groups],
     }
 
 

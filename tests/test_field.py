@@ -11,17 +11,18 @@ from array import array
 
 import pytest
 
-from hetdapac.access import SystemParams
+from hetdapac.access import SystemParams, match_set, message_index, participating_ids
 from hetdapac.field import (
     BATCH_WORDS,
+    WordStream,
     derive_rng,
     is_prime,
-    sample_uniform_vector,
     uniform_arrays,
     unit_vector,
 )
 from hetdapac.harness import random_store
 from hetdapac.randomness import allocate, chunk_length, pool_labels
+from hetdapac.schemes import engine
 from hetdapac.schemes.base import VectorSource, combine
 
 # smallest primes, a Fermat prime with about half its candidates rejected,
@@ -46,7 +47,7 @@ def test_nonprime_modulus_rejected(bad):
 
 
 def inverse(q: int, a: int):
-    return VectorSource(q, rng=None).inverse((a,), 1)
+    return VectorSource(q, stream=None).inverse((a,), 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -112,8 +113,8 @@ def test_interference_cancellation_identity():
     rng = derive_rng(2024, "field-test")
     for _ in range(200):
         n = rng.randrange(1, 9)
-        h = sample_uniform_vector(n, rng, q)
-        w = sample_uniform_vector(n, rng, q)
+        h = tuple(rng.randrange(q) for _ in range(n))
+        w = tuple(rng.randrange(q) for _ in range(n))
         l = rng.randrange(1, n + 1)
         lifted = tuple((a + b) % q for a, b in zip(h, unit_vector(l, n)))
         assert (dot(lifted, w) - dot(h, w)) % q == w[l - 1]
@@ -124,8 +125,8 @@ def test_sampler_frequencies_three_sigma():
     q, n = 5, 100_000
     rng = derive_rng(7, "sampler-freq")
     counts = [0] * q
-    for _ in range(n):
-        counts[sample_uniform_vector(1, rng, q)[0]] += 1
+    for x in WordStream(rng, q, n).take(n):
+        counts[x] += 1
     expected = n / q
     sigma = (n * (1 / q) * (1 - 1 / q)) ** 0.5
     for c in counts:
@@ -214,3 +215,110 @@ def test_allocate_is_the_randrange_stream(scheme, params):
             for label in pool_labels(scheme, params)}
     pool = allocate(scheme, params, public, 9)
     assert {label: tuple(c) for label, c in pool.chunks.items()} == want
+
+
+# The user's stream serves every participating message's permutation, then
+# the combining vectors. WordStream must hand out exactly what per-call
+# `random.shuffle` followed by `randrange(q)` would, on the same stream.
+
+STREAM_MODULI = (2, 3, 5, 65537, 2 ** 31 - 1, 2 ** 32 - 5)
+# size 1 draws nothing; 2^m + 1 sizes reject the most candidates
+STREAM_SIZES = (1, 2, 3, 5, 6, 15, 21)
+
+
+def per_call(rng, count, size, dims):
+    perms = []
+    for _ in range(count):
+        order = list(range(1, size + 1))
+        rng.shuffle(order)
+        perms.append(tuple(order))
+    return perms, [[rng.randrange(rng.q) for _ in range(d)] for d in dims]
+
+
+def seeded(q, *labels):
+    rng = random.Random(repr((q,) + labels))
+    rng.q = q
+    return rng
+
+
+@pytest.mark.parametrize("q", STREAM_MODULI)
+@pytest.mark.parametrize("size", STREAM_SIZES)
+@pytest.mark.parametrize("announced", [True, False])
+def test_word_stream_is_shuffle_then_randrange(q, size, announced):
+    # announced: the first batch is sized for the whole demand; otherwise
+    # it is the bare margin of 8 words, less than one size-21 permutation
+    # takes, and batches refill mid-permutation and mid-vector
+    count, dims = 40, (1, 7, 0, 3, 130, 2)
+    stream = WordStream(seeded(q, size), q, sum(dims) if announced else 0,
+                        count if announced else 0, size)
+    perms = stream.permutations(count, size)
+    vectors = [list(stream.take(d)) for d in dims]
+    assert (perms, vectors) == per_call(seeded(q, size), count, size, dims)
+
+
+@pytest.mark.parametrize("size", [7, 255, 256, 300])
+def test_word_stream_sizes_around_the_byte_lane_limit(size):
+    # up to 255 the swaps run on byte lanes of all permutations at once;
+    # from 256 on, one permutation at a time
+    stream = WordStream(seeded(5, "lanes", size), 5, 9, 4, size)
+    perms = stream.permutations(4, size)
+    assert (perms, [list(stream.take(9))]) == per_call(seeded(5, "lanes", size), 4, size, (9,))
+
+
+def test_word_stream_serves_permutations_first():
+    stream = WordStream(random.Random(1), 5, 4, 2, 3)
+    stream.take(1)
+    with pytest.raises(ValueError):
+        stream.permutations(2, 3)
+
+
+@pytest.mark.parametrize("scheme, params, v_star", [
+    ("het1", SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2), (1, 2, 2)),
+    ("het2", SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6), (1, 2, 2, 1)),
+    ("dapac", SystemParams(n_attrs=3, d=3, k=2, q=65537, length=3), (2, 1, 2)),
+])
+def test_small_plans_read_one_batch_sized_to_the_plan(scheme, params, v_star):
+    # deterministic counts, not times: one getrandbits call per build, of
+    # e = the expected words of count permutations of [S] plus those of
+    # count * S symbols (about 2 per symbol at q = 65537), plus 3 sqrt(e) + 8;
+    # het1 has 4 messages and S = 2, het2 8 and 6, dapac 8 and 3
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            reads.append(k // 32)
+            return super().getrandbits(k)
+
+    want = {"het1": [46], "het2": [208], "dapac": [108]}[scheme]
+    for seed in range(5):
+        reads = []
+        engine(scheme).build(v_star, params, Counting(seed))
+        assert reads == want
+
+
+def test_wide_het1_plan_is_the_per_call_plan():
+    # the benchmark's `wide` shape: 4096 participating messages
+    params = SystemParams(n_attrs=7, d=6, k=4, q=65537, length=6)
+    v_star, public = (2, 4, 1, 3, 3, 1, 2), (2,)
+    plan, _ = engine("het1").build(v_star, params, derive_rng(1, "user", 0))
+
+    rng = derive_rng(1, "user", 0)
+    rng.q = params.q
+    ids = participating_ids(params, public)
+    perms = dict(zip(ids, per_call(rng, len(ids), 6, ())[0]))
+    used = {}
+    central = []
+    for n in range(1, 7):
+        for k in range(1, 5):
+            rows = []
+            for msg in match_set(n, k, public, params):
+                used[msg] = used.get(msg, 0) + 1
+                rows.append((msg, used[msg]))
+            central.append((rows, tuple(rng.randrange(params.q) for _ in rows)))
+
+    assert plan.perms == perms
+    assert [(g.rows, g.vector) for g in plan.groups[params.central]] == central
+    for n in range(1, 7):
+        (lifted,) = plan.groups[n]
+        rows, vector = central[(n - 1) * 4 + v_star[n - 1] - 1]
+        assert lifted.rows == rows
+        lift = [(a - b) % params.q for a, b in zip(lifted.vector, vector)]
+        assert lift == list(unit_vector(lifted.row_of(message_index(v_star, params)), len(rows)))

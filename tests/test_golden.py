@@ -156,3 +156,27 @@ def test_answer_frame_bytes_are_little_endian():
     assert payload_digest(reply) == (
         "f011fe7fab2c0dcab6a2ee8177bf6950b36cbcb460b00194470ac999b0b0a588")
     assert decode_answers(reply) == [share]
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_query_payloads_digest_as_their_list_form(kind, monkeypatch):
+    # encode_query passes rows and vectors through as tuples; JSON writes
+    # them as arrays, so each digest is that of the list-of-lists payload
+    queries = []
+    handle = ServerActor.handle
+
+    def recording(self, kind, payload):
+        if kind == "query":
+            queries.append(payload)
+        return handle(self, kind, payload)
+
+    monkeypatch.setattr(ServerActor, "handle", recording)
+    transcript, _ = run_case(kind)
+    listed = [{"server": p["server"],
+               "groups": [{"rows": [list(row) for row in g["rows"]], "vector": list(g["vector"])}
+                          for g in p["groups"]]}
+              for p in queries]
+    sent = [r.digest for r in transcript.records if r.kind == "query"]
+    assert sent == list(map(payload_digest, queries)) == list(map(payload_digest, listed))
+    assert all(type(g["rows"]) is tuple and type(g["vector"]) is tuple
+               for p in queries for g in p["groups"])

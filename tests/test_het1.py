@@ -13,11 +13,12 @@ import itertools
 import pytest
 
 from hetdapac.access import SystemParams, accessible_messages, message_index
-from hetdapac.errors import DivisibilityError
+from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.field import derive_rng
 from hetdapac.harness import random_store, run_protocol
+from hetdapac.randomness import allocate
 from hetdapac.schemes import het1
-from hetdapac.schemes.base import TracingSource
+from hetdapac.schemes.base import FreshIndexCounter, TracingSource, server_context
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=3)
@@ -172,3 +173,26 @@ def test_length_must_split_into_d_subpackets():
     with pytest.raises(DivisibilityError) as exc:
         het1.build((1, 1, 1), params, rng)
     assert exc.value.minimal_length == 2
+
+
+def test_counter_refuses_an_exhausted_message():
+    counter = FreshIndexCounter(2)
+    assert counter.rows((4, 9)) == [(4, 1), (9, 1)]
+    assert counter.rows((9,)) == [(9, 2)]
+    with pytest.raises(ConfigError, match="message 9 exhausted its 2 sub-packets"):
+        counter.rows((4, 9))
+
+
+def test_servers_share_one_frozenset_per_candidate_set():
+    # every server's label table is the same K*D match sets: one object each
+    params = SystemParams(n_attrs=5, d=3, k=3, q=65537, length=3)
+    v_star = (1, 3, 2, 2, 1)
+    public = v_star[params.d:]
+    pool = allocate("het1", params, public, 0)
+    store = random_store(params, 0)
+    keys = [list(server_context(n, public, None if n == params.central else v_star[n - 1],
+                                store, pool).table)
+            for n in params.servers()]
+    assert all(len(k) == params.k * params.d for k in keys)
+    for other in keys[1:]:
+        assert all(a is b for a, b in zip(keys[0], other))

@@ -342,3 +342,35 @@ def test_cap_exhausted_before_any_query_is_sent(monkeypatch):
             failed += 1
             assert "query" not in kinds
     assert failed > 0
+
+
+@pytest.mark.parametrize("q, d, cap", [
+    (2, 3, 156), (3, 3, 59), (5, 3, 29), (2, 6, 1316),
+    # large fields keep the floor of 8, so no outcome there changes
+    (65537, 3, 8), (65537, 6, 8), (4294967291, 3, 8),
+])
+def test_default_retry_cap_is_derived_from_q_and_d(q, d, cap):
+    params = SystemParams(n_attrs=d + 1, d=d, k=2, q=q)
+    assert harness.default_retry_cap(params) == cap
+    undecodable = 1 - (1 - 1 / q) ** d
+    if cap > harness.MIN_RETRY_CAP:
+        assert undecodable ** cap <= harness.RETRY_FAILURE < undecodable ** (cap - 1)
+
+
+def test_default_cap_turns_binary_field_failures_into_retrievals():
+    # at q = 2, D = 3 a draw is decodable one time in eight, so a cap of 8
+    # failed these seeds; the derived cap (156) retrieves every one, after
+    # the pinned number of local redraws
+    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
+    v_star = (1, 1, 1, 1)
+    store = random_store(params, 5)
+    rescued = {2: 15, 4: 16, 5: 8, 6: 32, 9: 13, 10: 12, 13: 19, 19: 13, 21: 13, 22: 14}
+    for seed in range(24):
+        msg, _, metrics = run_protocol("het2", params, v_star, store, seed=seed)
+        assert msg == store[message_index(v_star, params)]
+        if seed in rescued:
+            with pytest.raises(RetrievalFailure):
+                run_protocol("het2", params, v_star, store, seed=seed, retry_cap=8)
+            assert metrics["retries"] == rescued[seed]
+        else:
+            assert metrics["retries"] < 8
