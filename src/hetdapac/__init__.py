@@ -11,7 +11,6 @@ from .errors import (
     AccessRefusal,
     ConfigError,
     DivisibilityError,
-    RetrievalFailure,
 )
 from .field import derive_rng, unit_vector
 from .harness import Transcript, metrics_of, random_store, run_protocol
@@ -34,7 +33,6 @@ __all__ = [
     "MixPlan",
     "PairPartition",
     "RandomnessPool",
-    "RetrievalFailure",
     "SystemParams",
     "Transcript",
     "accessible_messages",

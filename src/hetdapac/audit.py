@@ -32,7 +32,6 @@ import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
 
 from .access import SystemParams, message_index, participating_ids
 from .errors import ConfigError
@@ -51,7 +50,7 @@ def _default_vstar(params: SystemParams) -> tuple[int, ...]:
 # ------------------------------------------------------------- correctness
 
 def audit_correctness(scheme: str, params: SystemParams, trials: int = 50,
-                      seed0=0, retry_cap: Optional[int] = None) -> dict:
+                      seed0=0) -> dict:
     """Run every attribute vector `trials` times against fresh stores.
 
     Returns failure and retry counts; any mismatch between the decoded
@@ -63,8 +62,7 @@ def audit_correctness(scheme: str, params: SystemParams, trials: int = 50,
         for t in range(trials):
             seed = (seed0, scheme, v_star, t)
             store = random_store(params, seed)
-            msg, transcript, _ = run_protocol(scheme, params, v_star, store,
-                                              seed, retry_cap=retry_cap)
+            msg, transcript, _ = run_protocol(scheme, params, v_star, store, seed)
             runs += 1
             retries += transcript.retries
             attempts += transcript.attempts

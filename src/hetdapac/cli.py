@@ -12,8 +12,7 @@ Three subcommands:
 Configuration comes from ``--config`` (a JSON object) with flags taking
 precedence. Every output embeds the effective config, so a run is
 reproducible from the output alone. Exit codes: 0 all checks passed,
-1 a check failed, 2 invalid configuration, 4 no decodable plan within
-the retry cap.
+1 a check failed, 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from fractions import Fraction
 
 from .access import SystemParams, message_index
 from .audit import SUITES, _point_checks, _suite, audit_correctness, audit_counts, run_suites
-from .errors import ConfigError, RetrievalFailure
+from .errors import ConfigError
 from .harness import random_store, run_protocol
 from .mixer import INF, frontier_rate, plan_mix, rate_of_load, run_time_shared, scheme_costs
 from .randomness import subpacket_count
@@ -36,7 +35,6 @@ from .randomness import subpacket_count
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
-EXIT_DECODE = 4
 
 SCHEMES = ("dapac", "het1", "het2", "mix")
 
@@ -376,9 +374,6 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.handler(cfg)
-    except RetrievalFailure as err:
-        print(f"decode failure: {err}", file=sys.stderr)
-        return EXIT_DECODE
     except ConfigError as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,11 +23,3 @@ class DivisibilityError(ConfigError):
 
 class AccessRefusal(Exception):
     """A query referenced a message outside the server's accessible set."""
-
-
-class RetrievalFailure(Exception):
-    """No decodable plan in `attempts` draws (the retry cap); none was sent."""
-
-    def __init__(self, message: str, attempts: int):
-        super().__init__(message)
-        self.attempts = attempts

@@ -17,8 +17,8 @@ A batch is one big int of 32-bit lanes, and no Python loop visits a word
 (moduli above 2^31 aside, see `WordStream.take`): permutation draws come
 from one regular-expression pass over the words' top bits, symbols from
 shifting, rejection-testing and compacting whole lanes. Reading ahead is safe because every stream is private to one
-store, pool or plan draw (a plan's is `derive_rng(seed, "user", ...,
-attempt)`) and is thrown away after it: words read and not served are
+store, pool or plan (a plan's is `derive_rng(seed, "user", ..., 0)`)
+and is thrown away after it: words read and not served are
 never used anywhere.
 
 Index convention: unit vectors and row positions are 1-based, matching

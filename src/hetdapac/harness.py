@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .access import SystemParams, check_vector
-from .errors import ConfigError, RetrievalFailure
+from .errors import ConfigError
 from .field import derive_rng, uniform_arrays
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
@@ -45,26 +44,6 @@ from .wire import (
     encode_query,
     payload_digest,
 )
-
-# The default retry cap is the least number of draws that all fail with
-# probability at most RETRY_FAILURE, and never below MIN_RETRY_CAP.
-MIN_RETRY_CAP = 8
-RETRY_FAILURE = 1e-9
-
-
-def default_retry_cap(params: SystemParams) -> int:
-    """Draws allowed per retrieval when no cap is given, from (q, D).
-
-    Only het2 draws undecodable plans: one is decodable when its D cycle
-    coefficients, uniform in F_q, are all nonzero, with probability
-    (1 - 1/q)^D. So the cap is the least n with (1 - (1 - 1/q)^D)^n <=
-    RETRY_FAILURE: 156 at q = 2, D = 3, where a draw is decodable one
-    time in eight. MIN_RETRY_CAP keeps large fields at 8 (the formula
-    gives 3 at q = 65537, D = 3), so no outcome there changes.
-    """
-    undecodable = -math.expm1(params.d * math.log1p(-1 / params.q))
-    return max(MIN_RETRY_CAP, math.ceil(math.log(RETRY_FAILURE) / math.log(undecodable)))
-
 
 def actor_name(server: int, params: SystemParams) -> str:
     return "central" if server == params.central else f"server{server}"
@@ -98,7 +77,7 @@ class Transcript:
     def __init__(self, params: SystemParams):
         self.params = params
         self.records: list[Record] = []
-        self.retries = 0   # plans redrawn on the client, never sent
+        self.retries = 0   # zero cycle coefficients redrawn on the client
         self.attempts = 0  # rounds sent: one per retrieval segment
         self.pool_allocated_chunks = 0
         self.pool_allocated_symbols = 0
@@ -256,21 +235,13 @@ def verification_phase(channel: Channel, v_star, params: SystemParams):
 
 
 def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
-                    seed, retry_cap: int, transcript: Transcript,
-                    segment=None, rng_labels=()):
-    """Draw plans from derive_rng(seed, "user", *rng_labels, attempt) until
-    one is decodable, send it once and decode its answers. Earlier draws stay
-    local; if none of `retry_cap` draws is, RetrievalFailure is raised unsent."""
+                    seed, transcript: Transcript, segment=None, rng_labels=()):
+    """Build one plan on derive_rng(seed, "user", *rng_labels, 0), send it
+    and decode its answers. Every plan decodes: het2 draws the coordinates
+    it divides by nonzero (see schemes.base.VectorSource)."""
     eng = scheme_engine(scheme)
-    for attempt in range(retry_cap):
-        rng = derive_rng(seed, "user", *rng_labels, attempt)
-        plan, queries = eng.build(v_star, params, rng)
-        if plan.decodable:
-            break
-        transcript.retries += 1
-    else:
-        raise RetrievalFailure(f"no decodable plan within {retry_cap} draws",
-                               attempts=retry_cap)
+    plan, queries = eng.build(v_star, params, derive_rng(seed, "user", *rng_labels, 0))
+    transcript.retries += plan.redraws
     transcript.attempts += 1
     answers = {}
     for n in sorted(queries):
@@ -301,8 +272,7 @@ def _checked_reply(shares, query, length: int, q: int):
     return shares
 
 
-def run_segments(params: SystemParams, v_star, seed, segments,
-                 retry_cap: Optional[int] = None):
+def run_segments(params: SystemParams, v_star, seed, segments):
     """One verification phase, then one retrieval per segment, in order.
 
     A segment is (scheme, segment params, segment store, pool): the params
@@ -311,12 +281,9 @@ def run_segments(params: SystemParams, v_star, seed, segments,
     decoded segments concatenate into the message. A lone segment is a pure
     run and stays untagged; several are tagged by scheme in the transcript,
     and each draws its queries from a user stream labeled by its scheme.
-    Each retrieval draws at most `retry_cap` plans, `default_retry_cap`
-    when None. Returns (decoded message, transcript, metrics).
+    Returns (decoded message, transcript, metrics).
     """
     v_star = check_vector(v_star, params)
-    if retry_cap is None:
-        retry_cap = default_retry_cap(params)
     schemes = [scheme for scheme, *_ in segments]
     transcript = Transcript(params)
     channel = Channel(transcript)
@@ -336,18 +303,17 @@ def run_segments(params: SystemParams, v_star, seed, segments,
         for actor in channel.actors.values():
             actor.install_pool(pool, seg_store)
         message += retrieval_phase(channel, scheme, seg_params, v_star, seed,
-                                   retry_cap, transcript, segment=tag,
+                                   transcript, segment=tag,
                                    rng_labels=(tag,) if tagged else ())
     return message, transcript, metrics_of(transcript)
 
 
-def run_protocol(scheme: str, params: SystemParams, v_star, store, seed,
-                 retry_cap: Optional[int] = None):
+def run_protocol(scheme: str, params: SystemParams, v_star, store, seed):
     """Full two-phase run of one scheme. Returns (decoded message,
     transcript, metrics)."""
     v_star = check_vector(v_star, params)
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
-    return run_segments(params, v_star, seed, [(scheme, params, store, pool)], retry_cap)
+    return run_segments(params, v_star, seed, [(scheme, params, store, pool)])
 
 
 # The load ratio of a run without central download; mixer re-exports it.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .access import SystemParams, check_vector
 from .errors import ConfigError, DivisibilityError
@@ -205,8 +205,7 @@ def plan_mix(params: SystemParams, lam) -> MixPlan:
     return MixPlan(params, lam, dapac_len, params.length - dapac_len)
 
 
-def run_time_shared(mix: MixPlan, v_star, store, seed,
-                    retry_cap: Optional[int] = None):
+def run_time_shared(mix: MixPlan, v_star, store, seed):
     """Execute the mix: dapac on the first lambda*L symbols, het1 on the rest.
 
     Each component is one segment with its own symbol range, randomness
@@ -226,4 +225,4 @@ def run_time_shared(mix: MixPlan, v_star, store, seed,
                          store_segment(store, start, start + seg_params.length),
                          allocate(scheme, seg_params, public, seed)))
         start += seg_params.length
-    return run_segments(params, v_star, seed, segments, retry_cap)
+    return run_segments(params, v_star, seed, segments)

@@ -8,6 +8,7 @@ het2:  dapac's pairwise layer plus cycle twins and the central server,
        balanced downloads (D >= 3).
 """
 
+from ..errors import ConfigError
 from . import dapac, het1, het2
 
 ENGINES = {
@@ -19,5 +20,5 @@ ENGINES = {
 
 def engine(scheme: str):
     if scheme not in ENGINES:
-        raise KeyError(f"unknown scheme tag {scheme!r}")
+        raise ConfigError(f"unknown scheme tag {scheme!r}")
     return ENGINES[scheme]

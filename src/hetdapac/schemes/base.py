@@ -81,14 +81,30 @@ class SymVector:
 
 
 class VectorSource:
-    """Concrete combining vectors over F_q, read from the user's stream."""
+    """Concrete combining vectors over F_q, read from the user's stream.
+
+    `redraws` counts the zeros `fresh` has skipped at a coordinate that
+    must be nonzero. het2 asks that of one coordinate in each of D
+    distinct draws; the condition factorizes over the draws, so its plan
+    is exactly the uniform plan conditioned on all D being nonzero.
+    """
 
     def __init__(self, q: int, stream: Optional[WordStream]):
         self.q = q
         self.stream = stream
+        self.redraws = 0
 
-    def fresh(self, dim: int):
-        return tuple(self.stream.take(dim))
+    def fresh(self, dim: int, nonzero: Optional[int] = None):
+        """`dim` symbols from the stream. With `nonzero=l`, a 0 at
+        coordinate l is replaced by the stream's next nonzero symbol, so
+        that coordinate is uniform on F_q \\ {0} and the vector is the
+        uniform draw conditioned on it being nonzero."""
+        vec = self.stream.take(dim)
+        if nonzero is not None:
+            while not vec[nonzero - 1]:
+                self.redraws += 1
+                vec[nonzero - 1] = self.stream.take(1)[0]
+        return tuple(vec)
 
     def add_unit(self, vec, l: int):
         if not 1 <= l <= len(vec):
@@ -103,10 +119,9 @@ class VectorSource:
             out.extend(v)
         return tuple(out)
 
-    def inverse(self, vec, l: int) -> Optional[int]:
-        """The inverse of vec's coordinate at l, or None when it is 0."""
-        c = vec[l - 1]
-        return pow(c, -1, self.q) if c else None
+    def inverse(self, vec, l: int) -> int:
+        """The inverse of vec's coordinate at l, which must be nonzero."""
+        return pow(vec[l - 1], -1, self.q)
 
 
 class TracingSource(VectorSource):
@@ -116,7 +131,9 @@ class TracingSource(VectorSource):
         super().__init__(q, stream=None)
         self._next = 0
 
-    def fresh(self, dim: int) -> SymVector:
+    def fresh(self, dim: int, nonzero: Optional[int] = None) -> SymVector:
+        """A new draw; `nonzero` is ignored, so the auditor sees the
+        unconditioned draw."""
         self._next += 1
         return SymVector((SymBlock(self._next, dim, tuple(0 for _ in range(dim))),))
 
@@ -214,12 +231,7 @@ class RetrievalPlan:
     # logical index -> ((server, group index, coefficient), ...): the
     # sub-packet is the sum of coefficient * share over the terms
     decoding: dict[int, tuple] = dc_field(repr=False)
-
-    @property
-    def decodable(self) -> bool:
-        """Every coefficient exists: None stands for the inverse of a zero
-        coordinate, or of a symbolic one."""
-        return all(c is not None for terms in self.decoding.values() for *_, c in terms)
+    redraws: int = 0  # zeros the source skipped at nonzero coordinates
 
     def wire_queries(self) -> dict[int, QueryTuple]:
         """Project the plan onto the wire: permute indices, keep vectors."""

@@ -11,7 +11,8 @@ fresh, and its pad chunk is shared with the higher server's twin, which
 copies the owner in one of two ways:
 
   cycle pair:  same vector, same rows except that the desired message
-               carries a second sub-packet;
+               carries a second sub-packet; the owner's vector is drawn
+               nonzero at the desired row, since het2 divides by it;
   rest pair:   same rows, vector lifted by the unit vector at the desired
                row, so the difference of the two shares is the one desired
                sub-packet both twins carry.
@@ -104,13 +105,17 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
                     # only the owner twin (m > n, k the far verified value)
                     # holds the desired message
                     members = pair_set(n, m, values[n - 1], k, public, params)
+                    nonzero = None
                     if desired in members:
                         at = members.index(desired)
                         rows = counter.rows(members[:at] + members[at + 1:])
                         rows.insert(at, (desired, first[(n, m)]))
+                        if (n, m) in i1:
+                            # het2 divides by a cycle owner's desired coordinate
+                            nonzero = at + 1
                     else:
                         rows = counter.rows(members)
-                    vec = source.fresh(len(rows))
+                    vec = source.fresh(len(rows), nonzero)
                 index[(n, m, k)] = len(groups[n])
                 groups[n].append(PlanGroup(("u", n, m, k), rows, vec))
 

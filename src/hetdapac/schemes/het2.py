@@ -33,9 +33,8 @@ build time:
   2. a cycle pair's twin difference is c * (w(i2) - w(i1)), c the shared
      vector's coordinate at the desired row; stage 1 recovers one of the
      two, so the other is that one's terms plus the twin difference
-     scaled by +-1/c. The D coordinates c are the user's own draws; a plan
-     with c = 0 anywhere has no coefficient there, is not `decodable`,
-     and the harness redraws it before sending anything;
+     scaled by +-1/c. The D coordinates c are the user's own draws, each
+     drawn from F_q \\ {0} (see base.VectorSource), so every plan decodes;
   3. a rest pair's twin difference is its shared sub-packet directly.
 
 Stages recover D + D + (M - 2D) = M sub-packets. Rate (D+1)/(2KD), load
@@ -118,13 +117,14 @@ def build(v_star, params, rng, source=None):
         lower, higher = twins[pair]
         owner = groups[lower[0]][lower[1]]
         inv = source.inverse(owner.vector, owner.row_of(desired))
-        neg = None if inv is None else -inv
+        neg = None if inv is None else -inv  # None: a symbolic plan
         if partition.outgoing(pair[0]) == pair[1]:
             decoding[i2[pair]] = (*decoding[i1[pair]], (*higher, inv), (*lower, neg))
         else:
             decoding[i1[pair]] = (*decoding[i2[pair]], (*higher, neg), (*lower, inv))
 
-    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding)
+    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding,
+                         source.redraws)
     return plan, plan.wire_queries()
 
 

@@ -535,6 +535,10 @@ class TestCounts:
         with pytest.raises(ConfigError):
             audit.closed_forms("het3", P_HET1)
 
+    def test_privacy_audit_rejects_an_unknown_scheme(self):
+        with pytest.raises(ConfigError, match="unknown scheme tag 'foo'"):
+            audit.audit_attribute_privacy("foo", P_HET1, 1)
+
 
 class TestSuites:
     def test_run_suites_shape(self):

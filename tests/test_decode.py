@@ -22,15 +22,12 @@ MODULI = (2, 65537, 4294967291)
 # mix into two halves of 3 each: 1-2 symbols at L = 6, 32-64 at L = 192
 LENGTHS = (6, 6 * PACK_MIN_SYMBOLS)
 VECTORS = ((1, 1, 1, 1), (2, 1, 2, 2), (1, 2, 2, 1))
-# at q = 2 a het2 draw is decodable with probability 1/8
-RETRY_CAP = 64
 
 
 def retrieve(scheme, params, v_star, store, seed):
     if scheme == "mix":
-        return run_time_shared(plan_mix(params, Fraction(1, 2)), v_star, store, seed,
-                               retry_cap=RETRY_CAP)
-    return run_protocol(scheme, params, v_star, store, seed, retry_cap=RETRY_CAP)
+        return run_time_shared(plan_mix(params, Fraction(1, 2)), v_star, store, seed)
+    return run_protocol(scheme, params, v_star, store, seed)
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -49,7 +46,6 @@ def test_het2_redrawn_at_q2_decodes(length):
     params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=length)
     store = random_store(params, 1)
     v_star = (2, 1, 2, 1)
-    message, _, metrics = run_protocol("het2", params, v_star, store, seed=0,
-                                       retry_cap=RETRY_CAP)
+    message, _, metrics = run_protocol("het2", params, v_star, store, seed=0)
     assert metrics["retries"] > 0
     assert message == store[message_index(v_star, params)]

@@ -67,7 +67,8 @@ def test_field_axioms_exhaustive(q):
 
 
 def test_zero_has_no_inverse():
-    assert inverse(13, 0) is None
+    with pytest.raises(ValueError):
+        inverse(13, 0)
 
 
 def test_inverse_matches_brute_force():
@@ -191,6 +192,24 @@ def test_uniform_arrays_is_the_randrange_stream(q, length, count):
     want = [[twin.randrange(q) for _ in range(length)] for _ in range(count)]
     assert [list(a) for a in bulk] == want
     assert all(a.typecode == "I" for a in bulk)
+
+
+@pytest.mark.parametrize("q", [2, 3, 65537, 4294967291])
+def test_fresh_nonzero_skips_zeros_of_the_randrange_stream(q):
+    # the per-call reference: dim randrange(q) draws, then coordinate l
+    # drawn again while it is 0
+    shapes = [(dim, l) for dim in (1, 2, 4, 7) for l in (None, *range(1, dim + 1))] * 4
+    source = VectorSource(q, WordStream(random.Random(q), q, sum(d for d, _ in shapes)))
+    twin = random.Random(q)
+    skipped = 0
+    for dim, l in shapes:
+        want = [twin.randrange(q) for _ in range(dim)]
+        while l is not None and not want[l - 1]:
+            skipped += 1
+            want[l - 1] = twin.randrange(q)
+        assert source.fresh(dim, nonzero=l) == tuple(want)
+    assert source.redraws == skipped
+    assert skipped > 0 or q > 3
 
 
 def test_random_store_is_the_randrange_stream():

@@ -13,14 +13,13 @@ import itertools
 
 import pytest
 
-from hetdapac import harness
 from hetdapac.access import (
     SystemParams,
     accessible_messages,
     build_partition,
     message_index,
 )
-from hetdapac.errors import ConfigError, DivisibilityError, RetrievalFailure
+from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.field import derive_rng
 from hetdapac.harness import actor_name, random_store, run_protocol
 from hetdapac.schemes import dapac, het2
@@ -56,6 +55,18 @@ def cycle_entries(plan):
     by_terms = {terms: logical for logical, terms in plan.decoding.items()}
     return [(by_terms[terms[:-2]], unknown, terms[-2], terms[-1])
             for unknown, terms in plan.decoding.items() if terms[:-2] in by_terms]
+
+
+def sent_queries(transcript):
+    return [(r.receiver, r.digest) for r in transcript.records if r.kind == "query"]
+
+
+def built_queries(v_star, params, seed):
+    """What `sent_queries` reads for the one plan built on the retrieval's
+    user stream: (receiver, digest) per server, in server order."""
+    _, queries = het2.build(v_star, params, derive_rng(seed, "user", 0))
+    return [(actor_name(n, params), payload_digest(encode_query(queries[n])))
+            for n in sorted(queries)]
 
 
 def test_desired_index_map_covers_all_subpackets():
@@ -125,13 +136,14 @@ class TestWalkthrough:
         assert dec[5] == ((4, 4, 1), (3, 0, -1), (3, 1, -1))
         # stage 2: each cycle pair's unknown index extends its known one
         # (i1 for (1,2) and (2,3), i2 for (1,3)) by the higher twin minus
-        # the lower, over c: symbolic, so no coefficient exists
+        # the lower, over c: symbolic, so the coefficients are left None
         cycles = {(higher[0], lower[0]): (known, unknown, higher[:2], lower[:2])
                   for known, unknown, higher, lower in cycle_entries(plan)}
         assert cycles == {(2, 1): (1, 4, (2, 0), (1, 1)),
                           (3, 1): (5, 2, (3, 0), (1, 2)),
                           (3, 2): (3, 6, (3, 3), (2, 2))}
-        assert not plan.decodable
+        assert {(higher[2], lower[2]) for *_, higher, lower in cycle_entries(plan)} \
+            == {(None, None)}
         # no rest pair at D = 3
         assert all(len(terms) > 2 for terms in dec.values())
 
@@ -247,36 +259,21 @@ class TestSplitCover:
 
 
 def test_binary_field_retries_until_coefficients_cooperate():
+    # at q = 2 a cycle coefficient is drawn 0 half the time; each zero is
+    # redrawn in place, so the one plan built is the one sent
     params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
-    total_retries = 0
+    retries = []
     for seed in range(6):
         store = random_store(params, seed + 20)
         v_star = (1 + seed % 2, 1, 2, 1)
-        msg, transcript, metrics = run_protocol("het2", params, v_star, store,
-                                                seed=seed, retry_cap=120)
+        msg, transcript, metrics = run_protocol("het2", params, v_star, store, seed=seed)
         assert msg == store[message_index(v_star, params)]
         assert metrics["attempts"] == 1
-        # retries counts the undecodable draws that preceded the one sent
-        draws = [het2.build(v_star, params, derive_rng(seed, "user", a))[0].decodable
-                 for a in range(metrics["retries"] + 1)]
-        assert draws == [False] * metrics["retries"] + [True]
-        total_retries += metrics["retries"]
-    # three cycle coefficients must all land nonzero; at q=2 that is rare
-    assert total_retries > 0
-
-
-def test_retry_cap_exhaustion_is_an_error():
-    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
-    store = random_store(params, 99)
-    failed = 0
-    for seed in range(12):
-        try:
-            run_protocol("het2", params, (1, 1, 1, 1), store, seed=seed,
-                         retry_cap=1)
-        except RetrievalFailure as err:
-            assert err.attempts == 1
-            failed += 1
-    assert failed > 0
+        assert sent_queries(transcript) == built_queries(v_star, params, seed)
+        plan, _ = het2.build(v_star, params, derive_rng(seed, "user", 0))
+        assert metrics["retries"] == plan.redraws
+        retries.append(metrics["retries"])
+    assert retries == [3, 1, 3, 2, 0, 9]
 
 
 def test_two_servers_rejected():
@@ -298,8 +295,7 @@ def test_roundtrip_all_targets_small_field():
     params = SystemParams(n_attrs=4, d=3, k=2, q=5, length=6)
     for seed, v_star in enumerate(itertools.product((1, 2), repeat=4)):
         store = random_store(params, seed + 70)
-        msg, _, _ = run_protocol("het2", params, v_star, store, seed=seed,
-                                 retry_cap=60)
+        msg, _, _ = run_protocol("het2", params, v_star, store, seed=seed)
         assert msg == store[message_index(v_star, params)]
 
 
@@ -309,68 +305,81 @@ def test_redrawn_retrieval_sends_only_the_first_decodable_draw():
     store = random_store(params, 5)
     redrawn = 0
     for seed in range(8):
-        _, transcript, metrics = run_protocol("het2", params, v_star, store,
-                                              seed=seed, retry_cap=120)
-        retries = metrics["retries"]
-        redrawn += retries > 0
-        plan, queries = het2.build(v_star, params, derive_rng(seed, "user", retries))
-        assert plan.decodable
-        sent = [(r.receiver, r.digest) for r in transcript.records if r.kind == "query"]
-        assert sent == [(actor_name(n, params),
-                         payload_digest(encode_query(queries[n])))
-                        for n in sorted(queries)]
+        _, transcript, metrics = run_protocol("het2", params, v_star, store, seed=seed)
+        redrawn += metrics["retries"] > 0
+        assert sent_queries(transcript) == built_queries(v_star, params, seed)
     assert redrawn > 0
 
 
-def test_cap_exhausted_before_any_query_is_sent(monkeypatch):
-    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
-    request = harness.Channel.request
-    kinds = []
-
-    def logged(self, phase, sender, receiver, kind, *args, **kw):
-        kinds.append(kind)
-        return request(self, phase, sender, receiver, kind, *args, **kw)
-
-    monkeypatch.setattr(harness.Channel, "request", logged)
-    failed = 0
-    for seed in range(12):
-        kinds.clear()
-        try:
-            run_protocol("het2", params, (1, 1, 1, 1), random_store(params, 99),
-                         seed=seed, retry_cap=1)
-        except RetrievalFailure:
-            failed += 1
-            assert "query" not in kinds
-    assert failed > 0
-
-
-@pytest.mark.parametrize("q, d, cap", [
-    (2, 3, 156), (3, 3, 59), (5, 3, 29), (2, 6, 1316),
-    # large fields keep the floor of 8, so no outcome there changes
-    (65537, 3, 8), (65537, 6, 8), (4294967291, 3, 8),
-])
-def test_default_retry_cap_is_derived_from_q_and_d(q, d, cap):
-    params = SystemParams(n_attrs=d + 1, d=d, k=2, q=q)
-    assert harness.default_retry_cap(params) == cap
-    undecodable = 1 - (1 - 1 / q) ** d
-    if cap > harness.MIN_RETRY_CAP:
-        assert undecodable ** cap <= harness.RETRY_FAILURE < undecodable ** (cap - 1)
-
-
 def test_default_cap_turns_binary_field_failures_into_retrievals():
-    # at q = 2, D = 3 a draw is decodable one time in eight, so a cap of 8
-    # failed these seeds; the derived cap (156) retrieves every one, after
-    # the pinned number of local redraws
+    # at q = 2, D = 3 a whole plan is decodable one time in eight, so
+    # redrawing whole plans with a cap of 8 failed these seeds; redrawing
+    # only the zero coefficients retrieves each from one build, after the
+    # pinned number of redraws
     params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
     v_star = (1, 1, 1, 1)
     store = random_store(params, 5)
-    rescued = {2: 15, 4: 16, 5: 8, 6: 32, 9: 13, 10: 12, 13: 19, 19: 13, 21: 13, 22: 14}
+    rescued = {2: 1, 4: 2, 5: 9, 6: 2, 9: 8, 10: 2, 13: 3, 19: 1, 21: 3, 22: 6}
     for seed in range(24):
-        msg, _, metrics = run_protocol("het2", params, v_star, store, seed=seed)
+        msg, transcript, metrics = run_protocol("het2", params, v_star, store, seed=seed)
         assert msg == store[message_index(v_star, params)]
+        assert sent_queries(transcript) == built_queries(v_star, params, seed)
         if seed in rescued:
-            with pytest.raises(RetrievalFailure):
-                run_protocol("het2", params, v_star, store, seed=seed, retry_cap=8)
             assert metrics["retries"] == rescued[seed]
-        else:
-            assert metrics["retries"] < 8
+
+
+class NonzeroTracingSource(TracingSource):
+    """Records, per fresh draw asked to be nonzero somewhere, its position."""
+
+    def __init__(self, q):
+        super().__init__(q)
+        self.nonzero = {}
+
+    def fresh(self, dim, nonzero=None):
+        vec = super().fresh(dim, nonzero)
+        if nonzero is not None:
+            self.nonzero[vec.blocks[0].draw] = nonzero
+        return vec
+
+
+@pytest.mark.parametrize("params, v_star", [(P432, V), (P542, TestSplitCover.V)])
+def test_cycle_coefficients_are_distinct_unlifted_draws(params, v_star):
+    # the premise of drawing them nonzero in place: the D coefficients
+    # het2 divides by are coordinates of D distinct fresh draws with
+    # offset 0, and no other draw is conditioned
+    source = NonzeroTracingSource(params.q)
+    plan, _ = het2.build(v_star, params, derive_rng(7, "user", 0), source=source)
+    desired = message_index(v_star, params)
+    owners = {}
+    for *_, (low_s, low_gi, _) in cycle_entries(plan):
+        owner = plan.groups[low_s][low_gi]
+        (block,) = owner.vector.blocks
+        assert block.offset == (0,) * block.dim
+        owners[block.draw] = owner.row_of(desired)
+    assert len(owners) == params.d
+    assert source.nonzero == owners
+
+
+def test_dapac_asks_no_coordinate_nonzero():
+    params = SystemParams(n_attrs=5, d=4, k=2, q=65537, length=6)
+    source = NonzeroTracingSource(params.q)
+    dapac.build(TestSplitCover.V, params, derive_rng(7, "user", 0), source=source)
+    assert source.nonzero == {}
+
+
+def test_binary_field_plans_decode_from_one_build():
+    # at q = 2 the only nonzero coefficient is 1, so every cycle twin
+    # difference enters with coefficient 1 = -1, and each retrieval is the
+    # one build on its user stream
+    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
+    for seed, v_star in enumerate(itertools.product((1, 2), repeat=4)):
+        plan, _ = het2.build(v_star, params, derive_rng(seed, "user", 0))
+        desired = message_index(v_star, params)
+        for *_, higher, lower in cycle_entries(plan):
+            owner = plan.groups[lower[0]][lower[1]]
+            assert owner.vector[owner.row_of(desired) - 1] == 1
+            assert higher[2] % 2 == lower[2] % 2 == 1
+        store = random_store(params, seed + 40)
+        msg, transcript, _ = run_protocol("het2", params, v_star, store, seed=seed)
+        assert msg == store[desired]
+        assert sent_queries(transcript) == built_queries(v_star, params, seed)

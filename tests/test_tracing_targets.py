@@ -69,3 +69,19 @@ def test_traced_run_counts_spans(scheme, shape, v_star, want):
         hetdapac.run_protocol(scheme, params, v_star, store, 5)
     spans = Counter(span[0] for span in tracer.spans)
     assert {name: spans[name] for name in want} == want
+
+
+def test_het2_builds_one_plan_per_retrieval():
+    # at q = 2 most plans draw a zero cycle coefficient first; it is
+    # redrawn in place, so no plan is built and thrown away
+    tracing = load_tracing()
+    params = hetdapac.SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
+    store = hetdapac.random_store(params, 5)
+    retries = 0
+    with tracing.Tracer() as tracer:
+        for seed in range(8):
+            _, _, metrics = hetdapac.run_protocol("het2", params, (1, 1, 1, 1), store, seed)
+            retries += metrics["retries"]
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["schemes.build"] == 8
+    assert retries > 0
