@@ -6,7 +6,7 @@ tradeoff algebra for time sharing between schemes, and exact audits for
 correctness, attribute privacy and database secrecy.
 """
 
-from .access import PairPartition, SystemParams, accessible_messages, build_partition, message_index, vector_of_index
+from .access import SystemParams, accessible_messages, message_index, vector_of_index
 from .errors import (
     AccessRefusal,
     ConfigError,
@@ -31,13 +31,11 @@ __all__ = [
     "ConfigError",
     "DivisibilityError",
     "MixPlan",
-    "PairPartition",
     "RandomnessPool",
     "SystemParams",
     "Transcript",
     "accessible_messages",
     "allocate",
-    "build_partition",
     "derive_rng",
     "frontier",
     "frontier_rate",

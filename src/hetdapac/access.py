@@ -24,11 +24,9 @@ builds it, and every later use, by any scheme, length or server, reads it.
 `id_set` memoizes each set's frozenset the same way, for the label tables.
 The set helpers take the public part, not a whole v*: a server knows only
 that part and its own value, and a v* is validated once, by the build that
-indexes it.
-
-het2's pair partition is a fixed function of D, memoized as well: the
-cycle (1,2), ..., (D-1,D), (1,D), each server sending to n mod D + 1, and
-every other pair as the rest.
+indexes it. `all_pairs` lists the 2-subsets of [D] that the pairwise
+schemes index their pads by; how a scheme uses them (het2's cycle) is
+defined in its engine module.
 """
 
 from __future__ import annotations
@@ -220,44 +218,5 @@ def ordered_complement(n: int, d: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, d + 1) if m != n)
 
 
-@dataclass(frozen=True)
-class PairPartition:
-    """Split of the 2-subsets of [D] used by the two-subpacket scheme.
-
-    pairs:    all 2-subsets of [D], each as (n, m) with n < m, sorted.
-    cycle:    a subset of `pairs` covering every server exactly twice
-              (a 1-design with block size 2 and replication 2).
-    rest:     pairs \\ cycle, sorted.
-    oriented: the cycle pairs oriented so that first components cover [D]
-              exactly once and second components cover [D] exactly once.
-    """
-
-    d: int
-    pairs: tuple[tuple[int, int], ...]
-    cycle: tuple[tuple[int, int], ...]
-    rest: tuple[tuple[int, int], ...]
-    oriented: tuple[tuple[int, int], ...]
-
-    def outgoing(self, n: int) -> int:
-        """The partner m with (n, m) in the oriented cycle."""
-        for a, b in self.oriented:
-            if a == n:
-                return b
-        raise ConfigError(f"server {n} has no oriented partner")
-
-
 def all_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((n, m) for n in range(1, d + 1) for m in range(n + 1, d + 1))
-
-
-@lru_cache(maxsize=64)
-def build_partition(d: int) -> PairPartition:
-    """The pair partition for D >= 3: the cycle (1,2), ..., (D-1,D), (1,D),
-    oriented n -> n mod D + 1, and the other pairs as the rest."""
-    if d < 3:
-        raise ConfigError(f"pair partition needs D >= 3, got {d}")
-    pairs = all_pairs(d)
-    oriented = tuple(sorted((n, n % d + 1) for n in range(1, d + 1)))
-    cycle = tuple(sorted((min(p), max(p)) for p in oriented))
-    rest = tuple(p for p in pairs if p not in cycle)
-    return PairPartition(d=d, pairs=pairs, cycle=cycle, rest=rest, oriented=oriented)

@@ -10,8 +10,9 @@ Three subcommands:
   rationals beside every float column.
 
 Configuration comes from ``--config`` (a JSON object) with flags taking
-precedence. Every output embeds the effective config, so a run is
-reproducible from the output alone. Exit codes: 0 all checks passed,
+precedence. Each subcommand accepts only the keys it reads (``COMMANDS``),
+so every output embeds the effective config, and a run is reproducible
+from the output alone. Exit codes: 0 all checks passed,
 1 a check failed, 2 invalid configuration.
 """
 
@@ -30,7 +31,7 @@ from .audit import SUITES, _point_checks, _suite, audit_correctness, audit_count
 from .errors import ConfigError
 from .harness import random_store, run_protocol
 from .mixer import INF, frontier_rate, plan_mix, rate_of_load, run_time_shared, scheme_costs
-from .randomness import subpacket_count
+from .schemes import engine
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -72,8 +73,12 @@ def _jsonable(x):
 # ------------------------------------------------------------ configuration
 
 def _load_config(args: argparse.Namespace) -> dict:
+    """The config file's keys, overridden by the flags given. A key the
+    command does not read is a ConfigError, so the echoed config is
+    exactly what ran."""
+    keys = COMMANDS[args.command][2]
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
@@ -84,12 +89,15 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config {args.config!r} is not JSON: {err}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        unread = [key for key in loaded if key not in keys]
+        if unread:
+            raise ConfigError(f"{args.command} does not read {', '.join(unread)}; "
+                              f"it reads {', '.join(keys)}")
         cfg.update(loaded)
-    for key in ("scheme", "n", "d", "k", "q", "length", "lam", "seed",
-                "vstar", "out", "suite", "grid"):
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
-            cfg["lambda" if key == "lam" else key] = value
+            cfg[key] = value
     return cfg
 
 
@@ -291,8 +299,7 @@ def _curve_rows(d: int, k: int, grid: int) -> tuple[int, list[dict]]:
     if grid < 1:
         raise ConfigError("grid must be positive")
     costs = scheme_costs(d, k)
-    shape = SystemParams(n_attrs=d, d=d, k=k)
-    length = grid * math.lcm(*(subpacket_count(s, shape) for s in costs))
+    length = grid * math.lcm(*(engine(s).subpackets(d) for s in costs))
 
     def row(name, cost):
         load = cost.load_ratio
@@ -338,34 +345,47 @@ def cmd_curve(cfg: dict) -> int:
 
 # ------------------------------------------------------------------- main
 
+# Every config key with the argparse keywords of its flag; None marks a
+# key that only a config file sets.
+KEYS = {
+    "scheme": {"choices": SCHEMES},
+    "n": {"type": int, "help": "number of attributes"},
+    "d": {"type": int, "help": "number of dedicated servers"},
+    "k": {"type": int, "help": "values per attribute"},
+    "q": {"type": int, "help": "prime field size"},
+    "length": {"type": int, "help": "symbols per message"},
+    "lambda": {"help": "dapac share of a mix run"},
+    "seed": {"type": int},
+    "vstar": {"help": "attribute vector, comma separated"},
+    "suite": {"choices": [*SUITES, "all"]},
+    "trials": None,
+    "grid": {"type": int, "help": "curve grid density"},
+    "out": {"help": "output file"},
+}
+
+# Each subcommand: (handler, help, the keys it reads). It accepts exactly
+# those keys, from flags and from --config alike.
+COMMANDS = {
+    "run": (cmd_run, "execute one retrieval or a sweep",
+            ("scheme", "n", "d", "k", "q", "length", "lambda", "seed", "vstar", "out")),
+    "audit": (cmd_audit, "run exact audit suites",
+              ("suite", "scheme", "n", "d", "k", "q", "length", "trials", "out")),
+    "curve": (cmd_curve, "emit the rate/load tradeoff CSV", ("d", "k", "grid", "out")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetdapac",
         description="attribute-verified private retrieval: runs, audits, curves")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (handler, text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--scheme", choices=SCHEMES)
-        p.add_argument("--n", type=int, help="number of attributes")
-        p.add_argument("--d", type=int, help="number of dedicated servers")
-        p.add_argument("--k", type=int, help="values per attribute")
-        p.add_argument("--q", type=int, help="prime field size")
-        p.add_argument("--length", type=int, help="symbols per message")
-        p.add_argument("--lambda", dest="lam", help="dapac share of a mix run")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--vstar", help="attribute vector, comma separated")
-        p.add_argument("--out", help="output file")
-        p.add_argument("--grid", type=int, help="curve grid density")
-        return p
-
-    run_p = common(sub.add_parser("run", help="execute one retrieval or a sweep"))
-    run_p.set_defaults(handler=cmd_run)
-    audit_p = common(sub.add_parser("audit", help="run exact audit suites"))
-    audit_p.add_argument("--suite", choices=list(SUITES) + ["all"])
-    audit_p.set_defaults(handler=cmd_audit)
-    curve_p = common(sub.add_parser("curve", help="emit the rate/load tradeoff CSV"))
-    curve_p.set_defaults(handler=cmd_curve)
+        for key in keys:
+            if KEYS[key] is not None:
+                p.add_argument(f"--{key}", **KEYS[key])
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -284,11 +284,11 @@ def run_segments(params: SystemParams, v_star, seed, segments):
     Returns (decoded message, transcript, metrics).
     """
     v_star = check_vector(v_star, params)
-    schemes = [scheme for scheme, *_ in segments]
     transcript = Transcript(params)
     channel = Channel(transcript)
-    # dapac never queries the central server; it only joins to verify public attributes
-    with_central = params.has_central or any(s != "dapac" for s in schemes)
+    # the central server joins to verify public attributes, or to be queried
+    with_central = params.has_central or any(
+        scheme_engine(scheme).QUERIES_CENTRAL for scheme, *_ in segments)
     for n in params.servers():
         if n != params.central or with_central:
             channel.connect(actor_name(n, params), ServerActor(n, params))

@@ -29,7 +29,8 @@ from typing import NamedTuple
 from .access import SystemParams, check_vector
 from .errors import ConfigError, DivisibilityError
 from .harness import INF, run_segments, store_segment
-from .randomness import allocate, subpacket_count
+from .randomness import allocate
+from .schemes import engine
 
 
 class _Costs(NamedTuple):
@@ -137,11 +138,11 @@ def frontier(d: int, k: int, grid: int = 50) -> list[tuple]:
     Each segment is swept in mixture weight; loads come out strictly
     increasing, ending at the pure-dapac point (inf, 1/(2K)).
     """
-    if d < 3:
+    costs = scheme_costs(d, k)
+    if "het2" not in costs:
         raise ConfigError(f"the split-cover scheme needs D >= 3, got D={d}")
     if grid < 2:
         raise ConfigError("grid needs at least two points per segment")
-    costs = scheme_costs(d, k)
     first = grid // 2
     mixes = [costs["het1"].mix(costs["het2"], Fraction(i, first))
              for i in range(first, -1, -1)]
@@ -160,49 +161,37 @@ def frontier_rate(ell, d: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MixPlan:
-    """A validated dapac/het1 split of one (N, D, K, L) system."""
+    """A validated dapac/het1 split of one (N, D, K, L) system: its
+    segments as (scheme, length) in run order, one per component of
+    nonzero weight."""
 
     params: SystemParams
     lam: Fraction
-    dapac_length: int
-    het1_length: int
-
-    @property
-    def components(self) -> tuple[str, ...]:
-        if self.lam == 0:
-            return ("het1",)
-        if self.lam == 1:
-            return ("dapac",)
-        return ("dapac", "het1")
-
-
-def _minimal_mix_length(lam: Fraction, params: SystemParams) -> int:
-    """Smallest L whose dapac and het1 segments both split into their
-    sub-packets."""
-    a, b = lam.numerator, lam.denominator
-    het1 = subpacket_count("het1", params)
-    if a == 0:
-        return het1
-    dapac = subpacket_count("dapac", params)
-    if a == b:
-        return dapac
-    return b * math.lcm(dapac // math.gcd(a, dapac), het1 // math.gcd(b - a, het1))
+    segments: tuple[tuple[str, int], ...]
 
 
 def plan_mix(params: SystemParams, lam) -> MixPlan:
     """Split L into the dapac and het1 segments, or refuse with the
-    smallest length that would satisfy both divisibility constraints."""
+    smallest length that would satisfy both divisibility constraints.
+
+    A component of weight w/b (lambda = a/b in lowest terms, dapac a and
+    het1 b - a) gets w·L/b symbols, which its s sub-packets divide
+    exactly when L is a multiple of b·s/gcd(w, s).
+    """
     lam = _check_lambda(lam)
-    if 0 < lam < 1 and not params.has_central:
+    a, b = lam.numerator, lam.denominator
+    weights = [(scheme, w) for scheme, w in (("dapac", a), ("het1", b - a)) if w]
+    if len(weights) > 1 and not params.has_central:
         raise ConfigError("a mixed run needs a central server for its het1 part")
-    minimal = _minimal_mix_length(lam, params)
+    minimal = b * math.lcm(*(s // math.gcd(w, s) for scheme, w in weights
+                             for s in [engine(scheme).subpackets(params.d)]))
     if params.length % minimal:
         raise DivisibilityError(
             f"mix weight {lam} needs both segment lengths to split: "
             f"length must be a multiple of {minimal}, got {params.length}",
             minimal)
-    dapac_len = int(lam * params.length)
-    return MixPlan(params, lam, dapac_len, params.length - dapac_len)
+    return MixPlan(params, lam,
+                   tuple((scheme, w * params.length // b) for scheme, w in weights))
 
 
 def run_time_shared(mix: MixPlan, v_star, store, seed):
@@ -216,13 +205,11 @@ def run_time_shared(mix: MixPlan, v_star, store, seed):
     """
     params = mix.params
     public = tuple(check_vector(v_star, params)[params.d:])
-    lengths = {"dapac": mix.dapac_length, "het1": mix.het1_length}
     segments = []
     start = 0
-    for scheme in mix.components:
-        seg_params = replace(params, length=lengths[scheme])
-        segments.append((scheme, seg_params,
-                         store_segment(store, start, start + seg_params.length),
+    for scheme, length in mix.segments:
+        seg_params = replace(params, length=length)
+        segments.append((scheme, seg_params, store_segment(store, start, start + length),
                          allocate(scheme, seg_params, public, seed)))
-        start += seg_params.length
+        start += length
     return run_segments(params, v_star, seed, segments)

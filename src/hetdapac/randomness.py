@@ -1,14 +1,17 @@
 """Server-side shared randomness: chunk allocation and lookup.
 
 The servers pad every answer with chunks drawn from a pool they share among
-themselves (the user never sees it). Labels come in two shapes:
+themselves (the user never sees it). A scheme's engine (see schemes/)
+defines how many sub-packets a message splits into and which chunk labels
+it allocates; this module sizes, draws and looks up the chunks. Labels
+come in two shapes:
 
-  ("nk", n, k)            one chunk per candidate match set, used by the
-                          single-subpacket scheme (KD chunks).
+  ("nk", n, k)            one chunk per candidate match set, used by
+                          het1 (KD chunks).
   ("pair", n, m, k, k2)   one chunk per ordered value pair of a server pair,
                           canonicalized so that (n, m, k, k2) with n > m is
                           stored as (m, n, k2, k). Used by the pairwise
-                          schemes (C(D,2) * K^2 chunks).
+                          schemes dapac and het2 (C(D,2) * K^2 chunks).
 
 A chunk holds length/subpackets field symbols, i.e. exactly one answer pad,
 as an `array('I')`.
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
-from .access import SystemParams, all_pairs
+from .access import SystemParams
 from .errors import ConfigError, DivisibilityError
 from .field import derive_rng, uniform_arrays
 
@@ -36,43 +39,16 @@ def canonical_pair_label(n: int, m: int, k: int, k2: int) -> Label:
     return ("pair", m, n, k2, k)
 
 
-def subpacket_count(scheme: str, params: SystemParams) -> int:
-    """Sub-packets per message for each scheme tag."""
-    d = params.d
-    if scheme == "het1":
-        return d
-    if scheme == "het2":
-        if d < 3:
-            raise ConfigError(f"scheme het2 needs D >= 3, got D={d}")
-        return d * (d + 1) // 2
-    if scheme == "dapac":
-        if d < 2:
-            raise ConfigError(f"scheme dapac needs D >= 2, got D={d}")
-        return d * (d - 1) // 2
-    raise ConfigError(f"unknown scheme tag {scheme!r}")
-
-
 def chunk_length(scheme: str, params: SystemParams) -> int:
-    s = subpacket_count(scheme, params)
+    """Symbols per sub-packet, and so per pad chunk: L over the scheme's
+    sub-packet count, which must divide it."""
+    from .schemes import engine
+    s = engine(scheme).subpackets(params.d)
     if params.length % s:
-        minimal = s
         raise DivisibilityError(
             f"scheme {scheme} splits messages into {s} sub-packets, "
-            f"which does not divide length {params.length}", minimal)
+            f"which does not divide length {params.length}", s)
     return params.length // s
-
-
-def pool_labels(scheme: str, params: SystemParams) -> list[Label]:
-    """All chunk labels the scheme allocates, in canonical sorted order."""
-    if scheme == "het1":
-        return [("nk", n, k)
-                for n in range(1, params.d + 1) for k in range(1, params.k + 1)]
-    if scheme in ("het2", "dapac"):
-        subpacket_count(scheme, params)  # validates D
-        return [("pair", n, m, k, k2)
-                for n, m in all_pairs(params.d)
-                for k in range(1, params.k + 1) for k2 in range(1, params.k + 1)]
-    raise ConfigError(f"unknown scheme tag {scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +92,10 @@ def allocate(scheme: str, params: SystemParams, public: tuple[int, ...], seed) -
     The stream is derived from (seed, "server-shared", scheme, public part):
     independent of the user's query stream and of the store contents.
     """
+    from .schemes import engine
     clen = chunk_length(scheme, params)
     rng = derive_rng(seed, "server-shared", scheme, tuple(public))
-    labels = pool_labels(scheme, params)
+    labels = engine(scheme).pool_labels(params)
     chunks = dict(zip(labels, uniform_arrays(rng, params.q, clen, len(labels))))
     return RandomnessPool(scheme, params, clen, chunks)
 

@@ -1,11 +1,23 @@
 """The three retrieval engines, keyed by scheme tag.
 
+Each engine module is the one definition of its scheme:
+
+  SCHEME            its tag;
+  QUERIES_CENTRAL   whether its plans query the central server;
+  subpackets(d)     sub-packets per message, refusing D below its bound;
+  pool_labels(p)    the pad chunks the servers allocate for it;
+  build, label_table, answer_query, decode
+                    the user's plan, a server's pad table, the answer
+                    path and the decode (the last two shared, in base.py).
+
 het1:  one sub-packet per dedicated server, central download dominates.
 dapac: the fully-dedicated pairwise baseline, no central download. Its
        module is also the pairwise layer: dedicated groups, twins, their
-       label table and the rest-pair decode.
+       label table, the pool and the rest-pair decode.
 het2:  dapac's pairwise layer plus cycle twins and the central server,
        balanced downloads (D >= 3).
+
+`engine` is the one place that refuses an unknown tag.
 """
 
 from ..errors import ConfigError

@@ -53,7 +53,7 @@ from itertools import chain, repeat
 from operator import add, getitem, length_hint, mul
 from typing import Optional
 
-from ..access import SystemParams, match_set, participating_ids
+from ..access import SystemParams, match_set, message_index, participating_ids
 from ..errors import AccessRefusal, ConfigError
 from ..field import WordStream, little_endian
 from ..randomness import RandomnessPool
@@ -216,9 +216,6 @@ class PlanGroup:
             raise ValueError(f"message {msg} appears {len(hits)} times")
         return hits[0]
 
-    def logical_of(self, msg: int) -> int:
-        return self.rows[self.row_of(msg) - 1][1]
-
 
 @dataclass
 class RetrievalPlan:
@@ -252,16 +249,12 @@ class RetrievalPlan:
         sub_len = L // self.subpackets
         if sorted(decoded) != list(range(1, self.subpackets + 1)):
             raise ValueError(f"decoded indices {sorted(decoded)} are not 1..{self.subpackets}")
-        perm = self.perms[self._desired_id()]
+        perm = self.perms[message_index(self.v_star, self.params)]
         out = array("I", [0]) * L
         for logical, payload in decoded.items():
             wire = perm[logical - 1]
             out[(wire - 1) * sub_len: wire * sub_len] = payload
         return out
-
-    def _desired_id(self) -> int:
-        from ..access import message_index
-        return message_index(self.v_star, self.params)
 
 
 # ---------------------------------------------------------------- servers
@@ -293,13 +286,16 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     The view is the public part plus, on a dedicated server, its own
     attribute value (None on the central server). It cuts the store down
     to the slice it grants, and the pool's scheme builds the label table
-    from it, once.
+    from it, once; the central server of a scheme that never queries it
+    gets no table.
     """
     from . import engine
     params = pool.params
+    eng = engine(pool.scheme)
     ids = (participating_ids(params, public) if own_value is None
            else match_set(server, own_value, public, params))
-    table = engine(pool.scheme).label_table(server, params, public, own_value)
+    table = (eng.label_table(server, params, public, own_value)
+             if own_value is not None or eng.QUERIES_CENTRAL else None)
     return ServerContext(server, params, {m: store[m] for m in ids}, pool, table)
 
 

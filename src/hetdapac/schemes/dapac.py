@@ -22,10 +22,11 @@ sub-packet indices: cycle pair p at sorted position pos gets (pos,
 |cycle| + pos), rest pair p gets 2|cycle| + pos.
 
 dapac is this layer with no cycle pairs: messages are split into C(D,2)
-sub-packets, one per server pair, and every pair decodes as a rest pair.
-Per pair, 2K-1 distinct pad chunks are consumed out of the K^2 allocated.
-Rate 1/(2K); the central server downloads nothing. het2 adds cycle pairs
-and the central server on top of the same layer.
+sub-packets, one per server pair (D >= 2), and every pair decodes as a
+rest pair. The pool holds K^2 chunks per pair, of which 2K-1 distinct
+ones are consumed. Rate 1/(2K); the central server is never queried
+(QUERIES_CENTRAL), so it only verifies the public attributes. het2 adds
+cycle pairs and the central server on top of the same layer and pool.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from ..access import (
     public_part,
 )
 from ..errors import ConfigError
-from ..randomness import canonical_pair_label, chunk_length, subpacket_count
+from ..randomness import canonical_pair_label, chunk_length
 from .base import (
     FreshIndexCounter,
     PlanGroup,
@@ -50,6 +51,21 @@ from .base import (
 )
 
 SCHEME = "dapac"
+QUERIES_CENTRAL = False
+
+
+def subpackets(d: int) -> int:
+    """Sub-packets per message: one per server pair, D >= 2."""
+    if d < 2:
+        raise ConfigError(f"scheme dapac needs D >= 2, got D={d}")
+    return d * (d - 1) // 2
+
+
+def pool_labels(params) -> list[tuple]:
+    """The pairwise layer's K^2 chunks per server pair, sorted."""
+    return [("pair", n, m, k, k2)
+            for n, m in all_pairs(params.d)
+            for k in range(1, params.k + 1) for k2 in range(1, params.k + 1)]
 
 
 def desired_index_map(cycle, d: int):
@@ -133,8 +149,7 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
 
 def build(v_star, params, rng, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
-    chunk_length(SCHEME, params)
-    sub = subpacket_count(SCHEME, params)
+    sub = params.length // chunk_length(SCHEME, params)
     perms, source = user_draws(rng, params, public_part(v_star, params), sub, source)
     groups, _, _, decoding = dedicated_groups(v_star, params, source, FreshIndexCounter(sub))
 
@@ -143,10 +158,9 @@ def build(v_star, params, rng, source=None):
 
 
 def label_table(server, params, public, own_value):
-    """A dedicated server's pad labels, keyed by the message set of a group;
-    None on the central server, which the pairwise layer asks nothing."""
-    if own_value is None:
-        return None
+    """A dedicated server's pad labels, keyed by the message set of a group.
+    The pairwise layer asks the central server nothing (QUERIES_CENTRAL),
+    so it has no table here."""
     table = {}
     for m in ordered_complement(server, params.d):
         for k in range(1, params.k + 1):

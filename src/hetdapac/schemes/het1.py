@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..access import id_set, match_set, message_index, public_part
 from ..errors import ConfigError
-from ..randomness import chunk_length, subpacket_count
+from ..randomness import chunk_length
 from .base import (
     FreshIndexCounter,
     PlanGroup,
@@ -29,12 +29,23 @@ from .base import (
 )
 
 SCHEME = "het1"
+QUERIES_CENTRAL = True
+
+
+def subpackets(d: int) -> int:
+    """Sub-packets per message: one per dedicated server."""
+    return d
+
+
+def pool_labels(params) -> list[tuple]:
+    """One ("nk", n, k) chunk per candidate match set, sorted."""
+    return [("nk", n, k)
+            for n in range(1, params.d + 1) for k in range(1, params.k + 1)]
 
 
 def build(v_star, params, rng, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
-    chunk_length(SCHEME, params)  # validates divisibility
-    sub = subpacket_count(SCHEME, params)
+    sub = params.length // chunk_length(SCHEME, params)
     desired = message_index(v_star, params)
     values = tuple(v_star[:params.d])
     public = public_part(v_star, params)

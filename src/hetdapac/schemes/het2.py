@@ -1,10 +1,12 @@
 """Retrieval engine het2: the pairwise layer plus a central server (D >= 3).
 
-Messages are split into M = D(D+1)/2 sub-packets. The 2-subsets of [D] are
-split by `access.build_partition(D)`, a fixed function of D, into the cycle
-(1,2), ..., (D-1,D), (1,D), which holds each server in exactly two pairs,
-and the rest; server n's outgoing partner is n mod D + 1. The build and
-the central server's label table both read it.
+Messages are split into M = D(D+1)/2 sub-packets (`subpackets`). The
+2-subsets of [D] are split, as a fixed function of D, into the cycle
+(1,2), ..., (D-1,D), (1,D) (`cycle_pairs`), which holds each server in
+exactly two pairs, and the rest; server n's outgoing partner is
+n mod D + 1. The build and the central server's label table both read it.
+The pool is the pairwise layer's (`pool_labels`, dapac's), and unlike
+dapac, het2 queries the central server (QUERIES_CENTRAL).
 
 The dedicated groups, their twins and pads, the dedicated label table and
 the rest-pair decode are dapac's pairwise layer, run with the cycle pairs
@@ -43,15 +45,9 @@ ratio (D-1)/D, allocated randomness C(D,2) K^2 chunks of L/M symbols.
 
 from __future__ import annotations
 
-from ..access import (
-    build_partition,
-    id_set,
-    match_set,
-    message_index,
-    pair_set,
-    public_part,
-)
-from ..randomness import canonical_pair_label, chunk_length, subpacket_count
+from ..access import id_set, match_set, message_index, pair_set, public_part
+from ..errors import ConfigError
+from ..randomness import canonical_pair_label, chunk_length
 from . import dapac
 from .base import (
     FreshIndexCounter,
@@ -63,30 +59,44 @@ from .base import (
 )
 
 SCHEME = "het2"
+QUERIES_CENTRAL = True
+pool_labels = dapac.pool_labels
+
+
+def subpackets(d: int) -> int:
+    """Sub-packets per message: two per cycle pair and one per rest pair,
+    D(D+1)/2, D >= 3."""
+    if d < 3:
+        raise ConfigError(f"scheme het2 needs D >= 3, got D={d}")
+    return d * (d + 1) // 2
+
+
+def cycle_pairs(d: int) -> tuple[tuple[int, int], ...]:
+    """The cycle {n, n mod D + 1} over n in [D], each pair (low, high), sorted."""
+    return tuple(sorted([(n, n + 1) for n in range(1, d)] + [(1, d)]))
 
 
 def build(v_star, params, rng, source=None):
     """User-side query construction. Returns (plan, wire queries per server)."""
-    chunk_length(SCHEME, params)
-    sub = subpacket_count(SCHEME, params)
+    sub = params.length // chunk_length(SCHEME, params)
     d = params.d
     desired = message_index(v_star, params)
     values = tuple(v_star[:d])
     public = public_part(v_star, params)
-    partition = build_partition(d)
+    cycle = cycle_pairs(d)
 
     perms, source = user_draws(rng, params, public, sub, source)
     counter = FreshIndexCounter(sub)
     groups, index, twins, decoding = dapac.dedicated_groups(
-        v_star, params, source, counter, cycle=partition.cycle)
-    i1, i2, _ = dapac.desired_index_map(partition.cycle, d)
+        v_star, params, source, counter, cycle=cycle)
+    i1, i2, _ = dapac.desired_index_map(cycle, d)
 
     # central groups: per server the concatenation toward its outgoing
     # partner at the verified value, fresh groups at the other values
     central = d + 1
     groups[central] = []
     for n in range(1, d + 1):
-        m0 = partition.outgoing(n)
+        m0 = n % d + 1
         km0 = values[m0 - 1]
         for k in range(1, params.k + 1):
             if k == values[n - 1]:
@@ -113,12 +123,12 @@ def build(v_star, params, rng, source=None):
 
     # stage 1 knows one index of each cycle pair, and the twin difference
     # (higher - lower) / c = w(i2) - w(i1) gives the other
-    for pair in partition.cycle:
+    for pair in cycle:
         lower, higher = twins[pair]
         owner = groups[lower[0]][lower[1]]
         inv = source.inverse(owner.vector, owner.row_of(desired))
         neg = None if inv is None else -inv  # None: a symbolic plan
-        if partition.outgoing(pair[0]) == pair[1]:
+        if pair[0] % d + 1 == pair[1]:  # oriented lower -> higher
             decoding[i2[pair]] = (*decoding[i1[pair]], (*higher, inv), (*lower, neg))
         else:
             decoding[i1[pair]] = (*decoding[i2[pair]], (*higher, neg), (*lower, inv))
@@ -137,10 +147,9 @@ def label_table(server, params, public, own_value) -> dict[frozenset, list]:
     """
     if server != params.central:
         return dapac.label_table(server, params, public, own_value)
-    partition = build_partition(params.d)
     table = {}
     for n in range(1, params.d + 1):
-        m0 = partition.outgoing(n)
+        m0 = n % params.d + 1
         for k in range(1, params.k + 1):
             key = id_set(match_set(n, k, public, params))
             table[key] = [canonical_pair_label(n, m0, k, k2)

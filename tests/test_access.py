@@ -1,4 +1,5 @@
-"""Access structure: indexing, accessible sets, match sets, pair partitions.
+"""Access structure: indexing, accessible sets, match sets, and the split
+of all_pairs(D) into het2's cycle (defined in schemes/het2.py) and rest.
 
 Attribute values are written as 1-based indices. The (3, 2, 2) and
 (4, 3, 2) fixtures below use the mnemonic a=1, b=2 for attribute 1,
@@ -14,11 +15,9 @@ import pytest
 
 from hetdapac import access
 from hetdapac.access import (
-    PairPartition,
     SystemParams,
     accessible_messages,
     all_pairs,
-    build_partition,
     match_set,
     message_index,
     ordered_complement,
@@ -27,6 +26,7 @@ from hetdapac.access import (
     vector_of_index,
 )
 from hetdapac.errors import ConfigError
+from hetdapac.schemes import het2
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
@@ -240,34 +240,26 @@ def test_ordered_complement():
         ordered_complement(5, 4)
 
 
+def rest_pairs(d):
+    return tuple(p for p in all_pairs(d) if p not in het2.cycle_pairs(d))
+
+
+def oriented(d):
+    """het2's cycle oriented n -> n mod D + 1, sorted."""
+    return tuple(sorted((n, n % d + 1) for n in range(1, d + 1)))
+
+
 def test_partition_d3():
-    part = build_partition(3)
-    assert part.pairs == ((1, 2), (1, 3), (2, 3))
-    assert part.cycle == ((1, 2), (1, 3), (2, 3))
-    assert part.rest == ()
-    assert part.oriented == ((1, 2), (2, 3), (3, 1))
-    assert part.outgoing(3) == 1
+    assert all_pairs(3) == ((1, 2), (1, 3), (2, 3))
+    assert het2.cycle_pairs(3) == ((1, 2), (1, 3), (2, 3))
+    assert rest_pairs(3) == ()
+    assert oriented(3) == ((1, 2), (2, 3), (3, 1))
 
 
 def test_partition_d4_and_d5():
-    part = build_partition(4)
-    assert part.cycle == ((1, 2), (1, 4), (2, 3), (3, 4))
-    assert part.rest == ((1, 3), (2, 4))
-    assert len(part.rest) == 4 * 1 // 2
-    part5 = build_partition(5)
-    assert len(part5.rest) == 5 * 2 // 2
-    for part_ in (part, part5):
-        d = part_.d
-        # every server covered exactly twice by the cycle
-        degree = {n: 0 for n in range(1, d + 1)}
-        for a, b in part_.cycle:
-            degree[a] += 1
-            degree[b] += 1
-        assert all(v == 2 for v in degree.values())
-        # orientation covers sources and targets once each
-        assert sorted(a for a, _ in part_.oriented) == list(range(1, d + 1))
-        assert sorted(b for _, b in part_.oriented) == list(range(1, d + 1))
-        assert {(min(p), max(p)) for p in part_.oriented} == set(part_.cycle)
+    assert het2.cycle_pairs(4) == ((1, 2), (1, 4), (2, 3), (3, 4))
+    assert rest_pairs(4) == ((1, 3), (2, 4))
+    assert len(rest_pairs(5)) == 5 * 2 // 2
 
 
 def walked_orientation(cycle, d):
@@ -297,17 +289,22 @@ def walked_orientation(cycle, d):
 
 @pytest.mark.parametrize("d", range(3, 9))
 def test_fixed_partition_equals_the_walked_cycle(d):
-    part = build_partition(d)
-    default = sorted([(n, n + 1) for n in range(1, d)] + [(1, d)])
-    assert part.cycle == tuple(default)
-    assert part.oriented == walked_orientation(part.cycle, d)
-    assert part.rest == tuple(p for p in all_pairs(d) if p not in default)
-    assert build_partition(d) is part  # memoized
+    cycle = het2.cycle_pairs(d)
+    assert cycle == tuple(sorted([(n, n + 1) for n in range(1, d)] + [(1, d)]))
+    assert oriented(d) == walked_orientation(cycle, d)
+    # every server lies in exactly two cycle pairs
+    degree = {n: sum(n in p for p in cycle) for n in range(1, d + 1)}
+    assert set(degree.values()) == {2}
+    # n -> n mod D + 1 covers sources and targets once each
+    assert sorted(a for a, _ in oriented(d)) == list(range(1, d + 1))
+    assert sorted(b for _, b in oriented(d)) == list(range(1, d + 1))
+    assert {(min(p), max(p)) for p in oriented(d)} == set(cycle)
+    assert set(cycle) | set(rest_pairs(d)) == set(all_pairs(d))
 
 
 def test_partition_needs_three_servers():
-    with pytest.raises(ConfigError):
-        build_partition(2)
+    with pytest.raises(ConfigError, match="D >= 3"):
+        het2.subpackets(2)
 
 
 def test_all_pairs_count():

@@ -12,7 +12,6 @@ import pytest
 
 from hetdapac.access import (
     SystemParams,
-    build_partition,
     message_index,
     ordered_complement,
     vector_of_index,
@@ -256,9 +255,8 @@ def per_query_table(scheme, server, params, public, own):
             for k in range(1, params.k + 1):
                 table[ids_where(params, public, {n: k})] = [("nk", n, k)]
     elif central:
-        partition = build_partition(params.d)
         for n in range(1, params.d + 1):
-            m0 = partition.outgoing(n)
+            m0 = n % params.d + 1  # n's outgoing cycle partner
             for k in range(1, params.k + 1):
                 table[ids_where(params, public, {n: k})] = [
                     canonical_pair_label(n, m0, k, k2) for k2 in range(1, params.k + 1)]
@@ -337,7 +335,7 @@ def loop_reference(ctx, query, table):
     arrays = [ctx.store[m] for m, _ in group.descriptor.rows]
     ends = [i * n for _, i in group.descriptor.rows]
     segments = [a[e - n:e] for a, e in zip(arrays, ends)]
-    labels = table[frozenset(group.descriptor.messages())]
+    labels = table[frozenset(m for m, _ in group.descriptor.rows)]
     chunks = [ctx.pool.chunk(label) for label in labels]
     want = loop_share(group.vector, segments, pad_sum(ctx.pool, labels, q), q)
     return arrays, ends, segments, chunks, labels, want

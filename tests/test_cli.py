@@ -252,6 +252,38 @@ class TestMalformedInput:
         assert code == 2
         self.assert_refused(out, word)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("audit", "--suite", "secrecy", "--scheme", "dapac", "--n", "3", "--d", "3",
+          "--k", "2", "--q", "2", "--length", "3", "--vstar", "1,1,1"), "--vstar"),
+        (("curve", "--d", "3", "--k", "2", "--n", "3"), "--n"),
+        (("run", *HET1_FLAGS, "--vstar", "1,1,1", "--grid", "2"), "--grid"),
+    ])
+    def test_flag_the_command_does_not_read(self, capsys, argv, flag):
+        # each subcommand defines only the flags it reads
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: {flag}" in out.err
+        assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("command, fields, key", [
+        ("curve", {"d": 3, "k": 2, "length": 6}, "length"),
+        ("audit", {"suite": "secrecy", "scheme": "dapac", "n": 3, "d": 3, "k": 2,
+                   "q": 2, "length": 3, "vstar": "1,1,1"}, "vstar"),
+        ("run", {"scheme": "het1", "n": 3, "d": 2, "k": 2, "length": 2,
+                 "vstar": "1,1,1", "grid": 2}, "grid"),
+    ])
+    def test_config_key_the_command_does_not_read(self, capsys, tmp_path,
+                                                  command, fields, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code, out = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out.out == ""
+        self.assert_refused(out, f"{command} does not read {key};")
+
     def test_non_integral_grid_in_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d": 3, "k": 2, "grid": 2.5}))
@@ -317,6 +349,14 @@ class TestAudit:
         code, out = run_cli(capsys, "audit", "--config", str(cfg))
         assert code == 2
         assert "unknown suite" in out.err
+
+    def test_point_correctness_reads_trials_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "correctness", "scheme": "het1", "n": 3,
+                                   "d": 2, "k": 2, "length": 2, "trials": 1}))
+        code, out = run_cli(capsys, "audit", "--config", str(cfg))
+        assert code == 0
+        assert "PASS correctness het1 (0 failures in 8 runs)" in out.out
 
     def test_point_counts_audit(self, capsys):
         code, out = run_cli(capsys, "audit", "--suite", "counts",

@@ -21,7 +21,8 @@ from hetdapac.field import (
     unit_vector,
 )
 from hetdapac.harness import random_store
-from hetdapac.randomness import allocate, chunk_length, pool_labels
+from hetdapac.randomness import allocate, chunk_length
+from hetdapac.schemes import engine
 from hetdapac.schemes import engine
 from hetdapac.schemes.base import VectorSource, combine
 
@@ -231,7 +232,7 @@ def test_allocate_is_the_randrange_stream(scheme, params):
     clen = chunk_length(scheme, params)
     rng = derive_rng(9, "server-shared", scheme, public)
     want = {label: tuple(rng.randrange(params.q) for _ in range(clen))
-            for label in pool_labels(scheme, params)}
+            for label in engine(scheme).pool_labels(params)}
     pool = allocate(scheme, params, public, 9)
     assert {label: tuple(c) for label, c in pool.chunks.items()} == want
 

@@ -13,12 +13,7 @@ import itertools
 
 import pytest
 
-from hetdapac.access import (
-    SystemParams,
-    accessible_messages,
-    build_partition,
-    message_index,
-)
+from hetdapac.access import SystemParams, accessible_messages, all_pairs, message_index
 from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.field import derive_rng
 from hetdapac.harness import actor_name, random_store, run_protocol
@@ -70,16 +65,15 @@ def built_queries(v_star, params, seed):
 
 
 def test_desired_index_map_covers_all_subpackets():
-    part3 = build_partition(3)
-    i1, i2, ic = dapac.desired_index_map(part3.cycle, 3)
+    i1, i2, ic = dapac.desired_index_map(het2.cycle_pairs(3), 3)
     assert i1 == {(1, 2): 1, (1, 3): 2, (2, 3): 3}
     assert i2 == {(1, 2): 4, (1, 3): 5, (2, 3): 6}
     assert ic == {}
-    part4 = build_partition(4)
-    i1, i2, ic = dapac.desired_index_map(part4.cycle, 4)
+    cycle4 = het2.cycle_pairs(4)
+    i1, i2, ic = dapac.desired_index_map(cycle4, 4)
     merged = sorted(list(i1.values()) + list(i2.values()) + list(ic.values()))
     assert merged == list(range(1, 11))
-    assert set(ic) == set(part4.rest)
+    assert set(ic) == set(all_pairs(4)) - set(cycle4)
 
 
 class TestWalkthrough:
@@ -223,8 +217,8 @@ class TestSplitCover:
             lower = plan.groups[low_s][low_gi]
             higher = plan.groups[high_s][high_gi]
             assert higher.vector == lower.vector
-            assert lower.logical_of(desired) == min(known, unknown)   # i1
-            assert higher.logical_of(desired) == max(known, unknown)  # i2
+            assert lower.rows[lower.row_of(desired) - 1][1] == min(known, unknown)    # i1
+            assert higher.rows[higher.row_of(desired) - 1][1] == max(known, unknown)  # i2
             others = [r for r in lower.rows if r[0] != desired]
             assert others == [r for r in higher.rows if r[0] != desired]
 
@@ -244,14 +238,14 @@ class TestSplitCover:
         store = random_store(P542, 6)
         _, transcript, _ = run_protocol("het2", P542, self.V, store, seed=2)
         consumed = {lbl for _, lbl in transcript.consumed}
-        part = build_partition(4)
+        cycle = het2.cycle_pairs(4)
         values = self.V[:4]
         expected = set()
-        for n, m in part.cycle:
+        for n, m in cycle:
             for k in range(1, 3):
                 for k2 in range(1, 3):
                     expected.add(("pair", n, m, k, k2))
-        for n, m in part.rest:
+        for n, m in set(all_pairs(4)) - set(cycle):
             for k in range(1, 3):
                 expected.add(("pair", n, m, values[n - 1], k))
                 expected.add(("pair", n, m, k, values[m - 1]))

@@ -128,19 +128,18 @@ class TestPlanMix:
 
     def test_segments(self):
         mix = plan_mix(self.P, F(1, 2))
-        assert (mix.dapac_length, mix.het1_length) == (6, 6)
-        assert mix.components == ("dapac", "het1")
+        assert mix.segments == (("dapac", 6), ("het1", 6))
 
     def test_divisibility_refusal_names_minimal_length(self):
         with pytest.raises(DivisibilityError) as exc:
             plan_mix(self.P, F(1, 4))  # het1 segment of 9 cannot split by D=2
         assert exc.value.minimal_length == 8
         mix = plan_mix(SystemParams(n_attrs=3, d=2, k=2, length=8), F(1, 4))
-        assert (mix.dapac_length, mix.het1_length) == (2, 6)
+        assert mix.segments == (("dapac", 2), ("het1", 6))
 
     def test_endpoints(self):
-        assert plan_mix(self.P, 0).components == ("het1",)
-        assert plan_mix(self.P, 1).components == ("dapac",)
+        assert plan_mix(self.P, 0).segments == (("het1", 12),)
+        assert plan_mix(self.P, 1).segments == (("dapac", 12),)
 
     def test_mix_needs_central(self):
         with pytest.raises(ConfigError):
@@ -148,7 +147,7 @@ class TestPlanMix:
 
     def test_dapac_part_needs_two_dedicated_servers(self):
         one = SystemParams(n_attrs=2, d=1, k=2, length=2)
-        assert plan_mix(one, 0).components == ("het1",)
+        assert plan_mix(one, 0).segments == (("het1", 2),)
         for lam in (F(1, 2), 1):
             with pytest.raises(ConfigError):
                 plan_mix(one, lam)

@@ -6,27 +6,24 @@ import pytest
 
 from hetdapac.access import SystemParams
 from hetdapac.errors import ConfigError, DivisibilityError
-from hetdapac.randomness import (
-    allocate,
-    canonical_pair_label,
-    chunk_length,
-    pool_labels,
-    subpacket_count,
-)
+from hetdapac.randomness import allocate, canonical_pair_label, chunk_length
+from hetdapac.schemes import engine
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
 
 
 def test_subpacket_counts():
-    assert subpacket_count("het1", P322) == 2
-    assert subpacket_count("het1", P432) == 3
-    assert subpacket_count("het2", P432) == 6
-    assert subpacket_count("dapac", SystemParams(n_attrs=3, d=3, k=2, length=3)) == 3
-    with pytest.raises(ConfigError):
-        subpacket_count("het2", P322)  # D=2
-    with pytest.raises(ConfigError):
-        subpacket_count("nope", P322)
+    # chunk_length divides L by the count its scheme's engine defines
+    assert engine("het1").subpackets(2) == 2
+    assert engine("het1").subpackets(3) == 3
+    assert engine("het2").subpackets(3) == 6
+    assert engine("dapac").subpackets(3) == 3
+    assert chunk_length("het1", P432) == 2
+    with pytest.raises(ConfigError, match="D >= 3"):
+        chunk_length("het2", P322)  # D=2
+    with pytest.raises(ConfigError, match="unknown scheme tag"):
+        chunk_length("nope", P322)
 
 
 def test_chunk_length_divisibility():
