@@ -13,6 +13,11 @@ Four families of checks, all exact:
 * accounting compares measured rate, load ratio, downloads and randomness
   against their closed forms as rationals.
 
+A suite is a table of (scheme, params) points, `POINTS`. `point_checks`
+turns one point into the suite's named PASS/FAIL checks, and `run_suites`
+runs either the built-in tables or a given point list through it, so a
+configured point gets the verdict it would get inside a built-in suite.
+
 Privacy distributions factor into two independent layers. Wire sub-packet
 indices come from private uniform permutations, so an ordered list of
 distinct per-message indices is uniform over arrangements whatever the
@@ -48,8 +53,7 @@ def _default_vstar(params: SystemParams) -> tuple[int, ...]:
 
 # ------------------------------------------------------------- correctness
 
-def audit_correctness(scheme: str, params: SystemParams, trials: int = 50,
-                      seed0=0) -> dict:
+def audit_correctness(scheme: str, params: SystemParams, trials: int = 50) -> dict:
     """Run every attribute vector `trials` times against fresh stores.
 
     Returns failure and retry counts; any mismatch between the decoded
@@ -59,7 +63,7 @@ def audit_correctness(scheme: str, params: SystemParams, trials: int = 50,
     failures = runs = retries = attempts = 0
     for v_star in space:
         for t in range(trials):
-            seed = (seed0, scheme, v_star, t)
+            seed = (0, scheme, v_star, t)
             store = random_store(params, seed)
             msg, transcript, _ = run_protocol(scheme, params, v_star, store, seed)
             runs += 1
@@ -262,7 +266,7 @@ def _answer_tuple(eng, ctxs, queries):
     return tuple(out)
 
 
-def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11) -> dict:
+def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     """Exact secrecy check for one fixed query draw, by rank over F_q.
 
     Answers are affine, a = S(store) + P·s with the pool s uniform, so the
@@ -285,7 +289,7 @@ def audit_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=11) ->
     col(P): at the three SECRECY_POINTS at q = 65537, 2 of 6 unit shifts
     for het1, 3 of 21 for dapac and 9 of 42 for het2.
     """
-    v_star = v_star or _default_vstar(params)
+    v_star, seed = _default_vstar(params), 11
     eng = scheme_engine(scheme)
     q = params.q
     public = tuple(v_star[params.d:])
@@ -357,10 +361,10 @@ def closed_forms(scheme: str, params: SystemParams) -> dict:
     }
 
 
-def audit_counts(scheme: str, params: SystemParams, seed=5) -> dict:
+def audit_counts(scheme: str, params: SystemParams) -> dict:
     """One protocol run measured against every closed form, exactly."""
     forms = closed_forms(scheme, params)
-    v_star = _default_vstar(params)
+    v_star, seed = _default_vstar(params), 5
     store = random_store(params, seed)
     _, _, metrics = run_protocol(scheme, params, v_star, store, seed)
     measured = {
@@ -389,93 +393,89 @@ def audit_counts(scheme: str, params: SystemParams, seed=5) -> dict:
 
 # ------------------------------------------------------------------ suites
 
+def _grid_params(scheme: str, d: int, k: int) -> SystemParams:
+    """Smallest system exercising (D, K): one public attribute for a
+    scheme that queries the central server, none otherwise, at the
+    scheme's minimal length."""
+    eng = scheme_engine(scheme)
+    return SystemParams(n_attrs=d + 1 if eng.QUERIES_CENTRAL else d, d=d, k=k,
+                        q=65537, length=eng.subpackets(d))
+
+
 CORRECTNESS_POINTS = (
     ("het1", SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)),
     ("het2", SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)),
     ("dapac", SystemParams(n_attrs=3, d=3, k=2, q=65537, length=3)),
 )
 
-PRIVACY_POINTS = (
+PRIVACY_POINTS = SECRECY_POINTS = (
     ("het1", SystemParams(n_attrs=3, d=2, k=2, q=3, length=2)),
     ("dapac", SystemParams(n_attrs=3, d=3, k=2, q=2, length=3)),
     ("het2", SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)),
 )
 
-SECRECY_POINTS = (
-    ("het1", SystemParams(n_attrs=3, d=2, k=2, q=3, length=2)),
-    ("dapac", SystemParams(n_attrs=3, d=3, k=2, q=2, length=3)),
-    ("het2", SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)),
-)
+# every scheme defined at each (D, K) of the grid D in {2,3,4} x K in {2,3}
+COUNTS_POINTS = tuple((scheme, _grid_params(scheme, d, k))
+                      for d in (2, 3, 4) for k in (2, 3) for scheme in scheme_costs(d, k))
 
-COUNTS_GRID = tuple((d, k) for d in (2, 3, 4) for k in (2, 3))
-
-
-def _grid_params(scheme: str, d: int, k: int, q: int = 65537) -> SystemParams:
-    """Smallest system exercising (D, K): one public attribute for a
-    scheme that queries the central server, none otherwise, at the
-    scheme's minimal length."""
-    eng = scheme_engine(scheme)
-    return SystemParams(n_attrs=d + 1 if eng.QUERIES_CENTRAL else d, d=d, k=k, q=q,
-                        length=eng.subpackets(d))
-
-
-def _suite(name: str, checks: list[dict]) -> dict:
-    return {"suite": name, "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
-
-
-def _point_checks(suite: str, scheme: str, params: SystemParams) -> list[dict]:
-    """The privacy or secrecy checks at one parameter point: one per
-    queried server, or the secrecy proof with its decodability control."""
-    if suite == "privacy":
-        return [{"name": f"privacy {scheme} server {server}", "pass": rep["pass"],
-                 "report": rep}
-                for server in privacy_servers(scheme, params)
-                for rep in [audit_attribute_privacy(scheme, params, server)]]
-    rep = audit_db_secrecy(scheme, params)
-    return [{"name": f"secrecy {scheme}",
-             "pass": rep["pass"] and rep["desired_control_tv"] > 0,
-             "report": rep}]
-
-
-def suite_correctness(trials: int = 50) -> dict:
-    checks = []
-    for scheme, params in CORRECTNESS_POINTS:
-        rep = audit_correctness(scheme, params, trials=trials)
-        # only het2 redraws (zero cycle coefficients, about D/q per run)
-        ok = rep["pass"] and rep["retry_frequency"] <= Fraction(10 * params.d, params.q)
-        checks.append({"name": f"correctness {scheme}", "pass": ok, "report": rep})
-    return _suite("correctness", checks)
-
-
-def suite_privacy() -> dict:
-    return _suite("privacy", [c for scheme, params in PRIVACY_POINTS
-                              for c in _point_checks("privacy", scheme, params)])
-
-
-def suite_secrecy() -> dict:
-    return _suite("secrecy", [c for scheme, params in SECRECY_POINTS
-                              for c in _point_checks("secrecy", scheme, params)])
-
-
-def suite_counts() -> dict:
-    checks = []
-    for d, k in COUNTS_GRID:
-        for scheme in scheme_costs(d, k):
-            rep = audit_counts(scheme, _grid_params(scheme, d, k))
-            checks.append({"name": f"counts {scheme} D={d} K={k}",
-                           "pass": rep["pass"], "report": rep})
-    return _suite("counts", checks)
-
-
-SUITES = {
-    "correctness": suite_correctness,
-    "privacy": suite_privacy,
-    "secrecy": suite_secrecy,
-    "counts": suite_counts,
+# Each suite is its table of built-in (scheme, params) points.
+POINTS = {
+    "correctness": CORRECTNESS_POINTS,
+    "privacy": PRIVACY_POINTS,
+    "secrecy": SECRECY_POINTS,
+    "counts": COUNTS_POINTS,
 }
 
 
-def run_suites(names) -> dict:
-    reports = [SUITES[name]() for name in names]
+def _check(name: str, rep: dict, ok: bool = True) -> dict:
+    return {"name": name, "pass": rep["pass"] and ok, "report": rep}
+
+
+def point_checks(suite: str, scheme: str, params: SystemParams, trials: int = 50) -> list[dict]:
+    """Every check of `suite` at one (scheme, params) point: the one place
+    each suite names its checks and decides their verdicts."""
+    if suite == "correctness":
+        rep = audit_correctness(scheme, params, trials)
+        # only het2 redraws (zero cycle coefficients, about D/q per run)
+        return [_check(f"correctness {scheme}", rep,
+                       rep["retry_frequency"] <= Fraction(10 * params.d, params.q))]
+    if suite == "privacy":
+        return [_check(f"privacy {scheme} server {server}",
+                       audit_attribute_privacy(scheme, params, server))
+                for server in privacy_servers(scheme, params)]
+    if suite == "secrecy":
+        rep = audit_db_secrecy(scheme, params)
+        # the control: shifting the desired message must move its answers
+        return [_check(f"secrecy {scheme}", rep, rep["desired_control_tv"] > 0)]
+    if suite == "counts":
+        return [_check(f"counts {scheme} D={params.d} K={params.k}",
+                       audit_counts(scheme, params))]
+    raise ConfigError(f"unknown suite {suite!r}")
+
+
+def run_suite(name: str, points=None, trials: int = 50) -> dict:
+    """One suite over its built-in points, or over `points` in their place."""
+    checks = [check for scheme, params in (POINTS[name] if points is None else points)
+              for check in point_checks(name, scheme, params, trials)]
+    return {"suite": name, "checks": checks, "pass": all(c["pass"] for c in checks)}
+
+
+def run_suites(names, points=None, trials: int = 50) -> dict:
+    reports = [run_suite(name, points, trials) for name in names]
     return {"suites": reports, "pass": all(r["pass"] for r in reports)}
+
+
+def suite_correctness(trials: int = 50) -> dict:
+    return run_suite("correctness", trials=trials)
+
+
+def suite_privacy() -> dict:
+    return run_suite("privacy")
+
+
+def suite_secrecy() -> dict:
+    return run_suite("secrecy")
+
+
+def suite_counts() -> dict:
+    return run_suite("counts")

@@ -4,8 +4,10 @@ Three subcommands:
 
 * ``run``    executes one retrieval (or a sweep over every attribute
   vector), prints exact and decimal metrics, and can dump the transcript;
-* ``audit``  runs the exact audit suites, either at their canonical small
-  parameter points or at an explicitly configured one;
+* ``audit``  runs the exact audit suites over their built-in points, or
+  over the one point that ``scheme`` and the dimensions configure; the
+  dimensions without a scheme are refused, and ``trials`` (default 50)
+  sets the correctness sweep in both modes;
 * ``curve``  emits the rate versus load-ratio tradeoff as CSV with exact
   rationals beside every float column.
 
@@ -27,17 +29,17 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .access import SystemParams, message_index
-from .audit import SUITES, _point_checks, _suite, audit_correctness, audit_counts, run_suites
+from .audit import POINTS, run_suites
 from .errors import ConfigError
 from .harness import random_store, run_protocol
 from .mixer import INF, frontier_rate, plan_mix, rate_of_load, run_time_shared, scheme_costs
-from .schemes import engine
+from .schemes import ENGINES, engine
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
-SCHEMES = ("dapac", "het1", "het2", "mix")
+SCHEMES = (*sorted(ENGINES), "mix")
 
 
 # ------------------------------------------------------------- formatting
@@ -183,6 +185,8 @@ def cmd_run(cfg: dict) -> int:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     params = _params_of(cfg)
     seed = _integer("seed", cfg.get("seed", 0))
+    if scheme != "mix" and "lambda" in cfg:
+        raise ConfigError(f"lambda weights a mix run; {scheme} does not read it")
     lam = _parse_lambda(cfg) if scheme == "mix" else None
     mix = plan_mix(params, lam) if scheme == "mix" else None
 
@@ -230,39 +234,26 @@ def cmd_run(cfg: dict) -> int:
 
 # ------------------------------------------------------------------ audit
 
-def _point_audit(suite: str, cfg: dict) -> dict:
-    """One configured parameter point instead of the canonical suites."""
-    scheme = cfg["scheme"]
-    if scheme not in SCHEMES[:3]:
-        raise ConfigError(f"audits cover {SCHEMES[:3]}, got {scheme!r}")
-    params = _params_of(cfg)
-    if suite == "correctness":
-        rep = audit_correctness(scheme, params,
-                                trials=_integer("trials", cfg.get("trials", 10)))
-        checks = [{"name": f"correctness {scheme}", "pass": rep["pass"],
-                   "report": rep}]
-    elif suite == "counts":
-        rep = audit_counts(scheme, params)
-        checks = [{"name": f"counts {scheme}", "pass": rep["pass"],
-                   "report": rep}]
-    else:
-        checks = _point_checks(suite, scheme, params)
-    return _suite(suite, checks)
-
-
 def cmd_audit(cfg: dict) -> int:
     suite = cfg.get("suite", "all")
-    names = list(SUITES) if suite == "all" else [suite]
-    unknown = [n for n in names if not isinstance(n, str) or n not in SUITES]
+    names = list(POINTS) if suite == "all" else [suite]
+    unknown = [n for n in names if not isinstance(n, str) or n not in POINTS]
     if unknown:
         raise ConfigError(f"unknown suite {unknown[0]!r}; "
-                          f"choose from {', '.join(SUITES)} or all")
+                          f"choose from {', '.join(POINTS)} or all")
+    trials = _integer("trials", cfg.get("trials", 50))
+    if trials < 1:
+        raise ConfigError(f"trials must be positive, got {trials}")
+    points = None  # the suites' built-in points
+    if "scheme" in cfg:
+        if cfg["scheme"] not in SCHEMES[:-1]:
+            raise ConfigError(f"audits cover {SCHEMES[:-1]}, got {cfg['scheme']!r}")
+        points = [(cfg["scheme"], _params_of(cfg))]
+    elif given := [key for key in ("n", "d", "k", "q", "length") if key in cfg]:
+        raise ConfigError(f"{', '.join(given)} set a point for --scheme; "
+                          "without it the suites run their built-in points")
     print(_echo(cfg))
-    if cfg.get("scheme"):
-        reports = [_point_audit(name, cfg) for name in names]
-        result = {"suites": reports, "pass": all(r["pass"] for r in reports)}
-    else:
-        result = run_suites(names)
+    result = run_suites(names, points, trials)
     report = {"config": cfg, **result}
     for suite_report in report["suites"]:
         for check in suite_report["checks"]:
@@ -357,7 +348,7 @@ KEYS = {
     "lambda": {"help": "dapac share of a mix run"},
     "seed": {"type": int},
     "vstar": {"help": "attribute vector, comma separated"},
-    "suite": {"choices": [*SUITES, "all"]},
+    "suite": {"choices": [*POINTS, "all"]},
     "trials": None,
     "grid": {"type": int, "help": "curve grid density"},
     "out": {"help": "output file"},

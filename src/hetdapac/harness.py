@@ -235,12 +235,14 @@ def verification_phase(channel: Channel, v_star, params: SystemParams):
 
 
 def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
-                    seed, transcript: Transcript, segment=None, rng_labels=()):
-    """Build one plan on derive_rng(seed, "user", *rng_labels, 0), send it
-    and decode its answers. Every plan decodes: het2 draws the coordinates
-    it divides by nonzero (see schemes.base.VectorSource)."""
+                    seed, transcript: Transcript, segment=None):
+    """Build one plan on the user stream of `seed`, labeled by the segment
+    tag if there is one, send it and decode its answers. Every plan
+    decodes: het2 draws the coordinates it divides by nonzero (see
+    schemes.base.VectorSource)."""
     eng = scheme_engine(scheme)
-    plan, queries = eng.build(v_star, params, derive_rng(seed, "user", *rng_labels, 0))
+    labels = () if segment is None else (segment,)
+    plan, queries = eng.build(v_star, params, derive_rng(seed, "user", *labels, 0))
     transcript.retries += plan.redraws
     transcript.attempts += 1
     answers = {}
@@ -303,8 +305,7 @@ def run_segments(params: SystemParams, v_star, seed, segments):
         for actor in channel.actors.values():
             actor.install_pool(pool, seg_store)
         message += retrieval_phase(channel, scheme, seg_params, v_star, seed,
-                                   transcript, segment=tag,
-                                   rng_labels=(tag,) if tagged else ())
+                                   transcript, segment=tag)
     return message, transcript, metrics_of(transcript)
 
 

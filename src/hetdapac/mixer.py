@@ -62,7 +62,8 @@ def scheme_costs(d: int, k: int) -> dict[str, _Costs]:
         costs["het2"] = _Costs(F(2 * k * (d - 1), d * (d + 1)), F(2 * k, d + 1),
                                F((d - 1) * k * k, d + 1),
                                F(2 * k * k + (d - 3) * (2 * k - 1), d + 1))
-    costs["dapac"] = _Costs(F(2 * k, d), F(0), F(k * k), F(2 * k - 1))
+    if d >= 2:
+        costs["dapac"] = _Costs(F(2 * k, d), F(0), F(k * k), F(2 * k - 1))
     return costs
 
 
@@ -74,17 +75,19 @@ def _check_lambda(lam) -> Fraction:
 
 
 def _lambda_costs(lam, d: int, k: int) -> _Costs:
-    """The lambda:(1-lambda) mixture of dapac and het1."""
+    """The lambda:(1-lambda) mixture of dapac and het1; dapac needs D >= 2."""
+    if d < 2:
+        raise ConfigError(f"the lambda family mixes in dapac, which needs D >= 2, got D={d}")
     costs = scheme_costs(d, k)
     return costs["dapac"].mix(costs["het1"], _check_lambda(lam))
 
 
 # Rate, allocated randomness and central download do not depend on D, so
-# their wrappers evaluate the mixture at D = 1.
+# their wrappers evaluate the mixture at D = 2, the least D it exists at.
 
 def rate_of_lambda(lam, k: int) -> Fraction:
     """Time-sharing rate 1/(K(1+lambda) + (1-lambda))."""
-    return _lambda_costs(lam, 1, k).rate(1)
+    return _lambda_costs(lam, 2, k).rate(2)
 
 
 def load_ratio_of_lambda(lam, d: int, k: int):
@@ -94,7 +97,7 @@ def load_ratio_of_lambda(lam, d: int, k: int):
 
 def randomness_of_lambda(lam, k: int, length: int) -> Fraction:
     """Allocated shared-randomness symbols KL(lambda(K-1) + 1)."""
-    return _lambda_costs(lam, 1, k).allocated * length
+    return _lambda_costs(lam, 2, k).allocated * length
 
 
 def dedicated_download_of_lambda(lam, d: int, k: int, length: int) -> Fraction:
@@ -104,15 +107,17 @@ def dedicated_download_of_lambda(lam, d: int, k: int, length: int) -> Fraction:
 
 def central_download_of_lambda(lam, k: int, length: int) -> Fraction:
     """Central download (1-lambda)KL."""
-    return _lambda_costs(lam, 1, k).central * length
+    return _lambda_costs(lam, 2, k).central * length
 
 
 def _rate_at_load(ell, chain: list[_Costs], d: int) -> Fraction:
     """Rate of the mixture of adjacent chain points that has load ratio ell.
 
     The chain runs in increasing load ratio from het1, the minimum, to
-    dapac, the infinite one.
+    dapac, the infinite one, which needs D >= 2.
     """
+    if len(chain) < 2:
+        raise ConfigError(f"no load ratio tradeoff at D={d}: dapac needs D >= 2")
     if ell == INF:
         return chain[-1].rate(d)
     ell, low = Fraction(ell), chain[0].load_ratio
@@ -126,8 +131,7 @@ def _rate_at_load(ell, chain: list[_Costs], d: int) -> Fraction:
 
 def rate_of_load(ell, d: int, k: int) -> Fraction:
     """The time-sharing curve reparameterized by load ratio."""
-    costs = scheme_costs(d, k)
-    return _rate_at_load(ell, [costs["het1"], costs["dapac"]], d)
+    return _rate_at_load(ell, [_lambda_costs(lam, d, k) for lam in (0, 1)], d)
 
 
 # ---------------------------------------------------------------- frontier

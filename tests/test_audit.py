@@ -548,6 +548,24 @@ class TestSuites:
         assert all(set(c) >= {"name", "pass", "report"}
                    for c in rep["suites"][0]["checks"])
 
+    @pytest.mark.parametrize("suite", list(audit.POINTS))
+    def test_a_point_list_runs_the_suites_own_checks(self, suite):
+        # a configured point goes through the very checks of the built-in
+        # suite: same names, same pass rules, same reports
+        builtin = audit.run_suites([suite], trials=1)["suites"][0]["checks"]
+        start = 0
+        for point in audit.POINTS[suite]:
+            rep = audit.run_suites([suite], points=[point], trials=1)
+            checks = rep["suites"][0]["checks"]
+            assert checks and checks == builtin[start:start + len(checks)]
+            assert rep["pass"] == all(c["pass"] for c in checks)
+            start += len(checks)
+        assert start == len(builtin)
+
+    def test_unknown_suite_is_refused(self):
+        with pytest.raises(ConfigError, match="unknown suite 'bogus'"):
+            audit.point_checks("bogus", *audit.CORRECTNESS_POINTS[0])
+
     def test_privacy_suite_covers_all_servers(self):
         rep = audit.suite_privacy()
         names = [c["name"] for c in rep["checks"]]

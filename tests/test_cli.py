@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hetdapac import cli
+from hetdapac import audit, cli
 from hetdapac.harness import random_store
 
 
@@ -284,6 +284,43 @@ class TestMalformedInput:
         assert out.out == ""
         self.assert_refused(out, f"{command} does not read {key};")
 
+    @pytest.mark.parametrize("key, value", [("n", 3), ("d", 3), ("k", 2),
+                                            ("q", 5), ("length", 6)])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_audit_dimension_without_a_scheme(self, capsys, tmp_path, key, value, source):
+        # without --scheme the suites run their built-in points, so a
+        # dimension would be echoed and ignored
+        if source == "flag":
+            argv = ("audit", "--suite", "counts", f"--{key}", str(value))
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"suite": "counts", key: value}))
+            argv = ("audit", "--config", str(cfg))
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out.out == ""
+        self.assert_refused(out, key, "--scheme")
+
+    @pytest.mark.parametrize("scheme, flags", [
+        ("het1", HET1_FLAGS[2:]),
+        ("dapac", ("--n", "3", "--d", "3", "--k", "2", "--length", "3")),
+    ])
+    def test_lambda_outside_a_mix_run(self, capsys, scheme, flags):
+        code, out = run_cli(capsys, "run", "--scheme", scheme, *flags,
+                            "--vstar", "1,1,1", "--lambda", "1/2")
+        assert code == 2
+        assert out.out == ""
+        self.assert_refused(out, "lambda", scheme)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_audit_trials_must_be_positive(self, capsys, tmp_path, trials):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "correctness", "trials": trials}))
+        code, out = run_cli(capsys, "audit", "--config", str(cfg))
+        assert code == 2
+        assert out.out == ""
+        self.assert_refused(out, "trials")
+
     def test_non_integral_grid_in_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d": 3, "k": 2, "grid": 2.5}))
@@ -358,12 +395,48 @@ class TestAudit:
         assert code == 0
         assert "PASS correctness het1 (0 failures in 8 runs)" in out.out
 
+    def test_builtin_correctness_reads_trials_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "correctness", "trials": 1}))
+        code, out = run_cli(capsys, "audit", "--config", str(cfg))
+        assert code == 0
+        checks = [line for line in out.out.splitlines() if line.startswith("PASS correctness")]
+        assert checks == ["PASS correctness het1 (0 failures in 8 runs)",
+                          "PASS correctness het2 (0 failures in 16 runs)",
+                          "PASS correctness dapac (0 failures in 8 runs)"]
+
+    def test_point_correctness_runs_the_suites_default_trials(self, capsys):
+        code, out = run_cli(capsys, "audit", "--suite", "correctness", *HET1_FLAGS)
+        assert code == 0
+        assert "PASS correctness het1 (0 failures in 400 runs)" in out.out
+
+    def test_point_correctness_applies_the_redraw_bound(self, capsys, monkeypatch):
+        # a clean sweep that redrew more often than 10D/q must still fail
+        def redrawing(scheme, params, trials=50):
+            return {"scheme": scheme, "params": params, "runs": 8, "failures": 0,
+                    "retries": 8, "attempts": 8, "retry_frequency": Fraction(1),
+                    "pass": True}
+
+        monkeypatch.setattr(audit, "audit_correctness", redrawing)
+        code, out = run_cli(capsys, "audit", "--suite", "correctness", *HET1_FLAGS)
+        assert code == 1
+        assert "FAIL correctness het1 (0 failures in 8 runs)" in out.out
+        assert "FAIL overall" in out.out
+
     def test_point_counts_audit(self, capsys):
         code, out = run_cli(capsys, "audit", "--suite", "counts",
                             "--scheme", "dapac", "--n", "3", "--d", "3",
                             "--k", "2", "--length", "3")
         assert code == 0
-        assert "PASS counts dapac" in out.out
+        checks = [line for line in out.out.splitlines() if line.startswith("PASS counts")]
+        assert checks == ["PASS counts dapac D=3 K=2"]
+
+    def test_mix_is_not_an_audit_point(self, capsys):
+        code, out = run_cli(capsys, "audit", "--suite", "counts", "--scheme", "mix",
+                            *HET1_FLAGS[2:])
+        assert code == 2
+        assert out.out == ""
+        assert "audits cover" in out.err
 
 
 def read_curve(path):

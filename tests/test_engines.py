@@ -22,7 +22,7 @@ from hetdapac.schemes import ENGINES, engine
 INTERFACE = ("SCHEME", "QUERIES_CENTRAL", "subpackets", "pool_labels",
              "build", "label_table", "answer_query", "decode")
 
-SHAPES = [(d, k) for d in range(2, 7) for k in (2, 3)]
+SHAPES = [(d, k) for d in range(1, 7) for k in (2, 3)]
 
 
 @pytest.mark.parametrize("tag", sorted(ENGINES))

@@ -111,6 +111,18 @@ def test_frontier_needs_three_servers():
     assert frontier_rate(F(5, 4), 2, 2) == rate_of_load(F(5, 4), 2, 2)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_dedicated_server_has_no_lambda_family(k):
+    # dapac pairs dedicated servers, so at D = 1 only het1 exists
+    assert list(scheme_costs(1, k)) == ["het1"]
+    for call in (lambda: load_ratio_of_lambda(F(1, 2), 1, k),
+                 lambda: dedicated_download_of_lambda(F(1, 2), 1, k, 12),
+                 lambda: rate_of_load(F(1, 2), 1, k),
+                 lambda: frontier_rate(INF, 1, k)):
+        with pytest.raises(ConfigError, match="D >= 2"):
+            call()
+
+
 def test_scheme_costs_match_pure_rates():
     for d, k in [(3, 2), (4, 3)]:
         costs = scheme_costs(d, k)
