@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from .access import SystemParams, message_index, participating_ids
@@ -301,8 +302,13 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     store = random_store(params, seed)
     other = random_store(params, (seed, "affine-witness"))
 
+    ctxs = _contexts(params, v_star, store, zero_pool, queries)
+
     def answers(st, pool):
-        return _answer_tuple(eng, _contexts(params, v_star, st, pool, queries), queries)
+        # each server's slice of `st` under the table and slice it verified once
+        return _answer_tuple(eng, {
+            server: replace(ctx, store={m: st[m] for m in ctx.store}, pool=pool)
+            for server, ctx in ctxs.items()}, queries)
 
     def minus(a, b):
         return tuple((x - y) % q for x, y in zip(a, b))

@@ -7,7 +7,8 @@ Three subcommands:
 * ``audit``  runs the exact audit suites over their built-in points, or
   over the one point that ``scheme`` and the dimensions configure; the
   dimensions without a scheme are refused, and ``trials`` (default 50)
-  sets the correctness sweep in both modes;
+  sets the correctness sweep in both modes, refused where no suite run
+  is ``correctness``;
 * ``curve``  emits the rate versus load-ratio tradeoff as CSV with exact
   rationals beside every float column.
 
@@ -28,11 +29,12 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .access import SystemParams, message_index
+from .access import SystemParams, check_vector, message_index
 from .audit import POINTS, run_suites
 from .errors import ConfigError
 from .harness import random_store, run_protocol
 from .mixer import INF, frontier_rate, plan_mix, rate_of_load, run_time_shared, scheme_costs
+from .randomness import chunk_length
 from .schemes import ENGINES, engine
 
 EXIT_PASS = 0
@@ -189,9 +191,11 @@ def cmd_run(cfg: dict) -> int:
         raise ConfigError(f"lambda weights a mix run; {scheme} does not read it")
     lam = _parse_lambda(cfg) if scheme == "mix" else None
     mix = plan_mix(params, lam) if scheme == "mix" else None
+    if mix is None:
+        chunk_length(scheme, params)  # refuses D and L the scheme cannot run
 
     if cfg.get("vstar") is not None:
-        targets = [_parse_vstar(cfg["vstar"], params)]
+        targets = [check_vector(_parse_vstar(cfg["vstar"], params), params)]
     else:
         targets = [tuple(v) for v in itertools.product(
             range(1, params.k + 1), repeat=params.n_attrs)]
@@ -241,6 +245,8 @@ def cmd_audit(cfg: dict) -> int:
     if unknown:
         raise ConfigError(f"unknown suite {unknown[0]!r}; "
                           f"choose from {', '.join(POINTS)} or all")
+    if "trials" in cfg and "correctness" not in names:
+        raise ConfigError(f"trials sets the correctness sweep; suite {suite} does not read it")
     trials = _integer("trials", cfg.get("trials", 50))
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
@@ -249,6 +255,7 @@ def cmd_audit(cfg: dict) -> int:
         if cfg["scheme"] not in SCHEMES[:-1]:
             raise ConfigError(f"audits cover {SCHEMES[:-1]}, got {cfg['scheme']!r}")
         points = [(cfg["scheme"], _params_of(cfg))]
+        chunk_length(*points[0])  # refuses D and L the scheme cannot run
     elif given := [key for key in ("n", "d", "k", "q", "length") if key in cfg]:
         raise ConfigError(f"{', '.join(given)} set a point for --scheme; "
                           "without it the suites run their built-in points")

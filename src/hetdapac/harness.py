@@ -6,13 +6,13 @@ attributes to the central server, which relays them to everyone. In
 retrieval the user sends one query tuple per server and decodes the
 answer shares.
 
-Actors exchange serialized protocol messages through an in-process channel
-and share no state, so the same engines could back real sockets. Every
-message is logged to the transcript as a structured record (phase, sender,
-receiver, kind, symbol count, payload digest); identical inputs produce
-byte-identical transcript dumps. Query construction happens strictly
-before any server sees the store it will answer from, and only ever reads
-(v*, params, user randomness).
+Actors exchange `bytes` through an in-process channel and share no state,
+so the same engines could back real sockets; wire.py writes and parses
+every message. Each one is logged to the transcript as a structured record
+(phase, sender, receiver, kind, symbol count, and the sha256 of the bytes
+sent); identical inputs produce byte-identical transcript dumps. Query
+construction happens strictly before any server sees the store it will
+answer from, and only ever reads (v*, params, user randomness).
 
 Every run goes through `run_segments`: one verification phase, then one
 retrieval per segment, each segment a scheme with its own symbol range,
@@ -22,7 +22,6 @@ time-shared mix (see mixer.py) is several.
 
 from __future__ import annotations
 
-import io
 import json
 from array import array
 from dataclasses import dataclass
@@ -40,7 +39,10 @@ from .wire import (
     decode_commit_value,
     decode_public,
     decode_query,
+    encode_ack,
     encode_answers,
+    encode_commit_value,
+    encode_public,
     encode_query,
     payload_digest,
 )
@@ -110,11 +112,8 @@ class Transcript:
         return out
 
     def dumps(self) -> str:
-        buf = io.StringIO()
-        for rec in self.records:
-            buf.write(json.dumps(rec.as_dict(), sort_keys=True, separators=(",", ":")))
-            buf.write("\n")
-        return buf.getvalue()
+        return "".join(json.dumps(rec.as_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+                       for rec in self.records)
 
     def dump(self, path):
         with open(path, "w") as fh:
@@ -124,7 +123,7 @@ class Transcript:
 # ---------------------------------------------------------------- actors
 
 class Channel:
-    """Routes serialized messages between named endpoints, logging each one."""
+    """Routes `bytes` between named endpoints, logging each message."""
 
     def __init__(self, transcript: Transcript):
         self.transcript = transcript
@@ -165,7 +164,7 @@ class ServerActor:
     def is_central(self) -> bool:
         return self.server == self.params.central
 
-    def handle(self, kind: str, payload: dict):
+    def handle(self, kind: str, payload: bytes):
         k, width = self.params.k, self.params.n_attrs - self.params.d
         if kind == "attribute-commit":
             if self.is_central:
@@ -174,7 +173,7 @@ class ServerActor:
                 self.own_value = decode_commit_value(payload, k)
                 if not self.params.has_central:
                     self.public = ()
-            return ("commit-ack", {"server": self.server}, 0)
+            return ("commit-ack", encode_ack(self.server), 0)
         if kind == "attribute-relay":
             self.public = decode_public(payload, k, width)
             return None
@@ -184,8 +183,8 @@ class ServerActor:
             query = decode_query(payload)
             shares, labels = scheme_engine(self.ctx.pool.scheme).answer_query(self.ctx, query)
             self.used_labels = labels
-            reply = encode_answers(shares)
-            return ("answer", reply, sum(len(s.payload) for s in shares))
+            return ("answer", encode_answers(self.server, shares),
+                    sum(len(s.payload) for s in shares))
         raise ConfigError(f"unknown message kind {kind!r}")
 
     def install_pool(self, pool: RandomnessPool, store):
@@ -223,15 +222,14 @@ def verification_phase(channel: Channel, v_star, params: SystemParams):
     v_star = check_vector(v_star, params)
     for n in range(1, params.d + 1):
         channel.request("verification", "user", actor_name(n, params),
-                        "attribute-commit", {"position": n, "value": v_star[n - 1]})
+                        "attribute-commit", encode_commit_value(n, v_star[n - 1]))
     central = actor_name(params.central, params)
     if central in channel.actors:
-        public = list(v_star[params.d:])
-        channel.request("verification", "user", central,
-                        "attribute-commit", {"public": public})
+        public = encode_public(v_star[params.d:])
+        channel.request("verification", "user", central, "attribute-commit", public)
         for n in range(1, params.d + 1):
             channel.request("verification", central, actor_name(n, params),
-                            "attribute-relay", {"public": public})
+                            "attribute-relay", public)
 
 
 def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
@@ -252,23 +250,28 @@ def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
                                 encode_query(queries[n]),
                                 symbols=queries[n].upload_symbols(),
                                 segment=segment)
-        answers[n] = _checked_reply(decode_answers(reply), queries[n],
-                                    params.length // plan.subpackets, params.q)
+        answers[n] = _checked_reply(reply, queries[n], params.length // plan.subpackets,
+                                    params.q)
         transcript.note_consumed(
             (lbl for group in channel.actors[name].used_labels for lbl in group),
             segment=segment)
     return eng.decode(plan, answers)
 
 
-def _checked_reply(shares, query, length: int, q: int):
-    """`shares` if they answer `query`: from its server, one share per
-    group in group order, each one sub-packet of `length` symbols of F_q.
-    Decode reads shares by position, so any other reply is a ConfigError."""
+def _checked_reply(reply: bytes, query, length: int, q: int):
+    """The shares of `reply` if they answer `query`: from its server, one
+    share per group, each one sub-packet of `length` symbols of F_q.
+    Decode reads shares by position, so any other reply is a ConfigError
+    naming the server."""
     server = query.server
-    shape = [(s.server, s.group_index, len(s.payload)) for s in shares]
-    if shape != [(server, gi, length) for gi in range(len(query.groups))]:
+    try:
+        shares = decode_answers(reply)
+    except ConfigError as err:
+        raise ConfigError(f"server {server} sent a malformed answer: {err}") from None
+    sender, width = (shares[0].server, len(shares[0].payload)) if shares else (server, length)
+    if (sender, len(shares), width) != (server, len(query.groups), length):
         raise ConfigError(f"server {server} sent shares that do not answer its query: "
-                          f"want {len(query.groups)} in group order, {length} symbols each")
+                          f"want {len(query.groups)}, {length} symbols each")
     if not all(max(s.payload) < q for s in shares):  # array('I'): none below 0
         raise ConfigError(f"server {server} sent a symbol outside F_{q}")
     return shares

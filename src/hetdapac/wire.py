@@ -1,4 +1,4 @@
-"""Wire-level protocol objects: queries, answers, and their serialization.
+"""Wire-level protocol objects and the bytes that carry them.
 
 A query for one server is an ordered list of message groups. Each group
 names rows of (message id, sub-packet index) and carries one combining
@@ -10,20 +10,20 @@ Sub-packet indices on the wire are the user's privately permuted ones,
 which is the whole point: the server learns nothing from them. Indices
 are 1-based.
 
-The verification phase's payloads (a committed attribute value, the
-relayed public part) are checked on arrival by `decode_commit_value` and
-`decode_public`.
+Every message is `bytes`. Queries and answers are frames of 4-byte
+little-endian words, the same bytes on any host:
 
-An answer share travels as one binary frame: its payload is `bytes`,
-the symbols' 4-byte little-endian words, and `decode_answers` turns it
-back into an `array('I')` on any host. Every other field, and every query
-and verification message, is canonical JSON (sorted keys, no whitespace).
+    query   server, group count, each group's row count,
+            then per group its message ids, wire indices and vector
+    answer  server, share count, symbols per share, then the symbols
 
-A message's transcript digest is sha256 over its canonical JSON, each
-`bytes` value written as its byte length, followed by those bytes in the
-order they were written (share order). A message without frames hashes
-its canonical JSON alone, so digests are stable byte-for-byte across runs
-and hosts.
+A decoder checks each header count against the frame length before it
+builds anything. The verification phase's messages (a committed attribute
+value, the public part, the acknowledgement) are canonical JSON (sorted
+keys, no whitespace), written by the `encode_*` functions here and
+checked on arrival by `decode_commit_value` and `decode_public`.
+
+A message's transcript digest is the sha256 of the bytes sent.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ class MessageGroupDescriptor:
     """Ordered rows of (message id, wire sub-packet index)."""
 
     rows: tuple[tuple[int, int], ...]
-
-    def messages(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.rows)
 
 
 @dataclass(frozen=True)
@@ -71,121 +68,112 @@ class AnswerShare:
     payload: array            # one sub-packet of field symbols, array('I')
 
 
-def encode_query(query: QueryTuple) -> dict:
-    """The query as a JSON-ready dict. Rows and vectors stay the tuples
-    they are: JSON writes a tuple as an array, so the canonical bytes
-    are those of the list form, and `decode_query` takes either."""
-    return {
-        "server": query.server,
-        "groups": [{"rows": g.descriptor.rows, "vector": g.vector} for g in query.groups],
-    }
+def _size(frame, what: str) -> int:
+    """The word count of a frame: `bytes` of whole 4-byte words."""
+    if type(frame) is not bytes or len(frame) % 4:
+        raise ConfigError(f"{what} payload is not a frame of whole 4-byte words")
+    return len(frame) // 4
 
 
-def _integer(x) -> int:
-    if type(x) is not int:
-        raise ConfigError(f"expected an integer, got {x!r}")
-    return x
+def _words(frame: bytes, start: int, stop: int) -> array:
+    """Words [start, stop) of a frame as one `array('I')`, copied once."""
+    words = array("I")
+    words.frombytes(memoryview(frame)[4 * start:4 * stop])
+    return little_endian(words)
 
 
-def _ints(values, what: str) -> tuple[int, ...]:
-    # one pass in C over the item types: a bool or a float is refused
-    # as `_integer` refuses it, without a call per item
-    values = tuple(values)
-    if not set(map(type, values)) <= {int}:
-        raise ConfigError(f"expected integers as {what}")
-    return values
+def encode_query(query: QueryTuple) -> bytes:
+    groups = query.groups
+    words = array("I", [query.server, len(groups)])
+    words.extend(len(g.descriptor.rows) for g in groups)
+    for g in groups:
+        for column in zip(*g.descriptor.rows):  # the ids, then the indices
+            words.extend(column)
+        words.extend(g.vector)
+    return little_endian(words).tobytes()
 
 
-def _group(g) -> QueryGroup:
-    """One query group, each property checked in one pass over its rows."""
-    rows = tuple(g["rows"])
-    if not set(map(type, rows)) <= {list, tuple} or not set(map(len, rows)) <= {2}:
-        raise ConfigError("expected (message, index) pairs as query rows")
-    messages, indices = zip(*rows) if rows else ((), ())
-    rows = tuple(zip(_ints(messages, "message ids"), _ints(indices, "sub-packet indices")))
-    return QueryGroup(MessageGroupDescriptor(rows), _ints(g["vector"], "a combining vector"))
+def decode_query(frame) -> QueryTuple:
+    """Inverse of encode_query; a malformed frame raises ConfigError."""
+    words = _words(frame, 0, _size(frame, "query"))
+    count = words[1] if len(words) >= 2 else -1
+    at = 2 + count
+    if not 0 <= count <= len(words) - 2 or at + 3 * sum(words[2:at]) != len(words):
+        raise ConfigError("query frame is not server, group count, row counts and groups")
+    groups = []
+    for rows in words[2:2 + count]:
+        ids, indices, vector = (words[at + i * rows:at + (i + 1) * rows] for i in range(3))
+        groups.append(QueryGroup(MessageGroupDescriptor(tuple(zip(ids, indices))),
+                                 tuple(vector)))
+        at += 3 * rows
+    return QueryTuple(server=words[0], groups=tuple(groups))
 
 
-def decode_query(obj: dict) -> QueryTuple:
-    """Inverse of encode_query; a malformed payload raises ConfigError."""
+def encode_answers(server: int, shares: list[AnswerShare]) -> bytes:
+    head = array("I", [server, len(shares), len(shares[0].payload) if shares else 0])
+    return b"".join(little_endian(a).tobytes() for a in (head, *(s.payload for s in shares)))
+
+
+def decode_answers(frame) -> list[AnswerShare]:
+    """Inverse of encode_answers, each payload an `array('I')` of any
+    32-bit words; the receiver, which knows q, checks their range. A
+    malformed frame raises ConfigError."""
+    size, head = _size(frame, "answer"), _words(frame, 0, 3)
+    if len(head) < 3 or head[1] > size - 3 or 3 + head[1] * head[2] != size:
+        raise ConfigError("answer frame is not server, share count, share length and symbols")
+    server, count, width = head
+    return [AnswerShare(server, g, _words(frame, 3 + g * width, 3 + (g + 1) * width))
+            for g in range(count)]
+
+
+def canonical_json(obj) -> bytes:
+    """Sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def encode_commit_value(position: int, value: int) -> bytes:
+    return canonical_json({"position": position, "value": value})
+
+
+def encode_public(public) -> bytes:
+    return canonical_json({"public": list(public)})
+
+
+def encode_ack(server: int) -> bytes:
+    return canonical_json({"server": server})
+
+
+def _entry(payload, key: str):
+    """The `key` entry of a verification message."""
     try:
-        groups = tuple(map(_group, obj["groups"]))
-        return QueryTuple(server=_integer(obj["server"]), groups=groups)
-    except (KeyError, TypeError) as err:
-        raise ConfigError(f"malformed query payload: {err!r}") from err
-
-
-def _entry(obj, key: str):
+        obj = json.loads(payload) if type(payload) is bytes else None
+    except (ValueError, RecursionError):  # not UTF-8 or not JSON, or nested too deep
+        obj = None
     if not isinstance(obj, dict) or key not in obj:
-        raise ConfigError(f"malformed verification payload, no {key!r}: {obj!r}")
+        raise ConfigError(f"malformed verification payload, no {key!r}: {payload!r:.80}")
     return obj[key]
 
 
 def _attribute(x, k: int) -> int:
-    if not 1 <= _integer(x) <= k:
-        raise ConfigError(f"attribute value {x} outside alphabet [1, {k}]")
+    if type(x) is not int or not 1 <= x <= k:
+        raise ConfigError(f"attribute value {x!r} is not an integer in [1, {k}]")
     return x
 
 
-def decode_commit_value(obj, k: int) -> int:
+def decode_commit_value(payload, k: int) -> int:
     """The attribute value a dedicated server is committed: an integer in
     [1, k]; a malformed payload raises ConfigError."""
-    return _attribute(_entry(obj, "value"), k)
+    return _attribute(_entry(payload, "value"), k)
 
 
-def decode_public(obj, k: int, width: int) -> tuple[int, ...]:
+def decode_public(payload, k: int, width: int) -> tuple[int, ...]:
     """The public part a commit or relay carries: a list of `width`
     integers in [1, k]; a malformed payload raises ConfigError."""
-    public = _entry(obj, "public")
+    public = _entry(payload, "public")
     if not isinstance(public, list) or len(public) != width:
         raise ConfigError(f"public part must be a list of {width} values, got {public!r}")
     return tuple(_attribute(x, k) for x in public)
 
 
-def encode_answers(shares: list[AnswerShare]) -> dict:
-    """Each share's payload as one frame: its symbols' little-endian words."""
-    return {
-        "server": shares[0].server if shares else None,
-        "shares": [{"group": s.group_index, "payload": little_endian(s.payload).tobytes()}
-                   for s in shares],
-    }
-
-
-def _symbols(frame, server: int) -> array:
-    """An answer frame as one `array('I')`: `bytes` of whole 4-byte words.
-    Any word fits a symbol's 32 bits; the range of F_q is checked by the
-    receiver, which knows q."""
-    if type(frame) is not bytes or len(frame) % 4:
-        raise ConfigError(f"server {server} sent an answer payload that is not "
-                          f"a frame of whole 4-byte words")
-    return little_endian(array("I", frame))
-
-
-def decode_answers(obj: dict) -> list[AnswerShare]:
-    """Inverse of encode_answers, with each payload an `array('I')`; a
-    malformed payload raises ConfigError."""
-    try:
-        server = _integer(obj["server"])
-        return [AnswerShare(server=server, group_index=_integer(s["group"]),
-                            payload=_symbols(s["payload"], server))
-                for s in obj["shares"]]
-    except (KeyError, TypeError) as err:
-        raise ConfigError(f"malformed answer payload: {err!r}") from err
-
-
-def canonical_json(obj, frames: list) -> bytes:
-    """Sorted keys, no whitespace; each `bytes` value is written as its
-    byte length and appended to `frames`, in the order it is written."""
-    def frame(value):
-        if type(value) is not bytes:
-            raise TypeError(f"{type(value).__name__} is not JSON serializable")
-        frames.append(value)
-        return len(value)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=frame).encode()
-
-
-def payload_digest(obj) -> str:
-    """sha256 over the canonical JSON of `obj`, then each frame in it."""
-    frames = []
-    header = canonical_json(obj, frames)
-    return hashlib.sha256(b"".join([header, *frames])).hexdigest()
+def payload_digest(frame: bytes) -> str:
+    return hashlib.sha256(frame).hexdigest()

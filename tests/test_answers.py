@@ -1,11 +1,13 @@
-"""Server answer path: malformed wire and verification payloads, repeated
-groups and rows, the first bad row deciding the error, label tables built
-once at install against a per-query oracle, and the three answer kernels
-and their choice against a per-symbol loop oracle."""
+"""Server answer path: malformed query frames, answer frames and
+verification payloads, repeated groups and rows, the first bad row
+deciding the error, label tables built once at install against a
+per-query oracle, and the three answer kernels and their choice against a
+per-symbol loop oracle."""
 
 from __future__ import annotations
 
 import itertools
+import json
 from array import array
 
 import pytest
@@ -28,6 +30,8 @@ from hetdapac.wire import (
     QueryGroup,
     QueryTuple,
     decode_answers,
+    encode_commit_value,
+    encode_public,
     encode_query,
 )
 
@@ -39,11 +43,11 @@ def unpooled_actor(server, params, v_star):
     actor = ServerActor(server, params)
     public = list(v_star[params.d:])
     if actor.is_central:
-        actor.handle("attribute-commit", {"public": public})
+        actor.handle("attribute-commit", encode_public(public))
     else:
-        actor.handle("attribute-commit", {"value": v_star[server - 1]})
+        actor.handle("attribute-commit", encode_commit_value(server, v_star[server - 1]))
         if params.has_central:
-            actor.handle("attribute-relay", {"public": public})
+            actor.handle("attribute-relay", encode_public(public))
     return actor
 
 
@@ -54,35 +58,53 @@ def verified_actor(server, scheme, params, v_star, seed=0):
     return actor
 
 
-GOOD_GROUP = {"rows": [[1, 1], [3, 1]], "vector": [1, 1]}
-# the frame of the one-symbol payload [1]
-ONE = b"\x01\x00\x00\x00"
+def query_frame(server, *groups):
+    """The frame of a query to `server` with (rows, vector) groups."""
+    return encode_query(QueryTuple(server, tuple(
+        QueryGroup(MessageGroupDescriptor(tuple(map(tuple, rows))), tuple(vector))
+        for rows, vector in groups)))
+
+
+def frame(case):
+    """A list of words and raw `bytes` as the bytes of a frame; any other
+    case is sent as it is."""
+    if type(case) is not list:
+        return case
+    return b"".join(w if type(w) is bytes else w.to_bytes(4, "little") for w in case)
+
+
+GOOD_GROUP = ([[1, 1], [3, 1]], [1, 1])
+# the frame of GOOD_GROUP to server 1: server, group count, row count,
+# message ids, indices, vector
+GOOD = [1, 1, 2, 1, 3, 1, 1, 1, 1]
+BIG = 2 ** 32 - 1
 
 
 @pytest.mark.parametrize("payload", [
-    {"groups": [GOOD_GROUP]},                                     # no server
-    {"server": 1},                                                # no groups
-    {"server": 1, "groups": [{"rows": [[1, 1], [3, 1]]}]},        # no vector
-    {"server": 1, "groups": [{"vector": [1, 1]}]},                # no rows
-    {"server": "1", "groups": [GOOD_GROUP]},                      # server not an int
-    {"server": 1, "groups": [{"rows": [[1, 1], [3, 1]], "vector": [1, "x"]}]},
-    {"server": 1, "groups": [{"rows": [[1, 1], [3, 1.5]], "vector": [1, 1]}]},
-    {"server": 1, "groups": [{"rows": [[1, 1], [3, True]], "vector": [1, 1]}]},
-    {"server": 1, "groups": [{"rows": [[1, 1], [3, 1, 2]], "vector": [1, 1]}]},
-    {"server": 1, "groups": [{"rows": [[1, 1], 3], "vector": [1, 1]}]},
-    {"server": 1, "groups": [{"rows": [[1, 1], "31"], "vector": [1, 1]}]},
-    {"server": 1, "groups": [7]},
-    [GOOD_GROUP],
-    {"server": 1, "groups": [{"rows": {"1": 1, "3": 1}, "vector": [1, 1]}]},
-    {"server": 1, "groups": [{"rows": [[1, 1], "12"], "vector": [1, 1]}]},
-    {"server": 1, "groups": [{"rows": [[1, 1], [3, 1]], "vector": [1, True]}]},
-    {"server": 1, "groups": [{"rows": [[1, 1], [[1], [2]]], "vector": [1, 1]}]},
-    {"server": 1, "groups": [{"rows": [], "vector": []}]},
+    [],                                             # no server
+    [1],                                            # no group count
+    GOOD[:-2],                                      # no vector
+    GOOD[:2],                                       # no row counts
+    [2, *GOOD[1:]],                                 # a query for server 2
+    [*GOOD[:-1], b"\x01"],                          # a vector entry not a word
+    [*GOOD[:5], 1, 0, 1, 1],                        # sub-packet index 0
+    [*GOOD[:5], 1, 3, 1, 1],                        # index past the 2 sub-packets
+    [*GOOD, 2],                                     # a word past the last group
+    [1, 1, 3, *GOOD[3:]],                           # more rows counted than sent
+    [*GOOD, b"\x00"],                               # a byte past the last word
+    [1, BIG, *GOOD[2:]],                            # a group count past the frame
+    # the dict format, which is no frame
+    {"server": 1, "groups": [{"rows": [[1, 1], [3, 1]], "vector": [1, 1]}]},
+    bytearray(frame(GOOD)),                         # a frame is bytes, no other buffer
+    [1, 1, BIG, *GOOD[3:]],                         # a row count past the frame
+    [*GOOD[:3], 1, 9, *GOOD[5:]],                   # rows {1, 9}: no candidate set
+    [1, 2, 2, 2, *GOOD[3:]],                        # a second group counted, not sent
+    [1, 1, 0],                                      # a group of no rows
 ])
 def test_malformed_query_is_a_config_error(payload):
     actor = verified_actor(1, "het1", P322, (1, 2, 2))
     with pytest.raises(ConfigError):
-        actor.handle("query", payload)
+        actor.handle("query", frame(payload))
 
 
 @pytest.mark.parametrize("server, kind, payload", [
@@ -108,7 +130,7 @@ def test_malformed_query_is_a_config_error(payload):
 def test_malformed_verification_is_a_config_error(server, kind, payload):
     actor = ServerActor(server, P322)
     with pytest.raises(ConfigError):
-        actor.handle(kind, payload)
+        actor.handle(kind, json.dumps(payload).encode())
 
 
 def test_repeated_group_with_moved_vector_is_refused():
@@ -130,9 +152,9 @@ def test_repeated_group_with_moved_vector_is_refused():
 
 def test_repeated_row_within_a_group_is_refused():
     actor = verified_actor(1, "het1", P322, (1, 2, 2))
-    group = {"rows": [[1, 1], [3, 1], [1, 1]], "vector": [1, 1, 1]}
+    group = ([[1, 1], [3, 1], [1, 1]], [1, 1, 1])
     with pytest.raises(ConfigError, match="reuses"):
-        actor.handle("query", {"server": 1, "groups": [group]})
+        actor.handle("query", query_frame(1, group))
 
 
 def test_first_bad_row_decides_the_error():
@@ -143,7 +165,7 @@ def test_first_bad_row_decides_the_error():
     actor = verified_actor(1, "het1", P322, (1, 2, 2))
 
     def query(rows):
-        return {"server": 1, "groups": [{"rows": rows, "vector": [1, 1]}]}
+        return query_frame(1, (rows, [1, 1]))
 
     with pytest.raises(AccessRefusal):
         actor.handle("query", query([[b1y, 1], [a1y, 3]]))
@@ -153,34 +175,40 @@ def test_first_bad_row_decides_the_error():
 
 def test_well_formed_query_is_answered():
     actor = verified_actor(1, "het1", P322, (1, 2, 2))
-    kind, reply, symbols = actor.handle("query", {"server": 1, "groups": [GOOD_GROUP]})
+    assert query_frame(1, GOOD_GROUP) == frame(GOOD)
+    kind, reply, symbols = actor.handle("query", query_frame(1, GOOD_GROUP))
     assert kind == "answer" and symbols == 1
     assert [s.group_index for s in decode_answers(reply)] == [0]
 
 
+# the frame of a one-share answer from server 1: server, share count,
+# symbols per share, the symbol 1
+ONE = [1, 1, 1, 1]
+
+
 @pytest.mark.parametrize("payload", [
-    {"shares": []},
-    {"server": 1},
-    {"server": None, "shares": []},
-    {"server": 1, "shares": [{"payload": ONE}]},
-    {"server": 1, "shares": [{"group": 0}]},
-    {"server": 1, "shares": [{"group": "0", "payload": ONE}]},
-    {"server": 1, "shares": [{"group": 0, "payload": [1.0]}]},
-    {"server": 1, "shares": [{"group": 0, "payload": 1}]},
-    {"server": 1, "shares": [{"group": 0, "payload": [1, True]}]},
-    {"server": 1, "shares": [{"group": 0, "payload": [1, "2"]}]},
+    [],                                             # no server
+    [1],                                            # no share count
+    ONE[:2],                                        # no share length
+    ONE[:3],                                        # no symbols
+    [1, 2, 1, 1],                                   # a share counted, not sent
+    [1, 1, 2, 1],                                   # a symbol counted, not sent
+    [*ONE[:3], b"\x01"],                            # a symbol not a word
+    [1, BIG, 0],                                    # empty shares past the frame
+    [1, 1, BIG, 1],                                 # a share length past the frame
+    [*ONE, 2],                                      # a word past the last share
     "answer",
-    # a JSON int list, the answer format before frames
+    # the dict format with an int list, which is no frame
     {"server": 1, "shares": [{"group": 0, "payload": [1]}]},
     # byte counts that are not whole 4-byte words
-    {"server": 1, "shares": [{"group": 0, "payload": ONE[:3]}]},
-    {"server": 1, "shares": [{"group": 0, "payload": ONE + b"\x00"}]},
+    [*ONE[:3], b"\x01\x00\x00"],
+    [*ONE, b"\x00"],
     # a frame is bytes, not another buffer
-    {"server": 1, "shares": [{"group": 0, "payload": bytearray(ONE)}]},
+    bytearray(frame(ONE)),
 ])
 def test_malformed_answers_are_a_config_error(payload):
     with pytest.raises(ConfigError):
-        decode_answers(payload)
+        decode_answers(frame(payload))
 
 
 def counting(monkeypatch, module, name):
@@ -227,11 +255,10 @@ def test_dapac_central_server_refuses_every_query():
     v_star = (2, 1, 2, 1)
     actor = verified_actor(params.central, "dapac", params, v_star)
     _, queries = dapac.build(v_star, params, derive_rng(0, "user", 0))
-    real = {"server": params.central,
-            "groups": encode_query(queries[1])["groups"][:1]}
-    for payload in (real, {"server": params.central, "groups": []}):
+    real = QueryTuple(params.central, queries[1].groups[:1])
+    for query in (real, QueryTuple(params.central, ())):
         with pytest.raises(ConfigError):
-            actor.handle("query", payload)
+            actor.handle("query", encode_query(query))
 
 
 def ids_where(params, public, fixed) -> frozenset:

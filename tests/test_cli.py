@@ -321,6 +321,30 @@ class TestMalformedInput:
         assert out.out == ""
         self.assert_refused(out, "trials")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("audit", "--suite", "counts", "--scheme", "het2",
+          "--n", "3", "--d", "2", "--k", "2", "--length", "6"),
+         "scheme het2 needs D >= 3, got D=2"),
+        (("run", "--scheme", "dapac", "--n", "3", "--d", "3", "--k", "2",
+          "--length", "4", "--vstar", "1,1,1"),
+         "scheme dapac splits messages into 3 sub-packets, which does not divide "
+         "length 4 (smallest valid length: 3)"),
+        (("run", *HET1_FLAGS, "--vstar", "1,1,3"), "attribute value 3 outside alphabet [1, 2]"),
+    ], ids=["audit-het2-two-servers", "run-dapac-length", "run-vstar-value"])
+    def test_invalid_point_is_refused_before_the_config_echo(self, capsys, argv, message):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out.out == ""
+        assert out.err == f"invalid configuration: {message}\n"
+
+    def test_trials_is_refused_where_no_suite_reads_it(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "privacy", "trials": 5}))
+        code, out = run_cli(capsys, "audit", "--config", str(cfg))
+        assert code == 2
+        assert out.out == ""
+        self.assert_refused(out, "trials", "privacy")
+
     def test_non_integral_grid_in_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d": 3, "k": 2, "grid": 2.5}))
@@ -404,6 +428,14 @@ class TestAudit:
         assert checks == ["PASS correctness het1 (0 failures in 8 runs)",
                           "PASS correctness het2 (0 failures in 16 runs)",
                           "PASS correctness dapac (0 failures in 8 runs)"]
+
+    def test_every_suite_reads_trials_as_the_correctness_sweep(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "all", "scheme": "het1", "n": 3,
+                                   "d": 2, "k": 2, "length": 2, "trials": 1}))
+        code, out = run_cli(capsys, "audit", "--config", str(cfg))
+        assert code == 0
+        assert "PASS correctness het1 (0 failures in 8 runs)" in out.out
 
     def test_point_correctness_runs_the_suites_default_trials(self, capsys):
         code, out = run_cli(capsys, "audit", "--suite", "correctness", *HET1_FLAGS)

@@ -5,17 +5,28 @@ together with the canonical JSON of its metrics. Any change to group rows,
 vectors, pads, answers, wire framing or accounting moves the hash, so a
 refactor that claims identical behaviour must leave every value here as is.
 
-When answers moved from JSON int lists to binary frames, only the answer
-records' digests changed. FRAMING pins what the int-list format gave, so
-that change stays provably the framing alone: the dump with answer digests
-blanked, and the int-list digests recomputed from the frames' symbols.
+Every message on the channel is `bytes`, and each record's digest is the
+sha256 of the bytes sent: word frames for queries and answers, canonical
+JSON for verification. Queries and answers were once JSON dicts, answers
+first with int-list payloads; FRAMING and QUERY_LIST_FORM pin what that
+format gave, so the move to frames stays provably the framing alone. Each
+query frame decodes to the query whose list-form JSON digest the old
+record carried, each answer frame to the symbols of the old int lists, and
+the dump with those digests put back is the old dump with answer digests
+blanked. Verification bytes did not change, so neither did their digests.
+
+Every message sent in a case is also fed, truncated, extended and with
+bytes flipped, to the decoder that receives it: each copy must be
+answered or refused with ConfigError or AccessRefusal.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
+import random
 from array import array
 from fractions import Fraction
 
@@ -29,12 +40,15 @@ from hetdapac import (
     run_protocol,
     run_time_shared,
 )
-from hetdapac.harness import ServerActor
+from hetdapac.errors import AccessRefusal, ConfigError
+from hetdapac.harness import Channel, _checked_reply
 from hetdapac.wire import (
     AnswerShare,
     canonical_json,
     decode_answers,
+    decode_query,
     encode_answers,
+    encode_query,
     payload_digest,
 )
 
@@ -57,14 +71,14 @@ CASES = {
 }
 
 GOLDEN = {
-    "het1": "9648d1f50ce9e04e05a31077bcbfd144ca92c3218c4973ecc59556eef947e88c",
-    "het2": "ccc80b3d1282ec5c7a85bee02d17cfaab746f6e49d97ce5921810a33a6b3d04b",
-    "dapac": "643f1cf5eab5f1542840dac7f899ec6cc83613e3745a2696182b749cae87205b",
-    "mix": "075bf78608b95b88cc7794b3e08360fa18668cf9fc06ea8f617e36e5afcad4a9",
-    "het2-rest": "d58c4b2b8f57159fea0afd90d0b0cf00f233abf0dd3f87c564ecaec426f46395",
-    "dapac-public": "6f0eeca9bc971596a58346d8f1147b50b634f46a937d0ef7d099fd7901b6d189",
-    "het2-packed": "c04d3b7f8abb9a4b93c924ef12369606e5ff0b15ff0ff99c7746e0908c1bd830",
-    "het1-packed-wide-q": "39d61bdb1ee3135c4b0aedd4c0ad522278a95e05dd3749e733debfb99e8cb044",
+    "het1": "ea9a1db077c1ad3aa1d0809b203444dd9c31e12c5cafe4df667f60aa30f53b62",
+    "het2": "7bf07f51f1d80eab3a061e08bec8681299f3251fe2e909c30c525787cb7c3697",
+    "dapac": "b5a3a4e5a2dfff2b1d1a6798f3e2bbeb8748f437c320cbb0d23a2eaa92867151",
+    "mix": "a1f07bcac1de61db27166267324f7079e4c7c8370b52f5f5228e87ab30d37fe6",
+    "het2-rest": "f173d933881bcd0612ac7f2eed45b40ac0836c1dd78a18ae9324f4a55cb34965",
+    "dapac-public": "d6844a9eb3e2d888e32237c32e7ae8e9f1e738af163ce467bcb4230a261e311c",
+    "het2-packed": "c84e3494cd4b7e2a8988e347275cec33b288bd530db356a6a9c3adc4431740d2",
+    "het1-packed-wide-q": "3f9352ee794c20992d2aa4ca395aac1c8ee6d4c5c2a80184e273209ecc1ab7e9",
 }
 
 
@@ -91,9 +105,61 @@ def test_transcript_and_metrics_are_pinned(kind):
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[kind]
 
 
-# Pinned with the int-list answer format, per case: (sha256 of the dump
-# with every answer record's digest blank, sha256 of the answer records'
-# int-list digests concatenated in record order).
+
+
+def recorded_case(kind: str, monkeypatch):
+    """run_case, plus every request sent: (receiver as it was when the
+    request arrived, kind, payload, reply payload or None)."""
+    sent = []
+    request = Channel.request
+
+    def recording(self, phase, sender, receiver, kind, payload, *args, **kwargs):
+        actor = copy.copy(self.actors[receiver])
+        reply = request(self, phase, sender, receiver, kind, payload, *args, **kwargs)
+        sent.append((actor, kind, payload, reply))
+        return reply
+
+    monkeypatch.setattr(Channel, "request", recording)
+    transcript, metrics = run_case(kind)
+    return transcript, metrics, sent
+
+
+def record_payloads(sent) -> list[bytes]:
+    """Each record's payload, in transcript order."""
+    return [p for _, _, payload, reply in sent
+            for p in ([payload] if reply is None else [payload, reply])]
+
+
+def list_form_digest(query) -> str:
+    """The digest a query had as a JSON dict of row and vector lists."""
+    return hashlib.sha256(canonical_json({
+        "server": query.server,
+        "groups": [{"rows": [list(row) for row in g.descriptor.rows], "vector": list(g.vector)}
+                   for g in query.groups],
+    })).hexdigest()
+
+
+def int_list_digest(frame: bytes) -> str:
+    """The digest an answer had as a JSON dict of int lists."""
+    shares = decode_answers(frame)
+    return hashlib.sha256(canonical_json({
+        "server": shares[0].server,
+        "shares": [{"group": s.group_index, "payload": list(s.payload)} for s in shares],
+    })).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_every_digest_is_the_sha256_of_the_bytes_sent(kind, monkeypatch):
+    transcript, _, sent = recorded_case(kind, monkeypatch)
+    payloads = record_payloads(sent)
+    assert all(type(p) is bytes for p in payloads)
+    assert [r.digest for r in transcript.records] == [
+        hashlib.sha256(p).hexdigest() for p in payloads]
+
+
+# Pinned with the dict format, per case: (sha256 of the dump with every
+# answer record's digest blank, sha256 of the answer records' int-list
+# digests concatenated in record order).
 FRAMING = {
     "dapac": ("9956c512c03f9f1404c3a53f3e46e1218e7de65259e234776d2dba13c364c63b",
               "6b8d427cbd9b0b9ed50bc7b952e8d27dd4c1084e304db8c9b598a7e74fb59f20"),
@@ -114,69 +180,97 @@ FRAMING = {
 }
 
 
-def int_list_digest(reply: dict) -> str:
-    """The digest an answer had as a JSON int list, from its frames."""
-    shares = decode_answers(reply)
-    return hashlib.sha256(canonical_json({
-        "server": reply["server"],
-        "shares": [{"group": s.group_index, "payload": list(s.payload)} for s in shares],
-    }, [])).hexdigest()
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_only_the_answer_framing_moved(kind, monkeypatch):
+    # with each query record's digest put back to its list-form digest,
+    # the dump is the dict format's, answer digests blanked
+    transcript, _, sent = recorded_case(kind, monkeypatch)
+    payloads = record_payloads(sent)
+    old = {"query": lambda p: list_form_digest(decode_query(p)), "answer": lambda p: ""}
+    transcript.records = [dataclasses.replace(r, digest=old[r.kind](p)) if r.kind in old else r
+                          for r, p in zip(transcript.records, payloads)]
+    blanked = hashlib.sha256(transcript.dumps().encode()).hexdigest()
+    answers = [p for r, p in zip(transcript.records, payloads) if r.kind == "answer"]
+    int_lists = hashlib.sha256("".join(map(int_list_digest, answers)).encode()).hexdigest()
+    assert (blanked, int_lists) == FRAMING[kind]
+
+
+# Pinned with the dict format, per case: sha256 of the query records'
+# digests concatenated in record order.
+QUERY_LIST_FORM = {
+    "dapac": "4a165d87745134808a4d8e055f2c3654e258dfb4c3401d163fdf552b7027bb2c",
+    "dapac-public": "e4d1f09737d211f1579aded5903f97250655339afbd57c98202cf58137ea4d83",
+    "het1": "98969acd745519093caa27d6119c33051f6847cc5faf49985a9e90c058fdcfc5",
+    "het1-packed-wide-q": "05e3e34daaf7cee4b6d7311b9c08b969ab050f74dccc43d8acb43ad40464399a",
+    "het2": "f42bbc14fe80ee1ae2b879c063c1ee7b33f3eff21870b6bcbf29df6ea555cabb",
+    "het2-packed": "f42bbc14fe80ee1ae2b879c063c1ee7b33f3eff21870b6bcbf29df6ea555cabb",
+    "het2-rest": "b6336071ab48d37ea452f7c314ef2f74687a23d28b540661698fce8ac8b6d158",
+    "mix": "be4af44462d27b3b8e327862a763a5dd8a3805ab25d069b3e7920a075cf59b00",
+}
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
-def test_only_the_answer_framing_moved(kind, monkeypatch):
-    replies = []
-    handle = ServerActor.handle
-
-    def recording(self, kind, payload):
-        reply = handle(self, kind, payload)
-        if reply is not None and reply[0] == "answer":
-            replies.append(reply[1])
-        return reply
-
-    monkeypatch.setattr(ServerActor, "handle", recording)
-    transcript, _ = run_case(kind)
-    answers = [r for r in transcript.records if r.kind == "answer"]
-    assert [r.digest for r in answers] == list(map(payload_digest, replies))
-    transcript.records = [dataclasses.replace(r, digest="") if r.kind == "answer" else r
-                          for r in transcript.records]
-    blanked = hashlib.sha256(transcript.dumps().encode()).hexdigest()
-    int_lists = hashlib.sha256("".join(map(int_list_digest, replies)).encode()).hexdigest()
-    assert (blanked, int_lists) == FRAMING[kind]
+def test_query_payloads_digest_as_their_list_form(kind, monkeypatch):
+    # each query frame decodes to the query the dict format sent, and
+    # encodes back to the same bytes
+    transcript, _, sent = recorded_case(kind, monkeypatch)
+    frames = [payload for _, kind, payload, _ in sent if kind == "query"]
+    queries = list(map(decode_query, frames))
+    assert list(map(encode_query, queries)) == frames
+    assert [r.digest for r in transcript.records if r.kind == "query"] == list(
+        map(payload_digest, frames))
+    listed = "".join(map(list_form_digest, queries))
+    assert hashlib.sha256(listed.encode()).hexdigest() == QUERY_LIST_FORM[kind]
 
 
 def test_answer_frame_bytes_are_little_endian():
     # pinned bytes stand in for a big-endian host: a frame is the same
     # words and the same digest on every host
     share = AnswerShare(server=3, group_index=0, payload=array("I", [1, 65536, 2 ** 32 - 1]))
-    reply = encode_answers([share])
-    assert reply == {"server": 3, "shares": [
-        {"group": 0, "payload": b"\x01\x00\x00\x00\x00\x00\x01\x00\xff\xff\xff\xff"}]}
-    # sha256 of b'{"server":3,"shares":[{"group":0,"payload":12}]}' + frame
-    assert payload_digest(reply) == (
-        "f011fe7fab2c0dcab6a2ee8177bf6950b36cbcb460b00194470ac999b0b0a588")
-    assert decode_answers(reply) == [share]
+    frame = encode_answers(3, [share])
+    assert frame == (b"\x03\x00\x00\x00" b"\x01\x00\x00\x00" b"\x03\x00\x00\x00"
+                     b"\x01\x00\x00\x00" b"\x00\x00\x01\x00" b"\xff\xff\xff\xff")
+    assert payload_digest(frame) == hashlib.sha256(frame).hexdigest()
+    assert decode_answers(frame) == [share]
+
+
+def mutations(payload: bytes, rng: random.Random) -> list[bytes]:
+    """Truncated, extended and byte-flipped copies of `payload`: every
+    header byte's top bit flipped, and bytes flipped at random."""
+    size = len(payload)
+    cuts = {0, 1, 3, 4, size // 2, size - 4, size - 1, rng.randrange(size)}
+    out = [payload[:n] for n in sorted(cuts) if 0 <= n < size]
+    out += [payload + rng.randbytes(n) for n in (1, 3, 4, 12)] + [payload * 2]
+    flips = [(i, 0x80) for i in range(min(size, 16))]
+    flips += [(rng.randrange(size), rng.randrange(1, 256)) for _ in range(16)]
+    for i, bits in flips:
+        flipped = bytearray(payload)
+        flipped[i] ^= bits
+        out.append(bytes(flipped))
+    return out
+
+
+def answered_or_refused(call):
+    try:
+        call()
+    except (ConfigError, AccessRefusal):
+        pass
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
-def test_query_payloads_digest_as_their_list_form(kind, monkeypatch):
-    # encode_query passes rows and vectors through as tuples; JSON writes
-    # them as arrays, so each digest is that of the list-of-lists payload
-    queries = []
-    handle = ServerActor.handle
-
-    def recording(self, kind, payload):
-        if kind == "query":
-            queries.append(payload)
-        return handle(self, kind, payload)
-
-    monkeypatch.setattr(ServerActor, "handle", recording)
-    transcript, _ = run_case(kind)
-    listed = [{"server": p["server"],
-               "groups": [{"rows": [list(row) for row in g["rows"]], "vector": list(g["vector"])}
-                          for g in p["groups"]]}
-              for p in queries]
-    sent = [r.digest for r in transcript.records if r.kind == "query"]
-    assert sent == list(map(payload_digest, queries)) == list(map(payload_digest, listed))
-    assert all(type(g["rows"]) is tuple and type(g["vector"]) is tuple
-               for p in queries for g in p["groups"])
+def test_byte_mutations_are_answered_or_refused(kind, monkeypatch):
+    # any other exception escaping a decoder fails the test
+    _, _, sent = recorded_case(kind, monkeypatch)
+    rng = random.Random(f"mutation/{kind}")
+    for actor, msg_kind, payload, reply in sent:
+        received = mutations(payload, rng)
+        if msg_kind != "query":
+            received.append(b"[" * 100000)  # json.loads raises RecursionError
+        for frame in received:
+            answered_or_refused(lambda: copy.copy(actor).handle(msg_kind, frame))
+        if msg_kind == "query":
+            query, length = decode_query(payload), actor.ctx.pool.chunk_len
+            assert _checked_reply(reply, query, length, actor.params.q)
+            for frame in mutations(reply, rng):
+                answered_or_refused(
+                    lambda: _checked_reply(frame, query, length, actor.params.q))

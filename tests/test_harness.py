@@ -19,7 +19,14 @@ from hetdapac.harness import (
 )
 from hetdapac.randomness import allocate
 from hetdapac.schemes import engine
-from hetdapac.wire import encode_query
+from hetdapac.wire import (
+    MessageGroupDescriptor,
+    QueryGroup,
+    QueryTuple,
+    encode_commit_value,
+    encode_public,
+    encode_query,
+)
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
@@ -114,13 +121,19 @@ def test_dapac_runs_without_central_actor():
 def make_verified_actor(server, scheme, params, store, v_star, seed=0):
     actor = ServerActor(server, params)
     if actor.is_central:
-        actor.handle("attribute-commit", {"public": list(v_star[params.d:])})
+        actor.handle("attribute-commit", encode_public(v_star[params.d:]))
     else:
-        actor.handle("attribute-commit", {"value": v_star[server - 1]})
-        actor.handle("attribute-relay", {"public": list(v_star[params.d:])})
+        actor.handle("attribute-commit", encode_commit_value(server, v_star[server - 1]))
+        actor.handle("attribute-relay", encode_public(v_star[params.d:]))
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
     actor.install_pool(pool, store)
     return actor
+
+
+def query_frame(rows):
+    """The frame of a one-group query to server 1 over `rows`, all ones."""
+    group = QueryGroup(MessageGroupDescriptor(rows), (1,) * len(rows))
+    return encode_query(QueryTuple(1, (group,)))
 
 
 def test_server_slice_is_the_accessible_set():
@@ -134,10 +147,7 @@ def test_server_slice_is_the_accessible_set():
 def test_query_for_inaccessible_message_is_refused():
     store = random_store(P322, 3)
     actor = make_verified_actor(1, "het1", P322, store, (1, 2, 2))
-    payload = {
-        "server": 1,
-        "groups": [{"rows": [[5, 1], [7, 1]], "vector": [1, 1]}],
-    }
+    payload = query_frame(((5, 1), (7, 1)))
     with pytest.raises(AccessRefusal):
         actor.handle("query", payload)
 
@@ -146,10 +156,7 @@ def test_query_with_foreign_group_shape_is_rejected():
     store = random_store(P322, 3)
     actor = make_verified_actor(1, "het1", P322, store, (1, 2, 2))
     # {1, 7} is no candidate match set, so no pad chunk fits it
-    payload = {
-        "server": 1,
-        "groups": [{"rows": [[1, 1], [7, 1]], "vector": [1, 1]}],
-    }
+    payload = query_frame(((1, 1), (7, 1)))
     with pytest.raises(ConfigError):
         actor.handle("query", payload)
 
@@ -164,8 +171,8 @@ def test_pool_before_verification_is_rejected():
 def test_query_before_pool_is_rejected():
     v_star = (1, 2, 2)
     actor = ServerActor(1, P322)
-    actor.handle("attribute-commit", {"value": v_star[0]})
-    actor.handle("attribute-relay", {"public": list(v_star[P322.d:])})
+    actor.handle("attribute-commit", encode_commit_value(1, v_star[0]))
+    actor.handle("attribute-relay", encode_public(v_star[P322.d:]))
     _, queries = engine("het1").build(v_star, P322, derive_rng(0, "user", 0))
     with pytest.raises(ConfigError, match="before a pool"):
         actor.handle("query", encode_query(queries[1]))
@@ -207,26 +214,39 @@ def test_division_free_schemes_are_always_decodable(scheme):
         assert {c for terms in plan.decoding.values() for *_, c in terms} == {1, -1}
 
 
-def reframe(edit):
-    """A tamper that replaces the first share's frame by edit(frame, q)."""
-    def tamper(reply, q):
-        share = reply["shares"][0]
-        share["payload"] = edit(share["payload"], q)
+def words(frame: bytes) -> list[int]:
+    return [int.from_bytes(frame[i:i + 4], "little") for i in range(0, len(frame), 4)]
+
+
+def reworded(edit):
+    """A tamper that sends edit(words, q) of the reply frame's words."""
+    def tamper(frame, q):
+        return b"".join(w.to_bytes(4, "little") for w in edit(words(frame), q))
     return tamper
 
 
-# ways a server can tamper with its reply, applied to the encoded answer;
-# a negative symbol or one past 32 bits has no 4-byte frame to be sent in
+def extra_share(w, q):
+    # one share more: the last one again, counted in the header
+    return [w[0], w[1] + 1, *w[2:], *w[len(w) - w[2]:]]
+
+
+def short_shares(w, q):
+    # a well-formed frame whose shares each lack their last symbol
+    width = w[2]
+    return [w[0], w[1], width - 1, *(x for i, x in enumerate(w[3:]) if i % width < width - 1)]
+
+
+# ways a server can tamper with its reply frame: server, share count and
+# symbols per share, then the symbols; a negative symbol or one past 32
+# bits has no word to be sent in
 TAMPERS = {
-    "reversed": lambda reply, q: reply["shares"].reverse(),
-    "short": reframe(lambda frame, q: frame[:-4]),
-    "foreign server": lambda reply, q: reply.update(server=2),
-    "extra share": lambda reply, q: reply["shares"].append(
-        dict(reply["shares"][-1], group=len(reply["shares"]))),
-    "symbol out of field": reframe(lambda frame, q: q.to_bytes(4, "little") + frame[4:]),
-    "ragged frame": reframe(lambda frame, q: frame[:-1]),
-    "int list": reframe(lambda frame, q: [int.from_bytes(frame[i:i + 4], "little")
-                                          for i in range(0, len(frame), 4)]),
+    "short": lambda frame, q: frame[:-4],
+    "foreign server": reworded(lambda w, q: [2, *w[1:]]),
+    "extra share": reworded(extra_share),
+    "short shares": reworded(short_shares),
+    "symbol out of field": reworded(lambda w, q: [*w[:3], q, *w[4:]]),
+    "ragged frame": lambda frame, q: frame[:-1],
+    "int list": lambda frame, q: json.dumps(words(frame)).encode(),
 }
 
 
@@ -240,7 +260,7 @@ def test_tampered_reply_is_refused(monkeypatch, how):
     def tampered(self, kind, payload):
         reply = handle(self, kind, payload)
         if kind == "query" and self.server == 1:
-            TAMPERS[how](reply[1], params.q)
+            return (reply[0], TAMPERS[how](reply[1], params.q), reply[2])
         return reply
 
     monkeypatch.setattr(ServerActor, "handle", tampered)

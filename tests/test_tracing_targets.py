@@ -4,7 +4,8 @@
 at the name callers bind. A refactor that moves one of those bindings
 breaks the benchmark's traced mode; installing and restoring the tracer
 with no workload finds that in milliseconds. One traced run per scheme
-pins the span counts the benchmark reports as exact.
+pins the span counts the benchmark reports as exact, and those runs with
+one mix must fire every target outside the audit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,22 @@ def test_het2_builds_one_plan_per_retrieval():
     spans = Counter(span[0] for span in tracer.spans)
     assert spans["schemes.build"] == 8
     assert retries > 0
+
+
+def test_every_retrieval_target_fires():
+    # one traced run per scheme and one mix reach every binding the
+    # benchmark wraps outside the audit: a change that stops calling one,
+    # such as wire.canonical_json, or moves one, fails here
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        for scheme, shape, v_star, _ in TRACED_RUNS:
+            n_attrs, d, k, length = shape
+            params = hetdapac.SystemParams(n_attrs=n_attrs, d=d, k=k, length=length)
+            hetdapac.run_protocol(scheme, params, v_star, hetdapac.random_store(params, 3), 5)
+        params = hetdapac.SystemParams(n_attrs=3, d=2, k=2, length=12)
+        plan = hetdapac.plan_mix(params, Fraction(1, 2))
+        hetdapac.run_time_shared(plan, (2, 1, 2), hetdapac.random_store(params, 3), 5)
+    audit_only = {key for key in map(tracing.target_key, tracing.TARGETS)
+                  if key.startswith("hetdapac.audit.")}
+    assert len(audit_only) == 3
+    assert set(tracer.fired) == set(bindings(tracing)) - audit_only
