@@ -66,10 +66,10 @@ def audit_correctness(scheme: str, params: SystemParams, trials: int = 50) -> di
         for t in range(trials):
             seed = (0, scheme, v_star, t)
             store = random_store(params, seed)
-            msg, transcript, _ = run_protocol(scheme, params, v_star, store, seed)
+            msg, _, metrics = run_protocol(scheme, params, v_star, store, seed)
             runs += 1
-            retries += transcript.retries
-            attempts += transcript.attempts
+            retries += metrics["retries"]
+            attempts += metrics["attempts"]
             if msg != store[message_index(v_star, params)]:
                 failures += 1
     return {

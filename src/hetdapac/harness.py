@@ -9,8 +9,9 @@ answer shares.
 Actors exchange `bytes` through an in-process channel and share no state,
 so the same engines could back real sockets; wire.py writes and parses
 every message. Each one is logged to the transcript as a structured record
-(phase, sender, receiver, kind, symbol count, and the sha256 of the bytes
-sent); identical inputs produce byte-identical transcript dumps. Query
+(phase, sender, receiver, kind, the symbols its frame carries, and the
+sha256 of the bytes sent); identical inputs produce byte-identical
+transcript dumps. Consumed pads come from the servers' own ledgers. Query
 construction happens strictly before any server sees the store it will
 answer from, and only ever reads (v*, params, user randomness).
 
@@ -44,6 +45,7 @@ from .wire import (
     encode_commit_value,
     encode_public,
     encode_query,
+    frame_symbols,
     payload_digest,
 )
 
@@ -64,31 +66,23 @@ class Record:
     digest: str
     segment: Optional[str] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "seq": self.seq, "phase": self.phase, "sender": self.sender,
-            "receiver": self.receiver, "kind": self.kind,
-            "symbols": self.symbols, "digest": self.digest,
-            "segment": self.segment,
-        }
-
 
 class Transcript:
-    """Structured log of one protocol run plus accounting counters."""
+    """Structured log of one protocol run: symbol counts read off the
+    frames, consumed pads off the servers' ledgers as (segment, label)."""
 
     def __init__(self, params: SystemParams):
         self.params = params
         self.records: list[Record] = []
-        self.retries = 0   # zero cycle coefficients redrawn on the client
-        self.attempts = 0  # rounds sent: one per retrieval segment
+        self.retries = 0  # zero cycle coefficients redrawn on the client, unseen by servers
         self.pool_allocated_chunks = 0
         self.pool_allocated_symbols = 0
         self.segment_chunk_len: dict = {}
         self.consumed: set = set()
 
-    def log(self, phase, sender, receiver, kind, payload, symbols, segment=None):
+    def log(self, phase, sender, receiver, kind, payload, segment=None):
         rec = Record(len(self.records), phase, sender, receiver, kind,
-                     symbols, payload_digest(payload), segment)
+                     frame_symbols(kind, payload), payload_digest(payload), segment)
         self.records.append(rec)
         return rec
 
@@ -96,10 +90,6 @@ class Transcript:
         self.pool_allocated_chunks += pool.allocated_chunks
         self.pool_allocated_symbols += pool.allocated_symbols
         self.segment_chunk_len[segment] = pool.chunk_len
-
-    def note_consumed(self, labels, segment=None):
-        for label in labels:
-            self.consumed.add((segment, tuple(label)))
 
     def consumed_symbols(self) -> int:
         return sum(self.segment_chunk_len[seg] for seg, _ in self.consumed)
@@ -112,7 +102,7 @@ class Transcript:
         return out
 
     def dumps(self) -> str:
-        return "".join(json.dumps(rec.as_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return "".join(json.dumps(vars(rec), sort_keys=True, separators=(",", ":")) + "\n"
                        for rec in self.records)
 
     def dump(self, path):
@@ -132,14 +122,14 @@ class Channel:
     def connect(self, name: str, actor: "ServerActor"):
         self.actors[name] = actor
 
-    def request(self, phase, sender, receiver, kind, payload, symbols=0, segment=None):
-        """Deliver a message; if the receiver replies, log and return the reply."""
-        self.transcript.log(phase, sender, receiver, kind, payload, symbols, segment)
+    def request(self, phase, sender, receiver, kind, payload, segment=None):
+        """Deliver and log a message; log and return the receiver's reply, if any."""
+        self.transcript.log(phase, sender, receiver, kind, payload, segment)
         reply = self.actors[receiver].handle(kind, payload)
         if reply is None:
             return None
-        rkind, rpayload, rsymbols = reply
-        self.transcript.log(phase, receiver, sender, rkind, rpayload, rsymbols, segment)
+        rkind, rpayload = reply
+        self.transcript.log(phase, receiver, sender, rkind, rpayload, segment)
         return rpayload
 
 
@@ -149,7 +139,9 @@ class ServerActor:
     Verification happens once per run. Each retrieval segment then installs
     its pool together with the segment's store, held whole the way a real
     replica would hold it; the accessible slice is carved out of it by the
-    verified view. Queries touching anything else are refused.
+    verified view. Queries touching anything else are refused. `handle`
+    returns (kind, bytes) or None; `ledger` holds the pad labels answered
+    with since the pool was installed.
     """
 
     def __init__(self, server: int, params: SystemParams):
@@ -158,7 +150,7 @@ class ServerActor:
         self.own_value: Optional[int] = None
         self.public: Optional[tuple[int, ...]] = None
         self.ctx: Optional[ServerContext] = None
-        self.used_labels: list = []
+        self.ledger: list = []
 
     @property
     def is_central(self) -> bool:
@@ -173,7 +165,7 @@ class ServerActor:
                 self.own_value = decode_commit_value(payload, k)
                 if not self.params.has_central:
                     self.public = ()
-            return ("commit-ack", encode_ack(self.server), 0)
+            return ("commit-ack", encode_ack(self.server))
         if kind == "attribute-relay":
             self.public = decode_public(payload, k, width)
             return None
@@ -182,9 +174,8 @@ class ServerActor:
                 raise ConfigError("query received before a pool was installed")
             query = decode_query(payload)
             shares, labels = scheme_engine(self.ctx.pool.scheme).answer_query(self.ctx, query)
-            self.used_labels = labels
-            return ("answer", encode_answers(self.server, shares),
-                    sum(len(s.payload) for s in shares))
+            self.ledger += [label for group in labels for label in group]
+            return ("answer", encode_answers(self.server, shares))
         raise ConfigError(f"unknown message kind {kind!r}")
 
     def install_pool(self, pool: RandomnessPool, store):
@@ -196,6 +187,7 @@ class ServerActor:
         if self.public is None or (not self.is_central and self.own_value is None):
             raise ConfigError("pool installed before verification finished")
         self.ctx = server_context(self.server, self.public, self.own_value, store, pool)
+        self.ledger = []
 
 
 # ---------------------------------------------------------------- stores
@@ -242,19 +234,12 @@ def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
     labels = () if segment is None else (segment,)
     plan, queries = eng.build(v_star, params, derive_rng(seed, "user", *labels, 0))
     transcript.retries += plan.redraws
-    transcript.attempts += 1
     answers = {}
     for n in sorted(queries):
-        name = actor_name(n, params)
-        reply = channel.request("retrieval", "user", name, "query",
-                                encode_query(queries[n]),
-                                symbols=queries[n].upload_symbols(),
-                                segment=segment)
+        reply = channel.request("retrieval", "user", actor_name(n, params), "query",
+                                encode_query(queries[n]), segment=segment)
         answers[n] = _checked_reply(reply, queries[n], params.length // plan.subpackets,
                                     params.q)
-        transcript.note_consumed(
-            (lbl for group in channel.actors[name].used_labels for lbl in group),
-            segment=segment)
     return eng.decode(plan, answers)
 
 
@@ -309,6 +294,8 @@ def run_segments(params: SystemParams, v_star, seed, segments):
             actor.install_pool(pool, seg_store)
         message += retrieval_phase(channel, scheme, seg_params, v_star, seed,
                                    transcript, segment=tag)
+        for actor in channel.actors.values():  # operator plane, as install_pool
+            transcript.consumed.update((tag, label) for label in actor.ledger)
     return message, transcript, metrics_of(transcript)
 
 
@@ -346,5 +333,5 @@ def metrics_of(transcript: Transcript) -> dict:
         "randomness_consumed_chunks": len(transcript.consumed),
         "randomness_consumed_symbols": transcript.consumed_symbols(),
         "retries": transcript.retries,
-        "attempts": transcript.attempts,
+        "attempts": len({r.segment for r in transcript.records if r.kind == "query"}),
     }

@@ -18,10 +18,13 @@ little-endian words, the same bytes on any host:
     answer  server, share count, symbols per share, then the symbols
 
 A decoder checks each header count against the frame length before it
-builds anything. The verification phase's messages (a committed attribute
-value, the public part, the acknowledgement) are canonical JSON (sorted
-keys, no whitespace), written by the `encode_*` functions here and
-checked on arrival by `decode_commit_value` and `decode_public`.
+builds anything. `frame_symbols` reads the symbols a frame carries off
+its group count and length: one vector entry per query row, every answer
+word past the header. The verification phase's messages (a committed
+attribute value, the public part, the acknowledgement) carry none; they
+are canonical JSON (sorted keys, no whitespace), written by the
+`encode_*` functions here and checked on arrival by `decode_commit_value`
+and `decode_public`.
 
 A message's transcript digest is the sha256 of the bytes sent.
 """
@@ -56,9 +59,6 @@ class QueryTuple:
 
     server: int
     groups: tuple[QueryGroup, ...]
-
-    def upload_symbols(self) -> int:
-        return sum(len(g.vector) for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,17 @@ def decode_answers(frame) -> list[AnswerShare]:
     server, count, width = head
     return [AnswerShare(server, g, _words(frame, 3 + g * width, 3 + (g + 1) * width))
             for g in range(count)]
+
+
+def frame_symbols(kind: str, frame: bytes) -> int:
+    """A message's symbols, undecoded: a query's vector entries (3 words a row
+    past its group counts), an answer's share symbols (the words past its
+    3-word header), none in JSON. Any bytes get a count: the transcript
+    logs a message before it is judged."""
+    words = len(frame) // 4
+    if kind == "query":
+        return max(0, (words - 2 - int.from_bytes(frame[4:8], "little")) // 3)
+    return max(0, words - 3) if kind == "answer" else 0
 
 
 def canonical_json(obj) -> bytes:

@@ -33,6 +33,7 @@ from hetdapac.wire import (
     encode_commit_value,
     encode_public,
     encode_query,
+    frame_symbols,
 )
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
@@ -176,8 +177,8 @@ def test_first_bad_row_decides_the_error():
 def test_well_formed_query_is_answered():
     actor = verified_actor(1, "het1", P322, (1, 2, 2))
     assert query_frame(1, GOOD_GROUP) == frame(GOOD)
-    kind, reply, symbols = actor.handle("query", query_frame(1, GOOD_GROUP))
-    assert kind == "answer" and symbols == 1
+    kind, reply = actor.handle("query", query_frame(1, GOOD_GROUP))
+    assert kind == "answer" and frame_symbols("answer", reply) == 1
     assert [s.group_index for s in decode_answers(reply)] == [0]
 
 

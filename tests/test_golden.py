@@ -15,9 +15,11 @@ record carried, each answer frame to the symbols of the old int lists, and
 the dump with those digests put back is the old dump with answer digests
 blanked. Verification bytes did not change, so neither did their digests.
 
-Every message sent in a case is also fed, truncated, extended and with
-bytes flipped, to the decoder that receives it: each copy must be
-answered or refused with ConfigError or AccessRefusal.
+Each record's symbol count is the count its bytes carry, recomputed here
+by decoding them. Every message sent in a case is also fed, truncated,
+extended and with bytes flipped, to the decoder that receives it: each
+copy must be answered or refused with ConfigError or AccessRefusal, and
+must still get a symbol count.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from hetdapac.wire import (
     decode_query,
     encode_answers,
     encode_query,
+    frame_symbols,
     payload_digest,
 )
 
@@ -157,6 +160,30 @@ def test_every_digest_is_the_sha256_of_the_bytes_sent(kind, monkeypatch):
         hashlib.sha256(p).hexdigest() for p in payloads]
 
 
+def decoded_symbols(kind: str, payload: bytes) -> int:
+    """The symbols a message carries, counted over its decoded contents."""
+    if kind == "query":
+        return sum(len(g.vector) for g in decode_query(payload).groups)
+    if kind == "answer":
+        return sum(len(s.payload) for s in decode_answers(payload))
+    return 0
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_every_record_counts_the_symbols_its_bytes_carry(kind, monkeypatch):
+    transcript, _, sent = recorded_case(kind, monkeypatch)
+    assert [r.symbols for r in transcript.records] == [
+        decoded_symbols(r.kind, p) for r, p in zip(transcript.records, record_payloads(sent))]
+
+
+def test_mix_consumes_each_segment_from_its_own_pool():
+    # the servers' ledgers, tagged by segment: dapac's pads are pairwise
+    # chunks, het1's one chunk per candidate match set
+    transcript, _ = run_case("mix")
+    assert {(tag, label[0]) for tag, label in transcript.consumed} == {
+        ("dapac", "pair"), ("het1", "nk")}
+
+
 # Pinned with the dict format, per case: (sha256 of the dump with every
 # answer record's digest blank, sha256 of the answer records' int-list
 # digests concatenated in record order).
@@ -250,7 +277,9 @@ def mutations(payload: bytes, rng: random.Random) -> list[bytes]:
     return out
 
 
-def answered_or_refused(call):
+def answered_or_refused(call, kind, frame):
+    symbols = frame_symbols(kind, frame)
+    assert type(symbols) is int and symbols >= 0
     try:
         call()
     except (ConfigError, AccessRefusal):
@@ -267,10 +296,12 @@ def test_byte_mutations_are_answered_or_refused(kind, monkeypatch):
         if msg_kind != "query":
             received.append(b"[" * 100000)  # json.loads raises RecursionError
         for frame in received:
-            answered_or_refused(lambda: copy.copy(actor).handle(msg_kind, frame))
+            answered_or_refused(lambda: copy.copy(actor).handle(msg_kind, frame),
+                                msg_kind, frame)
         if msg_kind == "query":
             query, length = decode_query(payload), actor.ctx.pool.chunk_len
             assert _checked_reply(reply, query, length, actor.params.q)
             for frame in mutations(reply, rng):
                 answered_or_refused(
-                    lambda: _checked_reply(frame, query, length, actor.params.q))
+                    lambda: _checked_reply(frame, query, length, actor.params.q),
+                    "answer", frame)

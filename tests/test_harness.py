@@ -10,12 +10,15 @@ from hetdapac.access import SystemParams, message_index
 from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.field import derive_rng
 from hetdapac.harness import (
+    Channel,
     ServerActor,
     Transcript,
     actor_name,
     random_store,
+    retrieval_phase,
     run_protocol,
     store_segment,
+    verification_phase,
 )
 from hetdapac.randomness import allocate
 from hetdapac.schemes import engine
@@ -178,6 +181,48 @@ def test_query_before_pool_is_rejected():
         actor.handle("query", encode_query(queries[1]))
 
 
+def test_install_pool_empties_the_ledger():
+    store = random_store(P322, 3)
+    actor = make_verified_actor(1, "het1", P322, store, (1, 2, 2))
+    _, queries = engine("het1").build((1, 2, 2), P322, derive_rng(0, "user", 0))
+    actor.handle("query", encode_query(queries[1]))
+    assert actor.ledger  # the answer named its pads
+    actor.install_pool(allocate("het1", P322, (2,), 1), store)
+    assert actor.ledger == []
+
+
+class HandleOnly:
+    """A server as the user reaches it: a receiver of bytes, nothing more."""
+
+    __slots__ = ("handle",)
+
+    def __init__(self, actor):
+        self.handle = actor.handle
+
+
+@pytest.mark.parametrize("scheme", ["het1", "het2", "dapac"])
+def test_retrieval_phase_reads_only_reply_bytes(scheme):
+    # the user side gets nothing from a server but its replies; the
+    # ledgers are read outside, where the pools are installed
+    params, v_star, seed = P432, (1, 2, 2, 1), 4
+    store = random_store(params, seed)
+    transcript = Transcript(params)
+    channel = Channel(transcript)
+    actors = [ServerActor(n, params) for n in params.servers()]
+    for actor in actors:
+        channel.connect(actor_name(actor.server, params), HandleOnly(actor))
+    verification_phase(channel, v_star, params)
+    pool = allocate(scheme, params, v_star[params.d:], seed)
+    for actor in actors:
+        actor.install_pool(pool, store)
+    msg = retrieval_phase(channel, scheme, params, v_star, seed, transcript)
+    assert msg == store[message_index(v_star, params)]
+    _, ran, metrics = run_protocol(scheme, params, v_star, store, seed)
+    assert transcript.dumps() == ran.dumps()
+    consumed = {(None, label) for actor in actors for label in actor.ledger}
+    assert consumed == ran.consumed and len(consumed) == metrics["randomness_consumed_chunks"]
+
+
 def test_store_segment_slices_symbols():
     store = {0: (1, 2, 3, 4), 1: (5, 6, 7, 8)}
     assert store_segment(store, 0, 2) == {0: (1, 2), 1: (5, 6)}
@@ -260,7 +305,7 @@ def test_tampered_reply_is_refused(monkeypatch, how):
     def tampered(self, kind, payload):
         reply = handle(self, kind, payload)
         if kind == "query" and self.server == 1:
-            return (reply[0], TAMPERS[how](reply[1], params.q), reply[2])
+            return (reply[0], TAMPERS[how](reply[1], params.q))
         return reply
 
     monkeypatch.setattr(ServerActor, "handle", tampered)
