@@ -6,10 +6,12 @@ Four families of checks, all exact:
   many seeds, comparing the decoded message against the store;
 * attribute privacy compares, per server, the exact distribution of what
   that server receives across attribute vectors it must not distinguish;
+  each vector's plan is traced once and read by every audited server;
 * database secrecy is proven by rank over F_q, at any q: answers are
   affine in the uniform pool, so a store perturbation leaves the answer
   distribution unchanged exactly when its answer shift lies in the column
-  space of the pad map, and otherwise moves it to a disjoint coset;
+  space of the pad map, and otherwise moves it to a disjoint coset; a
+  shift of one message is re-answered only where a server's slice holds it;
 * accounting compares measured rate, load ratio, downloads and randomness
   against their closed forms as rationals.
 
@@ -206,46 +208,55 @@ def privacy_servers(scheme: str, params: SystemParams) -> range:
     return range(1, params.d + 1)
 
 
+def _privacy_reports(scheme: str, params: SystemParams, servers) -> list[dict]:
+    """`audit_attribute_privacy`'s report for each of `servers`, in order.
+
+    The K^D vectors of one public part are traced once, and every audited
+    server reads its observation off those plans; they live only for that
+    public part. Every server is range-checked before any plan is built.
+    """
+    central, q = params.central, params.q
+    for server in servers:
+        if server != central and not 1 <= server <= params.d:
+            raise ConfigError(f"server {server} out of range")
+
+    reports = [{"scheme": scheme, "params": params, "server": server,
+                "pairs": 0, "max_tv": Fraction(0), "worst_pair": None}
+               for server in servers]
+    publics = itertools.product(range(1, params.k + 1),
+                                repeat=params.n_attrs - params.d)
+    for public in publics:
+        space = [tuple(s) + public for s in
+                 itertools.product(range(1, params.k + 1), repeat=params.d)]
+        plans = {v: _trace_plan(scheme, params, v) for v in space}
+        for rep in reports:
+            server = rep["server"]
+            observed = {v: _coset(_observed_groups(plan, server), q, f"the plan for {v}")
+                        for v, plan in plans.items()}
+            buckets: dict = {}
+            for v in space:
+                view = v[server - 1] if server != central else None
+                buckets.setdefault(view, []).append(v)
+            for bucket in buckets.values():
+                rep["pairs"] += math.comb(len(bucket), 2)
+                if len({observed[v] for v in bucket}) == 1:
+                    continue  # one form, one distribution: every pair has TV 0
+                for v, u in itertools.combinations(bucket, 2):
+                    tv = _coset_tv(observed[v], observed[u], q)
+                    if tv > rep["max_tv"]:
+                        rep["max_tv"], rep["worst_pair"] = tv, (v, u)
+    for rep in reports:
+        rep["pass"] = rep["max_tv"] == 0
+    return reports
+
+
 def audit_attribute_privacy(scheme: str, params: SystemParams, server: int) -> dict:
     """Max exact TV distance of one server's received query distribution
     over all pairs of attribute vectors that agree on the server's view
     (its own verified value for a dedicated server, the public part
     always). Zero means the server learns nothing beyond its view.
     """
-    central = params.central
-    dedicated = server != central
-    if dedicated and not 1 <= server <= params.d:
-        raise ConfigError(f"server {server} out of range")
-
-    max_tv = Fraction(0)
-    pairs = 0
-    worst = None
-    publics = itertools.product(range(1, params.k + 1),
-                                repeat=params.n_attrs - params.d)
-    for public in publics:
-        space = [tuple(s) + public for s in
-                 itertools.product(range(1, params.k + 1), repeat=params.d)]
-        observed = {v: _coset(_observed_groups(_trace_plan(scheme, params, v), server),
-                              params.q, f"the plan for {v}")
-                    for v in space}
-        buckets: dict = {}
-        for v in space:
-            view = v[server - 1] if dedicated else None
-            buckets.setdefault(view, []).append(v)
-        for bucket in buckets.values():
-            pairs += math.comb(len(bucket), 2)
-            if len({observed[v] for v in bucket}) == 1:
-                continue  # one form, one distribution: every pair has TV 0
-            for v, u in itertools.combinations(bucket, 2):
-                tv = _coset_tv(observed[v], observed[u], params.q)
-                if tv > max_tv:
-                    max_tv, worst = tv, (v, u)
-    return {
-        "scheme": scheme, "params": params, "server": server,
-        "pairs": pairs,
-        "max_tv": max_tv, "worst_pair": worst,
-        "pass": max_tv == 0,
-    }
+    return _privacy_reports(scheme, params, [server])[0]
 
 
 # --------------------------------------------------------- database secrecy
@@ -277,9 +288,12 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     pool through the real answering path; it must be the same under an
     independent store, and base + P·s must match the answers at a seeded
     uniform pool. S is linear, so the L unit shifts of a non-desired
-    participating message cover all q^L - 1 perturbations of it. Shifting
-    the desired message is the control: its TV must be 1, or decoding
-    would be impossible.
+    participating message cover all q^L - 1 perturbations of it. Each
+    server answers only from its slice, so the answers at the zero pool
+    are taken once per server, and a shift of message m re-answers only
+    the servers whose slice holds m; every other server's part of the
+    shift is zero. Shifting the desired message is the control: its TV
+    must be 1, or decoding would be impossible.
 
     The query is the one the scheme builds, so this proves secrecy for a
     client that follows the scheme: the symmetric PIR model of Sun and
@@ -310,10 +324,15 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
             server: replace(ctx, store={m: st[m] for m in ctx.store}, pool=pool)
             for server, ctx in ctxs.items()}, queries)
 
+    def part(server, ctx):
+        return _answer_tuple(eng, {server: ctx}, {server: queries[server]})
+
     def minus(a, b):
         return tuple((x - y) % q for x, y in zip(a, b))
 
-    base, other_base = answers(store, zero_pool), answers(other, zero_pool)
+    parts = {server: part(server, ctxs[server]) for server in sorted(ctxs)}
+    base = tuple(x for p in parts.values() for x in p)
+    other_base = answers(other, zero_pool)
     units = [RandomnessPool(scheme, params, clen, {
                  **zero_pool.chunks, label: tuple(int(t == j) for t in range(clen))})
              for label in zero_pool.labels() for j in range(clen)]
@@ -326,8 +345,15 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
         raise ConfigError("answers do not split into store part plus pad")
     span = _echelon(columns, q)
 
-    def tv(mutated) -> Fraction:
-        delta = minus(answers(mutated, zero_pool), base)
+    def tv(m: int, alt) -> Fraction:
+        delta = []
+        for server, base_part in parts.items():
+            ctx = ctxs[server]
+            if m in ctx.store:
+                delta += minus(part(server, replace(ctx, store={**ctx.store, m: alt})),
+                               base_part)
+            else:
+                delta += [0] * len(base_part)
         return Fraction(len(_echelon([delta], q, span)) - len(span))
 
     def bumped(m: int, j: int):
@@ -337,14 +363,14 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
 
     others = [m for m in participating_ids(params, public) if m != desired]
     worst = next(((m, alt) for m in others for j in range(params.length)
-                  for alt in [bumped(m, j)] if tv({**store, m: alt})), None)
-    control = {**store, desired: tuple((x + 1) % q for x in store[desired])}
+                  for alt in [bumped(m, j)] if tv(m, alt)), None)
+    control = tuple((x + 1) % q for x in store[desired])
     return {
         "scheme": scheme, "params": params, "v_star": tuple(v_star),
         "pool_assignments": q ** len(s),
         "perturbations": len(others) * (q ** params.length - 1),
         "max_tv": Fraction(worst is not None), "worst_perturbation": worst,
-        "desired_control_tv": tv(control),
+        "desired_control_tv": tv(desired, control),
         "pass": worst is None,
     }
 
@@ -446,9 +472,8 @@ def point_checks(suite: str, scheme: str, params: SystemParams, trials: int = 50
         return [_check(f"correctness {scheme}", rep,
                        rep["retry_frequency"] <= Fraction(10 * params.d, params.q))]
     if suite == "privacy":
-        return [_check(f"privacy {scheme} server {server}",
-                       audit_attribute_privacy(scheme, params, server))
-                for server in privacy_servers(scheme, params)]
+        return [_check(f"privacy {scheme} server {rep['server']}", rep)
+                for rep in _privacy_reports(scheme, params, privacy_servers(scheme, params))]
     if suite == "secrecy":
         rep = audit_db_secrecy(scheme, params)
         # the control: shifting the desired message must move its answers

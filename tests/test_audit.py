@@ -22,13 +22,15 @@ from fractions import Fraction
 import pytest
 
 from hetdapac import audit
-from hetdapac.access import SystemParams, message_index, participating_ids
+from hetdapac.access import (SystemParams, accessible_messages, message_index,
+                             participating_ids)
 from hetdapac.errors import ConfigError
 from hetdapac.field import derive_rng
 from hetdapac.harness import random_store
 from hetdapac.randomness import RandomnessPool, allocate
 from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import engine as scheme_engine
+from hetdapac.schemes import het1
 from hetdapac.schemes.base import PlanGroup, SymBlock, SymVector
 
 P_HET1 = SystemParams(n_attrs=3, d=2, k=2, q=3, length=2)
@@ -36,6 +38,13 @@ P_DAPAC = SystemParams(n_attrs=3, d=3, k=2, q=2, length=3)
 P_HET2 = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
 # sub-packets of PACK_MIN_SYMBOLS = 32 symbols: answered by the packed kernel
 P_PACKED = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=64)
+
+# privacy points past PRIVACY_POINTS: D = 4, and K = 3
+WIDER_PRIVACY_POINTS = (
+    ("dapac", SystemParams(n_attrs=4, d=4, k=2, q=65537, length=6)),
+    ("het2", SystemParams(n_attrs=5, d=4, k=2, q=65537, length=10)),
+    ("het2", SystemParams(n_attrs=4, d=4, k=3, q=65537, length=10)),
+)
 
 ENUMERATION_CAP = 1_000_000
 
@@ -257,16 +266,44 @@ class TestAttributePrivacy:
             seen.add(tv)
         assert 0 in seen and 1 in seen and any(0 < tv < 1 for tv in seen)
 
-    @pytest.mark.parametrize("scheme,params", audit.PRIVACY_POINTS + (
-        ("dapac", SystemParams(n_attrs=4, d=4, k=2, q=2, length=6)),
-        ("het2", SystemParams(n_attrs=5, d=4, k=2, q=2, length=10)),
-        ("het2", SystemParams(n_attrs=4, d=4, k=3, q=2, length=10)),
-    ))
+    @pytest.mark.parametrize("scheme,params", audit.PRIVACY_POINTS + WIDER_PRIVACY_POINTS)
     def test_privacy_passes_at_large_field(self, scheme, params):
         params = replace(params, q=65537)
         for server in audit.privacy_servers(scheme, params):
             rep = audit.audit_attribute_privacy(scheme, params, server)
             assert rep["max_tv"] == 0 and rep["pass"]
+
+    @pytest.mark.parametrize("scheme,params", audit.PRIVACY_POINTS + WIDER_PRIVACY_POINTS)
+    def test_suite_reports_equal_one_server_reports(self, scheme, params):
+        checks = audit.point_checks("privacy", scheme, params)
+        servers = [c["report"]["server"] for c in checks]
+        assert servers == list(audit.privacy_servers(scheme, params))
+        for check, server in zip(checks, servers):
+            assert check["report"] == audit.audit_attribute_privacy(scheme, params, server)
+
+    @pytest.mark.parametrize("point,vectors", zip(audit.PRIVACY_POINTS, (8, 8, 16)))
+    def test_suite_traces_each_vector_once(self, monkeypatch, point, vectors):
+        builds = Counter()
+        trace_plan = audit._trace_plan
+
+        def counting(scheme, params, v_star):
+            builds[v_star] += 1
+            return trace_plan(scheme, params, v_star)
+
+        monkeypatch.setattr(audit, "_trace_plan", counting)
+        assert all(c["pass"] for c in audit.point_checks("privacy", *point))
+        assert len(builds) == vectors and set(builds.values()) == {1}
+
+    def test_out_of_range_server_is_refused_before_any_build(self, monkeypatch):
+        def no_build(scheme, params, v_star):
+            raise AssertionError(f"built the plan for {v_star}")
+
+        monkeypatch.setattr(audit, "_trace_plan", no_build)
+        for server in (0, -1, P_HET1.central + 1):
+            with pytest.raises(ConfigError, match=f"server {server} out of range"):
+                audit.audit_attribute_privacy("het1", P_HET1, server)
+        with pytest.raises(ConfigError, match="server 4 out of range"):
+            audit._privacy_reports("het1", P_HET1, [1, P_HET1.central, 4])
 
     def test_shared_draw_leak_is_caught_by_the_audit(self, monkeypatch):
         # central group 1 reuses group 0's draw only when v*_1 = 1, so the
@@ -463,6 +500,27 @@ class TestDbSecrecy:
         for rep in (audit.audit_db_secrecy("het1", P_HET1),
                     enumerating_db_secrecy("het1", P_HET1)):
             assert rep["max_tv"] == 1 and not rep["pass"]
+
+    def test_a_leak_on_one_dedicated_server_is_found(self, monkeypatch):
+        # server 1 names no pad labels, so its shares go out unpadded: a
+        # shift is re-answered only where a slice holds it, and must still
+        # reach the one server that leaks
+        label_table = het1.label_table
+
+        def unpadded(server, params, public, own_value):
+            table = label_table(server, params, public, own_value)
+            return {key: [] for key in table} if server == 1 else table
+
+        monkeypatch.setattr(het1, "label_table", unpadded)
+        rep = audit.audit_db_secrecy("het1", P_HET1)
+        assert rep["max_tv"] == 1 and not rep["pass"]
+        m, _ = rep["worst_perturbation"]
+        assert m in accessible_messages(1, rep["v_star"], P_HET1)
+        # the oracle names the first leaking value of m, the rank audit the
+        # first leaking unit shift of it: the message is what both must agree on
+        oracle = enumerating_db_secrecy("het1", P_HET1)
+        assert {**rep, "worst_perturbation": m} == \
+            {**oracle, "worst_perturbation": oracle["worst_perturbation"][0]}
 
     def test_packed_answers_pass(self):
         assert P_PACKED.length // P_PACKED.d == scheme_base.PACK_MIN_SYMBOLS
