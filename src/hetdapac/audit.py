@@ -362,7 +362,7 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
         return alt
 
     others = [m for m in participating_ids(params, public) if m != desired]
-    worst = next(((m, alt) for m in others for j in range(params.length)
+    worst = next(((m, tuple(alt)) for m in others for j in range(params.length)
                   for alt in [bumped(m, j)] if tv(m, alt)), None)
     control = tuple((x + 1) % q for x in store[desired])
     return {

@@ -26,16 +26,15 @@ The access and index checks of a group run over the whole group at once
 indices); only a group that fails them is walked row by row, to raise
 the same first error, in row order, as a per-row check would.
 
-A share is computed by one of three kernels, chosen by the group's shape.
+A share is computed by one of two kernels, chosen by sub-packet length.
 From PACK_MIN_SYMBOLS symbols on, every named row and pad chunk becomes
 one Python int with a symbol per lane of w 32-bit words, so a group costs
 one big-int multiply-add per row and one reduction mod q per symbol.
-Below that, a group of many rows and few symbols goes to the gather
-kernel, which makes one pass in C over the rows per symbol and slices
-no row; a short group goes to a per-symbol loop over sliced rows, which
-has the least fixed cost. The three kernels return the same share, an
-`array('I')` that goes on the wire as it is, and `combine` picks among
-them for the answer path and for decode alike.
+Below that, the gather kernel makes one pass in C over the rows per
+symbol and slices no row. The two kernels take the same arguments and
+return the same share, an `array('I')` that goes on the wire as it is,
+and `combine` picks between them for the answer path and for decode
+alike.
 
 Combining vectors are drawn through a VectorSource so the privacy auditor
 can swap in a tracing source and recover the exact wiring of draws and
@@ -299,36 +298,15 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     return ServerContext(server, params, {m: store[m] for m in ids}, pool, table)
 
 
-# Sub-packets at least this long are answered by the packed kernel. Packing
-# costs about a microsecond per row and several per group: on a 2-core VM
-# the loop was as fast or faster up to 16 symbols at 2 rows, and the packed
-# kernel faster from 32 symbols on at 2 to 256 rows (table in CHANGES.md).
+# Sub-packets at least this long are answered by the packed kernel, the
+# rest by the gather kernel. Packing costs about a microsecond per row and
+# several per group, while the gather kernel pays a pass over the rows per
+# symbol. On a 2-core VM at q = 65537 with one pad chunk, the gather kernel
+# won by 1.3-5x at 1-2 symbols and the packed kernel by 1.8-4x at 16-32
+# symbols, on 2 to 256 rows; they crossed between 2 and 8 (table in
+# CHANGES.md). No workload's sub-packets have 6 to 31 symbols, so the
+# threshold stays at 32 until one reaches that range.
 PACK_MIN_SYMBOLS = 32
-
-
-def _gathers(rows: int, symbols: int) -> bool:
-    """Whether a group below PACK_MIN_SYMBOLS goes to the gather kernel.
-
-    The gather kernel pays about a microsecond per symbol and the loop
-    a fraction of one per row, so the loop wins on short groups of
-    several symbols: on a 2-core VM the gather kernel was faster from
-    about 8 rows at 1 symbol, 16 at 4, 32 at 8 and 64 at 24 (table in
-    CHANGES.md).
-    """
-    return rows > 2 * symbols + 4
-
-
-def _loop_share(vector, arrays, ends, pads, q: int, length: int) -> array:
-    """The share `_gather_share` computes, one row slice and one symbol at
-    a time."""
-    total = [0] * length
-    for pad in pads:
-        for j, x in enumerate(pad):
-            total[j] = (total[j] + x) % q
-    for coeff, arr, end in zip(vector, arrays, ends):
-        for j, s in enumerate(arr[end - length:end]):
-            total[j] = (total[j] + coeff * s) % q
-    return array("I", total)
 
 
 def _gather_share(vector, arrays, ends, pads, q: int, length: int) -> array:
@@ -346,15 +324,15 @@ def _gather_share(vector, arrays, ends, pads, q: int, length: int) -> array:
                        for j in range(length)])
 
 
-def _packed_share(vector, segments, pads, q: int, length: int) -> array:
-    """The share `_loop_share` computes, from the rows' sub-packets
-    `segments`, with each symbol in its own lane of one int per row or
-    pad chunk.
+def _packed_share(vector, arrays, ends, pads, q: int, length: int) -> array:
+    """The share `_gather_share` computes, with each row's sub-packet
+    `arrays[r][ends[r] - length:ends[r]]` and each pad chunk packed into
+    one int, a symbol per lane.
 
     A lane is w 32-bit words, enough for (rows + pads)·(q − 1)², so no
     lane carries into the next before the single reduction at the end.
     """
-    w = ((len(segments) + len(pads)) * (q - 1) ** 2).bit_length() // 32 + 1
+    w = ((len(arrays) + len(pads)) * (q - 1) ** 2).bit_length() // 32 + 1
     lanes = array("I", [0]) * (w * length)
 
     def pack(symbols) -> int:
@@ -362,8 +340,8 @@ def _packed_share(vector, segments, pads, q: int, length: int) -> array:
         return int.from_bytes(little_endian(lanes), "little")
 
     total = sum(map(pack, pads))
-    for coeff, seg in zip(vector, segments):
-        total += coeff % q * pack(seg)
+    for coeff, arr, end in zip(vector, arrays, ends):
+        total += coeff % q * pack(arr[end - length:end])
     data = total.to_bytes(4 * w * length, "little")
     if w <= 2:
         return array("I", [x % q for x in little_endian(array("I" if w == 1 else "Q", data))])
@@ -374,11 +352,9 @@ def _packed_share(vector, segments, pads, q: int, length: int) -> array:
 
 def combine(vector, arrays, ends, pads, q: int, length: int) -> array:
     """pad + sum_r vector[r] * arrays[r][ends[r] - length:ends[r]] mod q,
-    by the kernel the shape calls for; the pad is the sum of `pads`."""
-    if length >= PACK_MIN_SYMBOLS:
-        segments = [a[e - length:e] for a, e in zip(arrays, ends)]
-        return _packed_share(vector, segments, pads, q, length)
-    kernel = _gather_share if _gathers(len(arrays), length) else _loop_share
+    by the kernel the sub-packet length calls for; the pad is the sum of
+    `pads`."""
+    kernel = _packed_share if length >= PACK_MIN_SYMBOLS else _gather_share
     return kernel(vector, arrays, ends, pads, q, length)
 
 

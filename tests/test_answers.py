@@ -1,7 +1,7 @@
 """Server answer path: malformed query frames, answer frames and
 verification payloads, repeated groups and rows, the first bad row
 deciding the error, label tables built once at install against a
-per-query oracle, and the three answer kernels and their choice against a
+per-query oracle, and the two answer kernels and their choice against a
 per-symbol loop oracle."""
 
 from __future__ import annotations
@@ -356,8 +356,8 @@ def loop_share(vector, segments, pad, q: int) -> array:
 
 def loop_reference(ctx, query, table):
     """The share by the per-symbol loop over sliced rows: the oracle for
-    every kernel. Returns the kernels' inputs too: (arrays, ends,
-    segments, pad chunks, labels, share)."""
+    every kernel. Returns the kernels' inputs too: (arrays, ends, pad
+    chunks, labels, share)."""
     group = query.groups[0]
     q, n = ctx.params.q, ctx.pool.chunk_len
     arrays = [ctx.store[m] for m, _ in group.descriptor.rows]
@@ -366,7 +366,7 @@ def loop_reference(ctx, query, table):
     labels = table[frozenset(m for m, _ in group.descriptor.rows)]
     chunks = [ctx.pool.chunk(label) for label in labels]
     want = loop_share(group.vector, segments, pad_sum(ctx.pool, labels, q), q)
-    return arrays, ends, segments, chunks, labels, want
+    return arrays, ends, chunks, labels, want
 
 
 KERNEL_MODULI = [2, 3, 65537, 4294967291]
@@ -377,56 +377,47 @@ KERNEL_MODULI = [2, 3, 65537, 4294967291]
 @pytest.mark.parametrize("pads", [0, 1, 3])
 def test_packed_kernel_equals_the_loop(q, length, pads):
     ctx, query, table = kernel_case(q, length, pads)
-    _, _, segments, chunks, labels, want = loop_reference(ctx, query, table)
-    got = scheme_base._packed_share(query.groups[0].vector, segments, chunks, q, length)
+    arrays, ends, chunks, labels, want = loop_reference(ctx, query, table)
+    got = scheme_base._packed_share(query.groups[0].vector, arrays, ends, chunks, q, length)
     assert type(got) is array and got.typecode == "I" and got == want
     shares, named = answer_query(ctx, query)
     assert [s.payload for s in shares] == [want] and named == [labels]
     assert type(shares[0].payload) is array and shares[0].payload.typecode == "I"
 
 
+# every length the gather kernel answers at random row counts, then the
+# short groups of few rows and symbols that retrievals and audits send it
+GATHER_SHAPES = ([(length, None) for length in range(1, PACK_MIN_SYMBOLS)]
+                 + [(length, rows) for rows in (1, 2, 4, 7, 67) for length in (1, 2, 3)])
+
+
 @pytest.mark.parametrize("q", KERNEL_MODULI)
 @pytest.mark.parametrize("pads", [0, 1, 3])
 def test_gather_and_loop_kernels_equal_the_oracle(q, pads):
-    for length in range(1, PACK_MIN_SYMBOLS):
-        ctx, query, table = kernel_case(q, length, pads)
-        arrays, ends, _, chunks, labels, want = loop_reference(ctx, query, table)
-        vector = query.groups[0].vector
-        for kernel in (scheme_base._gather_share, scheme_base._loop_share):
-            got = kernel(vector, arrays, ends, chunks, q, length)
-            assert type(got) is array and got.typecode == "I", kernel
-            assert got == want, (kernel, length)
+    for length, rows in GATHER_SHAPES:
+        ctx, query, table = kernel_case(q, length, pads, rows)
+        arrays, ends, chunks, labels, want = loop_reference(ctx, query, table)
+        got = scheme_base._gather_share(query.groups[0].vector, arrays, ends, chunks, q, length)
+        assert type(got) is array and got.typecode == "I"
+        assert got == want, (length, rows)
         shares, named = answer_query(ctx, query)
         assert [s.payload for s in shares] == [want] and named == [labels]
 
 
-def refuse(kernel, rows, symbols):
+def refuse(kernel, symbols):
     def unused(*args):
-        raise AssertionError(f"{kernel} ran on {rows} rows of {symbols} symbols")
+        raise AssertionError(f"{kernel} ran on {symbols} symbols")
     return unused
 
 
 @pytest.mark.parametrize("length, kernel", [
     (PACK_MIN_SYMBOLS - 1, "_packed_share"),
-    (PACK_MIN_SYMBOLS, "_loop_share"),
     (PACK_MIN_SYMBOLS, "_gather_share"),
 ])
 def test_kernel_is_chosen_by_subpacket_length(monkeypatch, length, kernel):
+    # the kernel named must not run; the other one answers exactly
     ctx, query, table = kernel_case(65537, length, 1)
-    monkeypatch.setattr(scheme_base, kernel, refuse(kernel, "any", length))
-    answer_query(ctx, query)
-
-
-@pytest.mark.parametrize("rows, symbols, kernel", [
-    (6, 1, "_loop_share"), (7, 1, "_gather_share"),
-    (12, 4, "_loop_share"), (13, 4, "_gather_share"),
-    (66, PACK_MIN_SYMBOLS - 1, "_loop_share"), (67, PACK_MIN_SYMBOLS - 1, "_gather_share"),
-])
-def test_kernel_is_chosen_by_rows_and_symbols(monkeypatch, rows, symbols, kernel):
-    # the kernel named runs; the other one must not
-    other = "_loop_share" if kernel == "_gather_share" else "_gather_share"
-    ctx, query, table = kernel_case(65537, symbols, 1, rows)
     want = loop_reference(ctx, query, table)[-1]
-    monkeypatch.setattr(scheme_base, other, refuse(other, rows, symbols))
+    monkeypatch.setattr(scheme_base, kernel, refuse(kernel, length))
     shares, _ = answer_query(ctx, query)
     assert [s.payload for s in shares] == [want]

@@ -10,6 +10,7 @@ import pytest
 
 from hetdapac import audit, cli
 from hetdapac.harness import random_store
+from hetdapac.schemes import het1
 
 
 def run_cli(capsys, *argv):
@@ -395,6 +396,28 @@ class TestAudit:
                             "--k", "2", "--q", "3", "--length", "20")
         assert code == 0
         assert "PASS secrecy het1 (max TV 0)" in out.out
+
+    def test_failing_secrecy_report_is_written(self, capsys, monkeypatch, tmp_path):
+        # server 1 names no pad labels, so its shares leak: the report names
+        # the leaking perturbation, and the file must still be JSON
+        label_table = het1.label_table
+
+        def unpadded(server, params, public, own_value):
+            table = label_table(server, params, public, own_value)
+            return {key: [] for key in table} if server == 1 else table
+
+        monkeypatch.setattr(het1, "label_table", unpadded)
+        path = tmp_path / "report.json"
+        code, out = run_cli(capsys, "audit", "--suite", "secrecy",
+                            "--scheme", "het1", "--n", "3", "--d", "2",
+                            "--k", "2", "--q", "3", "--length", "2",
+                            "--out", str(path))
+        assert code == cli.EXIT_FAIL
+        assert "FAIL secrecy het1 (max TV 1)" in out.out
+        report = json.loads(path.read_text())
+        assert report["pass"] is False
+        m, alt = report["suites"][0]["checks"][0]["report"]["worst_perturbation"]
+        assert isinstance(m, int) and len(alt) == 2
 
     def test_privacy_point_at_large_field_passes(self, capsys):
         code, out = run_cli(capsys, "audit", "--suite", "privacy",

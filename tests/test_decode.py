@@ -1,8 +1,8 @@
-"""Decode: every scheme's plan table, run by the answer kernels.
+"""Decode: every scheme's plan table, run by the two answer kernels.
 
 Each case retrieves and compares with the stored message, at the smallest
 prime, a Fermat prime and the largest prime below 2^32 (packed lanes of
-w = 3 words), with sub-packets below PACK_MIN_SYMBOLS (loop kernel) and
+w = 3 words), with sub-packets below PACK_MIN_SYMBOLS (gather kernel) and
 at it (packed kernel). The coefficients cover 1, -1 and, in het2, +-1/c.
 """
 

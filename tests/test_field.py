@@ -88,8 +88,9 @@ def test_unit_vector():
 
 
 def test_vector_ops():
-    # combine adds, subtracts and scales shares, in each of its kernels,
-    # and returns the array('I') that goes on the wire
+    # combine adds, subtracts and scales shares, in the gather kernel at
+    # 3 symbols and the packed one at 192, and returns the array('I')
+    # that goes on the wire
     q = 7
     u, v = (1, 2, 3), (4, 5, 6)
     for width in (1, 64):
@@ -100,7 +101,7 @@ def test_vector_ops():
         assert got == array("I", (5, 0, 2) * width)
         assert combine((1, -1), [vw, uw], [n, n], (), q, n) == array("I", (3, 3, 3) * width)
         assert combine((3,), [uw], [n], (), q, n) == array("I", (3, 6, 2) * width)
-    # with many rows the gather kernel answers short sub-packets
+    # with many rows, too, the gather kernel answers short sub-packets
     got = combine((1, -1) * 8, [v, u] * 8, [3] * 16, (), q, 3)
     assert type(got) is array and got == array("I", (3, 3, 3))
 
