@@ -89,13 +89,13 @@ class SystemParams:
 
 
 def check_vector(v: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
-    """Validate an attribute vector: length N, entries in [1, K]."""
+    """Validate an attribute vector: length N, entries ints (not bools) in [1, K]."""
     v = tuple(v)
     if len(v) != params.n_attrs:
         raise ConfigError(f"attribute vector must have {params.n_attrs} entries, got {len(v)}")
     for x in v:
-        if not 1 <= x <= params.k:
-            raise ConfigError(f"attribute value {x} outside alphabet [1, {params.k}]")
+        if type(x) is not int or not 1 <= x <= params.k:
+            raise ConfigError(f"attribute value {x!r} outside alphabet [1, {params.k}]")
     return v
 
 

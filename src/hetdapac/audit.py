@@ -118,13 +118,13 @@ def _observed_groups(plan, server: int):
 
 
 def _row_view(groups) -> tuple:
-    return tuple((g.label, tuple(m for m, _ in g.rows)) for g in groups)
+    return tuple((g.label, g.ids) for g in groups)
 
 
 def _check_fresh_indices(groups, where: str):
     seen: dict[int, set] = {}
     for g in groups:
-        for msg, logical in g.rows:
+        for msg, logical in zip(g.ids, g.logical):
             if logical in seen.setdefault(msg, set()):
                 raise ConfigError(
                     f"message {msg} repeats logical index {logical} in {where}; "

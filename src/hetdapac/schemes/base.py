@@ -6,8 +6,11 @@ sampling. All of a plan's randomness comes from one `field.WordStream` on
 the plan's private user stream (`user_draws`), in the order the per-call
 draws took: one permutation per participating message, then the vectors
 in the order the builder asks for them. The stream reads ahead, which is
-safe because it is thrown away with the plan. A `FreshIndexCounter` hands
-out a whole group's rows per call.
+safe because it is thrown away with the plan. A group's rows are two
+columns from the plan to the server's answer: the message ids (the set
+helpers' own tuple) and the sub-packet indices, which a
+`FreshIndexCounter` hands out a whole group at a time; no row is ever a
+tuple of its own.
 
 Answer computation is server-side and touches only the server's context:
 its accessible store slice, its pool and its label table, all fixed by
@@ -165,18 +168,19 @@ class TracingSource(VectorSource):
 # ---------------------------------------------------------------- plans
 
 class FreshIndexCounter:
-    """Hands out each message's sub-packet indices 1, 2, ... in demand order."""
+    """Hands out each message's sub-packet indices 1, 2, ... in demand
+    order, a group's column of them per call."""
 
     def __init__(self, subpackets: int):
         self.subpackets = subpackets
         # one iterator over 1..subpackets per message, made on first demand
         self._next = defaultdict(partial(iter, range(1, subpackets + 1)))
 
-    def rows(self, members) -> list[tuple[int, int]]:
-        """One (message, fresh index) row per member, in member order."""
+    def indices(self, members) -> array:
+        """One fresh index per member, in member order."""
         its = self._next
         try:
-            return [(m, next(its[m])) for m in members]
+            return array("I", [next(its[m]) for m in members])
         except StopIteration:
             # each member before the one that ran out took an index, so the
             # last member left with none had none before this call either
@@ -203,17 +207,27 @@ def user_draws(rng, params: SystemParams, public, subpackets: int, source=None):
 
 @dataclass
 class PlanGroup:
-    """User-side view of one query group: logical indices, not wire ones."""
+    """User-side view of one query group: row r is message ids[r] at
+    logical (not wire) sub-packet index logical[r]. `ids` is the set
+    helper's tuple itself, or a concatenation of them; `logical` is an
+    `array('I')`. Twins share either column rather than copy it."""
 
     label: tuple
-    rows: list[tuple[int, int]]   # (message id, logical sub-packet index)
+    ids: tuple[int, ...]
+    logical: array
     vector: object                # concrete tuple or SymVector
 
+    @property
+    def rows(self) -> list[tuple[int, int]]:
+        """The (message id, logical index) rows, read-only."""
+        return list(zip(self.ids, self.logical))
+
     def row_of(self, msg: int) -> int:
-        hits = [i for i, (m, _) in enumerate(self.rows, start=1) if m == msg]
-        if len(hits) != 1:
-            raise ValueError(f"message {msg} appears {len(hits)} times")
-        return hits[0]
+        """The 1-based row of `msg`, which must appear exactly once."""
+        hits = self.ids.count(msg)
+        if hits != 1:
+            raise ValueError(f"message {msg} appears {hits} times")
+        return self.ids.index(msg) + 1
 
 
 @dataclass
@@ -236,8 +250,9 @@ class RetrievalPlan:
         for server, groups in self.groups.items():
             qgroups = []
             for g in groups:
-                rows = tuple([(msg, perms[msg][logical - 1]) for msg, logical in g.rows])
-                qgroups.append(QueryGroup(MessageGroupDescriptor(rows), g.vector))
+                wire = array("I", [perms[m][i - 1] for m, i in zip(g.ids, g.logical)])
+                qgroups.append(QueryGroup(MessageGroupDescriptor(array("I", g.ids), wire),
+                                          g.vector))
             queries[server] = QueryTuple(server=server, groups=tuple(qgroups))
         return queries
 
@@ -367,7 +382,9 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     entry is refused, and so is any reference to a message outside the
     accessible slice, and any query naming a pad label or a (message,
     wire index) row twice: shares that repeat one differ by a pad-free
-    combination of sub-packets. A server with no table refuses every query.
+    combination of sub-packets. Rows are compared as the ints
+    id·(S+1) + index, S the sub-packet count, which the range check
+    makes one-to-one. A server with no table refuses every query.
     """
     if ctx.table is None:
         raise ConfigError(f"server {ctx.server} answers no queries of scheme {ctx.pool.scheme}")
@@ -376,13 +393,15 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     q = ctx.params.q
     sub_len = ctx.pool.chunk_len
     subpackets = ctx.params.length // sub_len
+    span = subpackets + 1
     shares = []
     all_labels = []
+    rows = []
     for gi, group in enumerate(query.groups):
-        rows = group.descriptor.rows
-        if len(group.vector) != len(rows):
+        # the ids as one list of ints, not an int made at each use
+        msgs, indices = group.descriptor.ids.tolist(), group.descriptor.indices
+        if len(group.vector) != len(msgs):
             raise ConfigError("vector length does not match group rows")
-        msgs, indices = zip(*rows) if rows else ((), ())
         key = frozenset(msgs)
         labels = ctx.table.get(key)
         if labels is None:
@@ -390,14 +409,14 @@ def answer_query(ctx: ServerContext, query: QueryTuple
         pads = [ctx.pool.chunk(label) for label in labels]
         if not (ctx.store.keys() >= key
                 and 1 <= min(indices, default=1) and max(indices, default=1) <= subpackets):
-            _refuse_first_row(ctx, rows, subpackets)
+            _refuse_first_row(ctx, msgs, indices, subpackets)
         arrays = list(map(ctx.store.__getitem__, msgs))
         ends = list(map(sub_len.__mul__, indices))
         total = combine(group.vector, arrays, ends, pads, q, sub_len)
         shares.append(AnswerShare(ctx.server, gi, total))
         all_labels.append(list(labels))
-    named = list(chain.from_iterable(all_labels))
-    named.extend(chain.from_iterable(group.descriptor.rows for group in query.groups))
+        rows += [m * span + i for m, i in zip(msgs, indices)]
+    named = [*chain.from_iterable(all_labels), *rows]
     if len(set(named)) != len(named):
         raise ConfigError(f"query reuses a pad label or a row on server {ctx.server}")
     return shares, all_labels
@@ -416,10 +435,10 @@ def decode(plan: RetrievalPlan, answers: dict) -> array:
     return plan.assemble(decoded)
 
 
-def _refuse_first_row(ctx: ServerContext, rows, subpackets: int):
+def _refuse_first_row(ctx: ServerContext, msgs, indices, subpackets: int):
     """Raise for the first row, in row order, that names a message outside
     the accessible slice or a sub-packet index out of range."""
-    for msg, widx in rows:
+    for msg, widx in zip(msgs, indices):
         if msg not in ctx.store:
             raise AccessRefusal(f"server {ctx.server} asked for inaccessible message {msg}")
         if not 1 <= widx <= subpackets:

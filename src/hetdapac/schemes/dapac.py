@@ -109,10 +109,11 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
                 if m < n and k == values[m - 1]:
                     owner = groups[m][index[(m, n, values[n - 1])]]
                     l = owner.row_of(desired)
-                    rows = list(owner.rows)
+                    ids, logical = owner.ids, owner.logical
                     if (m, n) in i1:
                         # cycle twin: same vector, second desired sub-packet
-                        rows[l - 1] = (desired, i2[(m, n)])
+                        logical = logical[:]
+                        logical[l - 1] = i2[(m, n)]
                         vec = owner.vector
                     else:
                         # rest twin: identical rows, lifted vector
@@ -120,20 +121,20 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
                 else:
                     # only the owner twin (m > n, k the far verified value)
                     # holds the desired message
-                    members = pair_set(n, m, values[n - 1], k, public, params)
+                    ids = pair_set(n, m, values[n - 1], k, public, params)
                     nonzero = None
-                    if desired in members:
-                        at = members.index(desired)
-                        rows = counter.rows(members[:at] + members[at + 1:])
-                        rows.insert(at, (desired, first[(n, m)]))
+                    if desired in ids:
+                        at = ids.index(desired)
+                        logical = counter.indices(ids[:at] + ids[at + 1:])
+                        logical.insert(at, first[(n, m)])
                         if (n, m) in i1:
                             # het2 divides by a cycle owner's desired coordinate
                             nonzero = at + 1
                     else:
-                        rows = counter.rows(members)
-                    vec = source.fresh(len(rows), nonzero)
+                        logical = counter.indices(ids)
+                    vec = source.fresh(len(ids), nonzero)
                 index[(n, m, k)] = len(groups[n])
-                groups[n].append(PlanGroup(("u", n, m, k), rows, vec))
+                groups[n].append(PlanGroup(("u", n, m, k), ids, logical, vec))
 
     twins = {}
     decoding = {}

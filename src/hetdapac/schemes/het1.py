@@ -57,8 +57,8 @@ def build(v_star, params, rng, source=None):
     by_nk: dict[tuple[int, int], tuple[int, PlanGroup]] = {}
     for n in range(1, params.d + 1):
         for k in range(1, params.k + 1):
-            members = match_set(n, k, public, params)
-            g = PlanGroup(("nk", n, k), counter.rows(members), source.fresh(len(members)))
+            ids = match_set(n, k, public, params)
+            g = PlanGroup(("nk", n, k), ids, counter.indices(ids), source.fresh(len(ids)))
             by_nk[(n, k)] = (len(central_groups), g)
             central_groups.append(g)
 
@@ -67,9 +67,9 @@ def build(v_star, params, rng, source=None):
     for n in range(1, params.d + 1):
         central_index, base = by_nk[(n, values[n - 1])]
         l = base.row_of(desired)
-        lifted = PlanGroup(base.label, list(base.rows), source.add_unit(base.vector, l))
+        lifted = PlanGroup(base.label, base.ids, base.logical, source.add_unit(base.vector, l))
         groups[n] = [lifted]
-        decoding[base.rows[l - 1][1]] = ((n, 0, 1), (params.central, central_index, -1))
+        decoding[base.logical[l - 1]] = ((n, 0, 1), (params.central, central_index, -1))
 
     plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding)
     return plan, plan.wire_queries()

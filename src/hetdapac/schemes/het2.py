@@ -45,6 +45,8 @@ ratio (D-1)/D, allocated randomness C(D,2) K^2 chunks of L/M symbols.
 
 from __future__ import annotations
 
+from array import array
+
 from ..access import id_set, match_set, message_index, pair_set, public_part
 from ..errors import ConfigError
 from ..randomness import canonical_pair_label, chunk_length
@@ -101,7 +103,8 @@ def build(v_star, params, rng, source=None):
         for k in range(1, params.k + 1):
             if k == values[n - 1]:
                 gis = [index[(n, m0, k2)] for k2 in range(1, params.k + 1)]
-                rows = []
+                ids = ()
+                logical = array("I")
                 blocks = []
                 for k2, gi in enumerate(gis, start=1):
                     g = groups[n][gi]
@@ -109,16 +112,18 @@ def build(v_star, params, rng, source=None):
                         blocks.append(source.add_unit(g.vector, g.row_of(desired)))
                     else:
                         blocks.append(g.vector)
-                    rows.extend(g.rows)
-                cg = PlanGroup(("central", n, k), rows, source.concat(blocks))
-                logical = i1[(n, m0)] if n < m0 else i2[(m0, n)]
-                decoding[logical] = ((central, len(groups[central]), 1),
+                    ids += g.ids
+                    logical += g.logical
+                cg = PlanGroup(("central", n, k), ids, logical, source.concat(blocks))
+                stage1 = i1[(n, m0)] if n < m0 else i2[(m0, n)]
+                decoding[stage1] = ((central, len(groups[central]), 1),
                                      *((n, gi, -1) for gi in gis))
             else:
-                rows = []
+                ids = ()
                 for k2 in range(1, params.k + 1):
-                    rows += counter.rows(pair_set(n, m0, k, k2, public, params))
-                cg = PlanGroup(("central", n, k), rows, source.fresh(len(rows)))
+                    ids += pair_set(n, m0, k, k2, public, params)
+                cg = PlanGroup(("central", n, k), ids, counter.indices(ids),
+                               source.fresh(len(ids)))
             groups[central].append(cg)
 
     # stage 1 knows one index of each cycle pair, and the twin difference

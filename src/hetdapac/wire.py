@@ -1,8 +1,9 @@
 """Wire-level protocol objects and the bytes that carry them.
 
 A query for one server is an ordered list of message groups. Each group
-names rows of (message id, sub-packet index) and carries one combining
-vector; the server's answer to a group is a single sub-packet:
+names rows of (message id, sub-packet index), held as two equal-length
+`array('I')` columns, ids and indices, and carries one combining vector;
+the server's answer to a group is a single sub-packet:
 
     share = sum_r vector[r] * subpacket(row r)  +  pad
 
@@ -42,9 +43,21 @@ from .field import little_endian
 
 @dataclass(frozen=True)
 class MessageGroupDescriptor:
-    """Ordered rows of (message id, wire sub-packet index)."""
+    """Ordered rows as two columns: row r is (ids[r], indices[r]), a
+    message id and its wire sub-packet index."""
 
-    rows: tuple[tuple[int, int], ...]
+    ids: array
+    indices: array
+
+    def __post_init__(self):
+        if len(self.ids) != len(self.indices):
+            raise ConfigError(f"group has {len(self.ids)} message ids "
+                              f"but {len(self.indices)} sub-packet indices")
+
+    @property
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        """The (message id, wire index) rows, read-only."""
+        return tuple(zip(self.ids, self.indices))
 
 
 @dataclass(frozen=True)
@@ -85,10 +98,10 @@ def _words(frame: bytes, start: int, stop: int) -> array:
 def encode_query(query: QueryTuple) -> bytes:
     groups = query.groups
     words = array("I", [query.server, len(groups)])
-    words.extend(len(g.descriptor.rows) for g in groups)
+    words.extend(len(g.descriptor.ids) for g in groups)
     for g in groups:
-        for column in zip(*g.descriptor.rows):  # the ids, then the indices
-            words.extend(column)
+        words.extend(g.descriptor.ids)
+        words.extend(g.descriptor.indices)
         words.extend(g.vector)
     return little_endian(words).tobytes()
 
@@ -103,8 +116,7 @@ def decode_query(frame) -> QueryTuple:
     groups = []
     for rows in words[2:2 + count]:
         ids, indices, vector = (words[at + i * rows:at + (i + 1) * rows] for i in range(3))
-        groups.append(QueryGroup(MessageGroupDescriptor(tuple(zip(ids, indices))),
-                                 tuple(vector)))
+        groups.append(QueryGroup(MessageGroupDescriptor(ids, indices), tuple(vector)))
         at += 3 * rows
     return QueryTuple(server=words[0], groups=tuple(groups))
 

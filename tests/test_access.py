@@ -26,6 +26,7 @@ from hetdapac.access import (
     vector_of_index,
 )
 from hetdapac.errors import ConfigError
+from hetdapac.harness import random_store, run_protocol
 from hetdapac.schemes import het2
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
@@ -47,6 +48,16 @@ def test_params_validation():
         SystemParams(n_attrs=3, d=2, k=2, q=15)
     with pytest.raises(ConfigError):
         SystemParams(n_attrs=3, d=2, k=2, length=0)
+
+
+@pytest.mark.parametrize("bad", ["1", 1.0, True])
+def test_non_int_attribute_values_are_refused(bad):
+    # the same rule as a verification payload's: an int, not a bool
+    v_star = (bad, 1, 1)
+    with pytest.raises(ConfigError, match="outside alphabet"):
+        message_index(v_star, P322)
+    with pytest.raises(ConfigError, match="outside alphabet"):
+        run_protocol("het1", P322, v_star, random_store(P322, 0), 3)
 
 
 @pytest.mark.parametrize("q", [-3, 0, 1, 2 ** 32, 4294967311, 2 ** 61 - 1])

@@ -59,11 +59,16 @@ def verified_actor(server, scheme, params, v_star, seed=0):
     return actor
 
 
+def descriptor(rows) -> MessageGroupDescriptor:
+    """The descriptor of (message id, wire index) rows: its two columns."""
+    return MessageGroupDescriptor(array("I", [m for m, _ in rows]),
+                                  array("I", [i for _, i in rows]))
+
+
 def query_frame(server, *groups):
     """The frame of a query to `server` with (rows, vector) groups."""
     return encode_query(QueryTuple(server, tuple(
-        QueryGroup(MessageGroupDescriptor(tuple(map(tuple, rows))), tuple(vector))
-        for rows, vector in groups)))
+        QueryGroup(descriptor(rows), tuple(vector)) for rows, vector in groups)))
 
 
 def frame(case):
@@ -156,6 +161,25 @@ def test_repeated_row_within_a_group_is_refused():
     group = ([[1, 1], [3, 1], [1, 1]], [1, 1, 1])
     with pytest.raises(ConfigError, match="reuses"):
         actor.handle("query", query_frame(1, group))
+
+
+def test_repeated_row_across_two_groups_is_refused():
+    # het1's central table names {a1y, a2y} and {a1y, b1y}: a1y at wire
+    # index 1 in both groups repeats a row though neither group does
+    a1y, a2y, b1y = (message_index(v, P322) for v in ((1, 1, 2), (1, 2, 2), (2, 1, 2)))
+    actor = verified_actor(P322.central, "het1", P322, (1, 2, 2))
+    first = ([[a1y, 1], [a2y, 1]], [1, 1])
+    with pytest.raises(ConfigError, match="reuses"):
+        actor.handle("query", query_frame(P322.central, first, ([[a1y, 1], [b1y, 1]], [1, 1])))
+    kind, _ = actor.handle("query", query_frame(P322.central, first,
+                                                ([[a1y, 2], [b1y, 1]], [1, 1])))
+    assert kind == "answer"
+
+
+def test_descriptor_columns_must_have_equal_lengths():
+    # unequal columns would encode a frame that decodes to other rows
+    with pytest.raises(ConfigError, match="2 message ids but 1 sub-packet indices"):
+        MessageGroupDescriptor(array("I", [1, 3]), array("I", [1]))
 
 
 def test_first_bad_row_decides_the_error():
@@ -330,8 +354,7 @@ def kernel_case(q: int, length: int, pads: int, rows=None):
                           dict(zip(labels, uniform_arrays(rng, q, length, pads))))
     vector = ((0, q - 1, -1, q + 5)
               + tuple(rng.randrange(-2 * q, 2 * q) for _ in range(rows)))[:rows]
-    group = QueryGroup(MessageGroupDescriptor(
-        tuple((m, rng.randint(1, 2)) for m in store)), vector)
+    group = QueryGroup(descriptor([(m, rng.randint(1, 2)) for m in store]), vector)
     table = {frozenset(store): labels}
     return ServerContext(1, params, store, pool, table), QueryTuple(1, (group,)), table
 

@@ -15,6 +15,7 @@ on the scheme points and on random wirings.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -69,6 +70,12 @@ class TestCorrectness:
     def test_retry_frequency_is_exact(self):
         rep = audit.audit_correctness("het1", P_HET1, trials=1)
         assert rep["retry_frequency"] == Fraction(0)
+
+
+def plan_group(label, rows, vector) -> PlanGroup:
+    """A plan group over (message id, logical index) rows."""
+    return PlanGroup(label, tuple(m for m, _ in rows), array("I", [i for _, i in rows]),
+                     vector)
 
 
 def _merged_components(groups_a, groups_b) -> list[tuple[int, ...]]:
@@ -211,8 +218,8 @@ class TestAttributePrivacy:
         # one shared draw versus two independent ones, same rows: the
         # diagonal distribution against the uniform one has TV 1 - 1/q
         def group(draw, msg):
-            return PlanGroup(("g", msg), [(msg, 1)],
-                             SymVector((SymBlock(draw, 1, (0,)),)))
+            return plan_group(("g", msg), [(msg, 1)],
+                              SymVector((SymBlock(draw, 1, (0,)),)))
         shared = [group(1, 0), group(1, 1)]
         split = [group(1, 0), group(2, 1)]
         for tv in (pair_tv(shared, split, 2),
@@ -222,17 +229,17 @@ class TestAttributePrivacy:
     def test_offset_difference_on_shared_draw_is_detected(self):
         vec = SymVector((SymBlock(1, 1, (0,)),))
         lifted = SymVector((SymBlock(1, 1, (1,)),))
-        a = [PlanGroup(("g", 1), [(0, 1)], vec),
-             PlanGroup(("g", 2), [(1, 1)], vec)]
-        b = [PlanGroup(("g", 1), [(0, 1)], vec),
-             PlanGroup(("g", 2), [(1, 1)], lifted)]
+        a = [plan_group(("g", 1), [(0, 1)], vec),
+             plan_group(("g", 2), [(1, 1)], vec)]
+        b = [plan_group(("g", 1), [(0, 1)], vec),
+             plan_group(("g", 2), [(1, 1)], lifted)]
         for tv in (pair_tv(a, b, 3),
                    enumerating_pair_tv(a, b, 3, ENUMERATION_CAP)[0]):
             assert tv == 1  # (x, x) never equals (x, x+1)
 
     def test_repeated_logical_index_is_rejected(self):
         vec = SymVector((SymBlock(1, 2, (0, 0)),))
-        bad = [PlanGroup(("g",), [(0, 1), (0, 1)], vec)]
+        bad = [plan_group(("g",), [(0, 1), (0, 1)], vec)]
         with pytest.raises(ConfigError):
             pair_tv(bad, bad, 2)
 
@@ -253,8 +260,8 @@ class TestAttributePrivacy:
                     draw = rng.choice([d for d in dims if dims[d] <= room])
                     blocks.append(SymBlock(draw, dims[draw], tuple(
                         rng.choice((0, 0, rng.randrange(q))) for _ in range(dims[draw]))))
-                out.append(PlanGroup(("g", gi), [(10 * gi + j, 1) for j in range(size)],
-                                     SymVector(tuple(blocks))))
+                out.append(plan_group(("g", gi), [(10 * gi + j, 1) for j in range(size)],
+                                      SymVector(tuple(blocks))))
             return out
 
         seen = set()

@@ -8,6 +8,7 @@ the desired id is 3 and b1x matches nothing, so it never appears.
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -18,6 +19,7 @@ from hetdapac.field import derive_rng
 from hetdapac.harness import random_store, run_protocol
 from hetdapac.schemes import dapac
 from hetdapac.schemes.base import TracingSource
+from hetdapac.wire import decode_query, encode_query
 
 P332 = SystemParams(n_attrs=3, d=3, k=2, q=65537, length=3)
 V = (1, 2, 2)  # a2y, id 3
@@ -149,3 +151,30 @@ def test_length_must_split_into_pair_subpackets():
     with pytest.raises(DivisibilityError) as exc:
         dapac.build((1, 1, 1, 1), params, rng)
     assert exc.value.minimal_length == 6
+
+
+def test_wide_build_and_wire_make_no_object_per_row():
+    # (7, 6, 4): 6 servers x 20 groups x 256 rows. Rows travel as columns,
+    # so building, encoding and decoding each leave far fewer GC-tracked
+    # objects than rows; the build's one permutation tuple per
+    # participating message is a draw, not a row, and is counted apart.
+    params = SystemParams(n_attrs=7, d=6, k=4, q=65537, length=15)
+    v_star = (1, 2, 3, 4, 1, 2, 3)
+    dapac.build(v_star, params, derive_rng(0, "warm"))  # fill the set memos
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        plan, queries = dapac.build(v_star, params, derive_rng(1, "user", 0))
+        built = len(gc.get_objects())
+        frames = [encode_query(q) for q in queries.values()]
+        encoded = len(gc.get_objects())
+        decoded_queries = [decode_query(f) for f in frames]
+        decoded = len(gc.get_objects())
+    finally:
+        gc.enable()
+    rows = sum(len(g.vector) for q in queries.values() for g in q.groups)
+    assert rows == 30720
+    assert built - before - len(plan.perms) < rows / 8
+    assert encoded - built < rows / 8
+    assert decoded - encoded < rows / 8
+    assert decoded_queries == list(queries.values())

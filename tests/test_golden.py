@@ -42,6 +42,7 @@ from hetdapac import (
     run_protocol,
     run_time_shared,
 )
+from hetdapac import harness
 from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.harness import Channel, _checked_reply
 from hetdapac.wire import (
@@ -108,6 +109,21 @@ def test_transcript_and_metrics_are_pinned(kind):
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[kind]
 
 
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_every_query_decodes_to_itself(kind, monkeypatch):
+    queries = []
+
+    def recording(query):
+        queries.append(query)
+        return encode_query(query)
+
+    monkeypatch.setattr(harness, "encode_query", recording)
+    run_case(kind)
+    assert queries
+    for query in queries:
+        assert decode_query(encode_query(query)) == query
 
 
 def recorded_case(kind: str, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from array import array
 
 import pytest
 
@@ -135,7 +136,8 @@ def make_verified_actor(server, scheme, params, store, v_star, seed=0):
 
 def query_frame(rows):
     """The frame of a one-group query to server 1 over `rows`, all ones."""
-    group = QueryGroup(MessageGroupDescriptor(rows), (1,) * len(rows))
+    ids, indices = (array("I", column) for column in zip(*rows))
+    group = QueryGroup(MessageGroupDescriptor(ids, indices), (1,) * len(rows))
     return encode_query(QueryTuple(1, (group,)))
 
 

@@ -9,6 +9,7 @@ by the private permutations and are checked separately.
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import pytest
 
@@ -177,10 +178,10 @@ def test_length_must_split_into_d_subpackets():
 
 def test_counter_refuses_an_exhausted_message():
     counter = FreshIndexCounter(2)
-    assert counter.rows((4, 9)) == [(4, 1), (9, 1)]
-    assert counter.rows((9,)) == [(9, 2)]
+    assert counter.indices((4, 9)) == array("I", [1, 1])
+    assert counter.indices((9,)) == array("I", [2])
     with pytest.raises(ConfigError, match="message 9 exhausted its 2 sub-packets"):
-        counter.rows((4, 9))
+        counter.indices((4, 9))
 
 
 def test_servers_share_one_frozenset_per_candidate_set():
