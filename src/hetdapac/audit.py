@@ -44,7 +44,7 @@ from .access import SystemParams, message_index, participating_ids
 from .errors import ConfigError
 from .field import derive_rng
 from .harness import random_store, run_protocol
-from .mixer import INF, scheme_costs  # INF: dapac's expected load ratio
+from .mixer import scheme_costs
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
 from .schemes.base import TracingSource, server_context

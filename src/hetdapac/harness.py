@@ -16,8 +16,8 @@ construction happens strictly before any server sees the store it will
 answer from, and only ever reads (v*, params, user randomness).
 
 Every run goes through `run_segments`: one verification phase, then one
-retrieval per segment, each segment a scheme with its own symbol range,
-store slice and randomness pool. A pure run is a single segment; a
+retrieval per (store, pool) segment, the pool naming the segment's
+scheme, params and chunk length. A pure run is a single segment; a
 time-shared mix (see mixer.py) is several.
 """
 
@@ -69,15 +69,14 @@ class Record:
 
 class Transcript:
     """Structured log of one protocol run: symbol counts read off the
-    frames, consumed pads off the servers' ledgers as (segment, label)."""
+    frames, consumed pads off the servers' ledgers as (segment, label),
+    and each segment's pool, the allocated pads, under its tag."""
 
     def __init__(self, params: SystemParams):
         self.params = params
         self.records: list[Record] = []
         self.retries = 0  # zero cycle coefficients redrawn on the client, unseen by servers
-        self.pool_allocated_chunks = 0
-        self.pool_allocated_symbols = 0
-        self.segment_chunk_len: dict = {}
+        self.pools: dict[Optional[str], RandomnessPool] = {}
         self.consumed: set = set()
 
     def log(self, phase, sender, receiver, kind, payload, segment=None):
@@ -86,13 +85,8 @@ class Transcript:
         self.records.append(rec)
         return rec
 
-    def note_pool(self, pool: RandomnessPool, segment=None):
-        self.pool_allocated_chunks += pool.allocated_chunks
-        self.pool_allocated_symbols += pool.allocated_symbols
-        self.segment_chunk_len[segment] = pool.chunk_len
-
     def consumed_symbols(self) -> int:
-        return sum(self.segment_chunk_len[seg] for seg, _ in self.consumed)
+        return sum(self.pools[seg].chunk_len for seg, _ in self.consumed)
 
     def download_by_sender(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -224,13 +218,14 @@ def verification_phase(channel: Channel, v_star, params: SystemParams):
                             "attribute-relay", public)
 
 
-def retrieval_phase(channel: Channel, scheme: str, params: SystemParams, v_star,
-                    seed, transcript: Transcript, segment=None):
-    """Build one plan on the user stream of `seed`, labeled by the segment
-    tag if there is one, send it and decode its answers. Every plan
-    decodes: het2 draws the coordinates it divides by nonzero (see
-    schemes.base.VectorSource)."""
-    eng = scheme_engine(scheme)
+def retrieval_phase(channel: Channel, pool: RandomnessPool, v_star, seed,
+                    transcript: Transcript, segment=None):
+    """Build one plan of the pool's scheme and params, never its chunks,
+    on the user stream of `seed`, labeled by the segment tag if there is
+    one, send it and decode its answers. Every plan decodes: het2 draws
+    the coordinates it divides by nonzero (see schemes.base.VectorSource)."""
+    params = pool.params
+    eng = scheme_engine(pool.scheme)
     labels = () if segment is None else (segment,)
     plan, queries = eng.build(v_star, params, derive_rng(seed, "user", *labels, 0))
     transcript.retries += plan.redraws
@@ -265,9 +260,9 @@ def _checked_reply(reply: bytes, query, length: int, q: int):
 def run_segments(params: SystemParams, v_star, seed, segments):
     """One verification phase, then one retrieval per segment, in order.
 
-    A segment is (scheme, segment params, segment store, pool): the params
-    differ from `params` only in length, the store holds that many symbols
-    of every message, and the pool was allocated for the segment. The
+    A segment is (store, pool): the pool, allocated for the segment, names
+    its scheme and params, which differ from `params` only in length, and
+    the store holds that many symbols of every message. The
     decoded segments concatenate into the message. A lone segment is a pure
     run and stays untagged; several are tagged by scheme in the transcript,
     and each draws its queries from a user stream labeled by its scheme.
@@ -278,7 +273,7 @@ def run_segments(params: SystemParams, v_star, seed, segments):
     channel = Channel(transcript)
     # the central server joins to verify public attributes, or to be queried
     with_central = params.has_central or any(
-        scheme_engine(scheme).QUERIES_CENTRAL for scheme, *_ in segments)
+        scheme_engine(pool.scheme).QUERIES_CENTRAL for _, pool in segments)
     for n in params.servers():
         if n != params.central or with_central:
             channel.connect(actor_name(n, params), ServerActor(n, params))
@@ -287,13 +282,12 @@ def run_segments(params: SystemParams, v_star, seed, segments):
 
     tagged = len(segments) > 1
     message = array("I")
-    for scheme, seg_params, seg_store, pool in segments:
-        tag = scheme if tagged else None
-        transcript.note_pool(pool, segment=tag)
+    for seg_store, pool in segments:
+        tag = pool.scheme if tagged else None
+        transcript.pools[tag] = pool
         for actor in channel.actors.values():
             actor.install_pool(pool, seg_store)
-        message += retrieval_phase(channel, scheme, seg_params, v_star, seed,
-                                   transcript, segment=tag)
+        message += retrieval_phase(channel, pool, v_star, seed, transcript, segment=tag)
         for actor in channel.actors.values():  # operator plane, as install_pool
             transcript.consumed.update((tag, label) for label in actor.ledger)
     return message, transcript, metrics_of(transcript)
@@ -304,7 +298,7 @@ def run_protocol(scheme: str, params: SystemParams, v_star, store, seed):
     transcript, metrics)."""
     v_star = check_vector(v_star, params)
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
-    return run_segments(params, v_star, seed, [(scheme, params, store, pool)])
+    return run_segments(params, v_star, seed, [(store, pool)])
 
 
 # The load ratio of a run without central download; mixer re-exports it.
@@ -322,14 +316,15 @@ def metrics_of(transcript: Transcript) -> dict:
         raise ConfigError("no downloads recorded")
     per_dedicated = sorted(set(dedicated.values()))
     load = Fraction(per_dedicated[-1], central) if central else INF
+    pools = transcript.pools.values()
     return {
         "rate": Fraction(params.length, total),
         "load_ratio": load,
         "download_total": total,
         "download_dedicated": dedicated,
         "download_central": central,
-        "randomness_allocated_chunks": transcript.pool_allocated_chunks,
-        "randomness_allocated_symbols": transcript.pool_allocated_symbols,
+        "randomness_allocated_chunks": sum(pool.allocated_chunks for pool in pools),
+        "randomness_allocated_symbols": sum(pool.allocated_symbols for pool in pools),
         "randomness_consumed_chunks": len(transcript.consumed),
         "randomness_consumed_symbols": transcript.consumed_symbols(),
         "retries": transcript.retries,

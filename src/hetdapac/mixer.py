@@ -12,17 +12,18 @@ the only float anywhere is the infinity sentinel INF.
 
 The lambda family mixes dapac and het1: the first lambda*L symbols of each
 message are retrieved with the pairwise dapac engine, the rest with het1,
-so lambda = 0 is pure het1 and lambda = 1 is pure dapac. An executed mix
-is a list of segments, one per component, run by the harness's segment
-runner after a single verification phase; an endpoint mix is a lone
-segment and so the very same run as the pure scheme. For D >= 3 the
-frontier improves on that family by time-sharing het2 with its neighbors.
+so lambda = 0 is pure het1 and lambda = 1 is pure dapac. `MixPlan(params,
+lam)` derives the split. Executed, each component is one (store, pool)
+segment of the harness's segment runner, after a single verification
+phase; an endpoint mix is a lone segment and so the very same run as the
+pure scheme. For D >= 3 the frontier improves on that family by
+time-sharing het2 with its neighbors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -165,55 +166,58 @@ def frontier_rate(ell, d: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MixPlan:
-    """A validated dapac/het1 split of one (N, D, K, L) system: its
-    segments as (scheme, length) in run order, one per component of
-    nonzero weight."""
+    """The dapac/het1 split of one (N, D, K, L) system at weight `lam`.
+
+    `segments`, (scheme, length) in run order for each component of
+    nonzero weight, is derived, never given. A component of weight w/b
+    (lambda = a/b in lowest terms, dapac a, het1 b - a) gets w·L/b symbols,
+    which its s sub-packets divide when L is a multiple of b·s/gcd(w, s);
+    otherwise the plan is refused with the smallest length that splits.
+    """
 
     params: SystemParams
     lam: Fraction
-    segments: tuple[tuple[str, int], ...]
+    segments: tuple[tuple[str, int], ...] = field(init=False)
+
+    def __post_init__(self):
+        params, lam = self.params, _check_lambda(self.lam)
+        a, b = lam.numerator, lam.denominator
+        weights = [(scheme, w) for scheme, w in (("dapac", a), ("het1", b - a)) if w]
+        if len(weights) > 1 and not params.has_central:
+            raise ConfigError("a mixed run needs a central server for its het1 part")
+        minimal = b * math.lcm(*(s // math.gcd(w, s) for scheme, w in weights
+                                 for s in [engine(scheme).subpackets(params.d)]))
+        if params.length % minimal:
+            raise DivisibilityError(
+                f"mix weight {lam} needs both segment lengths to split: "
+                f"length must be a multiple of {minimal}, got {params.length}",
+                minimal)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "segments", tuple(
+            (scheme, w * params.length // b) for scheme, w in weights))
 
 
 def plan_mix(params: SystemParams, lam) -> MixPlan:
-    """Split L into the dapac and het1 segments, or refuse with the
-    smallest length that would satisfy both divisibility constraints.
-
-    A component of weight w/b (lambda = a/b in lowest terms, dapac a and
-    het1 b - a) gets w·L/b symbols, which its s sub-packets divide
-    exactly when L is a multiple of b·s/gcd(w, s).
-    """
-    lam = _check_lambda(lam)
-    a, b = lam.numerator, lam.denominator
-    weights = [(scheme, w) for scheme, w in (("dapac", a), ("het1", b - a)) if w]
-    if len(weights) > 1 and not params.has_central:
-        raise ConfigError("a mixed run needs a central server for its het1 part")
-    minimal = b * math.lcm(*(s // math.gcd(w, s) for scheme, w in weights
-                             for s in [engine(scheme).subpackets(params.d)]))
-    if params.length % minimal:
-        raise DivisibilityError(
-            f"mix weight {lam} needs both segment lengths to split: "
-            f"length must be a multiple of {minimal}, got {params.length}",
-            minimal)
-    return MixPlan(params, lam,
-                   tuple((scheme, w * params.length // b) for scheme, w in weights))
+    """`MixPlan(params, lam)`: the dapac and het1 segments of L, or a
+    refusal naming the smallest length that splits."""
+    return MixPlan(params, lam)
 
 
 def run_time_shared(mix: MixPlan, v_star, store, seed):
     """Execute the mix: dapac on the first lambda*L symbols, het1 on the rest.
 
-    Each component is one segment with its own symbol range, randomness
-    pool and query stream, all behind one verification phase. Returns
-    (message, transcript, metrics) like run_protocol; with two components
-    the retrieval records are tagged by segment, and an endpoint mix
-    (lambda 0 or 1) is exactly the pure run.
+    Each component is one (store, pool) segment, with its own symbol
+    range, randomness pool and query stream, all behind one verification
+    phase. Returns (message, transcript, metrics) like run_protocol; with
+    two components the retrieval records are tagged by segment, and an
+    endpoint mix (lambda 0 or 1) is exactly the pure run.
     """
     params = mix.params
     public = tuple(check_vector(v_star, params)[params.d:])
     segments = []
     start = 0
     for scheme, length in mix.segments:
-        seg_params = replace(params, length=length)
-        segments.append((scheme, seg_params, store_segment(store, start, start + length),
-                         allocate(scheme, seg_params, public, seed)))
+        segments.append((store_segment(store, start, start + length),
+                         allocate(scheme, replace(params, length=length), public, seed)))
         start += length
     return run_segments(params, v_star, seed, segments)

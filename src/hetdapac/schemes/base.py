@@ -279,18 +279,17 @@ class ServerContext:
 
     `table` maps the message set of every group the server may be asked
     for to the pad labels it names; None when the scheme asks the server
-    nothing.
+    nothing. The pool names the scheme, params and sub-packet length.
     """
 
     server: int
-    params: SystemParams
     store: dict[int, array]           # accessible slice only, array('I') per message
     pool: RandomnessPool
     table: Optional[dict[frozenset, list]]
 
     @property
     def is_central(self) -> bool:
-        return self.server == self.params.central
+        return self.server == self.pool.params.central
 
 
 def server_context(server: int, public: tuple[int, ...], own_value: Optional[int],
@@ -310,7 +309,7 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
            else match_set(server, own_value, public, params))
     table = (eng.label_table(server, params, public, own_value)
              if own_value is not None or eng.QUERIES_CENTRAL else None)
-    return ServerContext(server, params, {m: store[m] for m in ids}, pool, table)
+    return ServerContext(server, {m: store[m] for m in ids}, pool, table)
 
 
 # Sub-packets at least this long are answered by the packed kernel, the
@@ -390,9 +389,9 @@ def answer_query(ctx: ServerContext, query: QueryTuple
         raise ConfigError(f"server {ctx.server} answers no queries of scheme {ctx.pool.scheme}")
     if query.server != ctx.server:
         raise ConfigError(f"query for server {query.server} sent to {ctx.server}")
-    q = ctx.params.q
+    q = ctx.pool.params.q
     sub_len = ctx.pool.chunk_len
-    subpackets = ctx.params.length // sub_len
+    subpackets = ctx.pool.params.length // sub_len
     span = subpackets + 1
     shares = []
     all_labels = []

@@ -239,6 +239,18 @@ def test_set_helpers_keep_their_checks():
         accessible_messages(5, (1, 2, 1, 2), P432)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: message_index((1, 2), P322), "attribute vector must have 3 entries, got 2"),
+    (lambda: vector_of_index(99, P322), "message id 99 out of range [0, 8)"),
+    (lambda: match_set(1, 3, (1,), P322), "value index 3 out of range [1, 2]"),
+    (lambda: pair_set(1, 3, 1, 1, (1,), P322), "attribute position 3 out of range [1, 2]"),
+], ids=["message-index-length", "vector-of-index", "match-set-value", "pair-set-position"])
+def test_indexing_and_set_helpers_refuse_out_of_range(call, message):
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_pair_set_rejects_equal_positions():
     with pytest.raises(ConfigError):
         pair_set(1, 1, 1, 2, (2,), P322)

@@ -356,7 +356,7 @@ def kernel_case(q: int, length: int, pads: int, rows=None):
               + tuple(rng.randrange(-2 * q, 2 * q) for _ in range(rows)))[:rows]
     group = QueryGroup(descriptor([(m, rng.randint(1, 2)) for m in store]), vector)
     table = {frozenset(store): labels}
-    return ServerContext(1, params, store, pool, table), QueryTuple(1, (group,)), table
+    return ServerContext(1, store, pool, table), QueryTuple(1, (group,)), table
 
 
 def pad_sum(pool, labels, q: int) -> tuple[int, ...]:
@@ -382,7 +382,7 @@ def loop_reference(ctx, query, table):
     every kernel. Returns the kernels' inputs too: (arrays, ends, pad
     chunks, labels, share)."""
     group = query.groups[0]
-    q, n = ctx.params.q, ctx.pool.chunk_len
+    q, n = ctx.pool.params.q, ctx.pool.chunk_len
     arrays = [ctx.store[m] for m, _ in group.descriptor.rows]
     ends = [i * n for _, i in group.descriptor.rows]
     segments = [a[e - n:e] for a, e in zip(arrays, ends)]
@@ -406,6 +406,16 @@ def test_packed_kernel_equals_the_loop(q, length, pads):
     shares, named = answer_query(ctx, query)
     assert [s.payload for s in shares] == [want] and named == [labels]
     assert type(shares[0].payload) is array and shares[0].payload.typecode == "I"
+
+
+def test_vector_shorter_than_the_rows_is_refused():
+    # a frame's row count sets its vector length, so only a direct call
+    # can send a group whose vector is short
+    ctx, query, _ = kernel_case(65537, 2, 1, rows=3)
+    group = query.groups[0]
+    short = QueryTuple(1, (QueryGroup(group.descriptor, group.vector[:-1]),))
+    with pytest.raises(ConfigError, match="vector length does not match group rows"):
+        answer_query(ctx, short)
 
 
 # every length the gather kernel answers at random row counts, then the

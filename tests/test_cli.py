@@ -331,7 +331,15 @@ class TestMalformedInput:
          "scheme dapac splits messages into 3 sub-packets, which does not divide "
          "length 4 (smallest valid length: 3)"),
         (("run", *HET1_FLAGS, "--vstar", "1,1,3"), "attribute value 3 outside alphabet [1, 2]"),
-    ], ids=["audit-het2-two-servers", "run-dapac-length", "run-vstar-value"])
+        (("run", "--scheme", "mix", *HET1_FLAGS[2:], "--vstar", "1,1,1", "--lambda", "abc"),
+         "bad lambda 'abc': Invalid literal for Fraction: 'abc'"),
+        (("run", "--scheme", "mix", *HET1_FLAGS[2:], "--vstar", "1,1,1", "--lambda", "1/0"),
+         "bad lambda '1/0': Fraction(1, 0)"),
+        (("curve", "--d", "2", "--k", "2", "--grid", "0"), "grid must be positive"),
+        (("curve", "--d", "1", "--k", "2"), "curve needs D >= 2 and K >= 2"),
+    ], ids=["audit-het2-two-servers", "run-dapac-length", "run-vstar-value",
+            "run-lambda-not-a-number", "run-lambda-zero-denominator", "curve-grid-zero",
+            "curve-one-dedicated-server"])
     def test_invalid_point_is_refused_before_the_config_echo(self, capsys, argv, message):
         code, out = run_cli(capsys, *argv)
         assert code == 2

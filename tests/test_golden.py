@@ -111,6 +111,19 @@ def test_transcript_and_metrics_are_pinned(kind):
 
 
 
+def test_mix_transcript_holds_one_pool_per_segment():
+    transcript, metrics = run_case("mix")
+    pools = transcript.pools
+    assert set(pools) == {"dapac", "het1"}
+    assert all(pool.scheme == tag and pool.params.length == 6 for tag, pool in pools.items())
+    assert metrics["randomness_allocated_chunks"] == sum(
+        pool.allocated_chunks for pool in pools.values())
+    assert metrics["randomness_allocated_symbols"] == 36  # KL(lambda(K-1) + 1)
+    assert metrics["randomness_consumed_symbols"] == 30   # L(K + lambda(K-1))
+    blob = transcript.dumps() + canonical(metrics)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN["mix"]
+
+
 @pytest.mark.parametrize("kind", sorted(CASES))
 def test_every_query_decodes_to_itself(kind, monkeypatch):
     queries = []

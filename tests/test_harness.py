@@ -183,6 +183,12 @@ def test_query_before_pool_is_rejected():
         actor.handle("query", encode_query(queries[1]))
 
 
+@pytest.mark.parametrize("server", [1, 3])
+def test_unknown_message_kind_is_refused(server):
+    with pytest.raises(ConfigError, match="unknown message kind 'bogus'"):
+        ServerActor(server, P322).handle("bogus", b"")
+
+
 def test_install_pool_empties_the_ledger():
     store = random_store(P322, 3)
     actor = make_verified_actor(1, "het1", P322, store, (1, 2, 2))
@@ -217,7 +223,7 @@ def test_retrieval_phase_reads_only_reply_bytes(scheme):
     pool = allocate(scheme, params, v_star[params.d:], seed)
     for actor in actors:
         actor.install_pool(pool, store)
-    msg = retrieval_phase(channel, scheme, params, v_star, seed, transcript)
+    msg = retrieval_phase(channel, pool, v_star, seed, transcript)
     assert msg == store[message_index(v_star, params)]
     _, ran, metrics = run_protocol(scheme, params, v_star, store, seed)
     assert transcript.dumps() == ran.dumps()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.harness import random_store, run_protocol
 from hetdapac.mixer import (
     INF,
+    MixPlan,
     central_download_of_lambda,
     dedicated_download_of_lambda,
     frontier,
@@ -107,6 +110,11 @@ def test_frontier_dominates_timeshare_everywhere():
 def test_frontier_needs_three_servers():
     with pytest.raises(ConfigError):
         frontier(2, 2)
+
+
+def test_frontier_needs_two_points_per_segment():
+    with pytest.raises(ConfigError, match="grid needs at least two points"):
+        frontier(3, 2, grid=1)
     # but the reparameterized timeshare curve still exists at D=2
     assert frontier_rate(F(5, 4), 2, 2) == rate_of_load(F(5, 4), 2, 2)
 
@@ -230,3 +238,53 @@ class TestExecutedMix:
         assert metrics["download_central"] == 12
         assert metrics["rate"] == F(2, 7)
         assert metrics["load_ratio"] == load_ratio_of_lambda(F(1, 2), 3, 2)
+
+
+# ------------------------------------------------------- the plan's shape
+
+# Every (params, lambda) this module plans, the refused ones included.
+PLANNED = [
+    (TestPlanMix.P, F(1, 2)), (TestPlanMix.P, F(1, 4)), (TestPlanMix.P, 0),
+    (TestPlanMix.P, 1),
+    (SystemParams(n_attrs=3, d=2, k=2, length=8), F(1, 4)),
+    (SystemParams(n_attrs=3, d=3, k=2, length=12), F(1, 2)),
+    *((SystemParams(n_attrs=2, d=1, k=2, length=2), lam) for lam in (0, F(1, 2), 1)),
+    (SystemParams(n_attrs=3, d=2, k=2, q=65537, length=8), F(1, 4)),
+    (SystemParams(n_attrs=4, d=3, k=2, q=65537, length=12), F(1, 2)),
+]
+
+
+@pytest.mark.parametrize("params, lam", PLANNED)
+def test_the_constructor_is_plan_mix(params, lam):
+    try:
+        want = plan_mix(params, lam)
+    except ConfigError as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            MixPlan(params, lam)
+    else:
+        assert MixPlan(params, lam) == want
+        assert type(want.lam) is Fraction
+
+
+P4 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=4)
+
+
+@pytest.mark.parametrize("segments", [
+    (("het1", 2), ("het1", 2)),   # one pool and one query stream twice
+    (("het1", 2),),               # half the message
+    (("dapac", 2), ("het1", 4)),  # more symbols than the message has
+])
+def test_segments_are_derived_never_given(segments):
+    with pytest.raises(TypeError):
+        MixPlan(P4, F(1, 2), segments)
+    with pytest.raises(ValueError):
+        replace(plan_mix(P4, F(1, 2)), segments=segments)
+
+
+def test_a_replaced_weight_is_planned_again():
+    plan = plan_mix(P4, F(1, 2))
+    assert plan.segments == (("dapac", 2), ("het1", 2))
+    with pytest.raises(DivisibilityError) as exc:
+        replace(plan, lam=F(1, 3))
+    assert exc.value.minimal_length == 3
+    assert replace(plan, lam=0) == plan_mix(P4, 0)

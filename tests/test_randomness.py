@@ -91,6 +91,12 @@ def test_chunk_streams_independent_at_small_q():
     assert abs(hits - expected) <= 3 * sigma
 
 
+def test_unknown_chunk_label_is_refused():
+    pool = allocate("het1", P322, (2,), seed=5)
+    with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
+        pool.chunk(("nk", 9, 9))
+
+
 def test_zeros_like():
     pool = allocate("het1", P322, (2,), seed=5)
     zero = pool.zeros_like()
