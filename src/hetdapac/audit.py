@@ -47,7 +47,7 @@ from .harness import random_store, run_protocol
 from .mixer import scheme_costs
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
-from .schemes.base import TracingSource, server_context
+from .schemes.base import plan_trace, server_context
 
 
 def _default_vstar(params: SystemParams) -> tuple[int, ...]:
@@ -103,12 +103,10 @@ def _echelon(vectors, q: int, basis=None) -> dict[int, list[int]]:
 # ------------------------------------------------------- attribute privacy
 
 def _trace_plan(scheme: str, params: SystemParams, v_star):
-    """Build one plan with symbolic vectors; permutations are irrelevant
-    because the audit works at the logical-index level."""
-    eng = scheme_engine(scheme)
-    rng = derive_rng(0, "audit", "trace", v_star)
-    plan, _ = eng.build(v_star, params, rng, source=TracingSource(params.q))
-    return plan
+    """The memoized trace every build of (scheme, params, v*) evaluates:
+    symbolic vectors, no permutations drawn and no wire queries, because
+    the audit works at the logical-index level."""
+    return plan_trace(scheme, params, v_star)
 
 
 def _observed_groups(plan, server: int):

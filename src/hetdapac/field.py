@@ -34,6 +34,7 @@ import sys
 from array import array
 from codecs import utf_32_le_decode
 from functools import lru_cache
+from itertools import chain
 
 # q < 2^32, so one unsigned 32-bit word holds a symbol
 MAX_MODULUS = 1 << 32
@@ -84,10 +85,11 @@ class _Shuffle(dict):
     captured. Every character is either accepted or rejected there, so
     the pattern is deterministic and fails only where the words run out.
 
-    `orders` turns the captures into permutations. Up to size 6 this dict
-    memoizes each order by its captures, so no Python runs per
+    `orders` turns the captures into one flat column of permutations. Up
+    to size 6 this dict memoizes each order, an `array('I')`, by its
+    captures, and the column is their bytes joined, so no Python runs per
     permutation; a capture keeps the low bits its position ignores, so
-    size 6 has 2880 keys (about 0.6 MB) for its 720 orders. Up to size
+    size 6 has 2880 keys (about 0.7 MB) for its 720 orders. Up to size
     255 `_lanes` swaps all the permutations at once, which costs more per
     plan than a memo lookup on a few messages; larger sizes, which no
     store of feasible size has, are swapped one permutation at a time.
@@ -104,12 +106,14 @@ class _Shuffle(dict):
             f"[\\U{cut:08x}-\\U{(1 << self.top) - 1:08x}]*([\\U00000000-\\U{cut - 1:08x}])"
             for cut in [(i + 1) << shift for i, shift in self.steps]))
 
-    def orders(self, rounds, count: int) -> list[tuple[int, ...]]:
+    def orders(self, rounds, count: int) -> array:
         """The permutations of `rounds`, split results of `pattern`: per
         match the empty text before it and its size - 1 captures, then
-        the words left over."""
+        the words left over. One flat column, permutation p at
+        [p * size, (p + 1) * size)."""
         if self.size <= 6 or self.top > 8:
-            return [self[key] for parts in rounds for key in zip(*[iter(parts)] * self.size)]
+            return array("I", b"".join(chain.from_iterable(
+                map(self.__getitem__, zip(*[iter(parts)] * self.size)) for parts in rounds)))
         return self._lanes(rounds, count)
 
     def __missing__(self, key):
@@ -118,15 +122,17 @@ class _Shuffle(dict):
         for (i, shift), c in zip(self.steps, key[1:]):
             j = ord(c) >> shift
             x[i], x[j] = x[j], x[i]
-        order = tuple(x)
+        order = array("I", x)
         if self.size <= 6:
             self[key] = order
         return order
 
-    def _lanes(self, rounds, count: int) -> list[tuple[int, ...]]:
+    def _lanes(self, rounds, count: int) -> array:
         """All `count` orders at once: position p of every permutation is
         one int of byte lanes, x[p], and each swap is a masked exchange
-        between whole ints.
+        between whole ints. Byte j of x[p] is word j * size + p of the
+        column, so each x[p] is written into the column's bytes with one
+        strided slice.
 
         The characters position i drew are every size-th part from its
         capture on. A character c swaps position i with j = c >> shift,
@@ -138,7 +144,7 @@ class _Shuffle(dict):
         size = self.size
         x = [int.from_bytes(bytes([v]) * count, "little") for v in range(1, size + 1)]
         for capture, (i, shift) in enumerate(self.steps, start=1):
-            drawn = "".join([c for parts in rounds for c in parts[capture::size]]).encode("latin-1")
+            drawn = "".join(["".join(parts[capture::size]) for parts in rounds]).encode("latin-1")
             width = 1 << shift
             old = x[i]
             flips = 0
@@ -148,7 +154,10 @@ class _Shuffle(dict):
                 x[p] ^= d
                 flips |= d
             x[i] = old ^ flips
-        return list(zip(*[v.to_bytes(count, "little") for v in x]))
+        column = bytearray(4 * count * size)
+        for p, v in enumerate(x):
+            column[4 * p::4 * size] = v.to_bytes(count, "little")
+        return little_endian(array("I", column))
 
 
 @lru_cache(maxsize=64)
@@ -191,14 +200,15 @@ class WordStream:
         self._bits = self._bits | bits << (32 * self._words) if self._words else bits
         self._words += n
 
-    def permutations(self, count: int, size: int) -> list[tuple[int, ...]]:
+    def permutations(self, count: int, size: int) -> array:
         """`count` permutations of [1..size], each what `random.shuffle`
-        makes of that list; size 1 draws nothing. They come before any
-        symbol, as they do on the per-call stream."""
+        makes of that list, as one flat `array('I')`: permutation p is
+        [p * size, (p + 1) * size). Size 1 draws nothing. They come
+        before any symbol, as they do on the per-call stream."""
         if self._symbols or self._at:
             raise ValueError("permutations are drawn before any symbol")
         if size < 2 or not count:
-            return [tuple(range(1, size + 1))] * count
+            return array("I", range(1, size + 1)) * count
         shuffle = _shuffle(size)
         rounds = []
         done = 0

@@ -223,7 +223,7 @@ def retrieval_phase(channel: Channel, pool: RandomnessPool, v_star, seed,
     """Build one plan of the pool's scheme and params, never its chunks,
     on the user stream of `seed`, labeled by the segment tag if there is
     one, send it and decode its answers. Every plan decodes: het2 draws
-    the coordinates it divides by nonzero (see schemes.base.VectorSource)."""
+    the coordinates it divides by nonzero (see schemes.base.draw_symbols)."""
     params = pool.params
     eng = scheme_engine(pool.scheme)
     labels = () if segment is None else (segment,)
@@ -265,10 +265,16 @@ def run_segments(params: SystemParams, v_star, seed, segments):
     the store holds that many symbols of every message. The
     decoded segments concatenate into the message. A lone segment is a pure
     run and stays untagged; several are tagged by scheme in the transcript,
-    and each draws its queries from a user stream labeled by its scheme.
-    Returns (decoded message, transcript, metrics).
+    and each draws its queries from a user stream labeled by its scheme,
+    so two segments of one scheme are refused: they would share a tag, a
+    stream and so their queries. Returns (decoded message, transcript,
+    metrics).
     """
     v_star = check_vector(v_star, params)
+    schemes = [pool.scheme for _, pool in segments]
+    if len(set(schemes)) != len(schemes):
+        raise ConfigError(f"segments name one scheme twice: {schemes}; each segment "
+                          "is tagged, and draws its queries, by its scheme")
     transcript = Transcript(params)
     channel = Channel(transcript)
     # the central server joins to verify public attributes, or to be queried

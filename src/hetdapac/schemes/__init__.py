@@ -17,7 +17,8 @@ dapac: the fully-dedicated pairwise baseline, no central download. Its
 het2:  dapac's pairwise layer plus cycle twins and the central server,
        balanced downloads (D >= 3).
 
-`engine` is the one place that refuses an unknown tag.
+`engine` is the one place that refuses an unknown tag. `trace_bindings`
+names the set helpers the builders' traces call.
 """
 
 from ..errors import ConfigError
@@ -28,6 +29,14 @@ ENGINES = {
     "het2": het2,
     "dapac": dapac,
 }
+
+
+def trace_bindings() -> tuple:
+    """The set helpers the engines' traces call, as bound now: het1's
+    match_set and the pair_set of het2 and dapac (het2 traces dapac's
+    pairwise layer too). `base.TRACES` empties itself when one of them
+    is rebound; see base.TraceMemo."""
+    return (het1.match_set, het2.pair_set, dapac.pair_set)
 
 
 def engine(scheme: str):

@@ -1,16 +1,32 @@
 """Machinery shared by the three retrieval engines.
 
-Query construction is user-side and touches only (v*, params, randomness):
-fresh sub-packet bookkeeping, private permutations, and combining-vector
-sampling. All of a plan's randomness comes from one `field.WordStream` on
-the plan's private user stream (`user_draws`), in the order the per-call
-draws took: one permutation per participating message, then the vectors
-in the order the builder asks for them. The stream reads ahead, which is
-safe because it is thrown away with the plan. A group's rows are two
-columns from the plan to the server's answer: the message ids (the set
-helpers' own tuple) and the sub-packet indices, which a
-`FreshIndexCounter` hands out a whole group at a time; no row is ever a
-tuple of its own.
+Query construction is user-side and touches only (v*, params, randomness).
+It is two steps. The trace runs the engine's builder once against the
+symbolic `TracingSource` and fixes everything that depends only on
+(scheme, N, D, K, q, v*): the messages each server's groups name, their
+logical sub-packet indices (a `FreshIndexCounter` hands them out a whole
+group at a time), which vectors are fresh draws, lifted by a unit vector
+or concatenations, each draw's dimension and the coordinate it must have
+nonzero, and the decode table, with het2's coefficients ±1/c as symbolic
+inverses. `TRACES` keeps the traces of recent keys, at most
+TRACE_MEMO_ROWS rows in all, so a key that repeats is traced once while
+the set helpers the traces call stay bound as they were. Every build and
+audit of a key shares its trace, so a trace refuses writes in place.
+
+The evaluation (`PlanTrace.evaluate`) reads all of a plan's randomness
+from one `field.WordStream` on the plan's private user stream, in the
+order the per-call draws took: one permutation per participating
+message, as one flat column, then every draw in trace order, a coordinate
+that must be nonzero redrawn in place while it is 0 (`draw_symbols`).
+A vector is its draws' symbols plus the trace's sparse offsets, and a
+group's wire indices are gathered from the permutation column through
+the trace's position column pos(m)·S + logical − 1, where
+pos(m) = m // K^(N−D) is the message's place among the participating
+ones. The stream reads ahead, which is safe because it is thrown away
+with the plan. A group's rows are two columns from the plan to the
+server's answer, message ids and sub-packet indices; no row is ever a
+tuple of its own. The privacy audit reads the same traces, so the plan
+that is sent is the audited plan evaluated.
 
 Answer computation is server-side and touches only the server's context:
 its accessible store slice, its pool and its label table, all fixed by
@@ -38,27 +54,23 @@ symbol and slices no row. The two kernels take the same arguments and
 return the same share, an `array('I')` that goes on the wire as it is,
 and `combine` picks between them for the answer path and for decode
 alike.
-
-Combining vectors are drawn through a VectorSource so the privacy auditor
-can swap in a tracing source and recover the exact wiring of draws and
-unit-vector offsets instead of concrete values. Builders must therefore
-manipulate vectors only through the source they were given.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field as dc_field
-from functools import partial
-from itertools import chain, repeat
+from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache, partial
+from itertools import accumulate, chain, repeat
 from operator import add, getitem, length_hint, mul
+from types import MappingProxyType
 from typing import Optional
 
-from ..access import SystemParams, match_set, message_index, participating_ids
+from ..access import SystemParams, check_vector, match_set, message_index, participating_ids
 from ..errors import AccessRefusal, ConfigError
 from ..field import WordStream, little_endian
-from ..randomness import RandomnessPool
+from ..randomness import RandomnessPool, chunk_length
 from ..wire import AnswerShare, MessageGroupDescriptor, QueryGroup, QueryTuple
 
 
@@ -82,87 +94,96 @@ class SymVector:
         return sum(b.dim for b in self.blocks)
 
 
-class VectorSource:
-    """Concrete combining vectors over F_q, read from the user's stream.
+@dataclass(frozen=True)
+class SymInverse:
+    """A decode coefficient: sign / (coordinate `at` of `draw` + offset)."""
 
-    `redraws` counts the zeros `fresh` has skipped at a coordinate that
-    must be nonzero. het2 asks that of one coordinate in each of D
-    distinct draws; the condition factorizes over the draws, so its plan
-    is exactly the uniform plan conditioned on all D being nonzero.
+    draw: int
+    at: int  # 1-based
+    offset: int
+    sign: int = 1
+
+    def __neg__(self) -> "SymInverse":
+        return replace(self, sign=-self.sign)
+
+
+@lru_cache(maxsize=64)
+def _zeros(dim: int) -> tuple[int, ...]:
+    """The offset of a fresh draw, one tuple per dimension for all traces."""
+    return (0,) * dim
+
+
+class TracingSource:
+    """The one vector source: symbolic draws, with what each is conditioned on.
+
+    Draw i (numbered from 1 in call order) has `dims[i - 1]` coordinates,
+    and `nonzero[i]`, if present, is the coordinate it must have nonzero.
+    het2 asks that of one coordinate in each of D distinct draws; the
+    condition factorizes over the draws, so its plan is exactly the
+    uniform plan conditioned on all D being nonzero.
     """
 
-    def __init__(self, q: int, stream: Optional[WordStream]):
-        self.q = q
-        self.stream = stream
-        self.redraws = 0
-
-    def fresh(self, dim: int, nonzero: Optional[int] = None):
-        """`dim` symbols from the stream. With `nonzero=l`, a 0 at
-        coordinate l is replaced by the stream's next nonzero symbol, so
-        that coordinate is uniform on F_q \\ {0} and the vector is the
-        uniform draw conditioned on it being nonzero."""
-        vec = self.stream.take(dim)
-        if nonzero is not None:
-            while not vec[nonzero - 1]:
-                self.redraws += 1
-                vec[nonzero - 1] = self.stream.take(1)[0]
-        return tuple(vec)
-
-    def add_unit(self, vec, l: int):
-        if not 1 <= l <= len(vec):
-            raise ValueError(f"unit position {l} out of range [1, {len(vec)}]")
-        lifted = list(vec)
-        lifted[l - 1] = (lifted[l - 1] + 1) % self.q
-        return tuple(lifted)
-
-    def concat(self, vecs):
-        out = []
-        for v in vecs:
-            out.extend(v)
-        return tuple(out)
-
-    def inverse(self, vec, l: int) -> int:
-        """The inverse of vec's coordinate at l, which must be nonzero."""
-        return pow(vec[l - 1], -1, self.q)
-
-
-class TracingSource(VectorSource):
-    """Symbolic sampler: records draw identities and offsets for the auditor."""
-
     def __init__(self, q: int):
-        super().__init__(q, stream=None)
-        self._next = 0
+        self.q = q
+        self.dims: list[int] = []
+        self.nonzero: dict[int, int] = {}
 
     def fresh(self, dim: int, nonzero: Optional[int] = None) -> SymVector:
-        """A new draw; `nonzero` is ignored, so the auditor sees the
-        unconditioned draw."""
-        self._next += 1
-        return SymVector((SymBlock(self._next, dim, tuple(0 for _ in range(dim))),))
+        """A new draw of `dim` coordinates; with `nonzero=l` its
+        coordinate l is drawn from F_q \\ {0}."""
+        self.dims.append(dim)
+        draw = len(self.dims)
+        if nonzero is not None:
+            self.nonzero[draw] = nonzero
+        return SymVector((SymBlock(draw, dim, _zeros(dim)),))
 
-    def add_unit(self, vec: SymVector, l: int) -> SymVector:
+    def _block_at(self, vec: SymVector, l: int):
+        """(block index, 0-based coordinate in it) of vec's coordinate l."""
         if not 1 <= l <= vec.dim:
             raise ValueError(f"unit position {l} out of range [1, {vec.dim}]")
-        blocks = []
-        at = 0
-        for b in vec.blocks:
-            if at < l <= at + b.dim:
-                off = list(b.offset)
-                off[l - at - 1] = (off[l - at - 1] + 1) % self.q
-                blocks.append(SymBlock(b.draw, b.dim, tuple(off)))
-            else:
-                blocks.append(b)
-            at += b.dim
-        return SymVector(tuple(blocks))
+        for i, b in enumerate(vec.blocks):
+            if l <= b.dim:
+                return i, l - 1
+            l -= b.dim
+
+    def add_unit(self, vec: SymVector, l: int) -> SymVector:
+        i, j = self._block_at(vec, l)
+        b = vec.blocks[i]
+        off = list(b.offset)
+        off[j] = (off[j] + 1) % self.q
+        return SymVector((*vec.blocks[:i], SymBlock(b.draw, b.dim, tuple(off)),
+                          *vec.blocks[i + 1:]))
 
     def concat(self, vecs) -> SymVector:
-        blocks = []
-        for v in vecs:
-            blocks.extend(v.blocks)
-        return SymVector(tuple(blocks))
+        return SymVector(tuple(chain.from_iterable(v.blocks for v in vecs)))
 
-    def inverse(self, vec: SymVector, l: int) -> None:
-        """None: a symbolic plan is audited, never decoded."""
-        return None
+    def inverse(self, vec: SymVector, l: int) -> SymInverse:
+        """The inverse of vec's coordinate at l, which must be nonzero."""
+        i, j = self._block_at(vec, l)
+        b = vec.blocks[i]
+        return SymInverse(b.draw, j + 1, b.offset[j])
+
+
+def draw_symbols(stream: WordStream, dims, nonzero) -> tuple[array, int]:
+    """Every draw's symbols from `stream`, in draw order, as one column,
+    and the number of zeros redrawn.
+
+    Draw i takes `dims[i - 1]` symbols; if `nonzero` names a coordinate of
+    it, a 0 there is replaced by the stream's next symbol until it is
+    not, so that coordinate is uniform on F_q \\ {0} and the draw is the
+    uniform one conditioned on it being nonzero.
+    """
+    starts = [0, *accumulate(dims)]
+    values = array("I")
+    redraws = 0
+    for draw in sorted(nonzero):
+        values += stream.take(starts[draw] - len(values))
+        at = starts[draw - 1] + nonzero[draw] - 1
+        while not values[at]:
+            redraws += 1
+            values[at] = stream.take(1)[0]
+    values += stream.take(starts[-1] - len(values))
+    return values, redraws
 
 
 # ---------------------------------------------------------------- plans
@@ -189,32 +210,18 @@ class FreshIndexCounter:
                               f"{self.subpackets} sub-packets") from None
 
 
-def user_draws(rng, params: SystemParams, public, subpackets: int, source=None):
-    """The user's draws for one plan, all from the private stream `rng`.
-
-    First one uniform permutation of [subpackets] per participating
-    message, then the combining vectors, which `source` reads from the
-    same stream unless another source (a TracingSource) is given. Every
-    fresh vector coordinate belongs to a distinct (message, sub-packet)
-    pair, so the plan asks for at most count * subpackets symbols, and
-    the stream's first batch is sized for that. Returns (perms, source).
-    """
-    ids = participating_ids(params, public)
-    stream = WordStream(rng, params.q, len(ids) * subpackets, len(ids), subpackets)
-    perms = dict(zip(ids, stream.permutations(len(ids), subpackets)))
-    return perms, source or VectorSource(params.q, stream)
-
-
-@dataclass
+@dataclass(frozen=True)
 class PlanGroup:
     """User-side view of one query group: row r is message ids[r] at
     logical (not wire) sub-packet index logical[r]. `ids` is the set
     helper's tuple itself, or a concatenation of them; `logical` is an
-    `array('I')`. Twins share either column rather than copy it."""
+    `array('I')` while a builder traces, and a read-only view of one in a
+    trace and in every plan evaluated from it. Twins share either column
+    rather than copy it."""
 
     label: tuple
     ids: tuple[int, ...]
-    logical: array
+    logical: array | memoryview
     vector: object                # concrete tuple or SymVector
 
     @property
@@ -236,39 +243,211 @@ class RetrievalPlan:
     params: SystemParams
     v_star: tuple[int, ...]
     subpackets: int
-    perms: dict[int, tuple[int, ...]] = dc_field(repr=False)
+    # the participating messages' permutations, one flat `array('I')`: the
+    # message at position p among them has [p * subpackets, (p + 1) * subpackets)
+    perms: array = dc_field(repr=False)
     groups: dict[int, list[PlanGroup]] = dc_field(repr=False)
     # logical index -> ((server, group index, coefficient), ...): the
     # sub-packet is the sum of coefficient * share over the terms
     decoding: dict[int, tuple] = dc_field(repr=False)
-    redraws: int = 0  # zeros the source skipped at nonzero coordinates
-
-    def wire_queries(self) -> dict[int, QueryTuple]:
-        """Project the plan onto the wire: permute indices, keep vectors."""
-        perms = self.perms
-        queries = {}
-        for server, groups in self.groups.items():
-            qgroups = []
-            for g in groups:
-                wire = array("I", [perms[m][i - 1] for m, i in zip(g.ids, g.logical)])
-                qgroups.append(QueryGroup(MessageGroupDescriptor(array("I", g.ids), wire),
-                                          g.vector))
-            queries[server] = QueryTuple(server=server, groups=tuple(qgroups))
-        return queries
+    redraws: int = 0  # zeros redrawn at coordinates that must be nonzero
 
     def assemble(self, decoded: dict[int, array]) -> array:
         """Place decoded sub-packets (by logical index) into message order,
         as an `array('I')` like the stored message."""
-        L = self.params.length
-        sub_len = L // self.subpackets
-        if sorted(decoded) != list(range(1, self.subpackets + 1)):
-            raise ValueError(f"decoded indices {sorted(decoded)} are not 1..{self.subpackets}")
-        perm = self.perms[message_index(self.v_star, self.params)]
+        params = self.params
+        L, S = params.length, self.subpackets
+        sub_len = L // S
+        if sorted(decoded) != list(range(1, S + 1)):
+            raise ValueError(f"decoded indices {sorted(decoded)} are not 1..{S}")
+        pos = message_index(self.v_star, params) // params.k ** (params.n_attrs - params.d)
+        perm = self.perms[pos * S:(pos + 1) * S]
         out = array("I", [0]) * L
         for logical, payload in decoded.items():
             wire = perm[logical - 1]
             out[(wire - 1) * sub_len: wire * sub_len] = payload
         return out
+
+
+class PlanTrace:
+    """The structure of every plan of one (scheme, N, D, K, q, v*), and
+    how to evaluate it on a user stream.
+
+    `groups` (symbolic vectors) and `decoding` (symbolic inverses among
+    its coefficients) are what the engine's builder made against a
+    `TracingSource`; `dims` and `nonzero` are that source's record of the
+    draws. The rest is compiled once for the evaluation: per group its
+    ids and position columns, the runs of the draw column its vector
+    reads and its nonzero offsets, and where each inverse's coordinate
+    sits in the draw column. A trace is shared by every plan of its key
+    and by the audit, so what it hands out cannot be written to: its
+    groups are frozen, their logical columns read-only views, and its
+    mappings read-only proxies.
+    """
+
+    def __init__(self, scheme: str, params: SystemParams, v_star, subpackets: int,
+                 groups: dict, decoding: dict, source: TracingSource):
+        self.scheme, self.v_star, self.subpackets = scheme, tuple(v_star), subpackets
+        views = {}  # one view per logical column, so twins still share it
+        for gs in groups.values():
+            for g in gs:
+                if id(g.logical) not in views:
+                    views[id(g.logical)] = memoryview(g.logical.tobytes()).cast("I")
+        self.groups = MappingProxyType({
+            server: tuple(replace(g, logical=views[id(g.logical)]) for g in gs)
+            for server, gs in groups.items()})
+        self.decoding = MappingProxyType(dict(decoding))
+        self.dims, self.nonzero = tuple(source.dims), MappingProxyType(dict(source.nonzero))
+        participating = participating_ids(params, self.v_star[params.d:])
+        self.count = len(participating)
+        # the message at place p among the participating ones: p * S - 1
+        before = dict(zip(participating, range(-1, self.count * subpackets, subpackets)))
+        starts = [0, *accumulate(self.dims)]
+        shared = {}  # twins share both row columns, so their compiled columns too
+        self.rows = 0
+        self._columns = {}
+        for server, server_groups in self.groups.items():
+            compiled = []
+            for g in server_groups:
+                runs, offsets, at = [], [], 0
+                for b in g.vector.blocks:
+                    runs.append((starts[b.draw - 1], starts[b.draw - 1] + b.dim))
+                    if any(b.offset):
+                        offsets += [(at + j, o) for j, o in enumerate(b.offset) if o]
+                    at += b.dim
+                key = (id(g.ids), id(g.logical))
+                if key not in shared:
+                    shared[key] = (array("I", g.ids), array("I", map(
+                        add, map(before.__getitem__, g.ids), g.logical)))
+                compiled.append((g, *shared[key], runs, offsets))
+                self.rows += len(g.ids)
+            self._columns[server] = compiled
+        self._inverses = [(logical, t, starts[c.draw - 1] + c.at - 1, c.offset, c.sign)
+                          for logical, terms in decoding.items()
+                          for t, (*_, c) in enumerate(terms) if type(c) is SymInverse]
+
+    def evaluate(self, params: SystemParams, rng) -> tuple[RetrievalPlan, dict]:
+        """The plan on the private user stream `rng`, and its wire queries.
+
+        The stream's batches are sized for the permutations and the
+        symbols the draws take, which the trace knows before anything is
+        drawn; only a redrawn zero reads beyond them.
+        """
+        count, size = self.count, self.subpackets
+        stream = WordStream(rng, params.q, sum(self.dims), count, size)
+        perms = stream.permutations(count, size)
+        values, redraws = draw_symbols(stream, self.dims, self.nonzero)
+        return self.project(params, perms, values, redraws)
+
+    def project(self, params: SystemParams, perms: array, values: array,
+                redraws: int = 0) -> tuple[RetrievalPlan, dict]:
+        """The plan and its wire queries for a permutation column and a
+        draw column. The plan's groups share the trace's read-only ids and
+        logical columns; every other column handed out is the caller's
+        own copy."""
+        q = params.q
+        gather = perms.tolist().__getitem__  # a list serves items faster than an array
+        wires = {}  # a twin's wire column is a copy of its owner's
+        groups, queries = {}, {}
+        for server, compiled in self._columns.items():
+            plan_groups, query_groups = [], []
+            for g, ids, positions, runs, offsets in compiled:
+                vec = values[runs[0][0]:runs[0][1]]
+                for a, b in runs[1:]:
+                    vec += values[a:b]
+                for at, o in offsets:
+                    vec[at] = (vec[at] + o) % q
+                vec = tuple(vec)
+                if id(positions) in wires:
+                    wire = wires[id(positions)][:]
+                else:
+                    wire = wires[id(positions)] = array("I", map(gather, positions))
+                plan_groups.append(PlanGroup(g.label, g.ids, g.logical, vec))
+                query_groups.append(QueryGroup(MessageGroupDescriptor(ids[:], wire), vec))
+            groups[server] = plan_groups
+            queries[server] = QueryTuple(server=server, groups=tuple(query_groups))
+        decoding = dict(self.decoding)
+        for logical, t, at, offset, sign in self._inverses:
+            terms = decoding[logical]
+            server, gi, _ = terms[t]
+            coeff = sign * pow((values[at] + offset) % q, -1, q)
+            decoding[logical] = (*terms[:t], (server, gi, coeff), *terms[t + 1:])
+        plan = RetrievalPlan(self.scheme, params, self.v_star, self.subpackets,
+                             perms, groups, decoding, redraws)
+        return plan, queries
+
+
+class TraceMemo:
+    """Traces by (scheme, N, D, K, q, v*), least recently used first.
+
+    It holds at most `max_rows` rows in all, each trace counting its
+    groups' rows; the least recently used traces go first, and a trace
+    longer than the bound is used once and not kept. A trace holds
+    `array('I')` columns, never an object per row beyond the set helpers'
+    own id tuples and the symbolic offsets.
+
+    The traces it holds were all made with the set helpers bound as
+    `schemes.trace_bindings()` last returned. When a lookup finds one of
+    them rebound (a test's patch, a profiler's wrapper), the memo is
+    emptied first, so a rebound helper sees every call a cold build makes
+    and no trace made by another helper is served.
+    """
+
+    def __init__(self, max_rows: int):
+        self.max_rows = max_rows
+        self.rows = 0
+        self.traces: dict[tuple, PlanTrace] = {}
+        self.bindings: tuple = ()
+
+    def __len__(self) -> int:
+        return len(self.traces)
+
+    def clear(self):
+        self.traces.clear()
+        self.rows = 0
+
+    def trace(self, scheme: str, params: SystemParams, v_star: tuple) -> PlanTrace:
+        """The trace of a valid (scheme, params, v*), traced on first use."""
+        from . import engine, trace_bindings
+        bindings = trace_bindings()
+        if bindings != self.bindings:
+            self.clear()
+            self.bindings = bindings
+        key = (scheme, params.n_attrs, params.d, params.k, params.q, v_star)
+        found = self.traces.pop(key, None)
+        if found is None:
+            eng = engine(scheme)
+            source = TracingSource(params.q)
+            groups, decoding = eng.trace(v_star, params, source)
+            found = PlanTrace(scheme, params, v_star, eng.subpackets(params.d),
+                              groups, decoding, source)
+            self.rows += found.rows
+        self.traces[key] = found
+        while self.rows > self.max_rows:
+            self.rows -= self.traces.pop(next(iter(self.traces))).rows
+        return found
+
+
+# Rows the trace memo holds at most. The benchmark's `wide` shape
+# (N = 7, D = 6, K = 4) has 116 736 rows over its three schemes, which
+# tracemalloc puts at 1.9 MB: at most 12 bytes of columns a row, plus the
+# symbolic offsets of lifted and concatenated vectors.
+TRACE_MEMO_ROWS = 1 << 18
+TRACES = TraceMemo(TRACE_MEMO_ROWS)
+
+
+def plan_trace(scheme: str, params: SystemParams, v_star) -> PlanTrace:
+    """The memoized trace of (scheme, params, v*), after refusing a D
+    below the scheme's bound, a length its sub-packets do not divide and
+    an invalid v*, as a build does."""
+    chunk_length(scheme, params)
+    return TRACES.trace(scheme, params, check_vector(v_star, params))
+
+
+def build_plan(scheme: str, v_star, params: SystemParams, rng) -> tuple[RetrievalPlan, dict]:
+    """Every engine's build: its memoized trace evaluated on the private
+    user stream `rng`. Returns (plan, wire queries per server)."""
+    return plan_trace(scheme, params, v_star).evaluate(params, rng)
 
 
 # ---------------------------------------------------------------- servers

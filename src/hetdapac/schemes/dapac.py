@@ -40,14 +40,13 @@ from ..access import (
     public_part,
 )
 from ..errors import ConfigError
-from ..randomness import canonical_pair_label, chunk_length
+from ..randomness import canonical_pair_label
 from .base import (
     FreshIndexCounter,
     PlanGroup,
-    RetrievalPlan,
     answer_query,  # every engine's answer path: it reads ctx.table
+    build_plan,
     decode,  # every engine's decode: it evaluates plan.decoding
-    user_draws,
 )
 
 SCHEME = "dapac"
@@ -148,14 +147,18 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
     return groups, index, twins, decoding
 
 
-def build(v_star, params, rng, source=None):
-    """User-side query construction. Returns (plan, wire queries per server)."""
-    sub = params.length // chunk_length(SCHEME, params)
-    perms, source = user_draws(rng, params, public_part(v_star, params), sub, source)
-    groups, _, _, decoding = dedicated_groups(v_star, params, source, FreshIndexCounter(sub))
+def trace(v_star, params, source):
+    """The plan's structure, its vectors drawn from the symbolic `source`.
+    Returns (groups per server, decoding table); see base.PlanTrace."""
+    counter = FreshIndexCounter(subpackets(params.d))
+    groups, _, _, decoding = dedicated_groups(v_star, params, source, counter)
+    return groups, decoding
 
-    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding)
-    return plan, plan.wire_queries()
+
+def build(v_star, params, rng):
+    """User-side query construction: the memoized trace evaluated on the
+    user stream `rng`. Returns (plan, wire queries per server)."""
+    return build_plan(SCHEME, v_star, params, rng)
 
 
 def label_table(server, params, public, own_value):

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 from ..access import id_set, match_set, message_index, public_part
 from ..errors import ConfigError
-from ..randomness import chunk_length
 from .base import (
     FreshIndexCounter,
     PlanGroup,
-    RetrievalPlan,
     answer_query,  # every engine's answer path: it reads ctx.table
+    build_plan,
     decode,  # every engine's decode: it evaluates plan.decoding
-    user_draws,
 )
 
 SCHEME = "het1"
@@ -43,15 +41,13 @@ def pool_labels(params) -> list[tuple]:
             for n in range(1, params.d + 1) for k in range(1, params.k + 1)]
 
 
-def build(v_star, params, rng, source=None):
-    """User-side query construction. Returns (plan, wire queries per server)."""
-    sub = params.length // chunk_length(SCHEME, params)
+def trace(v_star, params, source):
+    """The plan's structure, its vectors drawn from the symbolic `source`.
+    Returns (groups per server, decoding table); see base.PlanTrace."""
     desired = message_index(v_star, params)
     values = tuple(v_star[:params.d])
     public = public_part(v_star, params)
-
-    perms, source = user_draws(rng, params, public, sub, source)
-    counter = FreshIndexCounter(sub)
+    counter = FreshIndexCounter(subpackets(params.d))
 
     central_groups: list[PlanGroup] = []
     by_nk: dict[tuple[int, int], tuple[int, PlanGroup]] = {}
@@ -70,9 +66,13 @@ def build(v_star, params, rng, source=None):
         lifted = PlanGroup(base.label, base.ids, base.logical, source.add_unit(base.vector, l))
         groups[n] = [lifted]
         decoding[base.logical[l - 1]] = ((n, 0, 1), (params.central, central_index, -1))
+    return groups, decoding
 
-    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding)
-    return plan, plan.wire_queries()
+
+def build(v_star, params, rng):
+    """User-side query construction: the memoized trace evaluated on the
+    user stream `rng`. Returns (plan, wire queries per server)."""
+    return build_plan(SCHEME, v_star, params, rng)
 
 
 def label_table(server, params, public, own_value) -> dict[frozenset, list]:

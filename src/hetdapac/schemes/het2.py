@@ -36,7 +36,7 @@ build time:
      vector's coordinate at the desired row; stage 1 recovers one of the
      two, so the other is that one's terms plus the twin difference
      scaled by +-1/c. The D coordinates c are the user's own draws, each
-     drawn from F_q \\ {0} (see base.VectorSource), so every plan decodes;
+     drawn from F_q \\ {0} (see base.draw_symbols), so every plan decodes;
   3. a rest pair's twin difference is its shared sub-packet directly.
 
 Stages recover D + D + (M - 2D) = M sub-packets. Rate (D+1)/(2KD), load
@@ -49,15 +49,14 @@ from array import array
 
 from ..access import id_set, match_set, message_index, pair_set, public_part
 from ..errors import ConfigError
-from ..randomness import canonical_pair_label, chunk_length
+from ..randomness import canonical_pair_label
 from . import dapac
 from .base import (
     FreshIndexCounter,
     PlanGroup,
-    RetrievalPlan,
     answer_query,  # every engine's answer path: it reads ctx.table
+    build_plan,
     decode,  # every engine's decode: it evaluates plan.decoding
-    user_draws,
 )
 
 SCHEME = "het2"
@@ -78,17 +77,15 @@ def cycle_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted([(n, n + 1) for n in range(1, d)] + [(1, d)]))
 
 
-def build(v_star, params, rng, source=None):
-    """User-side query construction. Returns (plan, wire queries per server)."""
-    sub = params.length // chunk_length(SCHEME, params)
+def trace(v_star, params, source):
+    """The plan's structure, its vectors drawn from the symbolic `source`.
+    Returns (groups per server, decoding table); see base.PlanTrace."""
     d = params.d
     desired = message_index(v_star, params)
     values = tuple(v_star[:d])
     public = public_part(v_star, params)
     cycle = cycle_pairs(d)
-
-    perms, source = user_draws(rng, params, public, sub, source)
-    counter = FreshIndexCounter(sub)
+    counter = FreshIndexCounter(subpackets(d))
     groups, index, twins, decoding = dapac.dedicated_groups(
         v_star, params, source, counter, cycle=cycle)
     i1, i2, _ = dapac.desired_index_map(cycle, d)
@@ -132,15 +129,17 @@ def build(v_star, params, rng, source=None):
         lower, higher = twins[pair]
         owner = groups[lower[0]][lower[1]]
         inv = source.inverse(owner.vector, owner.row_of(desired))
-        neg = None if inv is None else -inv  # None: a symbolic plan
         if pair[0] % d + 1 == pair[1]:  # oriented lower -> higher
-            decoding[i2[pair]] = (*decoding[i1[pair]], (*higher, inv), (*lower, neg))
+            decoding[i2[pair]] = (*decoding[i1[pair]], (*higher, inv), (*lower, -inv))
         else:
-            decoding[i1[pair]] = (*decoding[i2[pair]], (*higher, neg), (*lower, inv))
+            decoding[i1[pair]] = (*decoding[i2[pair]], (*higher, -inv), (*lower, inv))
+    return groups, decoding
 
-    plan = RetrievalPlan(SCHEME, params, tuple(v_star), sub, perms, groups, decoding,
-                         source.redraws)
-    return plan, plan.wire_queries()
+
+def build(v_star, params, rng):
+    """User-side query construction: the memoized trace evaluated on the
+    user stream `rng`. Returns (plan, wire queries per server)."""
+    return build_plan(SCHEME, v_star, params, rng)
 
 
 def label_table(server, params, public, own_value) -> dict[frozenset, list]:

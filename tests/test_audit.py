@@ -14,6 +14,7 @@ on the scheme points and on random wirings.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from array import array
 from collections import Counter
@@ -324,8 +325,11 @@ class TestAttributePrivacy:
         def leaky(scheme, params, v_star):
             plan = trace_plan(scheme, params, v_star)
             if v_star[0] == 1:
-                groups = plan.groups[central]
+                # on a copy: every build of the key shares the trace
+                groups = list(plan.groups[central])
                 groups[1] = replace(groups[1], vector=groups[0].vector)
+                plan = copy.copy(plan)
+                plan.groups = {**plan.groups, central: groups}
             return plan
 
         monkeypatch.setattr(audit, "_trace_plan", leaky)
@@ -363,21 +367,22 @@ class TestAttributePrivacy:
         # smallest case: two sub-packets, so each private permutation has
         # two values; enumerating them all must give the uniform-over-
         # arrangements marginal the privacy audit assumes
+        # (the trace's projection with each flat permutation column in turn;
+        # the draws do not enter the rows, so they stay zero)
         params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
-        eng = scheme_engine("het1")
-        plan, _ = eng.build((1, 2, 1), params, derive_rng(0, "perm-check"))
-        msgs = sorted(plan.perms)
+        trace = scheme_base.plan_trace("het1", params, (1, 2, 1))
+        values = array("I", [0]) * sum(trace.dims)
         observed = Counter()
-        for orders in itertools.product([(1, 2), (2, 1)], repeat=len(msgs)):
-            plan.perms = dict(zip(msgs, orders))
-            queries = plan.wire_queries()
+        for orders in itertools.product([(1, 2), (2, 1)], repeat=trace.count):
+            plan, queries = trace.project(params, array("I", itertools.chain(*orders)), values)
             key = tuple(tuple(row for g in queries[s].groups
                               for row in g.descriptor.rows)
                         for s in sorted(queries))
             observed[key] += 1
         # every wire view equally likely, and per message the index pair on
         # the central server covers both arrangements
-        assert len(observed) == 2 ** len(msgs)
+        assert trace.count == 4
+        assert len(observed) == 2 ** trace.count
         assert set(observed.values()) == {1}
         central = sorted(plan.groups)[-1]
         for key in observed:

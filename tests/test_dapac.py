@@ -18,7 +18,7 @@ from hetdapac.errors import DivisibilityError
 from hetdapac.field import derive_rng
 from hetdapac.harness import random_store, run_protocol
 from hetdapac.schemes import dapac
-from hetdapac.schemes.base import TracingSource
+from hetdapac.schemes.base import plan_trace
 from hetdapac.wire import decode_query, encode_query
 
 P332 = SystemParams(n_attrs=3, d=3, k=2, q=65537, length=3)
@@ -29,29 +29,27 @@ SRV2 = [[(2, 1), (3, 1)], [(6, 1), (7, 1)], [(2, 3), (6, 2)], [(3, 3), (7, 2)]]
 SRV3 = [[(1, 2), (3, 2)], [(5, 1), (7, 3)], [(1, 3), (5, 2)], [(3, 3), (7, 2)]]
 
 
-def traced_plan(params, v_star, seed=7):
-    rng = derive_rng(seed, "user", 0)
-    source = TracingSource(params.q)
-    plan, queries = dapac.build(v_star, params, rng, source=source)
-    return plan, queries
+def traced_plan(params, v_star):
+    """The symbolic plan every build of (params, v*) evaluates."""
+    return plan_trace("dapac", params, v_star)
 
 
 def test_no_central_participation():
     assert not P332.has_central
-    plan, queries = traced_plan(P332, V)
+    plan, queries = dapac.build(V, P332, derive_rng(7, "user", 0))
     assert sorted(plan.groups) == [1, 2, 3]
     assert sorted(queries) == [1, 2, 3]
 
 
 def test_frozen_group_rows():
-    plan, _ = traced_plan(P332, V)
+    plan = traced_plan(P332, V)
     assert [g.rows for g in plan.groups[1]] == SRV1
     assert [g.rows for g in plan.groups[2]] == SRV2
     assert [g.rows for g in plan.groups[3]] == SRV3
 
 
 def test_twin_vectors_are_lifted_owner_draws():
-    plan, _ = traced_plan(P332, V)
+    plan = traced_plan(P332, V)
     vec = {(s, i): plan.groups[s][i].vector.blocks[0] for s in (1, 2, 3)
            for i in range(4)}
     # pair {1,2}: twin at server 2 copies server 1's far-value-2 group,
@@ -69,7 +67,7 @@ def test_twin_vectors_are_lifted_owner_draws():
 
 def test_desired_appears_once_per_pair_with_fresh_indices():
     # one entry per pair: the higher twin's share minus the lower twin's
-    plan, _ = traced_plan(P332, V)
+    plan = traced_plan(P332, V)
     assert sorted(plan.decoding) == [1, 2, 3]
     pairs = sorted((lower[0], higher[0]) for higher, lower in plan.decoding.values())
     assert pairs == [(1, 2), (1, 3), (2, 3)]
@@ -78,7 +76,7 @@ def test_desired_appears_once_per_pair_with_fresh_indices():
 
 
 def test_per_server_logicals_distinct_per_message():
-    plan, _ = traced_plan(P332, V)
+    plan = traced_plan(P332, V)
     for groups in plan.groups.values():
         seen: dict[int, set] = {}
         for g in groups:
@@ -88,7 +86,7 @@ def test_per_server_logicals_distinct_per_message():
 
 
 def test_group_sets_cover_exactly_the_accessible_slice():
-    plan, _ = traced_plan(P332, V)
+    plan = traced_plan(P332, V)
     for server in (1, 2, 3):
         covered = {m for g in plan.groups[server] for m, _ in g.rows}
         assert covered == set(accessible_messages(server, V, P332))
@@ -154,13 +152,12 @@ def test_length_must_split_into_pair_subpackets():
 
 
 def test_wide_build_and_wire_make_no_object_per_row():
-    # (7, 6, 4): 6 servers x 20 groups x 256 rows. Rows travel as columns,
-    # so building, encoding and decoding each leave far fewer GC-tracked
-    # objects than rows; the build's one permutation tuple per
-    # participating message is a draw, not a row, and is counted apart.
+    # (7, 6, 4): 6 servers x 20 groups x 256 rows. Rows and permutations
+    # travel as columns, so building, encoding and decoding each leave far
+    # fewer GC-tracked objects than rows.
     params = SystemParams(n_attrs=7, d=6, k=4, q=65537, length=15)
     v_star = (1, 2, 3, 4, 1, 2, 3)
-    dapac.build(v_star, params, derive_rng(0, "warm"))  # fill the set memos
+    dapac.build(v_star, params, derive_rng(0, "warm"))  # fill the set and trace memos
     gc.disable()
     try:
         before = len(gc.get_objects())
@@ -174,7 +171,7 @@ def test_wide_build_and_wire_make_no_object_per_row():
         gc.enable()
     rows = sum(len(g.vector) for q in queries.values() for g in q.groups)
     assert rows == 30720
-    assert built - before - len(plan.perms) < rows / 8
+    assert built - before < rows / 8
     assert encoded - built < rows / 8
     assert decoded - encoded < rows / 8
     assert decoded_queries == list(queries.values())

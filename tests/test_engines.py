@@ -20,7 +20,7 @@ from hetdapac.mixer import scheme_costs
 from hetdapac.schemes import ENGINES, engine
 
 INTERFACE = ("SCHEME", "QUERIES_CENTRAL", "subpackets", "pool_labels",
-             "build", "label_table", "answer_query", "decode")
+             "trace", "build", "label_table", "answer_query", "decode")
 
 SHAPES = [(d, k) for d in range(1, 7) for k in (2, 3)]
 

@@ -1,11 +1,13 @@
 """Field arithmetic, unit vectors, sampling and stream derivation.
 
 The field has no object of its own: a modulus is checked by SystemParams,
-inverses come from VectorSource and sums from the kernels' `combine`.
+inverses come from `pow` and sums from the kernels' `combine`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 from array import array
 
@@ -22,9 +24,17 @@ from hetdapac.field import (
 )
 from hetdapac.harness import random_store
 from hetdapac.randomness import allocate, chunk_length
-from hetdapac.schemes import engine
-from hetdapac.schemes import engine
-from hetdapac.schemes.base import VectorSource, combine
+from hetdapac.schemes import ENGINES, engine, trace_bindings
+from hetdapac.schemes.base import (
+    TRACES,
+    SymInverse,
+    TraceMemo,
+    TracingSource,
+    combine,
+    draw_symbols,
+    plan_trace,
+)
+from hetdapac.wire import MessageGroupDescriptor, QueryGroup, QueryTuple, encode_query
 
 # smallest primes, a Fermat prime with about half its candidates rejected,
 # the largest prime below 2^16 (rare rejection), the largest below 2^31
@@ -48,7 +58,7 @@ def test_nonprime_modulus_rejected(bad):
 
 
 def inverse(q: int, a: int):
-    return VectorSource(q, stream=None).inverse((a,), 1)
+    return pow(a, -1, q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -200,17 +210,24 @@ def test_uniform_arrays_is_the_randrange_stream(q, length, count):
 def test_fresh_nonzero_skips_zeros_of_the_randrange_stream(q):
     # the per-call reference: dim randrange(q) draws, then coordinate l
     # drawn again while it is 0
+    # drawn by the evaluation's `draw_symbols` from the traced draws
     shapes = [(dim, l) for dim in (1, 2, 4, 7) for l in (None, *range(1, dim + 1))] * 4
-    source = VectorSource(q, WordStream(random.Random(q), q, sum(d for d, _ in shapes)))
+    source = TracingSource(q)
+    for dim, l in shapes:
+        source.fresh(dim, nonzero=l)
+    values, redraws = draw_symbols(
+        WordStream(random.Random(q), q, sum(d for d, _ in shapes)), source.dims, source.nonzero)
     twin = random.Random(q)
     skipped = 0
+    wants = []
     for dim, l in shapes:
         want = [twin.randrange(q) for _ in range(dim)]
         while l is not None and not want[l - 1]:
             skipped += 1
             want[l - 1] = twin.randrange(q)
-        assert source.fresh(dim, nonzero=l) == tuple(want)
-    assert source.redraws == skipped
+        wants += want
+    assert list(values) == wants
+    assert redraws == skipped
     assert skipped > 0 or q > 3
 
 
@@ -248,11 +265,13 @@ STREAM_SIZES = (1, 2, 3, 5, 6, 15, 21)
 
 
 def per_call(rng, count, size, dims):
+    """`count` shuffles of [1..size], as one flat list, then a vector of
+    randrange(q) symbols per dimension in `dims`."""
     perms = []
     for _ in range(count):
         order = list(range(1, size + 1))
         rng.shuffle(order)
-        perms.append(tuple(order))
+        perms += order
     return perms, [[rng.randrange(rng.q) for _ in range(d)] for d in dims]
 
 
@@ -274,7 +293,8 @@ def test_word_stream_is_shuffle_then_randrange(q, size, announced):
                         count if announced else 0, size)
     perms = stream.permutations(count, size)
     vectors = [list(stream.take(d)) for d in dims]
-    assert (perms, vectors) == per_call(seeded(q, size), count, size, dims)
+    assert type(perms) is array and perms.typecode == "I"
+    assert (list(perms), vectors) == per_call(seeded(q, size), count, size, dims)
 
 
 @pytest.mark.parametrize("size", [7, 255, 256, 300])
@@ -283,7 +303,8 @@ def test_word_stream_sizes_around_the_byte_lane_limit(size):
     # from 256 on, one permutation at a time
     stream = WordStream(seeded(5, "lanes", size), 5, 9, 4, size)
     perms = stream.permutations(4, size)
-    assert (perms, [list(stream.take(9))]) == per_call(seeded(5, "lanes", size), 4, size, (9,))
+    assert (list(perms), [list(stream.take(9))]) == \
+        per_call(seeded(5, "lanes", size), 4, size, (9,))
 
 
 def test_word_stream_serves_permutations_first():
@@ -301,14 +322,15 @@ def test_word_stream_serves_permutations_first():
 def test_small_plans_read_one_batch_sized_to_the_plan(scheme, params, v_star):
     # deterministic counts, not times: one getrandbits call per build, of
     # e = the expected words of count permutations of [S] plus those of
-    # count * S symbols (about 2 per symbol at q = 65537), plus 3 sqrt(e) + 8;
-    # het1 has 4 messages and S = 2, het2 8 and 6, dapac 8 and 3
+    # the symbols the trace's draws take (about 2 per symbol at q = 65537),
+    # plus 3 sqrt(e) + 8; het1 has 4 messages, S = 2 and 8 draw symbols,
+    # het2 8, 6 and 30, dapac 8, 3 and 18
     class Counting(random.Random):
         def getrandbits(self, k):
             reads.append(k // 32)
             return super().getrandbits(k)
 
-    want = {"het1": [46], "het2": [208], "dapac": [108]}[scheme]
+    want = {"het1": [46], "het2": [167], "dapac": [94]}[scheme]
     for seed in range(5):
         reads = []
         engine(scheme).build(v_star, params, Counting(seed))
@@ -324,7 +346,7 @@ def test_wide_het1_plan_is_the_per_call_plan():
     rng = derive_rng(1, "user", 0)
     rng.q = params.q
     ids = participating_ids(params, public)
-    perms = dict(zip(ids, per_call(rng, len(ids), 6, ())[0]))
+    perms = per_call(rng, len(ids), 6, ())[0]
     used = {}
     central = []
     for n in range(1, 7):
@@ -335,7 +357,7 @@ def test_wide_het1_plan_is_the_per_call_plan():
                 rows.append((msg, used[msg]))
             central.append((rows, tuple(rng.randrange(params.q) for _ in rows)))
 
-    assert plan.perms == perms
+    assert plan.perms == array("I", perms)
     assert [(g.rows, g.vector) for g in plan.groups[params.central]] == central
     for n in range(1, 7):
         (lifted,) = plan.groups[n]
@@ -343,3 +365,197 @@ def test_wide_het1_plan_is_the_per_call_plan():
         assert lifted.rows == rows
         lift = [(a - b) % params.q for a, b in zip(lifted.vector, vector)]
         assert lift == list(unit_vector(lifted.row_of(message_index(v_star, params)), len(rows)))
+
+
+# A build evaluates its key's memoized trace on the user stream. The
+# oracle below makes every draw one call at a time, in the per-call
+# order, and projects the trace's rows through a dict of permutations:
+# a cold build (memo cleared), a warm one and the oracle must agree.
+
+def per_call_plan(scheme, params, v_star, rng):
+    """(query frame per server, decoding table, zeros redrawn) of the
+    build on `rng`, each draw a per-call draw."""
+    trace = plan_trace(scheme, params, v_star)
+    q, size = params.q, trace.subpackets
+    perms = {}
+    for m in participating_ids(params, v_star[params.d:]):
+        perms[m] = list(range(1, size + 1))
+        rng.shuffle(perms[m])
+    draws, redraws = {}, 0
+    for draw, dim in enumerate(trace.dims, start=1):
+        vec = [rng.randrange(q) for _ in range(dim)]
+        l = trace.nonzero.get(draw)
+        while l is not None and not vec[l - 1]:
+            redraws += 1
+            vec[l - 1] = rng.randrange(q)
+        draws[draw] = vec
+
+    def vector(sym):
+        return tuple((draws[b.draw][j] + off) % q
+                     for b in sym.blocks for j, off in enumerate(b.offset))
+
+    def coefficient(c):
+        if type(c) is SymInverse:
+            return c.sign * pow((draws[c.draw][c.at - 1] + c.offset) % q, -1, q)
+        return c
+
+    frames = {server: encode_query(QueryTuple(server, tuple(
+                  QueryGroup(MessageGroupDescriptor(
+                      array("I", g.ids),
+                      array("I", [perms[m][i - 1] for m, i in zip(g.ids, g.logical)])),
+                      vector(g.vector))
+                  for g in groups)))
+              for server, groups in trace.groups.items()}
+    decoding = {logical: tuple((s, gi, coefficient(c)) for s, gi, c in terms)
+                for logical, terms in trace.decoding.items()}
+    return frames, decoding, redraws
+
+
+def every_vector(params):
+    return list(itertools.product(range(1, params.k + 1), repeat=params.n_attrs))
+
+
+ORACLE_POINTS = [
+    # the sweep points, the mix point's dapac segment, het2 where zeros
+    # are redrawn, and the wide het1 shape at one vector
+    ("het1", SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2), None),
+    ("het2", SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6), None),
+    ("dapac", SystemParams(n_attrs=3, d=3, k=2, q=65537, length=3), None),
+    ("dapac", SystemParams(n_attrs=3, d=2, k=2, q=65537, length=6), None),
+    ("het2", SystemParams(n_attrs=4, d=3, k=2, q=5, length=6), None),
+    ("het1", SystemParams(n_attrs=7, d=6, k=4, q=65537, length=6), [(2, 4, 1, 3, 3, 1, 2)]),
+]
+
+
+@pytest.mark.parametrize("scheme, params, vectors", ORACLE_POINTS)
+def test_cold_and_warm_builds_are_the_per_call_plan(scheme, params, vectors):
+    build = engine(scheme).build
+    redrawn = 0
+    for seed, v_star in enumerate(vectors or every_vector(params)):
+        TRACES.clear()
+        cold = build(v_star, params, derive_rng(seed, "user", 0))
+        warm = build(v_star, params, derive_rng(seed, "user", 0))
+        oracle = per_call_plan(scheme, params, v_star, derive_rng(seed, "user", 0))
+        for plan, queries in (cold, warm):
+            frames = {server: encode_query(query) for server, query in queries.items()}
+            assert (frames, plan.decoding, plan.redraws) == oracle
+        redrawn += oracle[2]
+    assert (redrawn > 0) == (params.q == 5)
+
+
+MUTATION_POINTS = [
+    ("het1", SystemParams(n_attrs=4, d=3, k=2, q=65537, length=3), (1, 2, 1, 2)),
+    ("het2", SystemParams(n_attrs=5, d=4, k=2, q=65537, length=10), (1, 2, 1, 2, 2)),
+    ("dapac", SystemParams(n_attrs=3, d=3, k=2, q=65537, length=3), (1, 2, 2)),
+]
+
+
+def sent_by(scheme, params, v_star):
+    """(query frames, decoding, plan rows) of one build at seed 3."""
+    plan, queries = engine(scheme).build(v_star, params, derive_rng(3, "user", 0))
+    return ({server: encode_query(query) for server, query in queries.items()},
+            dict(plan.decoding),
+            {server: [g.rows for g in groups] for server, groups in plan.groups.items()})
+
+
+@pytest.mark.parametrize("scheme, params, v_star", MUTATION_POINTS)
+def test_mutating_a_plan_or_its_queries_leaves_later_builds_alone(scheme, params, v_star):
+    sent = sent_by(scheme, params, v_star)
+    plan, queries = engine(scheme).build(v_star, params, derive_rng(3, "user", 0))
+    # the group columns are the trace's, read-only; the rest is the caller's
+    for groups in plan.groups.values():
+        for g in groups:
+            with pytest.raises(TypeError):
+                g.logical[0] += 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.logical = array("I", g.logical)
+    for query in queries.values():
+        for g in query.groups:
+            g.descriptor.ids[0] += 1
+            g.descriptor.indices[0] += 1
+    plan.perms[0] += 1
+    plan.decoding.clear()
+    assert sent_by(scheme, params, v_star) == sent
+
+
+@pytest.mark.parametrize("scheme, params, v_star", MUTATION_POINTS)
+def test_a_trace_refuses_every_write_in_place(scheme, params, v_star):
+    # every build and audit of the key shares the trace plan_trace returns
+    sent = sent_by(scheme, params, v_star)
+    trace = plan_trace(scheme, params, v_star)
+    server = next(iter(trace.groups))
+    for g in trace.groups[server]:
+        with pytest.raises(TypeError):
+            g.logical[0] += 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.vector = trace.groups[server][0].vector
+    with pytest.raises(TypeError):
+        trace.groups[server] = ()
+    with pytest.raises(AttributeError):
+        trace.groups[server].append(trace.groups[server][0])
+    with pytest.raises(TypeError):
+        trace.decoding[1] = ()
+    with pytest.raises(TypeError):
+        trace.nonzero[1] = 1
+    assert plan_trace(scheme, params, v_star) is trace
+    assert sent_by(scheme, params, v_star) == sent
+
+
+SET_HELPERS = [(module, name) for module in ENGINES.values()
+               for name in ("match_set", "pair_set") if hasattr(module, name)]
+
+
+@pytest.mark.parametrize("module, name", SET_HELPERS,
+                         ids=[f"{m.SCHEME}.{n}" for m, n in SET_HELPERS])
+def test_a_rebound_set_helper_sees_every_call_a_cold_build_makes(module, name, monkeypatch):
+    # a warm key built again under a patched set helper calls it as often
+    # as a cold build does, and with the same frames: the memo serves no
+    # trace that another binding of the helper made
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, counting)
+        traced = trace_bindings()
+    total = 0
+    for scheme, params, v_star in MUTATION_POINTS:
+        sent = sent_by(scheme, params, v_star)  # the key is warm
+        counts = []
+        for cold in (False, True):
+            if cold:
+                TRACES.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, counting)
+                calls.clear()
+                assert sent_by(scheme, params, v_star) == sent
+                counts.append(len(calls))
+        assert counts[0] == counts[1], scheme
+        total += counts[0]
+    assert (total > 0) == (traced != trace_bindings())
+
+
+def test_trace_memo_never_holds_more_rows_than_its_bound():
+    params = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
+    rows = plan_trace("het2", params, (1, 1, 1, 1)).rows
+    memo = TraceMemo(max_rows=2 * rows)
+    vectors = every_vector(params)
+    for v_star in vectors + vectors[::-1]:
+        trace = memo.trace("het2", params, v_star)
+        assert trace.v_star == v_star
+        assert memo.rows == sum(t.rows for t in memo.traces.values()) <= memo.max_rows
+        assert len(memo) == 2 or v_star == vectors[0]
+    # least recently used first: a hit keeps a trace, a miss drops the oldest
+    memo.trace("het2", params, vectors[1])
+    assert list(memo.traces) == [("het2", 4, 3, 2, 65537, vectors[0]),
+                                 ("het2", 4, 3, 2, 65537, vectors[1])]
+    memo.trace("het2", params, vectors[2])
+    assert [key[-1] for key in memo.traces] == [vectors[1], vectors[2]]
+    # a trace longer than the bound is used once and not kept
+    small = TraceMemo(max_rows=rows - 1)
+    assert small.trace("het2", params, vectors[3]).rows == rows
+    assert (len(small), small.rows) == (0, 0)
+    assert TRACES.rows <= TRACES.max_rows

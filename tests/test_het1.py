@@ -13,23 +13,21 @@ from array import array
 
 import pytest
 
-from hetdapac.access import SystemParams, accessible_messages, message_index
+from hetdapac.access import SystemParams, accessible_messages, message_index, participating_ids
 from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.field import derive_rng
 from hetdapac.harness import random_store, run_protocol
 from hetdapac.randomness import allocate
 from hetdapac.schemes import het1
-from hetdapac.schemes.base import FreshIndexCounter, TracingSource, server_context
+from hetdapac.schemes.base import FreshIndexCounter, plan_trace, server_context
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=3)
 
 
-def traced_plan(params, v_star, seed=7):
-    rng = derive_rng(seed, "user", 0)
-    source = TracingSource(params.q)
-    plan, queries = het1.build(v_star, params, rng, source=source)
-    return plan, queries
+def traced_plan(params, v_star):
+    """The symbolic plan every build of (params, v*) evaluates."""
+    return plan_trace("het1", params, v_star)
 
 
 def rows_of(plan, server):
@@ -40,7 +38,7 @@ class TestTwoServerWalkthrough:
     V = (1, 2, 2)  # a2y, id 3
 
     def test_central_groups_in_nk_order(self):
-        plan, _ = traced_plan(P322, self.V)
+        plan = traced_plan(P322, self.V)
         assert rows_of(plan, P322.central) == [
             [(1, 1), (3, 1)],   # candidate set for n=1, value a
             [(5, 1), (7, 1)],   # n=1, value b
@@ -51,13 +49,13 @@ class TestTwoServerWalkthrough:
             ("nk", 1, 1), ("nk", 1, 2), ("nk", 2, 1), ("nk", 2, 2)]
 
     def test_dedicated_groups_mirror_matching_central_group(self):
-        plan, _ = traced_plan(P322, self.V)
+        plan = traced_plan(P322, self.V)
         central = plan.groups[P322.central]
         assert plan.groups[1][0].rows == central[0].rows
         assert plan.groups[2][0].rows == central[3].rows
 
     def test_dedicated_vectors_are_lifted_central_draws(self):
-        plan, _ = traced_plan(P322, self.V)
+        plan = traced_plan(P322, self.V)
         central = plan.groups[P322.central]
         ded1 = plan.groups[1][0].vector.blocks[0]
         ded2 = plan.groups[2][0].vector.blocks[0]
@@ -73,7 +71,7 @@ class TestTwoServerWalkthrough:
 
     def test_decode_steps_point_at_mirrored_groups(self):
         # logical sub-packet: dedicated share minus its mirrored central share
-        plan, _ = traced_plan(P322, self.V)
+        plan = traced_plan(P322, self.V)
         assert plan.decoding == {1: ((1, 0, 1), (3, 0, -1)),
                                  2: ((2, 0, 1), (3, 3, -1))}
 
@@ -103,7 +101,7 @@ class TestThreeServerWalkthrough:
     V = (1, 2, 1, 2)  # a2uy, id 5
 
     def test_dedicated_mirrors_and_lift_rows(self):
-        plan, _ = traced_plan(P432, self.V)
+        plan = traced_plan(P432, self.V)
         central = plan.groups[P432.central]
         assert len(central) == 6
         # dedicated n mirrors central group (n, k_n): indices 0, 3, 4
@@ -116,7 +114,7 @@ class TestThreeServerWalkthrough:
             assert ded.vector.blocks[0].offset == tuple(offset)
 
     def test_all_vectors_span_four_rows(self):
-        plan, _ = traced_plan(P432, self.V)
+        plan = traced_plan(P432, self.V)
         for groups in plan.groups.values():
             for g in groups:
                 assert g.vector.dim == len(g.rows) == 4
@@ -133,7 +131,7 @@ class TestThreeServerWalkthrough:
 
 
 def test_central_logicals_distinct_per_message():
-    plan, _ = traced_plan(P432, (2, 1, 2, 1))
+    plan = traced_plan(P432, (2, 1, 2, 1))
     seen: dict[int, set] = {}
     for g in plan.groups[P432.central]:
         for msg, logical in g.rows:
@@ -144,12 +142,18 @@ def test_central_logicals_distinct_per_message():
 
 
 def test_wire_indices_follow_private_permutations():
-    plan, queries = traced_plan(P322, (2, 1, 1))
+    # the permutation of the message at position p among the participating
+    # ones is the flat column's words [p * S, (p + 1) * S)
+    v_star = (2, 1, 1)
+    plan, queries = het1.build(v_star, P322, derive_rng(7, "user", 0))
+    ids = participating_ids(P322, v_star[P322.d:])
+    size = plan.subpackets
+    assert len(plan.perms) == len(ids) * size
     for server, qt in queries.items():
         for g, qg in zip(plan.groups[server], qt.groups):
             for (msg, logical), (wmsg, wire) in zip(g.rows, qg.descriptor.rows):
                 assert wmsg == msg
-                assert wire == plan.perms[msg][logical - 1]
+                assert wire == plan.perms[ids.index(msg) * size + logical - 1]
 
 
 def test_roundtrip_all_targets_small_field():
@@ -162,7 +166,7 @@ def test_roundtrip_all_targets_small_field():
 
 
 def test_group_sets_cover_exactly_the_accessible_slice():
-    plan, _ = traced_plan(P432, (1, 1, 2, 1))
+    plan = traced_plan(P432, (1, 1, 2, 1))
     for server in (1, 2, 3, P432.central):
         covered = {m for g in plan.groups[server] for m, _ in g.rows}
         assert covered == set(accessible_messages(server, (1, 1, 2, 1), P432))

@@ -18,7 +18,7 @@ from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.field import derive_rng
 from hetdapac.harness import actor_name, random_store, run_protocol
 from hetdapac.schemes import dapac, het2
-from hetdapac.schemes.base import TracingSource
+from hetdapac.schemes.base import SymInverse, plan_trace
 from hetdapac.wire import encode_query, payload_digest
 
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
@@ -37,11 +37,9 @@ CENTRAL = [
 ]
 
 
-def traced_plan(params, v_star, seed=7):
-    rng = derive_rng(seed, "user", 0)
-    source = TracingSource(params.q)
-    plan, queries = het2.build(v_star, params, rng, source=source)
-    return plan, queries
+def traced_plan(params, v_star):
+    """The symbolic plan every build of (params, v*) evaluates."""
+    return plan_trace("het2", params, v_star)
 
 
 def cycle_entries(plan):
@@ -78,14 +76,14 @@ def test_desired_index_map_covers_all_subpackets():
 
 class TestWalkthrough:
     def test_frozen_group_rows(self):
-        plan, _ = traced_plan(P432, V)
+        plan = traced_plan(P432, V)
         assert [g.rows for g in plan.groups[1]] == SRV1
         assert [g.rows for g in plan.groups[2]] == SRV2
         assert [g.rows for g in plan.groups[3]] == SRV3
         assert [g.rows for g in plan.groups[P432.central]] == CENTRAL
 
     def test_cycle_twins_share_the_vector_unlifted(self):
-        plan, _ = traced_plan(P432, V)
+        plan = traced_plan(P432, V)
         vec = {(s, i): plan.groups[s][i].vector for s in (1, 2, 3)
                for i in range(4)}
         # twins carry two desired sub-packets under one vector, so the
@@ -97,7 +95,7 @@ class TestWalkthrough:
         assert len({v.blocks[0].draw for v in fresh}) == 9
 
     def test_central_concat_blocks_reference_dedicated_draws(self):
-        plan, _ = traced_plan(P432, V)
+        plan = traced_plan(P432, V)
         ded = {(s, i): plan.groups[s][i].vector.blocks[0] for s in (1, 2, 3)
                for i in range(4)}
         central = plan.groups[P432.central]
@@ -121,7 +119,7 @@ class TestWalkthrough:
             assert central[gi].vector.blocks[0].offset == (0, 0, 0, 0)
 
     def test_decode_plan_stages(self):
-        plan, _ = traced_plan(P432, V)
+        plan = traced_plan(P432, V)
         dec = plan.decoding
         assert sorted(dec) == [1, 2, 3, 4, 5, 6]
         # stage 1: central share minus server n's K concatenated shares
@@ -130,14 +128,20 @@ class TestWalkthrough:
         assert dec[5] == ((4, 4, 1), (3, 0, -1), (3, 1, -1))
         # stage 2: each cycle pair's unknown index extends its known one
         # (i1 for (1,2) and (2,3), i2 for (1,3)) by the higher twin minus
-        # the lower, over c: symbolic, so the coefficients are left None
+        # the lower, over c: symbolic, so the coefficients are the inverse
+        # of the lower twin's desired coordinate, +- by orientation
         cycles = {(higher[0], lower[0]): (known, unknown, higher[:2], lower[:2])
                   for known, unknown, higher, lower in cycle_entries(plan)}
         assert cycles == {(2, 1): (1, 4, (2, 0), (1, 1)),
                           (3, 1): (5, 2, (3, 0), (1, 2)),
                           (3, 2): (3, 6, (3, 3), (2, 2))}
-        assert {(higher[2], lower[2]) for *_, higher, lower in cycle_entries(plan)} \
-            == {(None, None)}
+        desired = message_index(V, P432)
+        for known, unknown, higher, lower in cycle_entries(plan):
+            owner = plan.groups[lower[0]][lower[1]]
+            (block,) = owner.vector.blocks
+            sign = 1 if known < unknown else -1
+            assert higher[2] == SymInverse(block.draw, owner.row_of(desired), 0, sign)
+            assert lower[2] == -higher[2]
         # no rest pair at D = 3
         assert all(len(terms) > 2 for terms in dec.values())
 
@@ -170,7 +174,7 @@ class TestWalkthrough:
 
 def test_per_server_logicals_distinct_per_message():
     for v_star in [(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 1, 1)]:
-        plan, _ = traced_plan(P432, v_star)
+        plan = traced_plan(P432, v_star)
         for groups in plan.groups.values():
             seen: dict[int, set] = {}
             for g in groups:
@@ -180,7 +184,7 @@ def test_per_server_logicals_distinct_per_message():
 
 
 def test_group_sets_cover_exactly_the_accessible_slice():
-    plan, _ = traced_plan(P432, (2, 1, 2, 2))
+    plan = traced_plan(P432, (2, 1, 2, 2))
     for server in (1, 2, 3, P432.central):
         covered = {m for g in plan.groups[server] for m, _ in g.rows}
         assert covered == set(accessible_messages(server, (2, 1, 2, 2), P432))
@@ -195,7 +199,7 @@ class TestSplitCover:
     V = (1, 2, 1, 2, 2)
 
     def test_rest_twins_identical_rows_lifted_vector(self):
-        plan, _ = traced_plan(P542, self.V)
+        plan = traced_plan(P542, self.V)
         rest = [terms for terms in plan.decoding.values() if len(terms) == 2]
         assert len(rest) == 2
         for (high_s, high_gi, high_c), (low_s, low_gi, low_c) in rest:
@@ -209,7 +213,7 @@ class TestSplitCover:
             assert offset[row - 1] == 1 and sum(offset) == 1
 
     def test_cycle_twins_differ_only_at_desired_row(self):
-        plan, _ = traced_plan(P542, self.V)
+        plan = traced_plan(P542, self.V)
         desired = message_index(self.V, P542)
         cycles = cycle_entries(plan)
         assert len(cycles) == 4
@@ -322,27 +326,12 @@ def test_default_cap_turns_binary_field_failures_into_retrievals():
             assert metrics["retries"] == rescued[seed]
 
 
-class NonzeroTracingSource(TracingSource):
-    """Records, per fresh draw asked to be nonzero somewhere, its position."""
-
-    def __init__(self, q):
-        super().__init__(q)
-        self.nonzero = {}
-
-    def fresh(self, dim, nonzero=None):
-        vec = super().fresh(dim, nonzero)
-        if nonzero is not None:
-            self.nonzero[vec.blocks[0].draw] = nonzero
-        return vec
-
-
 @pytest.mark.parametrize("params, v_star", [(P432, V), (P542, TestSplitCover.V)])
 def test_cycle_coefficients_are_distinct_unlifted_draws(params, v_star):
     # the premise of drawing them nonzero in place: the D coefficients
     # het2 divides by are coordinates of D distinct fresh draws with
     # offset 0, and no other draw is conditioned
-    source = NonzeroTracingSource(params.q)
-    plan, _ = het2.build(v_star, params, derive_rng(7, "user", 0), source=source)
+    plan = traced_plan(params, v_star)
     desired = message_index(v_star, params)
     owners = {}
     for *_, (low_s, low_gi, _) in cycle_entries(plan):
@@ -351,14 +340,12 @@ def test_cycle_coefficients_are_distinct_unlifted_draws(params, v_star):
         assert block.offset == (0,) * block.dim
         owners[block.draw] = owner.row_of(desired)
     assert len(owners) == params.d
-    assert source.nonzero == owners
+    assert plan.nonzero == owners
 
 
 def test_dapac_asks_no_coordinate_nonzero():
     params = SystemParams(n_attrs=5, d=4, k=2, q=65537, length=6)
-    source = NonzeroTracingSource(params.q)
-    dapac.build(TestSplitCover.V, params, derive_rng(7, "user", 0), source=source)
-    assert source.nonzero == {}
+    assert plan_trace("dapac", params, TestSplitCover.V).nonzero == {}
 
 
 def test_binary_field_plans_decode_from_one_build():

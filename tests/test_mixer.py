@@ -10,7 +10,7 @@ import pytest
 
 from hetdapac.access import SystemParams, message_index
 from hetdapac.errors import ConfigError, DivisibilityError
-from hetdapac.harness import random_store, run_protocol
+from hetdapac.harness import random_store, run_protocol, run_segments, store_segment
 from hetdapac.mixer import (
     INF,
     MixPlan,
@@ -26,6 +26,7 @@ from hetdapac.mixer import (
     run_time_shared,
     scheme_costs,
 )
+from hetdapac.randomness import allocate
 
 F = Fraction
 
@@ -288,3 +289,17 @@ def test_a_replaced_weight_is_planned_again():
         replace(plan, lam=F(1, 3))
     assert exc.value.minimal_length == 3
     assert replace(plan, lam=0) == plan_mix(P4, 0)
+
+
+def test_two_segments_of_one_scheme_are_refused():
+    # two het1 pools over the two halves of L would share the segment tag
+    # `het1` and one user stream, send byte-identical queries, and keep
+    # only the second pool under the tag: 4 chunks allocated read where 8
+    # were drawn
+    store = random_store(P4, 3)
+    public = (2,)
+    half = replace(P4, length=2)
+    segments = [(store_segment(store, start, start + 2), allocate("het1", half, public, 5))
+                for start in (0, 2)]
+    with pytest.raises(ConfigError, match="segments name one scheme twice"):
+        run_segments(P4, (1, 2, 2), 5, segments)

@@ -48,9 +48,12 @@ def test_tracer_installs_on_every_target_and_restores():
     assert bindings(tracing) == originals
 
 
-# (scheme, (N, D, K, L), v*) -> span counts, as measured before label
-# tables moved from each answer to the pool install: one query per server
-# per run, so the set-helper calls must not move
+# (scheme, (N, D, K, L), v*) -> span counts of a run that traces its plan,
+# as measured before label tables moved from each answer to the pool
+# install: one query per server per run, so the set-helper calls must not
+# move. Installing the tracer rebinds the set helpers, which empties the
+# trace memo, so the counts do not depend on what ran before; each run is
+# made once untraced first to show it.
 TRACED_RUNS = [
     ("het2", (4, 3, 2, 6), (1, 2, 2, 1),
      {"access.set": 33, "schemes.answer.dedicated": 3, "schemes.answer.central": 1}),
@@ -67,10 +70,27 @@ def test_traced_run_counts_spans(scheme, shape, v_star, want):
     n_attrs, d, k, length = shape
     params = hetdapac.SystemParams(n_attrs=n_attrs, d=d, k=k, length=length)
     store = hetdapac.random_store(params, 3)
+    hetdapac.run_protocol(scheme, params, v_star, store, 5)
     with tracing.Tracer() as tracer:
         hetdapac.run_protocol(scheme, params, v_star, store, 5)
     spans = Counter(span[0] for span in tracer.spans)
     assert {name: spans[name] for name in want} == want
+
+
+def test_warm_run_calls_set_helpers_only_for_label_tables():
+    # a second run of one key under the same tracer evaluates the memoized
+    # trace: of het2's 33 set-helper calls only the 18 of the four
+    # servers' label tables remain
+    tracing = load_tracing()
+    scheme, (n_attrs, d, k, length), v_star, want = TRACED_RUNS[0]
+    params = hetdapac.SystemParams(n_attrs=n_attrs, d=d, k=k, length=length)
+    store = hetdapac.random_store(params, 3)
+    with tracing.Tracer() as tracer:
+        hetdapac.run_protocol(scheme, params, v_star, store, 5)
+        cold = len(tracer.spans)
+        hetdapac.run_protocol(scheme, params, v_star, store, 5)
+    spans = Counter(span[0] for span in tracer.spans[cold:])
+    assert {name: spans[name] for name in want} == {**want, "access.set": 18}
 
 
 def test_het2_builds_one_plan_per_retrieval():
