@@ -16,15 +16,17 @@ construction happens strictly before any server sees the store it will
 answer from, and only ever reads (v*, params, user randomness).
 
 Every run goes through `run_segments`: one verification phase, then one
-retrieval per (store, pool) segment, the pool naming the segment's
-scheme, params and chunk length. A pure run is a single segment; a
-time-shared mix (see mixer.py) is several.
+retrieval per (store segment, pool) segment, the pool naming the
+segment's scheme, params and chunk length and the store segment its
+symbol range, with no symbol copied. A pure run is a single segment, the
+range [0, L); a time-shared mix (see mixer.py) is several.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -131,11 +133,12 @@ class ServerActor:
     """One server: verifies its attribute(s), then answers queries.
 
     Verification happens once per run. Each retrieval segment then installs
-    its pool together with the segment's store, held whole the way a real
-    replica would hold it; the accessible slice is carved out of it by the
-    verified view. Queries touching anything else are refused. `handle`
-    returns (kind, bytes) or None; `ledger` holds the pad labels answered
-    with since the pool was installed.
+    its pool together with the store, held whole the way a real replica
+    would hold it, and the start of the segment's symbol range; the
+    accessible messages are picked out of it by the verified view. Queries
+    touching anything else are refused. `handle` returns (kind, bytes) or
+    None; `ledger` holds the pad labels answered with since the pool was
+    installed.
     """
 
     def __init__(self, server: int, params: SystemParams):
@@ -172,15 +175,16 @@ class ServerActor:
             return ("answer", encode_answers(self.server, shares))
         raise ConfigError(f"unknown message kind {kind!r}")
 
-    def install_pool(self, pool: RandomnessPool, store):
+    def install_pool(self, pool: RandomnessPool, store, start: int = 0):
         """Server-to-server agreement on pads; never crosses the user channel.
 
-        The pool names the segment's scheme and parameters; `store` holds
-        the segment's symbols of every message.
+        The pool names the segment's scheme and parameters; the segment is
+        the pool's length of symbols of every message of `store` from
+        `start` on.
         """
         if self.public is None or (not self.is_central and self.own_value is None):
             raise ConfigError("pool installed before verification finished")
-        self.ctx = server_context(self.server, self.public, self.own_value, store, pool)
+        self.ctx = server_context(self.server, self.public, self.own_value, store, pool, start)
         self.ledger = []
 
 
@@ -194,10 +198,33 @@ def random_store(params: SystemParams, seed) -> dict[int, array]:
                                          params.message_count)))
 
 
-def store_segment(store, start: int, stop: int) -> dict[int, array]:
+@dataclass(frozen=True, eq=False)  # equal as a mapping, to a dict of its slices too
+class StoreSegment(Mapping):
+    """Symbol range [start, stop) of every message of `store`, copying none.
+
+    A server answers from `store` itself, its reads offset by `start`. The
+    segment still reads as a mapping from message id to its range, each
+    value a `memoryview` of the stored array made only when asked for.
+    """
+
+    store: Mapping[int, array]
+    start: int
+    stop: int
+
+    def __getitem__(self, msg: int) -> memoryview:
+        return memoryview(self.store[msg])[self.start:self.stop]
+
+    def __iter__(self):
+        return iter(self.store)
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+
+def store_segment(store, start: int, stop: int) -> StoreSegment:
     """Symbol range [start, stop) of every message, for time-shared runs:
-    an `array('I')` slice, which is a copy."""
-    return {m: sym[start:stop] for m, sym in store.items()}
+    the store itself and the range, with no symbol copied."""
+    return StoreSegment(store, start, stop)
 
 
 # ---------------------------------------------------------------- protocol
@@ -260,10 +287,11 @@ def _checked_reply(reply: bytes, query, length: int, q: int):
 def run_segments(params: SystemParams, v_star, seed, segments):
     """One verification phase, then one retrieval per segment, in order.
 
-    A segment is (store, pool): the pool, allocated for the segment, names
-    its scheme and params, which differ from `params` only in length, and
-    the store holds that many symbols of every message. The
-    decoded segments concatenate into the message. A lone segment is a pure
+    A segment is (store segment, pool): the pool, allocated for the
+    segment, names its scheme and params, which differ from `params` only
+    in length, and the store segment (`store_segment`) is a symbol range
+    of that length. The ranges must tile [0, L) in order, so the decoded
+    segments concatenate into the message. A lone segment is a pure
     run and stays untagged; several are tagged by scheme in the transcript,
     and each draws its queries from a user stream labeled by its scheme,
     so two segments of one scheme are refused: they would share a tag, a
@@ -271,6 +299,18 @@ def run_segments(params: SystemParams, v_star, seed, segments):
     metrics).
     """
     v_star = check_vector(v_star, params)
+    at = 0
+    for seg, pool in segments:
+        if seg.stop - seg.start != pool.params.length:
+            raise ConfigError(f"segment [{seg.start}, {seg.stop}) does not hold the "
+                              f"{pool.params.length} symbols its pool is for")
+        if seg.start != at:
+            raise ConfigError(f"segment [{seg.start}, {seg.stop}) does not start "
+                              f"where the last one stopped, at {at}")
+        at = seg.stop
+    if at != params.length:
+        raise ConfigError(f"segments cover [0, {at}), not the {params.length} "
+                          "symbols of a message")
     schemes = [pool.scheme for _, pool in segments]
     if len(set(schemes)) != len(schemes):
         raise ConfigError(f"segments name one scheme twice: {schemes}; each segment "
@@ -288,11 +328,11 @@ def run_segments(params: SystemParams, v_star, seed, segments):
 
     tagged = len(segments) > 1
     message = array("I")
-    for seg_store, pool in segments:
+    for seg, pool in segments:
         tag = pool.scheme if tagged else None
         transcript.pools[tag] = pool
         for actor in channel.actors.values():
-            actor.install_pool(pool, seg_store)
+            actor.install_pool(pool, seg.store, seg.start)
         message += retrieval_phase(channel, pool, v_star, seed, transcript, segment=tag)
         for actor in channel.actors.values():  # operator plane, as install_pool
             transcript.consumed.update((tag, label) for label in actor.ledger)
@@ -304,7 +344,7 @@ def run_protocol(scheme: str, params: SystemParams, v_star, store, seed):
     transcript, metrics)."""
     v_star = check_vector(v_star, params)
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
-    return run_segments(params, v_star, seed, [(store, pool)])
+    return run_segments(params, v_star, seed, [(store_segment(store, 0, params.length), pool)])
 
 
 # The load ratio of a run without central download; mixer re-exports it.

@@ -13,8 +13,8 @@ the only float anywhere is the infinity sentinel INF.
 The lambda family mixes dapac and het1: the first lambda*L symbols of each
 message are retrieved with the pairwise dapac engine, the rest with het1,
 so lambda = 0 is pure het1 and lambda = 1 is pure dapac. `MixPlan(params,
-lam)` derives the split. Executed, each component is one (store, pool)
-segment of the harness's segment runner, after a single verification
+lam)` derives the split. Executed, each component is one (store segment,
+pool) segment of the harness's segment runner, after a single verification
 phase; an endpoint mix is a lone segment and so the very same run as the
 pure scheme. For D >= 3 the frontier improves on that family by
 time-sharing het2 with its neighbors.
@@ -206,11 +206,12 @@ def plan_mix(params: SystemParams, lam) -> MixPlan:
 def run_time_shared(mix: MixPlan, v_star, store, seed):
     """Execute the mix: dapac on the first lambda*L symbols, het1 on the rest.
 
-    Each component is one (store, pool) segment, with its own symbol
-    range, randomness pool and query stream, all behind one verification
-    phase. Returns (message, transcript, metrics) like run_protocol; with
-    two components the retrieval records are tagged by segment, and an
-    endpoint mix (lambda 0 or 1) is exactly the pure run.
+    Each component is one (store segment, pool) segment, with its own
+    symbol range of the store (copied nowhere), randomness pool and query
+    stream, all behind one verification phase. Returns (message,
+    transcript, metrics) like run_protocol; with two components the
+    retrieval records are tagged by segment, and an endpoint mix (lambda 0
+    or 1) is exactly the pure run.
     """
     params = mix.params
     public = tuple(check_vector(v_star, params)[params.d:])

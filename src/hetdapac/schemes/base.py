@@ -29,10 +29,13 @@ tuple of its own. The privacy audit reads the same traces, so the plan
 that is sent is the audited plan evaluated.
 
 Answer computation is server-side and touches only the server's context:
-its accessible store slice, its pool and its label table, all fixed by
-its verified view (public part, plus its own value on a dedicated
-server) when the pool is installed. Each engine's `label_table` builds the
-table once there; `answer_query`, which every engine re-exports, reads it.
+its accessible messages, whole, with the start of the symbol range it
+answers from, its pool and its label table, all fixed by its verified
+view (public part, plus its own value on a dedicated server) when the
+pool is installed. A pure run's range starts at 0; a mix segment's
+starts where the previous segment's stopped, and no symbol is copied.
+Each engine's `label_table` builds the table once there; `answer_query`,
+which every engine re-exports, reads it.
 The share for a group is the vector-weighted sum of the named sub-packets
 plus the sum of the pad chunks its table entry names. Decoding is user-side
 and touches only (plan, answer shares): every scheme cancels interference
@@ -46,14 +49,15 @@ indices); only a group that fails them is walked row by row, to raise
 the same first error, in row order, as a per-row check would.
 
 A share is computed by one of two kernels, chosen by sub-packet length.
-From PACK_MIN_SYMBOLS symbols on, every named row and pad chunk becomes
-one Python int with a symbol per lane of w 32-bit words, so a group costs
-one big-int multiply-add per row and one reduction mod q per symbol.
-Below that, the gather kernel makes one pass in C over the rows per
-symbol and slices no row. The two kernels take the same arguments and
-return the same share, an `array('I')` that goes on the wire as it is,
-and `combine` picks between them for the answer path and for decode
-alike.
+From PACK_MIN_SYMBOLS symbols on, every named row and pad chunk is read
+as one Python int straight from its 32-bit words and split by masks into
+w interleaved lane ints, so a group costs w big-int multiply-adds per row
+and one Barrett reduction of every lane at once per lane int; no symbol
+is touched by Python code of its own. Below that, the gather kernel
+makes one pass in C over the rows per symbol and slices no row. The two
+kernels take the same arguments and return the same share, an
+`array('I')` that goes on the wire as it is, and `combine` picks between
+them for the answer path and for decode alike.
 """
 
 from __future__ import annotations
@@ -459,12 +463,16 @@ class ServerContext:
     `table` maps the message set of every group the server may be asked
     for to the pad labels it names; None when the scheme asks the server
     nothing. The pool names the scheme, params and sub-packet length.
+    The server answers from the pool's length of symbols of each stored
+    message from `start` on: the whole message in a pure run, one
+    range of it in a segment of a mix.
     """
 
     server: int
-    store: dict[int, array]           # accessible slice only, array('I') per message
+    store: dict[int, array]           # accessible messages only, whole, array('I') each
     pool: RandomnessPool
     table: Optional[dict[frozenset, list]]
+    start: int = 0
 
     @property
     def is_central(self) -> bool:
@@ -472,14 +480,15 @@ class ServerContext:
 
 
 def server_context(server: int, public: tuple[int, ...], own_value: Optional[int],
-                   store, pool: RandomnessPool) -> ServerContext:
-    """The context `server` answers from once it has verified its view.
+                   store, pool: RandomnessPool, start: int = 0) -> ServerContext:
+    """The context `server` answers from once it has verified its view,
+    on the pool's length of symbols of every message from `start` on.
 
     The view is the public part plus, on a dedicated server, its own
     attribute value (None on the central server). It cuts the store down
-    to the slice it grants, and the pool's scheme builds the label table
-    from it, once; the central server of a scheme that never queries it
-    gets no table.
+    to the messages it grants, copying none, and the pool's scheme builds
+    the label table from it, once; the central server of a scheme that
+    never queries it gets no table.
     """
     from . import engine
     params = pool.params
@@ -488,15 +497,16 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
            else match_set(server, own_value, public, params))
     table = (eng.label_table(server, params, public, own_value)
              if own_value is not None or eng.QUERIES_CENTRAL else None)
-    return ServerContext(server, {m: store[m] for m in ids}, pool, table)
+    return ServerContext(server, {m: store[m] for m in ids}, pool, table, start)
 
 
 # Sub-packets at least this long are answered by the packed kernel, the
-# rest by the gather kernel. Packing costs about a microsecond per row and
-# several per group, while the gather kernel pays a pass over the rows per
-# symbol. On a 2-core VM at q = 65537 with one pad chunk, the gather kernel
-# won by 1.3-5x at 1-2 symbols and the packed kernel by 1.8-4x at 16-32
-# symbols, on 2 to 256 rows; they crossed between 2 and 8 (table in
+# rest by the gather kernel. The packed kernel costs about two microseconds
+# per row and tens per group, while the gather kernel pays a pass over the
+# rows per symbol. On a 2-core VM at q = 65537 with one pad chunk, the
+# gather kernel won by 3-9x at 1-2 symbols and the packed kernel by
+# 1.2-3.1x at 32 symbols, on 2 to 256 rows; they crossed between 2 and 8
+# symbols at 2 rows and between 8 and 16 at 64 and 256 (table in
 # CHANGES.md). No workload's sub-packets have 6 to 31 symbols, so the
 # threshold stays at 32 until one reaches that range.
 PACK_MIN_SYMBOLS = 32
@@ -517,30 +527,66 @@ def _gather_share(vector, arrays, ends, pads, q: int, length: int) -> array:
                        for j in range(length)])
 
 
+def _lane_width(terms: int, q: int) -> tuple[int, int]:
+    """(k, w) for a sum of `terms` products of two symbols of F_q: each
+    lane total is below 2^k, and w 32-bit words hold its product with
+    ⌊2^k/q⌋, 2k − bitlen(q) + 1 bits at most."""
+    k = (terms * (q - 1) ** 2).bit_length()
+    return k, max(1, -(-(2 * k - q.bit_length() + 1) // 32))
+
+
+@lru_cache(maxsize=16)
+def _lane_masks(length: int, w: int) -> tuple[tuple[int, ...], int]:
+    """For `length` symbols read one per 32-bit word: the w masks that keep
+    the words j ≡ i (mod w), i < w, and the int with a 1 at the bottom of
+    every w-word lane of a lane total."""
+    lanes = -(-length // w)
+    masks = tuple(int.from_bytes(
+        ((bytes(4 * i) + b"\xff" * 4 + bytes(4 * (w - 1 - i))) * lanes)[:4 * length], "little")
+        for i in range(w))
+    return masks, int.from_bytes((b"\x01" + bytes(4 * w - 1)) * lanes, "little")
+
+
 def _packed_share(vector, arrays, ends, pads, q: int, length: int) -> array:
     """The share `_gather_share` computes, with each row's sub-packet
-    `arrays[r][ends[r] - length:ends[r]]` and each pad chunk packed into
-    one int, a symbol per lane.
+    `arrays[r][ends[r] - length:ends[r]]` and each pad chunk read as one
+    int, a symbol per 32-bit word, and split by the masks of `_lane_masks`
+    into w interleaved lane ints.
 
-    A lane is w 32-bit words, enough for (rows + pads)·(q − 1)², so no
-    lane carries into the next before the single reduction at the end.
+    Lane total i holds the symbols j ≡ i (mod w), one per w-word lane,
+    shifted up by 32·i until the end. A lane is wide enough for Barrett's
+    reduction of all its lanes at once: a total lane T is below
+    2^k > n·(q − 1)², n the rows plus pads, and T·⌊2^k/q⌋ below 2^(32w),
+    so the estimate ⌊T·⌊2^k/q⌋ / 2^k⌋ of ⌊T/q⌋, masked to its own lane,
+    is short by at most 1. What is left is below 2q, and q is taken once
+    more from the lanes where adding 2^(b+1) − q sets bit b + 1, b the
+    bit length of q. Every symbol is touched only by C big-int and
+    buffer operations.
     """
-    w = ((len(arrays) + len(pads)) * (q - 1) ** 2).bit_length() // 32 + 1
-    lanes = array("I", [0]) * (w * length)
+    b = q.bit_length()
+    k, w = _lane_width(len(arrays) + len(pads), q)
+    masks, ones = _lane_masks(length, w)
+    totals = [0] * w
 
-    def pack(symbols) -> int:
-        lanes[::w] = symbols if type(symbols) is array else array("I", symbols)
-        return int.from_bytes(little_endian(lanes), "little")
+    def add(coeff, symbols):
+        words = symbols if type(symbols) is array else array("I", symbols)
+        row = int.from_bytes(little_endian(words), "little")
+        for i, mask in enumerate(masks):
+            totals[i] += coeff * (row & mask)
 
-    total = sum(map(pack, pads))
+    for pad in pads:
+        add(1, pad)
     for coeff, arr, end in zip(vector, arrays, ends):
-        total += coeff % q * pack(arr[end - length:end])
-    data = total.to_bytes(4 * w * length, "little")
-    if w <= 2:
-        return array("I", [x % q for x in little_endian(array("I" if w == 1 else "Q", data))])
-    step = 4 * w
-    return array("I", [int.from_bytes(data[i:i + step], "little") % q
-                       for i in range(0, len(data), step)])
+        add(coeff % q, arr[end - length:end])
+    m, low, lift = (1 << k) // q, ones * ((1 << (32 * w - k)) - 1), ones * ((2 << b) - q)
+    out = array("I", [0]) * length
+    for i, total in enumerate(totals):
+        total >>= 32 * i
+        r = total - ((total * m >> k) & low) * q
+        r -= ((r + lift >> (b + 1)) & ones) * q
+        data = r.to_bytes(4 * w * len(range(i, length, w)), "little")
+        out[i::w] = little_endian(array("I", data))[::w]
+    return out
 
 
 def combine(vector, arrays, ends, pads, q: int, length: int) -> array:
@@ -568,7 +614,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple
         raise ConfigError(f"server {ctx.server} answers no queries of scheme {ctx.pool.scheme}")
     if query.server != ctx.server:
         raise ConfigError(f"query for server {query.server} sent to {ctx.server}")
-    q = ctx.pool.params.q
+    q, start = ctx.pool.params.q, ctx.start
     sub_len = ctx.pool.chunk_len
     subpackets = ctx.pool.params.length // sub_len
     span = subpackets + 1
@@ -589,7 +635,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple
                 and 1 <= min(indices, default=1) and max(indices, default=1) <= subpackets):
             _refuse_first_row(ctx, msgs, indices, subpackets)
         arrays = list(map(ctx.store.__getitem__, msgs))
-        ends = list(map(sub_len.__mul__, indices))
+        ends = [start + sub_len * i for i in indices]
         total = combine(group.vector, arrays, ends, pads, q, sub_len)
         shares.append(AnswerShare(ctx.server, gi, total))
         all_labels.append(list(labels))

@@ -408,6 +408,42 @@ def test_packed_kernel_equals_the_loop(q, length, pads):
     assert type(shares[0].payload) is array and shares[0].payload.typecode == "I"
 
 
+@pytest.mark.parametrize("rows, words", [(255, 2), (256, 3)])
+def test_packed_kernel_across_the_lane_width_step(rows, words):
+    # at q = 65537 a lane total reaches 2^40 at 256 terms: its Barrett
+    # product then needs 66 bits, a third word per lane
+    q = 65537
+    assert scheme_base._lane_width(rows, q)[1] == words
+    ctx, query, table = kernel_case(q, 33, 0, rows)
+    arrays, ends, chunks, _, want = loop_reference(ctx, query, table)
+    assert scheme_base._packed_share(query.groups[0].vector, arrays, ends, chunks, q, 33) == want
+    top = [array("I", [q - 1]) * 33] * rows
+    assert (scheme_base._packed_share([q - 1] * rows, top, [33] * rows, (), q, 33)
+            == loop_share([q - 1] * rows, top, [0] * 33, q))
+
+
+@pytest.mark.parametrize("q", KERNEL_MODULI + [2 ** 31 - 1])
+@pytest.mark.parametrize("length", [33, 20001])
+@pytest.mark.parametrize("make_pad", [array, tuple])
+def test_packed_kernel_at_the_top_of_the_field(q, length, make_pad):
+    # every symbol and pad at q - 1, coefficients q - 1 and their negative
+    # forms; pads as the array('I') chunks of a draw or the tuples of
+    # `RandomnessPool.zeros_like`; lengths no lane width divides
+    top = array("I", [q - 1]) * (2 * length)
+    vector = [q - 1, -1, -(q - 1), q - 1, -q - 1]
+    arrays, ends = [top] * len(vector), [length, 2 * length] * 2 + [length]
+    segments = [a[e - length:e] for a, e in zip(arrays, ends)]
+    pad = array("I", [q - 1]) * length
+    pads = [pad if make_pad is array else tuple(pad)] * 3
+    got = scheme_base._packed_share(vector, arrays, ends, pads, q, length)
+    assert type(got) is array
+    assert got == loop_share(vector, segments, [3 * (q - 1) % q] * length, q)
+    params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
+    zero = RandomnessPool("het1", params, length, {("nk", 1, 1): pad}).zeros_like()
+    assert (scheme_base._packed_share(vector, arrays, ends, [zero.chunk(("nk", 1, 1))], q, length)
+            == loop_share(vector, segments, [0] * length, q))
+
+
 def test_vector_shorter_than_the_rows_is_refused():
     # a frame's row count sets its vector length, so only a direct call
     # can send a group whose vector is short

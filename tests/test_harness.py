@@ -232,9 +232,14 @@ def test_retrieval_phase_reads_only_reply_bytes(scheme):
 
 
 def test_store_segment_slices_symbols():
-    store = {0: (1, 2, 3, 4), 1: (5, 6, 7, 8)}
-    assert store_segment(store, 0, 2) == {0: (1, 2), 1: (5, 6)}
-    assert store_segment(store, 2, 4) == {0: (3, 4), 1: (7, 8)}
+    # the segment reads as its slices but shares the store's memory
+    store = {0: array("I", [1, 2, 3, 4]), 1: array("I", [5, 6, 7, 8])}
+    assert store_segment(store, 0, 2) == {0: array("I", [1, 2]), 1: array("I", [5, 6])}
+    tail = store_segment(store, 2, 4)
+    assert tail == {0: array("I", [3, 4]), 1: array("I", [7, 8])}
+    assert all(view.obj is store[m] for m, view in tail.items())
+    store[1][3] = 9
+    assert tail[1] == array("I", [7, 9])
 
 
 def test_upload_symbols_counted_per_query():

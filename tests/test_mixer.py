@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -289,6 +290,46 @@ def test_a_replaced_weight_is_planned_again():
         replace(plan, lam=F(1, 3))
     assert exc.value.minimal_length == 3
     assert replace(plan, lam=0) == plan_mix(P4, 0)
+
+
+P322 = SystemParams(n_attrs=3, d=2, k=2, length=8)
+
+
+@pytest.mark.parametrize("ranges, match", [
+    # a range shorter or longer than its pool is for
+    ([("het1", 0, 2)], "does not hold the 4 symbols"),
+    ([("het1", 0, 6)], "does not hold the 4 symbols"),
+    # ranges that leave a gap, overlap, or stop short of L
+    ([("het1", 4, 8)], "does not start where the last one stopped, at 0"),
+    ([("dapac", 0, 4), ("het1", 2, 6)], "does not start where the last one stopped, at 4"),
+    ([("dapac", 0, 4)], r"cover \[0, 4\), not the 8 symbols"),
+])
+def test_segments_that_do_not_tile_the_message_are_refused(ranges, match):
+    store = random_store(P322, 3)
+    segments = [(store_segment(store, start, stop),
+                 allocate(scheme, replace(P322, length=4), (2,), 5))
+                for scheme, start, stop in ranges]
+    with pytest.raises(ConfigError, match=match):
+        run_segments(P322, (1, 2, 2), 5, segments)
+
+
+def test_a_mix_copies_no_symbol():
+    # each segment reads its range of the stored arrays: a copy of both
+    # ranges would take the store's 6.1 MB again, while the run peaks at
+    # about 2.2 MB, in drawing the dapac pool
+    params = SystemParams(n_attrs=4, d=3, k=4, length=6000)
+    v_star = (2, 1, 3, 4)
+    store = random_store(params, 1)
+    store_bytes = sum(len(sym) * sym.itemsize for sym in store.values())
+    mix = plan_mix(params, F(1, 2))
+    tracemalloc.start()
+    try:
+        message, _, _ = run_time_shared(mix, v_star, store, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message == store[message_index(v_star, params)]
+    assert peak < store_bytes / 2, (peak, store_bytes)
 
 
 def test_two_segments_of_one_scheme_are_refused():
