@@ -29,14 +29,15 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .access import SystemParams, check_vector
 from .errors import ConfigError
-from .field import derive_rng, uniform_arrays
+from .field import derive_rng, little_endian, uniform_arrays
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
-from .schemes.base import ServerContext, server_context
+from .schemes.base import PACK_MIN_SYMBOLS, ServerContext, server_context
 from .wire import (
     decode_answers,
     decode_commit_value,
@@ -265,11 +266,31 @@ def retrieval_phase(channel: Channel, pool: RandomnessPool, v_star, seed,
     return eng.decode(plan, answers)
 
 
+@lru_cache(maxsize=16)
+def _lane_bounds(width: int, q: int) -> tuple[int, int]:
+    """For `width` 32-bit lanes and b = q.bit_length() <= 31: the int
+    with bits b to 31 set in every lane, and the int with 2^b - q in
+    every lane."""
+    b = q.bit_length()
+    ones = int.from_bytes(b"\x01\x00\x00\x00" * width, "little")
+    return ones * ((1 << 32) - (1 << b)), ones * ((1 << b) - q)
+
+
 def _checked_reply(reply: bytes, query, length: int, q: int):
     """The shares of `reply` if they answer `query`: from its server, one
     share per group, each one sub-packet of `length` symbols of F_q.
     Decode reads shares by position, so any other reply is a ConfigError
-    naming the server."""
+    naming the server.
+
+    A share of at least PACK_MIN_SYMBOLS symbols, at q below 2^31, is
+    tested as one int x of 32-bit lanes, a symbol per lane: every symbol
+    is below q exactly when x + (2^b - q in every lane), OR-ed with x,
+    has no bit from b = q.bit_length() to 31 set in any lane. A lane of x
+    below 2^b carries into no other lane and reaches bit b exactly when
+    it is at least q; a lane at or above 2^b has such a bit in x itself.
+    Shorter shares, and moduli whose lanes have no spare bit, are
+    scanned symbol by symbol.
+    """
     server = query.server
     try:
         shares = decode_answers(reply)
@@ -279,7 +300,13 @@ def _checked_reply(reply: bytes, query, length: int, q: int):
     if (sender, len(shares), width) != (server, len(query.groups), length):
         raise ConfigError(f"server {server} sent shares that do not answer its query: "
                           f"want {len(query.groups)}, {length} symbols each")
-    if not all(max(s.payload) < q for s in shares):  # array('I'): none below 0
+    if width >= PACK_MIN_SYMBOLS and q < 1 << 31:
+        high, lift = _lane_bounds(width, q)
+        lanes = (int.from_bytes(little_endian(s.payload), "little") for s in shares)
+        outside = any((x + lift | x) & high for x in lanes)
+    else:
+        outside = not all(max(s.payload) < q for s in shares)  # array('I'): none below 0
+    if outside:
         raise ConfigError(f"server {server} sent a symbol outside F_{q}")
     return shares
 

@@ -411,24 +411,28 @@ def test_packed_kernel_equals_the_loop(q, length, pads):
 @pytest.mark.parametrize("rows, words", [(255, 2), (256, 3)])
 def test_packed_kernel_across_the_lane_width_step(rows, words):
     # at q = 65537 a lane total reaches 2^40 at 256 terms: its Barrett
-    # product then needs 66 bits, a third word per lane
+    # product then needs 66 bits, a third word per lane; the lengths leave
+    # the last lane every count of words either width allows
     q = 65537
     assert scheme_base._lane_width(rows, q)[1] == words
-    ctx, query, table = kernel_case(q, 33, 0, rows)
-    arrays, ends, chunks, _, want = loop_reference(ctx, query, table)
-    assert scheme_base._packed_share(query.groups[0].vector, arrays, ends, chunks, q, 33) == want
-    top = [array("I", [q - 1]) * 33] * rows
-    assert (scheme_base._packed_share([q - 1] * rows, top, [33] * rows, (), q, 33)
-            == loop_share([q - 1] * rows, top, [0] * 33, q))
+    for length in (33, 34, 35):
+        ctx, query, table = kernel_case(q, length, 0, rows)
+        arrays, ends, chunks, _, want = loop_reference(ctx, query, table)
+        assert (scheme_base._packed_share(query.groups[0].vector, arrays, ends, chunks, q, length)
+                == want)
+        top = [array("I", [q - 1]) * length] * rows
+        assert (scheme_base._packed_share([q - 1] * rows, top, [length] * rows, (), q, length)
+                == loop_share([q - 1] * rows, top, [0] * length, q))
 
 
 @pytest.mark.parametrize("q", KERNEL_MODULI + [2 ** 31 - 1])
-@pytest.mark.parametrize("length", [33, 20001])
+@pytest.mark.parametrize("length", [32, 33, 34, 35, 20001, 20002])
 @pytest.mark.parametrize("make_pad", [array, tuple])
 def test_packed_kernel_at_the_top_of_the_field(q, length, make_pad):
     # every symbol and pad at q - 1, coefficients q - 1 and their negative
     # forms; pads as the array('I') chunks of a draw or the tuples of
-    # `RandomnessPool.zeros_like`; lengths no lane width divides
+    # `RandomnessPool.zeros_like`; 8 terms take 1, 2 or 4 words a lane, and
+    # the lengths leave the last lane every count of words up to 4
     top = array("I", [q - 1]) * (2 * length)
     vector = [q - 1, -1, -(q - 1), q - 1, -q - 1]
     arrays, ends = [top] * len(vector), [length, 2 * length] * 2 + [length]

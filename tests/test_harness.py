@@ -14,6 +14,7 @@ from hetdapac.harness import (
     Channel,
     ServerActor,
     Transcript,
+    _checked_reply,
     actor_name,
     random_store,
     retrieval_phase,
@@ -23,10 +24,13 @@ from hetdapac.harness import (
 )
 from hetdapac.randomness import allocate
 from hetdapac.schemes import engine
+from hetdapac.schemes.base import PACK_MIN_SYMBOLS
 from hetdapac.wire import (
+    AnswerShare,
     MessageGroupDescriptor,
     QueryGroup,
     QueryTuple,
+    encode_answers,
     encode_commit_value,
     encode_public,
     encode_query,
@@ -324,3 +328,33 @@ def test_tampered_reply_is_refused(monkeypatch, how):
     monkeypatch.setattr(ServerActor, "handle", tampered)
     with pytest.raises(ConfigError, match="server 1"):
         run_protocol("het2", params, (1, 2, 1, 2), random_store(params, 3), seed=3)
+
+
+# moduli around every lane-test boundary: 2 and 3 (b = 2, where 2^b - q
+# is 2 and 1), Fermat's prime 65537, the largest prime below 2^31, and the
+# largest below 2^32, whose lanes have no spare bit and so are scanned
+REPLY_MODULI = [2, 3, 65537, 2 ** 31 - 1, 4294967291]
+
+
+def reply_of(last_word: int, q: int, width: int) -> tuple[bytes, QueryTuple]:
+    """Server 1's reply of 3 shares of `width` symbols, every symbol q - 1
+    but the last share's last, and a query it answers in shape."""
+    shares = [AnswerShare(1, g, array("I", [q - 1]) * width) for g in range(3)]
+    shares[-1].payload[-1] = last_word
+    group = QueryGroup(MessageGroupDescriptor(array("I"), array("I")), ())
+    return encode_answers(1, shares), QueryTuple(1, (group,) * 3)
+
+
+@pytest.mark.parametrize("q", REPLY_MODULI)
+@pytest.mark.parametrize("width", [PACK_MIN_SYMBOLS - 1, PACK_MIN_SYMBOLS, 20000])
+def test_reply_symbols_at_the_field_bound(q, width):
+    # the lane test from PACK_MIN_SYMBOLS symbols on and the scan below it
+    # refuse the same words: q itself, the first word with bit b set, b the
+    # bit length of q, when it fits in a word, and the largest word
+    reply, query = reply_of(q - 1, q, width)
+    shares = _checked_reply(reply, query, width, q)
+    assert [list(s.payload) for s in shares] == [[q - 1] * width] * 3
+    for word in {q, 1 << q.bit_length(), 2 ** 32 - 1} - {2 ** 32}:
+        reply, query = reply_of(word, q, width)
+        with pytest.raises(ConfigError, match=f"server 1 sent a symbol outside F_{q}"):
+            _checked_reply(reply, query, width, q)
