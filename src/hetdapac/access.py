@@ -31,7 +31,7 @@ defined in its engine module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .errors import ConfigError
@@ -49,6 +49,8 @@ class SystemParams:
              unsigned 32-bit word.
     length:  L, symbols per message. Divisibility against the sub-packet
              count is a per-scheme concern checked by the scheme engines.
+
+    Every field is an int, not a bool, as an attribute value is.
     """
 
     n_attrs: int
@@ -58,6 +60,10 @@ class SystemParams:
     length: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.d < 1 or self.n_attrs < self.d:
             raise ConfigError(f"need 1 <= D <= N, got D={self.d}, N={self.n_attrs}")
         if self.k < 2:

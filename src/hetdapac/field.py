@@ -1,8 +1,8 @@
 """Prime-field arithmetic, the one sampler, and stream derivation.
 
-Field elements are plain ints in [0, q), with q < 2^32. Combining vectors
-are tuples of ints; store messages and pool chunks are `array('I')`, one
-4-byte word per symbol. Answers and decoding share the kernels in
+Field elements are plain ints in [0, q), with q < 2^32. Combining
+vectors, store messages and pool chunks are `array('I')`, one 4-byte
+word per symbol. Answers and decoding share the kernels in
 `schemes.base`, which pack long sub-packets into big-int lanes.
 
 Every random draw of the package goes through one sampler, `WordStream`:

@@ -18,15 +18,16 @@ from one `field.WordStream` on the plan's private user stream, in the
 order the per-call draws took: one permutation per participating
 message, as one flat column, then every draw in trace order, a coordinate
 that must be nonzero redrawn in place while it is 0 (`draw_symbols`).
-A vector is its draws' symbols plus the trace's sparse offsets, and a
-group's wire indices are gathered from the permutation column through
-the trace's position column pos(m)·S + logical − 1, where
-pos(m) = m // K^(N−D) is the message's place among the participating
-ones. The stream reads ahead, which is safe because it is thrown away
-with the plan. A group's rows are two columns from the plan to the
-server's answer, message ids and sub-packet indices; no row is ever a
-tuple of its own. The privacy audit reads the same traces, so the plan
-that is sent is the audited plan evaluated.
+A vector is an `array('I')` slice of the draw column plus the trace's
+sparse offsets, and a group's wire indices are gathered from the
+permutation column through the trace's position column
+pos(m)·S + logical − 1, pos(m) = m // K^(N−D) being the message's place
+among the participating ones. The stream reads ahead, which is safe
+because it is thrown away with the plan. A group is three columns from
+build to answer, ids, sub-packet indices and vector, never a tuple per
+row or vector. A plan keeps what decoding reads; its groups are the
+trace's and the sent queries', in one order. The privacy audit reads
+the same traces, so the plan that is sent is the audited plan evaluated.
 
 Answer computation is server-side and touches only the server's context:
 its accessible messages, whole, with the start of the symbol range it
@@ -220,17 +221,17 @@ class FreshIndexCounter:
 
 @dataclass(frozen=True)
 class PlanGroup:
-    """User-side view of one query group: row r is message ids[r] at
-    logical (not wire) sub-packet index logical[r]. `ids` is the set
-    helper's tuple itself, or a concatenation of them; `logical` is an
-    `array('I')` while a builder traces, and a read-only view of one in a
-    trace and in every plan evaluated from it. Twins share either column
-    rather than copy it."""
+    """One traced query group, evaluated as the sent `QueryGroup` at its
+    place: row r is message ids[r] at logical (not wire) sub-packet index
+    logical[r]. `ids` is the set helper's tuple itself, or a
+    concatenation of them; `logical` is an `array('I')` while a builder
+    traces, and a read-only view of one in a trace. Twins share either
+    column rather than copy it."""
 
     label: tuple
     ids: tuple[int, ...]
     logical: array | memoryview
-    vector: object                # concrete tuple or SymVector
+    vector: SymVector
 
     @property
     def rows(self) -> list[tuple[int, int]]:
@@ -247,6 +248,8 @@ class PlanGroup:
 
 @dataclass
 class RetrievalPlan:
+    """What a build keeps to decode: permutations and decode table."""
+
     scheme: str
     params: SystemParams
     v_star: tuple[int, ...]
@@ -254,7 +257,6 @@ class RetrievalPlan:
     # the participating messages' permutations, one flat `array('I')`: the
     # message at position p among them has [p * subpackets, (p + 1) * subpackets)
     perms: array = dc_field(repr=False)
-    groups: dict[int, list[PlanGroup]] = dc_field(repr=False)
     # logical index -> ((server, group index, coefficient), ...): the
     # sub-packet is the sum of coefficient * share over the terms
     decoding: dict[int, tuple] = dc_field(repr=False)
@@ -327,7 +329,7 @@ class PlanTrace:
                 if key not in shared:
                     shared[key] = (array("I", g.ids), array("I", map(
                         add, map(before.__getitem__, g.ids), g.logical)))
-                compiled.append((g, *shared[key], runs, offsets))
+                compiled.append((*shared[key], runs, offsets))
                 self.rows += len(g.ids)
             self._columns[server] = compiled
         self._inverses = [(logical, t, starts[c.draw - 1] + c.at - 1, c.offset, c.sign)
@@ -350,29 +352,24 @@ class PlanTrace:
     def project(self, params: SystemParams, perms: array, values: array,
                 redraws: int = 0) -> tuple[RetrievalPlan, dict]:
         """The plan and its wire queries for a permutation column and a
-        draw column. The plan's groups share the trace's read-only ids and
-        logical columns; every other column handed out is the caller's
-        own copy."""
+        draw column. Every column handed out is the caller's own copy."""
         q = params.q
         gather = perms.tolist().__getitem__  # a list serves items faster than an array
         wires = {}  # a twin's wire column is a copy of its owner's
-        groups, queries = {}, {}
+        queries = {}
         for server, compiled in self._columns.items():
-            plan_groups, query_groups = [], []
-            for g, ids, positions, runs, offsets in compiled:
+            query_groups = []
+            for ids, positions, runs, offsets in compiled:
                 vec = values[runs[0][0]:runs[0][1]]
                 for a, b in runs[1:]:
                     vec += values[a:b]
                 for at, o in offsets:
                     vec[at] = (vec[at] + o) % q
-                vec = tuple(vec)
                 if id(positions) in wires:
                     wire = wires[id(positions)][:]
                 else:
                     wire = wires[id(positions)] = array("I", map(gather, positions))
-                plan_groups.append(PlanGroup(g.label, g.ids, g.logical, vec))
                 query_groups.append(QueryGroup(MessageGroupDescriptor(ids[:], wire), vec))
-            groups[server] = plan_groups
             queries[server] = QueryTuple(server=server, groups=tuple(query_groups))
         decoding = dict(self.decoding)
         for logical, t, at, offset, sign in self._inverses:
@@ -381,7 +378,7 @@ class PlanTrace:
             coeff = sign * pow((values[at] + offset) % q, -1, q)
             decoding[logical] = (*terms[:t], (server, gi, coeff), *terms[t + 1:])
         plan = RetrievalPlan(self.scheme, params, self.v_star, self.subpackets,
-                             perms, groups, decoding, redraws)
+                             perms, decoding, redraws)
         return plan, queries
 
 
@@ -493,15 +490,30 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     to the messages it grants, copying none, and the pool's scheme builds
     the label table from it, once; the central server of a scheme that
     never queries it gets no table.
+
+    A store that lacks a granted message, or holds one that stops before
+    the range the server answers from does, is refused, naming the
+    message. The lengths are read once here, with no symbol scanned: a
+    symbol at or above q is reduced mod q like any sum.
     """
     from . import engine
     params = pool.params
     eng = engine(pool.scheme)
     ids = (participating_ids(params, public) if own_value is None
            else match_set(server, own_value, public, params))
+    try:
+        held = {m: store[m] for m in ids}
+    except KeyError:
+        missing = next(m for m in ids if m not in store)
+        raise ConfigError(f"store holds no message {missing} for server {server}") from None
+    stop = start + params.length
+    if min(map(len, held.values()), default=stop) < stop:
+        short = next(m for m, symbols in held.items() if len(symbols) < stop)
+        raise ConfigError(f"message {short} holds {len(held[short])} symbols; server "
+                          f"{server} answers from symbols [{start}, {stop})")
     table = (eng.label_table(server, params, public, own_value)
              if own_value is not None or eng.QUERIES_CENTRAL else None)
-    return ServerContext(server, {m: store[m] for m in ids}, pool, table, start)
+    return ServerContext(server, held, pool, table, start)
 
 
 # Sub-packets at least this long are answered by the packed kernel, the

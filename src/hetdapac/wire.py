@@ -2,8 +2,9 @@
 
 A query for one server is an ordered list of message groups. Each group
 names rows of (message id, sub-packet index), held as two equal-length
-`array('I')` columns, ids and indices, and carries one combining vector;
-the server's answer to a group is a single sub-packet:
+`array('I')` columns, ids and indices, and carries one combining vector,
+a third `array('I')` of one coefficient per row; the server's answer to
+a group is a single sub-packet:
 
     share = sum_r vector[r] * subpacket(row r)  +  pad
 
@@ -63,7 +64,7 @@ class MessageGroupDescriptor:
 @dataclass(frozen=True)
 class QueryGroup:
     descriptor: MessageGroupDescriptor
-    vector: tuple[int, ...]
+    vector: array             # one coefficient per row, array('I')
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def decode_query(frame) -> QueryTuple:
     groups = []
     for rows in words[2:2 + count]:
         ids, indices, vector = (words[at + i * rows:at + (i + 1) * rows] for i in range(3))
-        groups.append(QueryGroup(MessageGroupDescriptor(ids, indices), tuple(vector)))
+        groups.append(QueryGroup(MessageGroupDescriptor(ids, indices), vector))
         at += 3 * rows
     return QueryTuple(server=words[0], groups=tuple(groups))
 

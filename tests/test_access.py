@@ -244,7 +244,17 @@ def test_set_helpers_keep_their_checks():
     (lambda: vector_of_index(99, P322), "message id 99 out of range [0, 8)"),
     (lambda: match_set(1, 3, (1,), P322), "value index 3 out of range [1, 2]"),
     (lambda: pair_set(1, 3, 1, 1, (1,), P322), "attribute position 3 out of range [1, 2]"),
-], ids=["message-index-length", "vector-of-index", "match-set-value", "pair-set-position"])
+    # every SystemParams field is an int, not a bool, as an attribute value is
+    (lambda: SystemParams(n_attrs=3, d=2, k=2.0), "k must be an integer, got 2.0"),
+    (lambda: SystemParams(n_attrs=3, d=2, k=2, length=2.5),
+     "length must be an integer, got 2.5"),
+    (lambda: SystemParams(n_attrs=3, d=2, k=2, q=65537.0),
+     "q must be an integer, got 65537.0"),
+    (lambda: SystemParams(n_attrs=3, d=True, k=2), "d must be an integer, got True"),
+    (lambda: SystemParams(n_attrs="3", d=2, k=2), "n_attrs must be an integer, got '3'"),
+], ids=["message-index-length", "vector-of-index", "match-set-value", "pair-set-position",
+        "params-float-k", "params-float-length", "params-float-q", "params-bool-d",
+        "params-str-n"])
 def test_indexing_and_set_helpers_refuse_out_of_range(call, message):
     with pytest.raises(ConfigError) as exc:
         call()

@@ -384,7 +384,7 @@ class TestAttributePrivacy:
         assert trace.count == 4
         assert len(observed) == 2 ** trace.count
         assert set(observed.values()) == {1}
-        central = sorted(plan.groups)[-1]
+        central = sorted(queries)[-1]
         for key in observed:
             per_msg = {}
             for msg, widx in key[central - 1]:

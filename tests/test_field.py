@@ -341,7 +341,8 @@ def test_wide_het1_plan_is_the_per_call_plan():
     # the benchmark's `wide` shape: 4096 participating messages
     params = SystemParams(n_attrs=7, d=6, k=4, q=65537, length=6)
     v_star, public = (2, 4, 1, 3, 3, 1, 2), (2,)
-    plan, _ = engine("het1").build(v_star, params, derive_rng(1, "user", 0))
+    plan, queries = engine("het1").build(v_star, params, derive_rng(1, "user", 0))
+    trace = plan_trace("het1", params, v_star)
 
     rng = derive_rng(1, "user", 0)
     rng.q = params.q
@@ -357,13 +358,17 @@ def test_wide_het1_plan_is_the_per_call_plan():
                 rows.append((msg, used[msg]))
             central.append((rows, tuple(rng.randrange(params.q) for _ in rows)))
 
+    # the trace's rows and the sent vectors, group for group
     assert plan.perms == array("I", perms)
-    assert [(g.rows, g.vector) for g in plan.groups[params.central]] == central
+    sent = queries[params.central].groups
+    assert len(sent) == len(trace.groups[params.central])
+    assert [(g.rows, tuple(s.vector))
+            for g, s in zip(trace.groups[params.central], sent)] == central
     for n in range(1, 7):
-        (lifted,) = plan.groups[n]
+        (lifted,), (group,) = trace.groups[n], queries[n].groups
         rows, vector = central[(n - 1) * 4 + v_star[n - 1] - 1]
         assert lifted.rows == rows
-        lift = [(a - b) % params.q for a, b in zip(lifted.vector, vector)]
+        lift = [(a - b) % params.q for a, b in zip(group.vector, vector)]
         assert lift == list(unit_vector(lifted.row_of(message_index(v_star, params)), len(rows)))
 
 
@@ -451,28 +456,27 @@ MUTATION_POINTS = [
 
 
 def sent_by(scheme, params, v_star):
-    """(query frames, decoding, plan rows) of one build at seed 3."""
+    """(query frames, decoding, permutations, trace rows) of one build at
+    seed 3."""
     plan, queries = engine(scheme).build(v_star, params, derive_rng(3, "user", 0))
+    trace = plan_trace(scheme, params, v_star)
     return ({server: encode_query(query) for server, query in queries.items()},
-            dict(plan.decoding),
-            {server: [g.rows for g in groups] for server, groups in plan.groups.items()})
+            dict(plan.decoding), plan.perms.tolist(),
+            {server: [g.rows for g in groups] for server, groups in trace.groups.items()})
 
 
 @pytest.mark.parametrize("scheme, params, v_star", MUTATION_POINTS)
 def test_mutating_a_plan_or_its_queries_leaves_later_builds_alone(scheme, params, v_star):
     sent = sent_by(scheme, params, v_star)
     plan, queries = engine(scheme).build(v_star, params, derive_rng(3, "user", 0))
-    # the group columns are the trace's, read-only; the rest is the caller's
-    for groups in plan.groups.values():
-        for g in groups:
-            with pytest.raises(TypeError):
-                g.logical[0] += 1
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                g.logical = array("I", g.logical)
+    # every column a build hands out is the caller's own, vectors included
     for query in queries.values():
         for g in query.groups:
+            assert type(g.vector) is array and g.vector.typecode == "I"
             g.descriptor.ids[0] += 1
             g.descriptor.indices[0] += 1
+            g.vector[0] += 1
+            g.vector.append(0)
     plan.perms[0] += 1
     plan.decoding.clear()
     assert sent_by(scheme, params, v_star) == sent

@@ -136,7 +136,13 @@ def test_every_query_decodes_to_itself(kind, monkeypatch):
     run_case(kind)
     assert queries
     for query in queries:
-        assert decode_query(encode_query(query)) == query
+        decoded = decode_query(encode_query(query))
+        assert decoded == query
+        # each vector arrives as the `array('I')` it was sent as
+        for sent, got in zip(query.groups, decoded.groups):
+            assert type(sent.vector) is type(got.vector) is array
+            assert got.vector.typecode == sent.vector.typecode == "I"
+            assert got.vector == sent.vector
 
 
 def recorded_case(kind: str, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from hetdapac.harness import (
     store_segment,
     verification_phase,
 )
+from hetdapac.mixer import plan_mix, run_time_shared
 from hetdapac.randomness import allocate
 from hetdapac.schemes import engine
 from hetdapac.schemes.base import PACK_MIN_SYMBOLS
@@ -244,6 +246,53 @@ def test_store_segment_slices_symbols():
     assert all(view.obj is store[m] for m, view in tail.items())
     store[1][3] = 9
     assert tail[1] == array("I", [7, 9])
+
+
+# A malformed store is refused when a server installs its pool, naming
+# the message. Server 1 installs first; at v* = (1, 1, 1) on (3, 2, 2) it
+# is granted messages 0 and 2. At L = 64 the sub-packets reach the packed
+# kernel, which would pad a short row with zeros rather than fail.
+def cut_store(params, drop, cut):
+    """A random store less message `drop`, each message of `cut` cut to
+    the symbols it names."""
+    store = random_store(params, 0)
+    if drop is not None:
+        del store[drop]
+    for m, kept in cut.items():
+        store[m] = store[m][:kept]
+    return store
+
+
+@pytest.mark.parametrize("length, drop, cut, message", [
+    (4, 0, {}, "store holds no message 0 for server 1"),
+    (4, None, dict.fromkeys(range(8), 3),
+     "message 0 holds 3 symbols; server 1 answers from symbols [0, 4)"),
+    (4, None, {2: 3}, "message 2 holds 3 symbols; server 1 answers from symbols [0, 4)"),
+    (64, None, dict.fromkeys(range(8), 40),
+     "message 0 holds 40 symbols; server 1 answers from symbols [0, 64)"),
+], ids=["missing", "short", "one-short", "short-packed"])
+def test_a_pure_run_refuses_a_malformed_store(length, drop, cut, message):
+    params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=length)
+    with pytest.raises(ConfigError) as exc:
+        run_protocol("het1", params, (1, 1, 1), cut_store(params, drop, cut), 3)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("length, drop, cut, message", [
+    (12, 0, {}, "store holds no message 0 for server 1"),
+    (12, None, {0: 5}, "message 0 holds 5 symbols; server 1 answers from symbols [0, 6)"),
+    (12, None, {0: 10}, "message 0 holds 10 symbols; server 1 answers from symbols [6, 12)"),
+    (128, None, {0: 100},
+     "message 0 holds 100 symbols; server 1 answers from symbols [64, 128)"),
+], ids=["missing", "short-first-segment", "short-second-segment", "short-packed"])
+def test_a_mix_refuses_a_malformed_store(length, drop, cut, message):
+    # a message must reach the end of every segment's range, not only the
+    # first one's
+    params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=length)
+    with pytest.raises(ConfigError) as exc:
+        run_time_shared(plan_mix(params, Fraction(1, 2)), (1, 1, 1),
+                        cut_store(params, drop, cut), 3)
+    assert str(exc.value) == message
 
 
 def test_upload_symbols_counted_per_query():

@@ -149,8 +149,11 @@ def test_wire_indices_follow_private_permutations():
     ids = participating_ids(P322, v_star[P322.d:])
     size = plan.subpackets
     assert len(plan.perms) == len(ids) * size
+    trace = traced_plan(P322, v_star)
+    assert sorted(queries) == sorted(trace.groups)
     for server, qt in queries.items():
-        for g, qg in zip(plan.groups[server], qt.groups):
+        assert len(qt.groups) == len(trace.groups[server])
+        for g, qg in zip(trace.groups[server], qt.groups):
             for (msg, logical), (wmsg, wire) in zip(g.rows, qg.descriptor.rows):
                 assert wmsg == msg
                 assert wire == plan.perms[ids.index(msg) * size + logical - 1]

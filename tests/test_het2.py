@@ -148,11 +148,13 @@ class TestWalkthrough:
     def test_decode_plan_cycle_coefficients(self):
         # concrete draws: +-1/c on the higher twin, -+1/c on the lower,
         # the sign set by which of i1 and i2 stage 1 knows
-        plan, _ = het2.build(V, P432, derive_rng(7, "user", 0))
+        plan, queries = het2.build(V, P432, derive_rng(7, "user", 0))
+        trace = traced_plan(P432, V)
         desired = message_index(V, P432)
         for known, unknown, higher, lower in cycle_entries(plan):
-            owner = plan.groups[lower[0]][lower[1]]
-            c = owner.vector[owner.row_of(desired) - 1]
+            server, gi, _ = lower
+            row = trace.groups[server][gi].row_of(desired)
+            c = queries[server].groups[gi].vector[row - 1]
             sign = 1 if known < unknown else -1
             assert higher[2] * c % P432.q == sign % P432.q
             assert lower[2] == -higher[2]
@@ -354,11 +356,13 @@ def test_binary_field_plans_decode_from_one_build():
     # one build on its user stream
     params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
     for seed, v_star in enumerate(itertools.product((1, 2), repeat=4)):
-        plan, _ = het2.build(v_star, params, derive_rng(seed, "user", 0))
+        plan, queries = het2.build(v_star, params, derive_rng(seed, "user", 0))
+        trace = traced_plan(params, v_star)
         desired = message_index(v_star, params)
         for *_, higher, lower in cycle_entries(plan):
-            owner = plan.groups[lower[0]][lower[1]]
-            assert owner.vector[owner.row_of(desired) - 1] == 1
+            server, gi, _ = lower
+            row = trace.groups[server][gi].row_of(desired)
+            assert queries[server].groups[gi].vector[row - 1] == 1
             assert higher[2] % 2 == lower[2] % 2 == 1
         store = random_store(params, seed + 40)
         msg, transcript, _ = run_protocol("het2", params, v_star, store, seed=seed)
