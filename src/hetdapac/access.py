@@ -12,7 +12,8 @@ Attribute values are represented as 1-based indices into each position's
 alphabet; display labels are presentation-side metadata and never enter
 the protocol. Messages are identified by the lexicographic index of their
 full attribute vector, so there are K^N message ids and the participating
-space (public part pinned to v*) has size K^D.
+space (public part pinned to v*) has size K^D. An id travels as one
+32-bit word, so `SystemParams` refuses K^N above 2^32.
 
 Every id set (participating, accessible, match and pair sets) is read
 from one bounded memo keyed by (N, D, K, public part, pinned attributes),
@@ -22,6 +23,9 @@ and so do the user's build and every server's label table. The memo pays
 only when an (N, D, K, public part) repeats: the first use of a set
 builds it, and every later use, by any scheme, length or server, reads it.
 `id_set` memoizes each set's frozenset the same way, for the label tables.
+A server calls the set helpers only on the first install of a view: its
+accessible ids and label table are memoized above this memo, by view
+(`schemes.base.MEMO`), so a warm install calls none.
 The set helpers take the public part, not a whole v*: a server knows only
 that part and its own value, and a v* is validated once, by the build that
 indexes it. `all_pairs` lists the 2-subsets of [D] that the pairwise
@@ -46,7 +50,7 @@ class SystemParams:
     d:       D, number of dedicated (sensitive-attribute) servers.
     k:       alphabet size per attribute, K >= 2.
     q:       field modulus, prime, 2 <= q < 2^32: a symbol is one
-             unsigned 32-bit word.
+             unsigned 32-bit word. So is a message id, so K^N <= 2^32.
     length:  L, symbols per message. Divisibility against the sub-packet
              count is a per-scheme concern checked by the scheme engines.
 
@@ -70,6 +74,10 @@ class SystemParams:
             raise ConfigError(f"alphabet size must be at least 2, got {self.k}")
         if not 2 <= self.q < MAX_MODULUS:
             raise ConfigError(f"q must lie in [2, 2^32), got {self.q}")
+        # K >= 2, so N > 32 exceeds the bound without the power being taken
+        if self.n_attrs > 32 or self.k ** self.n_attrs > 1 << 32:
+            raise ConfigError(f"K^N = {self.k}^{self.n_attrs} messages exceed 2^32: "
+                              "message ids travel as 32-bit words")
         if not is_prime(self.q):
             raise ConfigError(f"q must be prime, got {self.q}")
         if self.length < 1:

@@ -17,8 +17,9 @@ dapac: the fully-dedicated pairwise baseline, no central download. Its
 het2:  dapac's pairwise layer plus cycle twins and the central server,
        balanced downloads (D >= 3).
 
-`engine` is the one place that refuses an unknown tag. `trace_bindings`
-names the set helpers the builders' traces call.
+`engine` is the one place that refuses an unknown tag. `memo_bindings`
+names the set helpers and label tables that the memoized traces and
+server views call.
 """
 
 from ..errors import ConfigError
@@ -31,12 +32,15 @@ ENGINES = {
 }
 
 
-def trace_bindings() -> tuple:
-    """The set helpers the engines' traces call, as bound now: het1's
-    match_set and the pair_set of het2 and dapac (het2 traces dapac's
-    pairwise layer too). `base.TRACES` empties itself when one of them
-    is rebound; see base.TraceMemo."""
-    return (het1.match_set, het2.pair_set, dapac.pair_set)
+def memo_bindings() -> tuple:
+    """The set helpers and label tables that the memoized traces and
+    server views call, as bound now: het1's match_set, het2's match_set
+    (its central table), the pair_set of het2 and dapac (het2 traces
+    dapac's pairwise layer too) and every engine's label_table.
+    `base.MEMO` empties itself when one of them is rebound; see
+    base.Memo."""
+    return (het1.match_set, het2.match_set, het2.pair_set, dapac.pair_set,
+            het1.label_table, het2.label_table, dapac.label_table)
 
 
 def engine(scheme: str):

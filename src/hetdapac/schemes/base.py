@@ -8,10 +8,11 @@ logical sub-packet indices (a `FreshIndexCounter` hands them out a whole
 group at a time), which vectors are fresh draws, lifted by a unit vector
 or concatenations, each draw's dimension and the coordinate it must have
 nonzero, and the decode table, with het2's coefficients ±1/c as symbolic
-inverses. `TRACES` keeps the traces of recent keys, at most
-TRACE_MEMO_ROWS rows in all, so a key that repeats is traced once while
-the set helpers the traces call stay bound as they were. Every build and
-audit of a key shares its trace, so a trace refuses writes in place.
+inverses. `MEMO` keeps the traces of recent keys, beside the servers'
+views, at most MEMO_ROWS rows in all, so a key that repeats is traced
+once while the set helpers the traces call stay bound as they were.
+Every build and audit of a key shares its trace, so a trace refuses
+writes in place.
 
 The evaluation (`PlanTrace.evaluate`) reads all of a plan's randomness
 from one `field.WordStream` on the plan's private user stream, in the
@@ -35,8 +36,12 @@ answers from, its pool and its label table, all fixed by its verified
 view (public part, plus its own value on a dedicated server) when the
 pool is installed. A pure run's range starts at 0; a mix segment's
 starts where the previous segment's stopped, and no symbol is copied.
-Each engine's `label_table` builds the table once there; `answer_query`,
-which every engine re-exports, reads it.
+The accessible ids and the label table depend on the view alone, so
+`MEMO` keeps them too: each engine's `label_table` builds a view's
+table on its first install, as a read-only mapping of label tuples, and
+every later install, in any run, reads it. `answer_query`, which every
+engine re-exports, reads the table and names its tuples uncopied; a
+group costs a fixed number of calls into C, whatever its rows.
 The share for a group is the vector-weighted sum of the named sub-packets
 plus the sum of the pad chunks its table entry names. Decoding is user-side
 and touches only (plan, answer shares): every scheme cancels interference
@@ -69,6 +74,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache, partial
 from itertools import accumulate, chain, repeat
@@ -382,63 +388,103 @@ class PlanTrace:
         return plan, queries
 
 
-class TraceMemo:
-    """Traces by (scheme, N, D, K, q, v*), least recently used first.
+class Memo:
+    """Traces and server views by key, least recently used first.
 
-    It holds at most `max_rows` rows in all, each trace counting its
-    groups' rows; the least recently used traces go first, and a trace
-    longer than the bound is used once and not kept. A trace holds
-    `array('I')` columns, never an object per row beyond the set helpers'
-    own id tuples and the symbolic offsets.
+    A trace is keyed by ("trace", scheme, N, D, K, q, v*) and weighs its
+    groups' rows. A view is keyed by ("view", scheme, N, D, K, server,
+    public part, own value) and is the server's accessible ids with its
+    label table, which q and the length do not enter; it weighs the
+    message ids it holds, its ids and its table's keys. The memo holds
+    at most `max_rows` in all; the least recently used values go first,
+    and a value heavier than the bound is used once and not kept. A
+    trace holds `array('I')` columns, never an object per row beyond the
+    set helpers' own id tuples and the symbolic offsets; a view holds the
+    set memo's tuples and frozensets and one label tuple per entry.
 
-    The traces it holds were all made with the set helpers bound as
-    `schemes.trace_bindings()` last returned. When a lookup finds one of
-    them rebound (a test's patch, a profiler's wrapper), the memo is
-    emptied first, so a rebound helper sees every call a cold build makes
-    and no trace made by another helper is served.
+    The values it holds were all made with the set helpers and label
+    tables bound as `schemes.memo_bindings()` last returned. When a
+    lookup finds one of them rebound (a test's patch, a profiler's
+    wrapper), the memo is emptied first, so a rebound binding sees every
+    call a cold build or install makes and no value made by another
+    binding is served.
     """
 
     def __init__(self, max_rows: int):
         self.max_rows = max_rows
         self.rows = 0
-        self.traces: dict[tuple, PlanTrace] = {}
+        self.entries: dict[tuple, tuple] = {}  # key -> (value, rows)
         self.bindings: tuple = ()
 
     def __len__(self) -> int:
-        return len(self.traces)
+        return len(self.entries)
 
     def clear(self):
-        self.traces.clear()
+        self.entries.clear()
         self.rows = 0
 
-    def trace(self, scheme: str, params: SystemParams, v_star: tuple) -> PlanTrace:
-        """The trace of a valid (scheme, params, v*), traced on first use."""
-        from . import engine, trace_bindings
-        bindings = trace_bindings()
+    def get(self, key: tuple, make, *args):
+        """The value of `key`, made by `make(*args)` -> (value, rows) on a
+        miss."""
+        from . import memo_bindings
+        bindings = memo_bindings()
         if bindings != self.bindings:
             self.clear()
             self.bindings = bindings
-        key = (scheme, params.n_attrs, params.d, params.k, params.q, v_star)
-        found = self.traces.pop(key, None)
+        entries = self.entries
+        found = entries.pop(key, None)
         if found is None:
-            eng = engine(scheme)
-            source = TracingSource(params.q)
-            groups, decoding = eng.trace(v_star, params, source)
-            found = PlanTrace(scheme, params, v_star, eng.subpackets(params.d),
-                              groups, decoding, source)
-            self.rows += found.rows
-        self.traces[key] = found
+            found = make(*args)
+            self.rows += found[1]
+        entries[key] = found
         while self.rows > self.max_rows:
-            self.rows -= self.traces.pop(next(iter(self.traces))).rows
-        return found
+            self.rows -= entries.pop(next(iter(entries)))[1]
+        return found[0]
+
+    def trace(self, scheme: str, params: SystemParams, v_star: tuple) -> PlanTrace:
+        """The trace of a valid (scheme, params, v*), traced on first use."""
+        return self.get(("trace", scheme, params.n_attrs, params.d, params.k, params.q, v_star),
+                        _traced, scheme, params, v_star)
+
+    def view(self, scheme: str, params: SystemParams, server: int, public: tuple,
+             own_value: Optional[int]) -> tuple:
+        """(accessible ids, label table) of a server's verified view, made
+        on first use; the table is a read-only mapping of label tuples,
+        or None where the scheme asks the server nothing."""
+        return self.get(("view", scheme, params.n_attrs, params.d, params.k, server, public,
+                         own_value), _viewed, scheme, params, server, public, own_value)
 
 
-# Rows the trace memo holds at most. The benchmark's `wide` shape
-# (N = 7, D = 6, K = 4) has 116 736 rows over its three schemes, which
+def _traced(scheme: str, params: SystemParams, v_star: tuple) -> tuple[PlanTrace, int]:
+    from . import engine
+    eng = engine(scheme)
+    source = TracingSource(params.q)
+    groups, decoding = eng.trace(v_star, params, source)
+    trace = PlanTrace(scheme, params, v_star, eng.subpackets(params.d), groups, decoding, source)
+    return trace, trace.rows
+
+
+def _viewed(scheme: str, params: SystemParams, server: int, public: tuple,
+            own_value: Optional[int]) -> tuple[tuple, int]:
+    from . import engine
+    eng = engine(scheme)
+    ids = (participating_ids(params, public) if own_value is None
+           else match_set(server, own_value, public, params))
+    table = None
+    if own_value is not None or eng.QUERIES_CENTRAL:
+        table = MappingProxyType({key: tuple(labels) for key, labels in
+                                  eng.label_table(server, params, public, own_value).items()})
+    return (ids, table), len(ids) + sum(map(len, table or ()))
+
+
+# Rows the memo holds at most. The benchmark's `wide` shape (N = 7,
+# D = 6, K = 4) has 116 736 trace rows over its three schemes, which
 # tracemalloc puts at 1.9 MB: at most 12 bytes of columns a row, plus the
-# symbolic offsets of lifted and concatenated vectors.
-TRACE_MEMO_ROWS = 1 << 18
-TRACES = TraceMemo(TRACE_MEMO_ROWS)
+# symbolic offsets of lifted and concatenated vectors. Its 21 server
+# views weigh 288 768 ids, nearly all of them in tuples and frozensets the
+# set memo shares, so a pass of `wide` keeps 405 504 rows.
+MEMO_ROWS = 1 << 19
+MEMO = Memo(MEMO_ROWS)
 
 
 def plan_trace(scheme: str, params: SystemParams, v_star) -> PlanTrace:
@@ -446,7 +492,7 @@ def plan_trace(scheme: str, params: SystemParams, v_star) -> PlanTrace:
     below the scheme's bound, a length its sub-packets do not divide and
     an invalid v*, as a build does."""
     chunk_length(scheme, params)
-    return TRACES.trace(scheme, params, check_vector(v_star, params))
+    return MEMO.trace(scheme, params, check_vector(v_star, params))
 
 
 def build_plan(scheme: str, v_star, params: SystemParams, rng) -> tuple[RetrievalPlan, dict]:
@@ -462,17 +508,17 @@ class ServerContext:
     """Everything one server answers from: no user secrets inside.
 
     `table` maps the message set of every group the server may be asked
-    for to the pad labels it names; None when the scheme asks the server
-    nothing. The pool names the scheme, params and sub-packet length.
-    The server answers from the pool's length of symbols of each stored
-    message from `start` on: the whole message in a pure run, one
+    for to the pad labels it names, a tuple; None when the scheme asks
+    the server nothing. The pool names the scheme, params and sub-packet
+    length. The server answers from the pool's length of symbols of each
+    stored message from `start` on: the whole message in a pure run, one
     range of it in a segment of a mix.
     """
 
     server: int
     store: dict[int, array]           # accessible messages only, whole, array('I') each
     pool: RandomnessPool
-    table: Optional[dict[frozenset, list]]
+    table: Optional[Mapping[frozenset, tuple]]
     start: int = 0
 
     @property
@@ -486,21 +532,19 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     on the pool's length of symbols of every message from `start` on.
 
     The view is the public part plus, on a dedicated server, its own
-    attribute value (None on the central server). It cuts the store down
-    to the messages it grants, copying none, and the pool's scheme builds
-    the label table from it, once; the central server of a scheme that
-    never queries it gets no table.
+    attribute value (None on the central server). Its accessible ids and
+    label table are read from `MEMO`, built by the pool's scheme on the
+    view's first install; the central server of a scheme that never
+    queries it gets no table. The ids cut the store down to the messages
+    they grant, copying none, at every install.
 
     A store that lacks a granted message, or holds one that stops before
     the range the server answers from does, is refused, naming the
     message. The lengths are read once here, with no symbol scanned: a
     symbol at or above q is reduced mod q like any sum.
     """
-    from . import engine
     params = pool.params
-    eng = engine(pool.scheme)
-    ids = (participating_ids(params, public) if own_value is None
-           else match_set(server, own_value, public, params))
+    ids, table = MEMO.view(pool.scheme, params, server, tuple(public), own_value)
     try:
         held = {m: store[m] for m in ids}
     except KeyError:
@@ -511,8 +555,6 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
         short = next(m for m, symbols in held.items() if len(symbols) < stop)
         raise ConfigError(f"message {short} holds {len(held[short])} symbols; server "
                           f"{server} answers from symbols [{start}, {stop})")
-    table = (eng.label_table(server, params, public, own_value)
-             if own_value is not None or eng.QUERIES_CENTRAL else None)
     return ServerContext(server, held, pool, table, start)
 
 
@@ -535,15 +577,12 @@ def _gather_share(vector, arrays, ends, pads, q: int, length: int) -> array:
     """pad + sum_r vector[r] * arrays[r][ends[r] - length + j] mod q for
     each symbol j < length, where the pad is the sum of the `pads` chunks.
 
-    Each pad chunk joins the rows with coefficient 1, so a symbol costs
-    one pass in C over the rows, with no per-row slice.
+    A symbol costs one pass in C over the rows and one over the pad
+    chunks, with no per-row slice.
     """
-    coeffs = [*vector, *[1] * len(pads)]
-    arrays = [*arrays, *pads]
-    ends = [*ends, *[length] * len(pads)]
-    return array("I", [sum(map(mul, coeffs,
-                               map(getitem, arrays, map(add, ends, repeat(j - length))))) % q
-                       for j in range(length)])
+    return array("I", [(sum(map(mul, vector, map(getitem, arrays, map(add, ends, repeat(j)))))
+                        + sum(map(getitem, pads, repeat(length + j)))) % q
+                       for j in range(-length, 0)])
 
 
 def _lane_width(terms: int, q: int) -> tuple[int, int]:
@@ -619,51 +658,55 @@ def combine(vector, arrays, ends, pads, q: int, length: int) -> array:
 
 
 def answer_query(ctx: ServerContext, query: QueryTuple
-                 ) -> tuple[list[AnswerShare], list[list[tuple]]]:
+                 ) -> tuple[list[AnswerShare], list[tuple]]:
     """Every engine's server answer path: shares and the pad labels each names.
 
     A group's share is its combined sub-packet plus the sum of the pad
-    chunks `ctx.table` names for its message set. A group matching no
-    entry is refused, and so is any reference to a message outside the
+    chunks `ctx.table` names for its message set; the labels are the
+    table's own tuples. A group matching no entry is refused, an empty
+    one among them, and so is any reference to a message outside the
     accessible slice, and any query naming a pad label or a (message,
     wire index) row twice: shares that repeat one differ by a pad-free
     combination of sub-packets. Rows are compared as the ints
     id·(S+1) + index, S the sub-packet count, which the range check
     makes one-to-one. A server with no table refuses every query.
     """
-    if ctx.table is None:
+    table = ctx.table
+    if table is None:
         raise ConfigError(f"server {ctx.server} answers no queries of scheme {ctx.pool.scheme}")
-    if query.server != ctx.server:
-        raise ConfigError(f"query for server {query.server} sent to {ctx.server}")
-    q, start = ctx.pool.params.q, ctx.start
-    sub_len = ctx.pool.chunk_len
-    subpackets = ctx.pool.params.length // sub_len
-    span = subpackets + 1
+    server = ctx.server
+    if query.server != server:
+        raise ConfigError(f"query for server {query.server} sent to {server}")
+    pool, store, start = ctx.pool, ctx.store, ctx.start
+    q, sub_len = pool.params.q, pool.chunk_len
+    subpackets = pool.params.length // sub_len
+    labels_of, chunk, held, message = table.get, pool.chunk, store.keys(), store.__getitem__
     shares = []
     all_labels = []
-    rows = []
+    every_id, every_index = array("I"), array("I")  # to find a row named twice
     for gi, group in enumerate(query.groups):
+        descriptor = group.descriptor
         # the ids as one list of ints, not an int made at each use
-        msgs, indices = group.descriptor.ids.tolist(), group.descriptor.indices
+        msgs, indices = descriptor.ids.tolist(), descriptor.indices
         if len(group.vector) != len(msgs):
             raise ConfigError("vector length does not match group rows")
         key = frozenset(msgs)
-        labels = ctx.table.get(key)
+        labels = labels_of(key)
         if labels is None:
-            raise ConfigError(f"group does not match any candidate set on server {ctx.server}")
-        pads = [ctx.pool.chunk(label) for label in labels]
-        if not (ctx.store.keys() >= key
-                and 1 <= min(indices, default=1) and max(indices, default=1) <= subpackets):
+            raise ConfigError(f"group does not match any candidate set on server {server}")
+        pads = [*map(chunk, labels)]
+        if not (held >= key and 1 <= min(indices) and max(indices) <= subpackets):
             _refuse_first_row(ctx, msgs, indices, subpackets)
-        arrays = list(map(ctx.store.__getitem__, msgs))
         ends = [start + sub_len * i for i in indices]
-        total = combine(group.vector, arrays, ends, pads, q, sub_len)
-        shares.append(AnswerShare(ctx.server, gi, total))
-        all_labels.append(list(labels))
-        rows += [m * span + i for m, i in zip(msgs, indices)]
-    named = [*chain.from_iterable(all_labels), *rows]
+        shares.append(AnswerShare(server, gi, combine(group.vector, [*map(message, msgs)],
+                                                      ends, pads, q, sub_len)))
+        all_labels.append(labels)
+        every_id += descriptor.ids
+        every_index += indices
+    named = [*chain.from_iterable(all_labels),
+             *map(add, map(mul, every_id, repeat(subpackets + 1)), every_index)]
     if len(set(named)) != len(named):
-        raise ConfigError(f"query reuses a pad label or a row on server {ctx.server}")
+        raise ConfigError(f"query reuses a pad label or a row on server {server}")
     return shares, all_labels
 
 

@@ -161,7 +161,7 @@ def build(v_star, params, rng):
     return build_plan(SCHEME, v_star, params, rng)
 
 
-def label_table(server, params, public, own_value):
+def label_table(server, params, public, own_value) -> dict[frozenset, tuple]:
     """A dedicated server's pad labels, keyed by the message set of a group.
     The pairwise layer asks the central server nothing (QUERIES_CENTRAL),
     so it has no table here."""
@@ -171,5 +171,5 @@ def label_table(server, params, public, own_value):
             key = id_set(pair_set(server, m, own_value, k, public, params))
             if key in table:
                 raise ConfigError("ambiguous pair sets")
-            table[key] = [canonical_pair_label(server, m, own_value, k)]
+            table[key] = (canonical_pair_label(server, m, own_value, k),)
     return table

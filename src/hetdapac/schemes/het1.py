@@ -75,7 +75,7 @@ def build(v_star, params, rng):
     return build_plan(SCHEME, v_star, params, rng)
 
 
-def label_table(server, params, public, own_value) -> dict[frozenset, list]:
+def label_table(server, params, public, own_value) -> dict[frozenset, tuple]:
     """Every server's pad labels, keyed by the message set of a group: the
     KD candidate match sets, one ("nk", n, k) chunk each."""
     table = {}
@@ -84,5 +84,5 @@ def label_table(server, params, public, own_value) -> dict[frozenset, list]:
             key = id_set(match_set(n, k, public, params))
             if key in table:
                 raise ConfigError("ambiguous candidate sets")
-            table[key] = [("nk", n, k)]
+            table[key] = (("nk", n, k),)
     return table

@@ -142,7 +142,7 @@ def build(v_star, params, rng):
     return build_plan(SCHEME, v_star, params, rng)
 
 
-def label_table(server, params, public, own_value) -> dict[frozenset, list]:
+def label_table(server, params, public, own_value) -> dict[frozenset, tuple]:
     """A server's pad labels, keyed by the message set of a group.
 
     Dedicated servers use the pairwise layer's table. The central server's
@@ -156,6 +156,6 @@ def label_table(server, params, public, own_value) -> dict[frozenset, list]:
         m0 = n % params.d + 1
         for k in range(1, params.k + 1):
             key = id_set(match_set(n, k, public, params))
-            table[key] = [canonical_pair_label(n, m0, k, k2)
-                          for k2 in range(1, params.k + 1)]
+            table[key] = tuple(canonical_pair_label(n, m0, k, k2)
+                               for k2 in range(1, params.k + 1))
     return table

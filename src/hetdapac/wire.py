@@ -20,9 +20,11 @@ little-endian words, the same bytes on any host:
     answer  server, share count, symbols per share, then the symbols
 
 A decoder checks each header count against the frame length before it
-builds anything. `frame_symbols` reads the symbols a frame carries off
-its group count and length: one vector entry per query row, every answer
-word past the header. The verification phase's messages (a committed
+builds anything. The records are named tuples, so a decoded group costs
+three slices of the frame's words and two tuples, whatever its rows.
+`frame_symbols` reads the symbols a frame carries off its group count
+and length: one vector entry per query row, every answer word past the
+header. The verification phase's messages (a committed
 attribute value, the public part, the acknowledgement) carry none; they
 are canonical JSON (sorted keys, no whitespace), written by the
 `encode_*` functions here and checked on arrival by `decode_commit_value`
@@ -36,24 +38,28 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .field import little_endian
 
 
-@dataclass(frozen=True)
-class MessageGroupDescriptor:
-    """Ordered rows as two columns: row r is (ids[r], indices[r]), a
-    message id and its wire sub-packet index."""
-
+class _Columns(NamedTuple):
     ids: array
     indices: array
 
-    def __post_init__(self):
-        if len(self.ids) != len(self.indices):
-            raise ConfigError(f"group has {len(self.ids)} message ids "
-                              f"but {len(self.indices)} sub-packet indices")
+
+class MessageGroupDescriptor(_Columns):
+    """Ordered rows as two columns: row r is (ids[r], indices[r]), a
+    message id and its wire sub-packet index."""
+
+    __slots__ = ()
+
+    def __new__(cls, ids, indices):
+        if len(ids) != len(indices):
+            raise ConfigError(f"group has {len(ids)} message ids "
+                              f"but {len(indices)} sub-packet indices")
+        return tuple.__new__(cls, (ids, indices))
 
     @property
     def rows(self) -> tuple[tuple[int, int], ...]:
@@ -61,22 +67,19 @@ class MessageGroupDescriptor:
         return tuple(zip(self.ids, self.indices))
 
 
-@dataclass(frozen=True)
-class QueryGroup:
+class QueryGroup(NamedTuple):
     descriptor: MessageGroupDescriptor
     vector: array             # one coefficient per row, array('I')
 
 
-@dataclass(frozen=True)
-class QueryTuple:
+class QueryTuple(NamedTuple):
     """Everything one server receives in the retrieval phase."""
 
     server: int
     groups: tuple[QueryGroup, ...]
 
 
-@dataclass(frozen=True)
-class AnswerShare:
+class AnswerShare(NamedTuple):
     server: int
     group_index: int          # position in the query's group list, 0-based
     payload: array            # one sub-packet of field symbols, array('I')
@@ -116,9 +119,10 @@ def decode_query(frame) -> QueryTuple:
         raise ConfigError("query frame is not server, group count, row counts and groups")
     groups = []
     for rows in words[2:2 + count]:
-        ids, indices, vector = (words[at + i * rows:at + (i + 1) * rows] for i in range(3))
-        groups.append(QueryGroup(MessageGroupDescriptor(ids, indices), vector))
-        at += 3 * rows
+        indices, vector, end = at + rows, at + 2 * rows, at + 3 * rows
+        groups.append(QueryGroup(MessageGroupDescriptor(words[at:indices], words[indices:vector]),
+                                 words[vector:end]))
+        at = end
     return QueryTuple(server=words[0], groups=tuple(groups))
 
 

@@ -252,13 +252,27 @@ def test_set_helpers_keep_their_checks():
      "q must be an integer, got 65537.0"),
     (lambda: SystemParams(n_attrs=3, d=True, k=2), "d must be an integer, got True"),
     (lambda: SystemParams(n_attrs="3", d=2, k=2), "n_attrs must be an integer, got '3'"),
+    # message ids travel as 32-bit words: K^N up to 2^32, refused before
+    # any store or primality test, and without computing a huge power
+    (lambda: SystemParams(n_attrs=40, d=2, k=2),
+     "K^N = 2^40 messages exceed 2^32: message ids travel as 32-bit words"),
+    (lambda: SystemParams(n_attrs=21, d=2, k=3, q=4),
+     "K^N = 3^21 messages exceed 2^32: message ids travel as 32-bit words"),
+    (lambda: SystemParams(n_attrs=10 ** 9, d=2, k=2),
+     "K^N = 2^1000000000 messages exceed 2^32: message ids travel as 32-bit words"),
 ], ids=["message-index-length", "vector-of-index", "match-set-value", "pair-set-position",
         "params-float-k", "params-float-length", "params-float-q", "params-bool-d",
-        "params-str-n"])
+        "params-str-n", "params-2^40-messages", "params-3^21-messages-before-prime",
+        "params-huge-n"])
 def test_indexing_and_set_helpers_refuse_out_of_range(call, message):
     with pytest.raises(ConfigError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_every_message_id_fits_a_32_bit_word():
+    for n_attrs, k in ((32, 2), (20, 3), (16, 4)):
+        assert SystemParams(n_attrs=n_attrs, d=2, k=k).message_count - 1 < 2 ** 32
 
 
 def test_pair_set_rejects_equal_positions():

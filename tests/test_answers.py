@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
+from types import MappingProxyType
 
 import pytest
 
@@ -20,11 +21,11 @@ from hetdapac.access import (
 )
 from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.field import derive_rng, uniform_arrays
-from hetdapac.harness import ServerActor, random_store
+from hetdapac.harness import ServerActor, random_store, run_protocol
 from hetdapac.randomness import RandomnessPool, allocate, canonical_pair_label
 from hetdapac.schemes import base as scheme_base
-from hetdapac.schemes import dapac, het1, het2
-from hetdapac.schemes.base import PACK_MIN_SYMBOLS, ServerContext, answer_query
+from hetdapac.schemes import dapac, het1, het2, memo_bindings
+from hetdapac.schemes.base import MEMO, PACK_MIN_SYMBOLS, Memo, ServerContext, answer_query
 from hetdapac.wire import (
     MessageGroupDescriptor,
     QueryGroup,
@@ -297,7 +298,8 @@ def ids_where(params, public, fixed) -> frozenset:
 
 def per_query_table(scheme, server, params, public, own):
     """The label table each answer built for itself before tables were
-    built at install; None where the scheme asks the server nothing."""
+    built at install, its labels as tuples; None where the scheme asks
+    the server nothing."""
     central = server == params.central
     if scheme == "dapac" and central:
         return None
@@ -305,18 +307,18 @@ def per_query_table(scheme, server, params, public, own):
     if scheme == "het1":
         for n in range(1, params.d + 1):
             for k in range(1, params.k + 1):
-                table[ids_where(params, public, {n: k})] = [("nk", n, k)]
+                table[ids_where(params, public, {n: k})] = (("nk", n, k),)
     elif central:
         for n in range(1, params.d + 1):
             m0 = n % params.d + 1  # n's outgoing cycle partner
             for k in range(1, params.k + 1):
-                table[ids_where(params, public, {n: k})] = [
-                    canonical_pair_label(n, m0, k, k2) for k2 in range(1, params.k + 1)]
+                table[ids_where(params, public, {n: k})] = tuple(
+                    canonical_pair_label(n, m0, k, k2) for k2 in range(1, params.k + 1))
     else:
         for m in ordered_complement(server, params.d):
             for k in range(1, params.k + 1):
                 key = ids_where(params, public, {server: own, m: k})
-                table[key] = [canonical_pair_label(server, m, own, k)]
+                table[key] = (canonical_pair_label(server, m, own, k),)
     return table
 
 
@@ -334,6 +336,127 @@ def test_install_time_tables_equal_the_per_query_oracle(scheme, n_attrs, d, k):
             for own in views:
                 ctx = scheme_base.server_context(server, public, own, store, pool)
                 assert ctx.table == per_query_table(scheme, server, params, public, own)
+
+
+# ------------------------------------------------------- the view memo
+
+VIEW_POINTS = [
+    ("het1", SystemParams(n_attrs=4, d=3, k=2, q=65537, length=3), (1, 2, 1, 2)),
+    ("het2", SystemParams(n_attrs=5, d=4, k=2, q=65537, length=10), (1, 2, 1, 2, 2)),
+    ("dapac", SystemParams(n_attrs=3, d=3, k=2, q=65537, length=3), (1, 2, 2)),
+]
+
+
+def installed(scheme, params, v_star, seed=0):
+    """Every server's context for one verified v*, on the pool and store
+    of `seed`: ({server: context}, store)."""
+    public = tuple(v_star[params.d:])
+    pool, store = allocate(scheme, params, public, seed), random_store(params, seed)
+    return {server: scheme_base.server_context(
+                server, public, None if server == params.central else v_star[server - 1],
+                store, pool)
+            for server in params.servers()}, store
+
+
+def tables_of(scheme, params, v_star) -> dict:
+    return {server: ctx.table and dict(ctx.table)
+            for server, ctx in installed(scheme, params, v_star)[0].items()}
+
+
+@pytest.mark.parametrize("scheme, params, v_star", VIEW_POINTS)
+def test_a_warm_install_reuses_the_table_and_slices_the_store_afresh(scheme, params, v_star):
+    cold, _ = installed(scheme, params, v_star, seed=0)
+    warm, store = installed(scheme, params, v_star, seed=1)
+    for server, ctx in warm.items():
+        assert ctx.table is cold[server].table
+        assert ctx.store is not cold[server].store
+        assert ctx.store == {m: store[m] for m in cold[server].store}
+        assert all(ctx.store[m] is store[m] for m in ctx.store)
+
+
+@pytest.mark.parametrize("scheme, params, v_star", VIEW_POINTS)
+def test_a_memoized_table_refuses_every_write(scheme, params, v_star):
+    contexts, _ = installed(scheme, params, v_star)
+    ctx = contexts[1]
+    key, labels = next(iter(ctx.table.items()))
+    with pytest.raises(TypeError):
+        ctx.table[key] = ()
+    with pytest.raises(TypeError):
+        del ctx.table[key]
+    with pytest.raises(AttributeError):
+        ctx.table[key].append(labels[0])
+    # the answer names the table's own tuples, uncopied
+    _, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
+    _, named = answer_query(ctx, queries[1])
+    assert all(any(got is entry for entry in ctx.table.values()) for got in named)
+    assert installed(scheme, params, v_star)[0][1].table == ctx.table
+
+
+VIEW_BINDINGS = [(module, name) for module in (het1, het2, dapac)
+                 for name in ("match_set", "pair_set", "label_table") if hasattr(module, name)]
+# het2's dedicated tables are dapac's: its own pair_set is called by its trace only
+UNVIEWED = {(het2, "pair_set")}
+
+
+@pytest.mark.parametrize("module, name", VIEW_BINDINGS,
+                         ids=[f"{m.SCHEME}.{n}" for m, n in VIEW_BINDINGS])
+def test_a_rebound_binding_sees_every_call_a_cold_install_makes(module, name, monkeypatch):
+    # a warm view installed again under a patched set helper or label
+    # table calls it as often as a cold install does, with the same
+    # tables: the memo serves no view that another binding made
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, counting)
+        watched = memo_bindings()
+    total = 0
+    for scheme, params, v_star in VIEW_POINTS:
+        tables = tables_of(scheme, params, v_star)  # the views are warm
+        counts = []
+        for cold in (False, True):
+            if cold:
+                MEMO.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, counting)
+                calls.clear()
+                assert tables_of(scheme, params, v_star) == tables
+                counts.append(len(calls))
+        assert counts[0] == counts[1], scheme
+        total += counts[0]
+    assert watched != memo_bindings()
+    assert (total > 0) == ((module, name) not in UNVIEWED)
+
+
+def test_the_view_memo_never_holds_more_rows_than_its_bound():
+    # a view weighs its ids and its table's keys' ids: het1's table keys
+    # six sets of four, so 4 + 24 on a dedicated server, 8 + 24 on the
+    # central one
+    scheme, params, _ = VIEW_POINTS[0]
+    views = [(server, public, None if server == params.central else own)
+             for public in ((1,), (2,)) for own in (1, 2) for server in params.servers()]
+    memo = Memo(max_rows=2 * 28 + 32)
+    for server, public, own in views + views[::-1]:
+        ids, table = memo.view(scheme, params, server, public, own)
+        assert len(ids) == (8 if own is None else 4)
+        assert type(table) is MappingProxyType
+        assert memo.rows == sum(r for _, r in memo.entries.values()) <= memo.max_rows
+    # least recently used first: the last three views, all dedicated
+    assert list(memo.entries) == [("view", scheme, 4, 3, 2, server, (1,), 1)
+                                  for server in (3, 2, 1)]
+    assert memo.rows == 3 * 28
+    # a view heavier than the bound is used once and not kept
+    small = Memo(max_rows=28)
+    assert len(small.view(scheme, params, params.central, (1,), None)[0]) == 8
+    assert (len(small), small.rows) == (0, 0)
+    # one memo holds the traces and the views of a run
+    run_protocol(scheme, params, (1, 2, 1, 2), random_store(params, 0), 0)
+    kinds = {key[0] for key in MEMO.entries}
+    assert kinds == {"trace", "view"} and MEMO.rows <= MEMO.max_rows
 
 
 # ------------------------------------------------------- answer kernels

@@ -28,7 +28,7 @@ from hetdapac.access import (SystemParams, accessible_messages, message_index,
                              participating_ids)
 from hetdapac.errors import ConfigError
 from hetdapac.field import derive_rng
-from hetdapac.harness import random_store
+from hetdapac.harness import random_store, run_protocol
 from hetdapac.mixer import INF
 from hetdapac.randomness import RandomnessPool, allocate
 from hetdapac.schemes import base as scheme_base
@@ -539,6 +539,15 @@ class TestDbSecrecy:
         oracle = enumerating_db_secrecy("het1", P_HET1)
         assert {**rep, "worst_perturbation": m} == \
             {**oracle, "worst_perturbation": oracle["worst_perturbation"][0]}
+
+    def test_a_leak_is_found_after_a_warm_het1_run(self, monkeypatch):
+        # runs at every v* first memoize each server's view at P_HET1, so
+        # the patched label table is reached only because rebinding it
+        # empties the memo
+        store = random_store(P_HET1, 0)
+        for v_star in itertools.product(range(1, P_HET1.k + 1), repeat=P_HET1.n_attrs):
+            run_protocol("het1", P_HET1, v_star, store, 0)
+        self.test_a_leak_on_one_dedicated_server_is_found(monkeypatch)
 
     def test_packed_answers_pass(self):
         assert P_PACKED.length // P_PACKED.d == scheme_base.PACK_MIN_SYMBOLS

@@ -337,9 +337,11 @@ class TestMalformedInput:
          "bad lambda '1/0': Fraction(1, 0)"),
         (("curve", "--d", "2", "--k", "2", "--grid", "0"), "grid must be positive"),
         (("curve", "--d", "1", "--k", "2"), "curve needs D >= 2 and K >= 2"),
+        (("run", "--scheme", "het1", "--n", "40", "--d", "2", "--k", "2", "--length", "2"),
+         "K^N = 2^40 messages exceed 2^32: message ids travel as 32-bit words"),
     ], ids=["audit-het2-two-servers", "run-dapac-length", "run-vstar-value",
             "run-lambda-not-a-number", "run-lambda-zero-denominator", "curve-grid-zero",
-            "curve-one-dedicated-server"])
+            "curve-one-dedicated-server", "run-2^40-messages"])
     def test_invalid_point_is_refused_before_the_config_echo(self, capsys, argv, message):
         code, out = run_cli(capsys, *argv)
         assert code == 2
