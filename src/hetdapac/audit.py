@@ -25,12 +25,13 @@ indices come from private uniform permutations, so an ordered list of
 distinct per-message indices is uniform over arrangements whatever the
 underlying logical indices were; that layer is marginalized analytically
 after checking row structure and index freshness. Combining vectors are
-traced symbolically: each observed coordinate copies one draw coordinate
-plus a fixed offset, so a server's observation is a partition of its
-positions into copy classes plus offsets. Equal canonical forms are equal
-distributions and need no comparison; two others are compared by a
-union-find over both partitions' classes with potentials mod q, at any q:
-disjoint cosets give TV 1, otherwise 1 - q^(min(dim U, dim V) - dim(U + V)).
+traced symbolically: each observed coordinate copies one place of the
+draw column plus a fixed offset, so a server's observation is a partition
+of its positions into copy classes, one per place, plus offsets. Equal
+canonical forms are equal distributions and need no comparison; two
+others are compared by a union-find over both partitions' classes with
+potentials mod q, at any q: disjoint cosets give TV 1, otherwise
+1 - q^(min(dim U, dim V) - dim(U + V)).
 """
 
 from __future__ import annotations
@@ -135,21 +136,21 @@ def _coset(groups, q: int, where: str) -> tuple:
 
     The groups' vectors concatenated in label order are uniform on c + U,
     U spanned by the indicators of the copy classes: the positions that
-    copy one (draw, coordinate). Returns (row view, each position's class
-    numbered by first occurrence, each offset minus its class's first);
+    copy one place of the draw column. Returns (row view, each position's
+    place numbered by first use, each offset minus its place's first);
     equal forms are exactly equal distributions.
     """
     _check_fresh_indices(groups, where)
-    dims: dict[int, int] = {}
-    classes: dict[tuple[int, int], tuple[int, int]] = {}  # -> (class, first offset)
+    classes: dict[int, tuple[int, int]] = {}  # place -> (class, first offset)
     cls: list[int] = []
     offset: list[int] = []
     for g in groups:
-        for block in g.vector.blocks:
-            if dims.setdefault(block.draw, block.dim) != block.dim:
-                raise ConfigError(f"draw {block.draw} used at two dimensions")
-            for j, off in enumerate(block.offset):
-                c, first = classes.setdefault((block.draw, j), (len(classes), off))
+        offsets, at = dict(g.vector.offsets), 0
+        for a, b in g.vector.runs:
+            for place in range(a, b):
+                off = offsets.get(at, 0)
+                at += 1
+                c, first = classes.setdefault(place, (len(classes), off))
                 cls.append(c)
                 offset.append((off - first) % q)
     return _row_view(groups), tuple(cls), tuple(offset)

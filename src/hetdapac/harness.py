@@ -369,6 +369,8 @@ def run_segments(params: SystemParams, v_star, seed, segments):
 def run_protocol(scheme: str, params: SystemParams, v_star, store, seed):
     """Full two-phase run of one scheme. Returns (decoded message,
     transcript, metrics)."""
+    if not isinstance(params, SystemParams):
+        raise ConfigError(f"params must be a SystemParams, got {params!r}")
     v_star = check_vector(v_star, params)
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
     return run_segments(params, v_star, seed, [(store_segment(store, 0, params.length), pool)])

@@ -168,8 +168,9 @@ def frontier_rate(ell, d: int, k: int) -> Fraction:
 class MixPlan:
     """The dapac/het1 split of one (N, D, K, L) system at weight `lam`.
 
-    `segments`, (scheme, length) in run order for each component of
-    nonzero weight, is derived, never given. A component of weight w/b
+    `segments`, (scheme, params) in run order for each component of
+    nonzero weight, is derived, never given; a segment's params are the
+    plan's with its length, checked once here. A component of weight w/b
     (lambda = a/b in lowest terms, dapac a, het1 b - a) gets w·L/b symbols,
     which its s sub-packets divide when L is a multiple of b·s/gcd(w, s);
     otherwise the plan is refused with the smallest length that splits.
@@ -177,7 +178,7 @@ class MixPlan:
 
     params: SystemParams
     lam: Fraction
-    segments: tuple[tuple[str, int], ...] = field(init=False)
+    segments: tuple[tuple[str, SystemParams], ...] = field(init=False)
 
     def __post_init__(self):
         params, lam = self.params, _check_lambda(self.lam)
@@ -194,7 +195,7 @@ class MixPlan:
                 minimal)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "segments", tuple(
-            (scheme, w * params.length // b) for scheme, w in weights))
+            (scheme, replace(params, length=w * params.length // b)) for scheme, w in weights))
 
 
 def plan_mix(params: SystemParams, lam) -> MixPlan:
@@ -213,12 +214,15 @@ def run_time_shared(mix: MixPlan, v_star, store, seed):
     retrieval records are tagged by segment, and an endpoint mix (lambda 0
     or 1) is exactly the pure run.
     """
+    if not isinstance(mix, MixPlan):
+        raise ConfigError(f"mix must be a MixPlan, got {mix!r}")
     params = mix.params
     public = tuple(check_vector(v_star, params)[params.d:])
     segments = []
     start = 0
-    for scheme, length in mix.segments:
+    for scheme, segment_params in mix.segments:
+        length = segment_params.length
         segments.append((store_segment(store, start, start + length),
-                         allocate(scheme, replace(params, length=length), public, seed)))
+                         allocate(scheme, segment_params, public, seed)))
         start += length
     return run_segments(params, v_star, seed, segments)

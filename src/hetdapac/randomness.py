@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
-from .access import SystemParams
+from .access import SystemParams, check_vector
 from .errors import ConfigError, DivisibilityError
 from .field import derive_rng, uniform_arrays
 
@@ -90,11 +90,18 @@ def allocate(scheme: str, params: SystemParams, public: tuple[int, ...], seed) -
     """Draw the full chunk table for one retrieval.
 
     The stream is derived from (seed, "server-shared", scheme, public part):
-    independent of the user's query stream and of the store contents.
+    independent of the user's query stream and of the store contents. A
+    public part of the wrong width, or with a value outside [1, K], is
+    refused.
     """
     from .schemes import engine
+    public = tuple(public)
+    if len(public) != params.n_attrs - params.d:
+        raise ConfigError(f"expected a public part of {params.n_attrs - params.d} values, "
+                          f"got {len(public)}")
+    check_vector((1,) * params.d + public, params)  # each value an int in [1, K]
     clen = chunk_length(scheme, params)
-    rng = derive_rng(seed, "server-shared", scheme, tuple(public))
+    rng = derive_rng(seed, "server-shared", scheme, public)
     labels = engine(scheme).pool_labels(params)
     chunks = dict(zip(labels, uniform_arrays(rng, params.q, clen, len(labels))))
     return RandomnessPool(scheme, params, clen, chunks)

@@ -5,25 +5,27 @@ It is two steps. The trace runs the engine's builder once against the
 symbolic `TracingSource` and fixes everything that depends only on
 (scheme, N, D, K, q, v*): the messages each server's groups name, their
 logical sub-packet indices (a `FreshIndexCounter` hands them out a whole
-group at a time), which vectors are fresh draws, lifted by a unit vector
-or concatenations, each draw's dimension and the coordinate it must have
-nonzero, and the decode table, with het2's coefficients ±1/c as symbolic
-inverses. `MEMO` keeps the traces of recent keys, beside the servers'
-views, at most MEMO_ROWS rows in all, so a key that repeats is traced
-once while the set helpers the traces call stay bound as they were.
-Every build and audit of a key shares its trace, so a trace refuses
-writes in place.
+group at a time), the decode table, and where the desired message's
+permutation starts. Every draw takes the next places of one draw column,
+so a symbolic vector is the runs of places it reads plus sparse offsets
+(a fresh draw, one lifted by a unit vector or a concatenation), the
+places that must be nonzero are listed with the ends of their draws, and
+het2's coefficients ±1/c are symbolic inverses of places. `MEMO` keeps
+the traces of recent keys, beside the servers' views, at most MEMO_ROWS
+rows in all, so a key that repeats is traced once while the set helpers
+the traces call stay bound as they were. Every build and audit of a key
+shares its trace, so a trace refuses writes in place.
 
 The evaluation (`PlanTrace.evaluate`) reads all of a plan's randomness
 from one `field.WordStream` on the plan's private user stream, in the
 order the per-call draws took: one permutation per participating
-message, as one flat column, then every draw in trace order, a coordinate
-that must be nonzero redrawn in place while it is 0 (`draw_symbols`).
-A vector is an `array('I')` slice of the draw column plus the trace's
-sparse offsets, and a group's wire indices are gathered from the
-permutation column through the trace's position column
-pos(m)·S + logical − 1, pos(m) = m // K^(N−D) being the message's place
-among the participating ones. The stream reads ahead, which is safe
+message, as one flat column, then the draw column in place order, a
+place that must be nonzero redrawn while it is 0 once its whole draw is
+read (`draw_symbols`). A vector is its runs of the draw column, joined
+into one `array('I')`, plus its offsets, and a group's wire indices are
+gathered from the permutation column through the trace's position
+column pos(m)·S + logical − 1, pos(m) = m // K^(N−D) being the message's
+place among the participating ones. The stream reads ahead, which is safe
 because it is thrown away with the plan. A group is three columns from
 build to answer, ids, sub-packet indices and vector, never a tuple per
 row or vector. A plan keeps what decoding reads; its groups are the
@@ -77,7 +79,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache, partial
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import add, getitem, length_hint, mul
 from types import MappingProxyType
 from typing import Optional
@@ -92,29 +94,34 @@ from ..wire import AnswerShare, MessageGroupDescriptor, QueryGroup, QueryTuple
 # ---------------------------------------------------------------- vectors
 
 @dataclass(frozen=True)
-class SymBlock:
-    """One contiguous run of a symbolic vector: a draw plus a fixed offset."""
-
-    draw: int
-    dim: int
-    offset: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SymVector:
-    blocks: tuple[SymBlock, ...]
+    """A symbolic vector: the draw column's runs [a, b), concatenated in
+    order, plus sparse (coordinate, offset) pairs, 0-based coordinates in
+    ascending order, each offset nonzero mod q."""
+
+    runs: tuple[tuple[int, int], ...]
+    offsets: tuple[tuple[int, int], ...] = ()
 
     @property
     def dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
+        return sum(b - a for a, b in self.runs)
+
+    def places(self) -> list[int]:
+        """The draw-column place of each coordinate, in order."""
+        return [p for a, b in self.runs for p in range(a, b)]
+
+    def place(self, l: int) -> int:
+        """The draw-column place of coordinate l (1-based)."""
+        if not 1 <= l <= self.dim:
+            raise ValueError(f"unit position {l} out of range [1, {self.dim}]")
+        return self.places()[l - 1]
 
 
 @dataclass(frozen=True)
 class SymInverse:
-    """A decode coefficient: sign / (coordinate `at` of `draw` + offset)."""
+    """A decode coefficient: sign / (the draw column at `place` + offset)."""
 
-    draw: int
-    at: int  # 1-based
+    place: int
     offset: int
     sign: int = 1
 
@@ -122,82 +129,68 @@ class SymInverse:
         return replace(self, sign=-self.sign)
 
 
-@lru_cache(maxsize=64)
-def _zeros(dim: int) -> tuple[int, ...]:
-    """The offset of a fresh draw, one tuple per dimension for all traces."""
-    return (0,) * dim
-
-
 class TracingSource:
     """The one vector source: symbolic draws, with what each is conditioned on.
 
-    Draw i (numbered from 1 in call order) has `dims[i - 1]` coordinates,
-    and `nonzero[i]`, if present, is the coordinate it must have nonzero.
-    het2 asks that of one coordinate in each of D distinct draws; the
-    condition factorizes over the draws, so its plan is exactly the
-    uniform plan conditioned on all D being nonzero.
+    Each draw takes the next `dim` places of the draw column, which holds
+    `size` places so far. `nonzero` lists, in draw order, (end of a draw,
+    place) for each draw that must be nonzero at that place. het2 asks
+    that of one place in each of D distinct draws; the condition
+    factorizes over the draws, so its plan is exactly the uniform plan
+    conditioned on all D being nonzero.
     """
 
     def __init__(self, q: int):
         self.q = q
-        self.dims: list[int] = []
-        self.nonzero: dict[int, int] = {}
+        self.size = 0
+        self.nonzero: list[tuple[int, int]] = []
 
     def fresh(self, dim: int, nonzero: Optional[int] = None) -> SymVector:
         """A new draw of `dim` coordinates; with `nonzero=l` its
         coordinate l is drawn from F_q \\ {0}."""
-        self.dims.append(dim)
-        draw = len(self.dims)
+        start = self.size
+        self.size += dim
         if nonzero is not None:
-            self.nonzero[draw] = nonzero
-        return SymVector((SymBlock(draw, dim, _zeros(dim)),))
-
-    def _block_at(self, vec: SymVector, l: int):
-        """(block index, 0-based coordinate in it) of vec's coordinate l."""
-        if not 1 <= l <= vec.dim:
-            raise ValueError(f"unit position {l} out of range [1, {vec.dim}]")
-        for i, b in enumerate(vec.blocks):
-            if l <= b.dim:
-                return i, l - 1
-            l -= b.dim
+            self.nonzero.append((self.size, start + nonzero - 1))
+        return SymVector(((start, self.size),))
 
     def add_unit(self, vec: SymVector, l: int) -> SymVector:
-        i, j = self._block_at(vec, l)
-        b = vec.blocks[i]
-        off = list(b.offset)
-        off[j] = (off[j] + 1) % self.q
-        return SymVector((*vec.blocks[:i], SymBlock(b.draw, b.dim, tuple(off)),
-                          *vec.blocks[i + 1:]))
+        vec.place(l)  # refuses a coordinate outside the vector
+        offsets = dict(vec.offsets)
+        offsets[l - 1] = (offsets.get(l - 1, 0) + 1) % self.q
+        return SymVector(vec.runs, tuple(sorted((at, o) for at, o in offsets.items() if o)))
 
     def concat(self, vecs) -> SymVector:
-        return SymVector(tuple(chain.from_iterable(v.blocks for v in vecs)))
+        runs, offsets, at = [], [], 0
+        for v in vecs:
+            runs += v.runs
+            offsets += [(at + c, o) for c, o in v.offsets]
+            at += v.dim
+        return SymVector(tuple(runs), tuple(offsets))
 
     def inverse(self, vec: SymVector, l: int) -> SymInverse:
         """The inverse of vec's coordinate at l, which must be nonzero."""
-        i, j = self._block_at(vec, l)
-        b = vec.blocks[i]
-        return SymInverse(b.draw, j + 1, b.offset[j])
+        return SymInverse(vec.place(l), dict(vec.offsets).get(l - 1, 0))
 
 
-def draw_symbols(stream: WordStream, dims, nonzero) -> tuple[array, int]:
-    """Every draw's symbols from `stream`, in draw order, as one column,
-    and the number of zeros redrawn.
+def draw_symbols(stream: WordStream, size: int, nonzero) -> tuple[array, int]:
+    """The draw column's `size` symbols from `stream`, and the number of
+    zeros redrawn.
 
-    Draw i takes `dims[i - 1]` symbols; if `nonzero` names a coordinate of
-    it, a 0 there is replaced by the stream's next symbol until it is
-    not, so that coordinate is uniform on F_q \\ {0} and the draw is the
-    uniform one conditioned on it being nonzero.
+    For each (end, place) of `nonzero`, in order, the column is read up to
+    the end of that draw; then a 0 at the place is replaced by the
+    stream's next symbol until it is not, so that place is uniform on
+    F_q \\ {0} and the draw is the uniform one conditioned on it being
+    nonzero.
     """
-    starts = [0, *accumulate(dims)]
     values = array("I")
     redraws = 0
-    for draw in sorted(nonzero):
-        values += stream.take(starts[draw] - len(values))
-        at = starts[draw - 1] + nonzero[draw] - 1
-        while not values[at]:
+    for end, place in nonzero:
+        values += stream.take(end - len(values))
+        while not values[place]:
             redraws += 1
-            values[at] = stream.take(1)[0]
-    values += stream.take(starts[-1] - len(values))
+            values[place] = stream.take(1)[0]
+    values += stream.take(size - len(values))
     return values, redraws
 
 
@@ -258,26 +251,24 @@ class RetrievalPlan:
 
     scheme: str
     params: SystemParams
-    v_star: tuple[int, ...]
     subpackets: int
     # the participating messages' permutations, one flat `array('I')`: the
     # message at position p among them has [p * subpackets, (p + 1) * subpackets)
     perms: array = dc_field(repr=False)
+    desired_at: int  # where the desired message's permutation starts in `perms`
     # logical index -> ((server, group index, coefficient), ...): the
     # sub-packet is the sum of coefficient * share over the terms
     decoding: dict[int, tuple] = dc_field(repr=False)
-    redraws: int = 0  # zeros redrawn at coordinates that must be nonzero
+    redraws: int = 0  # zeros redrawn at places that must be nonzero
 
     def assemble(self, decoded: dict[int, array]) -> array:
         """Place decoded sub-packets (by logical index) into message order,
         as an `array('I')` like the stored message."""
-        params = self.params
-        L, S = params.length, self.subpackets
+        L, S = self.params.length, self.subpackets
         sub_len = L // S
         if sorted(decoded) != list(range(1, S + 1)):
             raise ValueError(f"decoded indices {sorted(decoded)} are not 1..{S}")
-        pos = message_index(self.v_star, params) // params.k ** (params.n_attrs - params.d)
-        perm = self.perms[pos * S:(pos + 1) * S]
+        perm = self.perms[self.desired_at:self.desired_at + S]
         out = array("I", [0]) * L
         for logical, payload in decoded.items():
             wire = perm[logical - 1]
@@ -291,11 +282,10 @@ class PlanTrace:
 
     `groups` (symbolic vectors) and `decoding` (symbolic inverses among
     its coefficients) are what the engine's builder made against a
-    `TracingSource`; `dims` and `nonzero` are that source's record of the
-    draws. The rest is compiled once for the evaluation: per group its
-    ids and position columns, the runs of the draw column its vector
-    reads and its nonzero offsets, and where each inverse's coordinate
-    sits in the draw column. A trace is shared by every plan of its key
+    `TracingSource`; `size` and `nonzero` are that source's record of the
+    draw column. The rest is compiled once for the evaluation: per group
+    its ids and position columns, and where the desired message's
+    permutation starts. A trace is shared by every plan of its key
     and by the audit, so what it hands out cannot be written to: its
     groups are frozen, their logical columns read-only views, and its
     mappings read-only proxies.
@@ -313,33 +303,26 @@ class PlanTrace:
             server: tuple(replace(g, logical=views[id(g.logical)]) for g in gs)
             for server, gs in groups.items()})
         self.decoding = MappingProxyType(dict(decoding))
-        self.dims, self.nonzero = tuple(source.dims), MappingProxyType(dict(source.nonzero))
+        self.size, self.nonzero = source.size, tuple(source.nonzero)
         participating = participating_ids(params, self.v_star[params.d:])
         self.count = len(participating)
         # the message at place p among the participating ones: p * S - 1
         before = dict(zip(participating, range(-1, self.count * subpackets, subpackets)))
-        starts = [0, *accumulate(self.dims)]
+        self.desired_at = before[message_index(self.v_star, params)] + 1
         shared = {}  # twins share both row columns, so their compiled columns too
         self.rows = 0
         self._columns = {}
         for server, server_groups in self.groups.items():
             compiled = []
             for g in server_groups:
-                runs, offsets, at = [], [], 0
-                for b in g.vector.blocks:
-                    runs.append((starts[b.draw - 1], starts[b.draw - 1] + b.dim))
-                    if any(b.offset):
-                        offsets += [(at + j, o) for j, o in enumerate(b.offset) if o]
-                    at += b.dim
                 key = (id(g.ids), id(g.logical))
                 if key not in shared:
                     shared[key] = (array("I", g.ids), array("I", map(
                         add, map(before.__getitem__, g.ids), g.logical)))
-                compiled.append((*shared[key], runs, offsets))
+                compiled.append((*shared[key], g.vector))
                 self.rows += len(g.ids)
             self._columns[server] = compiled
-        self._inverses = [(logical, t, starts[c.draw - 1] + c.at - 1, c.offset, c.sign)
-                          for logical, terms in decoding.items()
+        self._inverses = [(logical, t, c) for logical, terms in decoding.items()
                           for t, (*_, c) in enumerate(terms) if type(c) is SymInverse]
 
     def evaluate(self, params: SystemParams, rng) -> tuple[RetrievalPlan, dict]:
@@ -350,9 +333,9 @@ class PlanTrace:
         drawn; only a redrawn zero reads beyond them.
         """
         count, size = self.count, self.subpackets
-        stream = WordStream(rng, params.q, sum(self.dims), count, size)
+        stream = WordStream(rng, params.q, self.size, count, size)
         perms = stream.permutations(count, size)
-        values, redraws = draw_symbols(stream, self.dims, self.nonzero)
+        values, redraws = draw_symbols(stream, self.size, self.nonzero)
         return self.project(params, perms, values, redraws)
 
     def project(self, params: SystemParams, perms: array, values: array,
@@ -365,11 +348,12 @@ class PlanTrace:
         queries = {}
         for server, compiled in self._columns.items():
             query_groups = []
-            for ids, positions, runs, offsets in compiled:
-                vec = values[runs[0][0]:runs[0][1]]
-                for a, b in runs[1:]:
+            for ids, positions, vector in compiled:
+                (a, b), *runs = vector.runs
+                vec = values[a:b]
+                for a, b in runs:
                     vec += values[a:b]
-                for at, o in offsets:
+                for at, o in vector.offsets:
                     vec[at] = (vec[at] + o) % q
                 if id(positions) in wires:
                     wire = wires[id(positions)][:]
@@ -378,13 +362,13 @@ class PlanTrace:
                 query_groups.append(QueryGroup(MessageGroupDescriptor(ids[:], wire), vec))
             queries[server] = QueryTuple(server=server, groups=tuple(query_groups))
         decoding = dict(self.decoding)
-        for logical, t, at, offset, sign in self._inverses:
+        for logical, t, c in self._inverses:
             terms = decoding[logical]
             server, gi, _ = terms[t]
-            coeff = sign * pow((values[at] + offset) % q, -1, q)
+            coeff = c.sign * pow((values[c.place] + c.offset) % q, -1, q)
             decoding[logical] = (*terms[:t], (server, gi, coeff), *terms[t + 1:])
-        plan = RetrievalPlan(self.scheme, params, self.v_star, self.subpackets,
-                             perms, decoding, redraws)
+        plan = RetrievalPlan(self.scheme, params, self.subpackets, perms, self.desired_at,
+                             decoding, redraws)
         return plan, queries
 
 

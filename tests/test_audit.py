@@ -34,7 +34,7 @@ from hetdapac.randomness import RandomnessPool, allocate
 from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import engine as scheme_engine
 from hetdapac.schemes import het1
-from hetdapac.schemes.base import PlanGroup, SymBlock, SymVector
+from hetdapac.schemes.base import PlanGroup, SymInverse, SymVector
 
 P_HET1 = SystemParams(n_attrs=3, d=2, k=2, q=3, length=2)
 P_DAPAC = SystemParams(n_attrs=3, d=3, k=2, q=2, length=3)
@@ -74,6 +74,30 @@ class TestCorrectness:
         assert rep["retry_frequency"] == Fraction(0)
 
 
+# every v* at the correctness and privacy points, the audited v* at each
+# accounting point
+DECODE_POINTS = ([(scheme, params, None)
+                  for scheme, params in audit.CORRECTNESS_POINTS + audit.PRIVACY_POINTS]
+                 + [(scheme, params, audit._default_vstar(params))
+                    for scheme, params in audit.COUNTS_POINTS])
+
+
+@pytest.mark.parametrize("scheme, params, v_star", DECODE_POINTS)
+def test_every_decode_inverse_divides_by_a_place_drawn_nonzero(scheme, params, v_star):
+    # so no plan that is sent can divide by zero: het2's inverses are of
+    # conditioned places with offset 0, each conditioned place is divided
+    # by, and het1 and dapac neither divide nor condition
+    vectors = ([v_star] if v_star else
+               itertools.product(range(1, params.k + 1), repeat=params.n_attrs))
+    for v in vectors:
+        trace = scheme_base.plan_trace(scheme, params, v)
+        inverses = [c for terms in trace.decoding.values() for *_, c in terms
+                    if type(c) is SymInverse]
+        assert all(c.offset == 0 for c in inverses), v
+        assert {c.place for c in inverses} == {place for _, place in trace.nonzero}, v
+        assert (trace.nonzero != ()) == (scheme == "het2"), v
+
+
 def plan_group(label, rows, vector) -> PlanGroup:
     """A plan group over (message id, logical index) rows."""
     return PlanGroup(label, tuple(m for m, _ in rows), array("I", [i for _, i in rows]),
@@ -81,7 +105,7 @@ def plan_group(label, rows, vector) -> PlanGroup:
 
 
 def _merged_components(groups_a, groups_b) -> list[tuple[int, ...]]:
-    """Partition group positions so draws are shared only within a part,
+    """Partition group positions so places are shared only within a part,
     under both symbolic structures at once."""
     parent = list(range(len(groups_a)))
 
@@ -94,12 +118,12 @@ def _merged_components(groups_a, groups_b) -> list[tuple[int, ...]]:
     for groups in (groups_a, groups_b):
         owner: dict[int, int] = {}
         for gi, g in enumerate(groups):
-            for block in g.vector.blocks:
-                if block.draw in owner:
-                    ra, rb = find(owner[block.draw]), find(gi)
+            for place in g.vector.places():
+                if place in owner:
+                    ra, rb = find(owner[place]), find(gi)
                     parent[ra] = rb
                 else:
-                    owner[block.draw] = gi
+                    owner[place] = gi
     comps: dict[int, list[int]] = {}
     for gi in range(len(groups_a)):
         comps.setdefault(find(gi), []).append(gi)
@@ -108,31 +132,22 @@ def _merged_components(groups_a, groups_b) -> list[tuple[int, ...]]:
 
 def _component_table(groups, members, q: int, cap: int) -> tuple[Counter, int]:
     """Exact distribution of the tuple of concrete vectors for one
-    component, by enumerating every assignment of its fresh draws."""
-    draws: dict[int, int] = {}
-    for gi in members:
-        for block in groups[gi].vector.blocks:
-            dim = draws.setdefault(block.draw, block.dim)
-            if dim != block.dim:
-                raise ConfigError(f"draw {block.draw} used at two dimensions")
-    order = sorted(draws)
-    total_dim = sum(draws[d] for d in order)
-    size = q ** total_dim
+    component, by enumerating every assignment of the places it reads."""
+    order = sorted({p for gi in members for p in groups[gi].vector.places()})
+    size = q ** len(order)
     if size > cap:
         raise EnumerationRefusal(
-            f"combining-vector space q^{total_dim} exceeds the cap {cap}", size)
+            f"combining-vector space q^{len(order)} exceeds the cap {cap}", size)
     table: Counter = Counter()
-    for flat in itertools.product(range(q), repeat=total_dim):
-        at = 0
-        value = {}
-        for d in order:
-            value[d] = flat[at:at + draws[d]]
-            at += draws[d]
-        key = tuple(
-            tuple((value[b.draw][j] + b.offset[j]) % q
-                  for b in groups[gi].vector.blocks for j in range(b.dim))
-            for gi in members)
-        table[key] += 1
+    for flat in itertools.product(range(q), repeat=len(order)):
+        value = dict(zip(order, flat))
+        key = []
+        for gi in members:
+            vec = groups[gi].vector
+            offsets = dict(vec.offsets)
+            key.append(tuple((value[p] + offsets.get(at, 0)) % q
+                             for at, p in enumerate(vec.places())))
+        table[tuple(key)] += 1
     return table, size
 
 
@@ -219,9 +234,8 @@ class TestAttributePrivacy:
     def test_vector_wiring_difference_is_detected(self):
         # one shared draw versus two independent ones, same rows: the
         # diagonal distribution against the uniform one has TV 1 - 1/q
-        def group(draw, msg):
-            return plan_group(("g", msg), [(msg, 1)],
-                              SymVector((SymBlock(draw, 1, (0,)),)))
+        def group(place, msg):
+            return plan_group(("g", msg), [(msg, 1)], SymVector(((place, place + 1),)))
         shared = [group(1, 0), group(1, 1)]
         split = [group(1, 0), group(2, 1)]
         for tv in (pair_tv(shared, split, 2),
@@ -229,8 +243,8 @@ class TestAttributePrivacy:
             assert tv == Fraction(1, 2)
 
     def test_offset_difference_on_shared_draw_is_detected(self):
-        vec = SymVector((SymBlock(1, 1, (0,)),))
-        lifted = SymVector((SymBlock(1, 1, (1,)),))
+        vec = SymVector(((0, 1),))
+        lifted = SymVector(((0, 1),), ((0, 1),))
         a = [plan_group(("g", 1), [(0, 1)], vec),
              plan_group(("g", 2), [(1, 1)], vec)]
         b = [plan_group(("g", 1), [(0, 1)], vec),
@@ -240,7 +254,7 @@ class TestAttributePrivacy:
             assert tv == 1  # (x, x) never equals (x, x+1)
 
     def test_repeated_logical_index_is_rejected(self):
-        vec = SymVector((SymBlock(1, 2, (0, 0)),))
+        vec = SymVector(((0, 2),))
         bad = [plan_group(("g",), [(0, 1), (0, 1)], vec)]
         with pytest.raises(ConfigError):
             pair_tv(bad, bad, 2)
@@ -254,16 +268,18 @@ class TestAttributePrivacy:
 
         def groups(sizes):
             dims = {1: 1, 2: rng.randint(1, 2), 3: rng.randint(1, 2)}
+            runs = {1: (0, 1), 2: (1, 1 + dims[2]), 3: (3, 3 + dims[3])}  # draws' places
             out = []
             for gi, size in enumerate(sizes):
-                blocks = []
-                while sum(b.dim for b in blocks) < size:
-                    room = size - sum(b.dim for b in blocks)
-                    draw = rng.choice([d for d in dims if dims[d] <= room])
-                    blocks.append(SymBlock(draw, dims[draw], tuple(
-                        rng.choice((0, 0, rng.randrange(q))) for _ in range(dims[draw]))))
+                vec_runs, offsets, dim = [], [], 0
+                while dim < size:
+                    draw = rng.choice([d for d in dims if dims[d] <= size - dim])
+                    vec_runs.append(runs[draw])
+                    offsets += [(dim + j, o) for j in range(dims[draw])
+                                for o in [rng.choice((0, 0, rng.randrange(q)))] if o]
+                    dim += dims[draw]
                 out.append(plan_group(("g", gi), [(10 * gi + j, 1) for j in range(size)],
-                                      SymVector(tuple(blocks))))
+                                      SymVector(tuple(vec_runs), tuple(offsets))))
             return out
 
         seen = set()
@@ -371,7 +387,7 @@ class TestAttributePrivacy:
         # the draws do not enter the rows, so they stay zero)
         params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
         trace = scheme_base.plan_trace("het1", params, (1, 2, 1))
-        values = array("I", [0]) * sum(trace.dims)
+        values = array("I", [0]) * trace.size
         observed = Counter()
         for orders in itertools.product([(1, 2), (2, 1)], repeat=trace.count):
             plan, queries = trace.project(params, array("I", itertools.chain(*orders)), values)

@@ -51,19 +51,19 @@ def test_frozen_group_rows():
 
 def test_twin_vectors_are_lifted_owner_draws():
     plan = traced_plan(P332, V)
-    vec = {(s, i): plan.groups[s][i].vector.blocks[0] for s in (1, 2, 3)
-           for i in range(4)}
+    vec = {(s, i): plan.groups[s][i].vector for s in (1, 2, 3) for i in range(4)}
     # pair {1,2}: twin at server 2 copies server 1's far-value-2 group,
     # lifted at the desired row (a2y sits second in {a2x, a2y})
-    assert vec[2, 0].draw == vec[1, 1].draw and vec[2, 0].offset == (0, 1)
+    assert vec[2, 0].runs == vec[1, 1].runs and vec[2, 0].offsets == ((1, 1),)
     # pair {1,3}: desired sits second in {a1y, a2y}
-    assert vec[3, 0].draw == vec[1, 3].draw and vec[3, 0].offset == (0, 1)
+    assert vec[3, 0].runs == vec[1, 3].runs and vec[3, 0].offsets == ((1, 1),)
     # pair {2,3}: desired sits first in {a2y, b2y}
-    assert vec[3, 3].draw == vec[2, 3].draw and vec[3, 3].offset == (1, 0)
-    # nine draws are fresh; only the three twins reuse one
-    fresh = [b for b in vec.values() if b.offset == (0, 0)]
+    assert vec[3, 3].runs == vec[2, 3].runs and vec[3, 3].offsets == ((0, 1),)
+    # nine draws are fresh, two places each; only the three twins reuse one
+    fresh = [v for v in vec.values() if not v.offsets]
     assert len(fresh) == 9
-    assert len({b.draw for b in fresh}) == 9
+    assert len({v.runs for v in fresh}) == 9
+    assert all(len(v.runs) == 1 and v.dim == 2 for v in fresh)
 
 
 def test_desired_appears_once_per_pair_with_fresh_indices():

@@ -29,6 +29,7 @@ from hetdapac.schemes.base import (
     MEMO,
     Memo,
     SymInverse,
+    SymVector,
     TracingSource,
     combine,
     draw_symbols,
@@ -206,6 +207,27 @@ def test_uniform_arrays_is_the_randrange_stream(q, length, count):
     assert all(a.typecode == "I" for a in bulk)
 
 
+def test_a_symbolic_vector_names_places_of_the_draw_column():
+    source = TracingSource(3)
+    a, b = source.fresh(2), source.fresh(3, nonzero=2)
+    assert (a, b) == (SymVector(((0, 2),)), SymVector(((2, 5),)))
+    assert (source.size, source.nonzero) == (5, [(5, 3)])
+    # a concatenation joins the runs and shifts each offset's coordinate
+    lifted = source.add_unit(source.concat([a, b]), 4)
+    assert lifted == SymVector(((0, 2), (2, 5)), ((3, 1),))
+    assert source.concat([a, lifted]) == SymVector(((0, 2), (0, 2), (2, 5)), ((5, 1),))
+    assert lifted.places() == [0, 1, 2, 3, 4]
+    # the inverse names the place b is drawn nonzero at, with the lift
+    assert source.inverse(lifted, 4) == SymInverse(3, 1)
+    # offsets add mod q, and one that comes to 0 is dropped
+    assert source.add_unit(source.add_unit(lifted, 4), 4) == SymVector(lifted.runs)
+    for l in (0, 3):
+        with pytest.raises(ValueError, match=f"unit position {l} out of range"):
+            source.add_unit(a, l)
+        with pytest.raises(ValueError, match=f"unit position {l} out of range"):
+            source.inverse(a, l)
+
+
 @pytest.mark.parametrize("q", [2, 3, 65537, 4294967291])
 def test_fresh_nonzero_skips_zeros_of_the_randrange_stream(q):
     # the per-call reference: dim randrange(q) draws, then coordinate l
@@ -216,7 +238,7 @@ def test_fresh_nonzero_skips_zeros_of_the_randrange_stream(q):
     for dim, l in shapes:
         source.fresh(dim, nonzero=l)
     values, redraws = draw_symbols(
-        WordStream(random.Random(q), q, sum(d for d, _ in shapes)), source.dims, source.nonzero)
+        WordStream(random.Random(q), q, source.size), source.size, source.nonzero)
     twin = random.Random(q)
     skipped = 0
     wants = []
@@ -379,29 +401,29 @@ def test_wide_het1_plan_is_the_per_call_plan():
 
 def per_call_plan(scheme, params, v_star, rng):
     """(query frame per server, decoding table, zeros redrawn) of the
-    build on `rng`, each draw a per-call draw."""
+    build on `rng`, each symbol a per-call draw; a zero at a conditioned
+    place is redrawn once the whole draw holding it is taken."""
     trace = plan_trace(scheme, params, v_star)
     q, size = params.q, trace.subpackets
     perms = {}
     for m in participating_ids(params, v_star[params.d:]):
         perms[m] = list(range(1, size + 1))
         rng.shuffle(perms[m])
-    draws, redraws = {}, 0
-    for draw, dim in enumerate(trace.dims, start=1):
-        vec = [rng.randrange(q) for _ in range(dim)]
-        l = trace.nonzero.get(draw)
-        while l is not None and not vec[l - 1]:
+    column, redraws = [], 0
+    for end, place in (*trace.nonzero, (trace.size, None)):
+        column += [rng.randrange(q) for _ in range(end - len(column))]
+        while place is not None and not column[place]:
             redraws += 1
-            vec[l - 1] = rng.randrange(q)
-        draws[draw] = vec
+            column[place] = rng.randrange(q)
 
     def vector(sym):
-        return tuple((draws[b.draw][j] + off) % q
-                     for b in sym.blocks for j, off in enumerate(b.offset))
+        offsets = dict(sym.offsets)
+        return tuple((column[p] + offsets.get(at, 0)) % q
+                     for at, p in enumerate(sym.places()))
 
     def coefficient(c):
         if type(c) is SymInverse:
-            return c.sign * pow((draws[c.draw][c.at - 1] + c.offset) % q, -1, q)
+            return c.sign * pow((column[c.place] + c.offset) % q, -1, q)
         return c
 
     frames = {server: encode_query(QueryTuple(server, tuple(

@@ -51,6 +51,18 @@ def test_largest_32_bit_prime_decodes(scheme):
     assert msg == store[message_index(v_star, params)]
 
 
+@pytest.mark.parametrize("params", [None, (3, 2, 2), P322.__dict__])
+def test_run_protocol_refuses_params_of_another_type(params):
+    with pytest.raises(ConfigError, match="params must be a SystemParams"):
+        run_protocol("het1", params, (1, 2, 1), random_store(P322, 1), 1)
+
+
+@pytest.mark.parametrize("mix", [None, P322, ("dapac", "het1")])
+def test_run_time_shared_refuses_a_mix_of_another_type(mix):
+    with pytest.raises(ConfigError, match="mix must be a MixPlan"):
+        run_time_shared(mix, (1, 2, 1), random_store(P322, 1), 1)
+
+
 def test_actor_names():
     assert actor_name(1, P322) == "server1"
     assert actor_name(P322.central, P322) == "central"

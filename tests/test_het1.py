@@ -57,17 +57,17 @@ class TestTwoServerWalkthrough:
     def test_dedicated_vectors_are_lifted_central_draws(self):
         plan = traced_plan(P322, self.V)
         central = plan.groups[P322.central]
-        ded1 = plan.groups[1][0].vector.blocks[0]
-        ded2 = plan.groups[2][0].vector.blocks[0]
+        ded1 = plan.groups[1][0].vector
+        ded2 = plan.groups[2][0].vector
         # same draw as the mirrored central group, +1 at the desired row
-        assert ded1.draw == central[0].vector.blocks[0].draw
-        assert ded1.offset == (0, 1)
-        assert ded2.draw == central[3].vector.blocks[0].draw
-        assert ded2.offset == (1, 0)
+        assert ded1.runs == central[0].vector.runs
+        assert ded1.offsets == ((1, 1),)
+        assert ded2.runs == central[3].vector.runs
+        assert ded2.offsets == ((0, 1),)
         # the four central draws are fresh and unlifted
-        draws = [g.vector.blocks[0] for g in central]
-        assert len({b.draw for b in draws}) == 4
-        assert all(b.offset == (0, 0) for b in draws)
+        draws = [g.vector for g in central]
+        assert len({v.runs for v in draws}) == 4
+        assert all(len(v.runs) == 1 and v.offsets == () for v in draws)
 
     def test_decode_steps_point_at_mirrored_groups(self):
         # logical sub-packet: dedicated share minus its mirrored central share
@@ -108,10 +108,8 @@ class TestThreeServerWalkthrough:
         for n, ci, lifted_row in [(1, 0, 3), (2, 3, 1), (3, 4, 2)]:
             ded = plan.groups[n][0]
             assert ded.rows == central[ci].rows
-            assert ded.vector.blocks[0].draw == central[ci].vector.blocks[0].draw
-            offset = [0] * 4
-            offset[lifted_row - 1] = 1
-            assert ded.vector.blocks[0].offset == tuple(offset)
+            assert ded.vector.runs == central[ci].vector.runs
+            assert ded.vector.offsets == ((lifted_row - 1, 1),)
 
     def test_all_vectors_span_four_rows(self):
         plan = traced_plan(P432, self.V)

@@ -91,32 +91,28 @@ class TestWalkthrough:
         assert vec[2, 0] == vec[1, 1]
         assert vec[3, 0] == vec[1, 2]
         assert vec[3, 3] == vec[2, 2]
-        fresh = [v for v in vec.values() if len(v.blocks) == 1]
-        assert len({v.blocks[0].draw for v in fresh}) == 9
+        fresh = [v for v in vec.values() if len(v.runs) == 1]
+        assert len({v.runs for v in fresh}) == 9
 
     def test_central_concat_blocks_reference_dedicated_draws(self):
         plan = traced_plan(P432, V)
-        ded = {(s, i): plan.groups[s][i].vector.blocks[0] for s in (1, 2, 3)
-               for i in range(4)}
-        central = plan.groups[P432.central]
-        # server 1 toward 2, far value 2 verified: second block lifted at
-        # the desired row (row 1 of {a2uy, a2vy})
-        b = central[0].vector.blocks
-        assert [(x.draw, x.offset) for x in b] == [
-            (ded[1, 0].draw, (0, 0)), (ded[1, 1].draw, (1, 0))]
-        # server 2 toward 3, far value 1 verified: first block lifted
-        b = central[3].vector.blocks
-        assert [(x.draw, x.offset) for x in b] == [
-            (ded[2, 2].draw, (1, 0)), (ded[2, 3].draw, (0, 0))]
-        # server 3 toward 1: first block is the shared twin draw, lifted at
+        ded = {(s, i): plan.groups[s][i].vector.runs for s in (1, 2, 3) for i in range(4)}
+        central = [g.vector for g in plan.groups[P432.central]]
+        # server 1 toward 2, far value 2 verified: second run lifted at
+        # the desired row (row 1 of {a2uy, a2vy}), coordinate 2 in all
+        assert central[0].runs == ded[1, 0] + ded[1, 1]
+        assert central[0].offsets == ((2, 1),)
+        # server 2 toward 3, far value 1 verified: first run lifted
+        assert central[3].runs == ded[2, 2] + ded[2, 3]
+        assert central[3].offsets == ((0, 1),)
+        # server 3 toward 1: first run is the shared twin draw, lifted at
         # row 2 of {a1uy, a2uy}
-        b = central[4].vector.blocks
-        assert [(x.draw, x.offset) for x in b] == [
-            (ded[3, 0].draw, (0, 1)), (ded[3, 1].draw, (0, 0))]
-        # the off-value central groups are fresh single draws
+        assert central[4].runs == ded[3, 0] + ded[3, 1]
+        assert central[4].offsets == ((1, 1),)
+        # the off-value central groups are fresh single draws of 4 places
         for gi in (1, 2, 5):
-            assert len(central[gi].vector.blocks) == 1
-            assert central[gi].vector.blocks[0].offset == (0, 0, 0, 0)
+            assert len(central[gi].runs) == 1 and central[gi].dim == 4
+            assert central[gi].offsets == ()
 
     def test_decode_plan_stages(self):
         plan = traced_plan(P432, V)
@@ -138,9 +134,9 @@ class TestWalkthrough:
         desired = message_index(V, P432)
         for known, unknown, higher, lower in cycle_entries(plan):
             owner = plan.groups[lower[0]][lower[1]]
-            (block,) = owner.vector.blocks
+            ((start, _),) = owner.vector.runs
             sign = 1 if known < unknown else -1
-            assert higher[2] == SymInverse(block.draw, owner.row_of(desired), 0, sign)
+            assert higher[2] == SymInverse(start + owner.row_of(desired) - 1, 0, sign)
             assert lower[2] == -higher[2]
         # no rest pair at D = 3
         assert all(len(terms) > 2 for terms in dec.values())
@@ -210,9 +206,8 @@ class TestSplitCover:
             higher = plan.groups[high_s][high_gi]
             assert lower.rows == higher.rows
             row = lower.row_of(message_index(self.V, P542))
-            assert higher.vector.blocks[0].draw == lower.vector.blocks[0].draw
-            offset = higher.vector.blocks[0].offset
-            assert offset[row - 1] == 1 and sum(offset) == 1
+            assert higher.vector.runs == lower.vector.runs
+            assert higher.vector.offsets == ((row - 1, 1),)
 
     def test_cycle_twins_differ_only_at_desired_row(self):
         plan = traced_plan(P542, self.V)
@@ -335,19 +330,19 @@ def test_cycle_coefficients_are_distinct_unlifted_draws(params, v_star):
     # offset 0, and no other draw is conditioned
     plan = traced_plan(params, v_star)
     desired = message_index(v_star, params)
-    owners = {}
+    owners = []
     for *_, (low_s, low_gi, _) in cycle_entries(plan):
         owner = plan.groups[low_s][low_gi]
-        (block,) = owner.vector.blocks
-        assert block.offset == (0,) * block.dim
-        owners[block.draw] = owner.row_of(desired)
-    assert len(owners) == params.d
-    assert plan.nonzero == owners
+        ((start, end),) = owner.vector.runs
+        assert owner.vector.offsets == ()
+        owners.append((end, start + owner.row_of(desired) - 1))
+    assert len({end for end, _ in owners}) == params.d
+    assert plan.nonzero == tuple(sorted(owners))
 
 
 def test_dapac_asks_no_coordinate_nonzero():
     params = SystemParams(n_attrs=5, d=4, k=2, q=65537, length=6)
-    assert plan_trace("dapac", params, TestSplitCover.V).nonzero == {}
+    assert plan_trace("dapac", params, TestSplitCover.V).nonzero == ()
 
 
 def test_binary_field_plans_decode_from_one_build():

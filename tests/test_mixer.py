@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from hetdapac import access
 from hetdapac.access import SystemParams, message_index
 from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.harness import random_store, run_protocol, run_segments, store_segment
@@ -145,23 +146,30 @@ def test_scheme_costs_match_pure_rates():
         assert 1 / (d * dapac.dedicated + dapac.central) == F(1, 2 * k)
 
 
+def lengths(mix) -> list[tuple[str, int]]:
+    """(scheme, length) of each segment of a mix plan, in run order."""
+    return [(scheme, params.length) for scheme, params in mix.segments]
+
+
 class TestPlanMix:
     P = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=12)
 
     def test_segments(self):
         mix = plan_mix(self.P, F(1, 2))
-        assert mix.segments == (("dapac", 6), ("het1", 6))
+        assert lengths(mix) == [("dapac", 6), ("het1", 6)]
+        # a segment's params are the plan's but for the length
+        assert all(replace(p, length=self.P.length) == self.P for _, p in mix.segments)
 
     def test_divisibility_refusal_names_minimal_length(self):
         with pytest.raises(DivisibilityError) as exc:
             plan_mix(self.P, F(1, 4))  # het1 segment of 9 cannot split by D=2
         assert exc.value.minimal_length == 8
         mix = plan_mix(SystemParams(n_attrs=3, d=2, k=2, length=8), F(1, 4))
-        assert mix.segments == (("dapac", 2), ("het1", 6))
+        assert lengths(mix) == [("dapac", 2), ("het1", 6)]
 
     def test_endpoints(self):
-        assert plan_mix(self.P, 0).segments == (("het1", 12),)
-        assert plan_mix(self.P, 1).segments == (("dapac", 12),)
+        assert lengths(plan_mix(self.P, 0)) == [("het1", 12)]
+        assert lengths(plan_mix(self.P, 1)) == [("dapac", 12)]
 
     def test_mix_needs_central(self):
         with pytest.raises(ConfigError):
@@ -169,7 +177,7 @@ class TestPlanMix:
 
     def test_dapac_part_needs_two_dedicated_servers(self):
         one = SystemParams(n_attrs=2, d=1, k=2, length=2)
-        assert plan_mix(one, 0).segments == (("het1", 2),)
+        assert lengths(plan_mix(one, 0)) == [("het1", 2)]
         for lam in (F(1, 2), 1):
             with pytest.raises(ConfigError):
                 plan_mix(one, lam)
@@ -285,7 +293,7 @@ def test_segments_are_derived_never_given(segments):
 
 def test_a_replaced_weight_is_planned_again():
     plan = plan_mix(P4, F(1, 2))
-    assert plan.segments == (("dapac", 2), ("het1", 2))
+    assert lengths(plan) == [("dapac", 2), ("het1", 2)]
     with pytest.raises(DivisibilityError) as exc:
         replace(plan, lam=F(1, 3))
     assert exc.value.minimal_length == 3
@@ -344,3 +352,18 @@ def test_two_segments_of_one_scheme_are_refused():
                 for start in (0, 2)]
     with pytest.raises(ConfigError, match="segments name one scheme twice"):
         run_segments(P4, (1, 2, 2), 5, segments)
+
+
+def test_repeated_mix_runs_check_no_modulus_again(monkeypatch):
+    # a plan checks each segment's params once, when it is made; its runs
+    # only read them
+    original = access.is_prime
+    calls = []
+    monkeypatch.setattr(access, "is_prime", lambda n: calls.append(n) or original(n))
+    mix = plan_mix(P4, F(1, 2))
+    assert calls == [P4.q] * len(mix.segments)
+    calls.clear()
+    store = random_store(P4, 3)
+    for seed in range(3):
+        run_time_shared(mix, (1, 2, 2), store, seed)
+    assert calls == []

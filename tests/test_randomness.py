@@ -102,3 +102,17 @@ def test_zeros_like():
     zero = pool.zeros_like()
     assert set(zero.chunks) == set(pool.chunks)
     assert all(v == (0,) for v in zero.chunks.values())
+
+
+@pytest.mark.parametrize("scheme, params, public, match", [
+    ("het1", P322, (), "expected a public part of 1 values, got 0"),
+    ("het1", P322, (1, 2), "expected a public part of 1 values, got 2"),
+    ("het1", SystemParams(n_attrs=2, d=2, k=2, length=2), (9,),
+     "expected a public part of 0 values, got 1"),
+    ("het1", P322, (9,), r"attribute value 9 outside alphabet \[1, 2\]"),
+    ("dapac", P322, (0,), r"attribute value 0 outside alphabet \[1, 2\]"),
+    ("het2", P432, (True,), r"attribute value True outside alphabet \[1, 2\]"),
+])
+def test_a_malformed_public_part_is_refused(scheme, params, public, match):
+    with pytest.raises(ConfigError, match=match):
+        allocate(scheme, params, public, seed=1)
