@@ -42,7 +42,7 @@ from hetdapac import (
     run_protocol,
     run_time_shared,
 )
-from hetdapac import harness
+from hetdapac import audit, harness
 from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.harness import Channel, _checked_reply
 from hetdapac.wire import (
@@ -72,6 +72,8 @@ CASES = {
     "het2-packed": (SystemParams(n_attrs=4, d=3, k=2, q=65537, length=384), (1, 2, 2, 1)),
     "het1-packed-wide-q": (SystemParams(n_attrs=3, d=2, k=2, q=4294967291, length=64),
                            (1, 2, 2)),
+    # a small field, where het2 redraws a zero it divides by (retries 1)
+    "het2-q5": (SystemParams(n_attrs=4, d=3, k=2, q=5, length=6), (1, 2, 2, 1)),
 }
 
 GOLDEN = {
@@ -83,6 +85,7 @@ GOLDEN = {
     "dapac-public": "d6844a9eb3e2d888e32237c32e7ae8e9f1e738af163ce467bcb4230a261e311c",
     "het2-packed": "c84e3494cd4b7e2a8988e347275cec33b288bd530db356a6a9c3adc4431740d2",
     "het1-packed-wide-q": "3f9352ee794c20992d2aa4ca395aac1c8ee6d4c5c2a80184e273209ecc1ab7e9",
+    "het2-q5": "873c188b01dd417f90338c41711d3b9668257b2fa982faf9d2266b111bb2b2d1",
 }
 
 
@@ -109,6 +112,20 @@ def test_transcript_and_metrics_are_pinned(kind):
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[kind]
 
 
+def test_the_small_field_case_redraws_once():
+    # the one case that redraws: a zero at a place het2 divides by
+    _, metrics = run_case("het2-q5")
+    assert (metrics["retries"], metrics["attempts"]) == (1, 1)
+
+
+# sha256 of the canonical `audit.run_suite("correctness")` report: 50
+# seeded runs per v* at each correctness point, decoded and compared
+CORRECTNESS_SUITE = "c0a07e59a96312fc1dd9cb046c98c327675857072b0d6f812835b12e45f95552"
+
+
+def test_correctness_suite_report_is_pinned():
+    report = audit.run_suite("correctness")
+    assert hashlib.sha256(canonical(report).encode()).hexdigest() == CORRECTNESS_SUITE
 
 
 def test_mix_transcript_holds_one_pool_per_segment():
@@ -239,6 +256,8 @@ FRAMING = {
                   "e3ed93271f1f68ef50822e98107a7eed796aa20b79de71c56a903aa18dce70aa"),
     "mix": ("d4a3bbf2f5c3f73ab7dd3a6b4d91486518fb25016d0d0ed61bccfac44858a6bf",
             "583e804df735dd89b4d3e13dcd56996b296039371892fda201b6bdb243e6e8f9"),
+    "het2-q5": ("075eb00260a906b1a361dc2c30f639b8c17f765e986545fb7e7d94890cd8b756",
+                "435b33d928a11e8a6393af4e7df605bc101cb71447a51b0a76208965c5de3457"),
 }
 
 
@@ -268,6 +287,7 @@ QUERY_LIST_FORM = {
     "het2-packed": "f42bbc14fe80ee1ae2b879c063c1ee7b33f3eff21870b6bcbf29df6ea555cabb",
     "het2-rest": "b6336071ab48d37ea452f7c314ef2f74687a23d28b540661698fce8ac8b6d158",
     "mix": "be4af44462d27b3b8e327862a763a5dd8a3805ab25d069b3e7920a075cf59b00",
+    "het2-q5": "c7c10652acaddd383dd42c36a1d7120f0a84db0d6538dd12a7e7a23685a77d4f",
 }
 
 
