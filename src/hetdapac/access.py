@@ -102,10 +102,21 @@ class SystemParams:
         return range(1, self.d + 2)
 
 
+def check_params(params) -> SystemParams:
+    """`params`, refused unless it is a SystemParams."""
+    if not isinstance(params, SystemParams):
+        raise ConfigError(f"params must be a SystemParams, got {params!r}")
+    return params
+
+
 def check_vector(v: tuple[int, ...], params: SystemParams) -> tuple[int, ...]:
-    """Validate an attribute vector: length N, entries ints (not bools) in [1, K]."""
-    v = tuple(v)
-    if len(v) != params.n_attrs:
+    """Validate an attribute vector: a sequence of N entries, ints (not
+    bools) in [1, K], under a SystemParams."""
+    try:
+        v = tuple(v)
+    except TypeError:
+        raise ConfigError(f"attribute vector must be a sequence, got {v!r}") from None
+    if len(v) != check_params(params).n_attrs:
         raise ConfigError(f"attribute vector must have {params.n_attrs} entries, got {len(v)}")
     for x in v:
         if type(x) is not int or not 1 <= x <= params.k:
@@ -128,7 +139,7 @@ def message_index(v: tuple[int, ...], params: SystemParams) -> int:
 
 def vector_of_index(idx: int, params: SystemParams) -> tuple[int, ...]:
     """Inverse of message_index."""
-    if not 0 <= idx < params.message_count:
+    if type(idx) is not int or not 0 <= idx < check_params(params).message_count:
         raise ConfigError(f"message id {idx} out of range [0, {params.message_count})")
     out = []
     for _ in range(params.n_attrs):
@@ -188,8 +199,8 @@ def accessible_messages(server: int, v_star: tuple[int, ...], params: SystemPara
     messages agreeing on the public part.
     """
     v_star = check_vector(v_star, params)
-    if not 1 <= server <= params.d + 1:
-        raise ConfigError(f"server id {server} out of range [1, {params.d + 1}]")
+    if type(server) is not int or not 1 <= server <= params.d + 1:
+        raise ConfigError(f"server id {server!r} out of range [1, {params.d + 1}]")
     fixed = {} if server == params.central else {server: v_star[server - 1]}
     return _ids(params, public_part(v_star, params), fixed)
 

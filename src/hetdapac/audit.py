@@ -111,13 +111,14 @@ def _trace_plan(scheme: str, params: SystemParams, v_star):
 
 
 def _observed_groups(plan, server: int):
+    """The groups `server` receives, in the order they are sent."""
     if server not in plan.groups:
         raise ConfigError(f"server {server} receives no query under {plan.scheme}")
-    return sorted(plan.groups[server], key=lambda g: g.label)
+    return plan.groups[server]
 
 
 def _row_view(groups) -> tuple:
-    return tuple((g.label, g.ids) for g in groups)
+    return tuple(g.ids for g in groups)
 
 
 def _check_fresh_indices(groups, where: str):
@@ -134,11 +135,12 @@ def _check_fresh_indices(groups, where: str):
 def _coset(groups, q: int, where: str) -> tuple:
     """One server's observation in canonical form.
 
-    The groups' vectors concatenated in label order are uniform on c + U,
-    U spanned by the indicators of the copy classes: the positions that
-    copy one place of the draw column. Returns (row view, each position's
-    place numbered by first use, each offset minus its place's first);
-    equal forms are exactly equal distributions.
+    The groups' vectors concatenated in the order they are sent are
+    uniform on c + U, U spanned by the indicators of the copy classes:
+    the positions that copy one place of the draw column. Returns (row
+    view, each position's place numbered by first use, each offset minus
+    its place's first); equal forms are exactly equal distributions. The
+    row view is each group's message ids, in the same order.
     """
     _check_fresh_indices(groups, where)
     classes: dict[int, tuple[int, int]] = {}  # place -> (class, first offset)

@@ -36,6 +36,8 @@ from codecs import utf_32_le_decode
 from functools import lru_cache
 from itertools import chain
 
+from .errors import ConfigError
+
 # q < 2^32, so one unsigned 32-bit word holds a symbol
 MAX_MODULUS = 1 << 32
 # words per batch at most: large enough to amortize the call, small
@@ -57,8 +59,8 @@ def is_prime(n: int) -> bool:
 
 def unit_vector(l: int, length: int) -> tuple[int, ...]:
     """e_l of the given length, 1-based: unit_vector(2, 3) == (0, 1, 0)."""
-    if not 1 <= l <= length:
-        raise ValueError(f"unit position {l} out of range [1, {length}]")
+    if type(l) is not int or type(length) is not int or not 1 <= l <= length:
+        raise ConfigError(f"unit position {l!r} out of range [1, {length!r}]")
     return tuple(1 if i == l else 0 for i in range(1, length + 1))
 
 
@@ -291,13 +293,22 @@ def uniform_arrays(rng: random.Random, q: int, length: int,
     return [take(length) for _ in range(count)]
 
 
+def _stable(seed) -> bool:
+    return isinstance(seed, (int, str, bytes)) or type(seed) is tuple and all(map(_stable, seed))
+
+
 def derive_rng(master_seed, *labels) -> random.Random:
     """An independent deterministic stream for (master seed, role labels).
 
     Streams for different label tuples never share state, so the user's
     query randomness, the servers' shared pool and the store contents
-    can all be derived from one master seed without interference.
+    can all be derived from one master seed without interference. The
+    stream is a hash of the seed's `repr`, so a seed must be an int, str,
+    bytes or a tuple of these, whose `repr` is the same in every process.
     """
+    if not _stable(master_seed):
+        raise ConfigError(f"seed must be an int, str, bytes or a tuple of these, "
+                          f"got {master_seed!r}")
     tag = repr((master_seed,) + labels).encode()
     digest = hashlib.sha256(tag).digest()
     return random.Random(int.from_bytes(digest, "big"))

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .access import SystemParams, check_vector
+from .access import SystemParams, check_params, check_vector
 from .errors import ConfigError
 from .field import derive_rng, little_endian, uniform_arrays
 from .randomness import RandomnessPool, allocate
@@ -76,7 +76,7 @@ class Transcript:
     and each segment's pool, the allocated pads, under its tag."""
 
     def __init__(self, params: SystemParams):
-        self.params = params
+        self.params = check_params(params)
         self.records: list[Record] = []
         self.retries = 0  # zero cycle coefficients redrawn on the client, unseen by servers
         self.pools: dict[Optional[str], RandomnessPool] = {}
@@ -195,7 +195,7 @@ def random_store(params: SystemParams, seed) -> dict[int, array]:
     """Uniform content for every message id, one `array('I')` of L symbols
     each, drawn in bulk from a private stream; deterministic in the seed."""
     rng = derive_rng(seed, "store")
-    return dict(enumerate(uniform_arrays(rng, params.q, params.length,
+    return dict(enumerate(uniform_arrays(rng, check_params(params).q, params.length,
                                          params.message_count)))
 
 
@@ -261,8 +261,7 @@ def retrieval_phase(channel: Channel, pool: RandomnessPool, v_star, seed,
     for n in sorted(queries):
         reply = channel.request("retrieval", "user", actor_name(n, params), "query",
                                 encode_query(queries[n]), segment=segment)
-        answers[n] = _checked_reply(reply, queries[n], params.length // plan.subpackets,
-                                    params.q)
+        answers[n] = _checked_reply(reply, queries[n], plan.sub_len, params.q)
     return eng.decode(plan, answers)
 
 
@@ -369,8 +368,6 @@ def run_segments(params: SystemParams, v_star, seed, segments):
 def run_protocol(scheme: str, params: SystemParams, v_star, store, seed):
     """Full two-phase run of one scheme. Returns (decoded message,
     transcript, metrics)."""
-    if not isinstance(params, SystemParams):
-        raise ConfigError(f"params must be a SystemParams, got {params!r}")
     v_star = check_vector(v_star, params)
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
     return run_segments(params, v_star, seed, [(store_segment(store, 0, params.length), pool)])
@@ -382,6 +379,8 @@ INF = float("inf")
 
 def metrics_of(transcript: Transcript) -> dict:
     """Exact accounting: rate, load ratio, downloads, randomness, retries."""
+    if not isinstance(transcript, Transcript):
+        raise ConfigError(f"metrics are read off a Transcript, got {transcript!r}")
     params = transcript.params
     downloads = transcript.download_by_sender()
     dedicated = {n: downloads.get(f"server{n}", 0) for n in range(1, params.d + 1)}

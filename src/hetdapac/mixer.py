@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .access import SystemParams, check_vector
+from .access import SystemParams, check_params, check_vector
 from .errors import ConfigError, DivisibilityError
 from .harness import INF, run_segments, store_segment
 from .randomness import allocate
@@ -56,7 +56,9 @@ class _Costs(NamedTuple):
 
 def scheme_costs(d: int, k: int) -> dict[str, _Costs]:
     """Per-message-symbol costs of every scheme defined at D servers, in
-    increasing load ratio."""
+    increasing load ratio; D and K are ints, D >= 1 and K >= 2."""
+    if type(d) is not int or type(k) is not int or d < 1 or k < 2:
+        raise ConfigError(f"need ints D >= 1 and K >= 2, got D={d!r}, K={k!r}")
     F = Fraction
     costs = {"het1": _Costs(F(1, d), F(k), F(k), F(k))}
     if d >= 3:
@@ -68,8 +70,16 @@ def scheme_costs(d: int, k: int) -> dict[str, _Costs]:
     return costs
 
 
+def _fraction(x, what: str) -> Fraction:
+    """`x` as a Fraction; anything Fraction refuses is a ConfigError."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError) as err:
+        raise ConfigError(f"bad {what} {x!r}: {err}") from None
+
+
 def _check_lambda(lam) -> Fraction:
-    lam = Fraction(lam)
+    lam = _fraction(lam, "lambda")
     if not 0 <= lam <= 1:
         raise ConfigError(f"mix weight {lam} outside [0, 1]")
     return lam
@@ -121,7 +131,7 @@ def _rate_at_load(ell, chain: list[_Costs], d: int) -> Fraction:
         raise ConfigError(f"no load ratio tradeoff at D={d}: dapac needs D >= 2")
     if ell == INF:
         return chain[-1].rate(d)
-    ell, low = Fraction(ell), chain[0].load_ratio
+    ell, low = _fraction(ell, "load ratio"), chain[0].load_ratio
     if ell < low:
         raise ConfigError(f"load ratio {ell} below the minimum {low}")
     a, b = next((a, b) for a, b in zip(chain, chain[1:]) if ell <= b.load_ratio)
@@ -146,8 +156,8 @@ def frontier(d: int, k: int, grid: int = 50) -> list[tuple]:
     costs = scheme_costs(d, k)
     if "het2" not in costs:
         raise ConfigError(f"the split-cover scheme needs D >= 3, got D={d}")
-    if grid < 2:
-        raise ConfigError("grid needs at least two points per segment")
+    if type(grid) is not int or grid < 2:
+        raise ConfigError(f"grid needs at least two points per segment, got {grid!r}")
     first = grid // 2
     mixes = [costs["het1"].mix(costs["het2"], Fraction(i, first))
              for i in range(first, -1, -1)]
@@ -181,7 +191,7 @@ class MixPlan:
     segments: tuple[tuple[str, SystemParams], ...] = field(init=False)
 
     def __post_init__(self):
-        params, lam = self.params, _check_lambda(self.lam)
+        params, lam = check_params(self.params), _check_lambda(self.lam)
         a, b = lam.numerator, lam.denominator
         weights = [(scheme, w) for scheme, w in (("dapac", a), ("het1", b - a)) if w]
         if len(weights) > 1 and not params.has_central:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
-from .access import SystemParams, check_vector
+from .access import SystemParams, check_params, check_vector
 from .errors import ConfigError, DivisibilityError
 from .field import derive_rng, uniform_arrays
 
@@ -64,6 +64,9 @@ class RandomnessPool:
     chunk_len: int
     chunks: dict[Label, Sequence[int]] = dc_field(repr=False)
 
+    def __post_init__(self):
+        check_params(self.params)
+
     def chunk(self, label: Label) -> Sequence[int]:
         if label not in self.chunks:
             raise ConfigError(f"unknown chunk label {label!r}")
@@ -91,12 +94,14 @@ def allocate(scheme: str, params: SystemParams, public: tuple[int, ...], seed) -
 
     The stream is derived from (seed, "server-shared", scheme, public part):
     independent of the user's query stream and of the store contents. A
-    public part of the wrong width, or with a value outside [1, K], is
-    refused.
+    public part that is not a tuple or list, of the wrong width, or with
+    a value outside [1, K], is refused.
     """
     from .schemes import engine
+    if not isinstance(public, (tuple, list)):
+        raise ConfigError(f"a public part is a tuple of attribute values, got {public!r}")
     public = tuple(public)
-    if len(public) != params.n_attrs - params.d:
+    if len(public) != check_params(params).n_attrs - params.d:
         raise ConfigError(f"expected a public part of {params.n_attrs - params.d} values, "
                           f"got {len(public)}")
     check_vector((1,) * params.d + public, params)  # each value an int in [1, K]

@@ -44,6 +44,6 @@ def memo_bindings() -> tuple:
 
 
 def engine(scheme: str):
-    if scheme not in ENGINES:
+    if not isinstance(scheme, str) or scheme not in ENGINES:
         raise ConfigError(f"unknown scheme tag {scheme!r}")
     return ENGINES[scheme]

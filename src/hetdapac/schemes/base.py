@@ -3,10 +3,11 @@
 Query construction is user-side and touches only (v*, params, randomness).
 It is two steps. The trace runs the engine's builder once against the
 symbolic `TracingSource` and fixes everything that depends only on
-(scheme, N, D, K, q, v*): the messages each server's groups name, their
-logical sub-packet indices (a `FreshIndexCounter` hands them out a whole
-group at a time), the decode table, and where the desired message's
-permutation starts. Every draw takes the next places of one draw column,
+(scheme, N, D, K, q, v*): the messages each server's groups name, in the
+order they are sent, their logical sub-packet indices (a
+`FreshIndexCounter` hands them out a whole group at a time), the decode
+table, and the place in the permutation column that each of its entries
+reads. Every draw takes the next places of one draw column,
 so a symbolic vector is the runs of places it reads plus sparse offsets
 (a fresh draw, one lifted by a unit vector or a concatenation), the
 places that must be nonzero are listed with the ends of their draws, and
@@ -28,9 +29,10 @@ column pos(m)·S + logical − 1, pos(m) = m // K^(N−D) being the message's
 place among the participating ones. The stream reads ahead, which is safe
 because it is thrown away with the plan. A group is three columns from
 build to answer, ids, sub-packet indices and vector, never a tuple per
-row or vector. A plan keeps what decoding reads; its groups are the
-trace's and the sent queries', in one order. The privacy audit reads
-the same traces, so the plan that is sent is the audited plan evaluated.
+row or vector. A plan keeps only what decoding reads; the sent queries
+hold the trace's groups in the trace's order. The privacy audit reads
+the same traces, in that order, so the plan that is sent is the audited
+plan evaluated.
 
 Answer computation is server-side and touches only the server's context:
 its accessible messages, whole, with the start of the symbol range it
@@ -47,9 +49,10 @@ group costs a fixed number of calls into C, whatever its rows.
 The share for a group is the vector-weighted sum of the named sub-packets
 plus the sum of the pad chunks its table entry names. Decoding is user-side
 and touches only (plan, answer shares): every scheme cancels interference
-by a signed combination of shares, so a plan lists, per logical sub-packet,
-the (server, group index, coefficient) terms that recover it, and one
-`decode` evaluates them all.
+by a signed combination of shares, so a plan lists, per sub-packet of the
+desired message, where it starts in the message and the (server, group
+index, coefficient) terms that recover it, and one `decode` writes each
+combination into its place.
 
 The access and index checks of a group run over the whole group at once
 (a subset test of its message set, the minimum and maximum of its
@@ -221,13 +224,13 @@ class FreshIndexCounter:
 @dataclass(frozen=True)
 class PlanGroup:
     """One traced query group, evaluated as the sent `QueryGroup` at its
-    place: row r is message ids[r] at logical (not wire) sub-packet index
-    logical[r]. `ids` is the set helper's tuple itself, or a
-    concatenation of them; `logical` is an `array('I')` while a builder
-    traces, and a read-only view of one in a trace. Twins share either
-    column rather than copy it."""
+    place in its server's list: row r is message ids[r] at logical (not
+    wire) sub-packet index logical[r]. `ids` is the set helper's tuple
+    itself, or a concatenation of them; `logical` is an `array('I')` while
+    a builder traces, and a read-only view of one in a trace. Twins share
+    either column rather than copy it. Nothing else names a group: what a
+    server sees of it is its rows, its vector and its place."""
 
-    label: tuple
     ids: tuple[int, ...]
     logical: array | memoryview
     vector: SymVector
@@ -247,68 +250,61 @@ class PlanGroup:
 
 @dataclass
 class RetrievalPlan:
-    """What a build keeps to decode: permutations and decode table."""
+    """What a build keeps to decode: each sub-packet of the desired
+    message, as where it starts and the shares that recover it, in the
+    order of its trace's decoding table."""
 
-    scheme: str
     params: SystemParams
-    subpackets: int
-    # the participating messages' permutations, one flat `array('I')`: the
-    # message at position p among them has [p * subpackets, (p + 1) * subpackets)
-    perms: array = dc_field(repr=False)
-    desired_at: int  # where the desired message's permutation starts in `perms`
-    # logical index -> ((server, group index, coefficient), ...): the
-    # sub-packet is the sum of coefficient * share over the terms
-    decoding: dict[int, tuple] = dc_field(repr=False)
+    sub_len: int  # symbols per sub-packet
+    # (start, ((server, group index, coefficient), ...)) per sub-packet:
+    # the message's symbols [start, start + sub_len) are the sum of
+    # coefficient * share over the terms
+    decoding: list[tuple[int, tuple]] = dc_field(repr=False)
     redraws: int = 0  # zeros redrawn at places that must be nonzero
-
-    def assemble(self, decoded: dict[int, array]) -> array:
-        """Place decoded sub-packets (by logical index) into message order,
-        as an `array('I')` like the stored message."""
-        L, S = self.params.length, self.subpackets
-        sub_len = L // S
-        if sorted(decoded) != list(range(1, S + 1)):
-            raise ValueError(f"decoded indices {sorted(decoded)} are not 1..{S}")
-        perm = self.perms[self.desired_at:self.desired_at + S]
-        out = array("I", [0]) * L
-        for logical, payload in decoded.items():
-            wire = perm[logical - 1]
-            out[(wire - 1) * sub_len: wire * sub_len] = payload
-        return out
 
 
 class PlanTrace:
     """The structure of every plan of one (scheme, N, D, K, q, v*), and
     how to evaluate it on a user stream.
 
-    `groups` (symbolic vectors) and `decoding` (symbolic inverses among
-    its coefficients) are what the engine's builder made against a
+    `groups` (per server, in the order they are sent; symbolic vectors)
+    and `decoding` (logical index -> terms, symbolic inverses among its
+    coefficients) are what the engine's builder made against a
     `TracingSource`; `size` and `nonzero` are that source's record of the
     draw column. The rest is compiled once for the evaluation: per group
-    its ids and position columns, and where the desired message's
-    permutation starts. A trace is shared by every plan of its key
-    and by the audit, so what it hands out cannot be written to: its
-    groups are frozen, their logical columns read-only views, and its
-    mappings read-only proxies.
+    its ids and position columns, and per decode entry, in the table's
+    order, the place in the permutation column that holds its
+    sub-packet's wire index and whether a coefficient is an inverse to
+    evaluate. A decode table that does not cover the sub-packets 1..S
+    exactly once is refused here, before any plan is built. A trace is
+    shared by every plan of its key and by the audit, so what it hands
+    out cannot be written to: its groups are frozen, their logical
+    columns read-only views, and its mappings read-only proxies.
     """
 
     def __init__(self, scheme: str, params: SystemParams, v_star, subpackets: int,
                  groups: dict, decoding: dict, source: TracingSource):
         self.scheme, self.v_star, self.subpackets = scheme, tuple(v_star), subpackets
-        views = {}  # one view per logical column, so twins still share it
-        for gs in groups.values():
-            for g in gs:
-                if id(g.logical) not in views:
-                    views[id(g.logical)] = memoryview(g.logical.tobytes()).cast("I")
+        # one view per logical column, so twins still share it
+        views = {id(g.logical): memoryview(g.logical.tobytes()).cast("I")
+                 for gs in groups.values() for g in gs}
         self.groups = MappingProxyType({
             server: tuple(replace(g, logical=views[id(g.logical)]) for g in gs)
             for server, gs in groups.items()})
+        if sorted(decoding) != list(range(1, subpackets + 1)):
+            raise ConfigError(f"{scheme} decodes sub-packets {sorted(decoding)}, "
+                              f"not 1..{subpackets}")
         self.decoding = MappingProxyType(dict(decoding))
         self.size, self.nonzero = source.size, tuple(source.nonzero)
         participating = participating_ids(params, self.v_star[params.d:])
         self.count = len(participating)
         # the message at place p among the participating ones: p * S - 1
         before = dict(zip(participating, range(-1, self.count * subpackets, subpackets)))
-        self.desired_at = before[message_index(self.v_star, params)] + 1
+        desired = before[message_index(self.v_star, params)]
+        # logical index l of the desired message reads place desired + l
+        self._decoding = [(desired + logical, terms,
+                           any(type(c) is SymInverse for *_, c in terms))
+                          for logical, terms in decoding.items()]
         shared = {}  # twins share both row columns, so their compiled columns too
         self.rows = 0
         self._columns = {}
@@ -322,8 +318,6 @@ class PlanTrace:
                 compiled.append((*shared[key], g.vector))
                 self.rows += len(g.ids)
             self._columns[server] = compiled
-        self._inverses = [(logical, t, c) for logical, terms in decoding.items()
-                          for t, (*_, c) in enumerate(terms) if type(c) is SymInverse]
 
     def evaluate(self, params: SystemParams, rng) -> tuple[RetrievalPlan, dict]:
         """The plan on the private user stream `rng`, and its wire queries.
@@ -361,15 +355,14 @@ class PlanTrace:
                     wire = wires[id(positions)] = array("I", map(gather, positions))
                 query_groups.append(QueryGroup(MessageGroupDescriptor(ids[:], wire), vec))
             queries[server] = QueryTuple(server=server, groups=tuple(query_groups))
-        decoding = dict(self.decoding)
-        for logical, t, c in self._inverses:
-            terms = decoding[logical]
-            server, gi, _ = terms[t]
-            coeff = c.sign * pow((values[c.place] + c.offset) % q, -1, q)
-            decoding[logical] = (*terms[:t], (server, gi, coeff), *terms[t + 1:])
-        plan = RetrievalPlan(self.scheme, params, self.subpackets, perms, self.desired_at,
-                             decoding, redraws)
-        return plan, queries
+        sub_len = params.length // self.subpackets
+        decoding = []
+        for place, terms, inverse in self._decoding:
+            if inverse:  # the entries without an inverse are the trace's own
+                terms = tuple((s, gi, c.sign * pow((values[c.place] + c.offset) % q, -1, q)
+                               if type(c) is SymInverse else c) for s, gi, c in terms)
+            decoding.append(((gather(place) - 1) * sub_len, terms))
+        return RetrievalPlan(params, sub_len, decoding, redraws), queries
 
 
 class Memo:
@@ -522,11 +515,13 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     queries it gets no table. The ids cut the store down to the messages
     they grant, copying none, at every install.
 
-    A store that lacks a granted message, or holds one that stops before
-    the range the server answers from does, is refused, naming the
-    message. The lengths are read once here, with no symbol scanned: a
+    A store that is not a mapping, lacks a granted message, or holds one
+    that stops before the range the server answers from does, is
+    refused, naming the message. The lengths are read once here, with no symbol scanned: a
     symbol at or above q is reduced mod q like any sum.
     """
+    if not isinstance(store, Mapping):
+        raise ConfigError(f"a store maps message ids to symbols, got {store!r}")
     params = pool.params
     ids, table = MEMO.view(pool.scheme, params, server, tuple(public), own_value)
     try:
@@ -695,16 +690,16 @@ def answer_query(ctx: ServerContext, query: QueryTuple
 
 
 def decode(plan: RetrievalPlan, answers: dict) -> array:
-    """Evaluate every entry of the plan's decoding table over the answer
-    shares, one `combine` per sub-packet, and reassemble the message."""
-    q = plan.params.q
-    length = plan.params.length // plan.subpackets
-    decoded = {}
-    for logical, terms in plan.decoding.items():
+    """The message, an `array('I')` like the stored one: every entry of
+    the plan's decoding table evaluated over the answer shares, one
+    `combine` per sub-packet, written at the entry's start."""
+    q, length = plan.params.q, plan.sub_len
+    out = array("I", [0]) * plan.params.length
+    for start, terms in plan.decoding:
         payloads = [answers[server][gi].payload for server, gi, _ in terms]
-        decoded[logical] = combine([c for *_, c in terms], payloads,
-                                   [length] * len(terms), (), q, length)
-    return plan.assemble(decoded)
+        out[start:start + length] = combine([c for *_, c in terms], payloads,
+                                            [length] * len(terms), (), q, length)
+    return out
 
 
 def _refuse_first_row(ctx: ServerContext, msgs, indices, subpackets: int):

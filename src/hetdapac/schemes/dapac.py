@@ -133,7 +133,7 @@ def dedicated_groups(v_star, params, source, counter, cycle=()):
                         logical = counter.indices(ids)
                     vec = source.fresh(len(ids), nonzero)
                 index[(n, m, k)] = len(groups[n])
-                groups[n].append(PlanGroup(("u", n, m, k), ids, logical, vec))
+                groups[n].append(PlanGroup(ids, logical, vec))
 
     twins = {}
     decoding = {}

@@ -54,7 +54,7 @@ def trace(v_star, params, source):
     for n in range(1, params.d + 1):
         for k in range(1, params.k + 1):
             ids = match_set(n, k, public, params)
-            g = PlanGroup(("nk", n, k), ids, counter.indices(ids), source.fresh(len(ids)))
+            g = PlanGroup(ids, counter.indices(ids), source.fresh(len(ids)))
             by_nk[(n, k)] = (len(central_groups), g)
             central_groups.append(g)
 
@@ -63,8 +63,7 @@ def trace(v_star, params, source):
     for n in range(1, params.d + 1):
         central_index, base = by_nk[(n, values[n - 1])]
         l = base.row_of(desired)
-        lifted = PlanGroup(base.label, base.ids, base.logical, source.add_unit(base.vector, l))
-        groups[n] = [lifted]
+        groups[n] = [PlanGroup(base.ids, base.logical, source.add_unit(base.vector, l))]
         decoding[base.logical[l - 1]] = ((n, 0, 1), (params.central, central_index, -1))
     return groups, decoding
 

@@ -100,27 +100,18 @@ def trace(v_star, params, source):
         for k in range(1, params.k + 1):
             if k == values[n - 1]:
                 gis = [index[(n, m0, k2)] for k2 in range(1, params.k + 1)]
-                ids = ()
-                logical = array("I")
-                blocks = []
-                for k2, gi in enumerate(gis, start=1):
-                    g = groups[n][gi]
-                    if k2 == km0:
-                        blocks.append(source.add_unit(g.vector, g.row_of(desired)))
-                    else:
-                        blocks.append(g.vector)
-                    ids += g.ids
-                    logical += g.logical
-                cg = PlanGroup(("central", n, k), ids, logical, source.concat(blocks))
+                gs = [groups[n][gi] for gi in gis]
+                blocks = [source.add_unit(g.vector, g.row_of(desired)) if k2 == km0 else g.vector
+                          for k2, g in enumerate(gs, start=1)]
+                logical = array("I", [i for g in gs for i in g.logical])
+                cg = PlanGroup(sum((g.ids for g in gs), ()), logical, source.concat(blocks))
                 stage1 = i1[(n, m0)] if n < m0 else i2[(m0, n)]
                 decoding[stage1] = ((central, len(groups[central]), 1),
                                      *((n, gi, -1) for gi in gis))
             else:
-                ids = ()
-                for k2 in range(1, params.k + 1):
-                    ids += pair_set(n, m0, k, k2, public, params)
-                cg = PlanGroup(("central", n, k), ids, counter.indices(ids),
-                               source.fresh(len(ids)))
+                ids = sum((pair_set(n, m0, k, k2, public, params)
+                           for k2 in range(1, params.k + 1)), ())
+                cg = PlanGroup(ids, counter.indices(ids), source.fresh(len(ids)))
             groups[central].append(cg)
 
     # stage 1 knows one index of each cycle pair, and the twin difference

@@ -98,10 +98,9 @@ def test_every_decode_inverse_divides_by_a_place_drawn_nonzero(scheme, params, v
         assert (trace.nonzero != ()) == (scheme == "het2"), v
 
 
-def plan_group(label, rows, vector) -> PlanGroup:
+def plan_group(rows, vector) -> PlanGroup:
     """A plan group over (message id, logical index) rows."""
-    return PlanGroup(label, tuple(m for m, _ in rows), array("I", [i for _, i in rows]),
-                     vector)
+    return PlanGroup(tuple(m for m, _ in rows), array("I", [i for _, i in rows]), vector)
 
 
 def _merged_components(groups_a, groups_b) -> list[tuple[int, ...]]:
@@ -235,7 +234,7 @@ class TestAttributePrivacy:
         # one shared draw versus two independent ones, same rows: the
         # diagonal distribution against the uniform one has TV 1 - 1/q
         def group(place, msg):
-            return plan_group(("g", msg), [(msg, 1)], SymVector(((place, place + 1),)))
+            return plan_group([(msg, 1)], SymVector(((place, place + 1),)))
         shared = [group(1, 0), group(1, 1)]
         split = [group(1, 0), group(2, 1)]
         for tv in (pair_tv(shared, split, 2),
@@ -245,17 +244,15 @@ class TestAttributePrivacy:
     def test_offset_difference_on_shared_draw_is_detected(self):
         vec = SymVector(((0, 1),))
         lifted = SymVector(((0, 1),), ((0, 1),))
-        a = [plan_group(("g", 1), [(0, 1)], vec),
-             plan_group(("g", 2), [(1, 1)], vec)]
-        b = [plan_group(("g", 1), [(0, 1)], vec),
-             plan_group(("g", 2), [(1, 1)], lifted)]
+        a = [plan_group([(0, 1)], vec), plan_group([(1, 1)], vec)]
+        b = [plan_group([(0, 1)], vec), plan_group([(1, 1)], lifted)]
         for tv in (pair_tv(a, b, 3),
                    enumerating_pair_tv(a, b, 3, ENUMERATION_CAP)[0]):
             assert tv == 1  # (x, x) never equals (x, x+1)
 
     def test_repeated_logical_index_is_rejected(self):
         vec = SymVector(((0, 2),))
-        bad = [plan_group(("g",), [(0, 1), (0, 1)], vec)]
+        bad = [plan_group([(0, 1), (0, 1)], vec)]
         with pytest.raises(ConfigError):
             pair_tv(bad, bad, 2)
 
@@ -278,7 +275,7 @@ class TestAttributePrivacy:
                     offsets += [(dim + j, o) for j in range(dims[draw])
                                 for o in [rng.choice((0, 0, rng.randrange(q)))] if o]
                     dim += dims[draw]
-                out.append(plan_group(("g", gi), [(10 * gi + j, 1) for j in range(size)],
+                out.append(plan_group([(10 * gi + j, 1) for j in range(size)],
                                       SymVector(tuple(vec_runs), tuple(offsets))))
             return out
 
@@ -361,6 +358,24 @@ class TestAttributePrivacy:
                    [s + (public,) for s in itertools.product((1, 2), repeat=2)], 2)}
         assert rep["max_tv"] == tvs[rep["worst_pair"]] == max(tvs.values())
         assert rep["worst_pair"] == next(p for p, tv in tvs.items() if tv == rep["max_tv"])
+
+    def test_group_order_leak_is_caught_by_the_audit(self, monkeypatch):
+        # the central groups are sent reversed only when v*_1 = 2: each
+        # group's rows and vector are as before, but the order they arrive
+        # in tells v*_1, so the audit must observe them in that order
+        trace_plan = audit._trace_plan
+        central = P_HET1.central
+
+        def reordered(scheme, params, v_star):
+            plan = trace_plan(scheme, params, v_star)
+            if v_star[0] == 2:
+                plan = copy.copy(plan)  # every build of the key shares the trace
+                plan.groups = {**plan.groups, central: plan.groups[central][::-1]}
+            return plan
+
+        monkeypatch.setattr(audit, "_trace_plan", reordered)
+        rep = audit.audit_attribute_privacy("het1", P_HET1, central)
+        assert rep["max_tv"] == 1 and not rep["pass"]
 
     @pytest.mark.parametrize("scheme,params", audit.PRIVACY_POINTS)
     def test_rank_test_matches_enumeration(self, scheme, params):

@@ -39,7 +39,7 @@ def test_no_central_participation():
     plan, queries = dapac.build(V, P332, derive_rng(7, "user", 0))
     assert sorted(traced_plan(P332, V).groups) == [1, 2, 3]
     assert sorted(queries) == [1, 2, 3]
-    assert {server for terms in plan.decoding.values() for server, *_ in terms} <= {1, 2, 3}
+    assert {server for _, terms in plan.decoding for server, *_ in terms} <= {1, 2, 3}
 
 
 def test_frozen_group_rows():

@@ -380,12 +380,17 @@ def test_wide_het1_plan_is_the_per_call_plan():
                 rows.append((msg, used[msg]))
             central.append((rows, tuple(rng.randrange(params.q) for _ in rows)))
 
-    # the trace's rows and the sent vectors, group for group
-    assert plan.perms == array("I", perms)
+    # the trace's rows, the sent wire indices and vectors, group for group
     sent = queries[params.central].groups
     assert len(sent) == len(trace.groups[params.central])
     assert [(g.rows, tuple(s.vector))
             for g, s in zip(trace.groups[params.central], sent)] == central
+    assert [s.descriptor.indices.tolist() for s in sent] == [
+        [perms[ids.index(m) * 6 + i - 1] for m, i in rows] for rows, _ in central]
+    # each sub-packet of the desired message goes where its permutation puts it
+    desired = ids.index(message_index(v_star, params))
+    assert [start for start, _ in plan.decoding] == [
+        (perms[desired * 6 + logical - 1] - 1) * plan.sub_len for logical in trace.decoding]
     for n in range(1, 7):
         (lifted,), (group,) = trace.groups[n], queries[n].groups
         rows, vector = central[(n - 1) * 4 + v_star[n - 1] - 1]
@@ -400,9 +405,9 @@ def test_wide_het1_plan_is_the_per_call_plan():
 # a cold build (memo cleared), a warm one and the oracle must agree.
 
 def per_call_plan(scheme, params, v_star, rng):
-    """(query frame per server, decoding table, zeros redrawn) of the
-    build on `rng`, each symbol a per-call draw; a zero at a conditioned
-    place is redrawn once the whole draw holding it is taken."""
+    """(query frame per server, decode list, zeros redrawn) of the build
+    on `rng`, each symbol a per-call draw; a zero at a conditioned place
+    is redrawn once the whole draw holding it is taken."""
     trace = plan_trace(scheme, params, v_star)
     q, size = params.q, trace.subpackets
     perms = {}
@@ -433,8 +438,10 @@ def per_call_plan(scheme, params, v_star, rng):
                       vector(g.vector))
                   for g in groups)))
               for server, groups in trace.groups.items()}
-    decoding = {logical: tuple((s, gi, coefficient(c)) for s, gi, c in terms)
-                for logical, terms in trace.decoding.items()}
+    desired, sub_len = perms[message_index(v_star, params)], params.length // size
+    decoding = [((desired[logical - 1] - 1) * sub_len,
+                 tuple((s, gi, coefficient(c)) for s, gi, c in terms))
+                for logical, terms in trace.decoding.items()]
     return frames, decoding, redraws
 
 
@@ -478,12 +485,12 @@ MUTATION_POINTS = [
 
 
 def sent_by(scheme, params, v_star):
-    """(query frames, decoding, permutations, trace rows) of one build at
-    seed 3."""
+    """(query frames, decode list, sub-packet length, trace rows) of one
+    build at seed 3."""
     plan, queries = engine(scheme).build(v_star, params, derive_rng(3, "user", 0))
     trace = plan_trace(scheme, params, v_star)
     return ({server: encode_query(query) for server, query in queries.items()},
-            dict(plan.decoding), plan.perms.tolist(),
+            list(plan.decoding), plan.sub_len,
             {server: [g.rows for g in groups] for server, groups in trace.groups.items()})
 
 
@@ -499,8 +506,10 @@ def test_mutating_a_plan_or_its_queries_leaves_later_builds_alone(scheme, params
             g.descriptor.indices[0] += 1
             g.vector[0] += 1
             g.vector.append(0)
-    plan.perms[0] += 1
-    plan.decoding.clear()
+    start, terms = plan.decoding[0]
+    plan.decoding[0] = (start + 1, terms[1:])
+    plan.decoding.append(plan.decoding[-1])
+    plan.sub_len += 1
     assert sent_by(scheme, params, v_star) == sent
 
 

@@ -334,7 +334,7 @@ def test_division_free_schemes_are_always_decodable(scheme):
     for seed in range(20):
         v_star = tuple(1 + (seed >> i) % 2 for i in range(4))
         plan, _ = engine(scheme).build(v_star, params, derive_rng(seed, "user", 0))
-        assert {c for terms in plan.decoding.values() for *_, c in terms} == {1, -1}
+        assert {c for _, terms in plan.decoding for *_, c in terms} == {1, -1}
 
 
 def words(frame: bytes) -> list[int]:

@@ -13,7 +13,8 @@ from array import array
 
 import pytest
 
-from hetdapac.access import SystemParams, accessible_messages, message_index, participating_ids
+from hetdapac.access import (SystemParams, accessible_messages, match_set, message_index,
+                             participating_ids)
 from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.field import derive_rng
 from hetdapac.harness import random_store, run_protocol
@@ -45,8 +46,9 @@ class TestTwoServerWalkthrough:
             [(1, 2), (5, 2)],   # n=2, value 1
             [(3, 2), (7, 2)],   # n=2, value 2
         ]
-        assert [g.label for g in plan.groups[P322.central]] == [
-            ("nk", 1, 1), ("nk", 1, 2), ("nk", 2, 1), ("nk", 2, 2)]
+        public = self.V[P322.d:]
+        assert [g.ids for g in plan.groups[P322.central]] == [
+            match_set(n, k, public, P322) for n in (1, 2) for k in (1, 2)]
 
     def test_dedicated_groups_mirror_matching_central_group(self):
         plan = traced_plan(P322, self.V)
@@ -141,20 +143,26 @@ def test_central_logicals_distinct_per_message():
 
 def test_wire_indices_follow_private_permutations():
     # the permutation of the message at position p among the participating
-    # ones is the flat column's words [p * S, (p + 1) * S)
+    # ones is the flat column's words [p * S, (p + 1) * S): every row's
+    # wire index, and where each decoded sub-packet goes, are read there
     v_star = (2, 1, 1)
-    plan, queries = het1.build(v_star, P322, derive_rng(7, "user", 0))
     ids = participating_ids(P322, v_star[P322.d:])
-    size = plan.subpackets
-    assert len(plan.perms) == len(ids) * size
+    size = het1.subpackets(P322.d)
+    rng = derive_rng(7, "user", 0)
+    perms = array("I", [w for _ in ids for w in rng.sample(range(1, size + 1), size)])
     trace = traced_plan(P322, v_star)
+    plan, queries = trace.project(P322, perms, array("I", [0]) * trace.size)
     assert sorted(queries) == sorted(trace.groups)
     for server, qt in queries.items():
         assert len(qt.groups) == len(trace.groups[server])
         for g, qg in zip(trace.groups[server], qt.groups):
             for (msg, logical), (wmsg, wire) in zip(g.rows, qg.descriptor.rows):
                 assert wmsg == msg
-                assert wire == plan.perms[ids.index(msg) * size + logical - 1]
+                assert wire == perms[ids.index(msg) * size + logical - 1]
+    desired = ids.index(message_index(v_star, P322))
+    assert [start for start, _ in plan.decoding] == [
+        (perms[desired * size + logical - 1] - 1) * plan.sub_len for logical in trace.decoding]
+    assert [terms for _, terms in plan.decoding] == list(trace.decoding.values())
 
 
 def test_roundtrip_all_targets_small_field():

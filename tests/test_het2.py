@@ -42,12 +42,19 @@ def traced_plan(params, v_star):
     return plan_trace("het2", params, v_star)
 
 
-def cycle_entries(plan):
-    """(known, unknown, higher, lower) per cycle pair: the unknown index's
-    terms are the known one's, then the higher and the lower twin's."""
-    by_terms = {terms: logical for logical, terms in plan.decoding.items()}
+def cycle_entries(decoding):
+    """(known, unknown, higher, lower) per cycle pair of a decoding table
+    keyed by logical index: the unknown index's terms are the known one's,
+    then the higher and the lower twin's."""
+    by_terms = {terms: logical for logical, terms in decoding.items()}
     return [(by_terms[terms[:-2]], unknown, terms[-2], terms[-1])
-            for unknown, terms in plan.decoding.items() if terms[:-2] in by_terms]
+            for unknown, terms in decoding.items() if terms[:-2] in by_terms]
+
+
+def built_decoding(plan, trace):
+    """A built plan's decode terms keyed by logical index: its decode list
+    holds one entry per entry of the trace's table, in the table's order."""
+    return {logical: terms for logical, (_, terms) in zip(trace.decoding, plan.decoding)}
 
 
 def sent_queries(transcript):
@@ -127,12 +134,12 @@ class TestWalkthrough:
         # the lower, over c: symbolic, so the coefficients are the inverse
         # of the lower twin's desired coordinate, +- by orientation
         cycles = {(higher[0], lower[0]): (known, unknown, higher[:2], lower[:2])
-                  for known, unknown, higher, lower in cycle_entries(plan)}
+                  for known, unknown, higher, lower in cycle_entries(plan.decoding)}
         assert cycles == {(2, 1): (1, 4, (2, 0), (1, 1)),
                           (3, 1): (5, 2, (3, 0), (1, 2)),
                           (3, 2): (3, 6, (3, 3), (2, 2))}
         desired = message_index(V, P432)
-        for known, unknown, higher, lower in cycle_entries(plan):
+        for known, unknown, higher, lower in cycle_entries(plan.decoding):
             owner = plan.groups[lower[0]][lower[1]]
             ((start, _),) = owner.vector.runs
             sign = 1 if known < unknown else -1
@@ -147,7 +154,7 @@ class TestWalkthrough:
         plan, queries = het2.build(V, P432, derive_rng(7, "user", 0))
         trace = traced_plan(P432, V)
         desired = message_index(V, P432)
-        for known, unknown, higher, lower in cycle_entries(plan):
+        for known, unknown, higher, lower in cycle_entries(built_decoding(plan, trace)):
             server, gi, _ = lower
             row = trace.groups[server][gi].row_of(desired)
             c = queries[server].groups[gi].vector[row - 1]
@@ -212,7 +219,7 @@ class TestSplitCover:
     def test_cycle_twins_differ_only_at_desired_row(self):
         plan = traced_plan(P542, self.V)
         desired = message_index(self.V, P542)
-        cycles = cycle_entries(plan)
+        cycles = cycle_entries(plan.decoding)
         assert len(cycles) == 4
         for known, unknown, (high_s, high_gi, _), (low_s, low_gi, _) in cycles:
             lower = plan.groups[low_s][low_gi]
@@ -331,7 +338,7 @@ def test_cycle_coefficients_are_distinct_unlifted_draws(params, v_star):
     plan = traced_plan(params, v_star)
     desired = message_index(v_star, params)
     owners = []
-    for *_, (low_s, low_gi, _) in cycle_entries(plan):
+    for *_, (low_s, low_gi, _) in cycle_entries(plan.decoding):
         owner = plan.groups[low_s][low_gi]
         ((start, end),) = owner.vector.runs
         assert owner.vector.offsets == ()
@@ -354,7 +361,7 @@ def test_binary_field_plans_decode_from_one_build():
         plan, queries = het2.build(v_star, params, derive_rng(seed, "user", 0))
         trace = traced_plan(params, v_star)
         desired = message_index(v_star, params)
-        for *_, higher, lower in cycle_entries(plan):
+        for *_, higher, lower in cycle_entries(built_decoding(plan, trace)):
             server, gi, _ = lower
             row = trace.groups[server][gi].row_of(desired)
             assert queries[server].groups[gi].vector[row - 1] == 1
