@@ -198,11 +198,11 @@ def cmd_run(cfg: dict) -> int:
         targets = [tuple(v) for v in itertools.product(
             range(1, params.k + 1), repeat=params.n_attrs)]
 
+    store = random_store(params, seed)  # refuses a store too large to draw
     print(_echo(cfg))
     failures = 0
     lines = [_echo(cfg)]
     last_transcript = None
-    store = random_store(params, seed)
     for v_star in targets:
         if mix is not None:
             message, transcript, metrics = run_time_shared(mix, v_star, store, seed)

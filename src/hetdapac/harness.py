@@ -191,12 +191,24 @@ class ServerActor:
 
 # ---------------------------------------------------------------- stores
 
+# The most symbols `random_store` draws: K^N messages of L symbols each,
+# 4 bytes a symbol, so 1 GiB. `SystemParams` admits K^N up to 2^32 so
+# that every id is a 32-bit word, far beyond what can be drawn; the
+# largest store the benchmark draws (`long`) holds 15.36 M symbols.
+STORE_SYMBOLS = 1 << 28
+
+
 def random_store(params: SystemParams, seed) -> dict[int, array]:
     """Uniform content for every message id, one `array('I')` of L symbols
-    each, drawn in bulk from a private stream; deterministic in the seed."""
+    each, drawn in bulk from a private stream; deterministic in the seed.
+    A store of more than STORE_SYMBOLS symbols is refused before any is
+    drawn."""
     rng = derive_rng(seed, "store")
-    return dict(enumerate(uniform_arrays(rng, check_params(params).q, params.length,
-                                         params.message_count)))
+    count, length = check_params(params).message_count, params.length
+    if count * length > STORE_SYMBOLS:
+        raise ConfigError(f"a store of {count} messages of {length} symbols holds "
+                          f"{count * length} symbols, over the {STORE_SYMBOLS} drawn at most")
+    return dict(enumerate(uniform_arrays(rng, params.q, length, count)))
 
 
 @dataclass(frozen=True, eq=False)  # equal as a mapping, to a dict of its slices too
@@ -367,7 +379,11 @@ def run_segments(params: SystemParams, v_star, seed, segments):
 
 def run_protocol(scheme: str, params: SystemParams, v_star, store, seed):
     """Full two-phase run of one scheme. Returns (decoded message,
-    transcript, metrics)."""
+    transcript, metrics).
+
+    The servers read the store as symbols of F_q: a stored symbol at or
+    above q is answered as its residue mod q, so the decoded message is
+    the stored one mod q."""
     v_star = check_vector(v_star, params)
     pool = allocate(scheme, params, tuple(v_star[params.d:]), seed)
     return run_segments(params, v_star, seed, [(store_segment(store, 0, params.length), pool)])

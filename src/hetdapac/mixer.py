@@ -222,7 +222,9 @@ def run_time_shared(mix: MixPlan, v_star, store, seed):
     stream, all behind one verification phase. Returns (message,
     transcript, metrics) like run_protocol; with two components the
     retrieval records are tagged by segment, and an endpoint mix (lambda 0
-    or 1) is exactly the pure run.
+    or 1) is exactly the pure run. As there, a stored symbol at or above q
+    is answered as its residue mod q, so the decoded message is the
+    stored one mod q.
     """
     if not isinstance(mix, MixPlan):
         raise ConfigError(f"mix must be a MixPlan, got {mix!r}")

@@ -57,7 +57,12 @@ combination into its place.
 The access and index checks of a group run over the whole group at once
 (a subset test of its message set, the minimum and maximum of its
 indices); only a group that fails them is walked row by row, to raise
-the same first error, in row order, as a per-row check would.
+the same first error, in row order, as a per-row check would. A query
+that names a row twice is found once per query, by one `array('Q')` key
+column: the ids fill the first 32-bit word of each key (the low word on
+a little-endian host) and the wire indices the other, each by one
+strided assignment, so no key is computed row by row. The pad labels go
+into a set of their own.
 
 A share is computed by one of two kernels, chosen by sub-packet length.
 From PACK_MIN_SYMBOLS symbols on, every named row and pad chunk is read
@@ -67,8 +72,9 @@ and one Barrett reduction of every lane at once per lane int; the
 reduced lane ints, OR-ed together, become the share in one conversion,
 and no symbol is touched by Python code of its own. Below that, the
 gather kernel makes one pass in C over the rows per symbol and slices no
-row. The two kernels take the same arguments and return the same share,
-an `array('I')` that goes on the wire as it is, and `combine` picks
+row. The two kernels take the same arguments, each row's sub-packet as
+the offset of its first symbol, and return the same share, an
+`array('I')` that goes on the wire as it is, and `combine` picks
 between them for the answer path and for decode alike. The user tests
 the shares it receives for the q bound the same way, by length: lanes
 of one int from PACK_MIN_SYMBOLS symbols on (see
@@ -538,30 +544,39 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
 
 
 # Sub-packets at least this long are answered by the packed kernel, the
-# rest by the gather kernel. The packed kernel costs about two microseconds
-# per row and tens per group, while the gather kernel pays a pass over the
-# rows per symbol. On a 2-core VM at q = 65537 with one pad chunk, the
-# gather kernel won by 3-9x at 1-2 symbols and the packed kernel by
-# 1.2-3.1x at 32 symbols, on 2 to 256 rows; they crossed between 2 and 8
-# symbols at 2 rows and between 8 and 16 at 64 and 256 (table in
-# CHANGES.md). No workload's sub-packets have 6 to 31 symbols, so the
-# threshold stays at 32 until one reaches that range. The user's check of
-# a reply's shares switches from a scan to a lane test at the same length:
-# on the same VM at q = 65537 the lane test crossed the scan near 8
-# symbols and won by 1.9x at 32 and 4.3x at 20 000.
+# rest by the gather kernel. The packed kernel costs about a microsecond
+# per row and a few per group, while the gather kernel pays a pass over
+# the rows per symbol. Gather time over packed time at q = 65537 with one
+# pad chunk (min of 5 `timeit` repeats, Python 3.11, 2-CPU VM):
+#
+#     rows \ symbols    1     2     5     8    16    31
+#        2           0.34  0.56  1.15  1.80  3.19  5.29
+#       64           0.16  0.30  0.74  1.16  2.21  3.71
+#      256           0.13  0.26  0.62  0.97  1.81  3.08
+#     1024           0.13  0.26  0.62  0.97  1.80  3.06
+#
+# The packed kernel first wins at 5 symbols on 2 rows, 7 on 64 and 9 on
+# 256 and 1024. No workload's sub-packets have 6 to 31 symbols (`wide`'s
+# mix segments have 2 and 5), so the threshold stays at 32 until one
+# reaches that range. The user's check of a reply's shares switches from
+# a scan to a lane test at the same length: on the same VM at q = 65537
+# the lane test crossed the scan near 8 symbols and won by 1.9x at 32 and
+# 4.3x at 20 000.
 PACK_MIN_SYMBOLS = 32
 
 
-def _gather_share(vector, arrays, ends, pads, q: int, length: int) -> array:
-    """pad + sum_r vector[r] * arrays[r][ends[r] - length + j] mod q for
-    each symbol j < length, where the pad is the sum of the `pads` chunks.
+def _gather_share(vector, arrays, starts, pads, q: int, length: int) -> array:
+    """pad + sum_r vector[r] * arrays[r][starts[r] + j] mod q for each
+    symbol j < length, where the pad is the sum of the `pads` chunks.
 
     A symbol costs one pass in C over the rows and one over the pad
-    chunks, with no per-row slice.
+    chunks, with no per-row slice; the first symbol, a 1-symbol
+    sub-packet's only one, reads `starts` as it is.
     """
-    return array("I", [(sum(map(mul, vector, map(getitem, arrays, map(add, ends, repeat(j)))))
-                        + sum(map(getitem, pads, repeat(length + j)))) % q
-                       for j in range(-length, 0)])
+    return array("I", [(sum(map(mul, vector, map(getitem, arrays,
+                                                 map(add, starts, repeat(j)) if j else starts)))
+                        + sum(map(getitem, pads, repeat(j)))) % q
+                       for j in range(length)])
 
 
 def _lane_width(terms: int, q: int) -> tuple[int, int]:
@@ -584,9 +599,9 @@ def _lane_masks(length: int, w: int) -> tuple[tuple[int, ...], int]:
     return masks, int.from_bytes((b"\x01" + bytes(4 * w - 1)) * lanes, "little")
 
 
-def _packed_share(vector, arrays, ends, pads, q: int, length: int) -> array:
+def _packed_share(vector, arrays, starts, pads, q: int, length: int) -> array:
     """The share `_gather_share` computes, with each row's sub-packet
-    `arrays[r][ends[r] - length:ends[r]]` and each pad chunk read as one
+    `arrays[r][starts[r]:starts[r] + length]` and each pad chunk read as one
     int, a symbol per 32-bit word, and split by the masks of `_lane_masks`
     into w interleaved lane ints.
 
@@ -616,8 +631,8 @@ def _packed_share(vector, arrays, ends, pads, q: int, length: int) -> array:
 
     for pad in pads:
         add(1, pad)
-    for coeff, arr, end in zip(vector, arrays, ends):
-        add(coeff % q, arr[end - length:end])
+    for coeff, arr, at in zip(vector, arrays, starts):
+        add(coeff % q, arr[at:at + length])
     m, low, lift = (1 << k) // q, ones * ((1 << (32 * w - k)) - 1), ones * ((2 << b) - q)
     share = 0
     for i, total in enumerate(totals):
@@ -628,12 +643,12 @@ def _packed_share(vector, arrays, ends, pads, q: int, length: int) -> array:
     return little_endian(array("I", share.to_bytes(4 * length, "little")))
 
 
-def combine(vector, arrays, ends, pads, q: int, length: int) -> array:
-    """pad + sum_r vector[r] * arrays[r][ends[r] - length:ends[r]] mod q,
-    by the kernel the sub-packet length calls for; the pad is the sum of
-    `pads`."""
+def combine(vector, arrays, starts, pads, q: int, length: int) -> array:
+    """pad + sum_r vector[r] * arrays[r][starts[r]:starts[r] + length] mod
+    q, by the kernel the sub-packet length calls for; the pad is the sum
+    of `pads`."""
     kernel = _packed_share if length >= PACK_MIN_SYMBOLS else _gather_share
-    return kernel(vector, arrays, ends, pads, q, length)
+    return kernel(vector, arrays, starts, pads, q, length)
 
 
 def answer_query(ctx: ServerContext, query: QueryTuple
@@ -646,9 +661,13 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     one among them, and so is any reference to a message outside the
     accessible slice, and any query naming a pad label or a (message,
     wire index) row twice: shares that repeat one differ by a pad-free
-    combination of sub-packets. Rows are compared as the ints
-    id·(S+1) + index, S the sub-packet count, which the range check
-    makes one-to-one. A server with no table refuses every query.
+    combination of sub-packets. The labels are compared as a set of
+    their own, and the rows as one `array('Q')` key column per query,
+    made by strided assignment with no arithmetic per row: the id in the
+    first 32-bit word of its key, the low one on a little-endian host,
+    where it spreads the keys over a set's buckets, and the wire index in
+    the other. Both are 32-bit words, so a key is one row. A server with
+    no table refuses every query.
     """
     table = ctx.table
     if table is None:
@@ -656,35 +675,40 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     server = ctx.server
     if query.server != server:
         raise ConfigError(f"query for server {query.server} sent to {server}")
-    pool, store, start = ctx.pool, ctx.store, ctx.start
+    pool, store = ctx.pool, ctx.store
     q, sub_len = pool.params.q, pool.chunk_len
     subpackets = pool.params.length // sub_len
-    labels_of, chunk, held, message = table.get, pool.chunk, store.keys(), store.__getitem__
+    first = ctx.start - sub_len  # wire index i starts at symbol first + sub_len·i
+    labels_of, chunk_of = table.get, pool.chunks.__getitem__
+    held, message = store.keys(), store.__getitem__
     shares = []
     all_labels = []
     every_id, every_index = array("I"), array("I")  # to find a row named twice
-    for gi, group in enumerate(query.groups):
-        descriptor = group.descriptor
-        # the ids as one list of ints, not an int made at each use
-        msgs, indices = descriptor.ids.tolist(), descriptor.indices
-        if len(group.vector) != len(msgs):
+    for gi, ((ids, indices), vector) in enumerate(query.groups):
+        msgs = ids.tolist()  # the ids as one list of ints, not an int made at each use
+        if len(vector) != len(msgs):
             raise ConfigError("vector length does not match group rows")
         key = frozenset(msgs)
         labels = labels_of(key)
         if labels is None:
             raise ConfigError(f"group does not match any candidate set on server {server}")
-        pads = [*map(chunk, labels)]
+        try:
+            pads = [*map(chunk_of, labels)]
+        except KeyError:
+            pads = [*map(pool.chunk, labels)]  # raises for the first unknown label
         if not (held >= key and 1 <= min(indices) and max(indices) <= subpackets):
             _refuse_first_row(ctx, msgs, indices, subpackets)
-        ends = [start + sub_len * i for i in indices]
-        shares.append(AnswerShare(server, gi, combine(group.vector, [*map(message, msgs)],
-                                                      ends, pads, q, sub_len)))
+        starts = [first + sub_len * i for i in indices]
+        shares.append(AnswerShare(server, gi, combine(vector, [*map(message, msgs)],
+                                                      starts, pads, q, sub_len)))
         all_labels.append(labels)
-        every_id += descriptor.ids
+        every_id += ids
         every_index += indices
-    named = [*chain.from_iterable(all_labels),
-             *map(add, map(mul, every_id, repeat(subpackets + 1)), every_index)]
-    if len(set(named)) != len(named):
+    every_label = [*chain.from_iterable(all_labels)]
+    keys = array("Q", bytes(8 * len(every_id)))
+    words = memoryview(keys).cast("B").cast("I")
+    words[::2], words[1::2] = every_id, every_index
+    if len(set(every_label)) != len(every_label) or len(set(keys)) != len(keys):
         raise ConfigError(f"query reuses a pad label or a row on server {server}")
     return shares, all_labels
 
@@ -698,7 +722,7 @@ def decode(plan: RetrievalPlan, answers: dict) -> array:
     for start, terms in plan.decoding:
         payloads = [answers[server][gi].payload for server, gi, _ in terms]
         out[start:start + length] = combine([c for *_, c in terms], payloads,
-                                            [length] * len(terms), (), q, length)
+                                            [0] * len(terms), (), q, length)
     return out
 
 

@@ -9,14 +9,17 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
+from dataclasses import replace
 from types import MappingProxyType
 
 import pytest
 
 from hetdapac.access import (
     SystemParams,
+    accessible_messages,
     message_index,
     ordered_complement,
+    participating_ids,
     vector_of_index,
 )
 from hetdapac.errors import AccessRefusal, ConfigError
@@ -175,6 +178,53 @@ def test_repeated_row_across_two_groups_is_refused():
     kind, _ = actor.handle("query", query_frame(P322.central, first,
                                                 ([[a1y, 2], [b1y, 1]], [1, 1])))
     assert kind == "answer"
+
+
+# K^N = 2^32, so an id may be any 32-bit word. With every public
+# attribute at its last value the participating ids reach 2^32 - 1, and
+# dedicated server 1's (v_1 = 4) are all at or above 2^31
+TOP = SystemParams(n_attrs=16, d=2, k=4, q=65537, length=2)
+TOP_V = (4,) * 16
+
+
+def with_row_copied(query: QueryTuple, msg: int) -> QueryTuple:
+    """`query` with msg's row in the first group that names it copied into
+    another group: over msg's own row in the next group that names it,
+    or else over the row of the first other group, which must have one."""
+    groups = list(query.groups)
+    a = next(gi for gi, g in enumerate(groups) if msg in g.descriptor.ids)
+    index = groups[a].descriptor.indices[groups[a].descriptor.ids.index(msg)]
+    others = [gi for gi in range(len(groups)) if gi != a]
+    b = next((gi for gi in others if msg in groups[gi].descriptor.ids), others[0])
+    ids, indices = (column[:] for column in groups[b].descriptor)
+    at = ids.index(msg) if msg in ids else 0
+    assert msg in ids or len(ids) == 1
+    ids[at], indices[at] = msg, index
+    groups[b] = QueryGroup(MessageGroupDescriptor(ids, indices), groups[b].vector)
+    return QueryTuple(query.server, tuple(groups))
+
+
+@pytest.mark.parametrize("scheme, server", [("het1", TOP.central), ("dapac", 1)])
+def test_row_keys_at_the_top_of_the_id_range(scheme, server):
+    public = TOP_V[TOP.d:]
+    participating = participating_ids(TOP, public)
+    assert max(participating) == 2 ** 32 - 1 and len(participating) == 16
+    assert min(accessible_messages(1, TOP_V, TOP)) >= 2 ** 31
+    store = {m: array("I", [m % TOP.q, 1]) for m in participating}  # these messages alone
+    own = None if server == TOP.central else TOP_V[server - 1]
+    ctx = scheme_base.server_context(server, public, own, store, allocate(scheme, TOP, public, 0))
+    _, queries = {"het1": het1, "dapac": dapac}[scheme].build(TOP_V, TOP, derive_rng(0, "user", 0))
+    honest = queries[server]
+    rows = {row for g in honest.groups for row in g.descriptor.rows}
+    if scheme == "het1":
+        # rows whose ids differ in bit 31 alone, at one index, are two rows
+        assert {(2 ** 31 - 1, 1), (2 ** 32 - 1, 1)} <= rows
+    else:
+        assert min(m for m, _ in rows) >= 2 ** 31
+    shares, _ = answer_query(ctx, honest)
+    assert len(shares) == len(honest.groups)
+    with pytest.raises(ConfigError, match="reuses"):
+        answer_query(ctx, with_row_copied(honest, 2 ** 32 - 1))
 
 
 def test_descriptor_columns_must_have_equal_lengths():
@@ -461,17 +511,18 @@ def test_the_view_memo_never_holds_more_rows_than_its_bound():
 
 # ------------------------------------------------------- answer kernels
 
-def kernel_case(q: int, length: int, pads: int, rows=None):
+def kernel_case(q: int, length: int, pads: int, rows=None, start: int = 0):
     """One group over `rows` rows (1-64 at random when None) of sub-packets
     `length` long, with `pads` pad labels, on a server that holds every
-    row: (ctx, query, table). Past 64 symbols a group has at most 8 rows,
+    row and answers from symbol `start` on, as a mix segment does:
+    (ctx, query, table). Past 64 symbols a group has at most 8 rows,
     which keeps the loop reference fast. The vector leads with 0, q - 1,
     -1 and q + 5; the wire accepts any int, so the kernels must reduce
     coefficients themselves."""
     rng = derive_rng("kernel", q, length, pads)
     rows = rows or rng.randint(1, 64 if length <= 64 else 8)
     params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
-    store = dict(enumerate(uniform_arrays(rng, q, 2 * length, rows), start=1))
+    store = dict(enumerate(uniform_arrays(rng, q, start + 2 * length, rows), start=1))
     labels = [("nk", 1, k) for k in range(1, pads + 1)]
     pool = RandomnessPool("het1", params, length,
                           dict(zip(labels, uniform_arrays(rng, q, length, pads))))
@@ -479,7 +530,7 @@ def kernel_case(q: int, length: int, pads: int, rows=None):
               + tuple(rng.randrange(-2 * q, 2 * q) for _ in range(rows)))[:rows]
     group = QueryGroup(descriptor([(m, rng.randint(1, 2)) for m in store]), vector)
     table = {frozenset(store): labels}
-    return ServerContext(1, store, pool, table), QueryTuple(1, (group,)), table
+    return ServerContext(1, store, pool, table, start), QueryTuple(1, (group,)), table
 
 
 def pad_sum(pool, labels, q: int) -> tuple[int, ...]:
@@ -502,33 +553,39 @@ def loop_share(vector, segments, pad, q: int) -> array:
 
 def loop_reference(ctx, query, table):
     """The share by the per-symbol loop over sliced rows: the oracle for
-    every kernel. Returns the kernels' inputs too: (arrays, ends, pad
-    chunks, labels, share)."""
+    every kernel. Returns the kernels' inputs too: (arrays, starts, pad
+    chunks, labels, share), wire index i starting at symbol
+    ctx.start + (i - 1)·length."""
     group = query.groups[0]
     q, n = ctx.pool.params.q, ctx.pool.chunk_len
     arrays = [ctx.store[m] for m, _ in group.descriptor.rows]
-    ends = [i * n for _, i in group.descriptor.rows]
-    segments = [a[e - n:e] for a, e in zip(arrays, ends)]
+    starts = [ctx.start + (i - 1) * n for _, i in group.descriptor.rows]
+    segments = [a[s:s + n] for a, s in zip(arrays, starts)]
     labels = table[frozenset(m for m, _ in group.descriptor.rows)]
     chunks = [ctx.pool.chunk(label) for label in labels]
     want = loop_share(group.vector, segments, pad_sum(ctx.pool, labels, q), q)
-    return arrays, ends, chunks, labels, want
+    return arrays, starts, chunks, labels, want
 
 
 KERNEL_MODULI = [2, 3, 65537, 4294967291]
+# the symbol a server answers from: a pure run's, and a mix segment's
+# some symbols in
+KERNEL_STARTS = (0, 5)
 
 
 @pytest.mark.parametrize("q", KERNEL_MODULI)
 @pytest.mark.parametrize("length", [PACK_MIN_SYMBOLS - 1, PACK_MIN_SYMBOLS, 20000])
 @pytest.mark.parametrize("pads", [0, 1, 3])
 def test_packed_kernel_equals_the_loop(q, length, pads):
-    ctx, query, table = kernel_case(q, length, pads)
-    arrays, ends, chunks, labels, want = loop_reference(ctx, query, table)
-    got = scheme_base._packed_share(query.groups[0].vector, arrays, ends, chunks, q, length)
-    assert type(got) is array and got.typecode == "I" and got == want
-    shares, named = answer_query(ctx, query)
-    assert [s.payload for s in shares] == [want] and named == [labels]
-    assert type(shares[0].payload) is array and shares[0].payload.typecode == "I"
+    for start in KERNEL_STARTS:
+        ctx, query, table = kernel_case(q, length, pads, start=start)
+        arrays, starts, chunks, labels, want = loop_reference(ctx, query, table)
+        got = scheme_base._packed_share(query.groups[0].vector, arrays, starts, chunks, q,
+                                        length)
+        assert type(got) is array and got.typecode == "I" and got == want
+        shares, named = answer_query(ctx, query)
+        assert [s.payload for s in shares] == [want] and named == [labels]
+        assert type(shares[0].payload) is array and shares[0].payload.typecode == "I"
 
 
 @pytest.mark.parametrize("rows, words", [(255, 2), (256, 3)])
@@ -540,11 +597,11 @@ def test_packed_kernel_across_the_lane_width_step(rows, words):
     assert scheme_base._lane_width(rows, q)[1] == words
     for length in (33, 34, 35):
         ctx, query, table = kernel_case(q, length, 0, rows)
-        arrays, ends, chunks, _, want = loop_reference(ctx, query, table)
-        assert (scheme_base._packed_share(query.groups[0].vector, arrays, ends, chunks, q, length)
-                == want)
+        arrays, starts, chunks, _, want = loop_reference(ctx, query, table)
+        assert (scheme_base._packed_share(query.groups[0].vector, arrays, starts, chunks, q,
+                                          length) == want)
         top = [array("I", [q - 1]) * length] * rows
-        assert (scheme_base._packed_share([q - 1] * rows, top, [length] * rows, (), q, length)
+        assert (scheme_base._packed_share([q - 1] * rows, top, [0] * rows, (), q, length)
                 == loop_share([q - 1] * rows, top, [0] * length, q))
 
 
@@ -558,17 +615,28 @@ def test_packed_kernel_at_the_top_of_the_field(q, length, make_pad):
     # the lengths leave the last lane every count of words up to 4
     top = array("I", [q - 1]) * (2 * length)
     vector = [q - 1, -1, -(q - 1), q - 1, -q - 1]
-    arrays, ends = [top] * len(vector), [length, 2 * length] * 2 + [length]
-    segments = [a[e - length:e] for a, e in zip(arrays, ends)]
+    arrays, starts = [top] * len(vector), [0, length] * 2 + [0]
+    segments = [a[s:s + length] for a, s in zip(arrays, starts)]
     pad = array("I", [q - 1]) * length
     pads = [pad if make_pad is array else tuple(pad)] * 3
-    got = scheme_base._packed_share(vector, arrays, ends, pads, q, length)
+    got = scheme_base._packed_share(vector, arrays, starts, pads, q, length)
     assert type(got) is array
     assert got == loop_share(vector, segments, [3 * (q - 1) % q] * length, q)
     params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
     zero = RandomnessPool("het1", params, length, {("nk", 1, 1): pad}).zeros_like()
-    assert (scheme_base._packed_share(vector, arrays, ends, [zero.chunk(("nk", 1, 1))], q, length)
+    assert (scheme_base._packed_share(vector, arrays, starts, [zero.chunk(("nk", 1, 1))], q,
+                                      length)
             == loop_share(vector, segments, [0] * length, q))
+
+
+def test_a_label_the_pool_lacks_is_refused_by_name():
+    # the answer path reads the pool's chunk map by label; a label the
+    # pool does not hold still raises the pool's own refusal, naming it
+    ctx, query, table = kernel_case(65537, 2, 1, rows=3)
+    (key, labels), = table.items()
+    lacking = replace(ctx, table={key: (*labels, ("nk", 9, 9))})
+    with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
+        answer_query(lacking, query)
 
 
 def test_vector_shorter_than_the_rows_is_refused():
@@ -590,12 +658,12 @@ GATHER_SHAPES = ([(length, None) for length in range(1, PACK_MIN_SYMBOLS)]
 @pytest.mark.parametrize("q", KERNEL_MODULI)
 @pytest.mark.parametrize("pads", [0, 1, 3])
 def test_gather_and_loop_kernels_equal_the_oracle(q, pads):
-    for length, rows in GATHER_SHAPES:
-        ctx, query, table = kernel_case(q, length, pads, rows)
-        arrays, ends, chunks, labels, want = loop_reference(ctx, query, table)
-        got = scheme_base._gather_share(query.groups[0].vector, arrays, ends, chunks, q, length)
+    for start, (length, rows) in itertools.product(KERNEL_STARTS, GATHER_SHAPES):
+        ctx, query, table = kernel_case(q, length, pads, rows, start)
+        arrays, starts, chunks, labels, want = loop_reference(ctx, query, table)
+        got = scheme_base._gather_share(query.groups[0].vector, arrays, starts, chunks, q, length)
         assert type(got) is array and got.typecode == "I"
-        assert got == want, (length, rows)
+        assert got == want, (start, length, rows)
         shares, named = answer_query(ctx, query)
         assert [s.payload for s in shares] == [want] and named == [labels]
 

@@ -518,8 +518,8 @@ def strip_pads(monkeypatch):
     """Answer every group without its pad chunks, whichever kernel runs."""
     combine = scheme_base.combine
 
-    def no_pad(vector, arrays, ends, pads, q, length):
-        return combine(vector, arrays, ends, [], q, length)
+    def no_pad(vector, arrays, starts, pads, q, length):
+        return combine(vector, arrays, starts, [], q, length)
 
     monkeypatch.setattr(scheme_base, "combine", no_pad)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hetdapac import audit, cli
+from hetdapac import audit, cli, harness
 from hetdapac.harness import random_store
 from hetdapac.schemes import het1
 
@@ -32,6 +32,18 @@ class TestRun:
         assert "matches store: True" in out.out
         echo = json.loads(out.out.splitlines()[0])
         assert echo["config"]["seed"] == 7
+
+    def test_a_store_too_large_to_draw_exits_2_before_any_output(self, capsys, monkeypatch):
+        # K^N = 2^32 messages: the run is refused before a symbol is drawn
+        # and before the config echo is printed
+        def unused(*args):
+            raise AssertionError("a refused store drew symbols")
+
+        monkeypatch.setattr(harness, "uniform_arrays", unused)
+        code, out = run_cli(capsys, "run", "--scheme", "het1", "--n", "16", "--d", "2",
+                            "--k", "4", "--length", "2", "--vstar", ",".join(["1"] * 16))
+        assert code == 2 and out.out == ""
+        assert "over the 268435456 drawn at most" in out.err
 
     def test_transcript_file_is_reproducible(self, capsys, tmp_path):
         path = tmp_path / "transcript.jsonl"

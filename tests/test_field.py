@@ -74,7 +74,7 @@ def test_field_axioms_exhaustive(q):
             for x in elems:
                 for y in elems:
                     for ca, cb in ((a, b), (-a, b), (a, -b)):
-                        got = combine((ca, cb), [(x,), (y,)], [1, 1], (), q, 1)
+                        got = combine((ca, cb), [(x,), (y,)], [0, 0], (), q, 1)
                         assert list(got) == [(ca * x + cb * y) % q]
 
 
@@ -107,13 +107,13 @@ def test_vector_ops():
     for width in (1, 64):
         uw, vw = u * width, v * width
         n = len(uw)
-        got = combine((1, 1), [uw, vw], [n, n], (), q, n)
+        got = combine((1, 1), [uw, vw], [0, 0], (), q, n)
         assert type(got) is array and got.typecode == "I"
         assert got == array("I", (5, 0, 2) * width)
-        assert combine((1, -1), [vw, uw], [n, n], (), q, n) == array("I", (3, 3, 3) * width)
-        assert combine((3,), [uw], [n], (), q, n) == array("I", (3, 6, 2) * width)
+        assert combine((1, -1), [vw, uw], [0, 0], (), q, n) == array("I", (3, 3, 3) * width)
+        assert combine((3,), [uw], [0], (), q, n) == array("I", (3, 6, 2) * width)
     # with many rows, too, the gather kernel answers short sub-packets
-    got = combine((1, -1) * 8, [v, u] * 8, [3] * 16, (), q, 3)
+    got = combine((1, -1) * 8, [v, u] * 8, [0] * 16, (), q, 3)
     assert type(got) is array and got == array("I", (3, 3, 3))
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from hetdapac import harness
 from hetdapac.access import SystemParams, message_index
 from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.field import derive_rng
@@ -49,6 +50,40 @@ def test_largest_32_bit_prime_decodes(scheme):
     v_star = (2, 1, 2, 1)
     msg, _, _ = run_protocol(scheme, params, v_star, store, seed=5)
     assert msg == store[message_index(v_star, params)]
+
+
+@pytest.mark.parametrize("run", ["het1", "dapac", "mix"])
+def test_a_stored_symbol_at_or_above_q_decodes_as_its_residue(run):
+    # the servers read the store as symbols of F_5: 7 answers as 2 and 5
+    # as 0, so the decoded message is the stored one mod q
+    stored, residues = [7, 5, 9, 6], [2, 0, 4, 1]
+    length = 4 if run == "mix" else 2
+    params = SystemParams(n_attrs=3, d=2, k=2, q=5, length=length)
+    v_star = (1, 2, 1)
+    store = random_store(params, 0)
+    store[message_index(v_star, params)] = array("I", stored[:length])
+    if run == "mix":
+        msg, _, _ = run_time_shared(plan_mix(params, Fraction(1, 2)), v_star, store, 0)
+    else:
+        msg, _, _ = run_protocol(run, params, v_star, store, 0)
+    assert msg == array("I", residues[:length])
+
+
+def test_a_store_over_the_symbol_budget_is_refused_before_drawing(monkeypatch):
+    def unused(*args):
+        raise AssertionError("a refused store drew symbols")
+
+    monkeypatch.setattr(harness, "uniform_arrays", unused)
+    top = SystemParams(n_attrs=16, d=2, k=4, q=65537, length=1)  # 2^32 messages
+    assert top.message_count > harness.STORE_SYMBOLS
+    with pytest.raises(ConfigError, match=f"4294967296 symbols, over the {harness.STORE_SYMBOLS}"):
+        random_store(top, 0)
+    # a store of the budget exactly, 4^14 messages of one symbol, is drawn
+    drawn = []
+    monkeypatch.setattr(harness, "uniform_arrays",
+                        lambda rng, q, length, count: drawn.append((length, count)) or [])
+    random_store(SystemParams(n_attrs=14, d=2, k=4, q=65537, length=1), 0)
+    assert drawn == [(1, harness.STORE_SYMBOLS)]
 
 
 @pytest.mark.parametrize("params", [None, (3, 2, 2), P322.__dict__])
