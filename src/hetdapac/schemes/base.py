@@ -57,7 +57,11 @@ combination into its place.
 The access and index checks of a group run over the whole group at once
 (a subset test of its message set, the minimum and maximum of its
 indices); only a group that fails them is walked row by row, to raise
-the same first error, in row order, as a per-row check would. A query
+the same first error, in row order, as a per-row check would. The set,
+its table lookup and the subset test run once per view and id column:
+the view remembers each column of distinct ids that passed them, by its
+bytes, with the labels it matched, and only a context that
+`server_context` made, with the view's table and slice, reads it. A query
 that names a row twice is found once per query, by one `array('Q')` key
 column: the ids fill the first 32-bit word of each key (the low word on
 a little-endian host) and the wire indices the other, each by one
@@ -383,7 +387,11 @@ class Memo:
     and a value heavier than the bound is used once and not kept. A
     trace holds `array('I')` columns, never an object per row beyond the
     set helpers' own id tuples and the symbolic offsets; a view holds the
-    set memo's tuples and frozensets and one label tuple per entry.
+    set memo's tuples and frozensets and one label tuple per entry, and
+    the id columns its servers have matched (`View.columns`). Those are
+    not weighed: each is one of the table's keys in some row order, 4
+    bytes a row of a key the view already weighs, and there is at most
+    one per entry (see MEMO_ROWS).
 
     The values it holds were all made with the set helpers and label
     tables bound as `schemes.memo_bindings()` last returned. When a
@@ -447,8 +455,22 @@ def _traced(scheme: str, params: SystemParams, v_star: tuple) -> tuple[PlanTrace
     return trace, trace.rows
 
 
+class View(tuple):
+    """A verified view as `Memo.view` holds it: the pair (accessible ids,
+    label table), and in `columns` the id columns that have matched an
+    entry of the table with every message in the ids, each by its bytes,
+    mapped to the labels it matched. `answer_query` fills and reads
+    `columns`; they are made and dropped with the view, and hold at most
+    one column per table entry."""
+
+    def __new__(cls, ids: tuple, table: Optional[Mapping]):
+        view = super().__new__(cls, (ids, table))
+        view.columns = {}
+        return view
+
+
 def _viewed(scheme: str, params: SystemParams, server: int, public: tuple,
-            own_value: Optional[int]) -> tuple[tuple, int]:
+            own_value: Optional[int]) -> tuple[View, int]:
     from . import engine
     eng = engine(scheme)
     ids = (participating_ids(params, public) if own_value is None
@@ -457,7 +479,7 @@ def _viewed(scheme: str, params: SystemParams, server: int, public: tuple,
     if own_value is not None or eng.QUERIES_CENTRAL:
         table = MappingProxyType({key: tuple(labels) for key, labels in
                                   eng.label_table(server, params, public, own_value).items()})
-    return (ids, table), len(ids) + sum(map(len, table or ()))
+    return View(ids, table), len(ids) + sum(map(len, table or ()))
 
 
 # Rows the memo holds at most. The benchmark's `wide` shape (N = 7,
@@ -465,7 +487,12 @@ def _viewed(scheme: str, params: SystemParams, server: int, public: tuple,
 # tracemalloc puts at 1.9 MB: at most 12 bytes of columns a row, plus the
 # symbolic offsets of lifted and concatenated vectors. Its 21 server
 # views weigh 288 768 ids, nearly all of them in tuples and frozensets the
-# set memo shares, so a pass of `wide` keeps 405 504 rows.
+# set memo shares, so a pass of `wide` keeps 405 504 rows. The views'
+# remembered id columns are not weighed: a pass leaves 294 of them, 116 736
+# rows against the 258 048 table-key rows the views weigh, and tracemalloc
+# puts them at 475 KiB, 4 bytes a row plus a bytes header and a dict slot
+# each, a quarter of the 16-byte hash-table entry a weighed key row
+# already costs in its frozenset.
 MEMO_ROWS = 1 << 19
 MEMO = Memo(MEMO_ROWS)
 
@@ -496,6 +523,12 @@ class ServerContext:
     length. The server answers from the pool's length of symbols of each
     stored message from `start` on: the whole message in a pure run, one
     range of it in a segment of a mix.
+
+    `remembered` is the view's id columns (`View.columns`), which
+    `answer_query` reads and fills. Only `server_context` sets it, with
+    the table and store it installs. It is not a field, so a context made
+    by `dataclasses.replace`, with another table or store or not, or by
+    hand, has None and remembers nothing.
     """
 
     server: int
@@ -503,6 +536,7 @@ class ServerContext:
     pool: RandomnessPool
     table: Optional[Mapping[frozenset, tuple]]
     start: int = 0
+    remembered = None
 
     @property
     def is_central(self) -> bool:
@@ -519,7 +553,9 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     label table are read from `MEMO`, built by the pool's scheme on the
     view's first install; the central server of a scheme that never
     queries it gets no table. The ids cut the store down to the messages
-    they grant, copying none, at every install.
+    they grant, copying none, at every install, so every context of one
+    view holds the same messages, and each shares the view's remembered
+    id columns (`View.columns`) with the others.
 
     A store that is not a mapping, lacks a granted message, or holds one
     that stops before the range the server answers from does, is
@@ -529,7 +565,8 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     if not isinstance(store, Mapping):
         raise ConfigError(f"a store maps message ids to symbols, got {store!r}")
     params = pool.params
-    ids, table = MEMO.view(pool.scheme, params, server, tuple(public), own_value)
+    view = MEMO.view(pool.scheme, params, server, tuple(public), own_value)
+    ids, table = view
     try:
         held = {m: store[m] for m in ids}
     except KeyError:
@@ -540,7 +577,9 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
         short = next(m for m, symbols in held.items() if len(symbols) < stop)
         raise ConfigError(f"message {short} holds {len(held[short])} symbols; server "
                           f"{server} answers from symbols [{start}, {stop})")
-    return ServerContext(server, held, pool, table, start)
+    ctx = ServerContext(server, held, pool, table, start)
+    object.__setattr__(ctx, "remembered", view.columns)
+    return ctx
 
 
 # Sub-packets at least this long are answered by the packed kernel, the
@@ -668,6 +707,16 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     where it spreads the keys over a set's buckets, and the wire index in
     the other. Both are 32-bit words, so a key is one row. A server with
     no table refuses every query.
+
+    A group's id column is matched once per view: its message set is
+    built, looked up in the table and tested against the slice on first
+    sight, and a column of distinct ids that passes both is remembered,
+    by its bytes, with the labels it matched, in `ctx.remembered`, which
+    only a context made by `server_context` has. A remembered column
+    then costs one `tobytes` and one dict probe; its vector length, pads,
+    indices and rows are checked as every group's are, so each refusal
+    keeps its order and message. When the view holds one column per
+    table entry, the oldest is dropped for the next.
     """
     table = ctx.table
     if table is None:
@@ -681,6 +730,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     first = ctx.start - sub_len  # wire index i starts at symbol first + sub_len·i
     labels_of, chunk_of = table.get, pool.chunks.__getitem__
     held, message = store.keys(), store.__getitem__
+    columns = ctx.remembered
     shares = []
     all_labels = []
     every_id, every_index = array("I"), array("I")  # to find a row named twice
@@ -688,15 +738,24 @@ def answer_query(ctx: ServerContext, query: QueryTuple
         msgs = ids.tolist()  # the ids as one list of ints, not an int made at each use
         if len(vector) != len(msgs):
             raise ConfigError("vector length does not match group rows")
-        key = frozenset(msgs)
-        labels = labels_of(key)
-        if labels is None:
-            raise ConfigError(f"group does not match any candidate set on server {server}")
+        if columns is None or (labels := columns.get(column := ids.tobytes())) is None:
+            # first sight of this column: match its message set
+            key = frozenset(msgs)
+            labels = labels_of(key)
+            if labels is None:
+                raise ConfigError(f"group does not match any candidate set on server {server}")
+            if not held >= key:
+                [*map(pool.chunk, labels)]  # a label the pool lacks is refused first
+                _refuse_first_row(ctx, msgs, indices, subpackets)
+            if columns is not None and len(key) == len(msgs):
+                if len(columns) >= len(table):
+                    del columns[next(iter(columns))]
+                columns[column] = labels
         try:
             pads = [*map(chunk_of, labels)]
         except KeyError:
             pads = [*map(pool.chunk, labels)]  # raises for the first unknown label
-        if not (held >= key and 1 <= min(indices) and max(indices) <= subpackets):
+        if not (1 <= min(indices) and max(indices) <= subpackets):
             _refuse_first_row(ctx, msgs, indices, subpackets)
         starts = [first + sub_len * i for i in indices]
         shares.append(AnswerShare(server, gi, combine(vector, [*map(message, msgs)],

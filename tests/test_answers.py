@@ -10,6 +10,8 @@ import itertools
 import json
 from array import array
 from dataclasses import replace
+from fractions import Fraction
+from functools import partial
 from types import MappingProxyType
 
 import pytest
@@ -25,6 +27,7 @@ from hetdapac.access import (
 from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.field import derive_rng, uniform_arrays
 from hetdapac.harness import ServerActor, random_store, run_protocol
+from hetdapac.mixer import plan_mix, run_time_shared
 from hetdapac.randomness import RandomnessPool, allocate, canonical_pair_label
 from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import dapac, het1, het2, memo_bindings
@@ -507,6 +510,185 @@ def test_the_view_memo_never_holds_more_rows_than_its_bound():
     run_protocol(scheme, params, (1, 2, 1, 2), random_store(params, 0), 0)
     kinds = {key[0] for key in MEMO.entries}
     assert kinds == {"trace", "view"} and MEMO.rows <= MEMO.max_rows
+
+
+# ------------------------------------------------- remembered id columns
+
+# every server with a table at the view points
+REMEMBERED_POINTS = [(scheme, params, v_star, server) for scheme, params, v_star in VIEW_POINTS
+                     for server in (1, params.central)
+                     if scheme != "dapac" or server != params.central]
+
+
+def warm(scheme, params, v_star, server):
+    """`server`'s context on a fresh view after it has answered its honest
+    query, every group's id column remembered: (context, that query)."""
+    MEMO.clear()
+    ctx = installed(scheme, params, v_star)[0][server]
+    _, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
+    honest = queries[server]
+    answer_query(ctx, honest)
+    assert all(g.descriptor.ids.tobytes() in ctx.remembered for g in honest.groups)
+    return ctx, honest
+
+
+def counted_sets(monkeypatch) -> list:
+    """The message sets `answer_query` builds from now on, one for each id
+    column it matches against its table."""
+    built = []
+
+    def counting(msgs):
+        built.append(msgs)
+        return frozenset(msgs)
+
+    monkeypatch.setattr(scheme_base, "frozenset", counting, raising=False)
+    return built
+
+
+def reordered(group: QueryGroup, order) -> QueryGroup:
+    """`group` with its rows, and their coefficients, in `order`."""
+    (ids, indices), vector = group
+    return QueryGroup(MessageGroupDescriptor(array("I", [ids[r] for r in order]),
+                                             array("I", [indices[r] for r in order])),
+                      [vector[r] for r in order])
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
+def test_a_remembered_column_is_refused_as_on_a_cold_view(scheme, params, v_star, server):
+    # a remembered column skips its set, lookup and subset test, not the
+    # index and vector checks: each refusal reads as on a view that has
+    # never seen the column
+    ctx, honest = warm(scheme, params, v_star, server)
+    (ids, indices), vector = honest.groups[0]
+    subpackets = params.length // ctx.pool.chunk_len
+
+    def with_index(index):
+        changed = indices[:]
+        changed[-1] = index
+        return QueryGroup(MessageGroupDescriptor(ids[:], changed), vector)
+
+    for group, message in [
+        (with_index(0), "sub-packet index 0 out of range"),
+        (with_index(subpackets + 1), f"sub-packet index {subpackets + 1} out of range"),
+        (QueryGroup(MessageGroupDescriptor(ids[:], indices[:]), vector[:-1]),
+         "vector length does not match group rows"),
+    ]:
+        MEMO.clear()
+        cold = installed(scheme, params, v_star)[0][server]
+        assert not cold.remembered
+        for c in (cold, ctx):
+            with pytest.raises(ConfigError) as refused:
+                answer_query(c, QueryTuple(server, (group,)))
+            assert str(refused.value) == message
+
+
+def test_a_column_outside_the_slice_is_refused_every_time():
+    # server 1's het1 table names {a1y, b1y}, but b1y is not in its slice:
+    # the column matches the table, fails the subset test and is never
+    # remembered, so a second send is refused as the first was
+    a1y, b1y = message_index((1, 1, 2), P322), message_index((2, 1, 2), P322)
+    MEMO.clear()
+    ctx = installed("het1", P322, (1, 2, 2))[0][1]
+    query = QueryTuple(1, (QueryGroup(descriptor([[a1y, 1], [b1y, 1]]), [1, 1]),))
+    for _ in range(2):
+        with pytest.raises(AccessRefusal, match=f"inaccessible message {b1y}$"):
+            answer_query(ctx, query)
+    assert not ctx.remembered
+    # a label the pool lacks is refused before the inaccessible row
+    lacking = {key: (*labels, ("nk", 9, 9)) for key, labels in ctx.table.items()}
+    with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
+        answer_query(replace(ctx, table=lacking), query)
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
+def test_another_table_or_store_never_reads_the_remembered_columns(scheme, params, v_star,
+                                                                   server):
+    ctx, honest = warm(scheme, params, v_star, server)
+    columns = ctx.remembered
+    before = dict(columns)
+    lacking = MappingProxyType({key: (*labels, ("nk", 9, 9))
+                                for key, labels in ctx.table.items()})
+    with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
+        answer_query(replace(ctx, table=lacking), honest)
+    msg = honest.groups[0].descriptor.ids[0]
+    store = {m: symbols for m, symbols in ctx.store.items() if m != msg}
+    with pytest.raises(AccessRefusal, match=f"inaccessible message {msg}$"):
+        answer_query(replace(ctx, store=store), honest)
+    assert ctx.remembered is columns and columns == before
+    # a context made by `replace` carries no memo at all
+    assert replace(ctx, table=lacking).remembered is None
+    assert replace(ctx, store=store).remembered is None
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
+def test_rows_in_another_order_are_matched_through_the_table(scheme, params, v_star, server,
+                                                             monkeypatch):
+    ctx, honest = warm(scheme, params, v_star, server)
+    query = QueryTuple(server, tuple(reordered(g, range(len(g.vector) - 1, -1, -1))
+                                     for g in honest.groups))
+    built = counted_sets(monkeypatch)
+    shares, named = answer_query(ctx, query)
+    columns = {g.descriptor.ids.tobytes() for g in query.groups}
+    assert len(built) == len(columns) and columns <= ctx.remembered.keys()
+    q, n = params.q, ctx.pool.chunk_len
+    for share, labels, group in zip(shares, named, query.groups):
+        assert labels == ctx.table[frozenset(group.descriptor.ids)]
+        segments = [ctx.store[m][ctx.start + (i - 1) * n:ctx.start + i * n]
+                    for m, i in group.descriptor.rows]
+        assert share.payload == loop_share(group.vector, segments,
+                                           pad_sum(ctx.pool, labels, q), q)
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", [
+    point for point in REMEMBERED_POINTS if point[0] != "dapac"])
+def test_a_view_remembers_at_most_one_column_per_table_entry(scheme, params, v_star, server):
+    ctx, honest = warm(scheme, params, v_star, server)
+    columns, bound = ctx.remembered, len(ctx.table)
+    group = honest.groups[0]
+    orders = list(itertools.islice(itertools.permutations(range(len(group.vector))), 3 * bound))
+    assert len(orders) == 3 * bound
+    for order in orders:
+        answer_query(ctx, QueryTuple(server, (reordered(group, order),)))
+        assert len(columns) <= bound
+    assert len(columns) == bound
+    assert reordered(group, orders[-1]).descriptor.ids.tobytes() in columns
+
+
+# the benchmark's `wide` shape and its lengths
+WIDE_SHAPE = {"n_attrs": 7, "d": 6, "k": 4, "q": 65537}
+WIDE_LENGTHS = {"het1": 6, "het2": 21, "dapac": 15, "mix": 60}
+
+
+def test_a_second_wide_pass_evicts_nothing_from_the_memo():
+    # 4096 participating messages: an evicted trace would be traced again
+    # on every pass, which costs far more than any memo saves
+    v_star = (3, 1, 4, 2, 2, 4, 1)
+    runs = []
+    for kind, length in WIDE_LENGTHS.items():
+        params = SystemParams(length=length, **WIDE_SHAPE)
+        store = random_store(params, 0)
+        if kind == "mix":
+            runs.append(partial(run_time_shared, plan_mix(params, Fraction(1, 2)), v_star, store))
+        else:
+            runs.append(partial(run_protocol, kind, params, v_star, store))
+    MEMO.clear()
+    for run in runs:
+        run(0)
+    held = {key: value for key, (value, _) in MEMO.entries.items()}
+    assert {key[0] for key in held} == {"trace", "view"}
+    for run in runs:
+        run(1)
+    assert MEMO.entries.keys() == held.keys()
+    assert all(MEMO.entries[key][0] is value for key, value in held.items())
+    assert MEMO.rows <= MEMO.max_rows
+    # each remembered column is its table's key in some row order, 4
+    # bytes a row of it
+    for key, view in held.items():
+        if key[0] == "view" and view[1] is not None:
+            assert len(view.columns) <= len(view[1])
+            for column in view.columns:
+                ids = array("I", column)
+                assert len(set(ids)) == len(ids) and frozenset(ids) in view[1]
 
 
 # ------------------------------------------------------- answer kernels

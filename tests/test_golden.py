@@ -45,6 +45,8 @@ from hetdapac import (
 from hetdapac import audit, harness
 from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.harness import Channel, _checked_reply
+from hetdapac.schemes import base
+from hetdapac.schemes.base import MEMO
 from hetdapac.wire import (
     AnswerShare,
     canonical_json,
@@ -126,6 +128,30 @@ CORRECTNESS_SUITE = "c0a07e59a96312fc1dd9cb046c98c327675857072b0d6f812835b12e45f
 def test_correctness_suite_report_is_pinned():
     report = audit.run_suite("correctness")
     assert hashlib.sha256(canonical(report).encode()).hexdigest() == CORRECTNESS_SUITE
+
+
+def test_a_remembered_column_answers_as_a_first_sight(monkeypatch):
+    # every case twice from an empty memo: the second run matches no id
+    # column against a table, as each was remembered by the first, and
+    # hashes as the first does
+    built = []
+
+    def counting(msgs):
+        built.append(msgs)
+        return frozenset(msgs)
+
+    MEMO.clear()
+    monkeypatch.setattr(base, "frozenset", counting, raising=False)
+    first_sights = 0
+    for kind in sorted(CASES):
+        for second in (False, True):
+            built.clear()
+            transcript, metrics = run_case(kind)
+            blob = transcript.dumps() + canonical(metrics)
+            assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[kind], (kind, second)
+            assert not (second and built), kind
+            first_sights += len(built)
+    assert first_sights
 
 
 def test_mix_transcript_holds_one_pool_per_segment():
