@@ -74,6 +74,31 @@ def little_endian(words: array) -> array:
     return words
 
 
+def lane_ones(lanes: int) -> int:
+    """The int with a 1 at the bottom of each of `lanes` 32-bit lanes."""
+    return int.from_bytes(b"\x01\x00\x00\x00" * lanes, "little")
+
+
+def lanes_at_or_above(ones: int, bound: int):
+    """The lane test against `bound`, 1 <= bound < 2^31, for ints of as
+    many 32-bit lanes as `ones` (`lane_ones`) has: a function of x that
+    is 0 exactly when every lane of x is below `bound`, and otherwise
+    has its lowest set bit in the first lane that is not. x is read mod
+    2^(32·lanes), so a negative x stands for its two's complement.
+
+    With b = bound.bit_length() <= 31, the test is x + (2^b - bound in
+    every lane), OR-ed with x, masked to bits b to 31 of every lane. A
+    lane of x below 2^b carries into no other lane, and its sum reaches
+    bit b exactly when the lane is at least `bound`; a lane at or above
+    2^b has such a bit in x itself. Only such a lane can carry into the
+    next one, so every lane below the first one at or above `bound`
+    reads 0.
+    """
+    b = bound.bit_length()
+    high, lift = ones * ((1 << 32) - (1 << b)), ones * ((1 << b) - bound)
+    return lambda x: (x + lift | x) & high
+
+
 class _Shuffle(dict):
     """What shuffling [1..size] takes, built once per size by `_shuffle`.
 
@@ -270,7 +295,7 @@ class WordStream:
                             if w < q]
                 else:
                     if words not in self._masks:
-                        ones = int.from_bytes(b"\x01\x00\x00\x00" * words, "little")
+                        ones = lane_ones(words)
                         self._masks[words] = (ones * ((1 << b) - 1), ones, ones * ((1 << b) - q))
                     lane, ones, add = self._masks[words]
                     v = (self._bits >> (32 - b)) & lane

@@ -34,7 +34,7 @@ from typing import Optional
 
 from .access import SystemParams, check_params, check_vector
 from .errors import ConfigError
-from .field import derive_rng, little_endian, uniform_arrays
+from .field import derive_rng, lane_ones, lanes_at_or_above, little_endian, uniform_arrays
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
 from .schemes.base import PACK_MIN_SYMBOLS, ServerContext, server_context
@@ -278,13 +278,10 @@ def retrieval_phase(channel: Channel, pool: RandomnessPool, v_star, seed,
 
 
 @lru_cache(maxsize=16)
-def _lane_bounds(width: int, q: int) -> tuple[int, int]:
-    """For `width` 32-bit lanes and b = q.bit_length() <= 31: the int
-    with bits b to 31 set in every lane, and the int with 2^b - q in
-    every lane."""
-    b = q.bit_length()
-    ones = int.from_bytes(b"\x01\x00\x00\x00" * width, "little")
-    return ones * ((1 << 32) - (1 << b)), ones * ((1 << b) - q)
+def _share_test(width: int, q: int):
+    """The lane test of a `width`-symbol share against q: see
+    `field.lanes_at_or_above`."""
+    return lanes_at_or_above(lane_ones(width), q)
 
 
 def _checked_reply(reply: bytes, query, length: int, q: int):
@@ -294,13 +291,9 @@ def _checked_reply(reply: bytes, query, length: int, q: int):
     naming the server.
 
     A share of at least PACK_MIN_SYMBOLS symbols, at q below 2^31, is
-    tested as one int x of 32-bit lanes, a symbol per lane: every symbol
-    is below q exactly when x + (2^b - q in every lane), OR-ed with x,
-    has no bit from b = q.bit_length() to 31 set in any lane. A lane of x
-    below 2^b carries into no other lane and reaches bit b exactly when
-    it is at least q; a lane at or above 2^b has such a bit in x itself.
-    Shorter shares, and moduli whose lanes have no spare bit, are
-    scanned symbol by symbol.
+    tested as one int of 32-bit lanes, a symbol per lane, by
+    `field.lanes_at_or_above`. Shorter shares, and moduli whose lanes
+    have no spare bit, are scanned symbol by symbol.
     """
     server = query.server
     try:
@@ -312,9 +305,8 @@ def _checked_reply(reply: bytes, query, length: int, q: int):
         raise ConfigError(f"server {server} sent shares that do not answer its query: "
                           f"want {len(query.groups)}, {length} symbols each")
     if width >= PACK_MIN_SYMBOLS and q < 1 << 31:
-        high, lift = _lane_bounds(width, q)
         lanes = (int.from_bytes(little_endian(s.payload), "little") for s in shares)
-        outside = any((x + lift | x) & high for x in lanes)
+        outside = any(map(_share_test(width, q), lanes))
     else:
         outside = not all(max(s.payload) < q for s in shares)  # array('I'): none below 0
     if outside:

@@ -54,10 +54,16 @@ desired message, where it starts in the message and the (server, group
 index, coefficient) terms that recover it, and one `decode` writes each
 combination into its place.
 
-The access and index checks of a group run over the whole group at once
-(a subset test of its message set, the minimum and maximum of its
-indices); only a group that fails them is walked row by row, to raise
-the same first error, in row order, as a per-row check would. The set,
+The access check of a group runs over the whole group at once, as a
+subset test of its message set, and the index check over the whole
+query: every group's wire indices, less one, are read as one int of
+32-bit lanes, so an index 0 wraps to 2^32 − 1, and one lane test
+(`field.lanes_at_or_above`, the user's test of long shares) finds the
+first row whose index is outside [1, S]. The same lanes, times the
+sub-packet length, plus the start of the range, are every row's
+first-symbol offset, one `array('I')` a query that each group slices.
+Only a group that fails a check is walked row by row, to raise the same
+first error, in row order, as a per-row check would. The set,
 its table lookup and the subset test run once per view and id column:
 the view remembers each column of distinct ids that passed them, by its
 bytes, with the labels it matched, and only a context that
@@ -93,13 +99,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from operator import add, getitem, length_hint, mul
+from operator import add, getitem, itemgetter, length_hint, mul
 from types import MappingProxyType
 from typing import Optional
 
 from ..access import SystemParams, check_vector, match_set, message_index, participating_ids
 from ..errors import AccessRefusal, ConfigError
-from ..field import WordStream, little_endian
+from ..field import WordStream, lane_ones, lanes_at_or_above, little_endian
 from ..randomness import RandomnessPool, chunk_length
 from ..wire import AnswerShare, MessageGroupDescriptor, QueryGroup, QueryTuple
 
@@ -716,7 +722,19 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     then costs one `tobytes` and one dict probe; its vector length, pads,
     indices and rows are checked as every group's are, so each refusal
     keeps its order and message. When the view holds one column per
-    table entry, the oldest is dropped for the next.
+    table entry, the oldest is dropped for the next. A group's messages
+    are read by one `operator.itemgetter` over its id column.
+
+    The wire indices are checked once per query, before any group is
+    answered: one lane test over the query's index column, each index
+    less one, finds the first row outside [1, S], and the group holding
+    it is refused after its own earlier checks, by the walk over its rows
+    that names the first bad one, so no earlier group's refusal is passed
+    over and no later one's is raised. The lanes that test them, times the sub-packet
+    length, plus `ctx.start`, are the first-symbol offsets of every row
+    before that one, one `array('I')`. A hand-made context with 2^31
+    sub-packets or more, or a range past 2^32 symbols, leaves a lane no
+    room to spare; its indices are scanned and its offsets listed.
     """
     table = ctx.table
     if table is None:
@@ -727,27 +745,47 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     pool, store = ctx.pool, ctx.store
     q, sub_len = pool.params.q, pool.chunk_len
     subpackets = pool.params.length // sub_len
-    first = ctx.start - sub_len  # wire index i starts at symbol first + sub_len·i
     labels_of, chunk_of = table.get, pool.chunks.__getitem__
     held, message = store.keys(), store.__getitem__
     columns = ctx.remembered
+    groups = query.groups
+    every_id, every_index = array("I"), array("I")
+    for (ids, indices), _ in groups:
+        every_id += ids
+        every_index += indices
+    # rows before `checked` have wire indices in [1, S], and `starts` holds
+    # their first-symbol offsets start + sub_len·(index − 1)
+    checked = len(every_index)
+    if subpackets < 1 << 31 and ctx.start + pool.params.length <= 1 << 32:
+        ones = lane_ones(checked)
+        below = int.from_bytes(little_endian(every_index), "little") - ones  # 0 wraps to 2^32 − 1
+        offsets = below * sub_len + ones * ctx.start
+        bad = lanes_at_or_above(ones, subpackets)(below)
+        if bad:
+            checked = ((bad & -bad).bit_length() - 1) // 32
+            offsets &= (1 << 32 * checked) - 1
+        starts = little_endian(array("I", offsets.to_bytes(4 * checked, "little")))
+    else:  # a hand-made context whose indices or offsets overflow a lane: scan
+        checked = next((r for r, i in enumerate(every_index) if not 1 <= i <= subpackets),
+                       checked)
+        starts = [ctx.start + sub_len * (i - 1) for i in every_index[:checked]]
     shares = []
     all_labels = []
-    every_id, every_index = array("I"), array("I")  # to find a row named twice
-    for gi, ((ids, indices), vector) in enumerate(query.groups):
-        msgs = ids.tolist()  # the ids as one list of ints, not an int made at each use
-        if len(vector) != len(msgs):
+    at = 0
+    for gi, ((ids, indices), vector) in enumerate(groups):
+        rows = len(ids)
+        if len(vector) != rows:
             raise ConfigError("vector length does not match group rows")
         if columns is None or (labels := columns.get(column := ids.tobytes())) is None:
             # first sight of this column: match its message set
-            key = frozenset(msgs)
+            key = frozenset(ids)
             labels = labels_of(key)
             if labels is None:
                 raise ConfigError(f"group does not match any candidate set on server {server}")
             if not held >= key:
                 [*map(pool.chunk, labels)]  # a label the pool lacks is refused first
-                _refuse_first_row(ctx, msgs, indices, subpackets)
-            if columns is not None and len(key) == len(msgs):
+                _refuse_first_row(ctx, ids, indices, subpackets)
+            if columns is not None and len(key) == rows:
                 if len(columns) >= len(table):
                     del columns[next(iter(columns))]
                 columns[column] = labels
@@ -755,14 +793,14 @@ def answer_query(ctx: ServerContext, query: QueryTuple
             pads = [*map(chunk_of, labels)]
         except KeyError:
             pads = [*map(pool.chunk, labels)]  # raises for the first unknown label
-        if not (1 <= min(indices) and max(indices) <= subpackets):
-            _refuse_first_row(ctx, msgs, indices, subpackets)
-        starts = [first + sub_len * i for i in indices]
-        shares.append(AnswerShare(server, gi, combine(vector, [*map(message, msgs)],
-                                                      starts, pads, q, sub_len)))
+        stop = at + rows
+        if stop > checked:
+            _refuse_first_row(ctx, ids, indices, subpackets)
+        arrays = itemgetter(*ids)(store) if rows > 1 else [*map(message, ids)]
+        shares.append(AnswerShare(server, gi, combine(vector, arrays, starts[at:stop], pads, q,
+                                                      sub_len)))
         all_labels.append(labels)
-        every_id += ids
-        every_index += indices
+        at = stop
     every_label = [*chain.from_iterable(all_labels)]
     keys = array("Q", bytes(8 * len(every_id)))
     words = memoryview(keys).cast("B").cast("I")

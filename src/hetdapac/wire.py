@@ -85,17 +85,13 @@ class AnswerShare(NamedTuple):
     payload: array            # one sub-packet of field symbols, array('I')
 
 
-def _size(frame, what: str) -> int:
-    """The word count of a frame: `bytes` of whole 4-byte words."""
+def _words(frame, what: str) -> array:
+    """A frame's words as one `array('I')`, copied once; a frame is
+    `bytes` of whole 4-byte words."""
     if type(frame) is not bytes or len(frame) % 4:
         raise ConfigError(f"{what} payload is not a frame of whole 4-byte words")
-    return len(frame) // 4
-
-
-def _words(frame: bytes, start: int, stop: int) -> array:
-    """Words [start, stop) of a frame as one `array('I')`, copied once."""
     words = array("I")
-    words.frombytes(memoryview(frame)[4 * start:4 * stop])
+    words.frombytes(frame)
     return little_endian(words)
 
 
@@ -112,7 +108,7 @@ def encode_query(query: QueryTuple) -> bytes:
 
 def decode_query(frame) -> QueryTuple:
     """Inverse of encode_query; a malformed frame raises ConfigError."""
-    words = _words(frame, 0, _size(frame, "query"))
+    words = _words(frame, "query")
     count = words[1] if len(words) >= 2 else -1
     at = 2 + count
     if not 0 <= count <= len(words) - 2 or at + 3 * sum(words[2:at]) != len(words):
@@ -135,11 +131,12 @@ def decode_answers(frame) -> list[AnswerShare]:
     """Inverse of encode_answers, each payload an `array('I')` of any
     32-bit words; the receiver, which knows q, checks their range. A
     malformed frame raises ConfigError."""
-    size, head = _size(frame, "answer"), _words(frame, 0, 3)
-    if len(head) < 3 or head[1] > size - 3 or 3 + head[1] * head[2] != size:
+    words = _words(frame, "answer")
+    size = len(words)
+    if size < 3 or words[1] > size - 3 or 3 + words[1] * words[2] != size:
         raise ConfigError("answer frame is not server, share count, share length and symbols")
-    server, count, width = head
-    return [AnswerShare(server, g, _words(frame, 3 + g * width, 3 + (g + 1) * width))
+    server, count, width = words[:3]
+    return [AnswerShare(server, g, words[3 + g * width:3 + (g + 1) * width])
             for g in range(count)]
 
 

@@ -867,3 +867,176 @@ def test_kernel_is_chosen_by_subpacket_length(monkeypatch, length, kernel):
     monkeypatch.setattr(scheme_base, kernel, refuse(kernel, length))
     shares, _ = answer_query(ctx, query)
     assert [s.payload for s in shares] == [want]
+
+
+# ------------------------------------------------- the one-pass index check
+
+# servers whose honest queries hold at least three groups of at least
+# three rows: het1's central one, and both kinds of het2 server
+INDEX_POINTS = [point for point in REMEMBERED_POINTS
+                if point[0] == "het2" or point[3] == point[1].central and point[0] == "het1"]
+BAD_WORDS = (0, "S+1", 2 ** 31, 2 ** 32 - 1)
+
+
+def with_indices(query: QueryTuple, changes: dict) -> QueryTuple:
+    """`query` with the wire index of (group, row) set to word, for each
+    (group, row) -> word of `changes`."""
+    groups = list(query.groups)
+    for (gi, r), word in changes.items():
+        (ids, indices), vector = groups[gi]
+        indices = indices[:]
+        indices[r] = word
+        groups[gi] = QueryGroup(MessageGroupDescriptor(ids, indices), vector)
+    return QueryTuple(query.server, tuple(groups))
+
+
+def walked_refusal(query: QueryTuple, subpackets: int) -> str:
+    """The refusal of the first index out of [1, S], walking every row of
+    every group in order: the message a per-row check raises."""
+    for (_, indices), _ in query.groups:
+        for widx in indices:
+            if not 1 <= widx <= subpackets:
+                return f"sub-packet index {widx} out of range"
+    raise AssertionError("no index out of range")
+
+
+def ends(n: int) -> list[int]:
+    """The first, a middle and the last of n places."""
+    return sorted({0, n // 2, n - 1})
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
+def test_an_index_out_of_range_is_refused_as_the_row_walk_refuses_it(scheme, params, v_star,
+                                                                      server):
+    # each bad word in the first, a middle and the last row of the first,
+    # a middle and the last group, on a cold view and on a warm one; a
+    # second bad word in the query's last row never decides the error
+    warm_ctx, honest = warm(scheme, params, v_star, server)
+    cold_ctx = replace(warm_ctx)
+    assert cold_ctx.remembered is None
+    subpackets = params.length // warm_ctx.pool.chunk_len
+    groups = honest.groups
+    assert len(groups) >= 3 and min(len(g.vector) for g in groups) >= 3
+    last = (len(groups) - 1, len(groups[-1].vector) - 1)
+    for word in BAD_WORDS:
+        word = subpackets + 1 if word == "S+1" else word
+        for gi in ends(len(groups)):
+            for r in ends(len(groups[gi].vector)):
+                for changes in ({(gi, r): word}, {last: 2 ** 32 - 1, (gi, r): word}):
+                    query = with_indices(honest, changes)
+                    want = walked_refusal(query, subpackets)
+                    assert want == f"sub-packet index {word} out of range"
+                    for ctx in (cold_ctx, warm_ctx):
+                        with pytest.raises(ConfigError) as refused:
+                            answer_query(ctx, query)
+                        assert str(refused.value) == want
+
+
+def unmatched(ctx, query: QueryTuple) -> QueryGroup:
+    """A one-row group over the first message of `query`, whose set no
+    table entry names."""
+    msg = query.groups[0].descriptor.ids[0]
+    assert frozenset({msg}) not in ctx.table
+    return QueryGroup(descriptor([[msg, 1]]), [1])
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
+def test_the_first_failing_group_decides_between_index_and_match(scheme, params, v_star,
+                                                                 server):
+    ctx, honest = warm(scheme, params, v_star, server)
+    subpackets = params.length // ctx.pool.chunk_len
+    no_set = f"group does not match any candidate set on server {server}"
+    bad_index = f"sub-packet index {subpackets + 1} out of range"
+    bad = with_indices(honest, {(1, 0): subpackets + 1}).groups
+    # group 2's index against group 3's missing candidate set
+    index_first = QueryTuple(server, (*bad[:2], unmatched(ctx, honest), *bad[3:]))
+    # group 1's missing candidate set against group 2's index
+    match_first = QueryTuple(server, (unmatched(ctx, honest), *bad[1:]))
+    for ctx in (replace(ctx), ctx):
+        for query, want in [(index_first, bad_index), (match_first, no_set)]:
+            with pytest.raises(ConfigError) as refused:
+                answer_query(ctx, query)
+            assert str(refused.value) == want
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
+def test_a_label_the_pool_lacks_is_refused_before_an_index_in_its_group(scheme, params,
+                                                                        v_star, server):
+    ctx, honest = warm(scheme, params, v_star, server)
+    subpackets = params.length // ctx.pool.chunk_len
+    lacking = MappingProxyType({key: (*labels, ("nk", 9, 9))
+                                for key, labels in ctx.table.items()})
+    query = with_indices(honest, {(0, 1): subpackets + 1})
+    with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
+        answer_query(replace(ctx, table=lacking), query)
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
+def test_an_empty_query_is_answered_with_nothing(scheme, params, v_star, server):
+    ctx, _ = warm(scheme, params, v_star, server)
+    for c in (replace(ctx), ctx):
+        assert answer_query(c, QueryTuple(server, ())) == ([], [])
+
+
+def groups_case(length: int, start: int, groups: int = 4, rows: int = 3,
+                subpackets: int = 3):
+    """`groups` groups of `rows` rows each, every row a message of its own
+    at a random wire index, on a server that answers sub-packets `length`
+    long from symbol `start` on, one pad chunk per group: (ctx, query)."""
+    q = 65537
+    rng = derive_rng("groups", length, start)
+    params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=subpackets * length)
+    store = dict(enumerate(uniform_arrays(rng, q, start + subpackets * length, groups * rows),
+                           start=1))
+    ids = list(store)
+    labels = [("nk", 1, g) for g in range(1, groups + 1)]
+    pool = RandomnessPool("het1", params, length,
+                          dict(zip(labels, uniform_arrays(rng, q, length, groups))))
+    table = {frozenset(ids[g * rows:(g + 1) * rows]): (labels[g],) for g in range(groups)}
+    query = QueryTuple(1, tuple(
+        QueryGroup(descriptor([(m, rng.randint(1, subpackets))
+                               for m in ids[g * rows:(g + 1) * rows]]),
+                   array("I", [rng.randrange(q) for _ in range(rows)]))
+        for g in range(groups)))
+    return ServerContext(1, store, pool, table, start), query
+
+
+def group_oracle(ctx, query) -> list[array]:
+    """Each group's share by the per-symbol loop over sliced rows."""
+    q, n = ctx.pool.params.q, ctx.pool.chunk_len
+    return [loop_share(g.vector, [ctx.store[m][ctx.start + (i - 1) * n:ctx.start + i * n]
+                                  for m, i in g.descriptor.rows],
+                       pad_sum(ctx.pool, ctx.table[frozenset(g.descriptor.ids)], q), q)
+            for g in query.groups]
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 32])
+@pytest.mark.parametrize("start", KERNEL_STARTS)
+def test_each_group_reads_its_own_slice_of_the_offset_column(length, start):
+    # four groups, so every group but the first reads its first-symbol
+    # offsets from inside the query's one column, at a pure run's start
+    # and at a mix segment's
+    ctx, query = groups_case(length, start)
+    shares, _ = answer_query(ctx, query)
+    assert [s.payload for s in shares] == group_oracle(ctx, query)
+    assert [s.group_index for s in shares] == list(range(len(query.groups)))
+
+
+def test_indices_and_offsets_past_a_lane_are_scanned():
+    # a hand-made context may have 2^31 sub-packets, or answer from
+    # symbols past 2^32, which no 32-bit lane holds with room to spare;
+    # range-backed messages stand in for stores that large
+    q = 65537
+    for subpackets, start in [(2 ** 31, 0), (2, 2 ** 32 - 1)]:
+        params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=subpackets)
+        pool = RandomnessPool("het1", params, 1, {("nk", 1, 1): (5,)})
+        store = {m: range(m, m + start + subpackets) for m in (1, 2)}
+        ctx = ServerContext(1, store, pool, {frozenset(store): (("nk", 1, 1),)}, start)
+        rows = [[1, subpackets], [2, 1]]
+        query = QueryTuple(1, (QueryGroup(descriptor(rows), [1, 2]),))
+        shares, _ = answer_query(ctx, query)
+        want = (1 + start + subpackets - 1 + 2 * (2 + start) + 5) % q
+        assert [list(s.payload) for s in shares] == [[want]]
+        for word in (0, subpackets + 1):
+            with pytest.raises(ConfigError, match=f"^sub-packet index {word} out of range$"):
+                answer_query(ctx, with_indices(query, {(0, 1): word}))

@@ -19,6 +19,9 @@ from hetdapac.field import (
     WordStream,
     derive_rng,
     is_prime,
+    lane_ones,
+    lanes_at_or_above,
+    little_endian,
     uniform_arrays,
     unit_vector,
 )
@@ -597,3 +600,31 @@ def test_trace_memo_never_holds_more_rows_than_its_bound():
     assert small.trace("het2", params, vectors[3]).rows == rows
     assert (len(small), small.rows) == (0, 0)
     assert MEMO.rows <= MEMO.max_rows
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 528, 65537, 2 ** 31 - 1])
+def test_the_lane_test_finds_the_first_lane_at_or_above_its_bound(bound):
+    # words around the bound, its bit length and the word's top, in random
+    # lanes; x is also taken as the lanes less one each, as the answer
+    # path takes its wire indices, where a 0 lane borrows from the next
+    rng = random.Random(bound)
+    b = bound.bit_length()
+    words = sorted({0, 1, bound - 1, bound, bound + 1, (1 << b) - 1, 1 << b, 2 ** 31,
+                    2 ** 32 - 1})
+    for lanes in (1, 2, 3, 7, 64):
+        ones = lane_ones(lanes)
+        assert ones.to_bytes(4 * lanes, "little") == b"\x01\x00\x00\x00" * lanes
+        test = lanes_at_or_above(ones, bound)
+        for _ in range(40):
+            column = array("I", [rng.choice(words) for _ in range(lanes)])
+            whole = int.from_bytes(little_endian(column), "little")
+            for x in (whole, whole - ones):
+                read = (x % (1 << 32 * lanes)).to_bytes(4 * lanes, "little")
+                lanes_of_x = [int.from_bytes(read[4 * i:4 * i + 4], "little")
+                              for i in range(lanes)]
+                first = next((i for i, w in enumerate(lanes_of_x) if w >= bound), None)
+                got = test(x)
+                if first is None:
+                    assert got == 0
+                else:
+                    assert ((got & -got).bit_length() - 1) // 32 == first
