@@ -11,7 +11,7 @@ Four families of checks, all exact:
   affine in the uniform pool, so a store perturbation leaves the answer
   distribution unchanged exactly when its answer shift lies in the column
   space of the pad map, and otherwise moves it to a disjoint coset; a
-  shift of one message is re-answered only where a server's slice holds it;
+  shift of one message is re-answered only where a server's view grants it;
 * accounting compares measured rate, load ratio, downloads and randomness
   against their closed forms as rationals.
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from .access import SystemParams, message_index, participating_ids
@@ -48,7 +47,7 @@ from .harness import random_store, run_protocol
 from .mixer import scheme_costs
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
-from .schemes.base import plan_trace, server_context
+from .schemes.base import ServerContext, plan_trace, server_context
 
 
 def _default_vstar(params: SystemParams) -> tuple[int, ...]:
@@ -290,11 +289,14 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     independent store, and base + P·s must match the answers at a seeded
     uniform pool. S is linear, so the L unit shifts of a non-desired
     participating message cover all q^L - 1 perturbations of it. Each
-    server answers only from its slice, so the answers at the zero pool
-    are taken once per server, and a shift of message m re-answers only
-    the servers whose slice holds m; every other server's part of the
-    shift is zero. Shifting the desired message is the control: its TV
-    must be 1, or decoding would be impossible.
+    server answers only the messages its verified view grants, so the
+    answers at the zero pool are taken once per server, and a shift of
+    message m re-answers only the servers whose view grants m, from a
+    store of the granted messages with m shifted; every other server's
+    part of the shift is zero. Every other answer is made by a context
+    on the server's view with the whole store and the pool at hand, each
+    through the real answer path. Shifting the desired message is the
+    control: its TV must be 1, or decoding would be impossible.
 
     The query is the one the scheme builds, so this proves secrecy for a
     client that follows the scheme: the symmetric PIR model of Sun and
@@ -318,12 +320,12 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     other = random_store(params, (seed, "affine-witness"))
 
     ctxs = _contexts(params, v_star, store, zero_pool, queries)
+    views = {server: ctx.view for server, ctx in ctxs.items()}
 
     def answers(st, pool):
-        # each server's slice of `st` under the table and slice it verified once
-        return _answer_tuple(eng, {
-            server: replace(ctx, store={m: st[m] for m in ctx.store}, pool=pool)
-            for server, ctx in ctxs.items()}, queries)
+        # every server answers `st` through the view it verified once
+        return _answer_tuple(eng, {server: ServerContext(server, st, pool, view)
+                                   for server, view in views.items()}, queries)
 
     def part(server, ctx):
         return _answer_tuple(eng, {server: ctx}, {server: queries[server]})
@@ -349,10 +351,11 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     def tv(m: int, alt) -> Fraction:
         delta = []
         for server, base_part in parts.items():
-            ctx = ctxs[server]
-            if m in ctx.store:
-                delta += minus(part(server, replace(ctx, store={**ctx.store, m: alt})),
-                               base_part)
+            granted = views[server].granted
+            if m in granted:
+                shifted = {g: alt if g == m else store[g] for g in granted}
+                delta += minus(part(server, ServerContext(server, shifted, zero_pool,
+                                                          views[server])), base_part)
             else:
                 delta += [0] * len(base_part)
         return Fraction(len(_echelon([delta], q, span)) - len(span))

@@ -136,8 +136,9 @@ class ServerActor:
     Verification happens once per run. Each retrieval segment then installs
     its pool together with the store, held whole the way a real replica
     would hold it, and the start of the segment's symbol range; the
-    accessible messages are picked out of it by the verified view. Queries
-    touching anything else are refused. `handle` returns (kind, bytes) or
+    server answers from the store as it is, uncopied, and its verified
+    view says which messages it may serve. Queries touching anything else
+    are refused. `handle` returns (kind, bytes) or
     None; `ledger` holds the pad labels answered with since the pool was
     installed.
     """

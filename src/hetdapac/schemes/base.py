@@ -35,17 +35,18 @@ the same traces, in that order, so the plan that is sent is the audited
 plan evaluated.
 
 Answer computation is server-side and touches only the server's context:
-its accessible messages, whole, with the start of the symbol range it
-answers from, its pool and its label table, all fixed by its verified
-view (public part, plus its own value on a dedicated server) when the
-pool is installed. A pure run's range starts at 0; a mix segment's
-starts where the previous segment's stopped, and no symbol is copied.
-The accessible ids and the label table depend on the view alone, so
-`MEMO` keeps them too: each engine's `label_table` builds a view's
-table on its first install, as a read-only mapping of label tuples, and
-every later install, in any run, reads it. `answer_query`, which every
-engine re-exports, reads the table and names its tuples uncopied; a
-group costs a fixed number of calls into C, whatever its rows.
+the store, whole, with the start of the symbol range it answers from,
+its pool, and its verified view (public part, plus its own value on a
+dedicated server). The view is what the server may serve: the ids it
+grants, as the set memo's frozenset, and its label table. A pure run's
+range starts at 0; a mix segment's starts where the previous segment's
+stopped, and no symbol is copied. The view depends on nothing else, so
+`MEMO` keeps it: each engine's `label_table` builds a view's table on
+its first install, as a read-only mapping of label tuples, and every
+later install, in any run, reads it; an install only checks the store's
+granted messages, copying none. `answer_query`, which every engine
+re-exports, reads the table and names its tuples uncopied; a group costs
+a fixed number of calls into C, whatever its rows.
 The share for a group is the vector-weighted sum of the named sub-packets
 plus the sum of the pad chunks its table entry names. Decoding is user-side
 and touches only (plan, answer shares): every scheme cancels interference
@@ -55,7 +56,8 @@ index, coefficient) terms that recover it, and one `decode` writes each
 combination into its place.
 
 The access check of a group runs over the whole group at once, as a
-subset test of its message set, and the index check over the whole
+subset test of its message set against the view's granted ids, and the
+index check over the whole
 query: every group's wire indices, less one, are read as one int of
 32-bit lanes, so an index 0 wraps to 2^32 − 1, and one lane test
 (`field.lanes_at_or_above`, the user's test of long shares) finds the
@@ -66,8 +68,9 @@ Only a group that fails a check is walked row by row, to raise the same
 first error, in row order, as a per-row check would. The set,
 its table lookup and the subset test run once per view and id column:
 the view remembers each column of distinct ids that passed them, by its
-bytes, with the labels it matched, and only a context that
-`server_context` made, with the view's table and slice, reads it. A query
+bytes, with the labels it matched, and every context of the view reads
+it, whatever its store or pool; a context with another table or another
+set of granted ids has another view, which has not seen the column. A query
 that names a row twice is found once per query, by one `array('Q')` key
 column: the ids fill the first 32-bit word of each key (the low word on
 a little-endian host) and the wire indices the other, each by one
@@ -103,7 +106,7 @@ from operator import add, getitem, itemgetter, length_hint, mul
 from types import MappingProxyType
 from typing import Optional
 
-from ..access import SystemParams, check_vector, match_set, message_index, participating_ids
+from ..access import SystemParams, check_vector, id_set, match_set, message_index, participating_ids
 from ..errors import AccessRefusal, ConfigError
 from ..field import WordStream, lane_ones, lanes_at_or_above, little_endian
 from ..randomness import RandomnessPool, chunk_length
@@ -386,15 +389,15 @@ class Memo:
 
     A trace is keyed by ("trace", scheme, N, D, K, q, v*) and weighs its
     groups' rows. A view is keyed by ("view", scheme, N, D, K, server,
-    public part, own value) and is the server's accessible ids with its
+    public part, own value) and is the server's granted ids with its
     label table, which q and the length do not enter; it weighs the
-    message ids it holds, its ids and its table's keys. The memo holds
-    at most `max_rows` in all; the least recently used values go first,
-    and a value heavier than the bound is used once and not kept. A
-    trace holds `array('I')` columns, never an object per row beyond the
-    set helpers' own id tuples and the symbolic offsets; a view holds the
-    set memo's tuples and frozensets and one label tuple per entry, and
-    the id columns its servers have matched (`View.columns`). Those are
+    message ids it holds, its granted ids and its table's keys. The memo
+    holds at most `max_rows` in all; the least recently used values go
+    first, and a value heavier than the bound is used once and not kept.
+    A trace holds `array('I')` columns, never an object per row beyond
+    the set helpers' own id tuples and the symbolic offsets; a view holds
+    the set memo's frozensets (`access.id_set`) and one label tuple per
+    entry, and the id columns its servers have matched (`View.columns`). Those are
     not weighed: each is one of the table's keys in some row order, 4
     bytes a row of a key the view already weighs, and there is at most
     one per entry (see MEMO_ROWS).
@@ -444,10 +447,11 @@ class Memo:
                         _traced, scheme, params, v_star)
 
     def view(self, scheme: str, params: SystemParams, server: int, public: tuple,
-             own_value: Optional[int]) -> tuple:
-        """(accessible ids, label table) of a server's verified view, made
-        on first use; the table is a read-only mapping of label tuples,
-        or None where the scheme asks the server nothing."""
+             own_value: Optional[int]) -> "View":
+        """A server's verified view, made on first use: (granted ids,
+        label table), the ids a frozenset and the table a read-only
+        mapping of label tuples, or None where the scheme asks the server
+        nothing."""
         return self.get(("view", scheme, params.n_attrs, params.d, params.k, server, public,
                          own_value), _viewed, scheme, params, server, public, own_value)
 
@@ -462,17 +466,22 @@ def _traced(scheme: str, params: SystemParams, v_star: tuple) -> tuple[PlanTrace
 
 
 class View(tuple):
-    """A verified view as `Memo.view` holds it: the pair (accessible ids,
-    label table), and in `columns` the id columns that have matched an
-    entry of the table with every message in the ids, each by its bytes,
-    mapped to the labels it matched. `answer_query` fills and reads
-    `columns`; they are made and dropped with the view, and hold at most
-    one column per table entry."""
+    """A verified view, what a server may serve: the pair (granted, table)
+    of the message ids it grants, a frozenset, and its label table, and
+    in `columns` the id columns that have matched an entry of the table
+    with every message granted, each by its bytes, mapped to the labels
+    it matched. The columns are a function of the granted ids and the
+    table alone, so every context of the view reads them, whatever its
+    store or pool. `answer_query` fills and reads them; they are made and
+    dropped with the view, and hold at most one column per table entry."""
 
-    def __new__(cls, ids: tuple, table: Optional[Mapping]):
-        view = super().__new__(cls, (ids, table))
+    def __new__(cls, granted: frozenset, table: Optional[Mapping]):
+        view = super().__new__(cls, (granted, table))
         view.columns = {}
         return view
+
+    granted = property(itemgetter(0))
+    table = property(itemgetter(1))
 
 
 def _viewed(scheme: str, params: SystemParams, server: int, public: tuple,
@@ -485,15 +494,17 @@ def _viewed(scheme: str, params: SystemParams, server: int, public: tuple,
     if own_value is not None or eng.QUERIES_CENTRAL:
         table = MappingProxyType({key: tuple(labels) for key, labels in
                                   eng.label_table(server, params, public, own_value).items()})
-    return View(ids, table), len(ids) + sum(map(len, table or ()))
+    return View(id_set(ids), table), len(ids) + sum(map(len, table or ()))
 
 
 # Rows the memo holds at most. The benchmark's `wide` shape (N = 7,
 # D = 6, K = 4) has 116 736 trace rows over its three schemes, which
 # tracemalloc puts at 1.9 MB: at most 12 bytes of columns a row, plus the
 # symbolic offsets of lifted and concatenated vectors. Its 21 server
-# views weigh 288 768 ids, nearly all of them in tuples and frozensets the
-# set memo shares, so a pass of `wide` keeps 405 504 rows. The views'
+# views weigh 288 768 ids, nearly all of them in frozensets the set memo
+# shares: a view's granted ids are `access.id_set`'s, one set for the
+# three central views and, on a dedicated server, a key of het1's tables
+# too. So a pass of `wide` keeps 405 504 rows. The views'
 # remembered id columns are not weighed: a pass leaves 294 of them, 116 736
 # rows against the 258 048 table-key rows the views weigh, and tracemalloc
 # puts them at 475 KiB, 4 bytes a row plus a bytes header and a dict slot
@@ -523,26 +534,48 @@ def build_plan(scheme: str, v_star, params: SystemParams, rng) -> tuple[Retrieva
 class ServerContext:
     """Everything one server answers from: no user secrets inside.
 
-    `table` maps the message set of every group the server may be asked
-    for to the pad labels it names, a tuple; None when the scheme asks
-    the server nothing. The pool names the scheme, params and sub-packet
+    The store is every message the server holds, whole, uncopied; the
+    verified `view` says which of them it may serve (`View.granted`) and
+    maps the message set of every group it may be asked for to the pad
+    labels it names, a tuple (`View.table`, None when the scheme asks the
+    server nothing). The pool names the scheme, params and sub-packet
     length. The server answers from the pool's length of symbols of each
-    stored message from `start` on: the whole message in a pure run, one
+    granted message from `start` on: the whole message in a pure run, one
     range of it in a segment of a mix.
 
-    `remembered` is the view's id columns (`View.columns`), which
-    `answer_query` reads and fills. Only `server_context` sets it, with
-    the table and store it installs. It is not a field, so a context made
-    by `dataclasses.replace`, with another table or store or not, or by
-    hand, has None and remembers nothing.
+    However a context is made, by `server_context`, by
+    `dataclasses.replace` or by hand, its store is checked against its
+    view as an install checks it: a store that lacks a granted message,
+    or holds one that stops before the range the server answers from
+    does, is refused, naming the message. The lengths are read once, with
+    no dict built and no symbol scanned. A granted message taken out of
+    the store after the check is refused the same way by the answer that
+    meets it, never with a `KeyError`, and so is one cut short under the
+    gather kernel, which reads symbol by symbol.
     """
 
     server: int
-    store: dict[int, array]           # accessible messages only, whole, array('I') each
+    store: Mapping[int, array]        # every message, whole, array('I') each
     pool: RandomnessPool
-    table: Optional[Mapping[frozenset, tuple]]
+    view: View
     start: int = 0
-    remembered = None
+
+    def __post_init__(self):
+        store, server, granted = self.store, self.server, self.view.granted
+        stop = self.start + self.pool.params.length
+        try:
+            if min(map(len, map(store.__getitem__, granted)), default=stop) >= stop:
+                return
+        except KeyError:
+            missing = min(m for m in granted if m not in store)
+            raise ConfigError(f"store holds no message {missing} for server {server}") from None
+        short = min(m for m in granted if len(store[m]) < stop)
+        raise ConfigError(f"message {short} holds {len(store[short])} symbols; server "
+                          f"{server} answers from symbols [{self.start}, {stop})")
+
+    @property
+    def table(self) -> Optional[Mapping[frozenset, tuple]]:
+        return self.view.table
 
     @property
     def is_central(self) -> bool:
@@ -555,37 +588,21 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     on the pool's length of symbols of every message from `start` on.
 
     The view is the public part plus, on a dedicated server, its own
-    attribute value (None on the central server). Its accessible ids and
+    attribute value (None on the central server). Its granted ids and
     label table are read from `MEMO`, built by the pool's scheme on the
     view's first install; the central server of a scheme that never
-    queries it gets no table. The ids cut the store down to the messages
-    they grant, copying none, at every install, so every context of one
-    view holds the same messages, and each shares the view's remembered
-    id columns (`View.columns`) with the others.
+    queries it gets no table. The context holds the store whole and the
+    view itself, so every context of one view, whatever its store or
+    pool, reads the view's remembered id columns (`View.columns`).
 
-    A store that is not a mapping, lacks a granted message, or holds one
-    that stops before the range the server answers from does, is
-    refused, naming the message. The lengths are read once here, with no symbol scanned: a
-    symbol at or above q is reduced mod q like any sum.
+    A store that is not a mapping is refused, and so is one that lacks a
+    granted message or holds one too short (`ServerContext`); no symbol
+    is scanned: a symbol at or above q is reduced mod q like any sum.
     """
     if not isinstance(store, Mapping):
         raise ConfigError(f"a store maps message ids to symbols, got {store!r}")
-    params = pool.params
-    view = MEMO.view(pool.scheme, params, server, tuple(public), own_value)
-    ids, table = view
-    try:
-        held = {m: store[m] for m in ids}
-    except KeyError:
-        missing = next(m for m in ids if m not in store)
-        raise ConfigError(f"store holds no message {missing} for server {server}") from None
-    stop = start + params.length
-    if min(map(len, held.values()), default=stop) < stop:
-        short = next(m for m, symbols in held.items() if len(symbols) < stop)
-        raise ConfigError(f"message {short} holds {len(held[short])} symbols; server "
-                          f"{server} answers from symbols [{start}, {stop})")
-    ctx = ServerContext(server, held, pool, table, start)
-    object.__setattr__(ctx, "remembered", view.columns)
-    return ctx
+    view = MEMO.view(pool.scheme, pool.params, server, tuple(public), own_value)
+    return ServerContext(server, store, pool, view, start)
 
 
 # Sub-packets at least this long are answered by the packed kernel, the
@@ -615,13 +632,16 @@ def _gather_share(vector, arrays, starts, pads, q: int, length: int) -> array:
     symbol j < length, where the pad is the sum of the `pads` chunks.
 
     A symbol costs one pass in C over the rows and one over the pad
-    chunks, with no per-row slice; the first symbol, a 1-symbol
-    sub-packet's only one, reads `starts` as it is.
+    chunks, with no per-row slice. The first symbol reads `starts` as it
+    is, and a 1-symbol sub-packet's share is that symbol alone, made with
+    no per-symbol loop.
     """
-    return array("I", [(sum(map(mul, vector, map(getitem, arrays,
-                                                 map(add, starts, repeat(j)) if j else starts)))
-                        + sum(map(getitem, pads, repeat(j)))) % q
-                       for j in range(length)])
+    share = [(sum(map(mul, vector, map(getitem, arrays, starts)))
+              + sum(map(getitem, pads, repeat(0)))) % q]
+    if length > 1:
+        share += [(sum(map(mul, vector, map(getitem, arrays, map(add, starts, repeat(j)))))
+                   + sum(map(getitem, pads, repeat(j)))) % q for j in range(1, length)]
+    return array("I", share)
 
 
 def _lane_width(terms: int, q: int) -> tuple[int, int]:
@@ -701,10 +721,10 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     """Every engine's server answer path: shares and the pad labels each names.
 
     A group's share is its combined sub-packet plus the sum of the pad
-    chunks `ctx.table` names for its message set; the labels are the
-    table's own tuples. A group matching no entry is refused, an empty
-    one among them, and so is any reference to a message outside the
-    accessible slice, and any query naming a pad label or a (message,
+    chunks the view's table names for its message set; the labels are
+    the table's own tuples. A group matching no entry is refused, an
+    empty one among them, and so is any reference to a message the view
+    does not grant, and any query naming a pad label or a (message,
     wire index) row twice: shares that repeat one differ by a pad-free
     combination of sub-packets. The labels are compared as a set of
     their own, and the rows as one `array('Q')` key column per query,
@@ -715,15 +735,16 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     no table refuses every query.
 
     A group's id column is matched once per view: its message set is
-    built, looked up in the table and tested against the slice on first
-    sight, and a column of distinct ids that passes both is remembered,
-    by its bytes, with the labels it matched, in `ctx.remembered`, which
-    only a context made by `server_context` has. A remembered column
+    built, looked up in the table and tested against the granted ids on
+    first sight, and a column of distinct ids that passes both is
+    remembered, by its bytes, with the labels it matched, in the view's
+    `columns`, which every context of the view reads. A remembered column
     then costs one `tobytes` and one dict probe; its vector length, pads,
     indices and rows are checked as every group's are, so each refusal
     keeps its order and message. When the view holds one column per
     table entry, the oldest is dropped for the next. A group's messages
-    are read by one `operator.itemgetter` over its id column.
+    are read from the whole store by one `operator.itemgetter` over its
+    id column.
 
     The wire indices are checked once per query, before any group is
     answered: one lane test over the query's index column, each index
@@ -736,7 +757,8 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     sub-packets or more, or a range past 2^32 symbols, leaves a lane no
     room to spare; its indices are scanned and its offsets listed.
     """
-    table = ctx.table
+    view = ctx.view
+    table = view.table
     if table is None:
         raise ConfigError(f"server {ctx.server} answers no queries of scheme {ctx.pool.scheme}")
     server = ctx.server
@@ -746,8 +768,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     q, sub_len = pool.params.q, pool.chunk_len
     subpackets = pool.params.length // sub_len
     labels_of, chunk_of = table.get, pool.chunks.__getitem__
-    held, message = store.keys(), store.__getitem__
-    columns = ctx.remembered
+    granted, columns, message = view.granted, view.columns, store.__getitem__
     groups = query.groups
     every_id, every_index = array("I"), array("I")
     for (ids, indices), _ in groups:
@@ -776,16 +797,16 @@ def answer_query(ctx: ServerContext, query: QueryTuple
         rows = len(ids)
         if len(vector) != rows:
             raise ConfigError("vector length does not match group rows")
-        if columns is None or (labels := columns.get(column := ids.tobytes())) is None:
+        if (labels := columns.get(column := ids.tobytes())) is None:
             # first sight of this column: match its message set
             key = frozenset(ids)
             labels = labels_of(key)
             if labels is None:
                 raise ConfigError(f"group does not match any candidate set on server {server}")
-            if not held >= key:
+            if not granted >= key:
                 [*map(pool.chunk, labels)]  # a label the pool lacks is refused first
                 _refuse_first_row(ctx, ids, indices, subpackets)
-            if columns is not None and len(key) == rows:
+            if len(key) == rows:
                 if len(columns) >= len(table):
                     del columns[next(iter(columns))]
                 columns[column] = labels
@@ -796,9 +817,13 @@ def answer_query(ctx: ServerContext, query: QueryTuple
         stop = at + rows
         if stop > checked:
             _refuse_first_row(ctx, ids, indices, subpackets)
-        arrays = itemgetter(*ids)(store) if rows > 1 else [*map(message, ids)]
-        shares.append(AnswerShare(server, gi, combine(vector, arrays, starts[at:stop], pads, q,
-                                                      sub_len)))
+        try:
+            arrays = itemgetter(*ids)(store) if rows > 1 else [*map(message, ids)]
+            share = combine(vector, arrays, starts[at:stop], pads, q, sub_len)
+        except (KeyError, IndexError):
+            ctx.__post_init__()  # a store changed since: the refusal an install raises
+            raise
+        shares.append(AnswerShare(server, gi, share))
         all_labels.append(labels)
         at = stop
     every_label = [*chain.from_iterable(all_labels)]
@@ -824,10 +849,10 @@ def decode(plan: RetrievalPlan, answers: dict) -> array:
 
 
 def _refuse_first_row(ctx: ServerContext, msgs, indices, subpackets: int):
-    """Raise for the first row, in row order, that names a message outside
-    the accessible slice or a sub-packet index out of range."""
+    """Raise for the first row, in row order, that names a message the
+    context's view does not grant or a sub-packet index out of range."""
     for msg, widx in zip(msgs, indices):
-        if msg not in ctx.store:
+        if msg not in ctx.view.granted:
             raise AccessRefusal(f"server {ctx.server} asked for inaccessible message {msg}")
         if not 1 <= widx <= subpackets:
             raise ConfigError(f"sub-packet index {widx} out of range")

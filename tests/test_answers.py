@@ -31,7 +31,7 @@ from hetdapac.mixer import plan_mix, run_time_shared
 from hetdapac.randomness import RandomnessPool, allocate, canonical_pair_label
 from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import dapac, het1, het2, memo_bindings
-from hetdapac.schemes.base import MEMO, PACK_MIN_SYMBOLS, Memo, ServerContext, answer_query
+from hetdapac.schemes.base import MEMO, PACK_MIN_SYMBOLS, Memo, ServerContext, View, answer_query
 from hetdapac.wire import (
     MessageGroupDescriptor,
     QueryGroup,
@@ -418,13 +418,14 @@ def tables_of(scheme, params, v_star) -> dict:
 
 @pytest.mark.parametrize("scheme, params, v_star", VIEW_POINTS)
 def test_a_warm_install_reuses_the_table_and_slices_the_store_afresh(scheme, params, v_star):
+    # a warm install reuses the whole view, and holds the caller's store
+    # as it is, copying no message
     cold, _ = installed(scheme, params, v_star, seed=0)
     warm, store = installed(scheme, params, v_star, seed=1)
     for server, ctx in warm.items():
-        assert ctx.table is cold[server].table
-        assert ctx.store is not cold[server].store
-        assert ctx.store == {m: store[m] for m in cold[server].store}
-        assert all(ctx.store[m] is store[m] for m in ctx.store)
+        assert ctx.view is cold[server].view and ctx.table is cold[server].table
+        assert ctx.view.granted == frozenset(accessible_messages(server, v_star, params))
+        assert ctx.store is store
 
 
 @pytest.mark.parametrize("scheme, params, v_star", VIEW_POINTS)
@@ -528,8 +529,13 @@ def warm(scheme, params, v_star, server):
     _, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
     honest = queries[server]
     answer_query(ctx, honest)
-    assert all(g.descriptor.ids.tobytes() in ctx.remembered for g in honest.groups)
+    assert all(g.descriptor.ids.tobytes() in ctx.view.columns for g in honest.groups)
     return ctx, honest
+
+
+def cold(ctx):
+    """`ctx` on a fresh copy of its view, which has remembered nothing."""
+    return replace(ctx, view=View(*ctx.view))
 
 
 def counted_sets(monkeypatch) -> list:
@@ -574,9 +580,9 @@ def test_a_remembered_column_is_refused_as_on_a_cold_view(scheme, params, v_star
          "vector length does not match group rows"),
     ]:
         MEMO.clear()
-        cold = installed(scheme, params, v_star)[0][server]
-        assert not cold.remembered
-        for c in (cold, ctx):
+        fresh = installed(scheme, params, v_star)[0][server]
+        assert not fresh.view.columns
+        for c in (fresh, ctx):
             with pytest.raises(ConfigError) as refused:
                 answer_query(c, QueryTuple(server, (group,)))
             assert str(refused.value) == message
@@ -593,31 +599,120 @@ def test_a_column_outside_the_slice_is_refused_every_time():
     for _ in range(2):
         with pytest.raises(AccessRefusal, match=f"inaccessible message {b1y}$"):
             answer_query(ctx, query)
-    assert not ctx.remembered
+    assert not ctx.view.columns
     # a label the pool lacks is refused before the inaccessible row
     lacking = {key: (*labels, ("nk", 9, 9)) for key, labels in ctx.table.items()}
     with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
-        answer_query(replace(ctx, table=lacking), query)
+        answer_query(replace(ctx, view=View(ctx.view.granted, lacking)), query)
 
 
 @pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
 def test_another_table_or_store_never_reads_the_remembered_columns(scheme, params, v_star,
                                                                    server):
     ctx, honest = warm(scheme, params, v_star, server)
-    columns = ctx.remembered
+    columns = ctx.view.columns
     before = dict(columns)
     lacking = MappingProxyType({key: (*labels, ("nk", 9, 9))
                                 for key, labels in ctx.table.items()})
+    other = View(ctx.view.granted, lacking)
     with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
-        answer_query(replace(ctx, table=lacking), honest)
+        answer_query(replace(ctx, view=other), honest)
     msg = honest.groups[0].descriptor.ids[0]
     store = {m: symbols for m, symbols in ctx.store.items() if m != msg}
-    with pytest.raises(AccessRefusal, match=f"inaccessible message {msg}$"):
+    # a store that lacks a granted message is refused as an install refuses it
+    with pytest.raises(ConfigError, match=f"^store holds no message {msg} for server {server}$"):
         answer_query(replace(ctx, store=store), honest)
-    assert ctx.remembered is columns and columns == before
-    # a context made by `replace` carries no memo at all
-    assert replace(ctx, table=lacking).remembered is None
-    assert replace(ctx, store=store).remembered is None
+    assert ctx.view.columns is columns and columns == before
+    # another table is another view, which remembers only what it matched
+    # against its own table
+    assert other.columns and all(labels is lacking[frozenset(array("I", column))]
+                                 for column, labels in other.columns.items())
+
+
+def view_args(params, v_star, server):
+    """(public part, own value) of `server`'s view of v*."""
+    return tuple(v_star[params.d:]), None if server == params.central else v_star[server - 1]
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
+def test_a_warm_view_with_another_store_or_pool_answers_as_a_fresh_install(
+        scheme, params, v_star, server, monkeypatch):
+    # a context on a warm view, whatever its store and pool, reads the
+    # view's remembered columns: no message set built, no table lookup
+    ctx, honest = warm(scheme, params, v_star, server)
+    public, own = view_args(params, v_star, server)
+    lookups = []
+
+    class CountingTable(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return dict.get(self, key, default)
+
+    counted = View(ctx.view.granted, CountingTable(ctx.table))
+    answer_query(replace(ctx, view=counted), honest)
+    assert lookups and counted.columns.keys() == ctx.view.columns.keys()
+    other_store, other_pool = random_store(params, 1), allocate(scheme, params, public, 1)
+    for store, pool in [(other_store, ctx.pool), (ctx.store, other_pool),
+                        (other_store, other_pool)]:
+        MEMO.clear()
+        fresh = answer_query(scheme_base.server_context(server, public, own, store, pool),
+                             honest)
+        built = counted_sets(monkeypatch)
+        lookups.clear()
+        for view in (ctx.view, counted):
+            assert answer_query(ServerContext(server, store, pool, view), honest) == fresh
+        assert built == [] and lookups == []
+
+
+def shortened(store, msg, symbols):
+    """`store` with `msg` cut to its first `symbols` symbols, or left out
+    when `symbols` is None."""
+    return {m: s if m != msg else s[:symbols] for m, s in store.items()
+            if m != msg or symbols is not None}
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
+def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v_star, server):
+    # at install, on a context made from the view, and by an answer after
+    # the store changed under its context: the install's ConfigError,
+    # naming the lowest such message and the server, never a KeyError or
+    # an IndexError
+    ctx, honest = warm(scheme, params, v_star, server)
+    public, own = view_args(params, v_star, server)
+    first, last = min(ctx.view.granted), max(ctx.view.granted)
+    whole, n = ctx.store, params.length
+    missing = f"^store holds no message {first} for server {server}$"
+    short = (rf"^message {first} holds {n - 1} symbols; server {server} answers from "
+             rf"symbols \[0, {n}\)$")
+    for store, refusal in [
+        (shortened(shortened(whole, last, None), first, None), missing),
+        (shortened(shortened(whole, last, n - 1), first, None), missing),
+        (shortened(shortened(whole, last, n - 1), first, n - 1), short),
+    ]:
+        for make in (partial(scheme_base.server_context, server, public, own),
+                     lambda store, pool: ServerContext(server, store, pool, ctx.view),
+                     lambda store, pool: replace(ctx, store=store, pool=pool)):
+            with pytest.raises(ConfigError, match=refusal) as refused:
+                make(store, ctx.pool)
+            assert type(refused.value) is ConfigError
+    # a mix segment's range past the stored symbols
+    with pytest.raises(ConfigError, match=rf"^message {first} holds {n} symbols; server "
+                                          rf"{server} answers from symbols \[1, {n + 1}\)$"):
+        scheme_base.server_context(server, public, own, whole, ctx.pool, 1)
+    # the store changed under a context, at a message the query reads
+    msg = honest.groups[0].descriptor.ids[0]
+    for symbols, refusal in [
+        (None, f"^store holds no message {msg} for server {server}$"),
+        (0, rf"^message {msg} holds 0 symbols; server {server} answers from "
+            rf"symbols \[0, {n}\)$"),
+    ]:
+        store = dict(whole)
+        after = ServerContext(server, store, ctx.pool, ctx.view)
+        store.pop(msg)
+        store.update(shortened(whole, msg, symbols))
+        with pytest.raises(ConfigError, match=refusal) as refused:
+            answer_query(after, honest)
+        assert type(refused.value) is ConfigError
 
 
 @pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
@@ -629,7 +724,7 @@ def test_rows_in_another_order_are_matched_through_the_table(scheme, params, v_s
     built = counted_sets(monkeypatch)
     shares, named = answer_query(ctx, query)
     columns = {g.descriptor.ids.tobytes() for g in query.groups}
-    assert len(built) == len(columns) and columns <= ctx.remembered.keys()
+    assert len(built) == len(columns) and columns <= ctx.view.columns.keys()
     q, n = params.q, ctx.pool.chunk_len
     for share, labels, group in zip(shares, named, query.groups):
         assert labels == ctx.table[frozenset(group.descriptor.ids)]
@@ -643,7 +738,7 @@ def test_rows_in_another_order_are_matched_through_the_table(scheme, params, v_s
     point for point in REMEMBERED_POINTS if point[0] != "dapac"])
 def test_a_view_remembers_at_most_one_column_per_table_entry(scheme, params, v_star, server):
     ctx, honest = warm(scheme, params, v_star, server)
-    columns, bound = ctx.remembered, len(ctx.table)
+    columns, bound = ctx.view.columns, len(ctx.table)
     group = honest.groups[0]
     orders = list(itertools.islice(itertools.permutations(range(len(group.vector))), 3 * bound))
     assert len(orders) == 3 * bound
@@ -712,7 +807,8 @@ def kernel_case(q: int, length: int, pads: int, rows=None, start: int = 0):
               + tuple(rng.randrange(-2 * q, 2 * q) for _ in range(rows)))[:rows]
     group = QueryGroup(descriptor([(m, rng.randint(1, 2)) for m in store]), vector)
     table = {frozenset(store): labels}
-    return ServerContext(1, store, pool, table, start), QueryTuple(1, (group,)), table
+    view = View(frozenset(store), table)
+    return ServerContext(1, store, pool, view, start), QueryTuple(1, (group,)), table
 
 
 def pad_sum(pool, labels, q: int) -> tuple[int, ...]:
@@ -816,7 +912,7 @@ def test_a_label_the_pool_lacks_is_refused_by_name():
     # pool does not hold still raises the pool's own refusal, naming it
     ctx, query, table = kernel_case(65537, 2, 1, rows=3)
     (key, labels), = table.items()
-    lacking = replace(ctx, table={key: (*labels, ("nk", 9, 9))})
+    lacking = replace(ctx, view=View(ctx.view.granted, {key: (*labels, ("nk", 9, 9))}))
     with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
         answer_query(lacking, query)
 
@@ -829,6 +925,24 @@ def test_vector_shorter_than_the_rows_is_refused():
     short = QueryTuple(1, (QueryGroup(group.descriptor, group.vector[:-1]),))
     with pytest.raises(ConfigError, match="vector length does not match group rows"):
         answer_query(ctx, short)
+
+
+@pytest.mark.parametrize("scheme, params, v_star", VIEW_POINTS)
+def test_every_share_goes_through_combine(scheme, params, v_star, monkeypatch):
+    # `combine` is the one seam a test patches to change every share, as
+    # the secrecy tests strip the pads: the answer path reaches it once per
+    # group, and decode once per sub-packet
+    calls = counting(monkeypatch, scheme_base, "combine")
+    plan, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
+    contexts, store = installed(scheme, params, v_star)
+    answers = {}
+    for server, query in queries.items():
+        calls.clear()
+        answers[server], _ = answer_query(contexts[server], query)
+        assert len(calls) == len(query.groups) > 0
+    calls.clear()
+    assert scheme_base.decode(plan, answers) == store[message_index(v_star, params)]
+    assert len(calls) == len(plan.decoding) == params.length // plan.sub_len
 
 
 # every length the gather kernel answers at random row counts, then the
@@ -912,8 +1026,8 @@ def test_an_index_out_of_range_is_refused_as_the_row_walk_refuses_it(scheme, par
     # a middle and the last group, on a cold view and on a warm one; a
     # second bad word in the query's last row never decides the error
     warm_ctx, honest = warm(scheme, params, v_star, server)
-    cold_ctx = replace(warm_ctx)
-    assert cold_ctx.remembered is None
+    cold_ctx = cold(warm_ctx)
+    assert not cold_ctx.view.columns
     subpackets = params.length // warm_ctx.pool.chunk_len
     groups = honest.groups
     assert len(groups) >= 3 and min(len(g.vector) for g in groups) >= 3
@@ -952,7 +1066,7 @@ def test_the_first_failing_group_decides_between_index_and_match(scheme, params,
     index_first = QueryTuple(server, (*bad[:2], unmatched(ctx, honest), *bad[3:]))
     # group 1's missing candidate set against group 2's index
     match_first = QueryTuple(server, (unmatched(ctx, honest), *bad[1:]))
-    for ctx in (replace(ctx), ctx):
+    for ctx in (cold(ctx), ctx):
         for query, want in [(index_first, bad_index), (match_first, no_set)]:
             with pytest.raises(ConfigError) as refused:
                 answer_query(ctx, query)
@@ -968,13 +1082,13 @@ def test_a_label_the_pool_lacks_is_refused_before_an_index_in_its_group(scheme, 
                                 for key, labels in ctx.table.items()})
     query = with_indices(honest, {(0, 1): subpackets + 1})
     with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
-        answer_query(replace(ctx, table=lacking), query)
+        answer_query(replace(ctx, view=View(ctx.view.granted, lacking)), query)
 
 
 @pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
 def test_an_empty_query_is_answered_with_nothing(scheme, params, v_star, server):
     ctx, _ = warm(scheme, params, v_star, server)
-    for c in (replace(ctx), ctx):
+    for c in (cold(ctx), ctx):
         assert answer_query(c, QueryTuple(server, ())) == ([], [])
 
 
@@ -998,7 +1112,7 @@ def groups_case(length: int, start: int, groups: int = 4, rows: int = 3,
                                for m in ids[g * rows:(g + 1) * rows]]),
                    array("I", [rng.randrange(q) for _ in range(rows)]))
         for g in range(groups)))
-    return ServerContext(1, store, pool, table, start), query
+    return ServerContext(1, store, pool, View(frozenset(store), table), start), query
 
 
 def group_oracle(ctx, query) -> list[array]:
@@ -1031,7 +1145,8 @@ def test_indices_and_offsets_past_a_lane_are_scanned():
         params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=subpackets)
         pool = RandomnessPool("het1", params, 1, {("nk", 1, 1): (5,)})
         store = {m: range(m, m + start + subpackets) for m in (1, 2)}
-        ctx = ServerContext(1, store, pool, {frozenset(store): (("nk", 1, 1),)}, start)
+        view = View(frozenset(store), {frozenset(store): (("nk", 1, 1),)})
+        ctx = ServerContext(1, store, pool, view, start)
         rows = [[1, subpackets], [2, 1]]
         query = QueryTuple(1, (QueryGroup(descriptor(rows), [1, 2]),))
         shares, _ = answer_query(ctx, query)

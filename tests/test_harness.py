@@ -195,11 +195,14 @@ def query_frame(rows):
 
 
 def test_server_slice_is_the_accessible_set():
+    # a server holds the store whole, uncopied, and its view grants the
+    # accessible set
     store = random_store(P322, 3)
     actor = make_verified_actor(1, "het1", P322, store, (1, 2, 2))
-    assert set(actor.ctx.store) == {1, 3}  # v_1 = 1, public y pinned
+    assert actor.ctx.view.granted == {1, 3}  # v_1 = 1, public y pinned
     central = make_verified_actor(P322.central, "het1", P322, store, (1, 2, 2))
-    assert set(central.ctx.store) == {1, 3, 5, 7}
+    assert central.ctx.view.granted == {1, 3, 5, 7}
+    assert actor.ctx.store is store and central.ctx.store is store
 
 
 def test_query_for_inaccessible_message_is_refused():
