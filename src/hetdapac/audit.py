@@ -351,11 +351,11 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     def tv(m: int, alt) -> Fraction:
         delta = []
         for server, base_part in parts.items():
-            granted = views[server].granted
-            if m in granted:
-                shifted = {g: alt if g == m else store[g] for g in granted}
-                delta += minus(part(server, ServerContext(server, shifted, zero_pool,
-                                                          views[server])), base_part)
+            view = views[server]
+            if m in view.granted:
+                shifted = {g: alt if g == m else store[g] for g in view.granted}
+                delta += minus(part(server, ServerContext(server, shifted, zero_pool, view)),
+                               base_part)
             else:
                 delta += [0] * len(base_part)
         return Fraction(len(_echelon([delta], q, span)) - len(span))

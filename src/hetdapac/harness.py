@@ -138,9 +138,8 @@ class ServerActor:
     would hold it, and the start of the segment's symbol range; the
     server answers from the store as it is, uncopied, and its verified
     view says which messages it may serve. Queries touching anything else
-    are refused. `handle` returns (kind, bytes) or
-    None; `ledger` holds the pad labels answered with since the pool was
-    installed.
+    are refused. `handle` returns (kind, bytes) or None; `ledger` holds
+    the pad labels answered with since the pool was installed.
     """
 
     def __init__(self, server: int, params: SystemParams):

@@ -543,15 +543,12 @@ class ServerContext:
     granted message from `start` on: the whole message in a pure run, one
     range of it in a segment of a mix.
 
-    However a context is made, by `server_context`, by
-    `dataclasses.replace` or by hand, its store is checked against its
-    view as an install checks it: a store that lacks a granted message,
-    or holds one that stops before the range the server answers from
-    does, is refused, naming the message. The lengths are read once, with
-    no dict built and no symbol scanned. A granted message taken out of
-    the store after the check is refused the same way by the answer that
-    meets it, never with a `KeyError`, and so is one cut short under the
-    gather kernel, which reads symbol by symbol.
+    An install checks the store against the view (`checked`). A context
+    made from a view by `dataclasses.replace` or by hand, as the secrecy
+    audit makes one per answer, is not checked when made: an answer that
+    meets a granted message its store lacks, or reads past the end of
+    one, raises the refusal the check raises, never a `KeyError` or an
+    `IndexError`.
     """
 
     server: int
@@ -560,12 +557,17 @@ class ServerContext:
     view: View
     start: int = 0
 
-    def __post_init__(self):
+    def checked(self) -> "ServerContext":
+        """This context, once its store is found to hold every granted
+        message up to the end of the range the server answers from: else
+        a `ConfigError` naming the lowest message that is missing, or,
+        with none missing, the lowest that stops short. The lengths are
+        read once, with no dict built and no symbol scanned."""
         store, server, granted = self.store, self.server, self.view.granted
         stop = self.start + self.pool.params.length
         try:
             if min(map(len, map(store.__getitem__, granted)), default=stop) >= stop:
-                return
+                return self
         except KeyError:
             missing = min(m for m in granted if m not in store)
             raise ConfigError(f"store holds no message {missing} for server {server}") from None
@@ -596,13 +598,14 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     pool, reads the view's remembered id columns (`View.columns`).
 
     A store that is not a mapping is refused, and so is one that lacks a
-    granted message or holds one too short (`ServerContext`); no symbol
-    is scanned: a symbol at or above q is reduced mod q like any sum.
+    granted message or holds one too short (`ServerContext.checked`); no
+    symbol is scanned: a symbol at or above q is reduced mod q like any
+    sum.
     """
     if not isinstance(store, Mapping):
         raise ConfigError(f"a store maps message ids to symbols, got {store!r}")
     view = MEMO.view(pool.scheme, pool.params, server, tuple(public), own_value)
-    return ServerContext(server, store, pool, view, start)
+    return ServerContext(server, store, pool, view, start).checked()
 
 
 # Sub-packets at least this long are answered by the packed kernel, the
@@ -690,6 +693,8 @@ def _packed_share(vector, arrays, starts, pads, q: int, length: int) -> array:
 
     def add(coeff, symbols):
         words = symbols if type(symbols) is array else array("I", symbols)
+        if len(words) < length:  # read past the end of a row, as the gather kernel refuses it
+            raise IndexError(f"{len(words)} symbols where a sub-packet has {length}")
         row = int.from_bytes(little_endian(words), "little")
         for i, mask in enumerate(masks):
             totals[i] += coeff * (row & mask)
@@ -744,7 +749,9 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     keeps its order and message. When the view holds one column per
     table entry, the oldest is dropped for the next. A group's messages
     are read from the whole store by one `operator.itemgetter` over its
-    id column.
+    id column; a granted message the store lacks, or one that ends before
+    a row's sub-packet, is refused as an install refuses it
+    (`ServerContext.checked`).
 
     The wire indices are checked once per query, before any group is
     answered: one lane test over the query's index column, each index
@@ -758,7 +765,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     room to spare; its indices are scanned and its offsets listed.
     """
     view = ctx.view
-    table = view.table
+    granted, table = view
     if table is None:
         raise ConfigError(f"server {ctx.server} answers no queries of scheme {ctx.pool.scheme}")
     server = ctx.server
@@ -768,7 +775,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     q, sub_len = pool.params.q, pool.chunk_len
     subpackets = pool.params.length // sub_len
     labels_of, chunk_of = table.get, pool.chunks.__getitem__
-    granted, columns, message = view.granted, view.columns, store.__getitem__
+    columns, message = view.columns, store.__getitem__
     groups = query.groups
     every_id, every_index = array("I"), array("I")
     for (ids, indices), _ in groups:
@@ -821,7 +828,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple
             arrays = itemgetter(*ids)(store) if rows > 1 else [*map(message, ids)]
             share = combine(vector, arrays, starts[at:stop], pads, q, sub_len)
         except (KeyError, IndexError):
-            ctx.__post_init__()  # a store changed since: the refusal an install raises
+            ctx.checked()  # a store short of a granted message: the install's refusal
             raise
         shares.append(AnswerShare(server, gi, share))
         all_labels.append(labels)

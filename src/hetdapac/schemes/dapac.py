@@ -44,7 +44,7 @@ from ..randomness import canonical_pair_label
 from .base import (
     FreshIndexCounter,
     PlanGroup,
-    answer_query,  # every engine's answer path: it reads ctx.table
+    answer_query,  # every engine's answer path: it reads the context's view
     build_plan,
     decode,  # every engine's decode: it evaluates plan.decoding
 )

@@ -21,7 +21,7 @@ from ..errors import ConfigError
 from .base import (
     FreshIndexCounter,
     PlanGroup,
-    answer_query,  # every engine's answer path: it reads ctx.table
+    answer_query,  # every engine's answer path: it reads the context's view
     build_plan,
     decode,  # every engine's decode: it evaluates plan.decoding
 )

@@ -673,14 +673,14 @@ def shortened(store, msg, symbols):
 
 @pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
 def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v_star, server):
-    # at install, on a context made from the view, and by an answer after
-    # the store changed under its context: the install's ConfigError,
-    # naming the lowest such message and the server, never a KeyError or
-    # an IndexError
+    # at install, and by the answer of a context made from the view, or of
+    # one whose store changed since: the install's ConfigError, naming the
+    # lowest message missing, else the lowest too short, and the server,
+    # never a KeyError or an IndexError
     ctx, honest = warm(scheme, params, v_star, server)
     public, own = view_args(params, v_star, server)
-    first, last = min(ctx.view.granted), max(ctx.view.granted)
     whole, n = ctx.store, params.length
+    first, last = min(ctx.view.granted), max(ctx.view.granted)
     missing = f"^store holds no message {first} for server {server}$"
     short = (rf"^message {first} holds {n - 1} symbols; server {server} answers from "
              rf"symbols \[0, {n}\)$")
@@ -689,30 +689,40 @@ def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v
         (shortened(shortened(whole, last, n - 1), first, None), missing),
         (shortened(shortened(whole, last, n - 1), first, n - 1), short),
     ]:
-        for make in (partial(scheme_base.server_context, server, public, own),
-                     lambda store, pool: ServerContext(server, store, pool, ctx.view),
-                     lambda store, pool: replace(ctx, store=store, pool=pool)):
-            with pytest.raises(ConfigError, match=refusal) as refused:
-                make(store, ctx.pool)
-            assert type(refused.value) is ConfigError
+        with pytest.raises(ConfigError, match=refusal) as refused:
+            scheme_base.server_context(server, public, own, store, ctx.pool)
+        assert type(refused.value) is ConfigError
     # a mix segment's range past the stored symbols
     with pytest.raises(ConfigError, match=rf"^message {first} holds {n} symbols; server "
                                           rf"{server} answers from symbols \[1, {n + 1}\)$"):
         scheme_base.server_context(server, public, own, whole, ctx.pool, 1)
-    # the store changed under a context, at a message the query reads
+    # a message the query reads, gone or emptied, and the lowest granted one
     msg = honest.groups[0].descriptor.ids[0]
     for symbols, refusal in [
-        (None, f"^store holds no message {msg} for server {server}$"),
-        (0, rf"^message {msg} holds 0 symbols; server {server} answers from "
+        (None, f"^store holds no message {first} for server {server}$"),
+        (0, rf"^message {first} holds 0 symbols; server {server} answers from "
             rf"symbols \[0, {n}\)$"),
     ]:
-        store = dict(whole)
-        after = ServerContext(server, store, ctx.pool, ctx.view)
-        store.pop(msg)
-        store.update(shortened(whole, msg, symbols))
-        with pytest.raises(ConfigError, match=refusal) as refused:
-            answer_query(after, honest)
-        assert type(refused.value) is ConfigError
+        store = shortened(shortened(whole, msg, symbols), first, symbols)
+        changed = dict(whole)
+        after = ServerContext(server, changed, ctx.pool, ctx.view)
+        changed.clear()
+        changed.update(store)
+        for made in (ServerContext(server, store, ctx.pool, ctx.view),
+                     replace(ctx, store=store), after):
+            with pytest.raises(ConfigError, match=refusal) as refused:
+                answer_query(made, honest)
+            assert type(refused.value) is ConfigError
+
+
+@pytest.mark.parametrize("length", [PACK_MIN_SYMBOLS - 1, PACK_MIN_SYMBOLS])
+def test_a_row_read_past_the_end_of_its_message_is_refused_by_either_kernel(length):
+    ctx, query, _ = kernel_case(65537, length, 1, rows=3)
+    first = min(ctx.store)
+    store = shortened(ctx.store, first, length - 1)
+    with pytest.raises(ConfigError, match=rf"^message {first} holds {length - 1} symbols; "
+                                          rf"server 1 answers from symbols \[0, {2 * length}\)$"):
+        answer_query(replace(ctx, store=store), query)
 
 
 @pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
