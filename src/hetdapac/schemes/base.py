@@ -57,25 +57,24 @@ combination into its place.
 
 The access check of a group runs over the whole group at once, as a
 subset test of its message set against the view's granted ids, and the
-index check over the whole
-query: every group's wire indices, less one, are read as one int of
-32-bit lanes, so an index 0 wraps to 2^32 − 1, and one lane test
-(`field.lanes_at_or_above`, the user's test of long shares) finds the
-first row whose index is outside [1, S]. The same lanes, times the
-sub-packet length, plus the start of the range, are every row's
-first-symbol offset, one `array('I')` a query that each group slices.
-Only a group that fails a check is walked row by row, to raise the same
-first error, in row order, as a per-row check would. The set,
-its table lookup and the subset test run once per view and id column:
-the view remembers each column of distinct ids that passed them, by its
-bytes, with the labels it matched, and every context of the view reads
-it, whatever its store or pool; a context with another table or another
-set of granted ids has another view, which has not seen the column. A query
-that names a row twice is found once per query, by one `array('Q')` key
-column: the ids fill the first 32-bit word of each key (the low word on
-a little-endian host) and the wire indices the other, each by one
-strided assignment, so no key is computed row by row. The pad labels go
-into a set of their own.
+index check over the whole query: every group's wire indices, less one,
+are read as one int of 32-bit lanes, so an index 0 wraps to 2^32 − 1,
+and one lane test (`field.lanes_at_or_above`, the user's test of long
+shares) finds the first row whose index is outside [1, S]. The same
+lanes, times the sub-packet length, plus the start of the range, are
+every row's first-symbol offset, one `array('I')` a query that each
+group slices. Only a group that fails a check is walked row by row, to
+raise the same first error, in row order, as a per-row check would. The
+set, its table lookup and the subset test run once per view and id
+column: the view remembers each column of distinct ids that passed
+them, by its bytes, with the labels it matched, and every context of
+the view reads it, whatever its store or pool; a context with another
+table or another set of granted ids has another view, which has not
+seen the column. A query that names a row twice is found once per
+query, by one `array('Q')` key column: the ids fill the first 32-bit
+word of each key (the low word on a little-endian host) and the wire
+indices the other, each by one strided assignment, so no key is
+computed row by row. The pad labels go into a set of their own.
 
 A share is computed by one of two kernels, chosen by sub-packet length.
 From PACK_MIN_SYMBOLS symbols on, every named row and pad chunk is read
@@ -397,10 +396,10 @@ class Memo:
     A trace holds `array('I')` columns, never an object per row beyond
     the set helpers' own id tuples and the symbolic offsets; a view holds
     the set memo's frozensets (`access.id_set`) and one label tuple per
-    entry, and the id columns its servers have matched (`View.columns`). Those are
-    not weighed: each is one of the table's keys in some row order, 4
-    bytes a row of a key the view already weighs, and there is at most
-    one per entry (see MEMO_ROWS).
+    entry, and the id columns its servers have matched (`View.columns`).
+    Those are not weighed: each is one of the table's keys in some row
+    order, 4 bytes a row of a key the view already weighs, and there is
+    at most one per entry (see MEMO_ROWS).
 
     The values it holds were all made with the set helpers and label
     tables bound as `schemes.memo_bindings()` last returned. When a
