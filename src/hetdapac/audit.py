@@ -289,14 +289,15 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     independent store, and base + P·s must match the answers at a seeded
     uniform pool. S is linear, so the L unit shifts of a non-desired
     participating message cover all q^L - 1 perturbations of it. Each
-    server answers only the messages its verified view grants, so the
-    answers at the zero pool are taken once per server, and a shift of
-    message m re-answers only the servers whose view grants m, from a
-    store of the granted messages with m shifted; every other server's
-    part of the shift is zero. Every other answer is made by a context
-    on the server's view with the whole store and the pool at hand, each
-    through the real answer path. Shifting the desired message is the
-    control: its TV must be 1, or decoding would be impossible.
+    server answers from a store of only the messages its verified view
+    grants, taken once per store, so a read of any other fails rather
+    than go unseen. So the answers at the zero pool are taken once per
+    server, and a shift of message m re-answers only the servers whose
+    view grants m, from that store with m shifted; every other server's
+    part of the shift is zero. Every answer is made by a context on the
+    server's view with its store and the pool at hand, through the real
+    answer path. Shifting the desired message is the control: its TV
+    must be 1, or decoding would be impossible.
 
     The query is the one the scheme builds, so this proves secrecy for a
     client that follows the scheme: the symmetric PIR model of Sun and
@@ -319,43 +320,46 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     store = random_store(params, seed)
     other = random_store(params, (seed, "affine-witness"))
 
-    ctxs = _contexts(params, v_star, store, zero_pool, queries)
-    views = {server: ctx.view for server, ctx in ctxs.items()}
+    views = {server: ctx.view for server, ctx in
+             _contexts(params, v_star, store, zero_pool, queries).items()}
 
-    def answers(st, pool):
-        # every server answers `st` through the view it verified once
-        return _answer_tuple(eng, {server: ServerContext(server, st, pool, view)
+    def granted(st):
+        # each server's messages of `st`, once: a read of any other fails
+        return {server: {m: st[m] for m in view.granted} for server, view in views.items()}
+
+    def answers(sts, pool):
+        # every server answers its store through the view it verified once
+        return _answer_tuple(eng, {server: ServerContext(server, sts[server], pool, view)
                                    for server, view in views.items()}, queries)
 
-    def part(server, ctx):
-        return _answer_tuple(eng, {server: ctx}, {server: queries[server]})
+    def part(server, st):
+        return _answer_tuple(eng, {server: ServerContext(server, st, zero_pool, views[server])},
+                             {server: queries[server]})
 
     def minus(a, b):
         return tuple((x - y) % q for x, y in zip(a, b))
 
-    parts = {server: part(server, ctxs[server]) for server in sorted(ctxs)}
+    store_of, other = granted(store), granted(other)
+    parts = {server: part(server, store_of[server]) for server in sorted(views)}
     base = tuple(x for p in parts.values() for x in p)
     other_base = answers(other, zero_pool)
     units = [RandomnessPool(scheme, params, clen, {
                  **zero_pool.chunks, label: tuple(int(t == j) for t in range(clen))})
              for label in zero_pool.labels() for j in range(clen)]
-    columns = [minus(answers(store, pool), base) for pool in units]
+    columns = [minus(answers(store_of, pool), base) for pool in units]
     s = [x for label in zero_pool.labels() for x in uniform.chunk(label)]
     pads = tuple(sum(c[r] * x for c, x in zip(columns, s)) % q
                  for r in range(len(base)))
     if (columns != [minus(answers(other, pool), other_base) for pool in units]
-            or minus(answers(store, uniform), base) != pads):
+            or minus(answers(store_of, uniform), base) != pads):
         raise ConfigError("answers do not split into store part plus pad")
     span = _echelon(columns, q)
 
     def tv(m: int, alt) -> Fraction:
         delta = []
         for server, base_part in parts.items():
-            view = views[server]
-            if m in view.granted:
-                shifted = {g: alt if g == m else store[g] for g in view.granted}
-                delta += minus(part(server, ServerContext(server, shifted, zero_pool, view)),
-                               base_part)
+            if m in views[server].granted:
+                delta += minus(part(server, {**store_of[server], m: alt}), base_part)
             else:
                 delta += [0] * len(base_part)
         return Fraction(len(_echelon([delta], q, span)) - len(span))

@@ -575,10 +575,6 @@ class ServerContext:
                           f"{server} answers from symbols [{self.start}, {stop})")
 
     @property
-    def table(self) -> Optional[Mapping[frozenset, tuple]]:
-        return self.view.table
-
-    @property
     def is_central(self) -> bool:
         return self.server == self.pool.params.central
 

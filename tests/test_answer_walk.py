@@ -239,7 +239,7 @@ def test_mutated_queries_are_answered_as_the_walk_answers_them(point, start, mon
     _, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
     honest = queries[server]
     warm = install(stores[0], pools[0])
-    table = warm.table
+    table = warm.view.table
     answer_query(warm, honest)
     campaign = Campaign(derive_rng("answer-walk", scheme, server, start), point, table,
                         params.length // warm.pool.chunk_len)

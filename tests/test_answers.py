@@ -388,7 +388,7 @@ def test_install_time_tables_equal_the_per_query_oracle(scheme, n_attrs, d, k):
             views = [None] if server == params.central else range(1, k + 1)
             for own in views:
                 ctx = scheme_base.server_context(server, public, own, store, pool)
-                assert ctx.table == per_query_table(scheme, server, params, public, own)
+                assert ctx.view.table == per_query_table(scheme, server, params, public, own)
 
 
 # ------------------------------------------------------- the view memo
@@ -412,7 +412,7 @@ def installed(scheme, params, v_star, seed=0):
 
 
 def tables_of(scheme, params, v_star) -> dict:
-    return {server: ctx.table and dict(ctx.table)
+    return {server: ctx.view.table and dict(ctx.view.table)
             for server, ctx in installed(scheme, params, v_star)[0].items()}
 
 
@@ -423,7 +423,7 @@ def test_a_warm_install_reuses_the_table_and_slices_the_store_afresh(scheme, par
     cold, _ = installed(scheme, params, v_star, seed=0)
     warm, store = installed(scheme, params, v_star, seed=1)
     for server, ctx in warm.items():
-        assert ctx.view is cold[server].view and ctx.table is cold[server].table
+        assert ctx.view is cold[server].view and ctx.view.table is cold[server].view.table
         assert ctx.view.granted == frozenset(accessible_messages(server, v_star, params))
         assert ctx.store is store
 
@@ -432,18 +432,18 @@ def test_a_warm_install_reuses_the_table_and_slices_the_store_afresh(scheme, par
 def test_a_memoized_table_refuses_every_write(scheme, params, v_star):
     contexts, _ = installed(scheme, params, v_star)
     ctx = contexts[1]
-    key, labels = next(iter(ctx.table.items()))
+    key, labels = next(iter(ctx.view.table.items()))
     with pytest.raises(TypeError):
-        ctx.table[key] = ()
+        ctx.view.table[key] = ()
     with pytest.raises(TypeError):
-        del ctx.table[key]
+        del ctx.view.table[key]
     with pytest.raises(AttributeError):
-        ctx.table[key].append(labels[0])
+        ctx.view.table[key].append(labels[0])
     # the answer names the table's own tuples, uncopied
     _, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
     _, named = answer_query(ctx, queries[1])
-    assert all(any(got is entry for entry in ctx.table.values()) for got in named)
-    assert installed(scheme, params, v_star)[0][1].table == ctx.table
+    assert all(any(got is entry for entry in ctx.view.table.values()) for got in named)
+    assert installed(scheme, params, v_star)[0][1].view.table == ctx.view.table
 
 
 VIEW_BINDINGS = [(module, name) for module in (het1, het2, dapac)
@@ -534,8 +534,11 @@ def warm(scheme, params, v_star, server):
 
 
 def cold(ctx):
-    """`ctx` on a fresh copy of its view, which has remembered nothing."""
-    return replace(ctx, view=View(*ctx.view))
+    """`ctx` on a fresh copy of its view, which has remembered nothing:
+    make one for each query, as an answer fills the view it reads."""
+    fresh = replace(ctx, view=View(*ctx.view))
+    assert not fresh.view.columns
+    return fresh
 
 
 def counted_sets(monkeypatch) -> list:
@@ -601,7 +604,7 @@ def test_a_column_outside_the_slice_is_refused_every_time():
             answer_query(ctx, query)
     assert not ctx.view.columns
     # a label the pool lacks is refused before the inaccessible row
-    lacking = {key: (*labels, ("nk", 9, 9)) for key, labels in ctx.table.items()}
+    lacking = {key: (*labels, ("nk", 9, 9)) for key, labels in ctx.view.table.items()}
     with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
         answer_query(replace(ctx, view=View(ctx.view.granted, lacking)), query)
 
@@ -613,7 +616,7 @@ def test_another_table_or_store_never_reads_the_remembered_columns(scheme, param
     columns = ctx.view.columns
     before = dict(columns)
     lacking = MappingProxyType({key: (*labels, ("nk", 9, 9))
-                                for key, labels in ctx.table.items()})
+                                for key, labels in ctx.view.table.items()})
     other = View(ctx.view.granted, lacking)
     with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
         answer_query(replace(ctx, view=other), honest)
@@ -648,7 +651,7 @@ def test_a_warm_view_with_another_store_or_pool_answers_as_a_fresh_install(
             lookups.append(key)
             return dict.get(self, key, default)
 
-    counted = View(ctx.view.granted, CountingTable(ctx.table))
+    counted = View(ctx.view.granted, CountingTable(ctx.view.table))
     answer_query(replace(ctx, view=counted), honest)
     assert lookups and counted.columns.keys() == ctx.view.columns.keys()
     other_store, other_pool = random_store(params, 1), allocate(scheme, params, public, 1)
@@ -737,7 +740,7 @@ def test_rows_in_another_order_are_matched_through_the_table(scheme, params, v_s
     assert len(built) == len(columns) and columns <= ctx.view.columns.keys()
     q, n = params.q, ctx.pool.chunk_len
     for share, labels, group in zip(shares, named, query.groups):
-        assert labels == ctx.table[frozenset(group.descriptor.ids)]
+        assert labels == ctx.view.table[frozenset(group.descriptor.ids)]
         segments = [ctx.store[m][ctx.start + (i - 1) * n:ctx.start + i * n]
                     for m, i in group.descriptor.rows]
         assert share.payload == loop_share(group.vector, segments,
@@ -748,7 +751,7 @@ def test_rows_in_another_order_are_matched_through_the_table(scheme, params, v_s
     point for point in REMEMBERED_POINTS if point[0] != "dapac"])
 def test_a_view_remembers_at_most_one_column_per_table_entry(scheme, params, v_star, server):
     ctx, honest = warm(scheme, params, v_star, server)
-    columns, bound = ctx.view.columns, len(ctx.table)
+    columns, bound = ctx.view.columns, len(ctx.view.table)
     group = honest.groups[0]
     orders = list(itertools.islice(itertools.permutations(range(len(group.vector))), 3 * bound))
     assert len(orders) == 3 * bound
@@ -1033,11 +1036,10 @@ def ends(n: int) -> list[int]:
 def test_an_index_out_of_range_is_refused_as_the_row_walk_refuses_it(scheme, params, v_star,
                                                                       server):
     # each bad word in the first, a middle and the last row of the first,
-    # a middle and the last group, on a cold view and on a warm one; a
-    # second bad word in the query's last row never decides the error
+    # a middle and the last group, on a view that has remembered nothing
+    # and on a warm one; a second bad word in the query's last row never
+    # decides the error
     warm_ctx, honest = warm(scheme, params, v_star, server)
-    cold_ctx = cold(warm_ctx)
-    assert not cold_ctx.view.columns
     subpackets = params.length // warm_ctx.pool.chunk_len
     groups = honest.groups
     assert len(groups) >= 3 and min(len(g.vector) for g in groups) >= 3
@@ -1050,7 +1052,7 @@ def test_an_index_out_of_range_is_refused_as_the_row_walk_refuses_it(scheme, par
                     query = with_indices(honest, changes)
                     want = walked_refusal(query, subpackets)
                     assert want == f"sub-packet index {word} out of range"
-                    for ctx in (cold_ctx, warm_ctx):
+                    for ctx in (cold(warm_ctx), warm_ctx):
                         with pytest.raises(ConfigError) as refused:
                             answer_query(ctx, query)
                         assert str(refused.value) == want
@@ -1060,7 +1062,7 @@ def unmatched(ctx, query: QueryTuple) -> QueryGroup:
     """A one-row group over the first message of `query`, whose set no
     table entry names."""
     msg = query.groups[0].descriptor.ids[0]
-    assert frozenset({msg}) not in ctx.table
+    assert frozenset({msg}) not in ctx.view.table
     return QueryGroup(descriptor([[msg, 1]]), [1])
 
 
@@ -1076,10 +1078,10 @@ def test_the_first_failing_group_decides_between_index_and_match(scheme, params,
     index_first = QueryTuple(server, (*bad[:2], unmatched(ctx, honest), *bad[3:]))
     # group 1's missing candidate set against group 2's index
     match_first = QueryTuple(server, (unmatched(ctx, honest), *bad[1:]))
-    for ctx in (cold(ctx), ctx):
-        for query, want in [(index_first, bad_index), (match_first, no_set)]:
+    for query, want in [(index_first, bad_index), (match_first, no_set)]:
+        for c in (cold(ctx), ctx):
             with pytest.raises(ConfigError) as refused:
-                answer_query(ctx, query)
+                answer_query(c, query)
             assert str(refused.value) == want
 
 
@@ -1089,7 +1091,7 @@ def test_a_label_the_pool_lacks_is_refused_before_an_index_in_its_group(scheme, 
     ctx, honest = warm(scheme, params, v_star, server)
     subpackets = params.length // ctx.pool.chunk_len
     lacking = MappingProxyType({key: (*labels, ("nk", 9, 9))
-                                for key, labels in ctx.table.items()})
+                                for key, labels in ctx.view.table.items()})
     query = with_indices(honest, {(0, 1): subpackets + 1})
     with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
         answer_query(replace(ctx, view=View(ctx.view.granted, lacking)), query)
@@ -1130,7 +1132,7 @@ def group_oracle(ctx, query) -> list[array]:
     q, n = ctx.pool.params.q, ctx.pool.chunk_len
     return [loop_share(g.vector, [ctx.store[m][ctx.start + (i - 1) * n:ctx.start + i * n]
                                   for m, i in g.descriptor.rows],
-                       pad_sum(ctx.pool, ctx.table[frozenset(g.descriptor.ids)], q), q)
+                       pad_sum(ctx.pool, ctx.view.table[frozenset(g.descriptor.ids)], q), q)
             for g in query.groups]
 
 

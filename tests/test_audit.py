@@ -35,6 +35,7 @@ from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import engine as scheme_engine
 from hetdapac.schemes import het1
 from hetdapac.schemes.base import PlanGroup, SymInverse, SymVector
+from hetdapac.wire import AnswerShare
 
 P_HET1 = SystemParams(n_attrs=3, d=2, k=2, q=3, length=2)
 P_DAPAC = SystemParams(n_attrs=3, d=3, k=2, q=2, length=3)
@@ -585,6 +586,26 @@ class TestDbSecrecy:
         rep = audit.audit_db_secrecy("het1", P_PACKED)
         assert rep["max_tv"] == 0 and rep["pass"]
         assert rep["desired_control_tv"] == 1
+
+    def test_an_answer_that_reads_an_ungranted_message_is_not_passed_over(self, monkeypatch):
+        # a server's part of a shift of a message its view does not grant
+        # is taken as zero: that holds only if its answer cannot read one,
+        # so an answer path that mixes one into a share must fail the audit
+        answer = het1.answer_query
+        ids = sorted(random_store(P_HET1, 0))
+
+        def peeking(ctx, query):
+            shares, labels = answer(ctx, query)
+            ungranted = [m for m in ids if m not in ctx.view.granted]
+            if ungranted:
+                (server, gi, payload), *rest = shares
+                payload = [(x + ctx.store[ungranted[0]][0]) % P_HET1.q for x in payload]
+                shares = [AnswerShare(server, gi, payload), *rest]
+            return shares, labels
+
+        monkeypatch.setattr(het1, "answer_query", peeking)
+        with pytest.raises(KeyError):
+            audit.audit_db_secrecy("het1", P_HET1)
 
     def test_zero_pads_leak_on_packed_answers(self, monkeypatch):
         strip_pads(monkeypatch)

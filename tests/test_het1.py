@@ -205,7 +205,7 @@ def test_servers_share_one_frozenset_per_candidate_set():
     pool = allocate("het1", params, public, 0)
     store = random_store(params, 0)
     keys = [list(server_context(n, public, None if n == params.central else v_star[n - 1],
-                                store, pool).table)
+                                store, pool).view.table)
             for n in params.servers()]
     assert all(len(k) == params.k * params.d for k in keys)
     for other in keys[1:]:
