@@ -47,7 +47,7 @@ from .harness import random_store, run_protocol
 from .mixer import scheme_costs
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
-from .schemes.base import ServerContext, plan_trace, server_context
+from .schemes.base import ServerContext, check_query, plan_trace, server_context
 
 
 def _default_vstar(params: SystemParams) -> tuple[int, ...]:
@@ -294,10 +294,12 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     than go unseen. So the answers at the zero pool are taken once per
     server, and a shift of message m re-answers only the servers whose
     view grants m, from that store with m shifted; every other server's
-    part of the shift is zero. Every answer is made by a context on the
-    server's view with its store and the pool at hand, through the real
-    answer path. Shifting the desired message is the control: its TV
-    must be 1, or decoding would be impossible.
+    part of the shift is zero. Each server's query is checked once per
+    call, against its view (`check_query`), and every answer hands that
+    checked query to the engine's `answer_query` on a context of the
+    view with its store and the pool at hand: the real answer path, less
+    the checks of a query already checked. Shifting the desired message
+    is the control: its TV must be 1, or decoding would be impossible.
 
     The query is the one the scheme builds, so this proves secrecy for a
     client that follows the scheme: the symmetric PIR model of Sun and
@@ -320,8 +322,9 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     store = random_store(params, seed)
     other = random_store(params, (seed, "affine-witness"))
 
-    views = {server: ctx.view for server, ctx in
-             _contexts(params, v_star, store, zero_pool, queries).items()}
+    ctxs = _contexts(params, v_star, store, zero_pool, queries)
+    views = {server: ctx.view for server, ctx in ctxs.items()}
+    checked = {server: check_query(ctx, queries[server]) for server, ctx in ctxs.items()}
 
     def granted(st):
         # each server's messages of `st`, once: a read of any other fails
@@ -330,11 +333,11 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     def answers(sts, pool):
         # every server answers its store through the view it verified once
         return _answer_tuple(eng, {server: ServerContext(server, sts[server], pool, view)
-                                   for server, view in views.items()}, queries)
+                                   for server, view in views.items()}, checked)
 
     def part(server, st):
         return _answer_tuple(eng, {server: ServerContext(server, st, zero_pool, views[server])},
-                             {server: queries[server]})
+                             {server: checked[server]})
 
     def minus(a, b):
         return tuple((x - y) % q for x, y in zip(a, b))

@@ -45,8 +45,18 @@ stopped, and no symbol is copied. The view depends on nothing else, so
 its first install, as a read-only mapping of label tuples, and every
 later install, in any run, reads it; an install only checks the store's
 granted messages, copying none. `answer_query`, which every engine
-re-exports, reads the table and names its tuples uncopied; a group costs
-a fixed number of calls into C, whatever its rows.
+re-exports, is a check and a combination. `check_query` runs every check
+that reads no store, against the view, the range's start, the params and
+the sub-packet length, and returns a `CheckedQuery`: per group, its id
+column, its rows' first-symbol offsets, its vector and the labels the
+table names for it, the table's own tuples, uncopied. The answer then
+reads each group's messages from the store and its pad chunks from the
+pool, and combines them. A checked query handed to a context of the same
+view object, start, params and sub-packet length is not checked again,
+whatever the context's store or pool, so the secrecy audit checks each
+server's query once and answers it from every store and pool it needs;
+any other query is checked first. A group costs a fixed number of calls
+into C, whatever its rows.
 The share for a group is the vector-weighted sum of the named sub-packets
 plus the sum of the pad chunks its table entry names. Decoding is user-side
 and touches only (plan, answer shares): every scheme cancels interference
@@ -74,7 +84,14 @@ seen the column. A query that names a row twice is found once per
 query, by one `array('Q')` key column: the ids fill the first 32-bit
 word of each key (the low word on a little-endian host) and the wire
 indices the other, each by one strided assignment, so no key is
-computed row by row. The pad labels go into a set of their own.
+computed row by row. The pad labels go into a set of their own. A label
+the pool lacks is refused at its group, as a per-group check would
+refuse it: the check tests the pool for the labels of every group up
+to one it refuses, and the answer refuses a label when it reads the
+group's pads, so a checked query answers from any pool. A store
+short of a granted message is refused by the answer, after every
+refusal of the query's own; only a context made without an install
+can meet one.
 
 A share is computed by one of two kernels, chosen by sub-packet length.
 From PACK_MIN_SYMBOLS symbols on, every named row and pad chunk is read
@@ -471,7 +488,7 @@ class View(tuple):
     with every message granted, each by its bytes, mapped to the labels
     it matched. The columns are a function of the granted ids and the
     table alone, so every context of the view reads them, whatever its
-    store or pool. `answer_query` fills and reads them; they are made and
+    store or pool. `check_query` fills and reads them; they are made and
     dropped with the view, and hold at most one column per table entry."""
 
     def __new__(cls, granted: frozenset, table: Optional[Mapping]):
@@ -716,23 +733,41 @@ def combine(vector, arrays, starts, pads, q: int, length: int) -> array:
     return kernel(vector, arrays, starts, pads, q, length)
 
 
-def answer_query(ctx: ServerContext, query: QueryTuple
-                 ) -> tuple[list[AnswerShare], list[tuple]]:
-    """Every engine's server answer path: shares and the pad labels each names.
+class CheckedQuery(tuple):
+    """A query that `check_query` passed on one context: the query's
+    `server` and `groups`, as sent; the context's view, start, params and
+    sub-packet length it was checked against; per group, its id column,
+    its rows' first-symbol offsets, its vector and the labels the view's
+    table names for it; and the list of those labels, which every answer
+    from it returns. It holds the view itself, never a key made from it,
+    and the query's own columns, uncopied: a caller that writes to them
+    after the check must check the query again."""
 
-    A group's share is its combined sub-packet plus the sum of the pad
-    chunks the view's table names for its message set; the labels are
-    the table's own tuples. A group matching no entry is refused, an
-    empty one among them, and so is any reference to a message the view
-    does not grant, and any query naming a pad label or a (message,
-    wire index) row twice: shares that repeat one differ by a pad-free
-    combination of sub-packets. The labels are compared as a set of
-    their own, and the rows as one `array('Q')` key column per query,
-    made by strided assignment with no arithmetic per row: the id in the
-    first 32-bit word of its key, the low one on a little-endian host,
-    where it spreads the keys over a set's buckets, and the wire index in
-    the other. Both are 32-bit words, so a key is one row. A server with
-    no table refuses every query.
+    __slots__ = ()
+    server = property(itemgetter(0))
+    groups = property(itemgetter(1))
+    view = property(itemgetter(2))
+
+
+def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
+    """Every check of `answer_query` that reads no store: the query as
+    checked on `ctx`, or the first refusal, in group and row order.
+
+    A server with no table refuses every query. A group matching no
+    entry of the view's table is refused, an empty one among them, and so
+    is any reference to a message the view does not grant, and any query
+    naming a pad label or a (message, wire index) row twice: shares that
+    repeat one differ by a pad-free combination of sub-packets. Before
+    any of these refusals, a pad label the pool lacks, in a group up to
+    the one refused, is refused by the pool, naming it; a query with no
+    other refusal is not tested against the pool's labels, so it holds
+    for any pool, and its answer refuses a label when it reads the
+    group's pads. The labels are compared as a set of their
+    own, and the rows as one `array('Q')` key column per query, made by
+    strided assignment with no arithmetic per row: the id in the first
+    32-bit word of its key, the low one on a little-endian host, where it
+    spreads the keys over a set's buckets, and the wire index in the
+    other. Both are 32-bit words, so a key is one row.
 
     A group's id column is matched once per view: its message set is
     built, looked up in the table and tested against the granted ids on
@@ -742,22 +777,18 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     then costs one `tobytes` and one dict probe; its vector length, pads,
     indices and rows are checked as every group's are, so each refusal
     keeps its order and message. When the view holds one column per
-    table entry, the oldest is dropped for the next. A group's messages
-    are read from the whole store by one `operator.itemgetter` over its
-    id column; a granted message the store lacks, or one that ends before
-    a row's sub-packet, is refused as an install refuses it
-    (`ServerContext.checked`).
+    table entry, the oldest is dropped for the next.
 
-    The wire indices are checked once per query, before any group is
-    answered: one lane test over the query's index column, each index
-    less one, finds the first row outside [1, S], and the group holding
-    it is refused after its own earlier checks, by the walk over its rows
-    that names the first bad one, so no earlier group's refusal is passed
-    over and no later one's is raised. The lanes that test them, times the sub-packet
-    length, plus `ctx.start`, are the first-symbol offsets of every row
-    before that one, one `array('I')`. A hand-made context with 2^31
-    sub-packets or more, or a range past 2^32 symbols, leaves a lane no
-    room to spare; its indices are scanned and its offsets listed.
+    The wire indices are checked once per query, before any group: one
+    lane test over the query's index column, each index less one, finds
+    the first row outside [1, S], and the group holding it is refused
+    after its own earlier checks, by the walk over its rows that names
+    the first bad one, so no earlier group's refusal is passed over and
+    no later one's is raised. The lanes that test them, times the
+    sub-packet length, plus `ctx.start`, are every row's first-symbol
+    offset, one `array('I')`. A hand-made context with 2^31 sub-packets
+    or more, or a range past 2^32 symbols, leaves a lane no room to
+    spare; its indices are scanned and its offsets listed.
     """
     view = ctx.view
     granted, table = view
@@ -766,11 +797,10 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     server = ctx.server
     if query.server != server:
         raise ConfigError(f"query for server {query.server} sent to {server}")
-    pool, store = ctx.pool, ctx.store
-    q, sub_len = pool.params.q, pool.chunk_len
-    subpackets = pool.params.length // sub_len
-    labels_of, chunk_of = table.get, pool.chunks.__getitem__
-    columns, message = view.columns, store.__getitem__
+    pool = ctx.pool
+    params, sub_len = pool.params, pool.chunk_len
+    subpackets = params.length // sub_len
+    labels_of, columns = table.get, view.columns
     groups = query.groups
     every_id, every_index = array("I"), array("I")
     for (ids, indices), _ in groups:
@@ -779,7 +809,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple
     # rows before `checked` have wire indices in [1, S], and `starts` holds
     # their first-symbol offsets start + sub_len·(index − 1)
     checked = len(every_index)
-    if subpackets < 1 << 31 and ctx.start + pool.params.length <= 1 << 32:
+    if subpackets < 1 << 31 and ctx.start + params.length <= 1 << 32:
         ones = lane_ones(checked)
         below = int.from_bytes(little_endian(every_index), "little") - ones  # 0 wraps to 2^32 − 1
         offsets = below * sub_len + ones * ctx.start
@@ -792,48 +822,84 @@ def answer_query(ctx: ServerContext, query: QueryTuple
         checked = next((r for r, i in enumerate(every_index) if not 1 <= i <= subpackets),
                        checked)
         starts = [ctx.start + sub_len * (i - 1) for i in every_index[:checked]]
-    shares = []
-    all_labels = []
+    checked_groups, all_labels = [], []
     at = 0
-    for gi, ((ids, indices), vector) in enumerate(groups):
+    for (ids, indices), vector in groups:
         rows = len(ids)
-        if len(vector) != rows:
-            raise ConfigError("vector length does not match group rows")
-        if (labels := columns.get(column := ids.tobytes())) is None:
-            # first sight of this column: match its message set
-            key = frozenset(ids)
-            labels = labels_of(key)
-            if labels is None:
-                raise ConfigError(f"group does not match any candidate set on server {server}")
-            if not granted >= key:
-                [*map(pool.chunk, labels)]  # a label the pool lacks is refused first
+        try:
+            if len(vector) != rows:
+                raise ConfigError("vector length does not match group rows")
+            if (labels := columns.get(column := ids.tobytes())) is None:
+                # first sight of this column: match its message set
+                key = frozenset(ids)
+                labels = labels_of(key)
+                if labels is None:
+                    raise ConfigError(f"group does not match any candidate set on server {server}")
+                if not granted >= key:
+                    all_labels.append(labels)
+                    _refuse_first_row(ctx, ids, indices, subpackets)
+                if len(key) == rows:
+                    if len(columns) >= len(table):
+                        del columns[next(iter(columns))]
+                    columns[column] = labels
+            if at + rows > checked:
+                all_labels.append(labels)
                 _refuse_first_row(ctx, ids, indices, subpackets)
-            if len(key) == rows:
-                if len(columns) >= len(table):
-                    del columns[next(iter(columns))]
-                columns[column] = labels
-        try:
-            pads = [*map(chunk_of, labels)]
-        except KeyError:
-            pads = [*map(pool.chunk, labels)]  # raises for the first unknown label
-        stop = at + rows
-        if stop > checked:
-            _refuse_first_row(ctx, ids, indices, subpackets)
-        try:
-            arrays = itemgetter(*ids)(store) if rows > 1 else [*map(message, ids)]
-            share = combine(vector, arrays, starts[at:stop], pads, q, sub_len)
-        except (KeyError, IndexError):
-            ctx.checked()  # a store short of a granted message: the install's refusal
+        except (AccessRefusal, ConfigError):
+            # a label the pool lacks, in a group up to this one, is refused first
+            [*map(pool.chunk, chain.from_iterable(all_labels))]
             raise
-        shares.append(AnswerShare(server, gi, share))
+        checked_groups.append((ids, starts[at:at + rows], vector, labels))
         all_labels.append(labels)
-        at = stop
+        at += rows
     every_label = [*chain.from_iterable(all_labels)]
     keys = array("Q", bytes(8 * len(every_id)))
     words = memoryview(keys).cast("B").cast("I")
     words[::2], words[1::2] = every_id, every_index
     if len(set(every_label)) != len(every_label) or len(set(keys)) != len(keys):
+        [*map(pool.chunk, every_label)]  # a label the pool lacks is refused first
         raise ConfigError(f"query reuses a pad label or a row on server {server}")
+    return tuple.__new__(CheckedQuery, (server, groups, view, ctx.start, params, sub_len,
+                                        checked_groups, all_labels))
+
+
+def answer_query(ctx: ServerContext, query: QueryTuple | CheckedQuery
+                 ) -> tuple[list[AnswerShare], list[tuple]]:
+    """Every engine's server answer path: shares and the pad labels each names.
+
+    A plain query is checked first (`check_query`). A `CheckedQuery`
+    made on a context with this context's view, the same object, and its
+    server, start, params and sub-packet length is taken as checked, so a
+    query checked once answers from any store and any pool of that view;
+    any other is checked again. Then each group's share is its combined
+    sub-packet plus the sum of the pad chunks the table names for its
+    message set, and the labels are the table's own tuples, in the
+    checked query's list: a caller reads it and does not write to it. A
+    group's messages are read from the whole store by one
+    `operator.itemgetter` over its id column. A label this pool lacks is
+    refused by the pool, naming it; a granted message the store lacks,
+    or one that ends before a row's sub-packet, is refused as an install
+    refuses it (`ServerContext.checked`), after every refusal of the
+    query's own.
+    """
+    pool = ctx.pool
+    # a checked query holds the start, params and sub-packet length after its view
+    if not (type(query) is CheckedQuery and query.view is ctx.view and query.server == ctx.server
+            and query[3:6] == (ctx.start, pool.params, pool.chunk_len)):
+        query = check_query(ctx, query)
+    server, _, _, _, params, sub_len, checked_groups, all_labels = query
+    q, store, chunk_of = params.q, ctx.store, pool.chunks.__getitem__
+    shares = []
+    for gi, (ids, starts, vector, labels) in enumerate(checked_groups):
+        try:
+            pads = [*map(chunk_of, labels)]
+            arrays = itemgetter(*ids)(store) if len(ids) > 1 else [store[ids[0]]]
+            share = combine(vector, arrays, starts, pads, q, sub_len)
+        except (KeyError, IndexError):
+            [*map(pool.chunk, labels)]  # a label this pool lacks: the pool's refusal
+            ctx.checked()  # a store short of a granted message: the install's refusal
+            raise
+        shares.append(AnswerShare(server, gi, share))
     return shares, all_labels
 
 

@@ -151,9 +151,14 @@ def frame_symbols(kind: str, frame: bytes) -> int:
     return max(0, words - 3) if kind == "answer" else 0
 
 
+# `json.dumps` builds a new encoder for any non-default argument; this one
+# is built once and writes the same bytes
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> bytes:
     """Sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return _CANONICAL.encode(obj).encode()
 
 
 def encode_commit_value(position: int, value: int) -> bytes:

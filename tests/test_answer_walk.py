@@ -257,3 +257,57 @@ def test_mutated_queries_are_answered_as_the_walk_answers_them(point, start, mon
     reachable = EVERY_OUTCOME - (set() if any(key - campaign.granted for key in table)
                                  else {"inaccessible"})
     assert seen == reachable
+
+
+def checked_once(ctx, query):
+    """("checked", `query` checked on `ctx`), or the (exception class,
+    message) of the check's refusal."""
+    try:
+        return "checked", scheme_base.check_query(ctx, query)
+    except (AccessRefusal, ConfigError) as refusal:
+        return type(refusal), str(refusal)
+
+
+@pytest.mark.parametrize("point", CAMPAIGN_POINTS,
+                         ids=[f"{p[0]}-server{p[3]}" for p in CAMPAIGN_POINTS])
+def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypatch):
+    # each mutated query is checked once, on a view no context has
+    # answered from, at symbol 0; that view, warm now, then answers it
+    # with the install's store, another store and another pool, from
+    # symbol 0, where the check holds, and from symbol 5, where the
+    # query is checked again
+    scheme, params, v_star, server = point
+    public = tuple(v_star[params.d:])
+    own = None if server == params.central else v_star[server - 1]
+    long = replace(params, length=max(STARTS) + params.length)
+    stores = [random_store(long, seed) for seed in (0, 1)]
+    pools = [allocate(scheme, params, public, seed) for seed in (0, 1)]
+    _, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
+    honest = queries[server]
+    with monkeypatch.context() as patch:
+        patch.setattr(scheme_base, "MEMO", Memo(MEMO_ROWS))
+        table = scheme_base.server_context(server, public, own, stores[0], pools[0]).view.table
+    campaign = Campaign(derive_rng("checked-walk", scheme, server), point, table,
+                        params.length // pools[0].chunk_len)
+    seen = set()
+    for _ in range(MUTATIONS):
+        query, lacking = mutated(campaign, honest)
+        with monkeypatch.context() as patch:  # a view no context has answered from
+            patch.setattr(scheme_base, "MEMO", Memo(MEMO_ROWS))
+            cold = scheme_base.server_context(server, public, own, stores[0],
+                                              without(pools[0], lacking))
+        checked = checked_once(cold, query)
+        for start in STARTS:
+            for store, pool in [(stores[0], pools[0]), (stores[1], pools[0]),
+                                (stores[0], pools[1])]:
+                pool = without(pool, lacking)
+                want = outcome(walk, server, campaign.granted, table, store, pool, start, query)
+                if checked[0] != "checked":  # the check's refusal is the walk's
+                    assert checked == want, query
+                    continue
+                ctx = scheme_base.ServerContext(server, store, pool, cold.view, start)
+                assert outcome(served, ctx, checked[1]) == want, query
+        seen.add(outcome_kind(want))
+    reachable = EVERY_OUTCOME - (set() if any(key - campaign.granted for key in table)
+                                 else {"inaccessible"})
+    assert seen == reachable

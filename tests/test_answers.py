@@ -1167,3 +1167,103 @@ def test_indices_and_offsets_past_a_lane_are_scanned():
         for word in (0, subpackets + 1):
             with pytest.raises(ConfigError, match=f"^sub-packet index {word} out of range$"):
                 answer_query(ctx, with_indices(query, {(0, 1): word}))
+
+
+# ------------------------------------------------- the checked query
+
+def answered(ctx, query):
+    """`answer_query(ctx, query)`, or the (class, message) of its refusal."""
+    try:
+        return answer_query(ctx, query)
+    except (AccessRefusal, ConfigError) as refusal:
+        return type(refusal), str(refusal)
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
+def test_a_query_checked_once_answers_from_any_store_and_pool_of_its_view(
+        scheme, params, v_star, server, monkeypatch):
+    # each answer of the checked query equals the plain query's answer on
+    # a fresh install of the same store and pool, and none checks again
+    ctx, honest = warm(scheme, params, v_star, server)
+    public, own = view_args(params, v_star, server)
+    checked = scheme_base.check_query(ctx, honest)
+    assert isinstance(checked, scheme_base.CheckedQuery)
+    assert (checked.server, checked.groups) == tuple(honest)
+    other_store, other_pool = random_store(params, 1), allocate(scheme, params, public, 1)
+    assert other_pool.chunks.keys() == ctx.pool.chunks.keys()
+    cases = [(ctx.store, ctx.pool), (other_store, ctx.pool), (ctx.store, other_pool),
+             (other_store, other_pool)]
+    fresh = []
+    for store, pool in cases:
+        MEMO.clear()
+        fresh.append(answer_query(scheme_base.server_context(server, public, own, store, pool),
+                                  honest))
+    assert fresh[0] != fresh[1] and fresh[0] != fresh[2]
+    checks = counting(monkeypatch, scheme_base, "check_query")
+    for (store, pool), want in zip(cases, fresh):
+        assert answer_query(ServerContext(server, store, pool, ctx.view), checked) == want
+    assert checks == []
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
+def test_a_checked_query_on_another_context_is_checked_again(scheme, params, v_star, server,
+                                                            monkeypatch):
+    # another view (even an equal copy), start, params or server: the
+    # checked query gives exactly what the plain query gives there
+    ctx, honest = warm(scheme, params, v_star, server)
+    public, _ = view_args(params, v_star, server)
+    checked = scheme_base.check_query(ctx, honest)
+    lacking = MappingProxyType({key: (*labels, ("nk", 9, 9))
+                                for key, labels in ctx.view.table.items()})
+    shifted = random_store(replace(params, length=params.length + 5), 1)
+    other_q = replace(params, q=65521)
+    others = [
+        cold(ctx),
+        replace(ctx, view=View(ctx.view.granted, lacking)),
+        replace(ctx, view=View(frozenset(), ctx.view.table)),
+        replace(ctx, store=shifted, start=5),
+        replace(ctx, pool=allocate(scheme, other_q, public, 1)),
+        replace(ctx, server=server + 1),
+    ]
+    checks = counting(monkeypatch, scheme_base, "check_query")
+    for other in others:
+        want = answered(other, honest)
+        checks.clear()
+        assert answered(other, checked) == want
+        assert len(checks) == 1
+    assert answered(others[0], checked) == answer_query(ctx, checked)
+    assert answered(others[1], checked)[0] is ConfigError
+    assert answered(others[3], checked) != answer_query(ctx, checked)
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
+def test_a_checked_query_refuses_a_pool_that_lacks_a_label_by_name(scheme, params, v_star,
+                                                                   server):
+    # the pool answered from lacks a label of the last group: that group
+    # is refused, naming the label, after every earlier group's share
+    ctx, honest = warm(scheme, params, v_star, server)
+    checked = scheme_base.check_query(ctx, honest)
+    label = ctx.view.table[frozenset(honest.groups[-1].descriptor.ids)][-1]
+    pool = replace(ctx.pool, chunks={k: c for k, c in ctx.pool.chunks.items() if k != label})
+    lacks = ServerContext(server, ctx.store, pool, ctx.view)
+    for query in (checked, honest):
+        with pytest.raises(ConfigError) as refused:
+            answer_query(lacks, query)
+        assert str(refused.value) == f"unknown chunk label {label!r}"
+
+
+@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
+def test_a_store_refusal_comes_after_every_refusal_of_the_query(scheme, params, v_star,
+                                                                server):
+    # a hand-made context whose store lacks a message that group 1 reads,
+    # and a bad index in group 2: the query's own refusal is raised, and
+    # the store's only once the query passes its checks
+    ctx, honest = warm(scheme, params, v_star, server)
+    subpackets = params.length // ctx.pool.chunk_len
+    msg = honest.groups[0].descriptor.ids[0]
+    short = ServerContext(server, shortened(ctx.store, msg, None), ctx.pool, ctx.view)
+    bad = with_indices(honest, {(1, 0): subpackets + 1})
+    with pytest.raises(ConfigError, match=f"^sub-packet index {subpackets + 1} out of range$"):
+        answer_query(short, bad)
+    with pytest.raises(ConfigError, match=f"^store holds no message {msg} for server {server}$"):
+        answer_query(short, honest)

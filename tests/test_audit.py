@@ -15,7 +15,9 @@ on the scheme points and on random wirings.
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
+import json
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -703,3 +705,45 @@ class TestSuites:
         names = [c["name"] for c in rep["checks"]]
         assert len(names) == 3 + 3 + 4
         assert rep["pass"]
+
+
+# sha256 of the canonical secrecy suite report over SECRECY_POINTS, their
+# q = 65537 variants and P_PACKED, as the audit gave it while it still
+# checked every answer's query afresh
+SECRECY_REPORTS = "95777a72bc7db5c6349b2f5ae8b08ad039264a62483d856a8d53b293ef592a3f"
+
+
+def test_the_secrecy_reports_are_pinned():
+    points = [*audit.SECRECY_POINTS,
+              *((scheme, replace(params, q=65537)) for scheme, params in audit.SECRECY_POINTS),
+              ("het1", P_PACKED)]
+    report = audit.run_suite("secrecy", points)
+    blob = json.dumps(report, sort_keys=True, separators=(",", ":"), default=str)
+    assert hashlib.sha256(blob.encode()).hexdigest() == SECRECY_REPORTS
+
+
+def test_secrecy_checks_each_queried_server_once_and_answers_through_the_engine(monkeypatch):
+    # every answer still goes through the engine's `answer_query`, and the
+    # query each answers is checked once per queried server per point,
+    # never again by an answer
+    answers, checks = Counter(), Counter()
+
+    def counted(calls, original):
+        def wrapper(ctx, query):
+            calls[ctx.pool.scheme, ctx.server] += 1
+            return original(ctx, query)
+        return wrapper
+
+    for scheme in ("het1", "het2", "dapac"):
+        module = scheme_engine(scheme)
+        monkeypatch.setattr(module, "answer_query",
+                            counted(answers, module.answer_query))
+    for module in (audit, scheme_base):
+        monkeypatch.setattr(module, "check_query",
+                            counted(checks, module.check_query))
+    assert audit.suite_secrecy()["pass"]
+    assert sum(answers.values()) == 365
+    assert checks == Counter({("het1", 1): 1, ("het1", 2): 1, ("het1", 3): 1,
+                              ("dapac", 1): 1, ("dapac", 2): 1, ("dapac", 3): 1,
+                              ("het2", 1): 1, ("het2", 2): 1, ("het2", 3): 1, ("het2", 4): 1})
+    assert answers.keys() == checks.keys()
