@@ -156,19 +156,26 @@ def _participating_ids(n_attrs: int, d: int, k: int, public: tuple[int, ...],
     numerals, attribute 1 most significant, so expanding positions in
     order keeps them sorted. Memoized: q and the message length are not
     part of the key, so every scheme and length on one (N, D, K, public
-    part) shares an entry."""
+    part) shares an entry.
+
+    A pinned set makes no id of its own: the participating id
+    base[0] + j·K^(N−D) is entry j of the unpinned tuple of its key,
+    which it looks up, so it holds that tuple's int objects, and every
+    set of one key shares them."""
     if len(public) != n_attrs - d:
         raise ConfigError("public part has wrong length")
-    pinned = dict(fixed)
+    if fixed:
+        pinned = dict(fixed)
+        places = [0]  # j over the D sensitive digits, attribute 1 most significant
+        for pos in range(1, d + 1):
+            stride = k ** (d - pos)
+            values = (pinned[pos],) if pos in pinned else range(1, k + 1)
+            places = [j + (x - 1) * stride for j in places for x in values]
+        return tuple(map(_participating_ids(n_attrs, d, k, public, ()).__getitem__, places))
     ids = [0]
     for pos in range(1, n_attrs + 1):
         stride = k ** (n_attrs - pos)
-        if pos > d:
-            values = (public[pos - d - 1],)
-        elif pos in pinned:
-            values = (pinned[pos],)
-        else:
-            values = range(1, k + 1)
+        values = (public[pos - d - 1],) if pos > d else range(1, k + 1)
         ids = [i + (x - 1) * stride for i in ids for x in values]
     return tuple(ids)
 

@@ -313,9 +313,22 @@ def uniform_arrays(rng: random.Random, q: int, length: int,
                    count: int) -> list[array]:
     """`count` arrays of `length` uniform symbols of F_q, 2 <= q < 2^32:
     exactly what `count * length` calls of `rng.randrange(q)` return, in
-    order. `rng` must be a private stream, thrown away afterwards."""
+    order. `rng` must be a private stream, thrown away afterwards.
+
+    Arrays of at most half a batch are taken a block of up to
+    BATCH_WORDS symbols at a time and sliced from it, so a pool of
+    one-symbol chunks costs a slice per chunk, not a `take`; a longer
+    array is taken on its own, with no block to copy it out of.
+    """
     take = WordStream(rng, q, length * count).take
-    return [take(length) for _ in range(count)]
+    per = BATCH_WORDS // length if length else 0  # arrays a block holds
+    if per < 2:
+        return [take(length) for _ in range(count)]
+    out = []
+    for first in range(0, count, per):
+        block = take(length * min(per, count - first))
+        out += [block[at:at + length] for at in range(0, len(block), length)]
+    return out
 
 
 def _stable(seed) -> bool:

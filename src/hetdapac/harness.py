@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .access import SystemParams, check_params, check_vector
 from .errors import ConfigError
@@ -58,8 +58,11 @@ def actor_name(server: int, params: SystemParams) -> str:
 
 # ---------------------------------------------------------------- transcript
 
-@dataclass
-class Record:
+class Record(NamedTuple):
+    """One logged message: its place in the run, who sent what to whom,
+    the symbols its frame carries and the sha256 of its bytes. Read-only;
+    `_replace` makes an edited copy."""
+
     seq: int
     phase: str
     sender: str
@@ -73,7 +76,11 @@ class Record:
 class Transcript:
     """Structured log of one protocol run: symbol counts read off the
     frames, consumed pads off the servers' ledgers as (segment, label),
-    and each segment's pool, the allocated pads, under its tag."""
+    and each segment's pool, the allocated pads, under its tag.
+
+    `log` builds each `Record` with `tuple.__new__`, its fields in
+    order, as the class's own constructor would; `dumps` writes one
+    sorted-key JSON object of a record's fields a line."""
 
     def __init__(self, params: SystemParams):
         self.params = check_params(params)
@@ -83,8 +90,9 @@ class Transcript:
         self.consumed: set = set()
 
     def log(self, phase, sender, receiver, kind, payload, segment=None):
-        rec = Record(len(self.records), phase, sender, receiver, kind,
-                     frame_symbols(kind, payload), payload_digest(payload), segment)
+        rec = tuple.__new__(Record, (len(self.records), phase, sender, receiver, kind,
+                                     frame_symbols(kind, payload), payload_digest(payload),
+                                     segment))
         self.records.append(rec)
         return rec
 
@@ -99,7 +107,7 @@ class Transcript:
         return out
 
     def dumps(self) -> str:
-        return "".join(json.dumps(vars(rec), sort_keys=True, separators=(",", ":")) + "\n"
+        return "".join(json.dumps(rec._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
                        for rec in self.records)
 
     def dump(self, path):

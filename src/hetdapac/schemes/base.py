@@ -372,6 +372,7 @@ class PlanTrace:
         """The plan and its wire queries for a permutation column and a
         draw column. Every column handed out is the caller's own copy."""
         q = params.q
+        new = tuple.__new__  # the columns match by construction: no constructor checks
         gather = perms.tolist().__getitem__  # a list serves items faster than an array
         wires = {}  # a twin's wire column is a copy of its owner's
         queries = {}
@@ -388,8 +389,9 @@ class PlanTrace:
                     wire = wires[id(positions)][:]
                 else:
                     wire = wires[id(positions)] = array("I", map(gather, positions))
-                query_groups.append(QueryGroup(MessageGroupDescriptor(ids[:], wire), vec))
-            queries[server] = QueryTuple(server=server, groups=tuple(query_groups))
+                query_groups.append(new(QueryGroup, (new(MessageGroupDescriptor, (ids[:], wire)),
+                                                     vec)))
+            queries[server] = new(QueryTuple, (server, tuple(query_groups)))
         sub_len = params.length // self.subpackets
         decoding = []
         for place, terms, inverse in self._decoding:
@@ -899,7 +901,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple | CheckedQuery
             [*map(pool.chunk, labels)]  # a label this pool lacks: the pool's refusal
             ctx.checked()  # a store short of a granted message: the install's refusal
             raise
-        shares.append(AnswerShare(server, gi, share))
+        shares.append(tuple.__new__(AnswerShare, (server, gi, share)))
     return shares, all_labels
 
 

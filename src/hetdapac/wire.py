@@ -20,8 +20,13 @@ little-endian words, the same bytes on any host:
     answer  server, share count, symbols per share, then the symbols
 
 A decoder checks each header count against the frame length before it
-builds anything. The records are named tuples, so a decoded group costs
-three slices of the frame's words and two tuples, whatever its rows.
+builds anything. The records are named tuples; having checked the frame,
+a decoder builds each one with `tuple.__new__`, skipping the public
+constructors' checks (a descriptor's equal columns hold by the frame's
+row counts), so a decoded group costs three slices of the frame's words
+and two tuples, whatever its rows. An encoder extends one `array('I')`
+with every header word and column and converts it to bytes once; a
+column may be any sequence of ints, a hand-built tuple too.
 `frame_symbols` reads the symbols a frame carries off its group count
 and length: one vector entry per query row, every answer word past the
 header. The verification phase's messages (a committed
@@ -85,6 +90,11 @@ class AnswerShare(NamedTuple):
     payload: array            # one sub-packet of field symbols, array('I')
 
 
+# builds a named tuple from its fields, without the class's own `__new__`
+# and its checks: for producers that have just checked the shape
+_new = tuple.__new__
+
+
 def _words(frame, what: str) -> array:
     """A frame's words as one `array('I')`, copied once; a frame is
     `bytes` of whole 4-byte words."""
@@ -96,13 +106,14 @@ def _words(frame, what: str) -> array:
 
 
 def encode_query(query: QueryTuple) -> bytes:
-    groups = query.groups
-    words = array("I", [query.server, len(groups)])
-    words.extend(len(g.descriptor.ids) for g in groups)
-    for g in groups:
-        words.extend(g.descriptor.ids)
-        words.extend(g.descriptor.indices)
-        words.extend(g.vector)
+    server, groups = query
+    words = array("I", [server, len(groups)])
+    extend = words.extend
+    extend([len(ids) for (ids, _), _ in groups])
+    for (ids, indices), vector in groups:
+        extend(ids)
+        extend(indices)
+        extend(vector)
     return little_endian(words).tobytes()
 
 
@@ -116,15 +127,19 @@ def decode_query(frame) -> QueryTuple:
     groups = []
     for rows in words[2:2 + count]:
         indices, vector, end = at + rows, at + 2 * rows, at + 3 * rows
-        groups.append(QueryGroup(MessageGroupDescriptor(words[at:indices], words[indices:vector]),
-                                 words[vector:end]))
+        groups.append(_new(QueryGroup, (
+            _new(MessageGroupDescriptor, (words[at:indices], words[indices:vector])),
+            words[vector:end])))
         at = end
-    return QueryTuple(server=words[0], groups=tuple(groups))
+    return _new(QueryTuple, (words[0], tuple(groups)))
 
 
 def encode_answers(server: int, shares: list[AnswerShare]) -> bytes:
-    head = array("I", [server, len(shares), len(shares[0].payload) if shares else 0])
-    return b"".join(little_endian(a).tobytes() for a in (head, *(s.payload for s in shares)))
+    words = array("I", [server, len(shares), len(shares[0].payload) if shares else 0])
+    extend = words.extend
+    for _, _, payload in shares:
+        extend(payload)
+    return little_endian(words).tobytes()
 
 
 def decode_answers(frame) -> list[AnswerShare]:
@@ -136,7 +151,7 @@ def decode_answers(frame) -> list[AnswerShare]:
     if size < 3 or words[1] > size - 3 or 3 + words[1] * words[2] != size:
         raise ConfigError("answer frame is not server, share count, share length and symbols")
     server, count, width = words[:3]
-    return [AnswerShare(server, g, words[3 + g * width:3 + (g + 1) * width])
+    return [_new(AnswerShare, (server, g, words[3 + g * width:3 + (g + 1) * width]))
             for g in range(count)]
 
 

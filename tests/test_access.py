@@ -209,13 +209,27 @@ def test_memo_is_keyed_without_field_or_length():
     access._participating_ids.cache_clear()
     wide = SystemParams(n_attrs=7, d=6, k=4, q=65537, length=6)
     other = SystemParams(n_attrs=7, d=6, k=4, q=3, length=60)
+    # a pinned set also looks up the unpinned tuple of its key
     first = match_set(2, 3, (3,), wide)
-    assert access._participating_ids.cache_info()[:2] == (0, 1)  # hits, misses
+    assert access._participating_ids.cache_info()[:2] == (0, 2)  # hits, misses
     assert match_set(2, 3, (3,), other) is first
     assert pair_set(1, 2, 4, 3, (3,), other) == pair_set(2, 1, 3, 4, (3,), wide)
-    assert access._participating_ids.cache_info()[:2] == (2, 2)
-    assert participating_ids(wide, (3,)) is participating_ids(other, [3])
     assert access._participating_ids.cache_info()[:2] == (3, 3)
+    assert participating_ids(wide, (3,)) is participating_ids(other, [3])
+    assert access._participating_ids.cache_info()[:2] == (5, 3)
+
+
+@pytest.mark.parametrize("params, public", [(P432, (2,)), (P322, (1,)),
+                                            (SystemParams(n_attrs=7, d=6, k=4), (3,)),
+                                            (SystemParams(n_attrs=3, d=3, k=3), ())])
+def test_pinned_sets_hold_the_participating_ids(params, public):
+    # every id of a match or pair set is the participating tuple's own int
+    objects = {i: i for i in participating_ids(params, public)}
+    sets = [match_set(n, x, public, params) for n in range(1, params.d + 1)
+            for x in range(1, params.k + 1)]
+    sets += [pair_set(n, m, x, y, public, params) for n, m in all_pairs(params.d)
+             for x in range(1, params.k + 1) for y in range(1, params.k + 1)]
+    assert sets and all(i is objects[i] for ids in sets for i in ids)
 
 
 def test_sets_are_tuples():

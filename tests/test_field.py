@@ -200,6 +200,11 @@ def test_cpython_randbytes_is_getrandbits_little_endian(n):
     (1, 1),
     (3, 40),                     # leftovers carried from message to message
     (0, 2),
+    # short arrays taken a block at a time, the blocks crossing stream batches
+    (1, BATCH_WORDS + 3),
+    (7, BATCH_WORDS // 7 + 2),
+    (BATCH_WORDS // 3, 4),       # three arrays a block, then a block of one
+    (BATCH_WORDS // 2, 3),       # a block would hold two: taken one by one
 ])
 def test_uniform_arrays_is_the_randrange_stream(q, length, count):
     seed = (q, length, count)

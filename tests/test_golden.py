@@ -25,7 +25,6 @@ must still get a symbol count.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import json
 import random
@@ -294,7 +293,7 @@ def test_only_the_answer_framing_moved(kind, monkeypatch):
     transcript, _, sent = recorded_case(kind, monkeypatch)
     payloads = record_payloads(sent)
     old = {"query": lambda p: list_form_digest(decode_query(p)), "answer": lambda p: ""}
-    transcript.records = [dataclasses.replace(r, digest=old[r.kind](p)) if r.kind in old else r
+    transcript.records = [r._replace(digest=old[r.kind](p)) if r.kind in old else r
                           for r, p in zip(transcript.records, payloads)]
     blanked = hashlib.sha256(transcript.dumps().encode()).hexdigest()
     answers = [p for r, p in zip(transcript.records, payloads) if r.kind == "answer"]
