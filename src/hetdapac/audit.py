@@ -10,8 +10,8 @@ Four families of checks, all exact:
 * database secrecy is proven by rank over F_q, at any q: answers are
   affine in the uniform pool, so a store perturbation leaves the answer
   distribution unchanged exactly when its answer shift lies in the column
-  space of the pad map, and otherwise moves it to a disjoint coset; a
-  shift of one message is re-answered only where a server's view grants it;
+  space of the pad map, and otherwise moves it to a disjoint coset; each
+  server re-answers only the pads its query names and messages it grants;
 * accounting compares measured rate, load ratio, downloads and randomness
   against their closed forms as rationals.
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 from .access import SystemParams, message_index, participating_ids
 from .errors import ConfigError
@@ -289,17 +290,14 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     independent store, and base + P·s must match the answers at a seeded
     uniform pool. S is linear, so the L unit shifts of a non-desired
     participating message cover all q^L - 1 perturbations of it. Each
-    server answers from a store of only the messages its verified view
-    grants, taken once per store, so a read of any other fails rather
-    than go unseen. So the answers at the zero pool are taken once per
-    server, and a shift of message m re-answers only the servers whose
-    view grants m, from that store with m shifted; every other server's
-    part of the shift is zero. Each server's query is checked once per
-    call, against its view (`check_query`), and every answer hands that
-    checked query to the engine's `answer_query` on a context of the
-    view with its store and the pool at hand: the real answer path, less
-    the checks of a query already checked. Shifting the desired message
-    is the control: its TV must be 1, or decoding would be impossible.
+    server's query is checked once (`check_query`) and answered by the
+    engine's `answer_query` on one context per store: only the messages
+    its view grants and the chunks its query names, so a read of any
+    other fails. A unit pool (label, j) is re-answered only where the
+    query names the label, a shift of m only where the view grants m,
+    written into that pool or store and restored after; every other
+    server's part is zero. Shifting the desired message is the control:
+    its TV must be 1, or decoding would be impossible.
 
     The query is the one the scheme builds, so this proves secrecy for a
     client that follows the scheme: the symmetric PIR model of Sun and
@@ -311,61 +309,61 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     for het1, 3 of 21 for dapac and 9 of 42 for het2.
     """
     v_star, seed = _default_vstar(params), 11
-    eng = scheme_engine(scheme)
-    q = params.q
+    eng, q = scheme_engine(scheme), params.q
     public = tuple(v_star[params.d:])
     uniform = allocate(scheme, params, public, seed)
-    zero_pool = uniform.zeros_like()
-    clen = zero_pool.chunk_len
+    clen = uniform.chunk_len
     _, queries = eng.build(v_star, params, derive_rng(seed, "audit", "secrecy"))
     desired = message_index(v_star, params)
     store = random_store(params, seed)
-    other = random_store(params, (seed, "affine-witness"))
 
-    ctxs = _contexts(params, v_star, store, zero_pool, queries)
-    views = {server: ctx.view for server, ctx in ctxs.items()}
+    ctxs = _contexts(params, v_star, store, uniform, queries)
     checked = {server: check_query(ctx, queries[server]) for server, ctx in ctxs.items()}
+    # each server's own pool: the chunks its checked query (its last field) names
+    pools = {server: RandomnessPool(scheme, params, clen, {
+                 label: uniform.chunk(label) for labels in checked[server][-1] for label in labels})
+             for server in sorted(checked)}
+    own, witness = ({server: ServerContext(server, {m: st[m] for m in ctxs[server].view.granted},
+                                           pool, ctxs[server].view)
+                     for server, pool in pools.items()}
+                    for st in (store, random_store(params, (seed, "affine-witness"))))
 
-    def granted(st):
-        # each server's messages of `st`, once: a read of any other fails
-        return {server: {m: st[m] for m in view.granted} for server, view in views.items()}
+    def part(ctx):
+        shares, _ = eng.answer_query(ctx, checked[ctx.server])
+        return [x for share in shares for x in share.payload]
 
-    def answers(sts, pool):
-        # every server answers its store through the view it verified once
-        return _answer_tuple(eng, {server: ServerContext(server, sts[server], pool, view)
-                                   for server, view in views.items()}, checked)
+    def shift(contexts, base, key, value, table) -> list:
+        # the answers' shift with `key` at `value` in each context's `table` that holds it
+        delta = []
+        for ctx, base_part in zip(contexts.values(), base):
+            held = table(ctx)
+            if key in held:
+                old, held[key] = held[key], value
+                try:
+                    delta += [(x - y) % q for x, y in zip(part(ctx), base_part)]
+                finally:
+                    held[key] = old
+            else:
+                delta += [0] * len(base_part)
+        return delta
 
-    def part(server, st):
-        return _answer_tuple(eng, {server: ServerContext(server, st, zero_pool, views[server])},
-                             {server: checked[server]})
-
-    def minus(a, b):
-        return tuple((x - y) % q for x, y in zip(a, b))
-
-    store_of, other = granted(store), granted(other)
-    parts = {server: part(server, store_of[server]) for server in sorted(views)}
-    base = tuple(x for p in parts.values() for x in p)
-    other_base = answers(other, zero_pool)
-    units = [RandomnessPool(scheme, params, clen, {
-                 **zero_pool.chunks, label: tuple(int(t == j) for t in range(clen))})
-             for label in zero_pool.labels() for j in range(clen)]
-    columns = [minus(answers(store_of, pool), base) for pool in units]
-    s = [x for label in zero_pool.labels() for x in uniform.chunk(label)]
-    pads = tuple(sum(c[r] * x for c, x in zip(columns, s)) % q
-                 for r in range(len(base)))
-    if (columns != [minus(answers(other, pool), other_base) for pool in units]
-            or minus(answers(store_of, uniform), base) != pads):
+    padded = _answer_tuple(eng, own, checked)  # at the uniform pool, then zeroed
+    for pool in pools.values():
+        pool.chunks.update(dict.fromkeys(pool.chunks, (0,) * clen))
+    base, other_base = ([part(ctx) for ctx in side.values()] for side in (own, witness))
+    units = [(label, tuple(int(t == j) for t in range(clen)))
+             for label in uniform.labels() for j in range(clen)]
+    chunks, stores = attrgetter("pool.chunks"), attrgetter("store")
+    columns = [shift(own, base, label, unit, chunks) for label, unit in units]
+    s = [x for label in uniform.labels() for x in uniform.chunk(label)]
+    pads = [sum(c[r] * x for c, x in zip(columns, s)) % q for r in range(len(padded))]
+    if (columns != [shift(witness, other_base, label, unit, chunks) for label, unit in units]
+            or [(x - y) % q for x, y in zip(padded, itertools.chain(*base))] != pads):
         raise ConfigError("answers do not split into store part plus pad")
     span = _echelon(columns, q)
 
     def tv(m: int, alt) -> Fraction:
-        delta = []
-        for server, base_part in parts.items():
-            if m in views[server].granted:
-                delta += minus(part(server, {**store_of[server], m: alt}), base_part)
-            else:
-                delta += [0] * len(base_part)
-        return Fraction(len(_echelon([delta], q, span)) - len(span))
+        return Fraction(len(_echelon([shift(own, base, m, alt, stores)], q, span)) - len(span))
 
     def bumped(m: int, j: int):
         alt = store[m][:]

@@ -563,10 +563,10 @@ class ServerContext:
 
     An install checks the store against the view (`checked`). A context
     made from a view by `dataclasses.replace` or by hand, as the secrecy
-    audit makes one per answer, is not checked when made: an answer that
-    meets a granted message its store lacks, or reads past the end of
-    one, raises the refusal the check raises, never a `KeyError` or an
-    `IndexError`.
+    audit makes one per server and store, is not checked when made: an
+    answer that meets a granted message its store lacks, or reads past
+    the end of one, raises the refusal the check raises, never a
+    `KeyError` or an `IndexError`.
     """
 
     server: int

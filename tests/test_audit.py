@@ -37,7 +37,7 @@ from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import engine as scheme_engine
 from hetdapac.schemes import het1
 from hetdapac.schemes.base import PlanGroup, SymInverse, SymVector
-from hetdapac.wire import AnswerShare
+from hetdapac.wire import AnswerShare, QueryGroup, QueryTuple
 
 P_HET1 = SystemParams(n_attrs=3, d=2, k=2, q=3, length=2)
 P_DAPAC = SystemParams(n_attrs=3, d=3, k=2, q=2, length=3)
@@ -609,6 +609,68 @@ class TestDbSecrecy:
         with pytest.raises(KeyError):
             audit.audit_db_secrecy("het1", P_HET1)
 
+    def test_an_answer_that_reads_a_pad_its_query_does_not_name_is_not_passed_over(
+            self, monkeypatch):
+        # a server's part of a unit pool whose label its query does not name
+        # is taken as zero: that holds only if its answer cannot read that
+        # chunk, so an answer path that adds one to a share must fail the audit
+        answer = het1.answer_query
+        every_label = het1.pool_labels(P_HET1)
+
+        def peeking(ctx, query):
+            shares, labels = answer(ctx, query)
+            named = {label for group in labels for label in group}
+            unnamed = [label for label in every_label if label not in named]
+            if unnamed:
+                (server, gi, payload), *rest = shares
+                pad = ctx.pool.chunk(unnamed[0])
+                payload = [(x + p) % P_HET1.q for x, p in zip(payload, pad)]
+                shares = [AnswerShare(server, gi, payload), *rest]
+            return shares, labels
+
+        monkeypatch.setattr(het1, "answer_query", peeking)
+        with pytest.raises(ConfigError, match="unknown chunk label"):
+            audit.audit_db_secrecy("het1", P_HET1)
+
+    @pytest.mark.parametrize("scheme,params", audit.SECRECY_POINTS)
+    def test_a_client_that_sends_uniform_vectors_leaks(self, monkeypatch, scheme, params):
+        # the deviating client the audit leaves out of scope: its queries
+        # keep every row and swap only the combining vectors for uniform
+        # ones, so every check passes, yet its answers leave col(P)
+        params = replace(params, q=65537)
+        module = scheme_engine(scheme)
+        build, check = module.build, audit.check_query
+        draw = derive_rng("uniform combining vectors", scheme).randrange
+        checked = Counter()
+
+        def uniform_vectors(v_star, params, rng):
+            plan, queries = build(v_star, params, rng)
+            return plan, {server: QueryTuple(server, tuple(
+                              QueryGroup(g.descriptor, array("I", (draw(params.q) for _ in g.vector)))
+                              for g in query.groups))
+                          for server, query in queries.items()}
+
+        def counted(ctx, query):
+            result = check(ctx, query)
+            checked[ctx.server] += 1
+            return result
+
+        monkeypatch.setattr(module, "build", uniform_vectors)
+        monkeypatch.setattr(audit, "check_query", counted)
+        rep = audit.audit_db_secrecy(scheme, params)
+        assert set(checked) == set(audit.privacy_servers(scheme, params))
+        assert set(checked.values()) == {1}
+        assert rep["max_tv"] == 1 and not rep["pass"]
+        assert rep["desired_control_tv"] == 1
+
+    def test_passes_at_a_realistic_size(self):
+        # het2 at N = 6, D = 5, K = 3, q = 65537: 243 participating messages
+        params = audit._grid_params("het2", 5, 3)
+        assert (params.n_attrs, params.d, params.k, params.q) == (6, 5, 3, 65537)
+        rep = audit.audit_db_secrecy("het2", params)
+        assert rep["max_tv"] == 0 and rep["pass"]
+        assert rep["desired_control_tv"] == 1
+
     def test_zero_pads_leak_on_packed_answers(self, monkeypatch):
         strip_pads(monkeypatch)
         rep = audit.audit_db_secrecy("het1", P_PACKED)
@@ -742,7 +804,13 @@ def test_secrecy_checks_each_queried_server_once_and_answers_through_the_engine(
         monkeypatch.setattr(module, "check_query",
                             counted(checks, module.check_query))
     assert audit.suite_secrecy()["pass"]
-    assert sum(answers.values()) == 365
+    # per point and server: a base, a witness base and one answer at the
+    # uniform pool, two per unit pool whose label its query names, and one
+    # per shift, the control's included, of a message its view grants
+    assert answers == Counter({("het1", 1): 8, ("het1", 2): 8, ("het1", 3): 18,
+                               ("dapac", 1): 21, ("dapac", 2): 21, ("dapac", 3): 21,
+                               ("het2", 1): 30, ("het2", 2): 30, ("het2", 3): 30,
+                               ("het2", 4): 70})
     assert checks == Counter({("het1", 1): 1, ("het1", 2): 1, ("het1", 3): 1,
                               ("dapac", 1): 1, ("dapac", 2): 1, ("dapac", 3): 1,
                               ("het2", 1): 1, ("het2", 2): 1, ("het2", 3): 1, ("het2", 4): 1})
