@@ -495,13 +495,21 @@ def point_checks(suite: str, scheme: str, params: SystemParams, trials: int = 50
 
 def run_suite(name: str, points=None, trials: int = 50) -> dict:
     """One suite over its built-in points, or over `points` in their place."""
-    checks = [check for scheme, params in (POINTS[name] if points is None else points)
-              for check in point_checks(name, scheme, params, trials)]
-    return {"suite": name, "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return run_suites([name], points, trials)["suites"][0]
 
 
 def run_suites(names, points=None, trials: int = 50) -> dict:
-    reports = [run_suite(name, points, trials) for name in names]
+    """The suites `names`, in order, each over its built-in points or over
+    `points` in their place; an unknown name is refused before any runs."""
+    names = list(names)
+    # compared, not hashed, so a name of any type is refused
+    if unknown := [name for name in names if name not in tuple(POINTS)]:
+        raise ConfigError(f"unknown suite {unknown[0]!r}")
+    reports = []
+    for name in names:
+        checks = [check for scheme, params in (POINTS[name] if points is None else points)
+                  for check in point_checks(name, scheme, params, trials)]
+        reports.append({"suite": name, "checks": checks, "pass": all(c["pass"] for c in checks)})
     return {"suites": reports, "pass": all(r["pass"] for r in reports)}
 
 

@@ -131,7 +131,7 @@ def _params_of(cfg: dict) -> SystemParams:
 
 def _parse_vstar(value, params: SystemParams) -> tuple[int, ...]:
     if isinstance(value, str):
-        value = [t for t in value.split(",") if t.strip()]
+        value = value.split(",")  # an empty entry is refused, never dropped
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"vstar must be a comma-separated list, got {value!r}")
     v = tuple(_integer("vstar entry", t) for t in value)

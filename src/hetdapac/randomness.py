@@ -83,11 +83,6 @@ class RandomnessPool:
     def labels(self) -> list[Label]:
         return sorted(self.chunks)
 
-    def zeros_like(self) -> "RandomnessPool":
-        zero = tuple(0 for _ in range(self.chunk_len))
-        return RandomnessPool(self.scheme, self.params, self.chunk_len,
-                              {label: zero for label in self.chunks})
-
 
 def allocate(scheme: str, params: SystemParams, public: tuple[int, ...], seed) -> RandomnessPool:
     """Draw the full chunk table for one retrieval.

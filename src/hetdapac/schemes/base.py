@@ -65,33 +65,19 @@ desired message, where it starts in the message and the (server, group
 index, coefficient) terms that recover it, and one `decode` writes each
 combination into its place.
 
-The access check of a group runs over the whole group at once, as a
-subset test of its message set against the view's granted ids, and the
-index check over the whole query: every group's wire indices, less one,
-are read as one int of 32-bit lanes, so an index 0 wraps to 2^32 − 1,
-and one lane test (`field.lanes_at_or_above`, the user's test of long
-shares) finds the first row whose index is outside [1, S]. The same
-lanes, times the sub-packet length, plus the start of the range, are
-every row's first-symbol offset, one `array('I')` a query that each
-group slices. Only a group that fails a check is walked row by row, to
-raise the same first error, in row order, as a per-row check would. The
-set, its table lookup and the subset test run once per view and id
-column: the view remembers each column of distinct ids that passed
-them, by its bytes, with the labels it matched, and every context of
-the view reads it, whatever its store or pool; a context with another
-table or another set of granted ids has another view, which has not
-seen the column. A query that names a row twice is found once per
-query, by one `array('Q')` key column: the ids fill the first 32-bit
-word of each key (the low word on a little-endian host) and the wire
-indices the other, each by one strided assignment, so no key is
-computed row by row. The pad labels go into a set of their own. A label
-the pool lacks is refused at its group, as a per-group check would
-refuse it: the check tests the pool for the labels of every group up
-to one it refuses, and the answer refuses a label when it reads the
-group's pads, so a checked query answers from any pool. A store
-short of a granted message is refused by the answer, after every
-refusal of the query's own; only a context made without an install
-can meet one.
+The checks detect and `_refusal` explains. The access check of a group
+is a subset test of its message set against the view's granted ids, run
+once per view and id column: the view remembers each column of distinct
+ids that passed, by its bytes, with the labels it matched, for every
+context of the view. The index check runs over the whole query at once:
+every wire index, less one, is a 32-bit lane of one int, so an index 0
+wraps to 2^32 − 1, and one lane test (`field.lanes_at_or_above`, the
+user's test of long shares) finds any outside [1, S]; the same lanes,
+times the sub-packet length, plus the start of the range, are every
+row's first-symbol offset. A repeated pad label or row is found once per
+query, by one set of labels and one of `array('Q')` keys. A query that
+fails any check is walked once by `_refusal`, which names its first
+fault in the contract's order; honest queries never reach it.
 
 A share is computed by one of two kernels, chosen by sub-packet length.
 From PACK_MIN_SYMBOLS symbols on, every named row and pad chunk is read
@@ -753,54 +739,41 @@ class CheckedQuery(tuple):
 
 def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
     """Every check of `answer_query` that reads no store: the query as
-    checked on `ctx`, or the first refusal, in group and row order.
-
-    A server with no table refuses every query. A group matching no
-    entry of the view's table is refused, an empty one among them, and so
-    is any reference to a message the view does not grant, and any query
-    naming a pad label or a (message, wire index) row twice: shares that
-    repeat one differ by a pad-free combination of sub-packets. Before
-    any of these refusals, a pad label the pool lacks, in a group up to
-    the one refused, is refused by the pool, naming it; a query with no
-    other refusal is not tested against the pool's labels, so it holds
-    for any pool, and its answer refuses a label when it reads the
-    group's pads. The labels are compared as a set of their
-    own, and the rows as one `array('Q')` key column per query, made by
-    strided assignment with no arithmetic per row: the id in the first
-    32-bit word of its key, the low one on a little-endian host, where it
-    spreads the keys over a set's buckets, and the wire index in the
-    other. Both are 32-bit words, so a key is one row.
+    checked on `ctx`, or its first refusal, in the order `_refusal`
+    states. A server with no table refuses every query, and a query for
+    another server is refused; every other check only detects a fault,
+    and a query that fails one is walked by `_refusal`, which names it.
+    A query that passes holds for any pool: its answer refuses a label
+    the pool lacks when it reads the group's pads.
 
     A group's id column is matched once per view: its message set is
     built, looked up in the table and tested against the granted ids on
     first sight, and a column of distinct ids that passes both is
     remembered, by its bytes, with the labels it matched, in the view's
     `columns`, which every context of the view reads. A remembered column
-    then costs one `tobytes` and one dict probe; its vector length, pads,
-    indices and rows are checked as every group's are, so each refusal
-    keeps its order and message. When the view holds one column per
-    table entry, the oldest is dropped for the next.
+    then costs one `tobytes` and one dict probe. When the view holds one
+    column per table entry, the oldest is dropped for the next.
 
-    The wire indices are checked once per query, before any group: one
+    The wire indices are tested once per query, before any group: one
     lane test over the query's index column, each index less one, finds
-    the first row outside [1, S], and the group holding it is refused
-    after its own earlier checks, by the walk over its rows that names
-    the first bad one, so no earlier group's refusal is passed over and
-    no later one's is raised. The lanes that test them, times the
-    sub-packet length, plus `ctx.start`, are every row's first-symbol
-    offset, one `array('I')`. A hand-made context with 2^31 sub-packets
-    or more, or a range past 2^32 symbols, leaves a lane no room to
-    spare; its indices are scanned and its offsets listed.
+    any row outside [1, S]. The same lanes, times the sub-packet length,
+    plus `ctx.start`, are every row's first-symbol offset, one
+    `array('I')`. A hand-made context with 2^31 sub-packets or more, or a
+    range past 2^32 symbols, leaves a lane no room to spare; its indices
+    are scanned and its offsets listed. The pad labels are compared as a
+    set of their own, and the rows as one `array('Q')` key column per
+    query, made by strided assignment with no arithmetic per row: the id
+    in the first 32-bit word of its key, the low one on a little-endian
+    host, where it spreads the keys over a set's buckets, and the wire
+    index in the other.
     """
     view = ctx.view
     granted, table = view
     if table is None:
         raise ConfigError(f"server {ctx.server} answers no queries of scheme {ctx.pool.scheme}")
-    server = ctx.server
-    if query.server != server:
-        raise ConfigError(f"query for server {query.server} sent to {server}")
-    pool = ctx.pool
-    params, sub_len = pool.params, pool.chunk_len
+    if query.server != ctx.server:
+        raise ConfigError(f"query for server {query.server} sent to {ctx.server}")
+    params, sub_len = ctx.pool.params, ctx.pool.chunk_len
     subpackets = params.length // sub_len
     labels_of, columns = table.get, view.columns
     groups = query.groups
@@ -808,49 +781,33 @@ def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
     for (ids, indices), _ in groups:
         every_id += ids
         every_index += indices
-    # rows before `checked` have wire indices in [1, S], and `starts` holds
-    # their first-symbol offsets start + sub_len·(index − 1)
-    checked = len(every_index)
     if subpackets < 1 << 31 and ctx.start + params.length <= 1 << 32:
-        ones = lane_ones(checked)
+        ones = lane_ones(len(every_index))
         below = int.from_bytes(little_endian(every_index), "little") - ones  # 0 wraps to 2^32 − 1
+        if lanes_at_or_above(ones, subpackets)(below):
+            raise _refusal(ctx, query)
         offsets = below * sub_len + ones * ctx.start
-        bad = lanes_at_or_above(ones, subpackets)(below)
-        if bad:
-            checked = ((bad & -bad).bit_length() - 1) // 32
-            offsets &= (1 << 32 * checked) - 1
-        starts = little_endian(array("I", offsets.to_bytes(4 * checked, "little")))
+        starts = little_endian(array("I", offsets.to_bytes(4 * len(every_index), "little")))
     else:  # a hand-made context whose indices or offsets overflow a lane: scan
-        checked = next((r for r, i in enumerate(every_index) if not 1 <= i <= subpackets),
-                       checked)
-        starts = [ctx.start + sub_len * (i - 1) for i in every_index[:checked]]
+        if not all(1 <= i <= subpackets for i in every_index):
+            raise _refusal(ctx, query)
+        starts = [ctx.start + sub_len * (i - 1) for i in every_index]
     checked_groups, all_labels = [], []
     at = 0
     for (ids, indices), vector in groups:
         rows = len(ids)
-        try:
-            if len(vector) != rows:
-                raise ConfigError("vector length does not match group rows")
-            if (labels := columns.get(column := ids.tobytes())) is None:
-                # first sight of this column: match its message set
-                key = frozenset(ids)
-                labels = labels_of(key)
-                if labels is None:
-                    raise ConfigError(f"group does not match any candidate set on server {server}")
-                if not granted >= key:
-                    all_labels.append(labels)
-                    _refuse_first_row(ctx, ids, indices, subpackets)
-                if len(key) == rows:
-                    if len(columns) >= len(table):
-                        del columns[next(iter(columns))]
-                    columns[column] = labels
-            if at + rows > checked:
-                all_labels.append(labels)
-                _refuse_first_row(ctx, ids, indices, subpackets)
-        except (AccessRefusal, ConfigError):
-            # a label the pool lacks, in a group up to this one, is refused first
-            [*map(pool.chunk, chain.from_iterable(all_labels))]
-            raise
+        if len(vector) != rows:
+            raise _refusal(ctx, query)
+        if (labels := columns.get(column := ids.tobytes())) is None:
+            # first sight of this column: match its message set
+            key = frozenset(ids)
+            labels = labels_of(key)
+            if labels is None or not granted >= key:
+                raise _refusal(ctx, query)
+            if len(key) == rows:
+                if len(columns) >= len(table):
+                    del columns[next(iter(columns))]
+                columns[column] = labels
         checked_groups.append((ids, starts[at:at + rows], vector, labels))
         all_labels.append(labels)
         at += rows
@@ -859,10 +816,45 @@ def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
     words = memoryview(keys).cast("B").cast("I")
     words[::2], words[1::2] = every_id, every_index
     if len(set(every_label)) != len(every_label) or len(set(keys)) != len(keys):
-        [*map(pool.chunk, every_label)]  # a label the pool lacks is refused first
-        raise ConfigError(f"query reuses a pad label or a row on server {server}")
-    return tuple.__new__(CheckedQuery, (server, groups, view, ctx.start, params, sub_len,
+        raise _refusal(ctx, query)
+    return tuple.__new__(CheckedQuery, (ctx.server, groups, view, ctx.start, params, sub_len,
                                         checked_groups, all_labels))
+
+
+def _refusal(ctx: ServerContext, query: QueryTuple) -> Exception:
+    """The first refusal of a query that failed a check of `check_query`,
+    for the caller to raise; a pad label the pool lacks is refused by the
+    pool itself, here. The order, per group in query order: a vector
+    whose length is not the group's rows; a message set that matches no
+    entry of the view's table, an empty one among them; a pad label the
+    pool lacks; then each row in order, a message the view does not grant
+    (an `AccessRefusal`), then a wire index outside [1, S]. After the last
+    group: a pad label or a (message, wire index) row named twice, as
+    shares that repeat one differ by a pad-free combination of
+    sub-packets. A store short of a granted message is none of these:
+    the answer refuses it (`ServerContext.checked`) after every one of
+    them, and only a context made without an install can meet it."""
+    granted, table = ctx.view
+    pool, server = ctx.pool, ctx.server
+    subpackets = pool.params.length // pool.chunk_len
+    every_label, every_row = [], []
+    for (ids, indices), vector in query.groups:
+        if len(vector) != len(ids):
+            return ConfigError("vector length does not match group rows")
+        labels = table.get(frozenset(ids))
+        if labels is None:
+            return ConfigError(f"group does not match any candidate set on server {server}")
+        [*map(pool.chunk, labels)]  # a label the pool lacks: the pool's refusal
+        for msg, widx in zip(ids, indices):
+            if msg not in granted:
+                return AccessRefusal(f"server {server} asked for inaccessible message {msg}")
+            if not 1 <= widx <= subpackets:
+                return ConfigError(f"sub-packet index {widx} out of range")
+        every_label += labels
+        every_row += zip(ids, indices)
+    if len(set(every_label)) != len(every_label) or len(set(every_row)) != len(every_row):
+        return ConfigError(f"query reuses a pad label or a row on server {server}")
+    return AssertionError("a query that failed a check has no refusal")
 
 
 def answer_query(ctx: ServerContext, query: QueryTuple | CheckedQuery
@@ -881,8 +873,7 @@ def answer_query(ctx: ServerContext, query: QueryTuple | CheckedQuery
     `operator.itemgetter` over its id column. A label this pool lacks is
     refused by the pool, naming it; a granted message the store lacks,
     or one that ends before a row's sub-packet, is refused as an install
-    refuses it (`ServerContext.checked`), after every refusal of the
-    query's own.
+    refuses it (`ServerContext.checked`).
     """
     pool = ctx.pool
     # a checked query holds the start, params and sub-packet length after its view
@@ -916,15 +907,3 @@ def decode(plan: RetrievalPlan, answers: dict) -> array:
         out[start:start + length] = combine([c for *_, c in terms], payloads,
                                             [0] * len(terms), (), q, length)
     return out
-
-
-def _refuse_first_row(ctx: ServerContext, msgs, indices, subpackets: int):
-    """Raise for the first row, in row order, that names a message the
-    context's view does not grant or a sub-packet index out of range."""
-    for msg, widx in zip(msgs, indices):
-        if msg not in ctx.view.granted:
-            raise AccessRefusal(f"server {ctx.server} asked for inaccessible message {msg}")
-        if not 1 <= widx <= subpackets:
-            raise ConfigError(f"sub-packet index {widx} out of range")
-    raise AssertionError("every row is in range and accessible")
-

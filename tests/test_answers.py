@@ -16,6 +16,7 @@ from types import MappingProxyType
 
 import pytest
 
+from hetdapac import audit
 from hetdapac.access import (
     SystemParams,
     accessible_messages,
@@ -901,9 +902,9 @@ def test_packed_kernel_across_the_lane_width_step(rows, words):
 @pytest.mark.parametrize("make_pad", [array, tuple])
 def test_packed_kernel_at_the_top_of_the_field(q, length, make_pad):
     # every symbol and pad at q - 1, coefficients q - 1 and their negative
-    # forms; pads as the array('I') chunks of a draw or the tuples of
-    # `RandomnessPool.zeros_like`; 8 terms take 1, 2 or 4 words a lane, and
-    # the lengths leave the last lane every count of words up to 4
+    # forms; pads as the array('I') chunks of a draw or the tuples of a
+    # zero pool; 8 terms take 1, 2 or 4 words a lane, and the lengths
+    # leave the last lane every count of words up to 4
     top = array("I", [q - 1]) * (2 * length)
     vector = [q - 1, -1, -(q - 1), q - 1, -q - 1]
     arrays, starts = [top] * len(vector), [0, length] * 2 + [0]
@@ -914,7 +915,7 @@ def test_packed_kernel_at_the_top_of_the_field(q, length, make_pad):
     assert type(got) is array
     assert got == loop_share(vector, segments, [3 * (q - 1) % q] * length, q)
     params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
-    zero = RandomnessPool("het1", params, length, {("nk", 1, 1): pad}).zeros_like()
+    zero = RandomnessPool("het1", params, length, {("nk", 1, 1): (0,) * length})
     assert (scheme_base._packed_share(vector, arrays, starts, [zero.chunk(("nk", 1, 1))], q,
                                       length)
             == loop_share(vector, segments, [0] * length, q))
@@ -1167,6 +1168,42 @@ def test_indices_and_offsets_past_a_lane_are_scanned():
         for word in (0, subpackets + 1):
             with pytest.raises(ConfigError, match=f"^sub-packet index {word} out of range$"):
                 answer_query(ctx, with_indices(query, {(0, 1): word}))
+        # group 0 fails, by a short vector or, on a view that does not
+        # grant message 2, by its second row, and group 1 holds index 0:
+        # the scan finds the index, and group 0's refusal is raised
+        zero = QueryGroup(descriptor([[1, 0], [2, 1]]), [1, 2])
+        ungranted = replace(ctx, view=View(frozenset({1}), view.table))
+        for c, group, refusal, message in [
+                (ctx, QueryGroup(descriptor(rows), [1]), ConfigError,
+                 "vector length does not match group rows"),
+                (ungranted, query.groups[0], AccessRefusal,
+                 "server 1 asked for inaccessible message 2")]:
+            with pytest.raises(refusal) as refused:
+                answer_query(c, QueryTuple(1, (group, zero)))
+            assert str(refused.value) == message
+
+
+def test_honest_traffic_never_reaches_the_refusal_walk(monkeypatch):
+    # every scheme's full run on a cold memo and then a warm one, a mix,
+    # and the secrecy suite: only a query that fails a check is walked
+    walks = counting(monkeypatch, scheme_base, "_refusal")
+    mix_params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=4)
+    points = [*VIEW_POINTS, (plan_mix(mix_params, Fraction(1, 2)), mix_params, (1, 2, 1))]
+    MEMO.clear()
+    for seed in (0, 1):  # cold, then warm
+        for scheme, params, v_star in points:
+            store = random_store(params, seed)
+            message, _, _ = (run_protocol(scheme, params, v_star, store, seed)
+                             if type(scheme) is str else
+                             run_time_shared(scheme, v_star, store, seed))
+            assert message == store[message_index(v_star, params)]
+    assert audit.suite_secrecy()["pass"]
+    assert walks == []
+    # the walk is what names a refused query's fault
+    ctx, honest = warm(*INDEX_POINTS[0])
+    with pytest.raises(ConfigError):
+        answer_query(ctx, with_indices(honest, {(0, 0): 0}))
+    assert len(walks) == 1
 
 
 # ------------------------------------------------- the checked query

@@ -443,7 +443,8 @@ def enumerating_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=
     v_star = v_star or audit._default_vstar(params)
     eng = scheme_engine(scheme)
     q = params.q
-    zero_pool = allocate(scheme, params, tuple(v_star[params.d:]), 0).zeros_like()
+    drawn = allocate(scheme, params, tuple(v_star[params.d:]), 0)
+    zero_pool = replace(drawn, chunks=dict.fromkeys(drawn.chunks, (0,) * drawn.chunk_len))
     clen = zero_pool.chunk_len
     labels = zero_pool.labels()
     n_symbols = len(labels) * clen
@@ -758,9 +759,17 @@ class TestSuites:
             start += len(checks)
         assert start == len(builtin)
 
-    def test_unknown_suite_is_refused(self):
+    def test_unknown_suite_is_refused(self, monkeypatch):
         with pytest.raises(ConfigError, match="unknown suite 'bogus'"):
             audit.point_checks("bogus", *audit.CORRECTNESS_POINTS[0])
+        with pytest.raises(ConfigError, match="unknown suite 'bogus'"):
+            audit.run_suite("bogus")
+        # no suite runs before an unknown name among them is refused
+        monkeypatch.setattr(audit, "point_checks", None)
+        with pytest.raises(ConfigError, match="unknown suite 'bogus'"):
+            audit.run_suites(["privacy", "bogus"])
+        with pytest.raises(ConfigError, match=r"unknown suite \['privacy'\]"):
+            audit.run_suites([["privacy"]])
 
     def test_privacy_suite_covers_all_servers(self):
         rep = audit.suite_privacy()

@@ -226,7 +226,7 @@ class TestMalformedInput:
                          out.read_text().splitlines()[1:]))
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("vstar", ["1,a,1", "1.5,1,1"])
+    @pytest.mark.parametrize("vstar", ["1,a,1", "1.5,1,1", "1,,2,2", "1,2,2,"])
     def test_vstar_entries_must_be_integers(self, capsys, vstar):
         code, out = run_cli(capsys, "run", *HET1_FLAGS, "--vstar", vstar)
         assert code == 2

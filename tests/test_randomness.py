@@ -97,13 +97,6 @@ def test_unknown_chunk_label_is_refused():
         pool.chunk(("nk", 9, 9))
 
 
-def test_zeros_like():
-    pool = allocate("het1", P322, (2,), seed=5)
-    zero = pool.zeros_like()
-    assert set(zero.chunks) == set(pool.chunks)
-    assert all(v == (0,) for v in zero.chunks.values())
-
-
 @pytest.mark.parametrize("scheme, params, public, match", [
     ("het1", P322, (), "expected a public part of 1 values, got 0"),
     ("het1", P322, (1, 2), "expected a public part of 1 values, got 2"),
