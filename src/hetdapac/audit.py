@@ -320,7 +320,7 @@ def audit_db_secrecy(scheme: str, params: SystemParams) -> dict:
     ctxs = _contexts(params, v_star, store, uniform, queries)
     checked = {server: check_query(ctx, queries[server]) for server, ctx in ctxs.items()}
     # each server's own pool: the chunks its checked query (its last field) names
-    pools = {server: RandomnessPool(scheme, params, clen, {
+    pools = {server: RandomnessPool(scheme, params, {
                  label: uniform.chunk(label) for labels in checked[server][-1] for label in labels})
              for server in sorted(checked)}
     own, witness = ({server: ServerContext(server, {m: st[m] for m in ctxs[server].view.granted},

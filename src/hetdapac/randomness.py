@@ -14,7 +14,8 @@ come in two shapes:
                           schemes dapac and het2 (C(D,2) * K^2 chunks).
 
 A chunk holds length/subpackets field symbols, i.e. exactly one answer pad,
-as an `array('I')`.
+as an `array('I')`; a pool derives that length from its scheme and params,
+so no pool holds chunks of another.
 Allocation is deterministic in (seed, scheme, public part), modeling pads
 agreed upon after the public attributes are relayed.
 """
@@ -55,17 +56,20 @@ def chunk_length(scheme: str, params: SystemParams) -> int:
 class RandomnessPool:
     """Immutable chunk table for one retrieval.
 
-    `allocate` holds each chunk as an `array('I')`; the answer path reads
-    any sequence of ints, so the audit's zero and unit pools use tuples.
+    `chunk_len` is not given but derived, `chunk_length(scheme, params)`,
+    so a pool is refused unless its scheme is known, its params are a
+    SystemParams and the scheme's sub-packet count divides L. `allocate`
+    holds each chunk as an `array('I')`; the answer path reads any
+    sequence of ints, so the audit's zero and unit pools use tuples.
     """
 
     scheme: str
     params: SystemParams
-    chunk_len: int
     chunks: dict[Label, Sequence[int]] = dc_field(repr=False)
+    chunk_len: int = dc_field(init=False)
 
     def __post_init__(self):
-        check_params(self.params)
+        object.__setattr__(self, "chunk_len", chunk_length(self.scheme, check_params(self.params)))
 
     def chunk(self, label: Label) -> Sequence[int]:
         if label not in self.chunks:
@@ -104,5 +108,5 @@ def allocate(scheme: str, params: SystemParams, public: tuple[int, ...], seed) -
     rng = derive_rng(seed, "server-shared", scheme, public)
     labels = engine(scheme).pool_labels(params)
     chunks = dict(zip(labels, uniform_arrays(rng, params.q, clen, len(labels))))
-    return RandomnessPool(scheme, params, clen, chunks)
+    return RandomnessPool(scheme, params, chunks)
 

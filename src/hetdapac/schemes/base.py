@@ -547,12 +547,14 @@ class ServerContext:
     granted message from `start` on: the whole message in a pure run, one
     range of it in a segment of a mix.
 
-    An install checks the store against the view (`checked`). A context
-    made from a view by `dataclasses.replace` or by hand, as the secrecy
-    audit makes one per server and store, is not checked when made: an
-    answer that meets a granted message its store lacks, or reads past
-    the end of one, raises the refusal the check raises, never a
-    `KeyError` or an `IndexError`.
+    Every context, however made, refuses a `start` that is not an int in
+    [0, 2^32 − L], L the pool's length: a server answers from symbols
+    that a 32-bit word indexes. An install checks the store against the
+    view (`checked`). A context made from a view by `dataclasses.replace`
+    or by hand, as the secrecy audit makes one per server and store, is
+    not checked when made: an answer that meets a granted message its
+    store lacks, or reads past the end of one, raises the refusal the
+    check raises, never a `KeyError` or an `IndexError`.
     """
 
     server: int
@@ -560,6 +562,12 @@ class ServerContext:
     pool: RandomnessPool
     view: View
     start: int = 0
+
+    def __post_init__(self):
+        last = (1 << 32) - self.pool.params.length
+        if type(self.start) is not int or not 0 <= self.start <= last:
+            raise ConfigError(f"a server answers from a symbol in [0, {last}], "
+                              f"got start {self.start!r}")
 
     def checked(self) -> "ServerContext":
         """This context, once its store is found to hold every granted
@@ -758,14 +766,14 @@ def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
     lane test over the query's index column, each index less one, finds
     any row outside [1, S]. The same lanes, times the sub-packet length,
     plus `ctx.start`, are every row's first-symbol offset, one
-    `array('I')`. A hand-made context with 2^31 sub-packets or more, or a
-    range past 2^32 symbols, leaves a lane no room to spare; its indices
-    are scanned and its offsets listed. The pad labels are compared as a
-    set of their own, and the rows as one `array('Q')` key column per
-    query, made by strided assignment with no arithmetic per row: the id
-    in the first 32-bit word of its key, the low one on a little-endian
-    host, where it spreads the keys over a set's buckets, and the wire
-    index in the other.
+    `array('I')`. No lane overflows: a pool's S is its scheme's count of
+    sub-packets, a few hundred at most (`RandomnessPool`), and a context
+    answers from symbols below 2^32 (`ServerContext`). The pad labels are
+    compared as a set of their own, and the rows as one `array('Q')` key
+    column per query, made by strided assignment with no arithmetic per
+    row: the id in the first 32-bit word of its key, the low one on a
+    little-endian host, where it spreads the keys over a set's buckets,
+    and the wire index in the other.
     """
     view = ctx.view
     granted, table = view
@@ -781,17 +789,12 @@ def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
     for (ids, indices), _ in groups:
         every_id += ids
         every_index += indices
-    if subpackets < 1 << 31 and ctx.start + params.length <= 1 << 32:
-        ones = lane_ones(len(every_index))
-        below = int.from_bytes(little_endian(every_index), "little") - ones  # 0 wraps to 2^32 − 1
-        if lanes_at_or_above(ones, subpackets)(below):
-            raise _refusal(ctx, query)
-        offsets = below * sub_len + ones * ctx.start
-        starts = little_endian(array("I", offsets.to_bytes(4 * len(every_index), "little")))
-    else:  # a hand-made context whose indices or offsets overflow a lane: scan
-        if not all(1 <= i <= subpackets for i in every_index):
-            raise _refusal(ctx, query)
-        starts = [ctx.start + sub_len * (i - 1) for i in every_index]
+    ones = lane_ones(len(every_index))
+    below = int.from_bytes(little_endian(every_index), "little") - ones  # 0 wraps to 2^32 − 1
+    if lanes_at_or_above(ones, subpackets)(below):
+        raise _refusal(ctx, query)
+    offsets = below * sub_len + ones * ctx.start
+    starts = little_endian(array("I", offsets.to_bytes(4 * len(every_index), "little")))
     checked_groups, all_labels = [], []
     at = 0
     for (ids, indices), vector in groups:

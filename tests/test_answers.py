@@ -719,6 +719,16 @@ def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v
             assert type(refused.value) is ConfigError
 
 
+def test_a_context_refuses_a_start_no_32_bit_word_holds():
+    # a server answers from symbols [start, start + L), each below 2^32
+    ctx, query, _ = kernel_case(65537, 2, 1, rows=3)
+    last = 2 ** 32 - ctx.pool.params.length
+    assert replace(ctx, start=last).start == last
+    for start in (-1, last + 1, 2 ** 64, True, 1.0, "0", None):
+        with pytest.raises(ConfigError, match=rf"^a server answers from a symbol in \[0, {last}\]"):
+            replace(ctx, start=start)
+
+
 @pytest.mark.parametrize("length", [PACK_MIN_SYMBOLS - 1, PACK_MIN_SYMBOLS])
 def test_a_row_read_past_the_end_of_its_message_is_refused_by_either_kernel(length):
     ctx, query, _ = kernel_case(65537, length, 1, rows=3)
@@ -815,8 +825,7 @@ def kernel_case(q: int, length: int, pads: int, rows=None, start: int = 0):
     params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
     store = dict(enumerate(uniform_arrays(rng, q, start + 2 * length, rows), start=1))
     labels = [("nk", 1, k) for k in range(1, pads + 1)]
-    pool = RandomnessPool("het1", params, length,
-                          dict(zip(labels, uniform_arrays(rng, q, length, pads))))
+    pool = RandomnessPool("het1", params, dict(zip(labels, uniform_arrays(rng, q, length, pads))))
     vector = ((0, q - 1, -1, q + 5)
               + tuple(rng.randrange(-2 * q, 2 * q) for _ in range(rows)))[:rows]
     group = QueryGroup(descriptor([(m, rng.randint(1, 2)) for m in store]), vector)
@@ -915,7 +924,7 @@ def test_packed_kernel_at_the_top_of_the_field(q, length, make_pad):
     assert type(got) is array
     assert got == loop_share(vector, segments, [3 * (q - 1) % q] * length, q)
     params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
-    zero = RandomnessPool("het1", params, length, {("nk", 1, 1): (0,) * length})
+    zero = RandomnessPool("het1", params, {("nk", 1, 1): (0,) * length})
     assert (scheme_base._packed_share(vector, arrays, starts, [zero.chunk(("nk", 1, 1))], q,
                                       length)
             == loop_share(vector, segments, [0] * length, q))
@@ -1105,19 +1114,19 @@ def test_an_empty_query_is_answered_with_nothing(scheme, params, v_star, server)
         assert answer_query(c, QueryTuple(server, ())) == ([], [])
 
 
-def groups_case(length: int, start: int, groups: int = 4, rows: int = 3,
-                subpackets: int = 3):
+def groups_case(length: int, start: int, groups: int = 4, rows: int = 3):
     """`groups` groups of `rows` rows each, every row a message of its own
-    at a random wire index, on a server that answers sub-packets `length`
-    long from symbol `start` on, one pad chunk per group: (ctx, query)."""
-    q = 65537
+    at a random wire index, on a het1 server at D = 2, which answers its 2
+    sub-packets `length` long from symbol `start` on, one pad chunk per
+    group: (ctx, query)."""
+    q, subpackets = 65537, 2
     rng = derive_rng("groups", length, start)
     params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=subpackets * length)
     store = dict(enumerate(uniform_arrays(rng, q, start + subpackets * length, groups * rows),
                            start=1))
     ids = list(store)
     labels = [("nk", 1, g) for g in range(1, groups + 1)]
-    pool = RandomnessPool("het1", params, length,
+    pool = RandomnessPool("het1", params,
                           dict(zip(labels, uniform_arrays(rng, q, length, groups))))
     table = {frozenset(ids[g * rows:(g + 1) * rows]): (labels[g],) for g in range(groups)}
     query = QueryTuple(1, tuple(
@@ -1147,40 +1156,6 @@ def test_each_group_reads_its_own_slice_of_the_offset_column(length, start):
     shares, _ = answer_query(ctx, query)
     assert [s.payload for s in shares] == group_oracle(ctx, query)
     assert [s.group_index for s in shares] == list(range(len(query.groups)))
-
-
-def test_indices_and_offsets_past_a_lane_are_scanned():
-    # a hand-made context may have 2^31 sub-packets, or answer from
-    # symbols past 2^32, which no 32-bit lane holds with room to spare;
-    # range-backed messages stand in for stores that large
-    q = 65537
-    for subpackets, start in [(2 ** 31, 0), (2, 2 ** 32 - 1)]:
-        params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=subpackets)
-        pool = RandomnessPool("het1", params, 1, {("nk", 1, 1): (5,)})
-        store = {m: range(m, m + start + subpackets) for m in (1, 2)}
-        view = View(frozenset(store), {frozenset(store): (("nk", 1, 1),)})
-        ctx = ServerContext(1, store, pool, view, start)
-        rows = [[1, subpackets], [2, 1]]
-        query = QueryTuple(1, (QueryGroup(descriptor(rows), [1, 2]),))
-        shares, _ = answer_query(ctx, query)
-        want = (1 + start + subpackets - 1 + 2 * (2 + start) + 5) % q
-        assert [list(s.payload) for s in shares] == [[want]]
-        for word in (0, subpackets + 1):
-            with pytest.raises(ConfigError, match=f"^sub-packet index {word} out of range$"):
-                answer_query(ctx, with_indices(query, {(0, 1): word}))
-        # group 0 fails, by a short vector or, on a view that does not
-        # grant message 2, by its second row, and group 1 holds index 0:
-        # the scan finds the index, and group 0's refusal is raised
-        zero = QueryGroup(descriptor([[1, 0], [2, 1]]), [1, 2])
-        ungranted = replace(ctx, view=View(frozenset({1}), view.table))
-        for c, group, refusal, message in [
-                (ctx, QueryGroup(descriptor(rows), [1]), ConfigError,
-                 "vector length does not match group rows"),
-                (ungranted, query.groups[0], AccessRefusal,
-                 "server 1 asked for inaccessible message 2")]:
-            with pytest.raises(refusal) as refused:
-                answer_query(c, QueryTuple(1, (group, zero)))
-            assert str(refused.value) == message
 
 
 def test_honest_traffic_never_reaches_the_refusal_walk(monkeypatch):

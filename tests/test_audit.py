@@ -473,7 +473,7 @@ def enumerating_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=
     other_base = answers(other, zero_pool)
     table: Counter = Counter()
     for flat in itertools.product(range(q), repeat=n_symbols):
-        pool = RandomnessPool(scheme, params, clen, {
+        pool = RandomnessPool(scheme, params, {
             lab: flat[i * clen:(i + 1) * clen] for i, lab in enumerate(labels)})
         ans = answers_at(ctxs_store, pool)
         pad = tuple((a - b) % q for a, b in zip(ans, base))
