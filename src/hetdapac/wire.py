@@ -189,9 +189,10 @@ def encode_ack(server: int) -> bytes:
 
 
 def _entry(payload, key: str):
-    """The `key` entry of a verification message."""
+    """The `key` entry of a verification message: a JSON object in
+    strict UTF-8, so no byte-order mark and no UTF-16 or UTF-32."""
     try:
-        obj = json.loads(payload) if type(payload) is bytes else None
+        obj = json.loads(payload.decode()) if type(payload) is bytes else None
     except (ValueError, RecursionError):  # not UTF-8 or not JSON, or nested too deep
         obj = None
     if not isinstance(obj, dict) or key not in obj:

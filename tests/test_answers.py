@@ -140,11 +140,14 @@ def test_malformed_query_is_a_config_error(payload):
     (1, "attribute-relay", {"public": 5}),
     (1, "attribute-relay", {"public": [0]}),
     (1, "attribute-relay", None),
+    # a well-formed value in any encoding but strict UTF-8
+    *[(1, "attribute-commit", json.dumps({"value": 1}).encode(encoding))
+      for encoding in ("utf-8-sig", "utf-16", "utf-16-le", "utf-32-le")],
 ])
 def test_malformed_verification_is_a_config_error(server, kind, payload):
     actor = ServerActor(server, P322)
     with pytest.raises(ConfigError):
-        actor.handle(kind, json.dumps(payload).encode())
+        actor.handle(kind, payload if type(payload) is bytes else json.dumps(payload).encode())
 
 
 def test_repeated_group_with_moved_vector_is_refused():
