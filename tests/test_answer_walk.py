@@ -10,7 +10,11 @@ share, by a per-symbol loop. After the last group, a repeated pad label or
 honest queries with a fixed seed and count, and every mutated query must
 give the walk's (exception class, message), or its (shares, labels), on a
 cold view, a warm one, and a warm one installed with another store or
-pool, in a pure run and from a mix segment's start.
+pool, in a pure run and from a mix segment's start. After each answer the
+view must remember no more than the walk allows (`remembered`). A query
+checked once must be answered as the walk answers it on the view it was
+checked on, and as the walk answers the plain query on an equal copy of
+that view, on another v*'s view and on another server.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ from dataclasses import replace
 import pytest
 from test_answers import INDEX_POINTS, REMEMBERED_POINTS
 
-from hetdapac.access import accessible_messages, participating_ids
+from hetdapac.access import SystemParams, accessible_messages, participating_ids
 from hetdapac.errors import AccessRefusal, ConfigError
-from hetdapac.field import derive_rng
-from hetdapac.harness import random_store
+from hetdapac.field import derive_rng, uniform_arrays
 from hetdapac.randomness import RandomnessPool, allocate
 from hetdapac.schemes import base as scheme_base
-from hetdapac.schemes.base import MEMO_ROWS, Memo, answer_query
+from hetdapac.schemes.base import MEMO_ROWS, PACK_MIN_SYMBOLS, Memo, View, answer_query
 from hetdapac.wire import MessageGroupDescriptor, QueryGroup, QueryTuple
 
 
@@ -68,6 +71,18 @@ def walk(server, granted, table, store, pool, start, query):
     if len(set(every_label)) != len(every_label) or len(set(rows)) != len(rows):
         raise ConfigError(f"query reuses a pad label or a row on server {server}")
     return payloads, named
+
+
+def remembered(view):
+    """What a view may remember after any query, refused or not: at most
+    one id column per table entry, each of distinct ids whose set the
+    table names and the view grants, with that entry's own labels."""
+    granted, table = view
+    assert len(view.columns) <= len(table)
+    for column, labels in view.columns.items():
+        ids = array("I", column)
+        key = frozenset(ids)
+        assert len(key) == len(ids) and key <= granted and labels is table.get(key), ids
 
 
 def outcome(answer, *args):
@@ -203,11 +218,23 @@ def without(pool, lacking) -> RandomnessPool:
 MUTATIONS = 200
 # a pure run answers from symbol 0, a mix segment from further in
 STARTS = (0, 5)
-# the points, and het1's dedicated server, whose table names match sets
+# K^N = 2^32: with every public value at its last, the participating ids
+# reach 2^32 - 1, and two rows of het1's central query differ in bit 31 alone
+TOP = SystemParams(n_attrs=16, d=2, k=4, q=65537, length=2)
+TOP_V = (4,) * 16
+# the points; het1's dedicated server, whose table names match sets
 # outside its view, so that a group can pass the table and meet an
-# inaccessible row
+# inaccessible row; dapac servers at D = 2, whose tables name one message
+# per entry, so that their groups hold one row each; and het1's central
+# server at the top of the id range, on sub-packets the packed kernel
+# answers
 CAMPAIGN_POINTS = INDEX_POINTS + [point for point in REMEMBERED_POINTS
-                                  if point[0] == "het1" and point[3] == 1]
+                                  if point[0] == "het1" and point[3] == 1] + [
+    ("dapac", SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2), (1, 2, 1), 1),
+    ("dapac", TOP, TOP_V, 1),
+    ("het1", replace(TOP, length=2 * PACK_MIN_SYMBOLS), TOP_V, TOP.central)]
+POINT_IDS = [f"{scheme}-N{params.n_attrs}-D{params.d}-server{server}"
+             for scheme, params, _, server in CAMPAIGN_POINTS]
 EVERY_OUTCOME = {"answer", "vector length", "candidate set", "chunk label",
                  "inaccessible", "out of range", "reuses"}
 
@@ -217,16 +244,42 @@ def outcome_kind(got) -> str:
         kind for kind in EVERY_OUTCOME if kind in got[1])
 
 
-@pytest.mark.parametrize("start", STARTS)
-@pytest.mark.parametrize("point", CAMPAIGN_POINTS,
-                         ids=[f"{p[0]}-server{p[3]}" for p in CAMPAIGN_POINTS])
-def test_mutated_queries_are_answered_as_the_walk_answers_them(point, start, monkeypatch):
+def setting(point):
+    """What a campaign at `point` answers from: (public part, own value,
+    two stores of the participating messages, long enough for every
+    start, two pools, the server's honest query)."""
     scheme, params, v_star, server = point
     public = tuple(v_star[params.d:])
     own = None if server == params.central else v_star[server - 1]
-    long = replace(params, length=start + params.length)
-    stores = [random_store(long, seed) for seed in (0, 1)]
+    ids = participating_ids(params, public)
+    stores = [dict(zip(ids, uniform_arrays(derive_rng("walk store", seed), params.q,
+                                           max(STARTS) + params.length, len(ids))))
+              for seed in (0, 1)]
     pools = [allocate(scheme, params, public, seed) for seed in (0, 1)]
+    _, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
+    return public, own, stores, pools, queries[server]
+
+
+def queries(campaign, honest):
+    """The empty query, then MUTATIONS - 1 mutated ones: (query, labels
+    the pool lacks)."""
+    yield QueryTuple(honest.server, ()), set()
+    for _ in range(MUTATIONS - 1):
+        yield mutated(campaign, honest)
+
+
+def reachable(campaign) -> set:
+    """Every outcome a campaign must meet: a group meets an inaccessible
+    row only past a table entry outside the view."""
+    return EVERY_OUTCOME - (set() if any(key - campaign.granted for key in campaign.table)
+                            else {"inaccessible"})
+
+
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("point", CAMPAIGN_POINTS, ids=POINT_IDS)
+def test_mutated_queries_are_answered_as_the_walk_answers_them(point, start, monkeypatch):
+    scheme, params, _, server = point
+    public, own, stores, pools, honest = setting(point)
 
     def install(store, pool):
         return scheme_base.server_context(server, public, own, store, pool, start)
@@ -236,27 +289,34 @@ def test_mutated_queries_are_answered_as_the_walk_answers_them(point, start, mon
             patch.setattr(scheme_base, "MEMO", Memo(MEMO_ROWS))
             return install(store, pool)
 
-    _, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
-    honest = queries[server]
     warm = install(stores[0], pools[0])
     table = warm.view.table
     answer_query(warm, honest)
     campaign = Campaign(derive_rng("answer-walk", scheme, server, start), point, table,
                         params.length // warm.pool.chunk_len)
     seen = set()
-    for _ in range(MUTATIONS):
-        query, lacking = mutated(campaign, honest)
+    for query, lacking in queries(campaign, honest):
         contexts = [(cold, stores[0], pools[0]), (install, stores[0], pools[0]),
                     (install, stores[1], pools[0]), (install, stores[0], pools[1])]
         for make, store, pool in contexts:
             pool = without(pool, lacking)
+            ctx = make(store, pool)
             want = outcome(walk, server, campaign.granted, table, store, pool, start, query)
-            assert outcome(served, make(store, pool), query) == want, query
+            assert outcome(served, ctx, query) == want, query
+            remembered(ctx.view)
         seen.add(outcome_kind(want))
-    # a group meets an inaccessible row only past a table entry outside the view
-    reachable = EVERY_OUTCOME - (set() if any(key - campaign.granted for key in table)
-                                 else {"inaccessible"})
-    assert seen == reachable
+    assert seen == reachable(campaign)
+
+
+def another_view(point):
+    """`point`'s server's view of another v*: its own value moved on a
+    dedicated server, its first public value on the central one."""
+    scheme, params, v_star, server = point
+    other = list(v_star)
+    at = params.d if server == params.central else server - 1
+    other[at] = other[at] % params.k + 1
+    own = None if server == params.central else other[server - 1]
+    return scheme_base.MEMO.view(scheme, params, server, tuple(other[params.d:]), own)
 
 
 def checked_once(ctx, query):
@@ -268,35 +328,37 @@ def checked_once(ctx, query):
         return type(refusal), str(refusal)
 
 
-@pytest.mark.parametrize("point", CAMPAIGN_POINTS,
-                         ids=[f"{p[0]}-server{p[3]}" for p in CAMPAIGN_POINTS])
+@pytest.mark.parametrize("point", CAMPAIGN_POINTS, ids=POINT_IDS)
 def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypatch):
     # each mutated query is checked once, on a view no context has
-    # answered from, at symbol 0; that view, warm now, then answers it
-    # with the install's store, another store and another pool, from
-    # symbol 0, where the check holds, and from symbol 5, where the
-    # query is checked again
-    scheme, params, v_star, server = point
-    public = tuple(v_star[params.d:])
-    own = None if server == params.central else v_star[server - 1]
-    long = replace(params, length=max(STARTS) + params.length)
-    stores = [random_store(long, seed) for seed in (0, 1)]
-    pools = [allocate(scheme, params, public, seed) for seed in (0, 1)]
-    _, queries = scheme_base.build_plan(scheme, v_star, params, derive_rng(0, "user", 0))
-    honest = queries[server]
+    # answered from, at symbol 0. That view, warm now, answers it with the
+    # install's store, another store and another pool: from symbol 0,
+    # where the check holds and is not made again, and from symbol 5. So
+    # do an equal copy of the view, the view of another v*, a view with no
+    # table, and the view on another server; each of those checks the
+    # query again
+    scheme, params, _, server = point
+    public, own, stores, pools, honest = setting(point)
     with monkeypatch.context() as patch:
         patch.setattr(scheme_base, "MEMO", Memo(MEMO_ROWS))
         table = scheme_base.server_context(server, public, own, stores[0], pools[0]).view.table
+    equal = scheme_base.server_context(server, public, own, stores[0], pools[0]).view
     campaign = Campaign(derive_rng("checked-walk", scheme, server), point, table,
                         params.length // pools[0].chunk_len)
+    views = [(server, equal), (server, another_view(point)),
+             (server, View(campaign.granted, None))]
+    checks = []
+    check = scheme_base.check_query
+    monkeypatch.setattr(scheme_base, "check_query",
+                        lambda ctx, query: checks.append(ctx) or check(ctx, query))
     seen = set()
-    for _ in range(MUTATIONS):
-        query, lacking = mutated(campaign, honest)
+    for query, lacking in queries(campaign, honest):
         with monkeypatch.context() as patch:  # a view no context has answered from
             patch.setattr(scheme_base, "MEMO", Memo(MEMO_ROWS))
             cold = scheme_base.server_context(server, public, own, stores[0],
                                               without(pools[0], lacking))
         checked = checked_once(cold, query)
+        remembered(cold.view)
         for start in STARTS:
             for store, pool in [(stores[0], pools[0]), (stores[1], pools[0]),
                                 (stores[0], pools[1])]:
@@ -305,9 +367,14 @@ def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypa
                 if checked[0] != "checked":  # the check's refusal is the walk's
                     assert checked == want, query
                     continue
-                ctx = scheme_base.ServerContext(server, store, pool, cold.view, start)
-                assert outcome(served, ctx, checked[1]) == want, query
+                for where, view in [(server, cold.view), *views, (server + 1, cold.view)]:
+                    ctx = scheme_base.ServerContext(where, store, pool, view, start)
+                    made = len(checks)
+                    assert outcome(served, ctx, checked[1]) == outcome(
+                        walk, where, *view, store, pool, start, query), (where, query)
+                    again = where != server or view is not cold.view or start != 0
+                    assert len(checks) - made == again
+                    if view.table is not None:
+                        remembered(view)
         seen.add(outcome_kind(want))
-    reachable = EVERY_OUTCOME - (set() if any(key - campaign.granted for key in table)
-                                 else {"inaccessible"})
-    assert seen == reachable
+    assert seen == reachable(campaign)

@@ -926,6 +926,9 @@ def test_packed_kernel_at_the_top_of_the_field(q, length, make_pad):
     got = scheme_base._packed_share(vector, arrays, starts, pads, q, length)
     assert type(got) is array
     assert got == loop_share(vector, segments, [3 * (q - 1) % q] * length, q)
+    # one row under one pad: the lane width counts the pad as a term
+    assert (scheme_base._packed_share(vector[:1], arrays[:1], starts[:1], pads[:1], q, length)
+            == loop_share(vector[:1], segments[:1], pad, q))
     params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
     zero = RandomnessPool("het1", params, {("nk", 1, 1): (0,) * length})
     assert (scheme_base._packed_share(vector, arrays, starts, [zero.chunk(("nk", 1, 1))], q,
