@@ -1,8 +1,11 @@
-"""Server answer path: malformed query frames, answer frames and
-verification payloads, repeated groups and rows, the first bad row
-deciding the error, label tables built once at install against a
-per-query oracle, and the two answer kernels and their choice against a
-per-symbol loop oracle."""
+"""Server answer path, past what the answer walk states: malformed query
+frames, answer frames and verification payloads; label tables built once
+at install against a per-query oracle; the view memo and the bounds of
+its remembered id columns; a store short of a granted message; the two
+answer kernels and their choice against a per-symbol loop oracle; and
+honest traffic that never reaches the refusal walk. How a server answers
+or refuses a malformed query is the walk's campaign, in
+test_answer_walk.py."""
 
 from __future__ import annotations
 
@@ -22,10 +25,9 @@ from hetdapac.access import (
     accessible_messages,
     message_index,
     ordered_complement,
-    participating_ids,
     vector_of_index,
 )
-from hetdapac.errors import AccessRefusal, ConfigError
+from hetdapac.errors import ConfigError
 from hetdapac.field import derive_rng, uniform_arrays
 from hetdapac.harness import ServerActor, random_store, run_protocol
 from hetdapac.mixer import plan_mix, run_time_shared
@@ -150,110 +152,10 @@ def test_malformed_verification_is_a_config_error(server, kind, payload):
         actor.handle(kind, payload if type(payload) is bytes else json.dumps(payload).encode())
 
 
-def test_repeated_group_with_moved_vector_is_refused():
-    # a malicious client asks the central server for one of its groups a
-    # second time with the vector moved by e_1: the two shares would
-    # differ by a raw sub-packet, so the server must refuse the query
-    v_star = (1, 2, 2)
-    actor = verified_actor(P322.central, "het1", P322, v_star)
-    _, queries = het1.build(v_star, P322, derive_rng(0, "user", 0))
-    honest = queries[P322.central]
-    first = honest.groups[0]
-    moved = tuple((x + (i == 0)) % P322.q for i, x in enumerate(first.vector))
-    replay = QueryTuple(honest.server,
-                        honest.groups + (QueryGroup(first.descriptor, moved),))
-    assert actor.handle("query", encode_query(honest))[0] == "answer"
-    with pytest.raises(ConfigError, match="reuses"):
-        actor.handle("query", encode_query(replay))
-
-
-def test_repeated_row_within_a_group_is_refused():
-    actor = verified_actor(1, "het1", P322, (1, 2, 2))
-    group = ([[1, 1], [3, 1], [1, 1]], [1, 1, 1])
-    with pytest.raises(ConfigError, match="reuses"):
-        actor.handle("query", query_frame(1, group))
-
-
-def test_repeated_row_across_two_groups_is_refused():
-    # het1's central table names {a1y, a2y} and {a1y, b1y}: a1y at wire
-    # index 1 in both groups repeats a row though neither group does
-    a1y, a2y, b1y = (message_index(v, P322) for v in ((1, 1, 2), (1, 2, 2), (2, 1, 2)))
-    actor = verified_actor(P322.central, "het1", P322, (1, 2, 2))
-    first = ([[a1y, 1], [a2y, 1]], [1, 1])
-    with pytest.raises(ConfigError, match="reuses"):
-        actor.handle("query", query_frame(P322.central, first, ([[a1y, 1], [b1y, 1]], [1, 1])))
-    kind, _ = actor.handle("query", query_frame(P322.central, first,
-                                                ([[a1y, 2], [b1y, 1]], [1, 1])))
-    assert kind == "answer"
-
-
-# K^N = 2^32, so an id may be any 32-bit word. With every public
-# attribute at its last value the participating ids reach 2^32 - 1, and
-# dedicated server 1's (v_1 = 4) are all at or above 2^31
-TOP = SystemParams(n_attrs=16, d=2, k=4, q=65537, length=2)
-TOP_V = (4,) * 16
-
-
-def with_row_copied(query: QueryTuple, msg: int) -> QueryTuple:
-    """`query` with msg's row in the first group that names it copied into
-    another group: over msg's own row in the next group that names it,
-    or else over the row of the first other group, which must have one."""
-    groups = list(query.groups)
-    a = next(gi for gi, g in enumerate(groups) if msg in g.descriptor.ids)
-    index = groups[a].descriptor.indices[groups[a].descriptor.ids.index(msg)]
-    others = [gi for gi in range(len(groups)) if gi != a]
-    b = next((gi for gi in others if msg in groups[gi].descriptor.ids), others[0])
-    ids, indices = (column[:] for column in groups[b].descriptor)
-    at = ids.index(msg) if msg in ids else 0
-    assert msg in ids or len(ids) == 1
-    ids[at], indices[at] = msg, index
-    groups[b] = QueryGroup(MessageGroupDescriptor(ids, indices), groups[b].vector)
-    return QueryTuple(query.server, tuple(groups))
-
-
-@pytest.mark.parametrize("scheme, server", [("het1", TOP.central), ("dapac", 1)])
-def test_row_keys_at_the_top_of_the_id_range(scheme, server):
-    public = TOP_V[TOP.d:]
-    participating = participating_ids(TOP, public)
-    assert max(participating) == 2 ** 32 - 1 and len(participating) == 16
-    assert min(accessible_messages(1, TOP_V, TOP)) >= 2 ** 31
-    store = {m: array("I", [m % TOP.q, 1]) for m in participating}  # these messages alone
-    own = None if server == TOP.central else TOP_V[server - 1]
-    ctx = scheme_base.server_context(server, public, own, store, allocate(scheme, TOP, public, 0))
-    _, queries = {"het1": het1, "dapac": dapac}[scheme].build(TOP_V, TOP, derive_rng(0, "user", 0))
-    honest = queries[server]
-    rows = {row for g in honest.groups for row in g.descriptor.rows}
-    if scheme == "het1":
-        # rows whose ids differ in bit 31 alone, at one index, are two rows
-        assert {(2 ** 31 - 1, 1), (2 ** 32 - 1, 1)} <= rows
-    else:
-        assert min(m for m, _ in rows) >= 2 ** 31
-    shares, _ = answer_query(ctx, honest)
-    assert len(shares) == len(honest.groups)
-    with pytest.raises(ConfigError, match="reuses"):
-        answer_query(ctx, with_row_copied(honest, 2 ** 32 - 1))
-
-
 def test_descriptor_columns_must_have_equal_lengths():
     # unequal columns would encode a frame that decodes to other rows
     with pytest.raises(ConfigError, match="2 message ids but 1 sub-packet indices"):
         MessageGroupDescriptor(array("I", [1, 3]), array("I", [1]))
-
-
-def test_first_bad_row_decides_the_error():
-    # server 1 holds a1y and a2y; het1's table also names the match set
-    # {a1y, b1y}, so a group over it passes the table and then meets an
-    # inaccessible row (b1y) and, here, an index past the 2 sub-packets
-    a1y, b1y = message_index((1, 1, 2), P322), message_index((2, 1, 2), P322)
-    actor = verified_actor(1, "het1", P322, (1, 2, 2))
-
-    def query(rows):
-        return query_frame(1, (rows, [1, 1]))
-
-    with pytest.raises(AccessRefusal):
-        actor.handle("query", query([[b1y, 1], [a1y, 3]]))
-    with pytest.raises(ConfigError, match="out of range"):
-        actor.handle("query", query([[a1y, 3], [b1y, 1]]))
 
 
 def test_well_formed_query_is_answered():
@@ -329,19 +231,6 @@ def test_dapac_label_table_is_built_once_at_install(monkeypatch):
     assert len(calls) == params.k * (params.d - 1)
     actor.handle("query", encode_query(queries[1]))
     assert len(calls) == params.k * (params.d - 1)
-
-
-def test_dapac_central_server_refuses_every_query():
-    # the central server verifies the public part under dapac, installs
-    # the pool without error, and answers nothing, not even no groups
-    params = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=3)
-    v_star = (2, 1, 2, 1)
-    actor = verified_actor(params.central, "dapac", params, v_star)
-    _, queries = dapac.build(v_star, params, derive_rng(0, "user", 0))
-    real = QueryTuple(params.central, queries[1].groups[:1])
-    for query in (real, QueryTuple(params.central, ())):
-        with pytest.raises(ConfigError):
-            actor.handle("query", encode_query(query))
 
 
 def ids_where(params, public, fixed) -> frozenset:
@@ -523,6 +412,10 @@ def test_the_view_memo_never_holds_more_rows_than_its_bound():
 REMEMBERED_POINTS = [(scheme, params, v_star, server) for scheme, params, v_star in VIEW_POINTS
                      for server in (1, params.central)
                      if scheme != "dapac" or server != params.central]
+# servers whose honest queries hold at least three groups of at least
+# three rows: het1's central one, and both kinds of het2 server
+INDEX_POINTS = [point for point in REMEMBERED_POINTS
+                if point[0] == "het2" or point[3] == point[1].central and point[0] == "het1"]
 
 
 def warm(scheme, params, v_star, server):
@@ -535,14 +428,6 @@ def warm(scheme, params, v_star, server):
     answer_query(ctx, honest)
     assert all(g.descriptor.ids.tobytes() in ctx.view.columns for g in honest.groups)
     return ctx, honest
-
-
-def cold(ctx):
-    """`ctx` on a fresh copy of its view, which has remembered nothing:
-    make one for each query, as an answer fills the view it reads."""
-    fresh = replace(ctx, view=View(*ctx.view))
-    assert not fresh.view.columns
-    return fresh
 
 
 def counted_sets(monkeypatch) -> list:
@@ -564,76 +449,6 @@ def reordered(group: QueryGroup, order) -> QueryGroup:
     return QueryGroup(MessageGroupDescriptor(array("I", [ids[r] for r in order]),
                                              array("I", [indices[r] for r in order])),
                       [vector[r] for r in order])
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
-def test_a_remembered_column_is_refused_as_on_a_cold_view(scheme, params, v_star, server):
-    # a remembered column skips its set, lookup and subset test, not the
-    # index and vector checks: each refusal reads as on a view that has
-    # never seen the column
-    ctx, honest = warm(scheme, params, v_star, server)
-    (ids, indices), vector = honest.groups[0]
-    subpackets = params.length // ctx.pool.chunk_len
-
-    def with_index(index):
-        changed = indices[:]
-        changed[-1] = index
-        return QueryGroup(MessageGroupDescriptor(ids[:], changed), vector)
-
-    for group, message in [
-        (with_index(0), "sub-packet index 0 out of range"),
-        (with_index(subpackets + 1), f"sub-packet index {subpackets + 1} out of range"),
-        (QueryGroup(MessageGroupDescriptor(ids[:], indices[:]), vector[:-1]),
-         "vector length does not match group rows"),
-    ]:
-        MEMO.clear()
-        fresh = installed(scheme, params, v_star)[0][server]
-        assert not fresh.view.columns
-        for c in (fresh, ctx):
-            with pytest.raises(ConfigError) as refused:
-                answer_query(c, QueryTuple(server, (group,)))
-            assert str(refused.value) == message
-
-
-def test_a_column_outside_the_slice_is_refused_every_time():
-    # server 1's het1 table names {a1y, b1y}, but b1y is not in its slice:
-    # the column matches the table, fails the subset test and is never
-    # remembered, so a second send is refused as the first was
-    a1y, b1y = message_index((1, 1, 2), P322), message_index((2, 1, 2), P322)
-    MEMO.clear()
-    ctx = installed("het1", P322, (1, 2, 2))[0][1]
-    query = QueryTuple(1, (QueryGroup(descriptor([[a1y, 1], [b1y, 1]]), [1, 1]),))
-    for _ in range(2):
-        with pytest.raises(AccessRefusal, match=f"inaccessible message {b1y}$"):
-            answer_query(ctx, query)
-    assert not ctx.view.columns
-    # a label the pool lacks is refused before the inaccessible row
-    lacking = {key: (*labels, ("nk", 9, 9)) for key, labels in ctx.view.table.items()}
-    with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
-        answer_query(replace(ctx, view=View(ctx.view.granted, lacking)), query)
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
-def test_another_table_or_store_never_reads_the_remembered_columns(scheme, params, v_star,
-                                                                   server):
-    ctx, honest = warm(scheme, params, v_star, server)
-    columns = ctx.view.columns
-    before = dict(columns)
-    lacking = MappingProxyType({key: (*labels, ("nk", 9, 9))
-                                for key, labels in ctx.view.table.items()})
-    other = View(ctx.view.granted, lacking)
-    with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
-        answer_query(replace(ctx, view=other), honest)
-    msg = honest.groups[0].descriptor.ids[0]
-    store = {m: symbols for m, symbols in ctx.store.items() if m != msg}
-    # a store that lacks a granted message is refused as an install refuses it
-    with pytest.raises(ConfigError, match=f"^store holds no message {msg} for server {server}$"):
-        answer_query(replace(ctx, store=store), honest)
-    assert ctx.view.columns is columns and columns == before
-    # another table is another view, which remembers only what it matched
-    # against its own table
-    assert other.columns and all(labels is lacking[frozenset(array("I", column))]
-                                 for column, labels in other.columns.items())
 
 
 def view_args(params, v_star, server):
@@ -740,25 +555,6 @@ def test_a_row_read_past_the_end_of_its_message_is_refused_by_either_kernel(leng
     with pytest.raises(ConfigError, match=rf"^message {first} holds {length - 1} symbols; "
                                           rf"server 1 answers from symbols \[0, {2 * length}\)$"):
         answer_query(replace(ctx, store=store), query)
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
-def test_rows_in_another_order_are_matched_through_the_table(scheme, params, v_star, server,
-                                                             monkeypatch):
-    ctx, honest = warm(scheme, params, v_star, server)
-    query = QueryTuple(server, tuple(reordered(g, range(len(g.vector) - 1, -1, -1))
-                                     for g in honest.groups))
-    built = counted_sets(monkeypatch)
-    shares, named = answer_query(ctx, query)
-    columns = {g.descriptor.ids.tobytes() for g in query.groups}
-    assert len(built) == len(columns) and columns <= ctx.view.columns.keys()
-    q, n = params.q, ctx.pool.chunk_len
-    for share, labels, group in zip(shares, named, query.groups):
-        assert labels == ctx.view.table[frozenset(group.descriptor.ids)]
-        segments = [ctx.store[m][ctx.start + (i - 1) * n:ctx.start + i * n]
-                    for m, i in group.descriptor.rows]
-        assert share.payload == loop_share(group.vector, segments,
-                                           pad_sum(ctx.pool, labels, q), q)
 
 
 @pytest.mark.parametrize("scheme, params, v_star, server", [
@@ -936,26 +732,6 @@ def test_packed_kernel_at_the_top_of_the_field(q, length, make_pad):
             == loop_share(vector, segments, [0] * length, q))
 
 
-def test_a_label_the_pool_lacks_is_refused_by_name():
-    # the answer path reads the pool's chunk map by label; a label the
-    # pool does not hold still raises the pool's own refusal, naming it
-    ctx, query, table = kernel_case(65537, 2, 1, rows=3)
-    (key, labels), = table.items()
-    lacking = replace(ctx, view=View(ctx.view.granted, {key: (*labels, ("nk", 9, 9))}))
-    with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
-        answer_query(lacking, query)
-
-
-def test_vector_shorter_than_the_rows_is_refused():
-    # a frame's row count sets its vector length, so only a direct call
-    # can send a group whose vector is short
-    ctx, query, _ = kernel_case(65537, 2, 1, rows=3)
-    group = query.groups[0]
-    short = QueryTuple(1, (QueryGroup(group.descriptor, group.vector[:-1]),))
-    with pytest.raises(ConfigError, match="vector length does not match group rows"):
-        answer_query(ctx, short)
-
-
 @pytest.mark.parametrize("scheme, params, v_star", VIEW_POINTS)
 def test_every_share_goes_through_combine(scheme, params, v_star, monkeypatch):
     # `combine` is the one seam a test patches to change every share, as
@@ -1012,14 +788,7 @@ def test_kernel_is_chosen_by_subpacket_length(monkeypatch, length, kernel):
     assert [s.payload for s in shares] == [want]
 
 
-# ------------------------------------------------- the one-pass index check
-
-# servers whose honest queries hold at least three groups of at least
-# three rows: het1's central one, and both kinds of het2 server
-INDEX_POINTS = [point for point in REMEMBERED_POINTS
-                if point[0] == "het2" or point[3] == point[1].central and point[0] == "het1"]
-BAD_WORDS = (0, "S+1", 2 ** 31, 2 ** 32 - 1)
-
+# ------------------------------------------------- honest traffic
 
 def with_indices(query: QueryTuple, changes: dict) -> QueryTuple:
     """`query` with the wire index of (group, row) set to word, for each
@@ -1031,137 +800,6 @@ def with_indices(query: QueryTuple, changes: dict) -> QueryTuple:
         indices[r] = word
         groups[gi] = QueryGroup(MessageGroupDescriptor(ids, indices), vector)
     return QueryTuple(query.server, tuple(groups))
-
-
-def walked_refusal(query: QueryTuple, subpackets: int) -> str:
-    """The refusal of the first index out of [1, S], walking every row of
-    every group in order: the message a per-row check raises."""
-    for (_, indices), _ in query.groups:
-        for widx in indices:
-            if not 1 <= widx <= subpackets:
-                return f"sub-packet index {widx} out of range"
-    raise AssertionError("no index out of range")
-
-
-def ends(n: int) -> list[int]:
-    """The first, a middle and the last of n places."""
-    return sorted({0, n // 2, n - 1})
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
-def test_an_index_out_of_range_is_refused_as_the_row_walk_refuses_it(scheme, params, v_star,
-                                                                      server):
-    # each bad word in the first, a middle and the last row of the first,
-    # a middle and the last group, on a view that has remembered nothing
-    # and on a warm one; a second bad word in the query's last row never
-    # decides the error
-    warm_ctx, honest = warm(scheme, params, v_star, server)
-    subpackets = params.length // warm_ctx.pool.chunk_len
-    groups = honest.groups
-    assert len(groups) >= 3 and min(len(g.vector) for g in groups) >= 3
-    last = (len(groups) - 1, len(groups[-1].vector) - 1)
-    for word in BAD_WORDS:
-        word = subpackets + 1 if word == "S+1" else word
-        for gi in ends(len(groups)):
-            for r in ends(len(groups[gi].vector)):
-                for changes in ({(gi, r): word}, {last: 2 ** 32 - 1, (gi, r): word}):
-                    query = with_indices(honest, changes)
-                    want = walked_refusal(query, subpackets)
-                    assert want == f"sub-packet index {word} out of range"
-                    for ctx in (cold(warm_ctx), warm_ctx):
-                        with pytest.raises(ConfigError) as refused:
-                            answer_query(ctx, query)
-                        assert str(refused.value) == want
-
-
-def unmatched(ctx, query: QueryTuple) -> QueryGroup:
-    """A one-row group over the first message of `query`, whose set no
-    table entry names."""
-    msg = query.groups[0].descriptor.ids[0]
-    assert frozenset({msg}) not in ctx.view.table
-    return QueryGroup(descriptor([[msg, 1]]), [1])
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
-def test_the_first_failing_group_decides_between_index_and_match(scheme, params, v_star,
-                                                                 server):
-    ctx, honest = warm(scheme, params, v_star, server)
-    subpackets = params.length // ctx.pool.chunk_len
-    no_set = f"group does not match any candidate set on server {server}"
-    bad_index = f"sub-packet index {subpackets + 1} out of range"
-    bad = with_indices(honest, {(1, 0): subpackets + 1}).groups
-    # group 2's index against group 3's missing candidate set
-    index_first = QueryTuple(server, (*bad[:2], unmatched(ctx, honest), *bad[3:]))
-    # group 1's missing candidate set against group 2's index
-    match_first = QueryTuple(server, (unmatched(ctx, honest), *bad[1:]))
-    for query, want in [(index_first, bad_index), (match_first, no_set)]:
-        for c in (cold(ctx), ctx):
-            with pytest.raises(ConfigError) as refused:
-                answer_query(c, query)
-            assert str(refused.value) == want
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
-def test_a_label_the_pool_lacks_is_refused_before_an_index_in_its_group(scheme, params,
-                                                                        v_star, server):
-    ctx, honest = warm(scheme, params, v_star, server)
-    subpackets = params.length // ctx.pool.chunk_len
-    lacking = MappingProxyType({key: (*labels, ("nk", 9, 9))
-                                for key, labels in ctx.view.table.items()})
-    query = with_indices(honest, {(0, 1): subpackets + 1})
-    with pytest.raises(ConfigError, match=r"unknown chunk label \('nk', 9, 9\)"):
-        answer_query(replace(ctx, view=View(ctx.view.granted, lacking)), query)
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
-def test_an_empty_query_is_answered_with_nothing(scheme, params, v_star, server):
-    ctx, _ = warm(scheme, params, v_star, server)
-    for c in (cold(ctx), ctx):
-        assert answer_query(c, QueryTuple(server, ())) == ([], [])
-
-
-def groups_case(length: int, start: int, groups: int = 4, rows: int = 3):
-    """`groups` groups of `rows` rows each, every row a message of its own
-    at a random wire index, on a het1 server at D = 2, which answers its 2
-    sub-packets `length` long from symbol `start` on, one pad chunk per
-    group: (ctx, query)."""
-    q, subpackets = 65537, 2
-    rng = derive_rng("groups", length, start)
-    params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=subpackets * length)
-    store = dict(enumerate(uniform_arrays(rng, q, start + subpackets * length, groups * rows),
-                           start=1))
-    ids = list(store)
-    labels = [("nk", 1, g) for g in range(1, groups + 1)]
-    pool = RandomnessPool("het1", params,
-                          dict(zip(labels, uniform_arrays(rng, q, length, groups))))
-    table = {frozenset(ids[g * rows:(g + 1) * rows]): (labels[g],) for g in range(groups)}
-    query = QueryTuple(1, tuple(
-        QueryGroup(descriptor([(m, rng.randint(1, subpackets))
-                               for m in ids[g * rows:(g + 1) * rows]]),
-                   array("I", [rng.randrange(q) for _ in range(rows)]))
-        for g in range(groups)))
-    return ServerContext(1, store, pool, View(frozenset(store), table), start), query
-
-
-def group_oracle(ctx, query) -> list[array]:
-    """Each group's share by the per-symbol loop over sliced rows."""
-    q, n = ctx.pool.params.q, ctx.pool.chunk_len
-    return [loop_share(g.vector, [ctx.store[m][ctx.start + (i - 1) * n:ctx.start + i * n]
-                                  for m, i in g.descriptor.rows],
-                       pad_sum(ctx.pool, ctx.view.table[frozenset(g.descriptor.ids)], q), q)
-            for g in query.groups]
-
-
-@pytest.mark.parametrize("length", [1, 2, 5, 32])
-@pytest.mark.parametrize("start", KERNEL_STARTS)
-def test_each_group_reads_its_own_slice_of_the_offset_column(length, start):
-    # four groups, so every group but the first reads its first-symbol
-    # offsets from inside the query's one column, at a pure run's start
-    # and at a mix segment's
-    ctx, query = groups_case(length, start)
-    shares, _ = answer_query(ctx, query)
-    assert [s.payload for s in shares] == group_oracle(ctx, query)
-    assert [s.group_index for s in shares] == list(range(len(query.groups)))
 
 
 def test_honest_traffic_never_reaches_the_refusal_walk(monkeypatch):
@@ -1185,103 +823,3 @@ def test_honest_traffic_never_reaches_the_refusal_walk(monkeypatch):
     with pytest.raises(ConfigError):
         answer_query(ctx, with_indices(honest, {(0, 0): 0}))
     assert len(walks) == 1
-
-
-# ------------------------------------------------- the checked query
-
-def answered(ctx, query):
-    """`answer_query(ctx, query)`, or the (class, message) of its refusal."""
-    try:
-        return answer_query(ctx, query)
-    except (AccessRefusal, ConfigError) as refusal:
-        return type(refusal), str(refusal)
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
-def test_a_query_checked_once_answers_from_any_store_and_pool_of_its_view(
-        scheme, params, v_star, server, monkeypatch):
-    # each answer of the checked query equals the plain query's answer on
-    # a fresh install of the same store and pool, and none checks again
-    ctx, honest = warm(scheme, params, v_star, server)
-    public, own = view_args(params, v_star, server)
-    checked = scheme_base.check_query(ctx, honest)
-    assert isinstance(checked, scheme_base.CheckedQuery)
-    assert (checked.server, checked.groups) == tuple(honest)
-    other_store, other_pool = random_store(params, 1), allocate(scheme, params, public, 1)
-    assert other_pool.chunks.keys() == ctx.pool.chunks.keys()
-    cases = [(ctx.store, ctx.pool), (other_store, ctx.pool), (ctx.store, other_pool),
-             (other_store, other_pool)]
-    fresh = []
-    for store, pool in cases:
-        MEMO.clear()
-        fresh.append(answer_query(scheme_base.server_context(server, public, own, store, pool),
-                                  honest))
-    assert fresh[0] != fresh[1] and fresh[0] != fresh[2]
-    checks = counting(monkeypatch, scheme_base, "check_query")
-    for (store, pool), want in zip(cases, fresh):
-        assert answer_query(ServerContext(server, store, pool, ctx.view), checked) == want
-    assert checks == []
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
-def test_a_checked_query_on_another_context_is_checked_again(scheme, params, v_star, server,
-                                                            monkeypatch):
-    # another view (even an equal copy), start, params or server: the
-    # checked query gives exactly what the plain query gives there
-    ctx, honest = warm(scheme, params, v_star, server)
-    public, _ = view_args(params, v_star, server)
-    checked = scheme_base.check_query(ctx, honest)
-    lacking = MappingProxyType({key: (*labels, ("nk", 9, 9))
-                                for key, labels in ctx.view.table.items()})
-    shifted = random_store(replace(params, length=params.length + 5), 1)
-    other_q = replace(params, q=65521)
-    others = [
-        cold(ctx),
-        replace(ctx, view=View(ctx.view.granted, lacking)),
-        replace(ctx, view=View(frozenset(), ctx.view.table)),
-        replace(ctx, store=shifted, start=5),
-        replace(ctx, pool=allocate(scheme, other_q, public, 1)),
-        replace(ctx, server=server + 1),
-    ]
-    checks = counting(monkeypatch, scheme_base, "check_query")
-    for other in others:
-        want = answered(other, honest)
-        checks.clear()
-        assert answered(other, checked) == want
-        assert len(checks) == 1
-    assert answered(others[0], checked) == answer_query(ctx, checked)
-    assert answered(others[1], checked)[0] is ConfigError
-    assert answered(others[3], checked) != answer_query(ctx, checked)
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
-def test_a_checked_query_refuses_a_pool_that_lacks_a_label_by_name(scheme, params, v_star,
-                                                                   server):
-    # the pool answered from lacks a label of the last group: that group
-    # is refused, naming the label, after every earlier group's share
-    ctx, honest = warm(scheme, params, v_star, server)
-    checked = scheme_base.check_query(ctx, honest)
-    label = ctx.view.table[frozenset(honest.groups[-1].descriptor.ids)][-1]
-    pool = replace(ctx.pool, chunks={k: c for k, c in ctx.pool.chunks.items() if k != label})
-    lacks = ServerContext(server, ctx.store, pool, ctx.view)
-    for query in (checked, honest):
-        with pytest.raises(ConfigError) as refused:
-            answer_query(lacks, query)
-        assert str(refused.value) == f"unknown chunk label {label!r}"
-
-
-@pytest.mark.parametrize("scheme, params, v_star, server", INDEX_POINTS)
-def test_a_store_refusal_comes_after_every_refusal_of_the_query(scheme, params, v_star,
-                                                                server):
-    # a hand-made context whose store lacks a message that group 1 reads,
-    # and a bad index in group 2: the query's own refusal is raised, and
-    # the store's only once the query passes its checks
-    ctx, honest = warm(scheme, params, v_star, server)
-    subpackets = params.length // ctx.pool.chunk_len
-    msg = honest.groups[0].descriptor.ids[0]
-    short = ServerContext(server, shortened(ctx.store, msg, None), ctx.pool, ctx.view)
-    bad = with_indices(honest, {(1, 0): subpackets + 1})
-    with pytest.raises(ConfigError, match=f"^sub-packet index {subpackets + 1} out of range$"):
-        answer_query(short, bad)
-    with pytest.raises(ConfigError, match=f"^store holds no message {msg} for server {server}$"):
-        answer_query(short, honest)
