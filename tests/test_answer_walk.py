@@ -219,7 +219,7 @@ MUTATIONS = 200
 # a pure run answers from symbol 0, a mix segment from further in
 STARTS = (0, 5)
 # K^N = 2^32: with every public value at its last, the participating ids
-# reach 2^32 - 1, and two rows of het1's central query differ in bit 31 alone
+# reach 2^32 - 1, and dapac server 1's all lie at or above 2^31
 TOP = SystemParams(n_attrs=16, d=2, k=4, q=65537, length=2)
 TOP_V = (4,) * 16
 # the points; het1's dedicated server, whose table names match sets
@@ -334,15 +334,16 @@ def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypa
     # answered from, at symbol 0. That view, warm now, answers it with the
     # install's store, another store and another pool: from symbol 0,
     # where the check holds and is not made again, and from symbol 5. So
-    # do an equal copy of the view, the view of another v*, a view with no
-    # table, and the view on another server; each of those checks the
-    # query again
+    # do a pool of another q, an equal copy of the view, the view of
+    # another v*, a view with no table, and the view on another server;
+    # each of those checks the query again
     scheme, params, _, server = point
     public, own, stores, pools, honest = setting(point)
     with monkeypatch.context() as patch:
         patch.setattr(scheme_base, "MEMO", Memo(MEMO_ROWS))
         table = scheme_base.server_context(server, public, own, stores[0], pools[0]).view.table
     equal = scheme_base.server_context(server, public, own, stores[0], pools[0]).view
+    other_q = allocate(scheme, replace(params, q=65521), public, 1)
     campaign = Campaign(derive_rng("checked-walk", scheme, server), point, table,
                         params.length // pools[0].chunk_len)
     views = [(server, equal), (server, another_view(point)),
@@ -361,7 +362,7 @@ def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypa
         remembered(cold.view)
         for start in STARTS:
             for store, pool in [(stores[0], pools[0]), (stores[1], pools[0]),
-                                (stores[0], pools[1])]:
+                                (stores[0], pools[1]), (stores[0], other_q)]:
                 pool = without(pool, lacking)
                 want = outcome(walk, server, campaign.granted, table, store, pool, start, query)
                 if checked[0] != "checked":  # the check's refusal is the walk's
@@ -372,7 +373,8 @@ def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypa
                     made = len(checks)
                     assert outcome(served, ctx, checked[1]) == outcome(
                         walk, where, *view, store, pool, start, query), (where, query)
-                    again = where != server or view is not cold.view or start != 0
+                    again = (where != server or view is not cold.view or start != 0
+                             or pool.params != params)
                     assert len(checks) - made == again
                     if view.table is not None:
                         remembered(view)

@@ -472,7 +472,9 @@ def test_a_warm_view_with_another_store_or_pool_answers_as_a_fresh_install(
 
     counted = View(ctx.view.granted, CountingTable(ctx.view.table))
     answer_query(replace(ctx, view=counted), honest)
-    assert lookups and counted.columns.keys() == ctx.view.columns.keys()
+    # a cold view looks each column up once
+    assert len(lookups) == len(counted.columns) == len(ctx.view.columns) == len(honest.groups)
+    assert counted.columns.keys() == ctx.view.columns.keys()
     other_store, other_pool = random_store(params, 1), allocate(scheme, params, public, 1)
     for store, pool in [(other_store, ctx.pool), (ctx.store, other_pool),
                         (other_store, other_pool)]:
@@ -518,8 +520,12 @@ def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v
     with pytest.raises(ConfigError, match=rf"^message {first} holds {n} symbols; server "
                                           rf"{server} answers from symbols \[1, {n + 1}\)$"):
         scheme_base.server_context(server, public, own, whole, ctx.pool, 1)
-    # a message the query reads, gone or emptied, and the lowest granted one
+    # a message the query reads, gone or emptied, and the lowest granted
+    # one; a query of its own fault, an index in its last group, is
+    # refused for that fault first
     msg = honest.groups[0].descriptor.ids[0]
+    bad_index = params.length // ctx.pool.chunk_len + 1
+    bad = with_indices(honest, {(len(honest.groups) - 1, 0): bad_index})
     for symbols, refusal in [
         (None, f"^store holds no message {first} for server {server}$"),
         (0, rf"^message {first} holds 0 symbols; server {server} answers from "
@@ -535,6 +541,8 @@ def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v
             with pytest.raises(ConfigError, match=refusal) as refused:
                 answer_query(made, honest)
             assert type(refused.value) is ConfigError
+            with pytest.raises(ConfigError, match=f"^sub-packet index {bad_index} out of range$"):
+                answer_query(made, bad)
 
 
 def test_a_context_refuses_a_start_no_32_bit_word_holds():
