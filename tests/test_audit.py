@@ -18,6 +18,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -518,6 +519,46 @@ def enumerating_db_secrecy(scheme: str, params: SystemParams, v_star=None, seed=
     }
 
 
+def brute_rank(vectors, q: int) -> int:
+    """The rank over F_q of `vectors`, by the size of their span: every
+    combination of them, enumerated."""
+    width = len(vectors[0]) if vectors else 0
+    span = {tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % q for i in range(width))
+            for coeffs in itertools.product(range(q), repeat=len(vectors))}
+    return round(math.log(len(span), q))
+
+
+def echelon_cases():
+    """Every pair of vectors in F_3^2, then seeded sets of one to four
+    vectors in F_5^3, with zeros and repeats among them: (vectors, q)."""
+    cases = [([a, b], 3) for a in itertools.product(range(3), repeat=2)
+             for b in itertools.product(range(3), repeat=2)]
+    rng = derive_rng("echelon", 5)
+    for _ in range(200):
+        vectors = [tuple(rng.choice([0, 0, *range(1, 5)]) for _ in range(3))
+                   for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:
+            vectors.append(tuple(2 * x % 5 for x in rng.choice(vectors)))
+        cases.append((vectors, 5))
+    return cases
+
+
+def test_echelon_rank_equals_the_brute_force_rank():
+    # rank by the echelon basis, built at once and extended from a basis
+    # of a prefix, which it leaves unchanged; every row's pivot is its
+    # first nonzero entry and is 1, pivots other than 1 met on the way
+    for vectors, q in echelon_cases():
+        want = brute_rank(vectors, q)
+        rows = audit._echelon(vectors, q)
+        assert len(rows) == want, (vectors, q)
+        assert all(row[p] == 1 and not any(row[:p]) for p, row in rows.items())
+        for cut in range(len(vectors) + 1):
+            basis = audit._echelon(vectors[:cut], q)
+            kept = copy.deepcopy(basis)
+            assert len(audit._echelon(vectors[cut:], q, basis)) == want, (vectors, cut)
+            assert basis == kept
+
+
 def strip_pads(monkeypatch):
     """Answer every group without its pad chunks, whichever kernel runs."""
     combine = scheme_base.combine
@@ -662,6 +703,42 @@ class TestDbSecrecy:
         assert set(checked) == set(audit.privacy_servers(scheme, params))
         assert set(checked.values()) == {1}
         assert rep["max_tv"] == 1 and not rep["pass"]
+        assert rep["desired_control_tv"] == 1
+
+    @pytest.mark.parametrize("fault", ["pad part depends on the store",
+                                       "answer not affine in the pool"])
+    def test_an_answer_that_is_no_store_part_plus_pad_is_refused(self, monkeypatch, fault):
+        # the audit's model, a = S(store) + P·s, fails in one half alone:
+        # the unit pools' columns differ between the two stores while
+        # every answer is still base + P·s, or the columns agree and the
+        # answer at the uniform pool is not base + P·s
+        answer, q = het1.answer_query, 65537
+
+        def faulty(ctx, query):
+            shares, labels = answer(ctx, query)
+            (server, gi, payload), *rest = shares
+            pad = ctx.pool.chunk(labels[0][0])[0]
+            extra = (pad * ctx.store[min(ctx.view.granted)][0] if fault.startswith("pad")
+                     else pad * pad)
+            payload = [(payload[0] + extra) % q, *payload[1:]]
+            return [AnswerShare(server, gi, payload), *rest], labels
+
+        monkeypatch.setattr(het1, "answer_query", faulty)
+        with pytest.raises(ConfigError, match="answers do not split into store part plus pad"):
+            audit.audit_db_secrecy("het1", replace(P_HET1, q=q))
+
+    def test_a_leak_of_a_zero_symbol_is_found_by_its_unit_bump(self, monkeypatch):
+        # every stored symbol 0 and the pads stripped: each participating
+        # message leaks, and its first unit bump, a 1 where it held 0, is
+        # the worst perturbation
+        stores = audit.random_store
+        monkeypatch.setattr(audit, "random_store", lambda params, seed: {
+            m: array("I", [0]) * params.length for m in stores(params, seed)})
+        strip_pads(monkeypatch)
+        rep = audit.audit_db_secrecy("het1", P_HET1)
+        assert rep["max_tv"] == 1 and not rep["pass"]
+        m, alt = rep["worst_perturbation"]
+        assert m != message_index(rep["v_star"], P_HET1) and alt == (1, 0)
         assert rep["desired_control_tv"] == 1
 
     def test_passes_at_a_realistic_size(self):
