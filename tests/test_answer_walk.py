@@ -30,7 +30,7 @@ from hetdapac.errors import AccessRefusal, ConfigError
 from hetdapac.field import derive_rng, uniform_arrays
 from hetdapac.randomness import RandomnessPool, allocate
 from hetdapac.schemes import base as scheme_base
-from hetdapac.schemes.base import MEMO_ROWS, PACK_MIN_SYMBOLS, Memo, View, answer_query
+from hetdapac.schemes.base import MEMO_ROWS, Memo, View, answer_query
 from hetdapac.wire import MessageGroupDescriptor, QueryGroup, QueryTuple
 
 
@@ -208,8 +208,8 @@ def mutated(campaign, honest):
 
 def without(pool, lacking) -> RandomnessPool:
     """`pool` less the chunks of the labels in `lacking`."""
-    return replace(pool, chunks={label: chunk for label, chunk in pool.chunks.items()
-                                 if label not in lacking})
+    return pool if not lacking else replace(pool, chunks={
+        label: chunk for label, chunk in pool.chunks.items() if label not in lacking})
 
 
 # ------------------------------------------------------------ the campaign
@@ -224,17 +224,14 @@ TOP = SystemParams(n_attrs=16, d=2, k=4, q=65537, length=2)
 TOP_V = (4,) * 16
 # the points; het1's dedicated server, whose table names match sets
 # outside its view, so that a group can pass the table and meet an
-# inaccessible row; dapac servers at D = 2, whose tables name one message
-# per entry, so that their groups hold one row each; and het1's central
-# server at the top of the id range, on sub-packets the packed kernel
-# answers
+# inaccessible row; and at the top of the id range, dapac's server 1 at
+# D = 2, whose table names one message per entry, so that its groups hold
+# one row each, and het1's central server
 CAMPAIGN_POINTS = INDEX_POINTS + [point for point in REMEMBERED_POINTS
                                   if point[0] == "het1" and point[3] == 1] + [
-    ("dapac", SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2), (1, 2, 1), 1),
-    ("dapac", TOP, TOP_V, 1),
-    ("het1", replace(TOP, length=2 * PACK_MIN_SYMBOLS), TOP_V, TOP.central)]
-POINT_IDS = [f"{scheme}-N{params.n_attrs}-D{params.d}-server{server}"
-             for scheme, params, _, server in CAMPAIGN_POINTS]
+    ("dapac", TOP, TOP_V, 1), ("het1", TOP, TOP_V, TOP.central)]
+POINT_IDS = [f"{scheme}-server{server}" for scheme, _, _, server in CAMPAIGN_POINTS[:-2]] + [
+    "dapac-top-server1", "het1-top-server3"]
 EVERY_OUTCOME = {"answer", "vector length", "candidate set", "chunk label",
                  "inaccessible", "out of range", "reuses"}
 
@@ -294,13 +291,14 @@ def test_mutated_queries_are_answered_as_the_walk_answers_them(point, start, mon
     answer_query(warm, honest)
     campaign = Campaign(derive_rng("answer-walk", scheme, server, start), point, table,
                         params.length // warm.pool.chunk_len)
+    installed = [warm, install(stores[1], pools[0]), install(stores[0], pools[1])]
     seen = set()
     for query, lacking in queries(campaign, honest):
-        contexts = [(cold, stores[0], pools[0]), (install, stores[0], pools[0]),
-                    (install, stores[1], pools[0]), (install, stores[0], pools[1])]
-        for make, store, pool in contexts:
-            pool = without(pool, lacking)
-            ctx = make(store, pool)
+        contexts = [cold(stores[0], without(pools[0], lacking)),
+                    *(replace(ctx, pool=without(ctx.pool, lacking)) if lacking else ctx
+                      for ctx in installed)]
+        for ctx in contexts:
+            store, pool = ctx.store, ctx.pool
             want = outcome(walk, server, campaign.granted, table, store, pool, start, query)
             assert outcome(served, ctx, query) == want, query
             remembered(ctx.view)
@@ -328,15 +326,28 @@ def checked_once(ctx, query):
         return type(refusal), str(refusal)
 
 
+def answered(checks, checked, server, view, store, pool, start, query, again):
+    """The walk's outcome for the plain `query` from `server` on `view`,
+    once the checked query, answered there, is found to give it, checked
+    again or not as `again` says; `checks` lists every check made."""
+    made = len(checks)
+    want = outcome(walk, server, *view, store, pool, start, query)
+    ctx = scheme_base.ServerContext(server, store, pool, view, start)
+    assert outcome(served, ctx, checked) == want, (server, query)
+    assert len(checks) - made == again
+    return want
+
+
 @pytest.mark.parametrize("point", CAMPAIGN_POINTS, ids=POINT_IDS)
 def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypatch):
     # each mutated query is checked once, on a view no context has
     # answered from, at symbol 0. That view, warm now, answers it with the
-    # install's store, another store and another pool: from symbol 0,
-    # where the check holds and is not made again, and from symbol 5. So
-    # do a pool of another q, an equal copy of the view, the view of
-    # another v*, a view with no table, and the view on another server;
-    # each of those checks the query again
+    # install's store, another store, another pool and a pool of another
+    # q, from symbol 0 and from symbol 5; the check is made again only
+    # for the other q or the other start. From the install's store and
+    # pool at symbol 0, an equal copy of the view, the view of another v*,
+    # a view with no table and the view on another server answer it too,
+    # each checking it again
     scheme, params, _, server = point
     public, own, stores, pools, honest = setting(point)
     with monkeypatch.context() as patch:
@@ -359,24 +370,22 @@ def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypa
             cold = scheme_base.server_context(server, public, own, stores[0],
                                               without(pools[0], lacking))
         checked = checked_once(cold, query)
-        remembered(cold.view)
+        if checked[0] != "checked":  # the check's refusal is the walk's, from any start
+            for start in STARTS:
+                assert checked == outcome(walk, server, *cold.view, stores[0],
+                                          without(pools[0], lacking), start, query), query
+            seen.add(outcome_kind(checked))
+            continue
         for start in STARTS:
             for store, pool in [(stores[0], pools[0]), (stores[1], pools[0]),
                                 (stores[0], pools[1]), (stores[0], other_q)]:
-                pool = without(pool, lacking)
-                want = outcome(walk, server, campaign.granted, table, store, pool, start, query)
-                if checked[0] != "checked":  # the check's refusal is the walk's
-                    assert checked == want, query
-                    continue
-                for where, view in [(server, cold.view), *views, (server + 1, cold.view)]:
-                    ctx = scheme_base.ServerContext(where, store, pool, view, start)
-                    made = len(checks)
-                    assert outcome(served, ctx, checked[1]) == outcome(
-                        walk, where, *view, store, pool, start, query), (where, query)
-                    again = (where != server or view is not cold.view or start != 0
-                             or pool.params != params)
-                    assert len(checks) - made == again
-                    if view.table is not None:
-                        remembered(view)
+                want = answered(checks, checked[1], server, cold.view, store,
+                                without(pool, lacking), start, query,
+                                again=start != 0 or pool.params != params)
+        for where, view in [*views, (server + 1, cold.view)]:
+            answered(checks, checked[1], where, view, stores[0], without(pools[0], lacking),
+                     0, query, again=True)
+        for view in (cold.view, equal, views[1][1]):
+            remembered(view)
         seen.add(outcome_kind(want))
     assert seen == reachable(campaign)

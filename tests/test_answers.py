@@ -14,7 +14,7 @@ import json
 from array import array
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 import pytest
@@ -619,6 +619,13 @@ def test_a_second_wide_pass_evicts_nothing_from_the_memo():
 
 # ------------------------------------------------------- answer kernels
 
+@lru_cache(maxsize=None)
+def kernel_params(q: int, length: int) -> SystemParams:
+    """het1's params at D = 2 for sub-packets `length` long over F_q, made
+    once: checking a q near 2^32 prime costs milliseconds."""
+    return SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
+
+
 def kernel_case(q: int, length: int, pads: int, rows=None, start: int = 0):
     """One group over `rows` rows (1-64 at random when None) of sub-packets
     `length` long, with `pads` pad labels, on a server that holds every
@@ -629,7 +636,7 @@ def kernel_case(q: int, length: int, pads: int, rows=None, start: int = 0):
     coefficients themselves."""
     rng = derive_rng("kernel", q, length, pads)
     rows = rows or rng.randint(1, 64 if length <= 64 else 8)
-    params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
+    params = kernel_params(q, length)
     store = dict(enumerate(uniform_arrays(rng, q, start + 2 * length, rows), start=1))
     labels = [("nk", 1, k) for k in range(1, pads + 1)]
     pool = RandomnessPool("het1", params, dict(zip(labels, uniform_arrays(rng, q, length, pads))))
@@ -730,10 +737,11 @@ def test_packed_kernel_at_the_top_of_the_field(q, length, make_pad):
     got = scheme_base._packed_share(vector, arrays, starts, pads, q, length)
     assert type(got) is array
     assert got == loop_share(vector, segments, [3 * (q - 1) % q] * length, q)
-    # one row under one pad: the lane width counts the pad as a term
+    # one row under one pad, which the lane width counts as a term:
+    # (q - 1)^2 + (q - 1) = 0 mod q
     assert (scheme_base._packed_share(vector[:1], arrays[:1], starts[:1], pads[:1], q, length)
-            == loop_share(vector[:1], segments[:1], pad, q))
-    params = SystemParams(n_attrs=3, d=2, k=3, q=q, length=2 * length)
+            == array("I", [0]) * length)
+    params = kernel_params(q, length)
     zero = RandomnessPool("het1", params, {("nk", 1, 1): (0,) * length})
     assert (scheme_base._packed_share(vector, arrays, starts, [zero.chunk(("nk", 1, 1))], q,
                                       length)

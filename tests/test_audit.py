@@ -530,13 +530,13 @@ def brute_rank(vectors, q: int) -> int:
 
 def echelon_cases():
     """Every pair of vectors in F_3^2, then seeded sets of one to four
-    vectors in F_5^3, with zeros and repeats among them: (vectors, q)."""
+    vectors in F_5^3, zeros and multiples among them: (vectors, q)."""
     cases = [([a, b], 3) for a in itertools.product(range(3), repeat=2)
              for b in itertools.product(range(3), repeat=2)]
     rng = derive_rng("echelon", 5)
     for _ in range(200):
         vectors = [tuple(rng.choice([0, 0, *range(1, 5)]) for _ in range(3))
-                   for _ in range(rng.randint(1, 4))]
+                   for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.2:
             vectors.append(tuple(2 * x % 5 for x in rng.choice(vectors)))
         cases.append((vectors, 5))
