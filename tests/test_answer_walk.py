@@ -357,12 +357,15 @@ def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypa
     other_q = allocate(scheme, replace(params, q=65521), public, 1)
     campaign = Campaign(derive_rng("checked-walk", scheme, server), point, table,
                         params.length // pools[0].chunk_len)
-    views = [(server, equal), (server, another_view(point)),
-             (server, View(campaign.granted, None))]
+    neighbour, no_table = another_view(point), View(campaign.granted, None)
     checks = []
     check = scheme_base.check_query
-    monkeypatch.setattr(scheme_base, "check_query",
-                        lambda ctx, query: checks.append(ctx) or check(ctx, query))
+
+    def counted(ctx, query):
+        checks.append(ctx)
+        return check(ctx, query)
+
+    monkeypatch.setattr(scheme_base, "check_query", counted)
     seen = set()
     for query, lacking in queries(campaign, honest):
         with monkeypatch.context() as patch:  # a view no context has answered from
@@ -382,10 +385,11 @@ def test_a_query_checked_once_is_answered_as_the_walk_answers_it(point, monkeypa
                 want = answered(checks, checked[1], server, cold.view, store,
                                 without(pool, lacking), start, query,
                                 again=start != 0 or pool.params != params)
-        for where, view in [*views, (server + 1, cold.view)]:
+        for where, view in [(server, equal), (server, neighbour), (server, no_table),
+                            (server + 1, cold.view)]:
             answered(checks, checked[1], where, view, stores[0], without(pools[0], lacking),
                      0, query, again=True)
-        for view in (cold.view, equal, views[1][1]):
+        for view in (cold.view, equal, neighbour):
             remembered(view)
         seen.add(outcome_kind(want))
     assert seen == reachable(campaign)

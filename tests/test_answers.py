@@ -143,7 +143,8 @@ def test_malformed_query_is_a_config_error(payload):
     (1, "attribute-relay", {"public": [0]}),
     (1, "attribute-relay", None),
     # a well-formed value in any encoding but strict UTF-8
-    *[(1, "attribute-commit", json.dumps({"value": 1}).encode(encoding))
+    *[pytest.param(1, "attribute-commit", json.dumps({"value": 1}).encode(encoding),
+                   id=f"value-1-in-{encoding}")
       for encoding in ("utf-8-sig", "utf-16", "utf-16-le", "utf-32-le")],
 ])
 def test_malformed_verification_is_a_config_error(server, kind, payload):
