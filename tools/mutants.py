@@ -76,7 +76,7 @@ class Source:
 
 
 def _token_edit(src: Source, lo: int, hi: int, old: str, new: str):
-    """The edit of the operator `old` to `new` in the bytes [lo, hi]
+    """The edit of the operator `old` to `new` in the bytes [lo, hi)
     between two operands, or None where anything but brackets, blanks and
     line joins surrounds it (a comment)."""
     gap = src.data[lo:hi].decode()
