@@ -15,14 +15,13 @@ a test file. Each mutant is one edit of one function's syntax tree
 
 Each mutant runs `pytest -x` on the test files in a temporary copy of
 the checkout, never in place, at most two at a time; failing tests or a
-timeout kill it. A mutant is named by its module, function and the
-source line it edits, before and after, so a name survives edits
-elsewhere in the file. A survivor must be listed in
+timeout (four times the unmutated run, at least 30 s) kill it. A mutant
+is named by its module, function and the source line it edits, before
+and after, so a name survives edits elsewhere in the file. A survivor must be listed in
 tools/equivalent_mutants.txt under that name, with an indented line
 arguing that no input tells it from the original. The run fails (exit 1)
 on any other survivor, and on a listed mutant of the run's functions
-that is killed or no longer made. `--list` prints the mutants without
-running them; `--report FILE` writes each mutant's outcome as JSON.
+that is killed or no longer made.
 
 The tools/ directory is not a test path: pytest does not collect this
 script, and it imports nothing of the package.
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import os
 import re
 import shutil
@@ -53,6 +51,7 @@ ARITHMETIC = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "+"),
               ast.Mod: ("%", "//")}
 BOOLEAN = {ast.And: ("and", "or"), ast.Or: ("or", "and")}
 CONSTANT = {0: 1, 1: 0, 2: 1}
+JOBS = 2  # mutants run at once
 
 
 class Source:
@@ -181,7 +180,8 @@ def _copy(into: Path) -> Path:
     return checkout
 
 
-def run_tests(module: str, data: bytes | None, tests: list[str], timeout: float) -> str:
+def run_tests(module: str, data: bytes | None, tests: list[str],
+              timeout: float | None = None) -> str:
     """'passed', 'failed' or 'timeout': `pytest -x` on `tests` in a fresh
     copy of the checkout with `module` holding `data` (as it is when None)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -203,22 +203,14 @@ def main(argv=None) -> int:
     parser.add_argument("module")
     parser.add_argument("functions", nargs="+")
     parser.add_argument("--tests", nargs="+", required=True)
-    parser.add_argument("--jobs", type=int, default=2, choices=(1, 2))
-    parser.add_argument("--timeout", type=float, help="seconds per mutant (default: 4x the "
-                                                      "unmutated run, at least 30)")
-    parser.add_argument("--list", action="store_true", help="print the mutants and stop")
-    parser.add_argument("--report", type=Path, help="write each mutant's outcome as JSON")
     args = parser.parse_args(argv)
     made = mutants(args.module, args.functions)
-    if args.list:
-        print("\n".join(key for key, _ in made))
-        return 0
     listed = equivalents()
     began = time.perf_counter()
-    if run_tests(args.module, None, args.tests, args.timeout or 3600) != "passed":
+    if run_tests(args.module, None, args.tests) != "passed":
         raise SystemExit("the tests fail on the unmutated checkout")
-    timeout = args.timeout or max(30.0, 4 * (time.perf_counter() - began))
-    with ThreadPoolExecutor(args.jobs) as pool:
+    timeout = max(30.0, 4 * (time.perf_counter() - began))
+    with ThreadPoolExecutor(JOBS) as pool:
         outcomes = dict(zip((key for key, _ in made), pool.map(
             lambda mutant: run_tests(args.module, mutant[1], args.tests, timeout), made)))
     seconds = time.perf_counter() - began
@@ -235,8 +227,6 @@ def main(argv=None) -> int:
     print(f"{args.module} {' '.join(args.functions)}: {len(made)} mutants, {killed} killed "
           f"({timeouts} by timeout), {len(survived) - len(unlisted)} equivalent, "
           f"{len(unlisted)} survived, {seconds:.0f} s")
-    if args.report:
-        args.report.write_text(json.dumps(outcomes, indent=1, sort_keys=True) + "\n")
     return 1 if unlisted or stale else 0
 
 
