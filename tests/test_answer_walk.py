@@ -224,14 +224,17 @@ TOP = SystemParams(n_attrs=16, d=2, k=4, q=65537, length=2)
 TOP_V = (4,) * 16
 # the points; het1's dedicated server, whose table names match sets
 # outside its view, so that a group can pass the table and meet an
-# inaccessible row; and at the top of the id range, dapac's server 1 at
+# inaccessible row; at the top of the id range, dapac's server 1 at
 # D = 2, whose table names one message per entry, so that its groups hold
-# one row each, and het1's central server
+# one row each, and het1's central server; and het1's central server at
+# L = 32S, whose sub-packets of 32 symbols the packed kernel answers, so
+# that each group's offsets are its indices times the sub-packet length
 CAMPAIGN_POINTS = INDEX_POINTS + [point for point in REMEMBERED_POINTS
                                   if point[0] == "het1" and point[3] == 1] + [
-    ("dapac", TOP, TOP_V, 1), ("het1", TOP, TOP_V, TOP.central)]
-POINT_IDS = [f"{scheme}-server{server}" for scheme, _, _, server in CAMPAIGN_POINTS[:-2]] + [
-    "dapac-top-server1", "het1-top-server3"]
+    ("dapac", TOP, TOP_V, 1), ("het1", TOP, TOP_V, TOP.central),
+    ("het1", SystemParams(n_attrs=4, d=3, k=2, q=65537, length=96), (1, 2, 1, 2), 4)]
+POINT_IDS = [f"{scheme}-server{server}" for scheme, _, _, server in CAMPAIGN_POINTS[:-3]] + [
+    "dapac-top-server1", "het1-top-server3", "het1-L96-server4"]
 EVERY_OUTCOME = {"answer", "vector length", "candidate set", "chunk label",
                  "inaccessible", "out of range", "reuses"}
 
