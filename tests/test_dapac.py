@@ -9,12 +9,10 @@ the desired id is 3 and b1x matches nothing, so it never appears.
 from __future__ import annotations
 
 import gc
-import itertools
 
 import pytest
 
-from hetdapac.access import SystemParams, accessible_messages, message_index
-from hetdapac.errors import DivisibilityError
+from hetdapac.access import SystemParams
 from hetdapac.field import derive_rng
 from hetdapac.harness import random_store, run_protocol
 from hetdapac.schemes import dapac
@@ -32,14 +30,6 @@ SRV3 = [[(1, 2), (3, 2)], [(5, 1), (7, 3)], [(1, 3), (5, 2)], [(3, 3), (7, 2)]]
 def traced_plan(params, v_star):
     """The symbolic plan every build of (params, v*) evaluates."""
     return plan_trace("dapac", params, v_star)
-
-
-def test_no_central_participation():
-    assert not P332.has_central
-    plan, queries = dapac.build(V, P332, derive_rng(7, "user", 0))
-    assert sorted(traced_plan(P332, V).groups) == [1, 2, 3]
-    assert sorted(queries) == [1, 2, 3]
-    assert {server for _, terms in plan.decoding for server, *_ in terms} <= {1, 2, 3}
 
 
 def test_frozen_group_rows():
@@ -76,26 +66,6 @@ def test_desired_appears_once_per_pair_with_fresh_indices():
                for higher, lower in plan.decoding.values())
 
 
-def test_per_server_logicals_distinct_per_message():
-    plan = traced_plan(P332, V)
-    for groups in plan.groups.values():
-        seen: dict[int, set] = {}
-        for g in groups:
-            for msg, logical in g.rows:
-                assert logical not in seen.setdefault(msg, set())
-                seen[msg].add(logical)
-
-
-def test_group_sets_cover_exactly_the_accessible_slice():
-    plan = traced_plan(P332, V)
-    for server in (1, 2, 3):
-        covered = {m for g in plan.groups[server] for m, _ in g.rows}
-        assert covered == set(accessible_messages(server, V, P332))
-    # the all-mismatched message is nowhere
-    assert all(4 != m for g in plan.groups[1] + plan.groups[2] + plan.groups[3]
-               for m, _ in g.rows)
-
-
 def test_run_metrics():
     store = random_store(P332, 2)
     msg, transcript, metrics = run_protocol("dapac", P332, V, store, seed=5)
@@ -120,36 +90,6 @@ def test_unconsumed_chunks_are_the_doubly_mismatched_ones():
         ("pair", 1, 3, 1, 1), ("pair", 1, 3, 1, 2), ("pair", 1, 3, 2, 2),
         ("pair", 2, 3, 2, 1), ("pair", 2, 3, 2, 2), ("pair", 2, 3, 1, 2),
     }
-
-
-def test_roundtrip_all_targets_small_field():
-    params = SystemParams(n_attrs=3, d=3, k=2, q=5, length=3)
-    for seed, v_star in enumerate(itertools.product((1, 2), repeat=3)):
-        store = random_store(params, seed + 50)
-        msg, _, metrics = run_protocol("dapac", params, v_star, store, seed=seed)
-        assert msg == store[message_index(v_star, params)]
-        assert metrics["retries"] == 0  # decode is division-free
-
-
-def test_wider_system_metrics():
-    # (4, 3): C(4,2) = 6 sub-packets, K(D-1) = 9 groups per server
-    params = SystemParams(n_attrs=4, d=4, k=3, q=65537, length=6)
-    v_star = (2, 1, 3, 2)
-    store = random_store(params, 8)
-    msg, _, metrics = run_protocol("dapac", params, v_star, store, seed=1)
-    assert msg == store[message_index(v_star, params)]
-    assert metrics["download_total"] == 36
-    assert metrics["rate"] == pytest.approx(1 / 6)  # 1/(2K)
-    assert metrics["randomness_allocated_chunks"] == 54   # 6 pairs * K^2
-    assert metrics["randomness_consumed_chunks"] == 30    # 6 pairs * (2K-1)
-
-
-def test_length_must_split_into_pair_subpackets():
-    params = SystemParams(n_attrs=4, d=4, k=2, q=65537, length=4)
-    rng = derive_rng(0, "user", 0)
-    with pytest.raises(DivisibilityError) as exc:
-        dapac.build((1, 1, 1, 1), params, rng)
-    assert exc.value.minimal_length == 6
 
 
 def test_wide_build_and_wire_make_no_object_per_row():

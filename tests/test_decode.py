@@ -46,16 +46,6 @@ def test_decodes_the_stored_message(scheme, q, length):
         assert message == store[message_index(v_star, params)]
 
 
-@pytest.mark.parametrize("length", LENGTHS)
-def test_het2_redrawn_at_q2_decodes(length):
-    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=length)
-    store = random_store(params, 1)
-    v_star = (2, 1, 2, 1)
-    message, _, metrics = run_protocol("het2", params, v_star, store, seed=0)
-    assert metrics["retries"] > 0
-    assert message == store[message_index(v_star, params)]
-
-
 # a builder's decoding table, keyed by logical sub-packet index, broken as
 # a faulty builder would leave it: one sub-packet forgotten, one written
 # twice (the second write lands on another's index), or one named past S

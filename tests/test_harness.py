@@ -353,28 +353,6 @@ def test_upload_symbols_counted_per_query():
     assert uploads == {"server1": 2, "server2": 2, "central": 8}
 
 
-def test_consumed_accounting_survives_retries():
-    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
-    store = random_store(params, 5)
-    for seed in range(4):
-        _, transcript, metrics = run_protocol("het2", params, (1, 1, 1, 1),
-                                              store, seed=seed)
-        # redraws stay on the client: one round is sent and consumes its
-        # 12 chunks once, however many coefficients were redrawn
-        assert metrics["attempts"] == 1
-        assert metrics["randomness_consumed_chunks"] == 12
-
-
-@pytest.mark.parametrize("scheme", ["het1", "dapac"])
-def test_division_free_schemes_are_always_decodable(scheme):
-    # at q=2 half of all coordinates are zero, yet neither scheme divides
-    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
-    for seed in range(20):
-        v_star = tuple(1 + (seed >> i) % 2 for i in range(4))
-        plan, _ = engine(scheme).build(v_star, params, derive_rng(seed, "user", 0))
-        assert {c for _, terms in plan.decoding for *_, c in terms} == {1, -1}
-
-
 def words(frame: bytes) -> list[int]:
     return [int.from_bytes(frame[i:i + 4], "little") for i in range(0, len(frame), 4)]
 

@@ -1,25 +1,22 @@
-"""het1 engine: frozen walkthroughs of two small systems, plus invariants.
+"""het1 engine: frozen walkthroughs of two small systems.
 
 The (3, 2, 2) walkthrough pins the full query layout for v* = (1, 2, 2)
 (mnemonic a2y): message ids a1y=1, a2y=3, b1y=5, b2y=7. Rows are frozen
 as (message id, logical sub-packet index) pairs; the wire indices differ
-by the private permutations and are checked separately.
+by the private permutations, which tests/test_engines.py checks for
+every engine.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 
 import pytest
 
-from hetdapac.access import (SystemParams, accessible_messages, match_set, message_index,
-                             participating_ids)
-from hetdapac.errors import ConfigError, DivisibilityError
-from hetdapac.field import derive_rng
+from hetdapac.access import SystemParams, match_set
+from hetdapac.errors import ConfigError
 from hetdapac.harness import random_store, run_protocol
 from hetdapac.randomness import allocate
-from hetdapac.schemes import het1
 from hetdapac.schemes.base import FreshIndexCounter, plan_trace, server_context
 
 P322 = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=2)
@@ -113,6 +110,14 @@ class TestThreeServerWalkthrough:
             assert ded.vector.runs == central[ci].vector.runs
             assert ded.vector.offsets == ((lifted_row - 1, 1),)
 
+    def test_central_server_gives_each_message_d_indices(self):
+        plan = traced_plan(P432, (2, 1, 2, 1))
+        seen = {}
+        for g in plan.groups[P432.central]:
+            for msg, logical in g.rows:
+                seen.setdefault(msg, set()).add(logical)
+        assert set(map(len, seen.values())) == {P432.d}
+
     def test_all_vectors_span_four_rows(self):
         plan = traced_plan(P432, self.V)
         for groups in plan.groups.values():
@@ -128,65 +133,6 @@ class TestThreeServerWalkthrough:
         assert metrics["rate"] == pytest.approx(1 / 3)
         assert metrics["load_ratio"] == pytest.approx(1 / 6)
         assert metrics["randomness_consumed_symbols"] == 6  # KL
-
-
-def test_central_logicals_distinct_per_message():
-    plan = traced_plan(P432, (2, 1, 2, 1))
-    seen: dict[int, set] = {}
-    for g in plan.groups[P432.central]:
-        for msg, logical in g.rows:
-            assert logical not in seen.setdefault(msg, set())
-            seen[msg].add(logical)
-    # every accessible message shows up once per dedicated-server round
-    assert all(len(v) == P432.d for v in seen.values())
-
-
-def test_wire_indices_follow_private_permutations():
-    # the permutation of the message at position p among the participating
-    # ones is the flat column's words [p * S, (p + 1) * S): every row's
-    # wire index, and where each decoded sub-packet goes, are read there
-    v_star = (2, 1, 1)
-    ids = participating_ids(P322, v_star[P322.d:])
-    size = het1.subpackets(P322.d)
-    rng = derive_rng(7, "user", 0)
-    perms = array("I", [w for _ in ids for w in rng.sample(range(1, size + 1), size)])
-    trace = traced_plan(P322, v_star)
-    plan, queries = trace.project(P322, perms, array("I", [0]) * trace.size)
-    assert sorted(queries) == sorted(trace.groups)
-    for server, qt in queries.items():
-        assert len(qt.groups) == len(trace.groups[server])
-        for g, qg in zip(trace.groups[server], qt.groups):
-            for (msg, logical), (wmsg, wire) in zip(g.rows, qg.descriptor.rows):
-                assert wmsg == msg
-                assert wire == perms[ids.index(msg) * size + logical - 1]
-    desired = ids.index(message_index(v_star, P322))
-    assert [start for start, _ in plan.decoding] == [
-        (perms[desired * size + logical - 1] - 1) * plan.sub_len for logical in trace.decoding]
-    assert [terms for _, terms in plan.decoding] == list(trace.decoding.values())
-
-
-def test_roundtrip_all_targets_small_field():
-    params = SystemParams(n_attrs=3, d=2, k=2, q=5, length=4)
-    for seed, v_star in enumerate(itertools.product((1, 2), repeat=3)):
-        store = random_store(params, seed + 100)
-        msg, _, metrics = run_protocol("het1", params, v_star, store, seed=seed)
-        assert msg == store[message_index(v_star, params)]
-        assert metrics["retries"] == 0  # decode is division-free
-
-
-def test_group_sets_cover_exactly_the_accessible_slice():
-    plan = traced_plan(P432, (1, 1, 2, 1))
-    for server in (1, 2, 3, P432.central):
-        covered = {m for g in plan.groups[server] for m, _ in g.rows}
-        assert covered == set(accessible_messages(server, (1, 1, 2, 1), P432))
-
-
-def test_length_must_split_into_d_subpackets():
-    params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=3)
-    rng = derive_rng(0, "user", 0)
-    with pytest.raises(DivisibilityError) as exc:
-        het1.build((1, 1, 1), params, rng)
-    assert exc.value.minimal_length == 2
 
 
 def test_counter_refuses_an_exhausted_message():

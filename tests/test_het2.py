@@ -1,4 +1,4 @@
-"""het2 engine: frozen walkthrough of (4, 3, 2) plus split-cover invariants.
+"""het2 engine: frozen walkthroughs of (4, 3, 2) and of the split cover at D = 4.
 
 The walkthrough pins v* = (1, 2, 1, 2) (mnemonic a2uy, id 5) with message
 ids a1uy=1, a1vy=3, a2uy=5, a2vy=7, b1uy=9, b1vy=11, b2uy=13, b2vy=15.
@@ -9,17 +9,13 @@ sub-packet indices are i1 = 1, 2, 3 and i2 = 4, 5, 6 over the sorted pairs
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-from hetdapac.access import SystemParams, accessible_messages, all_pairs, message_index
-from hetdapac.errors import ConfigError, DivisibilityError
+from hetdapac.access import SystemParams, all_pairs, message_index
 from hetdapac.field import derive_rng
-from hetdapac.harness import actor_name, random_store, run_protocol
+from hetdapac.harness import random_store, run_protocol
 from hetdapac.schemes import dapac, het2
 from hetdapac.schemes.base import SymInverse, plan_trace
-from hetdapac.wire import encode_query, payload_digest
 
 P432 = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=6)
 V = (1, 2, 1, 2)  # a2uy, id 5
@@ -55,18 +51,6 @@ def built_decoding(plan, trace):
     """A built plan's decode terms keyed by logical index: its decode list
     holds one entry per entry of the trace's table, in the table's order."""
     return {logical: terms for logical, (_, terms) in zip(trace.decoding, plan.decoding)}
-
-
-def sent_queries(transcript):
-    return [(r.receiver, r.digest) for r in transcript.records if r.kind == "query"]
-
-
-def built_queries(v_star, params, seed):
-    """What `sent_queries` reads for the one plan built on the retrieval's
-    user stream: (receiver, digest) per server, in server order."""
-    _, queries = het2.build(v_star, params, derive_rng(seed, "user", 0))
-    return [(actor_name(n, params), payload_digest(encode_query(queries[n])))
-            for n in sorted(queries)]
 
 
 def test_desired_index_map_covers_all_subpackets():
@@ -177,24 +161,6 @@ class TestWalkthrough:
         assert metrics["randomness_consumed_symbols"] == 12
 
 
-def test_per_server_logicals_distinct_per_message():
-    for v_star in [(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 1, 1)]:
-        plan = traced_plan(P432, v_star)
-        for groups in plan.groups.values():
-            seen: dict[int, set] = {}
-            for g in groups:
-                for msg, logical in g.rows:
-                    assert logical not in seen.setdefault(msg, set())
-                    seen[msg].add(logical)
-
-
-def test_group_sets_cover_exactly_the_accessible_slice():
-    plan = traced_plan(P432, (2, 1, 2, 2))
-    for server in (1, 2, 3, P432.central):
-        covered = {m for g in plan.groups[server] for m, _ in g.rows}
-        assert covered == set(accessible_messages(server, (2, 1, 2, 2), P432))
-
-
 P542 = SystemParams(n_attrs=5, d=4, k=2, q=65537, length=10)
 
 
@@ -260,76 +226,6 @@ class TestSplitCover:
         assert consumed == expected
 
 
-def test_binary_field_retries_until_coefficients_cooperate():
-    # at q = 2 a cycle coefficient is drawn 0 half the time; each zero is
-    # redrawn in place, so the one plan built is the one sent
-    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
-    retries = []
-    for seed in range(6):
-        store = random_store(params, seed + 20)
-        v_star = (1 + seed % 2, 1, 2, 1)
-        msg, transcript, metrics = run_protocol("het2", params, v_star, store, seed=seed)
-        assert msg == store[message_index(v_star, params)]
-        assert metrics["attempts"] == 1
-        assert sent_queries(transcript) == built_queries(v_star, params, seed)
-        plan, _ = het2.build(v_star, params, derive_rng(seed, "user", 0))
-        assert metrics["retries"] == plan.redraws
-        retries.append(metrics["retries"])
-    assert retries == [3, 1, 3, 2, 0, 9]
-
-
-def test_two_servers_rejected():
-    params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=6)
-    rng = derive_rng(0, "user", 0)
-    with pytest.raises(ConfigError):
-        het2.build((1, 1, 1), params, rng)
-
-
-def test_length_must_split_into_cover_subpackets():
-    params = SystemParams(n_attrs=4, d=3, k=2, q=65537, length=4)
-    rng = derive_rng(0, "user", 0)
-    with pytest.raises(DivisibilityError) as exc:
-        het2.build((1, 1, 1, 1), params, rng)
-    assert exc.value.minimal_length == 6
-
-
-def test_roundtrip_all_targets_small_field():
-    params = SystemParams(n_attrs=4, d=3, k=2, q=5, length=6)
-    for seed, v_star in enumerate(itertools.product((1, 2), repeat=4)):
-        store = random_store(params, seed + 70)
-        msg, _, _ = run_protocol("het2", params, v_star, store, seed=seed)
-        assert msg == store[message_index(v_star, params)]
-
-
-def test_redrawn_retrieval_sends_only_the_first_decodable_draw():
-    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
-    v_star = (1, 1, 1, 1)
-    store = random_store(params, 5)
-    redrawn = 0
-    for seed in range(8):
-        _, transcript, metrics = run_protocol("het2", params, v_star, store, seed=seed)
-        redrawn += metrics["retries"] > 0
-        assert sent_queries(transcript) == built_queries(v_star, params, seed)
-    assert redrawn > 0
-
-
-def test_default_cap_turns_binary_field_failures_into_retrievals():
-    # at q = 2, D = 3 a whole plan is decodable one time in eight, so
-    # redrawing whole plans with a cap of 8 failed these seeds; redrawing
-    # only the zero coefficients retrieves each from one build, after the
-    # pinned number of redraws
-    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
-    v_star = (1, 1, 1, 1)
-    store = random_store(params, 5)
-    rescued = {2: 1, 4: 2, 5: 9, 6: 2, 9: 8, 10: 2, 13: 3, 19: 1, 21: 3, 22: 6}
-    for seed in range(24):
-        msg, transcript, metrics = run_protocol("het2", params, v_star, store, seed=seed)
-        assert msg == store[message_index(v_star, params)]
-        assert sent_queries(transcript) == built_queries(v_star, params, seed)
-        if seed in rescued:
-            assert metrics["retries"] == rescued[seed]
-
-
 @pytest.mark.parametrize("params, v_star", [(P432, V), (P542, TestSplitCover.V)])
 def test_cycle_coefficients_are_distinct_unlifted_draws(params, v_star):
     # the premise of drawing them nonzero in place: the D coefficients
@@ -350,23 +246,3 @@ def test_cycle_coefficients_are_distinct_unlifted_draws(params, v_star):
 def test_dapac_asks_no_coordinate_nonzero():
     params = SystemParams(n_attrs=5, d=4, k=2, q=65537, length=6)
     assert plan_trace("dapac", params, TestSplitCover.V).nonzero == ()
-
-
-def test_binary_field_plans_decode_from_one_build():
-    # at q = 2 the only nonzero coefficient is 1, so every cycle twin
-    # difference enters with coefficient 1 = -1, and each retrieval is the
-    # one build on its user stream
-    params = SystemParams(n_attrs=4, d=3, k=2, q=2, length=6)
-    for seed, v_star in enumerate(itertools.product((1, 2), repeat=4)):
-        plan, queries = het2.build(v_star, params, derive_rng(seed, "user", 0))
-        trace = traced_plan(params, v_star)
-        desired = message_index(v_star, params)
-        for *_, higher, lower in cycle_entries(built_decoding(plan, trace)):
-            server, gi, _ = lower
-            row = trace.groups[server][gi].row_of(desired)
-            assert queries[server].groups[gi].vector[row - 1] == 1
-            assert higher[2] % 2 == lower[2] % 2 == 1
-        store = random_store(params, seed + 40)
-        msg, transcript, _ = run_protocol("het2", params, v_star, store, seed=seed)
-        assert msg == store[desired]
-        assert sent_queries(transcript) == built_queries(v_star, params, seed)
