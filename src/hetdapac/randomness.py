@@ -58,9 +58,10 @@ class RandomnessPool:
 
     `chunk_len` is not given but derived, `chunk_length(scheme, params)`,
     so a pool is refused unless its scheme is known, its params are a
-    SystemParams and the scheme's sub-packet count divides L. `allocate`
-    holds each chunk as an `array('I')`; the answer path reads any
-    sequence of ints, so the audit's zero and unit pools use tuples.
+    SystemParams and the scheme's sub-packet count divides L; so is a
+    chunk of any other length. `allocate` holds each chunk as an
+    `array('I')`; the answer path reads any sequence of ints, so the
+    audit's zero and unit pools use tuples.
     """
 
     scheme: str
@@ -69,7 +70,12 @@ class RandomnessPool:
     chunk_len: int = dc_field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "chunk_len", chunk_length(self.scheme, check_params(self.params)))
+        clen = chunk_length(self.scheme, check_params(self.params))
+        for label, chunk in self.chunks.items():
+            if len(chunk) != clen:
+                raise ConfigError(f"chunk {label!r} holds {len(chunk)} symbols, "
+                                  f"not the {clen} of a {self.scheme} pad")
+        object.__setattr__(self, "chunk_len", clen)
 
     def chunk(self, label: Label) -> Sequence[int]:
         if label not in self.chunks:

@@ -40,7 +40,8 @@ MIX = hetdapac.plan_mix(P, 0)
 MALFORMED = {
     "MixPlan": [(None, 0), (P, None), (P, "x"), (P, Fraction(3, 2)), (P, float("nan"))],
     "RandomnessPool": [("het3", P, {}), ("het1", hetdapac.SystemParams(3, 2, 2, length=3), {}),
-                       ("het1", None, {})],
+                       ("het1", None, {}),
+                       ("het1", hetdapac.SystemParams(3, 2, 2, length=4), {("nk", 1, 1): (0,)})],
     "SystemParams": [("3", 2, 2), (None, 2, 2), (3, 2, 2, 4), (3, 2, 2, 5, 0)],
     "Transcript": [(None,)],
     "accessible_messages": [(1, None, P), (1, V, None), ("1", V, P), (9, V, P), (1, (1, 2), P)],
