@@ -45,15 +45,31 @@ MAX_MODULUS = 1 << 32
 BATCH_WORDS = 65536
 
 
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; entirely adequate for desk-scale moduli."""
+    """Miller-Rabin to the prime bases 2..37, which is exact for every n
+    below 3.3 * 10^24, far past the 32-bit moduli a symbol holds."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
+    for p in PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in PRIME_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
     return True
 
 
