@@ -110,13 +110,6 @@ def _trace_plan(scheme: str, params: SystemParams, v_star):
     return plan_trace(scheme, params, v_star)
 
 
-def _observed_groups(plan, server: int):
-    """The groups `server` receives, in the order they are sent."""
-    if server not in plan.groups:
-        raise ConfigError(f"server {server} receives no query under {plan.scheme}")
-    return plan.groups[server]
-
-
 def _row_view(groups) -> tuple:
     return tuple(g.ids for g in groups)
 
@@ -214,12 +207,15 @@ def _privacy_reports(scheme: str, params: SystemParams, servers) -> list[dict]:
 
     The K^D vectors of one public part are traced once, and every audited
     server reads its observation off those plans; they live only for that
-    public part. Every server is range-checked before any plan is built.
+    public part. Every server is checked to be one the scheme queries
+    before any plan is built.
     """
     central, q = params.central, params.q
+    queried = privacy_servers(scheme, params)
     for server in servers:
-        if server != central and not 1 <= server <= params.d:
-            raise ConfigError(f"server {server} out of range")
+        if server not in queried:
+            raise ConfigError(f"server {server} out of range: {scheme} queries "
+                              f"servers {queried.start}..{queried.stop - 1}")
 
     reports = [{"scheme": scheme, "params": params, "server": server,
                 "pairs": 0, "max_tv": Fraction(0), "worst_pair": None}
@@ -232,7 +228,7 @@ def _privacy_reports(scheme: str, params: SystemParams, servers) -> list[dict]:
         plans = {v: _trace_plan(scheme, params, v) for v in space}
         for rep in reports:
             server = rep["server"]
-            observed = {v: _coset(_observed_groups(plan, server), q, f"the plan for {v}")
+            observed = {v: _coset(plan.groups[server], q, f"the plan for {v}")
                         for v, plan in plans.items()}
             buckets: dict = {}
             for v in space:

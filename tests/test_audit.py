@@ -55,6 +55,28 @@ WIDER_PRIVACY_POINTS = (
 
 ENUMERATION_CAP = 1_000_000
 
+# the pairs each audited server compares: both publics, the vectors of a
+# bucket agreeing on the server's view
+PRIVACY_PAIRS = [
+    ("het1", P_HET1, {1: 4, 2: 4, 3: 12}),
+    ("dapac", P_DAPAC, {1: 12, 2: 12, 3: 12}),
+    ("het2", P_HET2, {1: 24, 2: 24, 3: 24, 4: 2 * 28}),
+]
+
+# the counts suite past its grid: D = 4 at K = 3, and the closed forms
+# each report expects
+WIDE_COUNT_POINTS = [
+    ("het1", SystemParams(n_attrs=5, d=4, k=3, q=65537, length=4),
+     {"rate": Fraction(1, 4), "load_ratio": Fraction(1, 12), "consumed_symbols": 12}),  # KL
+    ("het2", SystemParams(n_attrs=6, d=4, k=3, q=65537, length=10),
+     {"rate": Fraction(5, 24), "load_ratio": Fraction(3, 4)}),
+    # C(4,2) = 6 sub-packets of one symbol, K(D-1) = 9 groups per server;
+    # K^2 chunks allocated and 2K - 1 consumed per pair
+    ("dapac", SystemParams(n_attrs=4, d=4, k=3, q=65537, length=6),
+     {"rate": Fraction(1, 6), "load_ratio": INF, "download_dedicated": 9,
+      "allocated_symbols": 54, "consumed_symbols": 30}),
+]
+
 
 class EnumerationRefusal(Exception):
     """An oracle would enumerate more states than its cap."""
@@ -207,31 +229,19 @@ def enumerating_pair_tv(groups_v, groups_u, q: int, cap: int) -> tuple[Fraction,
 
 
 class TestAttributePrivacy:
-    def test_het1_every_server_tv_zero(self):
-        for server, pairs in ((1, 4), (2, 4), (3, 12)):
-            rep = audit.audit_attribute_privacy("het1", P_HET1, server)
-            assert rep["max_tv"] == 0 and rep["pass"]
-            assert rep["pairs"] == pairs
-
-    def test_dapac_every_server_tv_zero(self):
-        for server in (1, 2, 3):
-            rep = audit.audit_attribute_privacy("dapac", P_DAPAC, server)
-            assert rep["max_tv"] == 0
-            assert rep["pairs"] == 12
-
-    def test_het2_per_attempt_tv_zero(self):
-        for server in (1, 2, 3, 4):
-            rep = audit.audit_attribute_privacy("het2", P_HET2, server)
-            assert rep["max_tv"] == 0
-        central = audit.audit_attribute_privacy("het2", P_HET2, 4)
-        assert central["pairs"] == 2 * 28  # both publics, all pairs of 8
+    @pytest.mark.parametrize("scheme, params, pairs", PRIVACY_PAIRS,
+                             ids=[scheme for scheme, *_ in PRIVACY_PAIRS])
+    def test_every_server_tv_zero(self, scheme, params, pairs):
+        reports = [audit.audit_attribute_privacy(scheme, params, server)
+                   for server in audit.privacy_servers(scheme, params)]
+        assert {rep["server"]: rep["pairs"] for rep in reports} == pairs
+        assert all(rep["max_tv"] == 0 and rep["pass"] for rep in reports)
 
     def test_differing_view_rows_are_distinguishable(self):
         # negative control: server 1 comparing across its own value
         pa = audit._trace_plan("het1", P_HET1, (1, 1, 1))
         pb = audit._trace_plan("het1", P_HET1, (2, 1, 1))
-        tv = pair_tv(audit._observed_groups(pa, 1),
-                     audit._observed_groups(pb, 1), 3)
+        tv = pair_tv(pa.groups[1], pb.groups[1], 3)
         assert tv == 1
 
     def test_vector_wiring_difference_is_detected(self):
@@ -330,6 +340,9 @@ class TestAttributePrivacy:
                 audit.audit_attribute_privacy("het1", P_HET1, server)
         with pytest.raises(ConfigError, match="server 4 out of range"):
             audit._privacy_reports("het1", P_HET1, [1, P_HET1.central, 4])
+        # dapac never queries the central server
+        with pytest.raises(ConfigError, match="server 4 out of range: dapac queries servers 1..3"):
+            audit.audit_attribute_privacy("dapac", P_DAPAC, P_DAPAC.central)
 
     def test_shared_draw_leak_is_caught_by_the_audit(self, monkeypatch):
         # central group 1 reuses group 0's draw only when v*_1 = 1, so the
@@ -353,7 +366,7 @@ class TestAttributePrivacy:
         rep = audit.audit_attribute_privacy("het1", P_HET1, central)
         assert rep["max_tv"] > 0 and not rep["pass"]
         assert rep["pairs"] == 12
-        observed = {v: audit._observed_groups(leaky("het1", P_HET1, v), central)
+        observed = {v: leaky("het1", P_HET1, v).groups[central]
                     for v in itertools.product((1, 2), repeat=3)}
         tvs = {(v, u): enumerating_pair_tv(observed[v], observed[u], P_HET1.q,
                                            ENUMERATION_CAP)[0]
@@ -389,8 +402,7 @@ class TestAttributePrivacy:
         plans = {v: audit._trace_plan(scheme, params, v) for v in space}
         compared = 0
         for server in audit.privacy_servers(scheme, params):
-            observed = {v: audit._observed_groups(plan, server)
-                        for v, plan in plans.items()}
+            observed = {v: plan.groups[server] for v, plan in plans.items()}
             for v, u in itertools.combinations(space, 2):
                 a, b = observed[v], observed[u]
                 assert pair_tv(a, b, params.q) == \
@@ -772,30 +784,12 @@ class TestCounts:
         assert rep["pass"]
         assert len(rep["checks"]) == 16  # het1 and dapac at 6 points, het2 at 4
 
-    def test_wide_het1_point(self):
-        rep = audit.audit_counts(
-            "het1", SystemParams(n_attrs=5, d=4, k=3, q=65537, length=4))
-        got = {c["name"]: c for c in rep["checks"]}
-        assert got["rate"]["expected"] == Fraction(1, 4)
-        assert got["load_ratio"]["expected"] == Fraction(1, 12)
-        assert got["consumed_symbols"]["expected"] == 12  # KL
-        assert rep["pass"]
-
-    def test_wide_het2_point(self):
-        rep = audit.audit_counts(
-            "het2", SystemParams(n_attrs=6, d=4, k=3, q=65537, length=10))
-        got = {c["name"]: c for c in rep["checks"]}
-        assert got["rate"]["expected"] == Fraction(5, 24)
-        assert got["load_ratio"]["expected"] == Fraction(3, 4)
-        assert rep["pass"]
-
-    def test_wide_dapac_point(self):
-        rep = audit.audit_counts(
-            "dapac", SystemParams(n_attrs=4, d=4, k=3, q=65537, length=6))
-        got = {c["name"]: c for c in rep["checks"]}
-        assert got["rate"]["expected"] == Fraction(1, 6)
-        assert got["load_ratio"]["expected"] == INF
-        assert got["allocated_symbols"]["expected"] == 54  # K^2 L
+    @pytest.mark.parametrize("scheme, params, expected", WIDE_COUNT_POINTS,
+                             ids=[scheme for scheme, *_ in WIDE_COUNT_POINTS])
+    def test_wide_point(self, scheme, params, expected):
+        rep = audit.audit_counts(scheme, params)
+        got = {c["name"]: c["expected"] for c in rep["checks"]}
+        assert {name: got[name] for name in expected} == expected
         assert rep["pass"]
 
     def test_het2_consumed_less_than_allocated_at_four_servers(self):
