@@ -115,8 +115,6 @@ def test_wire_indices_follow_private_permutations(scheme, params):
         assert [start for start, _ in plan.decoding] == [
             (perms[desired * size + logical - 1] - 1) * plan.sub_len
             for logical in trace.decoding]
-        assert [[term[:2] for term in terms] for _, terms in plan.decoding] == [
-            [term[:2] for term in terms] for terms in trace.decoding.values()]
 
 
 @contract
