@@ -16,7 +16,6 @@ from hetdapac import (
     SystemParams,
     load_ratio_of_lambda,
     message_index,
-    metrics_of,
     plan_mix,
     random_store,
     rate_of_lambda,
@@ -26,7 +25,6 @@ from hetdapac import (
 )
 from hetdapac import audit
 from hetdapac.cli import main as cli_main
-from hetdapac.mixer import INF
 
 F = Fraction
 

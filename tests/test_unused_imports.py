@@ -1,4 +1,5 @@
-"""Guard: no hetdapac module imports a name it never references.
+"""Guard: no hetdapac module and no test file imports a name it never
+references.
 
 An import that nothing in the module reads is dead code, and it lets a
 caller reach the name through the wrong module and come to depend on it
@@ -17,7 +18,9 @@ import pytest
 import hetdapac
 
 PACKAGE = Path(hetdapac.__file__).parent
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 ENGINES = {"schemes/dapac.py", "schemes/het1.py", "schemes/het2.py"}
 RE_EXPORTS = {"answer_query", "decode"}
 
@@ -51,3 +54,8 @@ def test_the_guard_sees_unused_imports():
 def test_no_unused_imports(path):
     allowed = RE_EXPORTS if str(path.relative_to(PACKAGE)) in ENGINES else set()
     assert [name for name in unused_imports(path.read_text()) if name not in allowed] == []
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
+    assert unused_imports(path.read_text()) == []
