@@ -3,8 +3,9 @@
     python tools/mutants.py MODULE FUNCTION... --tests TEST_FILE...
 
 MODULE is a source file's path from the repository root, FUNCTION a
-top-level function of it (its nested functions come with it), TEST_FILE
-a test file. Each mutant is one edit of one function's syntax tree
+top-level function or class of it (its nested functions, or its
+methods, come with it) or a method named as CLASS.METHOD, TEST_FILE a
+test file. Each mutant is one edit of one function's syntax tree
 (`ast`), spliced into the source as one token:
 
     a comparison flipped      <  <=,  >  >=,  ==  !=,  is  is not,  in  not in
@@ -124,14 +125,19 @@ def _nodes(function):
 
 
 def mutants(module: str, functions: list[str]) -> list[tuple[str, bytes]]:
-    """Every (name, mutated source) of the named top-level functions."""
+    """Every (name, mutated source) of the named top-level functions,
+    classes and methods."""
     text = (ROOT / module).read_text()
     src, tree = Source(text), ast.parse(text)
-    found = {node.name: node for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = {node.name: node for node in tree.body if isinstance(node, defs)}
+    found.update({f"{node.name}.{method.name}": method for node in tree.body
+                  if isinstance(node, ast.ClassDef) for method in node.body
+                  if isinstance(method, defs)})
     missing = [name for name in functions if name not in found]
     if missing:
-        raise SystemExit(f"{module} defines no top-level function {', '.join(missing)}")
+        raise SystemExit(f"{module} defines no top-level function, class or method "
+                         f"{', '.join(missing)}")
     out, seen = [], {}
     for name in functions:
         for node in _nodes(found[name]):
