@@ -347,6 +347,23 @@ def uniform_arrays(rng: random.Random, q: int, length: int,
     return out
 
 
+def uniform_column(rng: random.Random, q: int, size: int) -> array:
+    """`size` uniform symbols of F_q, 2 <= q < 2^32, as one `array('I')`:
+    exactly what `size` calls of `rng.randrange(q)` return, in order, so
+    the concatenation of what `uniform_arrays` returns on the same stream.
+    `rng` must be a private stream, thrown away afterwards.
+
+    The column is made once, zeroed, and filled in place a block of up to
+    BATCH_WORDS symbols at a time: no step holds it whole twice.
+    """
+    take = WordStream(rng, q, size).take
+    column = array("I", [0]) * size
+    for at in range(0, size, BATCH_WORDS):
+        n = min(BATCH_WORDS, size - at)
+        column[at:at + n] = take(n)
+    return column
+
+
 def _stable(seed) -> bool:
     return isinstance(seed, (int, str, bytes)) or type(seed) is tuple and all(map(_stable, seed))
 

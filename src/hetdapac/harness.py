@@ -20,6 +20,11 @@ retrieval per (store segment, pool) segment, the pool naming the
 segment's scheme, params and chunk length and the store segment its
 symbol range, with no symbol copied. A pure run is a single segment, the
 range [0, L); a time-shared mix (see mixer.py) is several.
+
+A store is any mapping from message id to its symbols. `random_store`
+draws one as a single `array('I')` column, message m at [m·L, (m + 1)·L)
+(`schemes.base.DrawnStore`), which holds the symbols with no object per
+message and which the servers read by offset, no row looked up by id.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from typing import NamedTuple, Optional
 
 from .access import SystemParams, check_params, check_vector
 from .errors import ConfigError
-from .field import derive_rng, lane_ones, lanes_at_or_above, little_endian, uniform_arrays
+from .field import derive_rng, lane_ones, lanes_at_or_above, little_endian, uniform_column
 from .randomness import RandomnessPool, allocate
 from .schemes import engine as scheme_engine
-from .schemes.base import PACK_MIN_SYMBOLS, ServerContext, server_context
+from .schemes.base import PACK_MIN_SYMBOLS, DrawnStore, ServerContext, server_context
 from .wire import (
     decode_answers,
     decode_commit_value,
@@ -202,21 +207,28 @@ class ServerActor:
 # The most symbols `random_store` draws: K^N messages of L symbols each,
 # 4 bytes a symbol, so 1 GiB. `SystemParams` admits K^N up to 2^32 so
 # that every id is a 32-bit word, far beyond what can be drawn; the
-# largest store the benchmark draws (`long`) holds 15.36 M symbols.
+# largest store the benchmark draws (`long`) holds 15.36 M symbols. The
+# answer path places a row of message m at sub-packet offset o in the
+# drawn column as m·L + o, one 32-bit lane of an int (`DrawnStore`): it
+# is below K^N·L <= 2^28, so no lane carries into the next.
 STORE_SYMBOLS = 1 << 28
 
 
-def random_store(params: SystemParams, seed) -> dict[int, array]:
-    """Uniform content for every message id, one `array('I')` of L symbols
-    each, drawn in bulk from a private stream; deterministic in the seed.
-    A store of more than STORE_SYMBOLS symbols is refused before any is
-    drawn."""
+def random_store(params: SystemParams, seed) -> DrawnStore:
+    """Uniform content for every message id, L symbols each, drawn in bulk
+    from a private stream into one `array('I')` column, message m at
+    [m·L, (m + 1)·L); deterministic in the seed. The symbols, their
+    stream and their order are those of one `array('I')` per message
+    drawn in id order. The store reads as a mapping from id to a copy of
+    its symbols and cannot be written to; `dict(store)` is a writable
+    copy. A store of more than STORE_SYMBOLS symbols is refused before
+    any is drawn."""
     rng = derive_rng(seed, "store")
     count, length = check_params(params).message_count, params.length
     if count * length > STORE_SYMBOLS:
         raise ConfigError(f"a store of {count} messages of {length} symbols holds "
                           f"{count * length} symbols, over the {STORE_SYMBOLS} drawn at most")
-    return dict(enumerate(uniform_arrays(rng, params.q, length, count)))
+    return DrawnStore(uniform_column(rng, params.q, count * length), count, length)
 
 
 @dataclass(frozen=True, eq=False)  # equal as a mapping, to a dict of its slices too
@@ -225,7 +237,8 @@ class StoreSegment(Mapping):
 
     A server answers from `store` itself, its reads offset by `start`. The
     segment still reads as a mapping from message id to its range, each
-    value a `memoryview` of the stored array made only when asked for.
+    value a `memoryview` of the store's value for it, made only when asked
+    for.
     """
 
     store: Mapping[int, array]

@@ -51,11 +51,18 @@ the sub-packet length, and returns a `CheckedQuery`: per group, its id
 column, its rows' first-symbol offsets, its vector and the labels the
 table names for it, the table's own tuples, uncopied. The answer then
 reads each group's messages from the store and its pad chunks from the
-pool, and combines them. A checked query handed to a context of the same
-view object, start, params and sub-packet length is not checked again,
-whatever the context's store or pool, so the secrecy audit checks each
-server's query once and answers it from every store and pool it needs;
-any other query is checked first. A group costs a fixed number of calls
+pool, and combines them. A store that `harness.random_store` draws is a
+`DrawnStore`, every message in one `array('I')` column, and its rows are
+read straight from the column: each row's first symbol is its id times
+L plus its first-symbol offset, computed for the whole query in 32-bit
+lanes, and no row is looked up by id. Any other mapping, a test's dict
+or the secrecy audit's store of granted messages, is read message by
+message, one `operator.itemgetter` over a group's id column. A checked
+query depends on no store: handed to a context of the same view object,
+start, params and sub-packet length, it is not checked again, whatever
+the context's store or pool, so the secrecy audit checks each server's
+query once and answers it from every store and pool it needs; any other
+query is checked first. A group costs a fixed number of calls
 into C, whatever its rows.
 The share for a group is the vector-weighted sum of the named sub-packets
 plus the sum of the pad chunks its table entry names. Decoding is user-side
@@ -534,11 +541,56 @@ def build_plan(scheme: str, v_star, params: SystemParams, rng) -> tuple[Retrieva
 
 # ---------------------------------------------------------------- servers
 
+@dataclass(frozen=True, eq=False)  # equal as a mapping, to a dict of its messages too
+class DrawnStore(Mapping):
+    """`count` messages of `length` symbols each, held as one `array('I')`
+    column: message m is the column's symbols [m·length, (m + 1)·length).
+
+    It reads as a mapping from message id to its symbols, each value a
+    copy made only when asked for; `len`, `in` and iteration are
+    arithmetic and copy nothing. The answer path reads a group's rows
+    straight from the column, each at its id·length plus its offset in
+    the message, as one 32-bit word: a column past 2^32 symbols, or not
+    of `count`·`length` of them, is refused.
+    """
+
+    column: array
+    count: int
+    length: int
+
+    def __post_init__(self):
+        count, length, column = self.count, self.length, self.column
+        if not (type(count) is type(length) is int and count >= 0 and length >= 0
+                and count * length <= 1 << 32):
+            raise ConfigError(f"a drawn store holds messages of equal length, at most 2^32 "
+                              f"symbols in all, got {count!r} messages of {length!r}")
+        if type(column) is not array or column.typecode != "I" or len(column) != count * length:
+            got = (f"{len(column)} symbols of typecode {column.typecode!r}"
+                   if type(column) is array else type(column).__name__)
+            raise ConfigError(f"{count} messages of {length} symbols are one array('I') of "
+                              f"{count * length} symbols, got {got}")
+
+    def __getitem__(self, msg: int) -> array:
+        if isinstance(msg, int) and 0 <= msg < self.count:
+            return self.column[msg * self.length:(msg + 1) * self.length]
+        raise KeyError(msg)
+
+    def __contains__(self, msg) -> bool:
+        return isinstance(msg, int) and 0 <= msg < self.count
+
+    def __iter__(self):
+        return iter(range(self.count))
+
+    def __len__(self) -> int:
+        return self.count
+
+
 @dataclass(frozen=True)
 class ServerContext:
     """Everything one server answers from: no user secrets inside.
 
-    The store is every message the server holds, whole, uncopied; the
+    The store is every message the server holds, whole, uncopied, any
+    mapping from id to symbols or a `DrawnStore`'s one column; the
     verified `view` says which of them it may serve (`View.granted`) and
     maps the message set of every group it may be asked for to the pad
     labels it names, a tuple (`View.table`, None when the scheme asks the
@@ -574,15 +626,24 @@ class ServerContext:
         message up to the end of the range the server answers from: else
         a `ConfigError` naming the lowest message that is missing, or,
         with none missing, the lowest that stops short. The lengths are
-        read once, with no dict built and no symbol scanned."""
+        read once, with no dict built and no symbol scanned; a
+        `DrawnStore` that passes is checked by arithmetic alone, its
+        highest granted id against its count and its length against the
+        range."""
         store, server, granted = self.store, self.server, self.view.granted
         stop = self.start + self.pool.params.length
-        try:
-            if min(map(len, map(store.__getitem__, granted)), default=stop) >= stop:
+        if type(store) is DrawnStore:
+            if not granted or max(granted) < store.count and store.length >= stop:
                 return self
-        except KeyError:
-            missing = min(m for m in granted if m not in store)
-            raise ConfigError(f"store holds no message {missing} for server {server}") from None
+        else:
+            try:
+                if min(map(len, map(store.__getitem__, granted)), default=stop) >= stop:
+                    return self
+            except KeyError:
+                pass
+        missing = min((m for m in granted if m not in store), default=None)
+        if missing is not None:
+            raise ConfigError(f"store holds no message {missing} for server {server}")
         short = min(m for m in granted if len(store[m]) < stop)
         raise ConfigError(f"message {short} holds {len(store[short])} symbols; server "
                           f"{server} answers from symbols [{self.start}, {stop})")
@@ -734,10 +795,13 @@ class CheckedQuery(tuple):
     `server` and `groups`, as sent; the context's view, start, params and
     sub-packet length it was checked against; per group, its id column,
     its rows' first-symbol offsets, its vector and the labels the view's
-    table names for it; and the list of those labels, which every answer
-    from it returns. It holds the view itself, never a key made from it,
-    and the query's own columns, uncopied: a caller that writes to them
-    after the check must check the query again."""
+    table names for it; the whole query's id column and first-symbol
+    offsets, the offsets as one int of 32-bit lanes, from which an answer
+    from a `DrawnStore` places every row in its column at once; and the
+    list of the labels, which every answer from it returns. None of it
+    depends on a store. It holds the view itself, never a key made from
+    it, and the query's own columns, uncopied: a caller that writes to
+    them after the check must check the query again."""
 
     __slots__ = ()
     server = property(itemgetter(0))
@@ -821,7 +885,7 @@ def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
     if len(set(every_label)) != len(every_label) or len(set(keys)) != len(keys):
         raise _refusal(ctx, query)
     return tuple.__new__(CheckedQuery, (ctx.server, groups, view, ctx.start, params, sub_len,
-                                        checked_groups, all_labels))
+                                        checked_groups, (every_id, offsets), all_labels))
 
 
 def _refusal(ctx: ServerContext, query: QueryTuple) -> Exception:
@@ -873,23 +937,40 @@ def answer_query(ctx: ServerContext, query: QueryTuple | CheckedQuery
     message set, and the labels are the table's own tuples, in the
     checked query's list: a caller reads it and does not write to it. A
     group's messages are read from the whole store by one
-    `operator.itemgetter` over its id column. A label this pool lacks is
-    refused by the pool, naming it; a granted message the store lacks,
-    or one that ends before a row's sub-packet, is refused as an install
-    refuses it (`ServerContext.checked`).
+    `operator.itemgetter` over its id column, or, from a `DrawnStore`
+    that holds every row's message to the end of the range, straight
+    from its column, every row of the query placed at once as id·L +
+    offset in 32-bit lanes; a drawn store that falls short is read as any
+    other mapping. A label this pool lacks is refused by the pool, naming
+    it; a granted message the store lacks, or one that ends before a
+    row's sub-packet, is refused as an install refuses it
+    (`ServerContext.checked`).
     """
     pool = ctx.pool
     # a checked query holds the start, params and sub-packet length after its view
     if not (type(query) is CheckedQuery and query.view is ctx.view and query.server == ctx.server
             and query[3:6] == (ctx.start, pool.params, pool.chunk_len)):
         query = check_query(ctx, query)
-    server, _, _, _, params, sub_len, checked_groups, all_labels = query
+    server, _, _, _, params, sub_len, checked_groups, (every_id, offsets), all_labels = query
     q, store, chunk_of = params.q, ctx.store, pool.chunks.__getitem__
+    column = None
+    if (type(store) is DrawnStore and max(every_id, default=0) in store
+            and ctx.start + params.length <= store.length):
+        column, at = store.column, 0
+        # id·length + offset < count·length <= 2^32: no lane carries into the next
+        row_starts = little_endian(array("I", (
+            int.from_bytes(little_endian(every_id), "little") * store.length + offsets
+        ).to_bytes(4 * len(every_id), "little")))
     shares = []
     for gi, (ids, starts, vector, labels) in enumerate(checked_groups):
         try:
             pads = [*map(chunk_of, labels)]
-            arrays = itemgetter(*ids)(store) if len(ids) > 1 else [store[ids[0]]]
+            if column is not None:
+                rows = len(ids)
+                arrays, starts = [column] * rows, row_starts[at:at + rows]
+                at += rows
+            else:
+                arrays = itemgetter(*ids)(store) if len(ids) > 1 else [store[ids[0]]]
             share = combine(vector, arrays, starts, pads, q, sub_len)
         except (KeyError, IndexError):
             [*map(pool.chunk, labels)]  # a label this pool lacks: the pool's refusal

@@ -34,7 +34,15 @@ from hetdapac.mixer import plan_mix, run_time_shared
 from hetdapac.randomness import RandomnessPool, allocate, canonical_pair_label
 from hetdapac.schemes import base as scheme_base
 from hetdapac.schemes import dapac, het1, het2, memo_bindings
-from hetdapac.schemes.base import MEMO, PACK_MIN_SYMBOLS, Memo, ServerContext, View, answer_query
+from hetdapac.schemes.base import (
+    MEMO,
+    PACK_MIN_SYMBOLS,
+    DrawnStore,
+    Memo,
+    ServerContext,
+    View,
+    answer_query,
+)
 from hetdapac.wire import (
     MessageGroupDescriptor,
     QueryGroup,
@@ -544,6 +552,20 @@ def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v
             assert type(refused.value) is ConfigError
             with pytest.raises(ConfigError, match=f"^sub-packet index {bad_index} out of range$"):
                 answer_query(made, bad)
+    # a drawn store of fewer messages, or of empty ones, is refused as its
+    # dict copy is
+    for count, length, refusal in [
+        (first, n, missing),
+        (len(whole), 0, rf"^message {first} holds 0 symbols; server {server} answers from "
+                        rf"symbols \[0, {n}\)$"),
+    ]:
+        drawn = DrawnStore(whole.column[:count * length], count, length)
+        for store in (drawn, dict(drawn)):
+            for made in (ServerContext(server, store, ctx.pool, ctx.view),
+                         replace(ctx, store=store)):
+                with pytest.raises(ConfigError, match=refusal) as refused:
+                    answer_query(made, honest)
+                assert type(refused.value) is ConfigError
 
 
 def test_a_context_refuses_a_start_no_32_bit_word_holds():
@@ -560,10 +582,13 @@ def test_a_context_refuses_a_start_no_32_bit_word_holds():
 def test_a_row_read_past_the_end_of_its_message_is_refused_by_either_kernel(length):
     ctx, query, _ = kernel_case(65537, length, 1, rows=3)
     first = min(ctx.store)
-    store = shortened(ctx.store, first, length - 1)
-    with pytest.raises(ConfigError, match=rf"^message {first} holds {length - 1} symbols; "
-                                          rf"server 1 answers from symbols \[0, {2 * length}\)$"):
-        answer_query(replace(ctx, store=store), query)
+    # as from a drawn store whose every message is as short, with unread
+    # messages after the rows, so that no row reads past the column's end
+    for store in (shortened(ctx.store, first, length - 1),
+                  DrawnStore(array("I", [0]) * (6 * (length - 1)), 6, length - 1)):
+        with pytest.raises(ConfigError, match=rf"^message {first} holds {length - 1} symbols; "
+                                              rf"server 1 answers from symbols \[0, {2 * length}\)$"):
+            answer_query(replace(ctx, store=store), query)
 
 
 @pytest.mark.parametrize("scheme, params, v_star, server", [

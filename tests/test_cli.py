@@ -39,7 +39,7 @@ class TestRun:
         def unused(*args):
             raise AssertionError("a refused store drew symbols")
 
-        monkeypatch.setattr(harness, "uniform_arrays", unused)
+        monkeypatch.setattr(harness, "uniform_column", unused)
         code, out = run_cli(capsys, "run", "--scheme", "het1", "--n", "16", "--d", "2",
                             "--k", "4", "--length", "2", "--vstar", ",".join(["1"] * 16))
         assert code == 2 and out.out == ""

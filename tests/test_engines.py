@@ -26,8 +26,15 @@ from hetdapac.errors import ConfigError, DivisibilityError
 from hetdapac.field import derive_rng
 from hetdapac.harness import actor_name, random_store, run_protocol
 from hetdapac.mixer import scheme_costs
+from hetdapac.randomness import allocate
 from hetdapac.schemes import ENGINES, engine
-from hetdapac.schemes.base import plan_trace
+from hetdapac.schemes.base import (
+    PACK_MIN_SYMBOLS,
+    DrawnStore,
+    check_query,
+    plan_trace,
+    server_context,
+)
 from hetdapac.wire import encode_query, payload_digest
 
 INTERFACE = ("SCHEME", "QUERIES_CENTRAL", "subpackets", "pool_labels",
@@ -154,6 +161,40 @@ def test_every_vector_is_retrieved_from_one_build(scheme, params, q):
             assert {c for _, terms in plan.decoding for *_, c in terms} == {1, -1}
         redrawn += plan.redraws
     assert (redrawn > 0) == (scheme == "het2")
+
+
+@pytest.mark.parametrize("q", (2, 5))
+@contract
+def test_a_drawn_store_answers_as_its_dict_copy(scheme, params, q, monkeypatch):
+    # packed sub-packets, and segments that start past symbol 0 as a mix's
+    # second one does: every server answers the same shares and labels
+    # from the drawn column, read by offset with no message looked up by
+    # id, as from a dict of its messages, whichever of the two its query
+    # was checked on
+    eng = engine(scheme)
+    packed = PACK_MIN_SYMBOLS * eng.subpackets(params.d)
+    for length, start in ((packed, 0), (params.length, params.length), (packed, packed)):
+        part = replace(params, q=q, length=length)
+        drawn = random_store(replace(part, length=start + length), (q, start))
+        stores = (drawn, dict(drawn))
+        for seed, v_star in enumerate(every_vector(params)):
+            public = tuple(v_star[params.d:])
+            pool = allocate(scheme, part, public, seed)
+            _, queries = eng.build(v_star, part, derive_rng(seed, "user", 0))
+            for server, query in queries.items():
+                own = None if server == params.central else v_star[server - 1]
+                ctxs = [server_context(server, public, own, st, pool, start) for st in stores]
+                checked = [check_query(ctx, query) for ctx in ctxs]
+                want = eng.answer_query(ctxs[1], query)
+                with monkeypatch.context() as patch:
+                    patch.setattr(DrawnStore, "__getitem__", unread)
+                    got = [eng.answer_query(ctxs[0], qq) for qq in (query, *checked)]
+                assert got == [want] * 3
+                assert [eng.answer_query(ctxs[1], qq) for qq in checked] == [want] * 2
+
+
+def unread(store, msg):
+    raise AssertionError(f"message {msg} looked up by id")
 
 
 GUARDED = ("randomness.py", "harness.py", "access.py")

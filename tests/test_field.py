@@ -25,6 +25,7 @@ from hetdapac.field import (
     lanes_at_or_above,
     little_endian,
     uniform_arrays,
+    uniform_column,
     unit_vector,
 )
 from hetdapac.harness import random_store
@@ -192,6 +193,9 @@ def test_uniform_arrays_is_the_randrange_stream(q, length, count):
     want = [[twin.randrange(q) for _ in range(length)] for _ in range(count)]
     assert [list(a) for a in bulk] == want
     assert all(a.typecode == "I" for a in bulk)
+    # the same stream as one column, filled a block at a time
+    column = uniform_column(random.Random(repr(seed)), q, length * count)
+    assert column.typecode == "I" and list(column) == [x for a in want for x in a]
 
 
 def test_a_symbolic_vector_names_places_of_the_draw_column():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from array import array
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -27,7 +28,7 @@ from hetdapac.harness import (
 from hetdapac.mixer import plan_mix, run_time_shared
 from hetdapac.randomness import allocate
 from hetdapac.schemes import engine
-from hetdapac.schemes.base import PACK_MIN_SYMBOLS
+from hetdapac.schemes.base import PACK_MIN_SYMBOLS, DrawnStore, ServerContext, View
 from hetdapac.wire import (
     AnswerShare,
     MessageGroupDescriptor,
@@ -60,30 +61,33 @@ def test_a_stored_symbol_at_or_above_q_decodes_as_its_residue(run):
     length = 4 if run == "mix" else 2
     params = SystemParams(n_attrs=3, d=2, k=2, q=5, length=length)
     v_star = (1, 2, 1)
-    store = random_store(params, 0)
+    store = dict(random_store(params, 0))
     store[message_index(v_star, params)] = array("I", stored[:length])
-    if run == "mix":
-        msg, _, _ = run_time_shared(plan_mix(params, Fraction(1, 2)), v_star, store, 0)
-    else:
-        msg, _, _ = run_protocol(run, params, v_star, store, 0)
-    assert msg == array("I", residues[:length])
+    # the same symbols as one drawn column, answered from the column
+    drawn = DrawnStore(array("I", chain.from_iterable(store.values())), len(store), length)
+    for held in (store, drawn):
+        if run == "mix":
+            msg, _, _ = run_time_shared(plan_mix(params, Fraction(1, 2)), v_star, held, 0)
+        else:
+            msg, _, _ = run_protocol(run, params, v_star, held, 0)
+        assert msg == array("I", residues[:length])
 
 
 def test_a_store_over_the_symbol_budget_is_refused_before_drawing(monkeypatch):
     def unused(*args):
         raise AssertionError("a refused store drew symbols")
 
-    monkeypatch.setattr(harness, "uniform_arrays", unused)
+    monkeypatch.setattr(harness, "uniform_column", unused)
     top = SystemParams(n_attrs=16, d=2, k=4, q=65537, length=1)  # 2^32 messages
     assert top.message_count > harness.STORE_SYMBOLS
     with pytest.raises(ConfigError, match=f"4294967296 symbols, over the {harness.STORE_SYMBOLS}"):
         random_store(top, 0)
     # a store of the budget exactly, 4^14 messages of one symbol, is drawn
     drawn = []
-    monkeypatch.setattr(harness, "uniform_arrays",
-                        lambda rng, q, length, count: drawn.append((length, count)) or [])
-    random_store(SystemParams(n_attrs=14, d=2, k=4, q=65537, length=1), 0)
-    assert drawn == [(1, harness.STORE_SYMBOLS)]
+    monkeypatch.setattr(harness, "uniform_column",
+                        lambda rng, q, size: drawn.append(size) or array("I", [0]) * size)
+    store = random_store(SystemParams(n_attrs=14, d=2, k=4, q=65537, length=1), 0)
+    assert drawn == [harness.STORE_SYMBOLS] and len(store) == harness.STORE_SYMBOLS
 
 
 @pytest.mark.parametrize("params", [None, (3, 2, 2), P322.__dict__])
@@ -301,16 +305,36 @@ def test_store_segment_slices_symbols():
 # A malformed store is refused when a server installs its pool, naming
 # the message. Server 1 installs first; at v* = (1, 1, 1) on (3, 2, 2) it
 # is granted messages 0 and 2. At L = 64 the sub-packets reach the packed
-# kernel, which would pad a short row with zeros rather than fail.
+# kernel, which would pad a short row with zeros rather than fail. A
+# drawn store of another shape is refused with the message its dict copy
+# gets.
 def cut_store(params, drop, cut):
-    """A random store less message `drop`, each message of `cut` cut to
-    the symbols it names."""
+    """A random store as a dict, less message `drop`, each message of
+    `cut` cut to the symbols it names; or, with `cut` a (count, length)
+    pair, a drawn store of the first `count` messages cut to `length`
+    symbols each."""
     store = random_store(params, 0)
+    if type(cut) is tuple:
+        count, length = cut
+        return DrawnStore(array("I", chain.from_iterable(
+            store[m][:length] for m in range(count))), count, length)
+    store = dict(store)
     if drop is not None:
         del store[drop]
     for m, kept in cut.items():
         store[m] = store[m][:kept]
     return store
+
+
+def refusals(run, store) -> list[str]:
+    """What `run` of a store raises, and what it raises on the store's
+    dict copy when the store is drawn."""
+    said = []
+    for held in (store, dict(store)) if type(store) is DrawnStore else (store,):
+        with pytest.raises(ConfigError) as exc:
+            run(held)
+        said.append(str(exc.value))
+    return said
 
 
 @pytest.mark.parametrize("length, drop, cut, message", [
@@ -320,12 +344,16 @@ def cut_store(params, drop, cut):
     (4, None, {2: 3}, "message 2 holds 3 symbols; server 1 answers from symbols [0, 4)"),
     (64, None, dict.fromkeys(range(8), 40),
      "message 0 holds 40 symbols; server 1 answers from symbols [0, 64)"),
-], ids=["missing", "short", "one-short", "short-packed"])
+    (4, None, (2, 4), "store holds no message 2 for server 1"),
+    (4, None, (8, 3), "message 0 holds 3 symbols; server 1 answers from symbols [0, 4)"),
+    (64, None, (8, 40), "message 0 holds 40 symbols; server 1 answers from symbols [0, 64)"),
+], ids=["missing", "short", "one-short", "short-packed",
+        "drawn-fewer", "drawn-short", "drawn-short-packed"])
 def test_a_pure_run_refuses_a_malformed_store(length, drop, cut, message):
     params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=length)
-    with pytest.raises(ConfigError) as exc:
-        run_protocol("het1", params, (1, 1, 1), cut_store(params, drop, cut), 3)
-    assert str(exc.value) == message
+    store = cut_store(params, drop, cut)
+    said = refusals(lambda held: run_protocol("het1", params, (1, 1, 1), held, 3), store)
+    assert set(said) == {message}
 
 
 @pytest.mark.parametrize("length, drop, cut, message", [
@@ -334,15 +362,71 @@ def test_a_pure_run_refuses_a_malformed_store(length, drop, cut, message):
     (12, None, {0: 10}, "message 0 holds 10 symbols; server 1 answers from symbols [6, 12)"),
     (128, None, {0: 100},
      "message 0 holds 100 symbols; server 1 answers from symbols [64, 128)"),
-], ids=["missing", "short-first-segment", "short-second-segment", "short-packed"])
+    (12, None, (1, 12), "store holds no message 2 for server 1"),
+    (12, None, (8, 5), "message 0 holds 5 symbols; server 1 answers from symbols [0, 6)"),
+    (12, None, (8, 10), "message 0 holds 10 symbols; server 1 answers from symbols [6, 12)"),
+    (128, None, (8, 100),
+     "message 0 holds 100 symbols; server 1 answers from symbols [64, 128)"),
+], ids=["missing", "short-first-segment", "short-second-segment", "short-packed",
+        "drawn-fewer", "drawn-short-first-segment", "drawn-short-second-segment",
+        "drawn-short-packed"])
 def test_a_mix_refuses_a_malformed_store(length, drop, cut, message):
     # a message must reach the end of every segment's range, not only the
     # first one's
     params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=length)
-    with pytest.raises(ConfigError) as exc:
-        run_time_shared(plan_mix(params, Fraction(1, 2)), (1, 1, 1),
-                        cut_store(params, drop, cut), 3)
-    assert str(exc.value) == message
+    store = cut_store(params, drop, cut)
+    said = refusals(lambda held: run_time_shared(plan_mix(params, Fraction(1, 2)), (1, 1, 1),
+                                                 held, 3), store)
+    assert set(said) == {message}
+
+
+def test_a_drawn_store_reads_as_a_mapping_of_its_column():
+    params = SystemParams(n_attrs=3, d=2, k=2, q=5, length=3)
+    store = random_store(params, 4)
+    column = store.column
+    assert (len(column), len(store), list(store)) == (24, 8, list(range(8)))
+    assert store == {m: column[3 * m:3 * m + 3] for m in range(8)}
+    # each read is a copy: writing to it leaves the store as it was
+    first = store[0]
+    first[0] += 1
+    assert store[0] == column[:3] != first
+    assert [m in store for m in (0, 7, 8, -1, "0", 1.0)] == [True, True, False, False, False, False]
+    for msg in (8, -1, "0", 1.0):
+        with pytest.raises(KeyError):
+            store[msg]
+    assert store.get(8) is None
+    with pytest.raises(TypeError):
+        store[0] = array("I", [1, 2, 3])  # read-only: dict(store) is a writable copy
+    # messages of no symbols, and a store of no messages
+    assert dict(DrawnStore(array("I"), 2, 0)) == {0: array("I"), 1: array("I")}
+    assert (len(DrawnStore(array("I"), 0, 5)), 0 in DrawnStore(array("I"), 0, 5)) == (0, False)
+
+
+@pytest.mark.parametrize("column, count, length, message", [
+    (array("I", [0]) * 5, 2, 3, r"^2 messages of 3 symbols are one array\('I'\) of 6 symbols, "
+                                r"got 5 symbols of typecode 'I'$"),
+    (array("L", [0]) * 6, 2, 3, r"got 6 symbols of typecode 'L'$"),
+    ([0] * 6, 2, 3, "got list$"),
+    (array("I"), -1, 0, "got -1 messages of 0$"),
+    (array("I"), 0, -1, "got 0 messages of -1$"),
+    (array("I", [0]) * 6, 2.0, 3, "got 2.0 messages of 3$"),
+    (array("I", [0]) * 6, 2, True, "got 2 messages of True$"),
+    # past 2^32 symbols the shape alone is refused; at 2^32 the column is
+    (array("I"), (1 << 31) + 1, 2, r"^a drawn store holds messages of equal length, at most "
+                                   r"2\^32 symbols in all"),
+    (array("I"), 1 << 31, 2, r"of 4294967296 symbols, got 0 symbols"),
+], ids=["short", "typecode", "list", "negative-count", "negative-length", "float-count",
+        "bool-length", "past-2^32", "at-2^32"])
+def test_a_drawn_store_refuses_a_column_of_another_shape(column, count, length, message):
+    with pytest.raises(ConfigError, match=message):
+        DrawnStore(column, count, length)
+
+
+def test_a_view_that_grants_nothing_passes_any_store():
+    pool = allocate("het1", SystemParams(n_attrs=3, d=2, k=2, q=5, length=4), (1,), 0)
+    for store in ({}, DrawnStore(array("I"), 0, 0)):
+        ctx = ServerContext(1, store, pool, View(frozenset(), None))
+        assert ctx.checked() is ctx
 
 
 def test_upload_symbols_counted_per_query():
