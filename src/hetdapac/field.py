@@ -11,7 +11,8 @@ whose values are exactly what CPython's per-call draws on the same stream
 would return. Its order is the per-call order of a plan: first the
 permutations `random.shuffle` makes, one per participating message, then
 the symbols `randrange(q)` returns for the combining vectors. Stores and
-pools ask it for symbols only (`uniform_arrays`).
+pools ask it for symbols only: a store as one column (`uniform_column`),
+a pool as one array per chunk (`uniform_arrays`).
 
 A batch is one big int of 32-bit lanes, and no Python loop visits a word
 (moduli above 2^31 aside, see `WordStream.take`): permutation draws come

@@ -43,27 +43,30 @@ range starts at 0; a mix segment's starts where the previous segment's
 stopped, and no symbol is copied. The view depends on nothing else, so
 `MEMO` keeps it: each engine's `label_table` builds a view's table on
 its first install, as a read-only mapping of label tuples, and every
-later install, in any run, reads it; an install only checks the store's
-granted messages, copying none. `answer_query`, which every engine
-re-exports, is a check and a combination. `check_query` runs every check
-that reads no store, against the view, the range's start, the params and
-the sub-packet length, and returns a `CheckedQuery`: per group, its id
-column, its rows' first-symbol offsets, its vector and the labels the
-table names for it, the table's own tuples, uncopied. The answer then
-reads each group's messages from the store and its pad chunks from the
-pool, and combines them. A store that `harness.random_store` draws is a
-`DrawnStore`, every message in one `array('I')` column, and its rows are
-read straight from the column: each row's first symbol is its id times
-L plus its first-symbol offset, computed for the whole query in 32-bit
-lanes, and no row is looked up by id. Any other mapping, a test's dict
-or the secrecy audit's store of granted messages, is read message by
-message, one `operator.itemgetter` over a group's id column. A checked
-query depends on no store: handed to a context of the same view object,
-start, params and sub-packet length, it is not checked again, whatever
-the context's store or pool, so the secrecy audit checks each server's
-query once and answers it from every store and pool it needs; any other
-query is checked first. A group costs a fixed number of calls
-into C, whatever its rows.
+later install, in any run, reads it. Every context, however it is made,
+is checked when it is made (`ServerContext`): its store must hold every
+granted message to the end of the range, and the check copies none.
+`answer_query`, which every engine re-exports, is a check and a
+combination. `check_query` runs every check that reads no store, against the view,
+the range's start, the params and the sub-packet length, and returns a
+`CheckedQuery`: the query's id column, its rows' first-symbol offsets
+and, per group, the labels the table names for it, the table's own
+tuples, uncopied. The answer then makes one column of the rows' first
+symbols, reads each group's slice of it from the store and its pad
+chunks from the pool, and combines them. A store that
+`harness.random_store` draws is a `DrawnStore`, every message in one
+`array('I')` column, and its rows are read straight from the column:
+each row's first symbol is its id times L plus its first-symbol offset,
+computed for the whole query in 32-bit lanes, and no row is looked up by
+id. Any other mapping, a test's dict or the secrecy audit's store of
+granted messages, is read message by message, one `operator.itemgetter`
+over a group's id column, at the offsets. A checked query depends on no
+store: handed to a context of the same view object, start, params and
+sub-packet length, it is not checked again, whatever the context's store
+or pool, so the secrecy audit checks each server's query once and
+answers it from every store and pool it needs; any other query is
+checked first. A group costs a fixed number of calls into C, whatever
+its rows.
 The share for a group is the vector-weighted sum of the named sub-packets
 plus the sum of the pad chunks its table entry names. Decoding is user-side
 and touches only (plan, answer shares): every scheme cancels interference
@@ -113,7 +116,7 @@ from functools import lru_cache, partial
 from itertools import chain, repeat
 from operator import add, getitem, itemgetter, length_hint, mul
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..access import SystemParams, check_vector, id_set, match_set, message_index, participating_ids
 from ..errors import AccessRefusal, ConfigError
@@ -599,14 +602,19 @@ class ServerContext:
     granted message from `start` on: the whole message in a pure run, one
     range of it in a segment of a mix.
 
-    Every context, however made, refuses a `start` that is not an int in
-    [0, 2^32 − L], L the pool's length: a server answers from symbols
-    that a 32-bit word indexes. An install checks the store against the
-    view (`checked`). A context made from a view by `dataclasses.replace`
-    or by hand, as the secrecy audit makes one per server and store, is
-    not checked when made: an answer that meets a granted message its
-    store lacks, or reads past the end of one, raises the refusal the
-    check raises, never a `KeyError` or an `IndexError`.
+    Every context is checked when it is made, by `server_context`, by
+    hand or by `dataclasses.replace`, as the secrecy audit makes one per
+    server and store. It refuses, with a `ConfigError`: a store that is
+    not a mapping; a `start` that is not an int in [0, 2^32 − L], L the
+    pool's length, as a server answers from symbols that a 32-bit word
+    indexes; then the lowest granted message the store lacks, or, with
+    none missing, the lowest that stops short of start + L. The lengths
+    are read once, with no dict built and no symbol scanned: a symbol at
+    or above q is reduced mod q like any sum. A `DrawnStore` is checked by
+    arithmetic alone, its highest granted id against its count and its
+    length against the range. So a context's store serves its view from
+    the moment the context exists; only a mapping changed since can fall
+    short at an answer.
     """
 
     server: int
@@ -616,29 +624,20 @@ class ServerContext:
     start: int = 0
 
     def __post_init__(self):
+        store, server, granted, start = self.store, self.server, self.view.granted, self.start
+        if not isinstance(store, Mapping):
+            raise ConfigError(f"a store maps message ids to symbols, got {store!r}")
         last = (1 << 32) - self.pool.params.length
-        if type(self.start) is not int or not 0 <= self.start <= last:
-            raise ConfigError(f"a server answers from a symbol in [0, {last}], "
-                              f"got start {self.start!r}")
-
-    def checked(self) -> "ServerContext":
-        """This context, once its store is found to hold every granted
-        message up to the end of the range the server answers from: else
-        a `ConfigError` naming the lowest message that is missing, or,
-        with none missing, the lowest that stops short. The lengths are
-        read once, with no dict built and no symbol scanned; a
-        `DrawnStore` that passes is checked by arithmetic alone, its
-        highest granted id against its count and its length against the
-        range."""
-        store, server, granted = self.store, self.server, self.view.granted
-        stop = self.start + self.pool.params.length
+        if type(start) is not int or not 0 <= start <= last:
+            raise ConfigError(f"a server answers from a symbol in [0, {last}], got start {start!r}")
+        stop = start + self.pool.params.length
         if type(store) is DrawnStore:
             if not granted or max(granted) < store.count and store.length >= stop:
-                return self
+                return
         else:
             try:
                 if min(map(len, map(store.__getitem__, granted)), default=stop) >= stop:
-                    return self
+                    return
             except KeyError:
                 pass
         missing = min((m for m in granted if m not in store), default=None)
@@ -646,7 +645,7 @@ class ServerContext:
             raise ConfigError(f"store holds no message {missing} for server {server}")
         short = min(m for m in granted if len(store[m]) < stop)
         raise ConfigError(f"message {short} holds {len(store[short])} symbols; server "
-                          f"{server} answers from symbols [{self.start}, {stop})")
+                          f"{server} answers from symbols [{start}, {stop})")
 
     @property
     def is_central(self) -> bool:
@@ -664,17 +663,12 @@ def server_context(server: int, public: tuple[int, ...], own_value: Optional[int
     view's first install; the central server of a scheme that never
     queries it gets no table. The context holds the store whole and the
     view itself, so every context of one view, whatever its store or
-    pool, reads the view's remembered id columns (`View.columns`).
-
-    A store that is not a mapping is refused, and so is one that lacks a
-    granted message or holds one too short (`ServerContext.checked`); no
-    symbol is scanned: a symbol at or above q is reduced mod q like any
-    sum.
+    pool, reads the view's remembered id columns (`View.columns`). The
+    context checks the store and the start when it is made
+    (`ServerContext`).
     """
-    if not isinstance(store, Mapping):
-        raise ConfigError(f"a store maps message ids to symbols, got {store!r}")
     view = MEMO.view(pool.scheme, pool.params, server, tuple(public), own_value)
-    return ServerContext(server, store, pool, view, start).checked()
+    return ServerContext(server, store, pool, view, start)
 
 
 # Sub-packets at least this long are answered by the packed kernel, the
@@ -790,23 +784,26 @@ def combine(vector, arrays, starts, pads, q: int, length: int) -> array:
     return kernel(vector, arrays, starts, pads, q, length)
 
 
-class CheckedQuery(tuple):
+class CheckedQuery(NamedTuple):
     """A query that `check_query` passed on one context: the query's
     `server` and `groups`, as sent; the context's view, start, params and
-    sub-packet length it was checked against; per group, its id column,
-    its rows' first-symbol offsets, its vector and the labels the view's
-    table names for it; the whole query's id column and first-symbol
-    offsets, the offsets as one int of 32-bit lanes, from which an answer
-    from a `DrawnStore` places every row in its column at once; and the
-    list of the labels, which every answer from it returns. None of it
-    depends on a store. It holds the view itself, never a key made from
-    it, and the query's own columns, uncopied: a caller that writes to
-    them after the check must check the query again."""
+    sub-packet length it was checked against; the whole query's id column
+    and its rows' first-symbol offsets, one `array('I')` each, in query
+    order; and the list of the labels the view's table names for each
+    group, which every answer from it returns. None of it depends on a
+    store. It holds the view itself, never a key made from it, and the
+    query's own groups, uncopied: a caller that writes to them after the
+    check must check the query again."""
 
-    __slots__ = ()
-    server = property(itemgetter(0))
-    groups = property(itemgetter(1))
-    view = property(itemgetter(2))
+    server: int
+    groups: tuple
+    view: View
+    start: int
+    params: SystemParams
+    sub_len: int
+    ids: array
+    offsets: array
+    labels: list
 
 
 def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
@@ -857,11 +854,10 @@ def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
     below = int.from_bytes(little_endian(every_index), "little") - ones  # 0 wraps to 2^32 − 1
     if lanes_at_or_above(ones, subpackets)(below):
         raise _refusal(ctx, query)
-    offsets = below * sub_len + ones * ctx.start
-    starts = little_endian(array("I", offsets.to_bytes(4 * len(every_index), "little")))
-    checked_groups, all_labels = [], []
-    at = 0
-    for (ids, indices), vector in groups:
+    offsets = little_endian(array("I", (below * sub_len + ones * ctx.start).to_bytes(
+        4 * len(every_index), "little")))
+    all_labels = []
+    for (ids, _), vector in groups:
         rows = len(ids)
         if len(vector) != rows:
             raise _refusal(ctx, query)
@@ -875,9 +871,7 @@ def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
                 if len(columns) >= len(table):
                     del columns[next(iter(columns))]
                 columns[column] = labels
-        checked_groups.append((ids, starts[at:at + rows], vector, labels))
         all_labels.append(labels)
-        at += rows
     every_label = [*chain.from_iterable(all_labels)]
     keys = array("Q", bytes(8 * len(every_id)))
     words = memoryview(keys).cast("B").cast("I")
@@ -885,7 +879,7 @@ def check_query(ctx: ServerContext, query: QueryTuple) -> CheckedQuery:
     if len(set(every_label)) != len(every_label) or len(set(keys)) != len(keys):
         raise _refusal(ctx, query)
     return tuple.__new__(CheckedQuery, (ctx.server, groups, view, ctx.start, params, sub_len,
-                                        checked_groups, (every_id, offsets), all_labels))
+                                        every_id, offsets, all_labels))
 
 
 def _refusal(ctx: ServerContext, query: QueryTuple) -> Exception:
@@ -898,9 +892,10 @@ def _refusal(ctx: ServerContext, query: QueryTuple) -> Exception:
     (an `AccessRefusal`), then a wire index outside [1, S]. After the last
     group: a pad label or a (message, wire index) row named twice, as
     shares that repeat one differ by a pad-free combination of
-    sub-packets. A store short of a granted message is none of these:
-    the answer refuses it (`ServerContext.checked`) after every one of
-    them, and only a context made without an install can meet it."""
+    sub-packets. A store short of a granted message is none of these: a
+    context refuses it when it is made (`ServerContext`), before any
+    query, and the answer refuses it after every one of them only when
+    the store is a mapping changed since."""
     granted, table = ctx.view
     pool, server = ctx.pool, ctx.server
     subpackets = pool.params.length // pool.chunk_len
@@ -935,49 +930,47 @@ def answer_query(ctx: ServerContext, query: QueryTuple | CheckedQuery
     any other is checked again. Then each group's share is its combined
     sub-packet plus the sum of the pad chunks the table names for its
     message set, and the labels are the table's own tuples, in the
-    checked query's list: a caller reads it and does not write to it. A
-    group's messages are read from the whole store by one
-    `operator.itemgetter` over its id column, or, from a `DrawnStore`
-    that holds every row's message to the end of the range, straight
-    from its column, every row of the query placed at once as id·L +
-    offset in 32-bit lanes; a drawn store that falls short is read as any
-    other mapping. A label this pool lacks is refused by the pool, naming
-    it; a granted message the store lacks, or one that ends before a
-    row's sub-packet, is refused as an install refuses it
-    (`ServerContext.checked`).
+    checked query's list: a caller reads it and does not write to it.
+
+    Every row's first symbol is one column per answer, which each group
+    slices. From a `DrawnStore` it is the row's place in the store's
+    column, id·L + offset, every row of the query placed at once in 32-bit
+    lanes, and the rows are read from that column with no test: the
+    context holds every granted message to the end of the range. From any
+    other mapping it is the offset, and a group's messages are read by
+    one `operator.itemgetter` over its id column. A label this pool lacks
+    is refused by the pool, naming it; a mapping changed since the
+    context was made, to lack a granted message or to end before a row's
+    sub-packet, is refused as making the context again refuses it.
     """
     pool = ctx.pool
-    # a checked query holds the start, params and sub-packet length after its view
     if not (type(query) is CheckedQuery and query.view is ctx.view and query.server == ctx.server
-            and query[3:6] == (ctx.start, pool.params, pool.chunk_len)):
+            and (query.start, query.params, query.sub_len)
+            == (ctx.start, pool.params, pool.chunk_len)):
         query = check_query(ctx, query)
-    server, _, _, _, params, sub_len, checked_groups, (every_id, offsets), all_labels = query
-    q, store, chunk_of = params.q, ctx.store, pool.chunks.__getitem__
-    column = None
-    if (type(store) is DrawnStore and max(every_id, default=0) in store
-            and ctx.start + params.length <= store.length):
-        column, at = store.column, 0
+    q, store, chunk_of = pool.params.q, ctx.store, pool.chunks.__getitem__
+    sub_len, starts = query.sub_len, query.offsets
+    drawn = type(store) is DrawnStore
+    if drawn:
         # id·length + offset < count·length <= 2^32: no lane carries into the next
-        row_starts = little_endian(array("I", (
-            int.from_bytes(little_endian(every_id), "little") * store.length + offsets
-        ).to_bytes(4 * len(every_id), "little")))
-    shares = []
-    for gi, (ids, starts, vector, labels) in enumerate(checked_groups):
+        starts = little_endian(array("I", (
+            int.from_bytes(little_endian(query.ids), "little") * store.length
+            + int.from_bytes(little_endian(starts), "little")).to_bytes(4 * len(starts), "little")))
+    shares, at = [], 0
+    for gi, (((ids, _), vector), labels) in enumerate(zip(query.groups, query.labels)):
+        rows = len(ids)
         try:
             pads = [*map(chunk_of, labels)]
-            if column is not None:
-                rows = len(ids)
-                arrays, starts = [column] * rows, row_starts[at:at + rows]
-                at += rows
-            else:
-                arrays = itemgetter(*ids)(store) if len(ids) > 1 else [store[ids[0]]]
-            share = combine(vector, arrays, starts, pads, q, sub_len)
+            arrays = ([store.column] * rows if drawn
+                      else itemgetter(*ids)(store) if rows > 1 else [store[ids[0]]])
+            share = combine(vector, arrays, starts[at:at + rows], pads, q, sub_len)
         except (KeyError, IndexError):
             [*map(pool.chunk, labels)]  # a label this pool lacks: the pool's refusal
-            ctx.checked()  # a store short of a granted message: the install's refusal
+            replace(ctx)  # a mapping changed since: the refusal of a context made now
             raise
-        shares.append(tuple.__new__(AnswerShare, (server, gi, share)))
-    return shares, all_labels
+        at += rows
+        shares.append(tuple.__new__(AnswerShare, (query.server, gi, share)))
+    return shares, query.labels
 
 
 def decode(plan: RetrievalPlan, answers: dict) -> array:

@@ -246,12 +246,14 @@ def outcome_kind(got) -> str:
 
 def setting(point):
     """What a campaign at `point` answers from: (public part, own value,
-    two stores of the participating messages, long enough for every
+    two stores of the participating messages of v* and of `neighbour_v_star`,
+    so that every view of the campaign is served, long enough for every
     start, two pools, the server's honest query)."""
     scheme, params, v_star, server = point
     public = tuple(v_star[params.d:])
     own = None if server == params.central else v_star[server - 1]
-    ids = participating_ids(params, public)
+    ids = sorted({*participating_ids(params, public),
+                  *participating_ids(params, neighbour_v_star(point)[params.d:])})
     stores = [dict(zip(ids, uniform_arrays(derive_rng("walk store", seed), params.q,
                                            max(STARTS) + params.length, len(ids))))
               for seed in (0, 1)]
@@ -309,15 +311,22 @@ def test_mutated_queries_are_answered_as_the_walk_answers_them(point, start, mon
     assert seen == reachable(campaign)
 
 
-def another_view(point):
-    """`point`'s server's view of another v*: its own value moved on a
-    dedicated server, its first public value on the central one."""
-    scheme, params, v_star, server = point
+def neighbour_v_star(point) -> tuple:
+    """`point`'s v* with one value moved: the server's own value on a
+    dedicated server, the first public value on the central one."""
+    _, params, v_star, server = point
     other = list(v_star)
     at = params.d if server == params.central else server - 1
     other[at] = other[at] % params.k + 1
+    return tuple(other)
+
+
+def another_view(point):
+    """`point`'s server's view of its `neighbour_v_star`."""
+    scheme, params, _, server = point
+    other = neighbour_v_star(point)
     own = None if server == params.central else other[server - 1]
-    return scheme_base.MEMO.view(scheme, params, server, tuple(other[params.d:]), own)
+    return scheme_base.MEMO.view(scheme, params, server, other[params.d:], own)
 
 
 def checked_once(ctx, query):

@@ -291,6 +291,7 @@ def test_install_time_tables_equal_the_per_query_oracle(scheme, n_attrs, d, k):
             for own in views:
                 ctx = scheme_base.server_context(server, public, own, store, pool)
                 assert ctx.view.table == per_query_table(scheme, server, params, public, own)
+                assert ctx.is_central == (own is None)
 
 
 # ------------------------------------------------------- the view memo
@@ -506,10 +507,10 @@ def shortened(store, msg, symbols):
 
 @pytest.mark.parametrize("scheme, params, v_star, server", REMEMBERED_POINTS)
 def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v_star, server):
-    # at install, and by the answer of a context made from the view, or of
-    # one whose store changed since: the install's ConfigError, naming the
-    # lowest message missing, else the lowest too short, and the server,
-    # never a KeyError or an IndexError
+    # when a context is made, by an install, by hand or by `replace`, and
+    # by the answer of a context whose mapping changed since: one
+    # ConfigError, naming the lowest message missing, else the lowest too
+    # short, and the server, never a KeyError or an IndexError
     ctx, honest = warm(scheme, params, v_star, server)
     public, own = view_args(params, v_star, server)
     whole, n = ctx.store, params.length
@@ -530,7 +531,9 @@ def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v
                                           rf"{server} answers from symbols \[1, {n + 1}\)$"):
         scheme_base.server_context(server, public, own, whole, ctx.pool, 1)
     # a message the query reads, gone or emptied, and the lowest granted
-    # one; a query of its own fault, an index in its last group, is
+    # one: refused when a context is made by hand or by `replace`, and by
+    # the answer of a context whose mapping changed since it was made,
+    # where a query of its own fault, an index in its last group, is
     # refused for that fault first
     msg = honest.groups[0].descriptor.ids[0]
     bad_index = params.length // ctx.pool.chunk_len + 1
@@ -541,17 +544,20 @@ def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v
             rf"symbols \[0, {n}\)$"),
     ]:
         store = shortened(shortened(whole, msg, symbols), first, symbols)
+        for make in (partial(ServerContext, server, store, ctx.pool, ctx.view),
+                     partial(replace, ctx, store=store)):
+            with pytest.raises(ConfigError, match=refusal) as refused:
+                make()
+            assert type(refused.value) is ConfigError
         changed = dict(whole)
         after = ServerContext(server, changed, ctx.pool, ctx.view)
         changed.clear()
         changed.update(store)
-        for made in (ServerContext(server, store, ctx.pool, ctx.view),
-                     replace(ctx, store=store), after):
-            with pytest.raises(ConfigError, match=refusal) as refused:
-                answer_query(made, honest)
-            assert type(refused.value) is ConfigError
-            with pytest.raises(ConfigError, match=f"^sub-packet index {bad_index} out of range$"):
-                answer_query(made, bad)
+        with pytest.raises(ConfigError, match=refusal) as refused:
+            answer_query(after, honest)
+        assert type(refused.value) is ConfigError
+        with pytest.raises(ConfigError, match=f"^sub-packet index {bad_index} out of range$"):
+            answer_query(after, bad)
     # a drawn store of fewer messages, or of empty ones, is refused as its
     # dict copy is
     for count, length, refusal in [
@@ -561,10 +567,10 @@ def test_a_store_short_of_a_granted_message_is_refused_by_name(scheme, params, v
     ]:
         drawn = DrawnStore(whole.column[:count * length], count, length)
         for store in (drawn, dict(drawn)):
-            for made in (ServerContext(server, store, ctx.pool, ctx.view),
-                         replace(ctx, store=store)):
+            for make in (partial(ServerContext, server, store, ctx.pool, ctx.view),
+                         partial(replace, ctx, store=store)):
                 with pytest.raises(ConfigError, match=refusal) as refused:
-                    answer_query(made, honest)
+                    make()
                 assert type(refused.value) is ConfigError
 
 
@@ -572,7 +578,8 @@ def test_a_context_refuses_a_start_no_32_bit_word_holds():
     # a server answers from symbols [start, start + L), each below 2^32
     ctx, query, _ = kernel_case(65537, 2, 1, rows=3)
     last = 2 ** 32 - ctx.pool.params.length
-    assert replace(ctx, start=last).start == last
+    # the last start, on a view that grants nothing, which any store serves
+    assert replace(ctx, start=last, view=View(frozenset(), None)).start == last
     for start in (-1, last + 1, 2 ** 64, True, 1.0, "0", None):
         with pytest.raises(ConfigError, match=rf"^a server answers from a symbol in \[0, {last}\]"):
             replace(ctx, start=start)
@@ -582,13 +589,17 @@ def test_a_context_refuses_a_start_no_32_bit_word_holds():
 def test_a_row_read_past_the_end_of_its_message_is_refused_by_either_kernel(length):
     ctx, query, _ = kernel_case(65537, length, 1, rows=3)
     first = min(ctx.store)
-    # as from a drawn store whose every message is as short, with unread
-    # messages after the rows, so that no row reads past the column's end
-    for store in (shortened(ctx.store, first, length - 1),
-                  DrawnStore(array("I", [0]) * (6 * (length - 1)), 6, length - 1)):
-        with pytest.raises(ConfigError, match=rf"^message {first} holds {length - 1} symbols; "
-                                              rf"server 1 answers from symbols \[0, {2 * length}\)$"):
-            answer_query(replace(ctx, store=store), query)
+    # a context is refused a short store when made, so only a mapping
+    # changed since can hand a kernel a short row: the kernel's
+    # IndexError becomes the refusal of a context made now
+    store = dict(ctx.store)
+    changed = replace(ctx, store=store)
+    store[first] = store[first][:length - 1]
+    with pytest.raises(ConfigError, match=rf"^message {first} holds {length - 1} symbols; "
+                                          rf"server 1 answers from symbols \[0, {2 * length}\)$"
+                       ) as refused:
+        answer_query(changed, query)
+    assert type(refused.value.__context__) is IndexError
 
 
 @pytest.mark.parametrize("scheme, params, v_star, server", [

@@ -28,7 +28,7 @@ from hetdapac.harness import (
 from hetdapac.mixer import plan_mix, run_time_shared
 from hetdapac.randomness import allocate
 from hetdapac.schemes import engine
-from hetdapac.schemes.base import PACK_MIN_SYMBOLS, DrawnStore, ServerContext, View
+from hetdapac.schemes.base import MEMO, PACK_MIN_SYMBOLS, DrawnStore, ServerContext, View
 from hetdapac.wire import (
     AnswerShare,
     MessageGroupDescriptor,
@@ -307,12 +307,15 @@ def test_store_segment_slices_symbols():
 # is granted messages 0 and 2. At L = 64 the sub-packets reach the packed
 # kernel, which would pad a short row with zeros rather than fail. A
 # drawn store of another shape is refused with the message its dict copy
-# gets.
+# gets. A context made by hand from server 1's view refuses each store as
+# the install does, a store that is no mapping too.
 def cut_store(params, drop, cut):
     """A random store as a dict, less message `drop`, each message of
     `cut` cut to the symbols it names; or, with `cut` a (count, length)
     pair, a drawn store of the first `count` messages cut to `length`
-    symbols each."""
+    symbols each; or, with `cut` neither, `cut` itself."""
+    if type(cut) not in (dict, tuple):
+        return cut
     store = random_store(params, 0)
     if type(cut) is tuple:
         count, length = cut
@@ -347,12 +350,16 @@ def refusals(run, store) -> list[str]:
     (4, None, (2, 4), "store holds no message 2 for server 1"),
     (4, None, (8, 3), "message 0 holds 3 symbols; server 1 answers from symbols [0, 4)"),
     (64, None, (8, 40), "message 0 holds 40 symbols; server 1 answers from symbols [0, 64)"),
+    (2, None, [], "a store maps message ids to symbols, got []"),
+    (2, None, 7, "a store maps message ids to symbols, got 7"),
 ], ids=["missing", "short", "one-short", "short-packed",
-        "drawn-fewer", "drawn-short", "drawn-short-packed"])
+        "drawn-fewer", "drawn-short", "drawn-short-packed", "list", "int"])
 def test_a_pure_run_refuses_a_malformed_store(length, drop, cut, message):
     params = SystemParams(n_attrs=3, d=2, k=2, q=65537, length=length)
     store = cut_store(params, drop, cut)
     said = refusals(lambda held: run_protocol("het1", params, (1, 1, 1), held, 3), store)
+    pool, view = allocate("het1", params, (1,), 3), MEMO.view("het1", params, 1, (1,), 1)
+    said += refusals(lambda held: ServerContext(1, held, pool, view), store)
     assert set(said) == {message}
 
 
@@ -425,8 +432,7 @@ def test_a_drawn_store_refuses_a_column_of_another_shape(column, count, length, 
 def test_a_view_that_grants_nothing_passes_any_store():
     pool = allocate("het1", SystemParams(n_attrs=3, d=2, k=2, q=5, length=4), (1,), 0)
     for store in ({}, DrawnStore(array("I"), 0, 0)):
-        ctx = ServerContext(1, store, pool, View(frozenset(), None))
-        assert ctx.checked() is ctx
+        assert ServerContext(1, store, pool, View(frozenset(), None)).store is store
 
 
 def test_upload_symbols_counted_per_query():
